@@ -13,9 +13,10 @@
 //! (Figure 4a); a scheme that pairs bins arbitrarily drops edges
 //! (Figure 4b) and leaks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
-use pds_cloud::AdversarialView;
+use pds_cloud::{AdversarialView, EpisodeObservation};
 use pds_common::{TupleId, Value};
 
 /// A sensitive-side retrieval group: the set of encrypted tuple ids returned
@@ -43,14 +44,22 @@ pub struct SurvivingMatches {
 
 impl SurvivingMatches {
     /// Builds the analysis from an adversarial view.
+    ///
+    /// Every update below is an idempotent set insert, so an observation
+    /// the view shares between several episodes is folded in once: the
+    /// cost grows with the distinct observations, not the episode count.
     pub fn from_view(view: &AdversarialView) -> Self {
         let mut sensitive_groups: Vec<SensitiveGroup> = Vec::new();
         let mut nonsensitive_groups: Vec<NonSensitiveGroup> = Vec::new();
         let mut edges = BTreeSet::new();
         let mut value_candidates: BTreeMap<TupleId, BTreeSet<Value>> = BTreeMap::new();
         let mut all_ns_values: BTreeSet<Value> = BTreeSet::new();
+        let mut folded: HashSet<*const EpisodeObservation> = HashSet::new();
 
         for ep in view.episodes() {
+            if !folded.insert(Arc::as_ptr(&ep.observed)) {
+                continue;
+            }
             let s_group: SensitiveGroup = ep.sensitive_returned.iter().copied().collect();
             let ns_group: NonSensitiveGroup = ep.plaintext_request.iter().cloned().collect();
             all_ns_values.extend(ns_group.iter().cloned());

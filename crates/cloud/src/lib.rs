@@ -76,4 +76,4 @@ pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
 pub use tcp::{CorrelationWindow, RemoteSession, TcpCloudClient, TcpShardConn};
 pub use transport::{simulate_wire_traffic, BinTransport, DispatchReport};
-pub use view::{AdversarialView, QueryEpisode};
+pub use view::{AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode};

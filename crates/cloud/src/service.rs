@@ -63,6 +63,7 @@ use pds_proto::{error_frame, msg_tag, FrameReader, ReadFrame, WireMessage};
 
 use crate::server::CloudServer;
 use crate::session::CloudSession;
+use crate::view::EpisodeLoads;
 
 /// Tuning knobs of one [`ShardDaemon`].
 #[derive(Debug, Clone)]
@@ -620,33 +621,42 @@ fn flush_tenant_stats(state: &SharedState, tenant: u64, server: &CloudServer) {
     // Leakage telemetry: how uniform the per-episode encrypted result
     // loads the adversary observed are (1.0 = indistinguishable loads,
     // → 0 = one episode sticks out). Computed over sizes only — the
-    // tuple contents never reach the registry.
-    let episode_loads: Vec<f64> = server
-        .adversarial_view()
-        .episodes()
-        .iter()
-        .map(|ep| ep.sensitive_returned.len() as f64)
-        .collect();
-    registry.gauge_set(
-        "pds_bin_load_uniformity",
-        labels,
-        load_uniformity(&episode_loads),
-    );
-    registry.counter_set(
-        "pds_observed_episodes_total",
-        labels,
-        episode_loads.len() as u64,
-    );
+    // tuple contents never reach the registry — from the view's running
+    // summary, so a snapshot costs the same however long the log grows.
+    let loads = server.adversarial_view().sensitive_loads();
+    registry.gauge_set("pds_bin_load_uniformity", labels, load_uniformity(&loads));
+    registry.counter_set("pds_observed_episodes_total", labels, loads.episodes);
 }
 
 /// Mean/max uniformity of observed per-episode loads: 1.0 when every
 /// episode returns the same number of encrypted rows (or there is nothing
 /// to observe), approaching 0 as one episode dominates.
-fn load_uniformity(loads: &[f64]) -> f64 {
-    let max = loads.iter().copied().fold(0.0f64, f64::max);
-    if loads.is_empty() || max <= 0.0 {
+fn load_uniformity(loads: &EpisodeLoads) -> f64 {
+    if loads.episodes == 0 || loads.max == 0 {
         return 1.0;
     }
-    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-    mean / max
+    let mean = loads.total as f64 / loads.episodes as f64;
+    mean / loads.max as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn load_uniformity_is_mean_over_max() {
+        assert_eq!(load_uniformity(&EpisodeLoads::default()), 1.0);
+        let empty_bins = EpisodeLoads {
+            episodes: 4,
+            total: 0,
+            max: 0,
+        };
+        assert_eq!(load_uniformity(&empty_bins), 1.0);
+        let loads = EpisodeLoads {
+            episodes: 3,
+            total: 6,
+            max: 3,
+        };
+        assert_eq!(load_uniformity(&loads), 2.0 / 3.0);
+    }
 }

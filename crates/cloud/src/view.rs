@@ -10,15 +10,25 @@
 //! values) and what was returned (ids of encrypted tuples, and ids plus
 //! clear-text searchable values of non-sensitive tuples).  The adversary
 //! crate mounts all of its attacks on this structure alone.
+//!
+//! Under Query Binning every query fetches one whole (sensitive bin,
+//! non-sensitive bin) pair, so a long session repeats the same few
+//! observations over and over.  The view therefore *interns* each completed
+//! [`EpisodeObservation`]: episodes with equal observations share one
+//! allocation, and the log costs one id plus one pointer per episode while
+//! still holding every episode, in order.
+
+use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use pds_common::{QueryId, TupleId, Value};
 use serde::{Deserialize, Serialize};
 
-/// Everything the honest-but-curious cloud observes for a single query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QueryEpisode {
-    /// Identifier of the query episode.
-    pub id: QueryId,
+/// What the honest-but-curious cloud observes for a single query, apart
+/// from the episode's id.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct EpisodeObservation {
     /// Clear-text values requested on the non-sensitive relation
     /// (`q(Wns)(Rns)` — visible to the adversary in full).
     pub plaintext_request: Vec<Value>,
@@ -35,18 +45,7 @@ pub struct QueryEpisode {
     pub sensitive_returned: Vec<TupleId>,
 }
 
-impl QueryEpisode {
-    fn new(id: QueryId) -> Self {
-        QueryEpisode {
-            id,
-            plaintext_request: Vec::new(),
-            encrypted_request_size: 0,
-            nonsensitive_returned: Vec::new(),
-            nonsensitive_values: Vec::new(),
-            sensitive_returned: Vec::new(),
-        }
-    }
-
+impl EpisodeObservation {
     /// Total number of tuples (both kinds) returned in this episode — the
     /// quantity a size attack observes.
     pub fn output_size(&self) -> usize {
@@ -62,13 +61,71 @@ impl QueryEpisode {
     pub fn nonsensitive_output_size(&self) -> usize {
         self.nonsensitive_returned.len()
     }
+
+    /// Empties every field, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.plaintext_request.clear();
+        self.encrypted_request_size = 0;
+        self.nonsensitive_returned.clear();
+        self.nonsensitive_values.clear();
+        self.sensitive_returned.clear();
+    }
+}
+
+/// Everything the honest-but-curious cloud observes for a single query:
+/// the episode's own id plus its (possibly shared) observation.  Field
+/// access goes through [`Deref`], so `ep.sensitive_returned` reads the
+/// observation directly.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QueryEpisode {
+    /// Identifier of the query episode.
+    pub id: QueryId,
+    /// What was observed; episodes with equal observations in one view
+    /// point at the same allocation.
+    pub observed: Arc<EpisodeObservation>,
+}
+
+impl Deref for QueryEpisode {
+    type Target = EpisodeObservation;
+
+    fn deref(&self) -> &EpisodeObservation {
+        &self.observed
+    }
+}
+
+/// Running summary of the encrypted result loads (`|sensitive_returned|`)
+/// of a view's completed episodes: all a load-uniformity gauge needs, so
+/// reading it never walks the episode log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpisodeLoads {
+    /// Number of completed episodes.
+    pub episodes: u64,
+    /// Sum of the per-episode sensitive loads.
+    pub total: u64,
+    /// Largest per-episode sensitive load.
+    pub max: u64,
+}
+
+impl EpisodeLoads {
+    fn record(&mut self, load: usize) {
+        let load = load as u64;
+        self.episodes += 1;
+        self.total += load;
+        self.max = self.max.max(load);
+    }
 }
 
 /// The accumulated adversarial view across all queries of a session.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdversarialView {
     episodes: Vec<QueryEpisode>,
-    in_progress: Option<QueryEpisode>,
+    /// Id of the episode being recorded, if one is open.
+    in_progress: Option<QueryId>,
+    /// What the open episode has observed so far (empty when none is open).
+    building: EpisodeObservation,
+    /// One shared allocation per distinct completed observation.
+    interned: HashSet<Arc<EpisodeObservation>>,
+    loads: EpisodeLoads,
     next_id: u64,
 }
 
@@ -78,34 +135,55 @@ impl AdversarialView {
         Self::default()
     }
 
+    fn fresh_id(next_id: &mut u64) -> QueryId {
+        let id = QueryId::new(*next_id);
+        *next_id += 1;
+        id
+    }
+
     /// Starts recording a new query episode and returns its id.
     pub fn begin_episode(&mut self) -> QueryId {
         // A dangling in-progress episode (owner never called `end`) is
         // committed first so nothing observed is ever dropped.
-        if let Some(ep) = self.in_progress.take() {
-            self.episodes.push(ep);
-        }
-        let id = QueryId::new(self.next_id);
-        self.next_id += 1;
-        self.in_progress = Some(QueryEpisode::new(id));
+        self.end_episode();
+        let id = Self::fresh_id(&mut self.next_id);
+        self.in_progress = Some(id);
         id
     }
 
     /// Finishes the episode in progress (no-op when none is active).
     pub fn end_episode(&mut self) {
-        if let Some(ep) = self.in_progress.take() {
-            self.episodes.push(ep);
-        }
+        let Some(id) = self.in_progress.take() else {
+            return;
+        };
+        let observed = match self.interned.get(&self.building) {
+            Some(shared) => {
+                // Seen before: share it and keep the buffers for the next
+                // episode, so a repeated episode allocates nothing.
+                let shared = Arc::clone(shared);
+                self.building.clear();
+                shared
+            }
+            None => {
+                let fresh = Arc::new(std::mem::take(&mut self.building));
+                self.interned.insert(Arc::clone(&fresh));
+                fresh
+            }
+        };
+        self.push(id, observed);
     }
 
-    fn current(&mut self) -> &mut QueryEpisode {
-        if self.in_progress.is_none() {
-            // Observations outside an explicit episode still get recorded.
-            let id = QueryId::new(self.next_id);
-            self.next_id += 1;
-            self.in_progress = Some(QueryEpisode::new(id));
-        }
-        self.in_progress.as_mut().expect("episode just ensured")
+    fn push(&mut self, id: QueryId, observed: Arc<EpisodeObservation>) {
+        self.loads.record(observed.sensitive_returned.len());
+        self.episodes.push(QueryEpisode { id, observed });
+    }
+
+    fn current(&mut self) -> &mut EpisodeObservation {
+        // Observations outside an explicit episode still get recorded.
+        let next_id = &mut self.next_id;
+        self.in_progress
+            .get_or_insert_with(|| Self::fresh_id(next_id));
+        &mut self.building
     }
 
     /// Records the clear-text request values observed on the plaintext side.
@@ -130,16 +208,26 @@ impl AdversarialView {
         self.current().sensitive_returned.extend_from_slice(ids);
     }
 
-    /// Appends clones of another view's completed episodes, re-numbered so
-    /// episode ids stay unique.  Used to compose several shards' views into
-    /// the joint view a coalition of shard-adversaries would hold.
+    /// Appends another view's completed episodes, re-numbered so episode
+    /// ids stay unique.  Used to compose several shards' views into the
+    /// joint view a coalition of shard-adversaries would hold.  Observations
+    /// are shared, not copied; each distinct one is interned once.
     pub fn absorb(&mut self, other: &AdversarialView) {
+        let mut resolved: HashMap<*const EpisodeObservation, Arc<EpisodeObservation>> =
+            HashMap::new();
         for ep in other.episodes() {
-            let id = QueryId::new(self.next_id);
-            self.next_id += 1;
-            let mut ep = ep.clone();
-            ep.id = id;
-            self.episodes.push(ep);
+            let observed = resolved
+                .entry(Arc::as_ptr(&ep.observed))
+                .or_insert_with(|| match self.interned.get(&ep.observed) {
+                    Some(shared) => Arc::clone(shared),
+                    None => {
+                        self.interned.insert(Arc::clone(&ep.observed));
+                        Arc::clone(&ep.observed)
+                    }
+                })
+                .clone();
+            let id = Self::fresh_id(&mut self.next_id);
+            self.push(id, observed);
         }
     }
 
@@ -156,6 +244,17 @@ impl AdversarialView {
     /// Whether no episode has completed yet.
     pub fn is_empty(&self) -> bool {
         self.episodes.is_empty()
+    }
+
+    /// Number of distinct observations among the completed episodes (the
+    /// allocations the episode log shares).
+    pub fn distinct_observations(&self) -> usize {
+        self.interned.len()
+    }
+
+    /// Count, sum and maximum of the completed episodes' sensitive loads.
+    pub fn sensitive_loads(&self) -> EpisodeLoads {
+        self.loads
     }
 
     /// Renders the view as the paper renders its tables (one row per query):
@@ -197,6 +296,13 @@ impl AdversarialView {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn record(av: &mut AdversarialView, request: &str, sensitive: u64) {
+        av.begin_episode();
+        av.observe_plaintext_request(&[Value::from(request)]);
+        av.observe_sensitive_result(&[TupleId::new(sensitive)]);
+        av.end_episode();
+    }
 
     #[test]
     fn episode_lifecycle() {
@@ -258,5 +364,31 @@ mod tests {
         let b = av.begin_episode();
         av.end_episode();
         assert!(b > a);
+    }
+
+    #[test]
+    fn an_episode_costs_an_id_and_a_pointer() {
+        assert_eq!(std::mem::size_of::<QueryEpisode>(), 16);
+    }
+
+    #[test]
+    fn absorb_shares_observations_instead_of_copying() {
+        let mut shard0 = AdversarialView::new();
+        record(&mut shard0, "a", 1);
+        record(&mut shard0, "a", 1);
+        let mut shard1 = AdversarialView::new();
+        record(&mut shard1, "a", 1);
+        record(&mut shard1, "b", 2);
+        let mut composed = AdversarialView::new();
+        composed.absorb(&shard0);
+        composed.absorb(&shard1);
+        assert_eq!(composed.len(), 4);
+        assert_eq!(composed.distinct_observations(), 2);
+        let eps = composed.episodes();
+        assert!(Arc::ptr_eq(
+            &eps[0].observed,
+            &shard0.episodes()[0].observed
+        ));
+        assert!(Arc::ptr_eq(&eps[2].observed, &eps[0].observed));
     }
 }
