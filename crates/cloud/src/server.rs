@@ -757,8 +757,8 @@ mod tests {
         let ep = &s.adversarial_view().episodes()[0];
         assert_eq!(ep.encrypted_request_size, 2);
         assert_eq!(
-            ep.sensitive_returned,
-            vec![TupleId::new(101), TupleId::new(103)]
+            ep.sensitive_returned[..],
+            [TupleId::new(101), TupleId::new(103)]
         );
         assert!(s.fetch_encrypted(&[TupleId::new(999)]).is_err());
     }

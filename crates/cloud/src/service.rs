@@ -623,9 +623,31 @@ fn flush_tenant_stats(state: &SharedState, tenant: u64, server: &CloudServer) {
     // → 0 = one episode sticks out). Computed over sizes only — the
     // tuple contents never reach the registry — from the view's running
     // summary, so a snapshot costs the same however long the log grows.
-    let loads = server.adversarial_view().sensitive_loads();
+    let view = server.adversarial_view();
+    let loads = view.sensitive_loads();
     registry.gauge_set("pds_bin_load_uniformity", labels, load_uniformity(&loads));
     registry.counter_set("pds_observed_episodes_total", labels, loads.episodes);
+    // View size: how many distinct observations and shared lists the
+    // episode log holds. Counts only, read in O(1) like the loads above.
+    registry.gauge_set(
+        "pds_view_distinct_observations",
+        labels,
+        view.distinct_observations() as f64,
+    );
+    for (kind, lists) in [
+        ("values", view.shared_value_lists()),
+        ("ids", view.shared_id_lists()),
+    ] {
+        registry.gauge_set(
+            "pds_view_shared_lists",
+            &[
+                ("shard", &state.shard_label),
+                ("tenant", &tenant_label),
+                ("kind", kind),
+            ],
+            lists as f64,
+        );
+    }
 }
 
 /// Mean/max uniformity of observed per-episode loads: 1.0 when every

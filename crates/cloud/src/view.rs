@@ -12,13 +12,32 @@
 //! crate mounts all of its attacks on this structure alone.
 //!
 //! Under Query Binning every query fetches one whole (sensitive bin,
-//! non-sensitive bin) pair, so a long session repeats the same few
-//! observations over and over.  The view therefore *interns* each completed
-//! [`EpisodeObservation`]: episodes with equal observations share one
-//! allocation, and the log costs one id plus one pointer per episode while
-//! still holding every episode, in order.
+//! non-sensitive bin) pair, so a long session repeats the same few lists
+//! over and over.  The view therefore *interns* at two levels when an
+//! episode completes:
+//!
+//! - each observed list (request values, returned ids, returned values) is
+//!   looked up in the view's list interners, so equal lists are one
+//!   allocation whichever episodes and fields hold them;
+//! - the [`EpisodeObservation`] built from those lists (four shared lists
+//!   and a count) is interned too, so episodes with equal observations
+//!   share one allocation.
+//!
+//! The log costs one id plus one pointer per episode while still holding
+//! every episode, in order.  A shard observes one sensitive-id list per
+//! sensitive bin it hosts and, per non-sensitive bin, one request list,
+//! one returned id list and one returned value list.  So however long a
+//! read-only session runs, a shard holds at most `|SB|·|NSB|` observations
+//! built from at most `|SB| + 3·|NSB| + 2` lists (the 2 are the empty value
+//! and id lists).  Inserts are what still grow it: the first read of a
+//! non-sensitive bin after an insert into it returns a new id list and a
+//! new value list, so each insert costs at most two bin-sized lists per
+//! shard (`|SB| + 3·|NSB| + 2·inserts + 2` in all).  The request list and
+//! the sensitive ids stay shared with every earlier episode of the pair.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -26,23 +45,24 @@ use pds_common::{QueryId, TupleId, Value};
 use serde::{Deserialize, Serialize};
 
 /// What the honest-but-curious cloud observes for a single query, apart
-/// from the episode's id.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// from the episode's id.  Every list is shared: within one view, equal
+/// lists are one allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EpisodeObservation {
     /// Clear-text values requested on the non-sensitive relation
     /// (`q(Wns)(Rns)` — visible to the adversary in full).
-    pub plaintext_request: Vec<Value>,
+    pub plaintext_request: Arc<[Value]>,
     /// Number of encrypted values requested on the sensitive relation
     /// (`|Ws|`); the values themselves are ciphertexts and carry no content.
     pub encrypted_request_size: usize,
     /// Ids of non-sensitive tuples returned.
-    pub nonsensitive_returned: Vec<TupleId>,
+    pub nonsensitive_returned: Arc<[TupleId]>,
     /// Clear-text searchable-attribute values of the returned non-sensitive
     /// tuples (the adversary sees the full tuples; the searchable value is
     /// what the attacks need).
-    pub nonsensitive_values: Vec<Value>,
+    pub nonsensitive_values: Arc<[Value]>,
     /// Ids (storage addresses) of encrypted sensitive tuples returned.
-    pub sensitive_returned: Vec<TupleId>,
+    pub sensitive_returned: Arc<[TupleId]>,
 }
 
 impl EpisodeObservation {
@@ -61,15 +81,17 @@ impl EpisodeObservation {
     pub fn nonsensitive_output_size(&self) -> usize {
         self.nonsensitive_returned.len()
     }
+}
 
-    /// Empties every field, keeping the buffers' capacity.
-    fn clear(&mut self) {
-        self.plaintext_request.clear();
-        self.encrypted_request_size = 0;
-        self.nonsensitive_returned.clear();
-        self.nonsensitive_values.clear();
-        self.sensitive_returned.clear();
-    }
+/// What the open episode has observed so far, in buffers that keep their
+/// capacity from one episode to the next.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Building {
+    plaintext_request: Vec<Value>,
+    encrypted_request_size: usize,
+    nonsensitive_returned: Vec<TupleId>,
+    nonsensitive_values: Vec<Value>,
+    sensitive_returned: Vec<TupleId>,
 }
 
 /// Everything the honest-but-curious cloud observes for a single query:
@@ -115,18 +137,81 @@ impl EpisodeLoads {
     }
 }
 
+/// The view's shared copy of the list in `buf`, which is left empty with
+/// its capacity kept.  Only a list not seen before gets an allocation.
+fn intern<T: Eq + Hash>(lists: &mut HashSet<Arc<[T]>>, buf: &mut Vec<T>) -> Arc<[T]> {
+    if let Some(shared) = lists.get(buf.as_slice()) {
+        let shared = Arc::clone(shared);
+        buf.clear();
+        return shared;
+    }
+    let fresh: Arc<[T]> = buf.drain(..).collect();
+    lists.insert(Arc::clone(&fresh));
+    fresh
+}
+
+/// The view's shared copy of another view's `list`; a list not seen before
+/// is shared with that view rather than copied.
+fn share<T: Eq + Hash>(lists: &mut HashSet<Arc<[T]>>, list: &Arc<[T]>) -> Arc<[T]> {
+    if let Some(shared) = lists.get(&**list) {
+        return Arc::clone(shared);
+    }
+    lists.insert(Arc::clone(list));
+    Arc::clone(list)
+}
+
+/// Names an interned observation by its lists' addresses and its request
+/// size.  Within one view equal lists are one allocation, held for the
+/// view's lifetime, so equal keys mean equal observations, and a lookup
+/// never hashes the lists' contents a second time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ObservationKey([usize; 4], usize);
+
+impl ObservationKey {
+    fn of(o: &EpisodeObservation) -> Self {
+        fn addr<T>(list: &Arc<[T]>) -> usize {
+            Arc::as_ptr(list).cast::<T>() as usize
+        }
+        ObservationKey(
+            [
+                addr(&o.plaintext_request),
+                addr(&o.nonsensitive_returned),
+                addr(&o.nonsensitive_values),
+                addr(&o.sensitive_returned),
+            ],
+            o.encrypted_request_size,
+        )
+    }
+}
+
 /// The accumulated adversarial view across all queries of a session.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdversarialView {
     episodes: Vec<QueryEpisode>,
     /// Id of the episode being recorded, if one is open.
     in_progress: Option<QueryId>,
     /// What the open episode has observed so far (empty when none is open).
-    building: EpisodeObservation,
+    building: Building,
     /// One shared allocation per distinct completed observation.
-    interned: HashSet<Arc<EpisodeObservation>>,
+    interned: HashMap<ObservationKey, Arc<EpisodeObservation>>,
+    /// One shared allocation per distinct observed value list.
+    value_lists: HashSet<Arc<[Value]>>,
+    /// One shared allocation per distinct observed id list.
+    id_lists: HashSet<Arc<[TupleId]>>,
     loads: EpisodeLoads,
     next_id: u64,
+}
+
+impl PartialEq for AdversarialView {
+    /// Views are equal when they hold equal episodes, in order, and the
+    /// same open episode; the interners and the load summary follow from
+    /// those.
+    fn eq(&self, other: &Self) -> bool {
+        self.episodes == other.episodes
+            && self.in_progress == other.in_progress
+            && self.building == other.building
+            && self.next_id == other.next_id
+    }
 }
 
 impl AdversarialView {
@@ -156,21 +241,27 @@ impl AdversarialView {
         let Some(id) = self.in_progress.take() else {
             return;
         };
-        let observed = match self.interned.get(&self.building) {
-            Some(shared) => {
-                // Seen before: share it and keep the buffers for the next
-                // episode, so a repeated episode allocates nothing.
-                let shared = Arc::clone(shared);
-                self.building.clear();
-                shared
-            }
-            None => {
-                let fresh = Arc::new(std::mem::take(&mut self.building));
-                self.interned.insert(Arc::clone(&fresh));
-                fresh
-            }
+        // Each list is looked up once; a repeated episode finds every list
+        // and its observation already interned and allocates nothing.
+        let b = &mut self.building;
+        let observed = EpisodeObservation {
+            plaintext_request: intern(&mut self.value_lists, &mut b.plaintext_request),
+            encrypted_request_size: std::mem::take(&mut b.encrypted_request_size),
+            nonsensitive_returned: intern(&mut self.id_lists, &mut b.nonsensitive_returned),
+            nonsensitive_values: intern(&mut self.value_lists, &mut b.nonsensitive_values),
+            sensitive_returned: intern(&mut self.id_lists, &mut b.sensitive_returned),
         };
+        let observed = self.intern_observation(observed);
         self.push(id, observed);
+    }
+
+    /// The shared allocation of an observation whose lists are this view's.
+    fn intern_observation(&mut self, observed: EpisodeObservation) -> Arc<EpisodeObservation> {
+        let shared = self
+            .interned
+            .entry(ObservationKey::of(&observed))
+            .or_insert_with(|| Arc::new(observed));
+        Arc::clone(shared)
     }
 
     fn push(&mut self, id: QueryId, observed: Arc<EpisodeObservation>) {
@@ -178,7 +269,7 @@ impl AdversarialView {
         self.episodes.push(QueryEpisode { id, observed });
     }
 
-    fn current(&mut self) -> &mut EpisodeObservation {
+    fn current(&mut self) -> &mut Building {
         // Observations outside an explicit episode still get recorded.
         let next_id = &mut self.next_id;
         self.in_progress
@@ -210,22 +301,27 @@ impl AdversarialView {
 
     /// Appends another view's completed episodes, re-numbered so episode
     /// ids stay unique.  Used to compose several shards' views into the
-    /// joint view a coalition of shard-adversaries would hold.  Observations
-    /// are shared, not copied; each distinct one is interned once.
+    /// joint view a coalition of shard-adversaries would hold.  Lists are
+    /// shared, not copied: each is re-interned into this view, and so is
+    /// each distinct observation.
     pub fn absorb(&mut self, other: &AdversarialView) {
         let mut resolved: HashMap<*const EpisodeObservation, Arc<EpisodeObservation>> =
             HashMap::new();
         for ep in other.episodes() {
-            let observed = resolved
-                .entry(Arc::as_ptr(&ep.observed))
-                .or_insert_with(|| match self.interned.get(&ep.observed) {
-                    Some(shared) => Arc::clone(shared),
-                    None => {
-                        self.interned.insert(Arc::clone(&ep.observed));
-                        Arc::clone(&ep.observed)
-                    }
-                })
-                .clone();
+            let observed = match resolved.entry(Arc::as_ptr(&ep.observed)) {
+                Entry::Occupied(known) => Arc::clone(known.get()),
+                Entry::Vacant(slot) => {
+                    let o = &ep.observed;
+                    let observed = EpisodeObservation {
+                        plaintext_request: share(&mut self.value_lists, &o.plaintext_request),
+                        encrypted_request_size: o.encrypted_request_size,
+                        nonsensitive_returned: share(&mut self.id_lists, &o.nonsensitive_returned),
+                        nonsensitive_values: share(&mut self.value_lists, &o.nonsensitive_values),
+                        sensitive_returned: share(&mut self.id_lists, &o.sensitive_returned),
+                    };
+                    Arc::clone(slot.insert(self.intern_observation(observed)))
+                }
+            };
             let id = Self::fresh_id(&mut self.next_id);
             self.push(id, observed);
         }
@@ -250,6 +346,18 @@ impl AdversarialView {
     /// allocations the episode log shares).
     pub fn distinct_observations(&self) -> usize {
         self.interned.len()
+    }
+
+    /// Number of distinct value lists (requests and returned searchable
+    /// values) the completed episodes share.
+    pub fn shared_value_lists(&self) -> usize {
+        self.value_lists.len()
+    }
+
+    /// Number of distinct tuple-id lists (returned non-sensitive and
+    /// sensitive ids) the completed episodes share.
+    pub fn shared_id_lists(&self) -> usize {
+        self.id_lists.len()
     }
 
     /// Count, sum and maximum of the completed episodes' sensitive loads.
@@ -386,9 +494,21 @@ mod tests {
         assert_eq!(composed.distinct_observations(), 2);
         let eps = composed.episodes();
         assert!(Arc::ptr_eq(
-            &eps[0].observed,
-            &shard0.episodes()[0].observed
+            &eps[0].plaintext_request,
+            &shard0.episodes()[0].plaintext_request
         ));
         assert!(Arc::ptr_eq(&eps[2].observed, &eps[0].observed));
+    }
+
+    #[test]
+    fn views_recording_equal_episodes_are_equal() {
+        let (mut a, mut b) = (AdversarialView::new(), AdversarialView::new());
+        for av in [&mut a, &mut b] {
+            record(av, "a", 1);
+            record(av, "b", 2);
+        }
+        assert_eq!(a, b);
+        record(&mut b, "b", 2);
+        assert_ne!(a, b);
     }
 }

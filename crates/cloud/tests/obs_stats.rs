@@ -2,8 +2,9 @@
 //! Prometheus-text snapshot of its own counters, the snapshot is
 //! **byte-stable** across two identical fixed-seed runs (only
 //! deterministic counters and gauges live in the daemon registry — never
-//! timing data), and it is **tenant-scoped**: one tenant's snapshot never
-//! mentions another tenant's series.
+//! timing data, and the view-size gauges are counts, never contents), and
+//! it is **tenant-scoped**: one tenant's snapshot never mentions another
+//! tenant's series.
 
 use pds_cloud::{
     CloudServer, EncryptedRow, NetworkModel, ServiceConfig, ShardDaemon, TcpShardConn,
@@ -86,6 +87,17 @@ fn stats_snapshot_is_byte_stable_and_tenant_scoped() {
     assert!(first.contains("tenant=\"7\""), "{first}");
     assert!(first.contains("pds_round_trips_total"), "{first}");
     assert!(first.contains("pds_bin_load_uniformity"), "{first}");
+    // ...the size of its adversarial view, as counts: three fetches of two
+    // distinct requests, whose returned values equal the requested ones and
+    // so share their lists (ids: two returned lists plus the empty
+    // sensitive one)...
+    for line in [
+        "pds_view_distinct_observations{shard=\"3\",tenant=\"7\"} 2.0",
+        "pds_view_shared_lists{kind=\"ids\",shard=\"3\",tenant=\"7\"} 3.0",
+        "pds_view_shared_lists{kind=\"values\",shard=\"3\",tenant=\"7\"} 2.0",
+    ] {
+        assert!(first.lines().any(|l| l == line), "no `{line}` in:\n{first}");
+    }
     // ...plus unlabelled shard-health series...
     assert!(first.contains("pds_daemon_connections_total"), "{first}");
     // ...and nothing about the neighbouring tenant.

@@ -3,6 +3,8 @@
 //! same order, with the same ids and every observed field, the same
 //! rendered table and the same load summary — whatever mix of begin /
 //! observe / end / absorb calls (dangling episodes included) produced it.
+//! And within one view, equal lists are one allocation even when the
+//! observations holding them differ.
 //!
 //! Replay a failing case with `PROPTEST_SEED=<seed>`.
 
@@ -139,6 +141,48 @@ impl NaiveView {
     }
 }
 
+/// Asserts that the view's lists of one kind are interned: two of them
+/// are one allocation exactly when they are equal, and the view counts one
+/// shared list per distinct one.
+fn lists_are_shared<T: PartialEq + std::fmt::Debug>(
+    lists: &[&Arc<[T]>],
+    shared: usize,
+) -> Result<(), TestCaseError> {
+    let mut distinct = 0;
+    for (i, a) in lists.iter().enumerate() {
+        if !lists[..i].iter().any(|b| a[..] == b[..]) {
+            distinct += 1;
+        }
+        for b in &lists[i + 1..] {
+            prop_assert!(
+                (a[..] == b[..]) == Arc::ptr_eq(a, b),
+                "{:?} and {:?} are equal exactly when shared",
+                a,
+                b
+            );
+        }
+    }
+    prop_assert_eq!(distinct, shared);
+    Ok(())
+}
+
+/// Asserts list interning over every field of every episode of `view`,
+/// whether recorded or absorbed: request and returned values share one
+/// interner, returned non-sensitive and sensitive ids the other.
+fn check_list_sharing(view: &AdversarialView) -> Result<(), TestCaseError> {
+    let eps = view.episodes();
+    let values: Vec<_> = eps
+        .iter()
+        .flat_map(|ep| [&ep.plaintext_request, &ep.nonsensitive_values])
+        .collect();
+    let ids: Vec<_> = eps
+        .iter()
+        .flat_map(|ep| [&ep.nonsensitive_returned, &ep.sensitive_returned])
+        .collect();
+    lists_are_shared(&values, view.shared_value_lists())?;
+    lists_are_shared(&ids, view.shared_id_lists())
+}
+
 /// A view under test and its naive twin, driven in lock-step.
 #[derive(Default)]
 struct Pair {
@@ -209,11 +253,11 @@ impl Pair {
             .iter()
             .map(|ep| NaiveEpisode {
                 id: ep.id,
-                plaintext_request: ep.plaintext_request.clone(),
+                plaintext_request: ep.plaintext_request.to_vec(),
                 encrypted_request_size: ep.encrypted_request_size,
-                nonsensitive_returned: ep.nonsensitive_returned.clone(),
-                nonsensitive_values: ep.nonsensitive_values.clone(),
-                sensitive_returned: ep.sensitive_returned.clone(),
+                nonsensitive_returned: ep.nonsensitive_returned.to_vec(),
+                nonsensitive_values: ep.nonsensitive_values.to_vec(),
+                sensitive_returned: ep.sensitive_returned.to_vec(),
             })
             .collect();
         prop_assert_eq!(&got, &self.naive.episodes);
@@ -239,7 +283,7 @@ impl Pair {
                 );
             }
         }
-        Ok(())
+        check_list_sharing(&self.view)
     }
 }
 
@@ -247,7 +291,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random begin / observe / end / absorb sequences leave the interned
-    /// view identical to the naive recorder. Ops with `target == 1` build a
+    /// view identical to the naive recorder, with equal lists shared even
+    /// across differing observations. Ops with `target == 1` build a
     /// side view that `op == 6` absorbs into the main one (possibly while
     /// the main view has an episode open).
     #[test]
@@ -272,5 +317,10 @@ proptest! {
         side.apply(1, 0, 0)?;
         main.check()?;
         side.check()?;
+        // Composing two views re-interns their lists into one.
+        let mut composed = AdversarialView::new();
+        composed.absorb(&main.view);
+        composed.absorb(&side.view);
+        check_list_sharing(&composed)?;
     }
 }

@@ -8,6 +8,10 @@
 //! from a mid-batch connection death with exactly one eager reconnect,
 //! and typed errors (never misattributed answers) when a rogue daemon
 //! replies with duplicate, unknown, or missing correlation ids.
+//!
+//! A read/insert soak checks that each shard's adversarial view stays
+//! within its size bound while the daemons run, read from the view-size
+//! gauges every tenant can request.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -21,7 +25,7 @@ use pds_core::{
     execute_shard_pipelined, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning,
     WireMode,
 };
-use pds_proto::{read_frame, BinPayload, ReadFrame, WireMessage};
+use pds_proto::{read_frame, BinPayload, InsertRequest, ReadFrame, WireMessage};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
 use pds_workload::{employee_relation, employee_sensitivity_policy};
@@ -297,6 +301,143 @@ fn a_dead_daemon_is_a_typed_error_after_one_bounded_retry() {
         client.reconnects() >= 1,
         "the eager reconnect must have run"
     );
+}
+
+/// Sums the samples of `metric` in one shard's tenant-scoped stats
+/// snapshot.
+fn stat(client: &TcpCloudClient, shard: usize, metric: &str) -> f64 {
+    let mut conn = client.checkout(shard).unwrap();
+    let snapshot = match conn.call(&WireMessage::StatsRequest).unwrap() {
+        WireMessage::StatsSnapshot(text) => text,
+        other => panic!("expected a StatsSnapshot, got {}", other.name()),
+    };
+    client.checkin(shard, conn);
+    snapshot
+        .lines()
+        .filter_map(|line| line.strip_prefix(metric)?.strip_prefix('{'))
+        .map(|sample| sample.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+/// A read/insert soak over loopback daemons, the TCP twin of
+/// `tests/view_memory.rs`: every insert copies a non-sensitive tuple under
+/// a fresh id, goes to every shard as an `InsertRequest`, then drops the
+/// owner's cached bin.  While the daemons run, each shard's view-size
+/// gauges stay within |SB| + 3·|NSB| + 2·inserts + 2 shared lists.  An
+/// in-process twin of the tenant, fed the same inserts, fixes the exact
+/// answers and view sizes to expect, and the reclaimed views are secure.
+#[test]
+fn a_read_insert_soak_keeps_every_shard_view_bounded() {
+    const SHARDS: usize = 2;
+    const INSERTS: usize = 12;
+    let mut twin = tenant_deployment(1, SHARDS, DeterministicIndexEngine::new());
+    let mut tenants = vec![tenant_deployment(
+        1,
+        SHARDS,
+        DeterministicIndexEngine::new(),
+    )];
+    let binning = twin.executor.binning();
+    let (sb, nsb) = (
+        binning.sensitive_bin_count(),
+        binning.nonsensitive_bin_count(),
+    );
+    let parts = employee_parts();
+    let attr = parts.nonsensitive.schema().attr_id("EId").unwrap();
+    let templates = parts.nonsensitive.tuples();
+    let first_id = parts
+        .sensitive
+        .tuples()
+        .iter()
+        .chain(templates)
+        .map(|t| t.id.raw())
+        .chain(twin.executor.fake_tuple_ids().iter().map(|id| id.raw()))
+        .max()
+        .unwrap()
+        + 1;
+
+    let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(2));
+    let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
+    let client = TcpCloudClient::new(1, addrs);
+    let transport = BinTransport::Tcp(client.clone());
+    let t = &mut tenants[0];
+    let workload = t.workload.clone();
+    let mut first_pass_tuples = 0;
+    for inserts in 0..=INSERTS {
+        let run = t
+            .executor
+            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
+            .unwrap();
+        let want = twin
+            .executor
+            .run_workload_transported(
+                &mut twin.owner,
+                &mut twin.router,
+                &workload,
+                &BinTransport::Threaded,
+            )
+            .unwrap();
+        assert_eq!(run.answers, want.answers, "after {inserts} inserts");
+        // Each insert copies a queried value, so it shows in one answer.
+        let tuples: usize = run.answers.iter().map(Vec::len).sum();
+        if inserts == 0 {
+            first_pass_tuples = tuples;
+        }
+        assert_eq!(tuples, first_pass_tuples + inserts);
+        let bound = sb + 3 * nsb + 2 * inserts + 2;
+        for shard in 0..SHARDS {
+            let lists = stat(&client, shard, "pds_view_shared_lists");
+            let observations = stat(&client, shard, "pds_view_distinct_observations");
+            assert!(
+                lists <= bound as f64,
+                "shard {shard}: {lists} shared lists after {inserts} inserts, at most {bound}"
+            );
+            assert!(observations <= (sb * (nsb + inserts)) as f64);
+        }
+        if inserts == INSERTS {
+            break;
+        }
+        let template = &templates[inserts % templates.len()];
+        let id = TupleId::new(first_id + inserts as u64);
+        let tuple = Tuple::new(id, template.values.clone());
+        let msg = WireMessage::InsertRequest(InsertRequest {
+            plain_tuples: vec![tuple.clone()],
+            encrypted_rows: Vec::new(),
+        });
+        for shard in 0..SHARDS {
+            let mut conn = client.checkout(shard).unwrap();
+            let ack = conn.call(&msg).unwrap();
+            assert!(
+                matches!(ack, WireMessage::Ack(ref a) if a.items == 1),
+                "{ack:?}"
+            );
+            client.checkin(shard, conn);
+            twin.router.shards_mut()[shard]
+                .insert_plaintext(tuple.clone())
+                .unwrap();
+        }
+        for executor in [&mut t.executor, &mut twin.executor] {
+            executor.invalidate_cache_on_insert(tuple.value(attr), false);
+        }
+    }
+    let gauges: Vec<f64> = (0..SHARDS)
+        .map(|shard| stat(&client, shard, "pds_view_shared_lists"))
+        .collect();
+    reclaim_servers(daemons, &mut tenants);
+
+    let views = tenants[0].router.adversarial_views();
+    for ((view, local), gauge) in views
+        .iter()
+        .zip(twin.router.adversarial_views())
+        .zip(gauges)
+    {
+        let lists = view.shared_value_lists() + view.shared_id_lists();
+        assert_eq!(lists as f64, gauge);
+        assert!(lists > sb + 3 * nsb + 2, "the inserts were observed");
+        assert_eq!(lists, local.shared_value_lists() + local.shared_id_lists());
+        assert_eq!(view.distinct_observations(), local.distinct_observations());
+    }
+    let report = pds_adversary::check_sharded_partitioned_security(&views);
+    assert!(report.is_secure(), "{report:?}");
 }
 
 /// What a rogue daemon does with the correlation ids of one pipelined
