@@ -29,11 +29,20 @@
 //! one returned id list and one returned value list.  So however long a
 //! read-only session runs, a shard holds at most `|SB|·|NSB|` observations
 //! built from at most `|SB| + 3·|NSB| + 2` lists (the 2 are the empty value
-//! and id lists).  Inserts are what still grow it: the first read of a
-//! non-sensitive bin after an insert into it returns a new id list and a
-//! new value list, so each insert costs at most two bin-sized lists per
-//! shard (`|SB| + 3·|NSB| + 2·inserts + 2` in all).  The request list and
-//! the sensitive ids stay shared with every earlier episode of the pair.
+//! and id lists).  Writes are what still grow it: the first read of a bin
+//! after a write into it returns new lists for that bin only.
+//!
+//! - A non-sensitive tuple whose value is already binned costs a new
+//!   returned id list and value list: at most two bin-sized lists per
+//!   shard, so `|SB| + 3·|NSB| + 2·inserts + 2` for a session of such
+//!   inserts.  The request list and the sensitive ids stay shared with
+//!   every earlier episode of the pair.
+//! - A non-sensitive value the binning does not hold is never requested,
+//!   so it costs nothing until the binning places it.  Placed in a spare
+//!   slot, it changes its bin's request list too: at most three lists.  A
+//!   rebuild re-bins every value and can add a whole new `|SB| + 3·|NSB|`.
+//! - An encrypted row, real or a padding fake, changes its sensitive bin's
+//!   returned ids: at most one list per shard.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -160,32 +169,8 @@ fn share<T: Eq + Hash>(lists: &mut HashSet<Arc<[T]>>, list: &Arc<[T]>) -> Arc<[T
     Arc::clone(list)
 }
 
-/// Names an interned observation by its lists' addresses and its request
-/// size.  Within one view equal lists are one allocation, held for the
-/// view's lifetime, so equal keys mean equal observations, and a lookup
-/// never hashes the lists' contents a second time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ObservationKey([usize; 4], usize);
-
-impl ObservationKey {
-    fn of(o: &EpisodeObservation) -> Self {
-        fn addr<T>(list: &Arc<[T]>) -> usize {
-            Arc::as_ptr(list).cast::<T>() as usize
-        }
-        ObservationKey(
-            [
-                addr(&o.plaintext_request),
-                addr(&o.nonsensitive_returned),
-                addr(&o.nonsensitive_values),
-                addr(&o.sensitive_returned),
-            ],
-            o.encrypted_request_size,
-        )
-    }
-}
-
 /// The accumulated adversarial view across all queries of a session.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdversarialView {
     episodes: Vec<QueryEpisode>,
     /// Id of the episode being recorded, if one is open.
@@ -193,25 +178,13 @@ pub struct AdversarialView {
     /// What the open episode has observed so far (empty when none is open).
     building: Building,
     /// One shared allocation per distinct completed observation.
-    interned: HashMap<ObservationKey, Arc<EpisodeObservation>>,
+    interned: HashSet<Arc<EpisodeObservation>>,
     /// One shared allocation per distinct observed value list.
     value_lists: HashSet<Arc<[Value]>>,
     /// One shared allocation per distinct observed id list.
     id_lists: HashSet<Arc<[TupleId]>>,
     loads: EpisodeLoads,
     next_id: u64,
-}
-
-impl PartialEq for AdversarialView {
-    /// Views are equal when they hold equal episodes, in order, and the
-    /// same open episode; the interners and the load summary follow from
-    /// those.
-    fn eq(&self, other: &Self) -> bool {
-        self.episodes == other.episodes
-            && self.in_progress == other.in_progress
-            && self.building == other.building
-            && self.next_id == other.next_id
-    }
 }
 
 impl AdversarialView {
@@ -241,8 +214,9 @@ impl AdversarialView {
         let Some(id) = self.in_progress.take() else {
             return;
         };
-        // Each list is looked up once; a repeated episode finds every list
-        // and its observation already interned and allocates nothing.
+        // Each list is looked up once in its interner; a repeated episode
+        // finds every list and its observation already interned and
+        // allocates nothing.
         let b = &mut self.building;
         let observed = EpisodeObservation {
             plaintext_request: intern(&mut self.value_lists, &mut b.plaintext_request),
@@ -251,17 +225,15 @@ impl AdversarialView {
             nonsensitive_values: intern(&mut self.value_lists, &mut b.nonsensitive_values),
             sensitive_returned: intern(&mut self.id_lists, &mut b.sensitive_returned),
         };
-        let observed = self.intern_observation(observed);
+        let observed = match self.interned.get(&observed) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let fresh = Arc::new(observed);
+                self.interned.insert(Arc::clone(&fresh));
+                fresh
+            }
+        };
         self.push(id, observed);
-    }
-
-    /// The shared allocation of an observation whose lists are this view's.
-    fn intern_observation(&mut self, observed: EpisodeObservation) -> Arc<EpisodeObservation> {
-        let shared = self
-            .interned
-            .entry(ObservationKey::of(&observed))
-            .or_insert_with(|| Arc::new(observed));
-        Arc::clone(shared)
     }
 
     fn push(&mut self, id: QueryId, observed: Arc<EpisodeObservation>) {
@@ -301,9 +273,9 @@ impl AdversarialView {
 
     /// Appends another view's completed episodes, re-numbered so episode
     /// ids stay unique.  Used to compose several shards' views into the
-    /// joint view a coalition of shard-adversaries would hold.  Lists are
-    /// shared, not copied: each is re-interned into this view, and so is
-    /// each distinct observation.
+    /// joint view a coalition of shard-adversaries would hold.  Lists and
+    /// observations are shared, not copied: each distinct one is interned
+    /// into this view once.
     pub fn absorb(&mut self, other: &AdversarialView) {
         let mut resolved: HashMap<*const EpisodeObservation, Arc<EpisodeObservation>> =
             HashMap::new();
@@ -311,20 +283,39 @@ impl AdversarialView {
             let observed = match resolved.entry(Arc::as_ptr(&ep.observed)) {
                 Entry::Occupied(known) => Arc::clone(known.get()),
                 Entry::Vacant(slot) => {
-                    let o = &ep.observed;
-                    let observed = EpisodeObservation {
-                        plaintext_request: share(&mut self.value_lists, &o.plaintext_request),
-                        encrypted_request_size: o.encrypted_request_size,
-                        nonsensitive_returned: share(&mut self.id_lists, &o.nonsensitive_returned),
-                        nonsensitive_values: share(&mut self.value_lists, &o.nonsensitive_values),
-                        sensitive_returned: share(&mut self.id_lists, &o.sensitive_returned),
-                    };
-                    Arc::clone(slot.insert(self.intern_observation(observed)))
+                    Arc::clone(slot.insert(self.share_observation(&ep.observed)))
                 }
             };
             let id = Self::fresh_id(&mut self.next_id);
             self.push(id, observed);
         }
+    }
+
+    /// This view's shared copy of another view's observation.  A new one
+    /// has its lists re-interned here; when every list it holds is then
+    /// this view's, the observation itself is shared rather than rebuilt.
+    fn share_observation(&mut self, o: &Arc<EpisodeObservation>) -> Arc<EpisodeObservation> {
+        if let Some(shared) = self.interned.get(&**o) {
+            return Arc::clone(shared);
+        }
+        let own = EpisodeObservation {
+            plaintext_request: share(&mut self.value_lists, &o.plaintext_request),
+            encrypted_request_size: o.encrypted_request_size,
+            nonsensitive_returned: share(&mut self.id_lists, &o.nonsensitive_returned),
+            nonsensitive_values: share(&mut self.value_lists, &o.nonsensitive_values),
+            sensitive_returned: share(&mut self.id_lists, &o.sensitive_returned),
+        };
+        let fresh = if Arc::ptr_eq(&own.plaintext_request, &o.plaintext_request)
+            && Arc::ptr_eq(&own.nonsensitive_returned, &o.nonsensitive_returned)
+            && Arc::ptr_eq(&own.nonsensitive_values, &o.nonsensitive_values)
+            && Arc::ptr_eq(&own.sensitive_returned, &o.sensitive_returned)
+        {
+            Arc::clone(o)
+        } else {
+            Arc::new(own)
+        };
+        self.interned.insert(Arc::clone(&fresh));
+        fresh
     }
 
     /// All completed episodes, in order.
@@ -494,21 +485,13 @@ mod tests {
         assert_eq!(composed.distinct_observations(), 2);
         let eps = composed.episodes();
         assert!(Arc::ptr_eq(
+            &eps[0].observed,
+            &shard0.episodes()[0].observed
+        ));
+        assert!(Arc::ptr_eq(
             &eps[0].plaintext_request,
             &shard0.episodes()[0].plaintext_request
         ));
         assert!(Arc::ptr_eq(&eps[2].observed, &eps[0].observed));
-    }
-
-    #[test]
-    fn views_recording_equal_episodes_are_equal() {
-        let (mut a, mut b) = (AdversarialView::new(), AdversarialView::new());
-        for av in [&mut a, &mut b] {
-            record(av, "a", 1);
-            record(av, "b", 2);
-        }
-        assert_eq!(a, b);
-        record(&mut b, "b", 2);
-        assert_ne!(a, b);
     }
 }

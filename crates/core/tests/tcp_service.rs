@@ -320,9 +320,9 @@ fn stat(client: &TcpCloudClient, shard: usize, metric: &str) -> f64 {
 }
 
 /// A read/insert soak over loopback daemons, the TCP twin of
-/// `tests/view_memory.rs`: every insert copies a non-sensitive tuple under
-/// a fresh id, goes to every shard as an `InsertRequest`, then drops the
-/// owner's cached bin.  While the daemons run, each shard's view-size
+/// `tests/view_memory.rs`: every insert copies a non-sensitive tuple (so
+/// its value is already binned) under a fresh id, goes to every shard as
+/// an `InsertRequest`, then drops the owner's cached bin.  While the daemons run, each shard's view-size
 /// gauges stay within |SB| + 3·|NSB| + 2·inserts + 2 shared lists.  An
 /// in-process twin of the tenant, fed the same inserts, fixes the exact
 /// answers and view sizes to expect, and the reclaimed views are secure.

@@ -6,7 +6,9 @@
 //! distinct lists.  The view keeps every episode (with its own id, in
 //! order) but must store each distinct list and observation once, so its
 //! memory grows by one id and one pointer per episode.  Inserts are what
-//! still grow it: each adds at most two lists per shard.
+//! still grow it: a non-sensitive insert of an already-binned value adds
+//! at most two lists per shard, and one of a value the binning does not
+//! hold adds none.
 
 use partitioned_data_security::common::TupleId;
 use partitioned_data_security::prelude::*;
@@ -60,6 +62,17 @@ impl Deployment {
             .unwrap();
     }
 
+    /// Inserts a non-sensitive tuple on every shard, then drops the
+    /// owner's cached bin of its value.
+    fn insert(&mut self, tuple: &Tuple) {
+        for shard in self.router.shards_mut() {
+            shard.insert_plaintext(tuple.clone()).unwrap();
+        }
+        let attr = self.parts.nonsensitive.schema().attr_id("EId").unwrap();
+        self.executor
+            .invalidate_cache_on_insert(tuple.value(attr), false);
+    }
+
     /// Shared lists, per shard.
     fn shared_lists(&self) -> Vec<usize> {
         self.router
@@ -106,9 +119,11 @@ fn repeated_qb_episodes_share_one_observation_per_bin_pair() {
 }
 
 /// A write-heavy session: every insert copies an existing non-sensitive
-/// tuple under a fresh id onto every shard, so the next read of its bin
-/// returns a grown id list and value list.  Each shard's shared lists grow
-/// by at most two per insert, and re-reading every bin adds none.
+/// tuple (so its value is already binned) under a fresh id onto every
+/// shard, so the next read of its bin returns a grown id list and value
+/// list.  Each shard's shared lists grow by at most two per insert, and
+/// re-reading every bin adds none.  A tuple whose value the binning does
+/// not hold, inserted first, is never requested and adds none at all.
 #[test]
 fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
     const INSERTS: usize = 24;
@@ -128,9 +143,29 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
         .unwrap()
         + 1;
 
-    let mut reads = 0;
+    let mut unbinned = Tuple::new(
+        TupleId::new(first_id + INSERTS as u64),
+        templates[0].values.clone(),
+    );
+    *unbinned.value_mut(attr) = Value::from("unbinned");
+    assert!(d
+        .executor
+        .binning()
+        .nonsensitive_assignment(unbinned.value(attr))
+        .is_none());
+    let values = d.values.clone();
+    d.read(&values);
+    let before = d.shared_lists();
+    d.insert(&unbinned);
+    d.read(&values);
+    assert_eq!(
+        d.shared_lists(),
+        before,
+        "inserting an unbinned value added lists"
+    );
+
+    let mut reads = 2 * values.len();
     for inserts in 0..=INSERTS {
-        let values = d.values.clone();
         d.read(&values);
         let after_first_pass = d.shared_lists();
         d.read(&values);
@@ -152,12 +187,7 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
         }
         let template = &templates[inserts % templates.len()];
         let id = TupleId::new(first_id + inserts as u64);
-        let tuple = Tuple::new(id, template.values.clone());
-        for shard in d.router.shards_mut() {
-            shard.insert_plaintext(tuple.clone()).unwrap();
-        }
-        d.executor
-            .invalidate_cache_on_insert(tuple.value(attr), false);
+        d.insert(&Tuple::new(id, template.values.clone()));
     }
 
     let views = d.router.adversarial_views();
