@@ -1,4 +1,4 @@
-//! The frequency-count attack (attack (ii) of §I; Naveed et al. [11]).
+//! The frequency-count attack (attack (ii) of §I; Naveed et al. \[11\]).
 //!
 //! Deterministic encryption maps equal plaintexts to equal ciphertexts, so
 //! the cloud-resident ciphertext (or search-tag) histogram mirrors the

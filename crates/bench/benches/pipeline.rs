@@ -1,10 +1,10 @@
 //! Pipelined wire dispatch vs lock-step, plus the pooled codec hot path.
 //!
 //! * **wire discipline** — the identical Employee workload through the
-//!   same tenant deployment against live loopback shard daemons, once in
-//!   lock-step (write one request, block for its answer) and once
-//!   pipelined (a correlated in-flight window per shard, one flush,
-//!   responses demuxed by correlation id);
+//!   same tenant deployment against live loopback shard daemons, once
+//!   with an in-flight window of 1 (lock-step: write one request, block
+//!   for its answer) and once with the default window (a correlated
+//!   window per shard, one flush, responses demuxed by correlation id);
 //! * **pooled codec** — steady-state encode and framed reads, where the
 //!   thread-local buffer pool serves every frame from its free list (the
 //!   `pds_wire_buf_reuse_total` counters printed at the end prove it).
@@ -18,7 +18,7 @@ use pds_cloud::{
     ShardRouter, TcpCloudClient,
 };
 use pds_common::Value;
-use pds_core::{BinningConfig, QbExecutor, QueryBinning, WireMode, DEFAULT_PIPELINE_WINDOW};
+use pds_core::{BinningConfig, QbExecutor, QueryBinning, DEFAULT_PIPELINE_WINDOW};
 use pds_proto::{pool_stats, read_frame, Hello, ReadFrame, WireMessage};
 use pds_storage::Partitioner;
 use pds_systems::DeterministicIndexEngine;
@@ -86,16 +86,8 @@ fn bench_wire_discipline(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_discipline");
     group.sample_size(20);
     let mut r = rig(2, 2, 42);
-    for (label, mode) in [
-        ("lock_step", WireMode::LockStep),
-        (
-            "pipelined",
-            WireMode::Pipelined {
-                window: DEFAULT_PIPELINE_WINDOW,
-            },
-        ),
-    ] {
-        r.executor.set_wire_mode(mode);
+    for (label, window) in [("lock_step", 1), ("pipelined", DEFAULT_PIPELINE_WINDOW)] {
+        r.executor.set_pipeline_window(window);
         let workload = r.workload.clone();
         group.bench_function(BenchmarkId::new("employee_workload", label), |b| {
             b.iter(|| {

@@ -3,9 +3,12 @@
 //! the numbers reported in EXPERIMENTS.md.
 //!
 //! Usage:
-//!   experiments [fig6a|fig6b|fig6c|table6|arx|headline|sharded|zipf|wire|hetero|planner|rwmix|service|pipeline|employee|all]
-//!               [--scale <f64>] [--shards <n>] [--skew <f64>] [--cache <n>]
-//!               [--latency <sec>] [--bandwidth <mbps>] [--workers <n>] [--owners <n>]
+//!
+//! ```text
+//! experiments [fig6a|fig6b|fig6c|table6|arx|headline|sharded|zipf|wire|hetero|planner|rwmix|service|pipeline|employee|all]
+//!             [--scale <f64>] [--shards <n>] [--skew <f64>] [--cache <n>]
+//!             [--latency <sec>] [--bandwidth <mbps>] [--workers <n>] [--owners <n>]
+//! ```
 //!
 //! `--scale` shrinks the generated datasets (default 0.01 of the paper's
 //! sizes) so the full suite completes in seconds on a laptop; it must be a

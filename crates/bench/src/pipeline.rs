@@ -1,13 +1,15 @@
-//! The pipelined-dispatch experiment: lock-step vs pipelined wire
-//! disciplines over identical loopback shard daemons.
+//! The pipelined-dispatch experiment: an in-flight window of 1
+//! (lock-step) vs a deeper window over identical loopback shard daemons.
 //!
 //! Both arms run the identical multi-pass Employee workload through the
-//! same tenant deployment against the same daemons; only the
-//! [`WireMode`] differs.  Lock-step writes one `BinPairRequest` and
-//! blocks for its answer before writing the next; pipelined dispatch
-//! enqueues a whole window of correlated requests per shard (vectored
-//! writes, one flush), then demuxes the responses by correlation id in
-//! whatever order the daemon's workers finish them.
+//! same tenant deployment against the same daemons and the same episode
+//! loop, `pds_core::execute_shard_pipelined`; only
+//! [`QbExecutor::set_pipeline_window`] differs.  With a window of 1 the
+//! loop writes one `BinPairRequest` and blocks for its answer before
+//! writing the next; with a deeper window it enqueues a whole window of
+//! correlated requests per shard (vectored writes, one flush), then
+//! demuxes the responses by correlation id in whatever order the daemon's
+//! workers finish them.
 //!
 //! The gate (`experiments pipeline`) requires, at `>= 2` shards:
 //!
@@ -40,7 +42,7 @@ use pds_cloud::{
     ShardRouter, TcpCloudClient,
 };
 use pds_common::{PdsError, Result, Value};
-use pds_core::{BinningConfig, QbExecutor, QueryBinning, WireMode};
+use pds_core::{BinningConfig, QbExecutor, QueryBinning};
 use pds_obs::Registry;
 use pds_proto::{
     crc32, decode_frame_corr, frame::MAGIC, pool_stats, Hello, PoolStats, WireMessage, HEADER_LEN,
@@ -251,8 +253,8 @@ pub fn run(
     let mut pipelined_sec = f64::INFINITY;
     let mut wire_call_lock_ns = u64::MAX;
     let mut wire_call_pipe_ns = u64::MAX;
-    let arm = |dep: &mut Deployment, mode: WireMode| -> Result<(f64, u64, bool)> {
-        dep.executor.set_wire_mode(mode);
+    let arm = |dep: &mut Deployment, window: usize| -> Result<(f64, u64, bool)> {
+        dep.executor.set_pipeline_window(window);
         let _ = pds_obs::drain();
         let start = Instant::now();
         let run = dep.executor.run_workload_transported(
@@ -267,11 +269,11 @@ pub fn run(
     };
     let result = (|| -> Result<()> {
         for _ in 0..reps {
-            let (wall, blocked, ok) = arm(&mut dep, WireMode::LockStep)?;
+            let (wall, blocked, ok) = arm(&mut dep, 1)?;
             lock_step_sec = lock_step_sec.min(wall);
             wire_call_lock_ns = wire_call_lock_ns.min(blocked);
             exact &= ok;
-            let (wall, blocked, ok) = arm(&mut dep, WireMode::Pipelined { window })?;
+            let (wall, blocked, ok) = arm(&mut dep, window)?;
             pipelined_sec = pipelined_sec.min(wall);
             wire_call_pipe_ns = wire_call_pipe_ns.min(blocked);
             exact &= ok;

@@ -44,9 +44,12 @@
 //! * [`service::ShardDaemon`] / [`tcp::TcpCloudClient`] — the same dispatch
 //!   seam behind a real loopback TCP socket: a per-shard daemon (acceptor +
 //!   reader threads + worker pool) serving concurrent multi-tenant owners,
-//!   and the pooled client whose [`tcp::RemoteSession`] implements
-//!   [`session::EpisodeChannel`] so engines run unchanged on either side of
-//!   the wire ([`transport::BinTransport::Tcp`]).
+//!   and the pooled client that writes composed `BinPairRequest` episodes
+//!   in a correlated in-flight window and demultiplexes their answers
+//!   ([`transport::BinTransport::Tcp`]).  Engines never see the socket:
+//!   they split a composed episode into the tokens that ride the request
+//!   and the post-processing of its answer, and only back-ends that split
+//!   this way travel over TCP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,9 +74,9 @@ pub use owner::DbOwner;
 pub use pds_proto::{msg_tag, LinkSpec, RoundTrip, SimReport};
 pub use server::{BinPairResult, CloudServer};
 pub use service::{ServiceConfig, ShardDaemon};
-pub use session::{BinEpisodeRequest, CloudSession, EpisodeChannel};
+pub use session::{BinEpisodeRequest, CloudSession};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
-pub use tcp::{CorrelationWindow, RemoteSession, TcpCloudClient, TcpShardConn};
+pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
 pub use transport::{simulate_wire_traffic, BinTransport, DispatchReport};
 pub use view::{AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode};

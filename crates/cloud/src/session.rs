@@ -17,14 +17,17 @@
 //!   resolve a bin-set request cloud-side;
 //! * **message dispatch** — [`CloudSession::dispatch`] accepts any
 //!   [`WireMessage`] and routes it onto the underlying server, returning
-//!   the typed response message.  This is the entry point a remote (socket)
-//!   transport would feed decoded frames into; the in-process executor uses
-//!   the typed methods directly and the test suite proves both agree.
+//!   the typed response message.  A [`crate::ShardDaemon`] feeds every
+//!   decoded frame through it; the in-process executor uses the typed
+//!   methods directly and the test suite proves both agree.
 //!
-//! Multi-round back-ends keep working unchanged: the session exposes the
-//! raw server through [`CloudSession::server_mut`], so a fine-grained
-//! episode (attribute-column download, address fetch, …) runs exactly as
-//! before while the session still counts its rounds.
+//! Engines run their in-process episodes against `&mut CloudSession`
+//! directly.  Multi-round back-ends reach the raw server through
+//! [`CloudSession::server_mut`], so a fine-grained episode
+//! (attribute-column download, address fetch, …) runs exactly as before
+//! while the session still counts its rounds.  Over TCP an episode never
+//! sees a session: the owner only writes composed `BinPairRequest`s
+//! (`pds_core::execute_shard_pipelined`), and the daemon serves them here.
 //!
 //! [`pds_core`-compiled]: CloudSession
 
@@ -138,11 +141,6 @@ impl<'a> CloudSession<'a> {
         self.server
     }
 
-    /// Clear-text `IN` selection on the non-sensitive side (one round).
-    pub fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        self.server.plain_select_in(values)
-    }
-
     /// Clear-text `IN` selection with an optional residual predicate pushed
     /// below the bin fetch (one round; see
     /// [`CloudServer::plain_select_filtered`]).
@@ -191,11 +189,9 @@ impl<'a> CloudSession<'a> {
     ///   exchange per *operation*, so a `FetchBinRequest` combining values,
     ///   ids and tags (or an `InsertRequest` mixing plain tuples and
     ///   encrypted rows) is charged as several exchanges even though a
-    ///   remote peer would frame it once.  The live episode path never
-    ///   combines flavours in one message, so its accounting stays
-    ///   frame-accurate; a future socket transport should split combined
-    ///   requests (or teach the server a combined endpoint) before relying
-    ///   on these counters.
+    ///   remote peer framed it once.  The owner's TCP client never combines
+    ///   flavours in one message (its episodes are single `BinPairRequest`s),
+    ///   so its accounting stays frame-accurate.
     /// * **sensitive-side resolution** — a `BinPairRequest`'s opaque tokens
     ///   are resolved against the cloud-side tag index.  Back-ends whose
     ///   tokens are *not* tags (the Opaque/Jana enclave simulators) cannot
@@ -271,95 +267,6 @@ impl<'a> CloudSession<'a> {
     }
 }
 
-/// The episode-scoped operations a selection back-end needs from its cloud
-/// connection — the seam that lets one engine implementation serve both the
-/// in-process [`CloudSession`] and a remote socket transport.
-///
-/// The trait is object-safe so engines can take `&mut dyn EpisodeChannel`
-/// without knowing which side of a socket they are on:
-///
-/// * [`CloudSession`] implements it by calling the shard directly;
-/// * `pds-cloud::tcp`'s `RemoteSession` implements it by framing each call
-///   as one `pds-proto` message to a `ShardDaemon`.
-///
-/// Multi-round (fine-grained) back-ends need raw server access, which a
-/// remote channel cannot grant — [`EpisodeChannel::local_server`] returns
-/// `None` there, and the caller degrades to a typed error instead of a
-/// protocol violation.  Likewise enclave/MPC back-ends resolve their tokens
-/// engine-side, so a remote channel answers
-/// [`EpisodeChannel::bin_pair_oblivious`] with a typed error.
-pub trait EpisodeChannel {
-    /// Clear-text `IN` selection on the non-sensitive side (one round).
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>>;
-
-    /// Clear-text `IN` selection with an optional residual predicate pushed
-    /// below the bin fetch, evaluated cloud-side before the downlink.  Not
-    /// defaulted on purpose: a local fallback that filtered after the wire
-    /// would silently mis-account the bytes pushdown exists to save.
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&Predicate>,
-    ) -> Result<Vec<Tuple>>;
-
-    /// One composed episode resolved by the cloud-side tag index.
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult>;
-
-    /// One composed episode resolved by a cloud-side secure execution
-    /// environment (enclave/MPC simulators).
-    fn bin_pair_oblivious(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tokens: Vec<Vec<u8>>,
-        matching: &[TupleId],
-        scanned: usize,
-    ) -> Result<BinPairResult>;
-
-    /// The underlying shard when the channel is in-process, `None` when the
-    /// shard lives behind a socket (fine-grained episodes need this).
-    fn local_server(&mut self) -> Option<&mut CloudServer>;
-}
-
-impl EpisodeChannel for CloudSession<'_> {
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        CloudSession::plain_select_in(self, values)
-    }
-
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&Predicate>,
-    ) -> Result<Vec<Tuple>> {
-        CloudSession::plain_select_filtered(self, values, residual)
-    }
-
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult> {
-        CloudSession::bin_pair_by_tags(self, request, tags)
-    }
-
-    fn bin_pair_oblivious(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tokens: Vec<Vec<u8>>,
-        matching: &[TupleId],
-        scanned: usize,
-    ) -> Result<BinPairResult> {
-        CloudSession::bin_pair_oblivious(self, request, tokens, matching, scanned)
-    }
-
-    fn local_server(&mut self) -> Option<&mut CloudServer> {
-        Some(self.server_mut())
-    }
-}
-
 /// Converts `(id, tuple ciphertext)` results to their wire rows.
 fn rows_to_wire(rows: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
     rows.iter()
@@ -408,7 +315,9 @@ mod tests {
         let mut cloud = server();
         let mut session = CloudSession::new(&mut cloud);
         session.begin_episode();
-        session.plain_select_in(&[Value::from("E259")]).unwrap();
+        session
+            .plain_select_filtered(&[Value::from("E259")], None)
+            .unwrap();
         session
             .server_mut()
             .fetch_encrypted(&[TupleId::new(101)])

@@ -1,5 +1,5 @@
 //! Client side of the TCP shard service: pooled connections and the
-//! remote [`EpisodeChannel`].
+//! correlation window.
 //!
 //! [`TcpCloudClient`] is one tenant's handle to a sharded deployment of
 //! [`crate::service::ShardDaemon`]s — one daemon address per shard, one
@@ -8,21 +8,18 @@
 //! [`crate::BinTransport::Tcp`] and be captured by per-shard worker
 //! threads.
 //!
-//! [`RemoteSession`] is the socket twin of [`crate::CloudSession`]: it
-//! implements [`EpisodeChannel`] by framing each call as one `pds-proto`
-//! message, so the same engine code drives either side of the wire.  Every
-//! exchange counts as one owner↔cloud round, mirroring the in-process
-//! session's `round_trips` delta accounting.
-//!
-//! Connections support two dispatch disciplines.  The classic lock-step
-//! [`TcpShardConn::call`] writes one frame and awaits its response.  The
-//! pipelined path splits that into [`TcpShardConn::enqueue`] (frame the
-//! request under a fresh correlation id, buffer it), [`TcpShardConn::flush`]
-//! (put the whole batch on the socket with vectored writes), and
-//! [`TcpShardConn::recv_response`] (read one response frame, returning the
-//! correlation id its header carries).  [`CorrelationWindow`] matches those
-//! possibly-out-of-order responses back to request slots with typed errors
-//! on duplicate or unknown ids.
+//! A connection has two ways to exchange frames.  [`TcpShardConn::call`]
+//! writes one frame and awaits its response; the handshake and
+//! [`TcpCloudClient::fetch_stats`] use it.  Episodes always go through the
+//! pipelined split: [`TcpShardConn::enqueue_bin_pair`] frames one composed
+//! `BinPairRequest` under a fresh correlation id and buffers it,
+//! [`TcpShardConn::flush`] puts the whole batch on the socket with
+//! vectored writes, and [`TcpShardConn::recv_bin_pair`] reads one response
+//! frame with the correlation id its header carries.
+//! [`CorrelationWindow`] matches those possibly-out-of-order responses back
+//! to request slots, with typed errors on duplicate or unknown ids.  The
+//! owner-side loop over them is `pds_core::execute_shard_pipelined`; a
+//! window of 1 is lock-step, one request on the socket at a time.
 
 use std::collections::HashMap;
 use std::io::{BufReader, IoSlice, Write};
@@ -30,13 +27,12 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pds_common::{OrderedMutex, PdsError, Result, TupleId, Value};
+use pds_common::{OrderedMutex, PdsError, Result, TupleId};
 use pds_crypto::Ciphertext;
-use pds_proto::{FetchBinRequest, FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
-use pds_storage::Tuple;
+use pds_proto::{FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
 
-use crate::server::{BinPairResult, CloudServer};
-use crate::session::{BinEpisodeRequest, EpisodeChannel};
+use crate::server::BinPairResult;
+use crate::session::BinEpisodeRequest;
 
 /// One authenticated connection to one shard daemon.
 #[derive(Debug)]
@@ -129,8 +125,9 @@ impl TcpShardConn {
 
     /// Reads and decodes exactly one response frame, returning the
     /// correlation id its header carries alongside the message.  This is
-    /// the blocking wait of both dispatch disciplines, so its `wire.call`
-    /// span measures genuine time-waiting-on-the-cloud either way.
+    /// the blocking wait of every exchange, [`Self::call`] and episodes
+    /// alike, so its `wire.call` span measures genuine
+    /// time-waiting-on-the-cloud whatever the window.
     pub fn recv_response(&mut self) -> Result<(u64, WireMessage)> {
         let _span = pds_obs::obs_span("wire.call");
         match self.frames.read(&mut self.reader)? {
@@ -162,7 +159,7 @@ impl TcpShardConn {
 
     /// Frames one composed bin-pair episode under a fresh correlation id
     /// and buffers it for the next [`Self::flush`] — the typed uplink half
-    /// of the pipelined dispatch discipline.
+    /// of every episode that crosses TCP.
     pub fn enqueue_bin_pair(
         &mut self,
         request: &BinEpisodeRequest,
@@ -387,125 +384,6 @@ impl TcpCloudClient {
                 other.name()
             ))),
         }
-    }
-}
-
-/// The remote twin of [`crate::CloudSession`]: an [`EpisodeChannel`] whose
-/// calls travel as `pds-proto` frames over one shard connection.
-#[derive(Debug)]
-pub struct RemoteSession<'a> {
-    conn: &'a mut TcpShardConn,
-    episode_rounds: Vec<u64>,
-    current: u64,
-    episode_open: bool,
-}
-
-impl<'a> RemoteSession<'a> {
-    /// Wraps one checked-out shard connection.
-    pub fn new(conn: &'a mut TcpShardConn) -> RemoteSession<'a> {
-        RemoteSession {
-            conn,
-            episode_rounds: Vec::new(),
-            current: 0,
-            episode_open: false,
-        }
-    }
-
-    /// Starts one episode's round counting (the daemon brackets the
-    /// server-side adversarial-view episode itself, per query message).
-    pub fn begin_episode(&mut self) {
-        self.current = 0;
-        self.episode_open = true;
-    }
-
-    /// Ends the episode, returning how many owner↔cloud rounds it took.
-    pub fn end_episode(&mut self) -> u64 {
-        if !self.episode_open {
-            return 0;
-        }
-        self.episode_open = false;
-        self.episode_rounds.push(self.current);
-        self.current
-    }
-
-    /// Total rounds over every completed episode of this session.
-    pub fn total_rounds(&self) -> u64 {
-        self.episode_rounds.iter().sum()
-    }
-
-    /// One framed exchange = one round; transported errors come back typed.
-    fn exchange(&mut self, msg: &WireMessage) -> Result<WireMessage> {
-        let resp = self.conn.call(msg)?;
-        self.current += 1;
-        match resp {
-            WireMessage::Error(e) => Err(e.into_error()),
-            other => Ok(other),
-        }
-    }
-}
-
-impl EpisodeChannel for RemoteSession<'_> {
-    fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        self.plain_select_filtered(values, None)
-    }
-
-    fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
-    ) -> Result<Vec<Tuple>> {
-        let resp = self.exchange(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: values.to_vec(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: residual.cloned(),
-        }))?;
-        match resp {
-            WireMessage::BinPayload(p) => Ok(p.plain_tuples),
-            other => Err(PdsError::Wire(format!(
-                "expected a BinPayload answer, got {}",
-                other.name()
-            ))),
-        }
-    }
-
-    fn bin_pair_by_tags(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<BinPairResult> {
-        let resp = self.exchange(&WireMessage::BinPairRequest(request.to_wire(tags)))?;
-        match resp {
-            WireMessage::BinPayload(p) => Ok((
-                p.plain_tuples,
-                p.encrypted_rows
-                    .into_iter()
-                    .map(|row| (TupleId::new(row.id), Ciphertext(row.tuple_ct)))
-                    .collect(),
-            )),
-            other => Err(PdsError::Wire(format!(
-                "expected a BinPayload answer, got {}",
-                other.name()
-            ))),
-        }
-    }
-
-    fn bin_pair_oblivious(
-        &mut self,
-        _request: &BinEpisodeRequest,
-        _tokens: Vec<Vec<u8>>,
-        _matching: &[TupleId],
-        _scanned: usize,
-    ) -> Result<BinPairResult> {
-        Err(PdsError::Wire(
-            "enclave/MPC back-ends resolve their tokens engine-side; their \
-             composed episodes cannot be served over a bare socket"
-                .into(),
-        ))
-    }
-
-    fn local_server(&mut self) -> Option<&mut CloudServer> {
-        None
     }
 }
 

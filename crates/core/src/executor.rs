@@ -13,11 +13,13 @@
 //!    remaining episodes are grouped by the shard hosting their sensitive
 //!    bin, each marked composed (single-round `BinPairRequest`) or
 //!    fine-grained according to that shard's engine.
-//! 3. **Execution** — every planned episode runs through a
-//!    [`pds_cloud::CloudSession`] on its shard (one adversarial-view
-//!    episode, typed `pds-proto` messages on the wire, measured round
-//!    counts); the owner decrypts, drops fake tuples and false positives,
-//!    and merges the two result streams (`qmerge` of §II).
+//! 3. **Execution** — every planned episode runs as one adversarial-view
+//!    episode on its shard: in process through a
+//!    [`pds_cloud::CloudSession`], or over TCP through
+//!    [`crate::plan::execute_shard_pipelined`]'s correlated window, with
+//!    measured round counts either way; the owner decrypts, drops fake
+//!    tuples and false positives, and merges the two result streams
+//!    (`qmerge` of §II).
 //!
 //! All entry points — [`QbExecutor::select`], [`QbExecutor::fetch_bin_pair`]
 //! and [`QbExecutor::run_workload_transported`] — share this one
@@ -28,7 +30,7 @@ use std::collections::HashSet;
 
 use pds_cloud::{
     BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinRoutedCloud, BinTransport, CloudServer,
-    DbOwner, Metrics, RemoteSession, TcpCloudClient,
+    DbOwner, Metrics, TcpCloudClient,
 };
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{PartitionedRelation, Predicate, Relation, Tuple};
@@ -36,42 +38,16 @@ use pds_systems::SecureSelectionEngine;
 
 use crate::binning::{BinPair, QueryBinning};
 use crate::plan::{
-    execute_episode, execute_episode_remote, execute_shard_pipelined, CacheServed, EpisodeResult,
-    EpisodeStep, PlanMode, QueryPlan,
+    execute_episode, execute_shard_pipelined, CacheServed, EpisodeResult, EpisodeStep, PlanMode,
+    QueryPlan,
 };
 use crate::planner::{reorder_for_locality, PlannerConfig};
 
-/// Default in-flight window of [`WireMode::Pipelined`]: deep enough to
-/// keep a multi-worker daemon busy, small enough that a torn connection
-/// never has more than a handful of idempotent episodes to replay.
+/// Default in-flight window per shard connection over
+/// [`BinTransport::Tcp`]: deep enough to keep a multi-worker daemon busy,
+/// small enough that a torn connection never has more than a handful of
+/// idempotent episodes to replay.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 8;
-
-/// How episodes are dispatched over a [`BinTransport::Tcp`] connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// One request on the socket, then block for its response — the
-    /// classic discipline, and the fallback whenever a shard's engine
-    /// cannot split its composed episode into pipeline halves.
-    LockStep,
-    /// Up to `window` composed requests written back-to-back before any
-    /// response is read; responses demultiplex by correlation id and may
-    /// arrive out of order.  Requires a correlation-aware (frame v2)
-    /// daemon and an engine whose
-    /// [`SecureSelectionEngine::pipelines_composed`] holds — other shards
-    /// of the same batch silently run lock-step.
-    Pipelined {
-        /// Maximum in-flight (unanswered) requests per shard connection.
-        window: usize,
-    },
-}
-
-impl Default for WireMode {
-    fn default() -> Self {
-        WireMode::Pipelined {
-            window: DEFAULT_PIPELINE_WINDOW,
-        }
-    }
-}
 
 /// Counters describing one QB selection (used by experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,9 +91,9 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     shard_engines: Vec<E>,
     /// How episodes are shaped on the wire (composed vs fine-grained).
     plan_mode: PlanMode,
-    /// How episodes are dispatched over a TCP transport (lock-step vs
-    /// pipelined with a bounded in-flight window).
-    wire_mode: WireMode,
+    /// Maximum unanswered episode requests per shard connection over a
+    /// TCP transport (1 is lock-step).
+    pipeline_window: usize,
     /// The cost-based planner's per-batch behaviour: episode reordering,
     /// residual predicate, and whether the residual pushes down the wire.
     planner: PlannerConfig,
@@ -147,7 +123,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             engine,
             shard_engines: Vec::new(),
             plan_mode: PlanMode::default(),
-            wire_mode: WireMode::default(),
+            pipeline_window: DEFAULT_PIPELINE_WINDOW,
             planner: PlannerConfig::default(),
             sensitive_attr: None,
             nonsensitive_attr: None,
@@ -206,26 +182,15 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         self.plan_mode = mode;
     }
 
-    /// Sets how episodes are dispatched over TCP (builder form).
-    pub fn with_wire_mode(mut self, mode: WireMode) -> Self {
-        self.wire_mode = mode;
-        self
-    }
-
-    /// How episodes are dispatched over a TCP transport.
-    pub fn wire_mode(&self) -> WireMode {
-        self.wire_mode
-    }
-
-    /// Sets how episodes are dispatched over a TCP transport:
-    /// [`WireMode::Pipelined`] (the default — a bounded window of composed
-    /// requests in flight per shard, demultiplexed by correlation id) or
-    /// [`WireMode::LockStep`] (one request, one awaited response — the
-    /// pre-pipelining behaviour, kept selectable so the equivalence tests
-    /// and the `experiments pipeline` gate can compare both disciplines on
-    /// identical deployments).
-    pub fn set_wire_mode(&mut self, mode: WireMode) {
-        self.wire_mode = mode;
+    /// Sets how many episode requests each shard connection keeps in
+    /// flight over a [`BinTransport::Tcp`] transport (default
+    /// [`DEFAULT_PIPELINE_WINDOW`]; 0 counts as 1).  A window of 1 is
+    /// lock-step — one request on the socket, then its answer — which the
+    /// equivalence tests and the `experiments pipeline` gate compare with
+    /// deeper windows on identical deployments.  Frames, bytes, rounds and
+    /// answers do not depend on the window.
+    pub fn set_pipeline_window(&mut self, window: usize) {
+        self.pipeline_window = window;
     }
 
     /// Installs a planner configuration (builder form).
@@ -523,11 +488,15 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// a co-occurrence edge); see `pds_cloud::cache`.  On a miss the
     /// fetched bins are cached individually, so a pair sharing one bin with
     /// this one reuses its contents once that pair has been observed once
-    /// itself.  Returns `(nonsensitive, sensitive, cached, rounds)`.
-    fn retrieve_pair_planned<C: BinRoutedCloud>(
+    /// itself.  Over [`BinTransport::Tcp`] the miss episode travels as a
+    /// one-step window to the daemon hosting the sensitive bin, with the
+    /// local `cloud` consulted only for routing; every other transport runs
+    /// it in process.  Returns `(nonsensitive, sensitive, cached, rounds)`.
+    fn retrieve_pair<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut C,
+        transport: &BinTransport,
         pair: BinPair,
     ) -> Result<(Vec<Tuple>, Vec<Tuple>, bool, u64)> {
         if let Some((s_tuples, ns_tuples)) = self
@@ -543,7 +512,18 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             .shard_engines
             .get_mut(step.shard)
             .ok_or_else(|| PdsError::Query(format!("no engine for shard {}", step.shard)))?;
-        let result = execute_episode(owner, cloud.shard_mut(step.shard), engine, &step)?;
+        let result = match transport {
+            BinTransport::Tcp(client) => {
+                let steps = std::slice::from_ref(&step);
+                let (mut episodes, _) =
+                    execute_shard_pipelined(owner, client, step.shard, engine, steps, 1)?;
+                let (_, _, result) = episodes.pop().ok_or_else(|| {
+                    PdsError::Wire("a one-step window returned no episode".into())
+                })?;
+                result
+            }
+            _ => execute_episode(owner, cloud.shard_mut(step.shard), engine, &step)?,
+        };
         if self.cache.capacity() > 0 {
             self.cache.store_pair(
                 pair.sensitive_bin,
@@ -560,56 +540,40 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         ))
     }
 
-    /// [`QbExecutor::retrieve_pair_planned`] over a TCP client: the single
-    /// miss episode travels as frames to the shard daemon hosting the
-    /// sensitive bin, with the local `cloud` consulted only for routing.
-    fn retrieve_pair_tcp<C: BinRoutedCloud>(
+    /// The retrieval [`QbExecutor::select`] and
+    /// [`QbExecutor::fetch_bin_pair`] share: fetches one pair in process,
+    /// merges its two streams with `merge` (given the fake-id set and the
+    /// residual in force), and records the retrieval's
+    /// [`QbExecutor::last_stats`].
+    fn retrieve_merged<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
-        cloud: &C,
-        client: &TcpCloudClient,
+        cloud: &mut C,
         pair: BinPair,
-    ) -> Result<(Vec<Tuple>, Vec<Tuple>, bool, u64)> {
-        if let Some((s_tuples, ns_tuples)) = self
-            .cache
-            .get_pair(pair.sensitive_bin, pair.nonsensitive_bin)
-        {
-            owner.note_bin_cache(true);
-            return Ok((ns_tuples, s_tuples, true, 0));
+        merge: impl FnOnce(&HashSet<TupleId>, Option<&Predicate>, Vec<Tuple>, Vec<Tuple>) -> Vec<Tuple>,
+    ) -> Result<Vec<Tuple>> {
+        if !self.outsourced {
+            return Err(PdsError::Query("deployment not outsourced yet".into()));
         }
-        owner.note_bin_cache(false);
-        let step = self.compile_step(cloud, 0, pair);
-        let engine = self
-            .shard_engines
-            .get_mut(step.shard)
-            .ok_or_else(|| PdsError::Query(format!("no engine for shard {}", step.shard)))?;
-        let mut conn = client.checkout(step.shard)?;
-        let mut session = RemoteSession::new(&mut conn);
-        let outcome = execute_episode_remote(owner, &mut session, engine, &step);
-        drop(session);
-        let result = match outcome {
-            Ok(result) => {
-                client.checkin(step.shard, conn);
-                result
-            }
-            // An errored connection may be desynchronised — drop it
-            // instead of returning it to the pool.
-            Err(e) => return Err(e),
+        let (ns_tuples, s_tuples, cached, rounds) =
+            self.retrieve_pair(owner, cloud, &BinTransport::Sequential, pair)?;
+        let before = ns_tuples.len() + s_tuples.len();
+        let answer = merge(
+            &self.fake_id_set,
+            self.planner.residual.as_ref(),
+            ns_tuples,
+            s_tuples,
+        );
+        self.last_stats = SelectionStats {
+            sensitive_values_requested: self.binning.sensitive_bin(pair.sensitive_bin).len(),
+            nonsensitive_values_requested: self.binning.nonsensitive_bin_len(pair.nonsensitive_bin),
+            tuples_before_filter: before,
+            tuples_in_answer: answer.len(),
+            cache_hits: usize::from(cached),
+            cache_misses: usize::from(!cached),
+            rounds,
         };
-        if self.cache.capacity() > 0 {
-            self.cache.store_pair(
-                pair.sensitive_bin,
-                result.outcome.sensitive.clone(),
-                pair.nonsensitive_bin,
-                result.outcome.nonsensitive.clone(),
-            );
-        }
-        Ok((
-            result.outcome.nonsensitive,
-            result.outcome.sensitive,
-            false,
-            result.rounds,
-        ))
+        Ok(answer)
     }
 
     /// Runs a QB selection for a single value.
@@ -632,36 +596,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         let ns_attr = self
             .nonsensitive_attr
             .ok_or_else(|| PdsError::Cloud("plaintext relation missing".into()))?;
-
-        let sensitive_requested = self.binning.sensitive_bin(pair.sensitive_bin).len();
-        let nonsensitive_requested = self.binning.nonsensitive_bin_len(pair.nonsensitive_bin);
-        let (ns_tuples, s_tuples, cached, rounds) =
-            self.retrieve_pair_planned(owner, cloud, pair)?;
-
         // qmerge: drop fake tuples (recognised by their ids, which only the
         // owner knows), keep only tuples matching the actual query value,
         // and concatenate.
-        let before = ns_tuples.len() + s_tuples.len();
-        let answer = merge_point_answer(
-            &self.fake_id_set,
-            s_attr,
-            ns_attr,
-            value,
-            self.planner.residual.as_ref(),
-            ns_tuples,
-            s_tuples,
-        );
-
-        self.last_stats = SelectionStats {
-            sensitive_values_requested: sensitive_requested,
-            nonsensitive_values_requested: nonsensitive_requested,
-            tuples_before_filter: before,
-            tuples_in_answer: answer.len(),
-            cache_hits: usize::from(cached),
-            cache_misses: usize::from(!cached),
-            rounds,
-        };
-        Ok(answer)
+        self.retrieve_merged(owner, cloud, pair, |fake_ids, residual, ns, s| {
+            merge_point_answer(fake_ids, s_attr, ns_attr, value, residual, ns, s)
+        })
     }
 
     /// Retrieves one bin pair exactly as a point query would (same
@@ -676,33 +616,17 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         cloud: &mut C,
         pair: BinPair,
     ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("deployment not outsourced yet".into()));
-        }
-        let sensitive_requested = self.binning.sensitive_bin(pair.sensitive_bin).len();
-        let nonsensitive_requested = self.binning.nonsensitive_bin_len(pair.nonsensitive_bin);
-        let (ns_tuples, s_tuples, cached, rounds) =
-            self.retrieve_pair_planned(owner, cloud, pair)?;
-        let before = ns_tuples.len() + s_tuples.len();
-        let residual = self.planner.residual.as_ref();
-        let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
-        let mut out: Vec<Tuple> = Vec::with_capacity(before);
-        for t in s_tuples {
-            if !self.fake_id_set.contains(&t.id) && !DbOwner::is_fake(&t) && keep(&t) {
-                out.push(t);
+        self.retrieve_merged(owner, cloud, pair, |fake_ids, residual, ns, s| {
+            let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
+            let mut out: Vec<Tuple> = Vec::with_capacity(ns.len() + s.len());
+            for t in s {
+                if !fake_ids.contains(&t.id) && !DbOwner::is_fake(&t) && keep(&t) {
+                    out.push(t);
+                }
             }
-        }
-        out.extend(ns_tuples.into_iter().filter(|t| keep(t)));
-        self.last_stats = SelectionStats {
-            sensitive_values_requested: sensitive_requested,
-            nonsensitive_values_requested: nonsensitive_requested,
-            tuples_before_filter: before,
-            tuples_in_answer: out.len(),
-            cache_hits: usize::from(cached),
-            cache_misses: usize::from(!cached),
-            rounds,
-        };
-        Ok(out)
+            out.extend(ns.into_iter().filter(|t| keep(t)));
+            out
+        })
     }
 
     /// Invalidates the hot-bin cache for a planned insert of `value` on the
@@ -759,11 +683,11 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     ///
     /// With [`BinTransport::Tcp`], the shards live in per-shard
     /// [`pds_cloud::ShardDaemon`] processes behind the transport's pooled
-    /// client: each shard's episode stream runs on its own OS thread over a
-    /// checked-out connection, every episode travelling as `pds-proto`
-    /// frames through a [`RemoteSession`].  The local `cloud` then only
-    /// provides the bin→shard routing; its in-process shard state is never
-    /// touched.  The client must authenticate as this executor's tenant.
+    /// client: each shard's episode stream runs on its own OS thread through
+    /// [`execute_shard_pipelined`], with the window set by
+    /// [`QbExecutor::set_pipeline_window`] in flight per connection.  The local `cloud` then only provides the bin→shard
+    /// routing; its in-process shard state is never touched.  The client
+    /// must authenticate as this executor's tenant.
     pub fn run_workload_transported<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -839,7 +763,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                     &mut self.shard_engines,
                     client,
                     per_shard_steps,
-                    self.wire_mode,
+                    self.pipeline_window,
                 );
                 (slots, wall, None, rounds)
             }
@@ -912,10 +836,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // evicted its bins (tiny capacities); it then fetches sequentially,
         // exactly as the select path would.
         for (idx, pair) in plan.waiters {
-            let (ns_tuples, s_tuples, cached, waiter_rounds) = match transport {
-                BinTransport::Tcp(client) => self.retrieve_pair_tcp(owner, cloud, client, pair)?,
-                _ => self.retrieve_pair_planned(owner, cloud, pair)?,
-            };
+            let (ns_tuples, s_tuples, cached, waiter_rounds) =
+                self.retrieve_pair(owner, cloud, transport, pair)?;
             if cached {
                 cache_hits += 1;
             } else {
@@ -1040,25 +962,16 @@ type ShardSlot = (Metrics, Result<Vec<(usize, BinPair, EpisodeResult)>>);
 
 /// The remote twin of [`BinTransport::dispatch`] for
 /// [`BinTransport::Tcp`]: one scoped OS thread per shard with work, each
-/// checking a pooled daemon connection out, streaming its episodes as
-/// `pds-proto` frames through a [`RemoteSession`], and checking the
-/// connection back in on success (an errored connection may be
-/// desynchronised and is dropped instead).  Returns the per-shard slots,
-/// the measured wall-clock seconds, and the total owner↔cloud rounds
-/// counted client-side (one per framed exchange).
-///
-/// With [`WireMode::Pipelined`], a shard whose engine splits its composed
-/// episodes ([`SecureSelectionEngine::pipelines_composed`]) and whose
-/// steps are all composed runs [`execute_shard_pipelined`] instead: the
-/// whole episode stream written ahead under a bounded in-flight window,
-/// responses demultiplexed by correlation id.  Shards that don't qualify
-/// fall back to lock-step within the same batch.
+/// running its episodes through [`execute_shard_pipelined`] with up to
+/// `window` requests in flight.  Returns the per-shard slots, the measured
+/// wall-clock seconds, and the total owner↔cloud rounds counted
+/// client-side (one per episode).
 fn tcp_fan_out<E: SecureSelectionEngine>(
     owner: &mut DbOwner,
     engines: &mut [E],
     client: &TcpCloudClient,
     per_shard_steps: Vec<Vec<EpisodeStep>>,
-    mode: WireMode,
+    window: usize,
 ) -> (Vec<Option<ShardSlot>>, f64, u64) {
     let mut tasks: Vec<Option<_>> = Vec::with_capacity(per_shard_steps.len());
     for (engine, (shard_idx, steps)) in engines
@@ -1071,45 +984,20 @@ fn tcp_fan_out<E: SecureSelectionEngine>(
         }
         let mut task_owner = owner.fork(shard_idx as u64 + 1);
         let client = client.clone();
-        tasks.push(Some(move || -> (Metrics, u64, Result<Vec<_>>) {
-            if let WireMode::Pipelined { window } = mode {
-                if engine.pipelines_composed() && steps.iter().all(|s| s.composed) {
-                    return match execute_shard_pipelined(
-                        &mut task_owner,
-                        &client,
-                        shard_idx,
-                        engine,
-                        &steps,
-                        window,
-                    ) {
-                        Ok((episodes, rounds)) => (*task_owner.metrics(), rounds, Ok(episodes)),
-                        Err(e) => (*task_owner.metrics(), 0, Err(e)),
-                    };
-                }
-            }
-            let mut conn = match client.checkout(shard_idx) {
-                Ok(conn) => conn,
-                Err(e) => return (*task_owner.metrics(), 0, Err(e)),
-            };
-            let mut session = RemoteSession::new(&mut conn);
-            let mut episodes = Vec::with_capacity(steps.len());
-            for step in &steps {
-                match execute_episode_remote(&mut task_owner, &mut session, engine, step) {
-                    Ok(res) => episodes.push((step.index, step.pair, res)),
-                    Err(e) => {
-                        let rounds = session.total_rounds();
-                        return (*task_owner.metrics(), rounds, Err(e));
-                    }
-                }
-            }
-            let rounds = session.total_rounds();
-            drop(session);
-            client.checkin(shard_idx, conn);
-            (*task_owner.metrics(), rounds, Ok(episodes))
+        tasks.push(Some(move || -> ShardSlot {
+            let outcome = execute_shard_pipelined(
+                &mut task_owner,
+                &client,
+                shard_idx,
+                engine,
+                &steps,
+                window,
+            );
+            (*task_owner.metrics(), outcome.map(|(episodes, _)| episodes))
         }));
     }
     let start = std::time::Instant::now();
-    let joined: Vec<Option<(Metrics, u64, Result<Vec<_>>)>> = std::thread::scope(|scope| {
+    let slots: Vec<Option<ShardSlot>> = std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .into_iter()
             .map(|task| task.map(|f| scope.spawn(f)))
@@ -1120,16 +1008,13 @@ fn tcp_fan_out<E: SecureSelectionEngine>(
             .collect()
     });
     let wall_clock_sec = start.elapsed().as_secs_f64();
-    let mut rounds = 0u64;
-    let slots = joined
-        .into_iter()
-        .map(|slot| {
-            slot.map(|(metrics, shard_rounds, outcome)| {
-                rounds += shard_rounds;
-                (metrics, outcome)
-            })
-        })
-        .collect();
+    let rounds = slots
+        .iter()
+        .flatten()
+        .filter_map(|(_, outcome)| outcome.as_ref().ok())
+        .flatten()
+        .map(|(_, _, result)| result.rounds)
+        .sum();
     (slots, wall_clock_sec, rounds)
 }
 

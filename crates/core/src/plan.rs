@@ -26,8 +26,7 @@
 use std::collections::VecDeque;
 
 use pds_cloud::{
-    BinEpisodeRequest, CloudServer, CloudSession, CorrelationWindow, DbOwner, RemoteSession,
-    TcpCloudClient,
+    BinEpisodeRequest, CloudServer, CloudSession, CorrelationWindow, DbOwner, TcpCloudClient,
 };
 use pds_common::{PdsError, Result};
 use pds_storage::Tuple;
@@ -153,33 +152,33 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     })
 }
 
-/// Executes one planned episode over a socket-backed
-/// [`RemoteSession`] — the TCP twin of [`execute_episode`].  The shard
-/// lives in a [`pds_cloud::ShardDaemon`]'s address space, so only
-/// **composed** steps can travel: a fine-grained step would need direct
-/// in-process server access, which the channel reports by construction
-/// (`local_server()` is `None`), and rejecting it here keeps the error
-/// message about the *plan* rather than a failed call mid-episode.
-/// One shard's pipelined batch results: each episode's workload slot,
-/// its bin pair and its engine outcome, plus the number of receive
-/// rounds the batch took (the lock-step discipline would take one per
-/// episode).
+/// One shard's results over TCP: each episode's workload slot, its bin
+/// pair and its engine outcome, plus the number of owner↔cloud rounds the
+/// batch took (one per episode, whatever the window).
 pub type PipelinedBatch = (Vec<(usize, BinPair, EpisodeResult)>, u64);
 
-/// Executes one shard's planned episodes **pipelined** over a daemon
-/// connection: up to `window` composed requests are framed and written
-/// back-to-back (vectored writes, no response awaited in between), and
-/// responses are matched back to their episodes by correlation id in
-/// whatever order the daemon's worker pool finishes them.  Each episode's
-/// owner-side work is split across the engine's two pipeline halves —
-/// [`SecureSelectionEngine::composed_wire_tags`] before the uplink,
-/// [`SecureSelectionEngine::finish_composed`] after the downlink — so the
-/// client keeps issuing requests while earlier responses are still being
-/// computed cloud-side.
+/// Executes one shard's planned episodes over a daemon connection — the
+/// only way an episode crosses TCP.  Up to `window` composed requests are
+/// framed and written back-to-back (vectored writes, no response awaited
+/// in between), and responses are matched back to their episodes by
+/// correlation id in whatever order the daemon's worker pool finishes
+/// them.  A window of 1 is lock-step: one request on the socket, then its
+/// answer.  Each episode's owner-side work is split across the engine's
+/// two halves — [`SecureSelectionEngine::composed_wire_tags`] before the
+/// uplink, [`SecureSelectionEngine::finish_composed`] after the downlink —
+/// so the client keeps issuing requests while earlier responses are still
+/// being computed cloud-side.
 ///
-/// The executor only chooses this path when every step is composed and the
-/// shard's engine reports [`SecureSelectionEngine::pipelines_composed`];
-/// a step that nevertheless cannot split is a typed plan error.
+/// The shard lives in a [`pds_cloud::ShardDaemon`]'s address space, so
+/// only composed episodes whose tokens the daemon's tag index resolves can
+/// travel.  Two kinds of back-end are refused with a typed
+/// [`PdsError::Wire`] naming the back-end, before any episode request is
+/// written:
+///
+/// * a **fine-grained** step (a multi-round back-end, or any back-end
+///   under [`PlanMode::FineGrained`]) needs in-process server access;
+/// * a back-end whose `composed_wire_tags` is `None` (the enclave/MPC
+///   simulators) resolves its tokens engine-side.
 ///
 /// Failure handling:
 ///
@@ -201,6 +200,14 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     window: usize,
 ) -> Result<PipelinedBatch> {
     let _span = pds_obs::obs_span("episode.pipelined");
+    if steps.iter().any(|step| !step.composed) {
+        return Err(PdsError::Wire(format!(
+            "the {} back-end plans fine-grained multi-round episodes, which \
+             need in-process server access; only composed single-round \
+             episodes travel over BinTransport::Tcp",
+            engine.name()
+        )));
+    }
     let window = window.max(1);
     let mut conn = client.checkout(shard)?;
     let mut inflight = CorrelationWindow::new();
@@ -216,33 +223,22 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
             let tags = engine
                 .composed_wire_tags(owner, &step.request)?
                 .ok_or_else(|| {
-                    PdsError::Query(format!(
-                        "the {} back-end cannot split composed episodes; the plan \
-                         should not have chosen pipelined dispatch",
+                    PdsError::Wire(format!(
+                        "the {} back-end resolves its composed episodes engine-side \
+                         (enclave/MPC simulation); only episodes whose tokens the \
+                         daemon's tag index resolves travel over BinTransport::Tcp",
                         engine.name()
                     ))
                 })?;
             let corr = conn.enqueue_bin_pair(&step.request, tags)?;
             inflight.track(corr, slot)?;
         }
-        if let Err(e) = conn.flush() {
-            if reconnected {
-                return Err(e);
-            }
-            reconnected = true;
-            for slot in inflight.drain_slots().into_iter().rev() {
-                queue.push_front(slot);
-            }
-            conn = client.reconnect(shard)?;
-            continue;
-        }
-        // Drain one response; out-of-order completion is expected.
-        let (corr, answer) = match conn.recv_bin_pair() {
-            Ok(ok) => ok,
-            Err(e) => {
-                if reconnected {
-                    return Err(e);
-                }
+        // Put the window on the socket and drain one response;
+        // out-of-order completion is expected.
+        let (corr, answer) = match conn.flush().and_then(|()| conn.recv_bin_pair()) {
+            Ok(received) => received,
+            Err(e) if reconnected => return Err(e),
+            Err(_) => {
                 reconnected = true;
                 for slot in inflight.drain_slots().into_iter().rev() {
                     queue.push_front(slot);
@@ -267,36 +263,4 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     let rounds = episodes.len() as u64;
     client.checkin(shard, conn);
     Ok((episodes, rounds))
-}
-
-/// Runs one composed episode over a lock-step [`RemoteSession`]: the
-/// write-then-read discipline `execute_shard_pipelined` replaces when the
-/// back-end can split its composed episode.  Fine-grained multi-round
-/// engines are refused with a typed error — their chatty protocols need
-/// in-process server access.
-pub fn execute_episode_remote<E: SecureSelectionEngine + ?Sized>(
-    owner: &mut DbOwner,
-    session: &mut RemoteSession<'_>,
-    engine: &mut E,
-    step: &EpisodeStep,
-) -> Result<EpisodeResult> {
-    if !step.composed {
-        return Err(PdsError::Wire(format!(
-            "the {} back-end plans fine-grained multi-round episodes, which \
-             need in-process server access; only composed single-round \
-             episodes travel over BinTransport::Tcp",
-            engine.name()
-        )));
-    }
-    let _span = pds_obs::obs_span("episode.execute_remote");
-    session.begin_episode();
-    let outcome = {
-        let _engine_span = pds_obs::obs_span("engine.call");
-        engine.select_bin_episode(owner, session, &step.request)
-    };
-    let rounds = session.end_episode();
-    Ok(EpisodeResult {
-        outcome: outcome?,
-        rounds,
-    })
 }

@@ -23,10 +23,10 @@ use pds_cloud::{
 use pds_common::{PdsError, TupleId, Value};
 use pds_core::{
     execute_shard_pipelined, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning,
-    WireMode,
 };
 use pds_proto::{read_frame, BinPayload, InsertRequest, ReadFrame, WireMessage};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
+use pds_systems::oblivious::opaque_sim;
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
 use pds_workload::{employee_relation, employee_sensitivity_policy};
 use proptest::prelude::*;
@@ -177,26 +177,49 @@ fn eight_concurrent_tcp_owners_match_the_threaded_transport() {
     }
 }
 
+/// A fine-grained back-end (nondet-scan) and an enclave simulator whose
+/// tokens only it can resolve (opaque-sim) are both refused with a typed
+/// error naming the back-end, and no daemon serves a single episode.
 #[test]
 fn a_fine_grained_engine_is_refused_over_tcp_with_a_typed_error() {
     const SHARDS: usize = 2;
-    let mut tenants = vec![tenant_deployment(1, SHARDS, NonDetScanEngine::new())];
-    let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::default());
-    let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
+    let engines: [(Box<dyn SecureSelectionEngine>, &str); 2] = [
+        (Box::new(NonDetScanEngine::new()), "fine-grained"),
+        (Box::new(opaque_sim()), "engine-side"),
+    ];
+    for (engine, reason) in engines {
+        let name = engine.name();
+        let mut tenants = vec![tenant_deployment(1, SHARDS, engine)];
+        let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::default());
+        let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
 
-    let t = &mut tenants[0];
-    let workload = t.workload.clone();
-    let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
-    let err = t
-        .executor
-        .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
-        .unwrap_err();
-    assert!(matches!(err, PdsError::Wire(_)), "{err:?}");
-    assert!(
-        err.to_string().contains("fine-grained"),
-        "the error must explain the composed-only wire contract: {err}"
-    );
-    reclaim_servers(daemons, &mut tenants);
+        let t = &mut tenants[0];
+        let workload = t.workload.clone();
+        let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
+        let err = t
+            .executor
+            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
+            .unwrap_err();
+        assert!(matches!(err, PdsError::Wire(_)), "{name}: {err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(name),
+            "the error must name the back-end: {msg}"
+        );
+        assert!(
+            msg.contains(reason),
+            "the error must explain the composed-only wire contract: {msg}"
+        );
+        reclaim_servers(daemons, &mut tenants);
+        assert!(
+            tenants[0]
+                .router
+                .adversarial_views()
+                .iter()
+                .all(|v| v.is_empty()),
+            "{name}: the refusal must come before any episode request is written"
+        );
+    }
 }
 
 #[test]
@@ -668,13 +691,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Seed-replayable (`PROPTEST_SEED`) equivalence: whatever the query
-    /// order and whatever the in-flight window, pipelined dispatch
-    /// returns answers byte-identical to the lock-step discipline on the
-    /// same daemons.
+    /// order, every in-flight window from 1 (lock-step) to 16 returns
+    /// answers byte-identical to the tenant's in-process threaded run on
+    /// the same deployment.
     #[test]
-    fn pipelined_answers_match_lock_step_for_any_window(
+    fn pipelined_answers_match_in_process_for_every_window(
         seed in proptest::arbitrary::any::<u64>(),
-        window in 1usize..=16,
     ) {
         use pds_common::rng::derive_seed;
 
@@ -692,23 +714,37 @@ proptest! {
             .collect();
         tenants[0].workload = workload.clone();
 
+        let t = &mut tenants[0];
+        let expected = t
+            .executor
+            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &BinTransport::Threaded)
+            .unwrap()
+            .answers;
+
         let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(4));
         let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
 
         let t = &mut tenants[0];
         let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
-        t.executor.set_wire_mode(WireMode::LockStep);
-        let lock_step = t
-            .executor
-            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
-            .unwrap();
-        t.executor.set_cache_capacity(32); // reset the bin cache between passes
-        t.executor.set_wire_mode(WireMode::Pipelined { window });
-        let pipelined = t
-            .executor
-            .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
-            .unwrap();
-        prop_assert_eq!(lock_step.answers, pipelined.answers);
+        for window in 1..=16 {
+            // A fresh cache per pass re-fetches every pair.  At capacity
+            // 32 in-batch repeats wait for the first fetch and hit; at
+            // capacity 1 they miss and travel as one-step windows.
+            for capacity in [32, 1] {
+                t.executor.set_cache_capacity(capacity);
+                t.executor.set_pipeline_window(window);
+                let run = t
+                    .executor
+                    .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
+                    .unwrap();
+                prop_assert!(
+                    run.answers == expected,
+                    "window {} (cache {}) diverges from in-process",
+                    window,
+                    capacity
+                );
+            }
+        }
         reclaim_servers(daemons, &mut tenants);
     }
 }

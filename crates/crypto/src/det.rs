@@ -2,7 +2,7 @@
 //!
 //! Deterministic encryption lets the cloud index and match ciphertexts by
 //! equality, which is exactly why it leaks frequency information (Naveed et
-//! al. [11] in the paper).  The CryptDB-style baseline in `pds-systems` uses
+//! al. \[11\] in the paper).  The CryptDB-style baseline in `pds-systems` uses
 //! [`DeterministicTagger`] so the adversary crate can mount the
 //! frequency-count attack against it and we can show that QB removes the
 //! leakage.

@@ -1,6 +1,6 @@
 //! Two-server distributed point functions (DPF).
 //!
-//! Gilboa–Ishai DPFs ([6] in the paper) let a client split a point function
+//! Gilboa–Ishai DPFs (\[6\] in the paper) let a client split a point function
 //! `f_{a,b}(x) = b if x == a else 0` into two keys such that each key alone
 //! reveals nothing about `a`, yet each server can evaluate its key on every
 //! domain point and the XOR of the two evaluations equals `f_{a,b}`.  The

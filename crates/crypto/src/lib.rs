@@ -19,10 +19,10 @@
 //! * [`det`] — deterministic encryption / equality tags, used by the
 //!   CryptDB-style baseline that QB is shown to strengthen.
 //! * [`ope`] — a toy mutable order-preserving encoding, used only to
-//!   demonstrate the frequency/ordering attacks of [11], [12].
+//!   demonstrate the frequency/ordering attacks of \[11\], \[12\].
 //! * [`shamir`] — Shamir secret sharing over a 61-bit prime field, the basis
-//!   of the secret-sharing back-end ([5] in the paper).
-//! * [`dpf`] — two-server distributed point functions ([6] in the paper),
+//!   of the secret-sharing back-end (\[5\] in the paper).
+//! * [`dpf`] — two-server distributed point functions (\[6\] in the paper),
 //!   implemented as XOR shares of the point-function truth table (functionally
 //!   equivalent to DPF for the simulated cloud; succinctness is not required
 //!   by any experiment).

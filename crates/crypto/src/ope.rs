@@ -1,6 +1,6 @@
 //! A toy order-preserving encoding (OPE).
 //!
-//! The paper cites Naveed et al. [11] and Kellaris et al. [12]: deterministic
+//! The paper cites Naveed et al. \[11\] and Kellaris et al. \[12\]: deterministic
 //! and order-preserving encryption leak enough for frequency/ordering attacks
 //! on low-entropy columns.  This module provides a deliberately simple
 //! stateful OPE (random monotone mapping into a larger integer domain) so the

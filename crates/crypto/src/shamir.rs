@@ -1,7 +1,7 @@
 //! Shamir secret sharing over the Mersenne prime field GF(2^61 − 1).
 //!
 //! The paper's "strong but slow" category includes secret-sharing-based
-//! techniques (Shamir [4], Emekçi et al. [5]).  The secret-sharing back-end
+//! techniques (Shamir \[4\], Emekçi et al. \[5\]).  The secret-sharing back-end
 //! in `pds-systems` shares every attribute value across `n` simulated
 //! non-colluding servers; a selection query is answered by reconstructing
 //! from `k` shares at the owner.  This module supplies share/reconstruct and

@@ -290,7 +290,7 @@ pub enum ReadFrame {
 /// (EOF mid-header, EOF mid-payload) to `Err(PdsError::Wire)` — never a
 /// hang or a panic.  The declared payload length is validated against the
 /// ceiling *before* any payload byte is read, and the pooled receive
-/// buffer grows in bounded [`READ_CHUNK`] steps as bytes actually arrive,
+/// buffer grows in bounded `READ_CHUNK` steps as bytes actually arrive,
 /// never pre-sized from the declared length — so a hostile peer cannot
 /// turn a forged length field into a large allocation, and a 1-byte
 /// dribble schedule cannot force per-read reallocation: growth events are

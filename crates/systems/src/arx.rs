@@ -1,4 +1,4 @@
-//! Arx-style counter-token index ([9] in the paper, discussed in §VI).
+//! Arx-style counter-token index (\[9\] in the paper, discussed in §VI).
 //!
 //! Arx encrypts the *i*-th occurrence of a value `v` as a token of the pair
 //! `(v, i)`, so no two occurrences share a ciphertext and the index is still
@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_storage::{Relation, Tuple};
@@ -114,25 +114,6 @@ impl SecureSelectionEngine for ArxEngine {
     /// value rides the `BinPairRequest` next to the clear-text
     /// non-sensitive values; the cloud matches the tokens against its
     /// counter-token index and answers both sides in a single payload.
-    /// Built from the two pipeline halves so the lock-step and pipelined
-    /// dispatch disciplines share one code path.
-    fn select_bin_episode(
-        &mut self,
-        owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
-        request: &BinEpisodeRequest,
-    ) -> Result<BinEpisodeOutcome> {
-        let tokens = self
-            .composed_wire_tags(owner, request)?
-            .expect("arx-index always splits its composed episode");
-        let (nonsensitive, rows) = session.bin_pair_by_tags(request, tokens)?;
-        self.finish_composed(owner, request, nonsensitive, rows)
-    }
-
-    fn pipelines_composed(&self) -> bool {
-        true
-    }
-
     fn composed_wire_tags(
         &mut self,
         owner: &mut DbOwner,

@@ -86,7 +86,7 @@ impl CostProfile {
         }
     }
 
-    /// Secret-sharing (Emekçi et al. [5]): the paper quotes ≈10 ms per
+    /// Secret-sharing (Emekçi et al. \[5\]): the paper quotes ≈10 ms per
     /// predicate search; the scan touches every shared value.
     pub fn secret_sharing() -> Self {
         CostProfile {
@@ -99,7 +99,7 @@ impl CostProfile {
         }
     }
 
-    /// Two-server DPF ([6]): linear scan with cheap per-tuple PRF work but a
+    /// Two-server DPF (\[6\]): linear scan with cheap per-tuple PRF work but a
     /// full-domain evaluation per query.
     pub fn dpf() -> Self {
         CostProfile {
@@ -112,7 +112,7 @@ impl CostProfile {
         }
     }
 
-    /// Opaque [16]: 89 s for a selection over 700 MB ≈ 6 M tuples gives
+    /// Opaque \[16\]: 89 s for a selection over 700 MB ≈ 6 M tuples gives
     /// ≈ 14.8 µs of oblivious work per tuple.
     pub fn opaque() -> Self {
         CostProfile {
@@ -125,7 +125,7 @@ impl CostProfile {
         }
     }
 
-    /// Jana [37]: 1051 s for a selection over 1 M tuples ≈ 1.05 ms of MPC
+    /// Jana \[37\]: 1051 s for a selection over 1 M tuples ≈ 1.05 ms of MPC
     /// work per tuple.
     pub fn jana() -> Self {
         CostProfile {

@@ -7,7 +7,7 @@
 //! attribute — which is precisely the leakage the frequency-count attack in
 //! `pds-adversary` exploits, and which QB removes (§VI of the paper).
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_storage::{Relation, Tuple};
@@ -89,25 +89,7 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
     /// One composed round: the deterministic tags of the whole sensitive
     /// bin ride the `BinPairRequest` next to the clear-text non-sensitive
     /// values, and the cloud answers both sides from its indexes in a
-    /// single `BinPayload`.  Built from the two pipeline halves so the
-    /// lock-step and pipelined dispatch disciplines share one code path.
-    fn select_bin_episode(
-        &mut self,
-        owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
-        request: &BinEpisodeRequest,
-    ) -> Result<BinEpisodeOutcome> {
-        let tags = self
-            .composed_wire_tags(owner, request)?
-            .expect("det-index always splits its composed episode");
-        let (nonsensitive, rows) = session.bin_pair_by_tags(request, tags)?;
-        self.finish_composed(owner, request, nonsensitive, rows)
-    }
-
-    fn pipelines_composed(&self) -> bool {
-        true
-    }
-
+    /// single `BinPayload`.
     fn composed_wire_tags(
         &mut self,
         owner: &mut DbOwner,

@@ -1,4 +1,4 @@
-//! Two-server DPF back-end (Gilboa–Ishai [6]).
+//! Two-server DPF back-end (Gilboa–Ishai \[6\]).
 //!
 //! The distinct values of the searchable attribute form the DPF domain.  The
 //! two simulated non-colluding servers each hold, per tuple, the index of

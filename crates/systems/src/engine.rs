@@ -1,6 +1,6 @@
 //! The common interface of secure selection back-ends.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
 use pds_common::PdsError;
 use pds_common::{AttrId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
@@ -94,26 +94,33 @@ pub trait SecureSelectionEngine: Send {
         false
     }
 
-    /// Executes one whole Query Binning bin-pair episode against an
-    /// [`EpisodeChannel`]: the clear-text sub-query for the non-sensitive
-    /// bin plus the encrypted sub-query for the sensitive bin, inside the
+    /// Executes one whole Query Binning bin-pair episode through a
+    /// [`CloudSession`]: the clear-text sub-query for the non-sensitive bin
+    /// plus the encrypted sub-query for the sensitive bin, inside the
     /// episode the caller has already opened.
     ///
-    /// The channel is a trait object so the same engine code runs against
-    /// the in-process [`pds_cloud::CloudSession`] *and* the socket-backed
-    /// [`pds_cloud::RemoteSession`] without knowing which it got.
-    ///
-    /// The default implementation is the fine-grained multi-round path
-    /// ([`fine_grained_bin_episode`]); back-ends that can resolve a bin-set
-    /// request cloud-side override it to send one composed
-    /// `BinPairRequest` instead and thereby answer in a single round.
+    /// The default runs the two composed halves around one
+    /// `BinPairRequest` — [`SecureSelectionEngine::composed_wire_tags`],
+    /// the cloud's tag-index lookup, then
+    /// [`SecureSelectionEngine::finish_composed`] — so an in-process
+    /// episode and a TCP one share every owner-side step.  A back-end that
+    /// does not split falls back to the fine-grained multi-round path
+    /// ([`fine_grained_bin_episode`]).  Back-ends whose composed episode
+    /// resolves its tokens engine-side (the enclave/MPC simulators)
+    /// override it.
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        fine_grained_bin_episode(self, owner, session, request)
+        match self.composed_wire_tags(owner, request)? {
+            Some(tags) => {
+                let (nonsensitive, rows) = session.bin_pair_by_tags(request, tags)?;
+                self.finish_composed(owner, request, nonsensitive, rows)
+            }
+            None => fine_grained_bin_episode(self, owner, session, request),
+        }
     }
 
     /// Whether the technique hides which encrypted tuples satisfied the
@@ -123,26 +130,17 @@ pub trait SecureSelectionEngine: Send {
         false
     }
 
-    /// Whether this back-end's composed episode splits into the two
-    /// pipeline-able halves below: an uplink half that only *builds* the
-    /// wire tokens ([`SecureSelectionEngine::composed_wire_tags`]) and a
-    /// downlink half that only *post-processes* the response
-    /// ([`SecureSelectionEngine::finish_composed`]), with no owner↔cloud
-    /// exchange in between.  Such episodes can be dispatched pipelined: a
-    /// whole window of requests written back-to-back before any response
-    /// is read.  Back-ends whose composed episode needs the response to
-    /// form the next request (or that do not compose at all) return
-    /// `false` and run lock-step.
-    fn pipelines_composed(&self) -> bool {
-        false
-    }
-
-    /// The uplink half of a pipelined composed episode: the opaque search
-    /// tokens of the sensitive bin, ready to ride a `BinPairRequest`.
-    /// Returns `Ok(None)` when this back-end cannot split the episode
-    /// (then [`SecureSelectionEngine::select_bin_episode`] is the only
-    /// path); `Err` for owner-side failures such as querying before
-    /// outsourcing.
+    /// The uplink half of a composed episode: the opaque search tokens of
+    /// the sensitive bin, ready to ride a `BinPairRequest` that the
+    /// cloud's tag index resolves.  Returns `Ok(None)` when this back-end
+    /// cannot split the episode this way; `Err` for owner-side failures
+    /// such as querying before outsourcing.
+    ///
+    /// A back-end travels over TCP exactly when this returns `Some`: the
+    /// owner writes a whole window of such requests before reading any
+    /// answer, which needs an uplink half that only *builds* tokens and a
+    /// downlink half ([`SecureSelectionEngine::finish_composed`]) that only
+    /// *post-processes*, with no owner↔cloud exchange in between.
     fn composed_wire_tags(
         &mut self,
         owner: &mut DbOwner,
@@ -152,7 +150,7 @@ pub trait SecureSelectionEngine: Send {
         Ok(None)
     }
 
-    /// The downlink half of a pipelined composed episode: owner-side
+    /// The downlink half of a composed episode: owner-side
     /// decrypt-and-filter of a `BinPayload` that answered the tokens from
     /// [`SecureSelectionEngine::composed_wire_tags`].  Pure per-episode
     /// post-processing — it must not talk to the cloud, which is what
@@ -200,7 +198,8 @@ pub fn decrypt_real_matches(
 }
 
 /// The fine-grained multi-round form of one bin-pair episode: the
-/// clear-text `IN` selection travels as its own message, then the engine's
+/// clear-text `IN` selection travels as its own message, with the planner's
+/// pushed-down residual applied cloud-side, then the engine's
 /// [`SecureSelectionEngine::select`] runs its usual (possibly multi-round)
 /// procedure against the underlying server.
 ///
@@ -211,29 +210,19 @@ pub fn decrypt_real_matches(
 pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     owner: &mut DbOwner,
-    session: &mut dyn EpisodeChannel,
+    session: &mut CloudSession<'_>,
     request: &BinEpisodeRequest,
 ) -> Result<BinEpisodeOutcome> {
     let _span = pds_obs::obs_span("engine.fine_grained");
     let nonsensitive = if request.nonsensitive_values.is_empty() {
         Vec::new()
     } else {
-        session.plain_select_in(&request.nonsensitive_values)?
+        session.plain_select_filtered(&request.nonsensitive_values, request.pushdown.as_ref())?
     };
     let sensitive = if request.sensitive_values.is_empty() {
         Vec::new()
     } else {
-        // Multi-round back-ends drive the server's fine-grained methods
-        // directly, which only an in-process channel can grant.
-        let server = session.local_server().ok_or_else(|| {
-            PdsError::Wire(format!(
-                "the {} back-end runs multi-round fine-grained episodes, \
-                 which need in-process server access; a remote channel only \
-                 carries composed single-round episodes",
-                engine.name()
-            ))
-        })?;
-        engine.select(owner, server, &request.sensitive_values)?
+        engine.select(owner, session.server_mut(), &request.sensitive_values)?
     };
     Ok(BinEpisodeOutcome {
         nonsensitive,
@@ -284,7 +273,7 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         (**self).select_bin_episode(owner, session, request)
@@ -292,10 +281,6 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
 
     fn hides_access_pattern(&self) -> bool {
         (**self).hides_access_pattern()
-    }
-
-    fn pipelines_composed(&self) -> bool {
-        (**self).pipelines_composed()
     }
 
     fn composed_wire_tags(

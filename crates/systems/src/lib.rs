@@ -7,10 +7,10 @@
 //! |---|---|---|
 //! | [`nondet_scan`] | the "No-Ind(A)/No-Ind(B)" procedure of §V-B on two commercial DBMSs | non-deterministic encryption, owner-side search |
 //! | [`det_index`] | CryptDB-style deterministic encryption with a cloud-side index | weak (leaks frequency) but fast |
-//! | [`arx`] | Arx [9]: per-occurrence counter tokens over non-deterministic encryption | indexable, β ≈ 1.4–2.5 |
-//! | [`secret_sharing`] | Emekçi et al. [5] / Shamir [4] | strong, linear scan, ≈10 ms per predicate |
-//! | [`dpf_engine`] | Gilboa–Ishai DPF [6] | strong, two-server, linear scan |
-//! | [`oblivious`] | Opaque [16] (SGX) and Jana [37] (MPC) cost simulators | strong, oblivious full scan |
+//! | [`arx`] | Arx \[9\]: per-occurrence counter tokens over non-deterministic encryption | indexable, β ≈ 1.4–2.5 |
+//! | [`secret_sharing`] | Emekçi et al. \[5\] / Shamir \[4\] | strong, linear scan, ≈10 ms per predicate |
+//! | [`dpf_engine`] | Gilboa–Ishai DPF \[6\] | strong, two-server, linear scan |
+//! | [`oblivious`] | Opaque \[16\] (SGX) and Jana \[37\] (MPC) cost simulators | strong, oblivious full scan |
 //!
 //! Every back-end implements [`SecureSelectionEngine`]: it outsources a
 //! relation through the [`pds_cloud::DbOwner`] onto a

@@ -1,6 +1,6 @@
 //! Oblivious full-scan engines: Opaque (SGX) and Jana (MPC) simulators.
 //!
-//! The paper's Table VI composes QB with Opaque [16] and with Jana [37].
+//! The paper's Table VI composes QB with Opaque \[16\] and with Jana \[37\].
 //! Neither system is available here (Opaque requires SGX hardware, Jana is a
 //! closed MPC engine), so both are modelled as **oblivious full-scan
 //! engines**: a selection touches every encrypted tuple, the output is
@@ -11,7 +11,7 @@
 //! (which tuples are returned) is exact; only wall-clock time is simulated.
 //! `DESIGN.md` §5 documents this substitution.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, EpisodeChannel};
+use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
 use pds_common::{AttrId, PdsError, Result, Value};
 use pds_storage::{Relation, Tuple};
 
@@ -147,7 +147,7 @@ impl SecureSelectionEngine for ObliviousScanEngine {
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut dyn EpisodeChannel,
+        session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         if !self.outsourced {

@@ -1,4 +1,4 @@
-//! Secret-sharing back-end (Shamir [4] / Emekçi et al. [5]).
+//! Secret-sharing back-end (Shamir \[4\] / Emekçi et al. \[5\]).
 //!
 //! The searchable attribute of every tuple is Shamir-shared across `n`
 //! simulated non-colluding servers.  Answering a selection requires touching
@@ -46,7 +46,7 @@ pub struct SecretSharingEngine {
 
 impl SecretSharingEngine {
     /// Creates an engine with `n` share servers and reconstruction threshold
-    /// `k` (the usual deployment in [5] is small `n`, e.g. 3-of-5).
+    /// `k` (the usual deployment in \[5\] is small `n`, e.g. 3-of-5).
     pub fn new(k: usize, n: usize) -> Self {
         SecretSharingEngine {
             threshold: k,

@@ -13,7 +13,9 @@
 //! The cost-based optimizer rides the same harness: identical seed and
 //! cost inputs must compile to a byte-identical [`QueryPlan`], and the
 //! heterogeneous deployment the optimizer picks must return byte-identical
-//! answers to every forced-homogeneous baseline.
+//! answers to every forced-homogeneous baseline.  A pushed-down residual
+//! must reach the cloud on every back-end in both plan modes: fewer tuples
+//! come back, and the answers are those of the owner-side-only residual.
 
 use proptest::prelude::*;
 
@@ -303,6 +305,70 @@ proptest! {
                 planner_answers == baseline,
                 "planner answers diverged from forced backend {} ({} shards, seed {})",
                 backend_idx, shards, placement_seed
+            );
+        }
+    }
+}
+
+/// Pushing the residual down the wire filters the clear-text stream
+/// cloud-side on all six back-ends in both plan modes — the fine-grained
+/// path included — so every deployment returns strictly fewer tuples than
+/// with the residual applied owner-side only, with identical answers and
+/// partitioned security intact per shard and composed.
+#[test]
+fn pushdown_filters_cloud_side_on_every_backend_in_both_plan_modes() {
+    let (parts, values) = employee_setup();
+    let residual = Predicate::range(employee_relation().schema(), "Office", 1i64, 3i64).unwrap();
+    for backend_idx in 0..BACKENDS {
+        let name = backend(backend_idx).name();
+        for mode in [PlanMode::Composed, PlanMode::FineGrained] {
+            let mut answers = Vec::new();
+            let mut returned = Vec::new();
+            for pushdown in [false, true] {
+                let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
+                let mut executor =
+                    QbExecutor::new(binning, backend(backend_idx)).with_plan_mode(mode);
+                let mut owner = DbOwner::new(5);
+                let mut router = ShardRouter::new(2, NetworkModel::paper_wan(), 11).unwrap();
+                executor.outsource(&mut owner, &mut router, &parts).unwrap();
+                executor
+                    .set_planner(PlannerConfig {
+                        residual: Some(residual.clone()),
+                        pushdown,
+                        ..PlannerConfig::default()
+                    })
+                    .unwrap();
+                let outsourcing = router.metrics();
+                let run = executor
+                    .run_workload_transported(
+                        &mut owner,
+                        &mut router,
+                        &values,
+                        &BinTransport::Sequential,
+                    )
+                    .unwrap();
+                answers.push(
+                    run.answers
+                        .iter()
+                        .map(|ts| answer_bytes(ts))
+                        .collect::<Vec<_>>(),
+                );
+                returned.push(router.metrics().delta_since(&outsourcing).tuples_returned);
+                let report = check_sharded_partitioned_security(&router.adversarial_views());
+                assert!(
+                    report.is_secure(),
+                    "{name} {mode:?} pushdown={pushdown}: {report:?}"
+                );
+            }
+            assert!(
+                answers[0] == answers[1],
+                "{name} {mode:?}: pushdown changed the answers"
+            );
+            assert!(
+                returned[1] < returned[0],
+                "{name} {mode:?}: pushdown must return fewer tuples ({} vs {})",
+                returned[1],
+                returned[0]
             );
         }
     }
