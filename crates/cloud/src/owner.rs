@@ -22,6 +22,9 @@ pub struct DbOwner {
     tagger: DeterministicTagger,
     rng: StdRng,
     metrics: Metrics,
+    /// Width every tuple plaintext is zero-padded to before encryption
+    /// (0: no padding); fixed by [`DbOwner::pad_tuples_to_widest`].
+    tuple_width: usize,
 }
 
 impl DbOwner {
@@ -36,11 +39,12 @@ impl DbOwner {
             tagger: DeterministicTagger::new(Key128::derive(seed, "owner-det")),
             rng: pds_common::rng::seeded_rng(pds_common::rng::derive_seed(seed, "owner-rng")),
             metrics: Metrics::new(),
+            tuple_width: 0,
         }
     }
 
-    /// A worker owner holding the **same keys** but an independent
-    /// randomness stream and zeroed counters.
+    /// A worker owner holding the **same keys** and tuple padding width but
+    /// an independent randomness stream and zeroed counters.
     ///
     /// The threaded shard fan-out hands one fork to every shard task: keys
     /// must match (the fork has to decrypt what the original encrypted and
@@ -56,6 +60,7 @@ impl DbOwner {
                 pds_common::rng::derive_seed(self.seed, "owner-fork").wrapping_add(salt),
             ),
             metrics: Metrics::new(),
+            tuple_width: self.tuple_width,
         }
     }
 
@@ -106,18 +111,44 @@ impl DbOwner {
 
     // ----- tuple-level primitives --------------------------------------------
 
-    /// Non-deterministically encrypts a whole tuple.
-    pub fn encrypt_tuple(&mut self, tuple: &Tuple) -> Ciphertext {
-        self.metrics.owner_encryptions += 1;
-        self.cipher.encrypt(&tuple.encode(), &mut self.rng)
+    /// Fixes the width every tuple plaintext is padded to: the widest
+    /// encoded tuple of `relation`, the augmented sensitive relation at
+    /// outsourcing.  Without it a ciphertext's length tells the cloud a
+    /// fake padding row (mostly `NULL`s) from a real one, so it could count
+    /// each sensitive bin's real tuples.  A later tuple wider than the
+    /// width is encrypted unpadded.
+    pub fn pad_tuples_to_widest(&mut self, relation: &Relation) {
+        self.tuple_width = relation
+            .tuples()
+            .iter()
+            .map(Tuple::encoded_len)
+            .max()
+            .unwrap_or(0);
     }
 
-    /// Decrypts a tuple ciphertext.
+    /// Non-deterministically encrypts a whole tuple, its plaintext
+    /// zero-padded to the width fixed by [`DbOwner::pad_tuples_to_widest`].
+    pub fn encrypt_tuple(&mut self, tuple: &Tuple) -> Ciphertext {
+        self.metrics.owner_encryptions += 1;
+        let mut plaintext = tuple.encode();
+        if plaintext.len() < self.tuple_width {
+            plaintext.resize(self.tuple_width, 0);
+        }
+        self.cipher.encrypt(&plaintext, &mut self.rng)
+    }
+
+    /// Decrypts a tuple ciphertext and strips its zero padding.
     pub fn decrypt_tuple(&mut self, ct: &Ciphertext) -> Result<Tuple> {
         self.metrics.owner_decryptions += 1;
         let bytes = self.cipher.decrypt(ct)?;
-        Tuple::decode(&bytes)
-            .ok_or_else(|| PdsError::Crypto("decrypted bytes are not a valid tuple".into()))
+        let (tuple, used) = Tuple::decode_prefix(&bytes)
+            .ok_or_else(|| PdsError::Crypto("decrypted bytes are not a valid tuple".into()))?;
+        if bytes[used..].iter().any(|&b| b != 0) {
+            return Err(PdsError::Crypto(
+                "decrypted tuple carries non-zero padding".into(),
+            ));
+        }
+        Ok(tuple)
     }
 
     /// Encrypts one sensitive tuple into the row format the cloud stores:
@@ -242,6 +273,48 @@ mod tests {
         let t = sample_tuple();
         let ct = owner.encrypt_tuple(&t);
         assert_eq!(owner.decrypt_tuple(&ct).unwrap(), t);
+    }
+
+    #[test]
+    fn padded_tuples_share_one_ciphertext_length_and_decrypt_exactly() {
+        let mut owner = DbOwner::new(7);
+        let schema = Schema::from_pairs(&[
+            ("EId", DataType::Text),
+            ("Office", DataType::Int),
+            ("Dept", DataType::Text),
+        ])
+        .unwrap();
+        let mut r = Relation::new("Emp", schema);
+        r.insert(vec![Value::from("E1"), Value::Int(1), Value::from("Sales")])
+            .unwrap();
+        r.insert(vec![
+            Value::from("E259"),
+            Value::Int(6),
+            Value::from("Defense"),
+        ])
+        .unwrap();
+        r.insert(vec![Value::from("E3"), Value::Null, Value::Null])
+            .unwrap();
+        owner.pad_tuples_to_widest(&r);
+        let mut fork = owner.fork(1);
+        let cts: Vec<Ciphertext> = r.tuples().iter().map(|t| fork.encrypt_tuple(t)).collect();
+        assert!(cts.iter().all(|ct| ct.len() == cts[0].len()));
+        for (t, ct) in r.tuples().iter().zip(&cts) {
+            assert_eq!(&owner.decrypt_tuple(ct).unwrap(), t);
+        }
+    }
+
+    #[test]
+    fn non_zero_tuple_padding_is_rejected() {
+        let mut owner = DbOwner::new(7);
+        let mut plaintext = sample_tuple().encode();
+        plaintext.push(1);
+        let ct = owner.cipher.encrypt(&plaintext, &mut owner.rng);
+        assert!(matches!(owner.decrypt_tuple(&ct), Err(PdsError::Crypto(_))));
+        plaintext.pop();
+        plaintext.extend_from_slice(&[0, 0]);
+        let ct = owner.cipher.encrypt(&plaintext, &mut owner.rng);
+        assert_eq!(owner.decrypt_tuple(&ct).unwrap(), sample_tuple());
     }
 
     #[test]

@@ -34,12 +34,22 @@ use pds_proto::{FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
 use crate::server::BinPairResult;
 use crate::session::BinEpisodeRequest;
 
+/// Frame bytes a client's connections wrote to and read from their
+/// sockets, shared by every connection the client dials.
+#[derive(Debug, Default)]
+struct SocketBytes {
+    written: AtomicU64,
+    read: AtomicU64,
+}
+
 /// One authenticated connection to one shard daemon.
 #[derive(Debug)]
 pub struct TcpShardConn {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     frames: FrameReader,
+    /// Where this connection counts the frame bytes it moves.
+    bytes: Arc<SocketBytes>,
     /// Next correlation id; starts at 1 so 0 stays "uncorrelated" (the v1
     /// wire value), and never repeats within a connection's lifetime.
     next_corr: u64,
@@ -52,6 +62,16 @@ impl TcpShardConn {
     /// Dials the daemon and performs the tenant handshake (a [`Hello`]
     /// that the daemon must echo back).
     pub fn connect(addr: SocketAddr, tenant: u64) -> Result<TcpShardConn> {
+        Self::connect_counted(addr, tenant, Arc::default())
+    }
+
+    /// [`Self::connect`], counting every frame byte the connection moves
+    /// (the handshake included) into `bytes`.
+    fn connect_counted(
+        addr: SocketAddr,
+        tenant: u64,
+        bytes: Arc<SocketBytes>,
+    ) -> Result<TcpShardConn> {
         let writer = TcpStream::connect(addr).map_err(|e| {
             PdsError::Wire(format!("connect to shard daemon at {addr} failed: {e}"))
         })?;
@@ -63,6 +83,7 @@ impl TcpShardConn {
             writer,
             reader: BufReader::new(read_half),
             frames: FrameReader::default(),
+            bytes,
             next_corr: 1,
             outbox: Vec::new(),
         };
@@ -112,6 +133,9 @@ impl TcpShardConn {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(PdsError::Wire(format!("batch write failed: {e}"))),
             };
+            self.bytes
+                .written
+                .fetch_add(wrote as u64, Ordering::Relaxed);
             while idx < slices.len() && wrote >= slices[idx].len() - off {
                 wrote -= slices[idx].len() - off;
                 idx += 1;
@@ -131,7 +155,12 @@ impl TcpShardConn {
     pub fn recv_response(&mut self) -> Result<(u64, WireMessage)> {
         let _span = pds_obs::obs_span("wire.call");
         match self.frames.read(&mut self.reader)? {
-            ReadFrame::Frame(bytes) => WireMessage::decode_corr(&bytes),
+            ReadFrame::Frame(bytes) => {
+                self.bytes
+                    .read
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                WireMessage::decode_corr(&bytes)
+            }
             ReadFrame::Eof => Err(PdsError::Wire(
                 "daemon closed the connection mid-call".into(),
             )),
@@ -270,6 +299,7 @@ struct ClientInner {
     addrs: Vec<SocketAddr>,
     pools: Vec<OrderedMutex<Vec<TcpShardConn>>>,
     reconnects: AtomicU64,
+    bytes: Arc<SocketBytes>,
 }
 
 /// One tenant's pooled client to a sharded daemon deployment.  Cloning is
@@ -293,6 +323,7 @@ impl TcpCloudClient {
                 addrs,
                 pools,
                 reconnects: AtomicU64::new(0),
+                bytes: Arc::default(),
             }),
         }
     }
@@ -319,7 +350,12 @@ impl TcpCloudClient {
         if let Some(conn) = pool.lock().pop() {
             return Ok(conn);
         }
-        TcpShardConn::connect(self.inner.addrs[shard], self.inner.tenant)
+        self.dial(self.inner.addrs[shard])
+    }
+
+    /// Dials one connection whose frame bytes count toward this client's.
+    fn dial(&self, addr: SocketAddr) -> Result<TcpShardConn> {
+        TcpShardConn::connect_counted(addr, self.inner.tenant, Arc::clone(&self.inner.bytes))
     }
 
     /// Returns a healthy connection to the pool.  Callers must *drop*
@@ -345,11 +381,11 @@ impl TcpCloudClient {
             ))
         })?;
         self.inner.reconnects.fetch_add(1, Ordering::Relaxed);
-        let first = match TcpShardConn::connect(addr, self.inner.tenant) {
+        let first = match self.dial(addr) {
             Ok(conn) => return Ok(conn),
             Err(e) => e,
         };
-        TcpShardConn::connect(addr, self.inner.tenant).map_err(|e| {
+        self.dial(addr).map_err(|e| {
             PdsError::Wire(format!(
                 "shard {shard} daemon at {addr} unreachable after retry: \
                  first attempt: {first}; retry: {e}"
@@ -361,6 +397,19 @@ impl TcpCloudClient {
     /// hook for the kill-mid-batch recovery tests).
     pub fn reconnects(&self) -> u64 {
         self.inner.reconnects.load(Ordering::Relaxed)
+    }
+
+    /// Frame bytes this client's connections have written to their
+    /// sockets, handshakes included.  A connection dialed elsewhere and
+    /// checked in does not count here.
+    pub fn bytes_written(&self) -> u64 {
+        self.inner.bytes.written.load(Ordering::Relaxed)
+    }
+
+    /// Frame bytes this client's connections have read off their sockets,
+    /// handshakes included.
+    pub fn bytes_read(&self) -> u64 {
+        self.inner.bytes.read.load(Ordering::Relaxed)
     }
 
     /// Whether two handles share the same pools (identity, not config).

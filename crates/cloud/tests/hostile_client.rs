@@ -7,39 +7,12 @@
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 
-use pds_cloud::{
-    CloudServer, CloudSession, EncryptedRow, NetworkModel, ServiceConfig, ShardDaemon, TcpShardConn,
-};
-use pds_common::{TupleId, Value};
-use pds_crypto::NonDetCipher;
+use pds_cloud::{CloudSession, ServiceConfig, ShardDaemon, TcpShardConn};
+use pds_common::Value;
 use pds_proto::{read_frame, FetchBinRequest, Hello, ReadFrame, WireMessage};
-use pds_storage::{DataType, Relation, Schema};
 
-/// A deterministic shard server: three clear-text employees plus three
-/// encrypted rows.  Two calls with the same seed build byte-identical
-/// servers, which is what lets the tests compare daemon answers against a
-/// local in-process reference.
-fn server(seed: u64) -> CloudServer {
-    let schema = Schema::from_pairs(&[("EId", DataType::Text), ("Dept", DataType::Text)]).unwrap();
-    let mut r = Relation::new("Employee", schema);
-    for (e, d) in [("E259", "Design"), ("E199", "Design"), ("E254", "Sales")] {
-        r.insert(vec![Value::from(e), Value::from(d)]).unwrap();
-    }
-    let mut s = CloudServer::new(NetworkModel::paper_wan());
-    s.upload_plaintext(r, "EId").unwrap();
-    let cipher = NonDetCipher::from_seed(seed);
-    let mut rng = pds_common::rng::seeded_rng(seed);
-    let rows: Vec<EncryptedRow> = (0..3u64)
-        .map(|i| EncryptedRow {
-            id: TupleId::new(100 + i),
-            attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng),
-            tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
-            search_tags: vec![vec![i as u8]],
-        })
-        .collect();
-    s.upload_encrypted(rows).unwrap();
-    s
-}
+mod common;
+use common::server;
 
 fn fetch(values: &[&str]) -> WireMessage {
     WireMessage::FetchBinRequest(FetchBinRequest {
@@ -181,57 +154,6 @@ fn oversized_declared_length_gets_a_typed_error_then_close() {
     assert_eq!(
         ok.call(&msg).unwrap().encode().unwrap(),
         reference_bytes(1, &msg)
-    );
-    daemon.shutdown();
-}
-
-#[test]
-fn one_byte_dribble_cannot_force_per_read_reallocation() {
-    let daemon = ShardDaemon::spawn(vec![(7, server(1))], ServiceConfig::default()).unwrap();
-    let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-    let hello = WireMessage::Hello(Hello { tenant: 7 }).encode().unwrap();
-    conn.write_all(&hello).unwrap();
-    assert!(matches!(
-        read_frame(&mut conn).unwrap(),
-        ReadFrame::Frame(_)
-    ));
-
-    // A large but valid frame (~96 KiB of never-matching tags), dribbled
-    // one byte per write.  The daemon's pooled chunked reader must grow
-    // its buffer per 64 KiB chunk, not per received byte — the global
-    // reader-grow counter may move by at most a handful of chunks (plus
-    // whatever concurrent tests contribute), never by anything near the
-    // tens of thousands of reads this connection forces.
-    let frame = WireMessage::FetchBinRequest(FetchBinRequest {
-        values: Vec::new(),
-        ids: Vec::new(),
-        tags: (0..3000u32).map(|i| i.to_be_bytes().repeat(8)).collect(),
-        predicate: None,
-    })
-    .encode()
-    .unwrap();
-    assert!(frame.len() > 90_000, "frame is {} bytes", frame.len());
-    let grows_before = pds_proto::pool_stats().reader_grows;
-    for chunk in frame.chunks(1) {
-        conn.write_all(chunk).unwrap();
-    }
-    match read_frame(&mut conn).unwrap() {
-        ReadFrame::Frame(bytes) => {
-            assert!(matches!(
-                WireMessage::decode(&bytes).unwrap(),
-                WireMessage::BinPayload(_)
-            ));
-        }
-        other => panic!("expected a BinPayload answer, got {other:?}"),
-    }
-    let grows = pds_proto::pool_stats().reader_grows - grows_before;
-    assert!(
-        grows <= 64,
-        "reader grew {grows} times for a {}-byte frame dribbled in \
-         {}-odd single-byte reads — growth must track frame size, not \
-         read count",
-        frame.len(),
-        frame.len()
     );
     daemon.shutdown();
 }

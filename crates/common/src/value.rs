@@ -77,6 +77,10 @@ impl Value {
     /// the same byte string; this is the plaintext handed to
     /// non-deterministic encryption and to deterministic tags/PRFs, so
     /// injectivity matters for correctness of equality search.
+    ///
+    /// Integers are fixed-width (big-endian), so the length of an encoded
+    /// value — and of any ciphertext over it — never depends on an
+    /// integer's magnitude.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Value::Null => vec![0u8],
@@ -99,6 +103,18 @@ impl Value {
                 out
             }
             Value::Bool(b) => vec![4u8, u8::from(*b)],
+        }
+    }
+
+    /// Exact length of [`Value::encode`]'s output, computed without
+    /// encoding.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Int(_) => 9,
+            Value::Text(s) => 1 + s.len(),
+            Value::Bytes(b) => 1 + b.len(),
+            Value::Bool(_) => 2,
         }
     }
 
@@ -128,8 +144,10 @@ impl Value {
         }
     }
 
-    /// Approximate size of the value in bytes, used by the communication
-    /// cost simulator in `pds-cloud`.
+    /// Approximate payload size of the value in bytes (8 per integer, the
+    /// raw length of text and bytes).  Feeds the engines' request-size
+    /// estimates and the binning metadata size; wire traffic is measured
+    /// from encoded frames instead.
     pub fn size_bytes(&self) -> usize {
         match self {
             Value::Null => 1,
@@ -401,6 +419,20 @@ mod tests {
     fn display_renders_ciphertext_prefix() {
         let v = Value::Bytes(vec![0xde, 0xad, 0xbe, 0xef]);
         assert_eq!(v.to_string(), "0xdeadbeef");
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        for v in [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::from(""),
+            Value::from("héllo"),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::Bool(false),
+        ] {
+            assert_eq!(v.encoded_len(), v.encode().len(), "{v:?}");
+        }
     }
 
     #[test]

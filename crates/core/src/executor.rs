@@ -363,6 +363,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // Sensitive side: clone, append fake tuples per bin, then split into
         // one sub-relation per shard (a sensitive bin lives on one shard).
         let augmented = self.augment_with_fakes(&partitioned.sensitive, s_attr)?;
+        owner.pad_tuples_to_widest(&augmented);
         let per_shard = self.split_by_shard(cloud, &augmented, s_attr)?;
         self.shard_engines = engines;
         for (shard, relation) in per_shard.iter().enumerate() {
@@ -408,10 +409,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// the general case prescribes (each fake carries a value of its bin so
     /// the cloud returns it whenever that bin is queried).
     ///
-    /// Every non-searchable attribute of a fake tuple is `NULL`; after
-    /// encryption the fake is indistinguishable from a real row to the
-    /// cloud, while the owner recognises fakes by their tuple ids (tracked
-    /// in [`QbExecutor::fake_tuple_ids`]).
+    /// Every non-searchable attribute of a fake tuple is `NULL`.  The owner
+    /// pads every tuple plaintext to the widest tuple of the augmented
+    /// relation before encrypting it ([`DbOwner::pad_tuples_to_widest`]),
+    /// so to the cloud a fake is indistinguishable from a real row, even by
+    /// ciphertext length.  The owner recognises fakes by their tuple ids
+    /// (tracked in [`QbExecutor::fake_tuple_ids`]).
     fn augment_with_fakes(&mut self, sensitive: &Relation, attr: AttrId) -> Result<Relation> {
         let mut augmented = sensitive.clone();
         let arity = sensitive.schema().arity();

@@ -11,7 +11,9 @@
 //!
 //! A read/insert soak checks that each shard's adversarial view stays
 //! within its size bound while the daemons run, read from the view-size
-//! gauges every tenant can request.
+//! gauges every tenant can request.  A byte reconciliation checks that
+//! the bytes the daemons count equal the bytes the client's sockets
+//! moved.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -461,6 +463,81 @@ fn a_read_insert_soak_keeps_every_shard_view_bounded() {
     }
     let report = pds_adversary::check_sharded_partitioned_security(&views);
     assert!(report.is_secure(), "{report:?}");
+}
+
+/// The daemons charge `pds_wire_bytes_{uploaded,downloaded}_total` from an
+/// accounting encode of each exchange, not from the socket.  Over a
+/// pipelined batch of composed episodes plus one `InsertRequest`, the
+/// frame bytes the client wrote and read must equal those counters'
+/// deltas.  The client's counters are read after the first stats
+/// exchanges and before the second, so stats frames count on neither
+/// side.
+#[test]
+fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
+    const SHARDS: usize = 2;
+    let mut tenants = vec![tenant_deployment(
+        1,
+        SHARDS,
+        DeterministicIndexEngine::new(),
+    )];
+    let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(2));
+    let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
+    let client = TcpCloudClient::new(1, addrs);
+    let counted =
+        |metric: &str| -> u64 { (0..SHARDS).map(|s| stat(&client, s, metric)).sum::<f64>() as u64 };
+    // The stats exchanges also dial (and handshake) one pooled connection
+    // per shard, so the measured window below dials nothing.
+    let (up_before, down_before) = (
+        counted("pds_wire_bytes_uploaded_total"),
+        counted("pds_wire_bytes_downloaded_total"),
+    );
+    let (written_before, read_before) = (client.bytes_written(), client.bytes_read());
+
+    let t = &mut tenants[0];
+    let workload = t.workload.clone();
+    let run = t
+        .executor
+        .run_workload_transported(
+            &mut t.owner,
+            &mut t.router,
+            &workload,
+            &BinTransport::Tcp(client.clone()),
+        )
+        .unwrap();
+    assert!(run.rounds > 0, "the batch crossed the wire");
+    let parts = employee_parts();
+    let template = &parts.nonsensitive.tuples()[0];
+    // An id past 2^32 travels as a five-byte varint.
+    let tuple = Tuple::new(
+        TupleId::new(u64::from(u32::MAX) + 7),
+        template.values.clone(),
+    );
+    let mut conn = client.checkout(0).unwrap();
+    let ack = conn
+        .call(&WireMessage::InsertRequest(InsertRequest {
+            plain_tuples: vec![tuple],
+            encrypted_rows: Vec::new(),
+        }))
+        .unwrap();
+    assert!(
+        matches!(ack, WireMessage::Ack(ref a) if a.items == 1),
+        "{ack:?}"
+    );
+    client.checkin(0, conn);
+
+    let written = client.bytes_written() - written_before;
+    let read = client.bytes_read() - read_before;
+    let uploaded = counted("pds_wire_bytes_uploaded_total") - up_before;
+    let downloaded = counted("pds_wire_bytes_downloaded_total") - down_before;
+    assert!(written > 0 && read > written, "{written} up, {read} down");
+    assert_eq!(
+        written, uploaded,
+        "bytes written vs daemons' uploaded count"
+    );
+    assert_eq!(read, downloaded, "bytes read vs daemons' downloaded count");
+    for daemon in daemons {
+        daemon.shutdown();
+    }
 }
 
 /// What a rogue daemon does with the correlation ids of one pipelined

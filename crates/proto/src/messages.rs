@@ -1,21 +1,43 @@
 //! The typed owner↔cloud messages carried inside wire frames.
 //!
 //! Each variant of [`WireMessage`] has a stable one-byte type tag and a
-//! self-delimiting payload encoding built from four primitives: `u8`,
-//! big-endian `u32`/`u64`, and length-prefixed byte strings.  Attribute
-//! values reuse [`Value::encode`]'s injective tagged encoding and tuples
-//! reuse [`Tuple::encode`], so the wire format is exactly the byte form the
-//! rest of the workspace already encrypts and hashes.
+//! self-delimiting payload.  Payloads follow one compact rule:
+//!
+//! | field | encoding |
+//! |---|---|
+//! | integer: count, byte-string length, tuple/row id, bin index, attribute id, `Ack` items, `Hello` tenant | unsigned LEB128 varint (7 bits per byte, low group first, high bit set on every byte but the last; 1–10 bytes) |
+//! | byte string (ciphertext, search tag, text) | varint length, then the bytes |
+//! | clear-text [`Value`] | tag byte (`0` Null, `1` Int, `2` Text, `3` Bytes, `4` Bool), then nothing for Null, a zigzag varint for Int, a byte string for Text/Bytes, one `0`/`1` byte for Bool |
+//! | clear-text [`Tuple`] | varint id, varint arity, then each value |
+//! | [`WireRow`] | varint id, byte strings `attr_ct` and `tuple_ct`, varint tag count, then each tag as a byte string |
+//! | optional predicate | presence byte `0`/`1`, then a structure tag and its operands (varint attribute ids, values, varint child counts) |
+//!
+//! Clear-text values and tuples are written straight into the pooled frame
+//! buffer, so encoding allocates nothing per value or per tuple.  A small
+//! integer costs one or two bytes instead of a tag plus eight.
+//!
+//! **The encrypted forms stay fixed-width.**  [`Value::encode`] and
+//! [`Tuple::encode`] — the plaintext that `pds-crypto` encrypts and tags,
+//! and the byte form owners compare — keep their big-endian fixed-width
+//! integers.  A varint there would make a ciphertext's length depend on
+//! the magnitude of a sensitive integer.  The compact rule applies only to
+//! what the cloud already holds in clear (the non-sensitive rows and
+//! values), whose encoded length reveals nothing new, and to framing
+//! around opaque byte strings.
 //!
 //! Decoding is total: every read is bounds-checked and malformed payloads
-//! yield `Err(PdsError::Wire(..))`, never a panic.  The frame layer's CRC
-//! already rejects corrupted-in-flight bytes; the payload decoders defend
-//! against malformed-but-checksummed input (a buggy or malicious peer).
+//! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
+//! non-canonical varints, varints past `u64`, `u32` fields past
+//! `u32::MAX`, unknown tags, invalid UTF-8 and trailing bytes are all
+//! rejected, and a peer's declared counts reserve at most `PREALLOC_CAP`
+//! items up front.  The frame layer's CRC already rejects
+//! corrupted-in-flight bytes; the payload decoders defend against
+//! malformed-but-checksummed input (a buggy or malicious peer).
 
-use pds_common::{AttrId, PdsError, Result, Value};
+use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{Predicate, Tuple};
 
-use crate::frame::{be_u32, be_u64, begin_frame, decode_frame_corr, finish_frame};
+use crate::frame::{begin_frame, decode_frame_corr, finish_frame};
 use crate::pool::{self, PooledBuf};
 
 /// One encrypted row as it travels over the wire.
@@ -38,24 +60,17 @@ pub struct WireRow {
 
 impl WireRow {
     fn write(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_be_bytes());
+        write_varint(out, self.id);
         write_bytes(out, &self.attr_ct);
         write_bytes(out, &self.tuple_ct);
-        write_u32(out, self.search_tags.len() as u32);
-        for tag in &self.search_tags {
-            write_bytes(out, tag);
-        }
+        write_list(out, &self.search_tags, |out, tag| write_bytes(out, tag));
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self> {
-        let id = r.u64()?;
-        let attr_ct = r.bytes()?.to_vec();
-        let tuple_ct = r.bytes()?.to_vec();
-        let tag_count = r.u32()? as usize;
-        let mut search_tags = Vec::with_capacity(tag_count.min(PREALLOC_CAP));
-        for _ in 0..tag_count {
-            search_tags.push(r.bytes()?.to_vec());
-        }
+        let id = r.varint()?;
+        let attr_ct = r.blob()?;
+        let tuple_ct = r.blob()?;
+        let search_tags = r.list(Reader::blob)?;
         Ok(WireRow {
             id,
             attr_ct,
@@ -302,70 +317,38 @@ impl WireMessage {
     fn write_payload(&self, payload: &mut Vec<u8>) -> Result<()> {
         match self {
             WireMessage::FetchBinRequest(m) => {
-                write_u32(payload, m.values.len() as u32);
-                for v in &m.values {
-                    write_bytes(payload, &v.encode());
-                }
-                write_u32(payload, m.ids.len() as u32);
-                for id in &m.ids {
-                    payload.extend_from_slice(&id.to_be_bytes());
-                }
-                write_u32(payload, m.tags.len() as u32);
-                for tag in &m.tags {
-                    write_bytes(payload, tag);
-                }
+                write_list(payload, &m.values, write_value);
+                write_list(payload, &m.ids, |out, id| write_varint(out, *id));
+                write_list(payload, &m.tags, |out, tag| write_bytes(out, tag));
                 write_opt_predicate(payload, m.predicate.as_ref())?;
             }
             WireMessage::BinPairRequest(m) => {
-                write_u32(payload, m.sensitive_bin);
-                write_u32(payload, m.nonsensitive_bin);
-                write_u32(payload, m.encrypted_values.len() as u32);
-                for ev in &m.encrypted_values {
-                    write_bytes(payload, ev);
-                }
-                write_u32(payload, m.nonsensitive_values.len() as u32);
-                for v in &m.nonsensitive_values {
-                    write_bytes(payload, &v.encode());
-                }
+                write_varint(payload, u64::from(m.sensitive_bin));
+                write_varint(payload, u64::from(m.nonsensitive_bin));
+                write_list(payload, &m.encrypted_values, |out, ev| write_bytes(out, ev));
+                write_list(payload, &m.nonsensitive_values, write_value);
                 write_opt_predicate(payload, m.predicate.as_ref())?;
             }
-            WireMessage::BinPayload(m) => {
-                write_u32(payload, m.plain_tuples.len() as u32);
-                for t in &m.plain_tuples {
-                    write_bytes(payload, &t.encode());
-                }
-                write_u32(payload, m.encrypted_rows.len() as u32);
-                for row in &m.encrypted_rows {
-                    row.write(payload);
-                }
+            WireMessage::BinPayload(BinPayload {
+                plain_tuples,
+                encrypted_rows,
+            })
+            | WireMessage::InsertRequest(InsertRequest {
+                plain_tuples,
+                encrypted_rows,
+            }) => {
+                write_list(payload, plain_tuples, write_tuple);
+                write_list(payload, encrypted_rows, |out, row| row.write(out));
             }
-            WireMessage::InsertRequest(m) => {
-                write_u32(payload, m.plain_tuples.len() as u32);
-                for t in &m.plain_tuples {
-                    write_bytes(payload, &t.encode());
-                }
-                write_u32(payload, m.encrypted_rows.len() as u32);
-                for row in &m.encrypted_rows {
-                    row.write(payload);
-                }
-            }
-            WireMessage::Ack(m) => {
-                payload.extend_from_slice(&m.items.to_be_bytes());
-            }
+            WireMessage::Ack(m) => write_varint(payload, m.items),
             WireMessage::Error(m) => {
                 write_bytes(payload, m.category.as_bytes());
                 write_bytes(payload, m.message.as_bytes());
             }
-            WireMessage::Opaque(body) => {
-                payload.extend_from_slice(body);
-            }
-            WireMessage::Hello(m) => {
-                payload.extend_from_slice(&m.tenant.to_be_bytes());
-            }
+            WireMessage::Opaque(body) => payload.extend_from_slice(body),
+            WireMessage::Hello(m) => write_varint(payload, m.tenant),
             WireMessage::StatsRequest => {}
-            WireMessage::StatsSnapshot(text) => {
-                write_bytes(payload, text.as_bytes());
-            }
+            WireMessage::StatsSnapshot(text) => write_bytes(payload, text.as_bytes()),
         }
         Ok(())
     }
@@ -383,76 +366,38 @@ impl WireMessage {
         let (msg_type, corr, payload) = decode_frame_corr(frame)?;
         let mut r = Reader::new(payload);
         let msg = match msg_type {
-            1 => {
-                let value_count = r.u32()? as usize;
-                let mut values = Vec::with_capacity(value_count.min(PREALLOC_CAP));
-                for _ in 0..value_count {
-                    values.push(r.value()?);
-                }
-                let id_count = r.u32()? as usize;
-                let mut ids = Vec::with_capacity(id_count.min(PREALLOC_CAP));
-                for _ in 0..id_count {
-                    ids.push(r.u64()?);
-                }
-                let tag_count = r.u32()? as usize;
-                let mut tags = Vec::with_capacity(tag_count.min(PREALLOC_CAP));
-                for _ in 0..tag_count {
-                    tags.push(r.bytes()?.to_vec());
-                }
-                let predicate = read_opt_predicate(&mut r)?;
-                WireMessage::FetchBinRequest(FetchBinRequest {
-                    values,
-                    ids,
-                    tags,
-                    predicate,
-                })
-            }
-            2 => {
-                let sensitive_bin = r.u32()?;
-                let nonsensitive_bin = r.u32()?;
-                let ev_count = r.u32()? as usize;
-                let mut encrypted_values = Vec::with_capacity(ev_count.min(PREALLOC_CAP));
-                for _ in 0..ev_count {
-                    encrypted_values.push(r.bytes()?.to_vec());
-                }
-                let v_count = r.u32()? as usize;
-                let mut nonsensitive_values = Vec::with_capacity(v_count.min(PREALLOC_CAP));
-                for _ in 0..v_count {
-                    nonsensitive_values.push(r.value()?);
-                }
-                let predicate = read_opt_predicate(&mut r)?;
-                WireMessage::BinPairRequest(BinPairRequest {
-                    sensitive_bin,
-                    nonsensitive_bin,
-                    encrypted_values,
-                    nonsensitive_values,
-                    predicate,
-                })
-            }
-            3 => {
-                let (plain_tuples, encrypted_rows) = read_tuples_and_rows(&mut r)?;
-                WireMessage::BinPayload(BinPayload {
-                    plain_tuples,
-                    encrypted_rows,
-                })
-            }
-            4 => {
-                let (plain_tuples, encrypted_rows) = read_tuples_and_rows(&mut r)?;
-                WireMessage::InsertRequest(InsertRequest {
-                    plain_tuples,
-                    encrypted_rows,
-                })
-            }
-            5 => WireMessage::Ack(Ack { items: r.u64()? }),
-            6 => {
-                let category = r.string()?;
-                let message = r.string()?;
-                WireMessage::Error(ErrorFrame { category, message })
-            }
-            7 => WireMessage::Opaque(r.rest().to_vec()),
-            8 => WireMessage::Hello(Hello { tenant: r.u64()? }),
-            9 => WireMessage::StatsRequest,
-            10 => WireMessage::StatsSnapshot(r.string()?),
+            msg_tag::FETCH_BIN_REQUEST => WireMessage::FetchBinRequest(FetchBinRequest {
+                values: r.list(Reader::value)?,
+                ids: r.list(Reader::varint)?,
+                tags: r.list(Reader::blob)?,
+                predicate: read_opt_predicate(&mut r)?,
+            }),
+            msg_tag::BIN_PAIR_REQUEST => WireMessage::BinPairRequest(BinPairRequest {
+                sensitive_bin: r.varint_u32()?,
+                nonsensitive_bin: r.varint_u32()?,
+                encrypted_values: r.list(Reader::blob)?,
+                nonsensitive_values: r.list(Reader::value)?,
+                predicate: read_opt_predicate(&mut r)?,
+            }),
+            msg_tag::BIN_PAYLOAD => WireMessage::BinPayload(BinPayload {
+                plain_tuples: r.list(Reader::tuple)?,
+                encrypted_rows: r.list(WireRow::read)?,
+            }),
+            msg_tag::INSERT_REQUEST => WireMessage::InsertRequest(InsertRequest {
+                plain_tuples: r.list(Reader::tuple)?,
+                encrypted_rows: r.list(WireRow::read)?,
+            }),
+            msg_tag::ACK => WireMessage::Ack(Ack { items: r.varint()? }),
+            msg_tag::ERROR => WireMessage::Error(ErrorFrame {
+                category: r.string()?,
+                message: r.string()?,
+            }),
+            msg_tag::OPAQUE => WireMessage::Opaque(r.rest().to_vec()),
+            msg_tag::HELLO => WireMessage::Hello(Hello {
+                tenant: r.varint()?,
+            }),
+            msg_tag::STATS_REQUEST => WireMessage::StatsRequest,
+            msg_tag::STATS_SNAPSHOT => WireMessage::StatsSnapshot(r.string()?),
             other => {
                 return Err(PdsError::Wire(format!("unknown message type tag {other}")));
             }
@@ -462,8 +407,10 @@ impl WireMessage {
     }
 
     /// Convenience: the encoded frame length of this message in bytes.
+    /// The frame is encoded into a pooled buffer that goes back to the
+    /// pool on return, so accounting encodes keep the pool warm.
     pub fn encoded_len(&self) -> Result<usize> {
-        Ok(self.encode()?.len())
+        Ok(self.encode_framed(0)?.len())
     }
 }
 
@@ -473,20 +420,6 @@ pub fn error_frame(err: &PdsError) -> ErrorFrame {
         category: err.category().to_string(),
         message: err.message().to_string(),
     }
-}
-
-fn read_tuples_and_rows(r: &mut Reader<'_>) -> Result<(Vec<Tuple>, Vec<WireRow>)> {
-    let tuple_count = r.u32()? as usize;
-    let mut plain_tuples = Vec::with_capacity(tuple_count.min(PREALLOC_CAP));
-    for _ in 0..tuple_count {
-        plain_tuples.push(r.tuple()?);
-    }
-    let row_count = r.u32()? as usize;
-    let mut encrypted_rows = Vec::with_capacity(row_count.min(PREALLOC_CAP));
-    for _ in 0..row_count {
-        encrypted_rows.push(WireRow::read(r)?);
-    }
-    Ok((plain_tuples, encrypted_rows))
 }
 
 /// Cap on speculative `Vec::with_capacity` from untrusted count fields: a
@@ -538,22 +471,19 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
     match p {
         Predicate::Eq { attr, value } => {
             out.push(pred_tag::EQ);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_bytes(out, &value.encode());
+            write_varint(out, attr.raw());
+            write_value(out, value);
         }
         Predicate::InSet { attr, values } => {
             out.push(pred_tag::IN_SET);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_u32(out, values.len() as u32);
-            for v in values {
-                write_bytes(out, &v.encode());
-            }
+            write_varint(out, attr.raw());
+            write_list(out, values, write_value);
         }
         Predicate::Range { attr, lo, hi } => {
             out.push(pred_tag::RANGE);
-            out.extend_from_slice(&attr.raw().to_be_bytes());
-            write_bytes(out, &lo.encode());
-            write_bytes(out, &hi.encode());
+            write_varint(out, attr.raw());
+            write_value(out, lo);
+            write_value(out, hi);
         }
         Predicate::And(ps) | Predicate::Or(ps) => {
             out.push(if matches!(p, Predicate::And(_)) {
@@ -561,7 +491,7 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
             } else {
                 pred_tag::OR
             });
-            write_u32(out, ps.len() as u32);
+            write_len(out, ps.len());
             for child in ps {
                 write_predicate(out, child, depth + 1)?;
             }
@@ -576,7 +506,7 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
 }
 
 fn read_opt_predicate(r: &mut Reader<'_>) -> Result<Option<Predicate>> {
-    match r.take(1)?[0] {
+    match r.byte()? {
         0 => Ok(None),
         1 => Ok(Some(read_predicate(r, 0)?)),
         other => Err(PdsError::Wire(format!(
@@ -591,32 +521,23 @@ fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
             "predicate nesting exceeds the wire depth cap of {PREDICATE_DEPTH_CAP}"
         )));
     }
-    let tag = r.take(1)?[0];
+    let tag = r.byte()?;
     match tag {
         pred_tag::EQ => Ok(Predicate::Eq {
-            attr: AttrId::new(r.u64()?),
+            attr: AttrId::new(r.varint()?),
             value: r.value()?,
         }),
-        pred_tag::IN_SET => {
-            let attr = AttrId::new(r.u64()?);
-            let count = r.u32()? as usize;
-            let mut values = Vec::with_capacity(count.min(PREALLOC_CAP));
-            for _ in 0..count {
-                values.push(r.value()?);
-            }
-            Ok(Predicate::InSet { attr, values })
-        }
+        pred_tag::IN_SET => Ok(Predicate::InSet {
+            attr: AttrId::new(r.varint()?),
+            values: r.list(Reader::value)?,
+        }),
         pred_tag::RANGE => Ok(Predicate::Range {
-            attr: AttrId::new(r.u64()?),
+            attr: AttrId::new(r.varint()?),
             lo: r.value()?,
             hi: r.value()?,
         }),
         pred_tag::AND | pred_tag::OR => {
-            let count = r.u32()? as usize;
-            let mut children = Vec::with_capacity(count.min(PREALLOC_CAP));
-            for _ in 0..count {
-                children.push(read_predicate(r, depth + 1)?);
-            }
+            let children = r.list(|r| read_predicate(r, depth + 1))?;
             Ok(if tag == pred_tag::AND {
                 Predicate::And(children)
             } else {
@@ -631,13 +552,88 @@ fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
     }
 }
 
-fn write_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// One-byte tags of a clear-text value on the wire (the same tags
+/// [`Value::encode`] uses; only the bytes after the tag differ).
+mod value_tag {
+    pub const NULL: u8 = 0;
+    pub const INT: u8 = 1;
+    pub const TEXT: u8 = 2;
+    pub const BYTES: u8 = 3;
+    pub const BOOL: u8 = 4;
 }
 
+/// Longest canonical LEB128 encoding of a `u64`: ten 7-bit groups.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// group first, high bit set on every byte but the last.
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Appends a count or length as a varint.
+fn write_len(out: &mut Vec<u8>, n: usize) {
+    write_varint(out, n as u64);
+}
+
+/// Appends a byte string: varint length, then the bytes.
 fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    write_u32(out, b.len() as u32);
+    write_len(out, b.len());
     out.extend_from_slice(b);
+}
+
+/// Appends a varint item count, then each item.
+fn write_list<T>(out: &mut Vec<u8>, items: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) {
+    write_len(out, items.len());
+    for item in items {
+        write(out, item);
+    }
+}
+
+/// Zigzag-maps a signed integer so small magnitudes of either sign get
+/// short varints: 0 → 0, −1 → 1, 1 → 2, −2 → 3, ...
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Writes one clear-text value straight into the frame buffer (see the
+/// module docs for the layout).
+fn write_value(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.push(value_tag::NULL),
+        Value::Int(i) => {
+            out.push(value_tag::INT);
+            write_varint(out, zigzag(*i));
+        }
+        Value::Text(s) => {
+            out.push(value_tag::TEXT);
+            write_bytes(out, s.as_bytes());
+        }
+        Value::Bytes(b) => {
+            out.push(value_tag::BYTES);
+            write_bytes(out, b);
+        }
+        Value::Bool(b) => {
+            out.push(value_tag::BOOL);
+            out.push(u8::from(*b));
+        }
+    }
+}
+
+/// Writes one clear-text tuple straight into the frame buffer: varint id,
+/// varint arity, then each value.
+fn write_tuple(out: &mut Vec<u8>, t: &Tuple) {
+    write_varint(out, t.id.raw());
+    write_list(out, &t.values, write_value);
 }
 
 /// Bounds-checked sequential reader over a message payload.
@@ -656,44 +652,109 @@ impl<'a> Reader<'a> {
             .pos
             .checked_add(n)
             .ok_or_else(|| PdsError::Wire("message payload length overflows".into()))?;
-        if end > self.data.len() {
-            return Err(PdsError::Wire(format!(
+        let out = self.data.get(self.pos..end).ok_or_else(|| {
+            PdsError::Wire(format!(
                 "message payload truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
                 self.data.len() - self.pos
-            )));
-        }
-        let out = &self.data[self.pos..end];
+            ))
+        })?;
         self.pos = end;
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        Ok(be_u32(self.take(4)?))
+    fn byte(&mut self) -> Result<u8> {
+        let b = *self.data.get(self.pos).ok_or_else(|| {
+            PdsError::Wire(format!(
+                "message payload truncated: need 1 byte at offset {}",
+                self.pos
+            ))
+        })?;
+        self.pos += 1;
+        Ok(b)
     }
 
-    fn u64(&mut self) -> Result<u64> {
-        Ok(be_u64(self.take(8)?))
+    /// Reads one canonical LEB128 varint.  Rejects encodings longer than
+    /// ten bytes, a tenth byte carrying bits past `u64`, and a redundant
+    /// trailing zero group (so every value has exactly one encoding).
+    fn varint(&mut self) -> Result<u64> {
+        let mut value = 0u64;
+        for i in 0..MAX_VARINT_LEN {
+            let byte = self.byte()?;
+            // The tenth group holds only bit 63.
+            if i == MAX_VARINT_LEN - 1 && byte & 0x7f > 1 {
+                return Err(PdsError::Wire("varint overflows u64".into()));
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(PdsError::Wire(
+                        "non-canonical varint: redundant trailing zero group".into(),
+                    ));
+                }
+                return Ok(value);
+            }
+        }
+        Err(PdsError::Wire(format!(
+            "overlong varint: more than {MAX_VARINT_LEN} bytes"
+        )))
+    }
+
+    fn varint_u32(&mut self) -> Result<u32> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| PdsError::Wire(format!("u32 field holds {v}")))
+    }
+
+    fn len(&mut self) -> Result<usize> {
+        let n = self.varint()?;
+        usize::try_from(n).map_err(|_| PdsError::Wire(format!("length {n} overflows usize")))
+    }
+
+    /// Reads a varint item count, then that many items.  Capacity reserved
+    /// up front is capped at [`PREALLOC_CAP`]: a forged count fails on its
+    /// first missing item instead of forcing a large allocation.
+    fn list<T>(&mut self, mut read: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let count = self.len()?;
+        let mut items = Vec::with_capacity(count.min(PREALLOC_CAP));
+        for _ in 0..count {
+            items.push(read(self)?);
+        }
+        Ok(items)
     }
 
     fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
+        let len = self.len()?;
         self.take(len)
     }
 
+    fn blob(&mut self) -> Result<Vec<u8>> {
+        Ok(self.bytes()?.to_vec())
+    }
+
     fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?.to_vec())
+        std::str::from_utf8(self.bytes()?)
+            .map(str::to_owned)
             .map_err(|_| PdsError::Wire("string field is not valid UTF-8".into()))
     }
 
     fn value(&mut self) -> Result<Value> {
-        let raw = self.bytes()?;
-        Value::decode(raw).ok_or_else(|| PdsError::Wire("malformed value encoding".into()))
+        match self.byte()? {
+            value_tag::NULL => Ok(Value::Null),
+            value_tag::INT => Ok(Value::Int(unzigzag(self.varint()?))),
+            value_tag::TEXT => Ok(Value::Text(self.string()?)),
+            value_tag::BYTES => Ok(Value::Bytes(self.blob()?)),
+            value_tag::BOOL => match self.byte()? {
+                0 => Ok(Value::Bool(false)),
+                1 => Ok(Value::Bool(true)),
+                other => Err(PdsError::Wire(format!("invalid bool byte {other}"))),
+            },
+            other => Err(PdsError::Wire(format!("unknown value tag {other}"))),
+        }
     }
 
     fn tuple(&mut self) -> Result<Tuple> {
-        let raw = self.bytes()?;
-        Tuple::decode(raw).ok_or_else(|| PdsError::Wire("malformed tuple encoding".into()))
+        let id = TupleId::new(self.varint()?);
+        Ok(Tuple::new(id, self.list(Reader::value)?))
     }
 
     fn rest(&mut self) -> &'a [u8] {
@@ -718,6 +779,16 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use pds_common::TupleId;
+
+    /// Frames `payload` under `msg_type` and asserts it decodes to a typed
+    /// wire error.
+    fn assert_wire_error(msg_type: u8, payload: &[u8]) {
+        let frame = crate::frame::encode_frame(msg_type, payload).unwrap();
+        match WireMessage::decode(&frame) {
+            Err(PdsError::Wire(_)) => {}
+            other => panic!("payload {payload:02x?} gave {other:?}"),
+        }
+    }
 
     fn sample_tuple(id: u64) -> Tuple {
         Tuple::new(
@@ -831,10 +902,9 @@ mod tests {
     #[test]
     fn trailing_payload_bytes_are_an_error() {
         let mut payload = Vec::new();
-        payload.extend_from_slice(&7u64.to_be_bytes());
+        write_varint(&mut payload, 7);
         payload.push(0); // one byte too many for an Ack
-        let frame = crate::frame::encode_frame(5, &payload).unwrap();
-        assert!(WireMessage::decode(&frame).is_err());
+        assert_wire_error(msg_tag::ACK, &payload);
     }
 
     #[test]
@@ -842,9 +912,8 @@ mod tests {
         // An Ack-sized payload relabelled as a BinPayload with a huge tuple
         // count: the first item read fails, no allocation explosion.
         let mut payload = Vec::new();
-        payload.extend_from_slice(&u32::MAX.to_be_bytes());
-        let frame = crate::frame::encode_frame(3, &payload).unwrap();
-        assert!(WireMessage::decode(&frame).is_err());
+        write_varint(&mut payload, u64::MAX);
+        assert_wire_error(msg_tag::BIN_PAYLOAD, &payload);
     }
 
     #[test]
@@ -914,10 +983,7 @@ mod tests {
 
         // ...and a hand-forged payload of NOT tags must fail to decode
         // before recursing past the cap.
-        let mut payload = Vec::new();
-        write_u32(&mut payload, 0); // values
-        write_u32(&mut payload, 0); // ids
-        write_u32(&mut payload, 0); // tags
+        let mut payload = vec![0, 0, 0]; // no values, ids or tags
         payload.push(1); // predicate present
         payload.extend(std::iter::repeat(pred_tag::NOT).take(64));
         payload.push(pred_tag::TRUE);
@@ -927,10 +993,7 @@ mod tests {
 
     #[test]
     fn invalid_predicate_presence_byte_is_an_error() {
-        let mut payload = Vec::new();
-        write_u32(&mut payload, 0);
-        write_u32(&mut payload, 0);
-        write_u32(&mut payload, 0);
+        let mut payload = vec![0, 0, 0];
         payload.push(9); // neither 0 nor 1
         let frame = crate::frame::encode_frame(msg_tag::FETCH_BIN_REQUEST, &payload).unwrap();
         assert!(WireMessage::decode(&frame).is_err());
@@ -947,5 +1010,131 @@ mod tests {
         assert_eq!(msg.name(), "StatsSnapshot");
         assert_eq!(msg_tag::name(msg_tag::STATS_REQUEST), "StatsRequest");
         assert_eq!(WireMessage::StatsRequest.msg_type(), msg_tag::STATS_REQUEST);
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_group_boundary() {
+        for v in [
+            0,
+            1,
+            0x7f,
+            0x80,
+            0x3fff,
+            0x4000,
+            u64::from(u32::MAX),
+            1 << 32,
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            write_varint(&mut out, v);
+            let groups = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(out.len(), groups, "{v:#x} takes one byte per 7-bit group");
+            let mut r = Reader::new(&out);
+            assert_eq!(r.varint().unwrap(), v);
+            r.finish().unwrap();
+        }
+        for v in [0, -1, 1, -64, 64, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!(zigzag(-1), 1, "small negatives stay one byte");
+        assert_eq!(zigzag(i64::MIN), u64::MAX);
+    }
+
+    #[test]
+    fn overlong_and_non_canonical_varints_are_wire_errors() {
+        // Zero padded with a redundant trailing group.
+        assert_wire_error(msg_tag::ACK, &[0x80, 0x00]);
+        assert_wire_error(msg_tag::ACK, &[0xff, 0x80, 0x00]);
+        // Eleven bytes: longer than any u64 needs.
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        assert_wire_error(msg_tag::ACK, &eleven);
+        // A continuation bit on the last byte of the payload.
+        assert_wire_error(msg_tag::HELLO, &[0x80]);
+    }
+
+    #[test]
+    fn a_varint_past_u64_is_a_wire_error() {
+        let mut past = vec![0xff; 9];
+        past.push(0x02); // bit 64
+        assert_wire_error(msg_tag::ACK, &past);
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        let frame = crate::frame::encode_frame(msg_tag::ACK, &max).unwrap();
+        assert_eq!(
+            WireMessage::decode(&frame).unwrap(),
+            WireMessage::Ack(Ack { items: u64::MAX })
+        );
+    }
+
+    #[test]
+    fn a_u32_field_past_u32_max_is_a_wire_error() {
+        let mut payload = Vec::new();
+        write_varint(&mut payload, u64::from(u32::MAX) + 1); // sensitive_bin
+        payload.extend_from_slice(&[0, 0, 0, 0]); // bin, tokens, values, predicate
+        assert_wire_error(msg_tag::BIN_PAIR_REQUEST, &payload);
+        let mut ok = Vec::new();
+        write_varint(&mut ok, u64::from(u32::MAX));
+        ok.extend_from_slice(&[0, 0, 0, 0]);
+        let frame = crate::frame::encode_frame(msg_tag::BIN_PAIR_REQUEST, &ok).unwrap();
+        assert!(WireMessage::decode(&frame).is_ok());
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_wire_error() {
+        // An error frame whose category is not UTF-8.
+        assert_wire_error(msg_tag::ERROR, &[1, 0xff, 0]);
+        // A clear-text Text value (truncated multi-byte sequence) inside a
+        // fetch request.
+        assert_wire_error(
+            msg_tag::FETCH_BIN_REQUEST,
+            &[1, value_tag::TEXT, 1, 0xc3, 0, 0, 0],
+        );
+        // A stats snapshot.
+        assert_wire_error(msg_tag::STATS_SNAPSHOT, &[2, 0xed, 0xa0]);
+    }
+
+    #[test]
+    fn unknown_value_tags_and_bool_bytes_are_wire_errors() {
+        assert_wire_error(msg_tag::FETCH_BIN_REQUEST, &[1, 9, 0, 0, 0]);
+        assert_wire_error(
+            msg_tag::FETCH_BIN_REQUEST,
+            &[1, value_tag::BOOL, 2, 0, 0, 0],
+        );
+    }
+
+    #[test]
+    fn clear_text_rows_use_the_compact_layout() {
+        // One clear-text tuple: id 300, (Int -3, Text "ab", Null, Bool).
+        let msg = WireMessage::BinPayload(BinPayload {
+            plain_tuples: vec![Tuple::new(
+                TupleId::new(300),
+                vec![
+                    Value::Int(-3),
+                    Value::from("ab"),
+                    Value::Null,
+                    Value::Bool(true),
+                ],
+            )],
+            encrypted_rows: vec![WireRow {
+                id: 5,
+                attr_ct: Vec::new(),
+                tuple_ct: vec![0xaa; 3],
+                search_tags: Vec::new(),
+            }],
+        });
+        let frame = msg.encode().unwrap();
+        let payload = &frame[crate::HEADER_LEN..frame.len() - crate::TRAILER_LEN];
+        let expected = [
+            &[1][..],                          // one tuple
+            &[0xac, 0x02, 4],                  // id 300, arity 4
+            &[value_tag::INT, 5],              // zigzag(-3)
+            &[value_tag::TEXT, 2, b'a', b'b'], // length-prefixed text
+            &[value_tag::NULL],
+            &[value_tag::BOOL, 1],
+            &[1, 5, 0, 3, 0xaa, 0xaa, 0xaa, 0], // one row: id, attr_ct, tuple_ct, tags
+        ]
+        .concat();
+        assert_eq!(payload, expected.as_slice());
     }
 }

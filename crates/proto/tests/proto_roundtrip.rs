@@ -2,6 +2,10 @@
 //! message type, and fuzzed truncation/corruption always yields
 //! `Err(PdsError::Wire)` — never a panic.
 //!
+//! The generators mix the codec's edge cases into the random inputs:
+//! `i64::MIN`/`i64::MAX`/0/−1, empty and multi-byte UTF-8 text, empty
+//! bytes, ids and bin indices at the varint length boundaries.
+//!
 //! Seeding rides the workspace's deterministic proptest machinery
 //! (`PROPTEST_SEED` / `PROPTEST_CASES`, regressions recorded under
 //! `proptest-regressions/`).
@@ -16,7 +20,7 @@ use proptest::prelude::*;
 use rand::Rng;
 
 fn arb_value<R: Rng>(rng: &mut R) -> Value {
-    match rng.gen_range(0u8..5) {
+    match rng.gen_range(0u8..7) {
         0 => Value::Null,
         1 => Value::Int(rng.gen_range(i64::MIN..i64::MAX)),
         2 => {
@@ -31,7 +35,39 @@ fn arb_value<R: Rng>(rng: &mut R) -> Value {
             let len = rng.gen_range(0usize..48);
             Value::Bytes((0..len).map(|_| rng.gen_range(0u8..=255)).collect())
         }
-        _ => Value::Bool(rng.gen_range(0u8..2) == 1),
+        4 => Value::Bool(rng.gen_range(0u8..2) == 1),
+        // The codec's edge cases: zigzag varint extremes, and empty,
+        // multi-byte UTF-8 and empty-bytes strings.
+        5 => Value::Int([i64::MIN, i64::MAX, 0, -1][rng.gen_range(0usize..4)]),
+        _ => match rng.gen_range(0u8..3) {
+            0 => Value::Text(String::new()),
+            1 => {
+                let len = rng.gen_range(1usize..8);
+                Value::Text(
+                    (0..len)
+                        .map(|_| ['é', 'ß', '€', '中', '𝄞'][rng.gen_range(0usize..5)])
+                        .collect(),
+                )
+            }
+            _ => Value::Bytes(Vec::new()),
+        },
+    }
+}
+
+/// A tuple, row or request id: usually random (so mostly above 2^32),
+/// sometimes one of the varint length boundaries.
+fn arb_id<R: Rng>(rng: &mut R) -> u64 {
+    match rng.gen_range(0u8..4) {
+        0 => [0, u64::from(u32::MAX), 1 << 32, u64::MAX][rng.gen_range(0usize..4)],
+        _ => rng.gen_range(0u64..u64::MAX),
+    }
+}
+
+/// A bin index, including both ends of its `u32` range.
+fn arb_bin<R: Rng>(rng: &mut R) -> u32 {
+    match rng.gen_range(0u8..4) {
+        0 => [0, u32::MAX][rng.gen_range(0usize..2)],
+        _ => rng.gen_range(0u32..1 << 20),
     }
 }
 
@@ -43,7 +79,7 @@ fn arb_blob<R: Rng>(rng: &mut R, max_len: usize) -> Vec<u8> {
 fn arb_tuple<R: Rng>(rng: &mut R) -> Tuple {
     let arity = rng.gen_range(1usize..5);
     Tuple::new(
-        TupleId::new(rng.gen_range(0u64..u64::MAX)),
+        TupleId::new(arb_id(rng)),
         (0..arity).map(|_| arb_value(rng)).collect(),
     )
 }
@@ -91,7 +127,7 @@ fn arb_opt_predicate<R: Rng>(rng: &mut R) -> Option<Predicate> {
 
 fn arb_row<R: Rng>(rng: &mut R) -> WireRow {
     WireRow {
-        id: rng.gen_range(0u64..u64::MAX),
+        id: arb_id(rng),
         attr_ct: arb_blob(rng, 40),
         tuple_ct: arb_blob(rng, 120),
         search_tags: (0..rng.gen_range(0usize..3))
@@ -103,13 +139,13 @@ fn arb_row<R: Rng>(rng: &mut R) -> WireRow {
 /// One random message of a random type, driven by the proptest case seed.
 fn arb_message(seed: u64) -> WireMessage {
     let mut rng = pds_common::rng::seeded_rng(seed);
-    match rng.gen_range(0u8..8) {
+    match rng.gen_range(0u8..10) {
         0 => WireMessage::FetchBinRequest(FetchBinRequest {
             values: (0..rng.gen_range(0usize..6))
                 .map(|_| arb_value(&mut rng))
                 .collect(),
             ids: (0..rng.gen_range(0usize..6))
-                .map(|_| rng.gen_range(0u64..u64::MAX))
+                .map(|_| arb_id(&mut rng))
                 .collect(),
             tags: (0..rng.gen_range(0usize..4))
                 .map(|_| arb_blob(&mut rng, 24))
@@ -117,8 +153,8 @@ fn arb_message(seed: u64) -> WireMessage {
             predicate: arb_opt_predicate(&mut rng),
         }),
         1 => WireMessage::BinPairRequest(BinPairRequest {
-            sensitive_bin: rng.gen_range(0u32..1 << 20),
-            nonsensitive_bin: rng.gen_range(0u32..1 << 20),
+            sensitive_bin: arb_bin(&mut rng),
+            nonsensitive_bin: arb_bin(&mut rng),
             encrypted_values: (0..rng.gen_range(0usize..5))
                 .map(|_| arb_blob(&mut rng, 64))
                 .collect(),
@@ -144,7 +180,7 @@ fn arb_message(seed: u64) -> WireMessage {
                 .collect(),
         }),
         4 => WireMessage::Ack(Ack {
-            items: rng.gen_range(0u64..u64::MAX),
+            items: arb_id(&mut rng),
         }),
         5 => {
             let msg_len = rng.gen_range(0usize..40);
@@ -156,8 +192,13 @@ fn arb_message(seed: u64) -> WireMessage {
             })
         }
         6 => WireMessage::Opaque(arb_blob(&mut rng, 100)),
-        _ => WireMessage::Hello(Hello {
-            tenant: rng.gen_range(0u64..u64::MAX),
+        7 => WireMessage::Hello(Hello {
+            tenant: arb_id(&mut rng),
+        }),
+        8 => WireMessage::StatsRequest,
+        _ => WireMessage::StatsSnapshot(match arb_value(&mut rng) {
+            Value::Text(text) => text,
+            _ => String::new(),
         }),
     }
 }
@@ -278,8 +319,11 @@ proptest! {
         // Random bytes essentially never form a valid CRC-framed message;
         // the property under test is totality (Err, not panic).
         let _ = WireMessage::decode(&garbage);
+        // A valid frame plus at least one trailing byte (an empty blob
+        // would leave the frame valid).
         let mut near_miss = arb_message(seed).encode().unwrap();
         near_miss.extend_from_slice(&garbage);
+        near_miss.push(0);
         prop_assert!(matches!(
             WireMessage::decode(&near_miss),
             Err(PdsError::Wire(_))

@@ -141,7 +141,8 @@ impl Relation {
         out
     }
 
-    /// Total payload size in bytes (for communication cost modelling).
+    /// Total approximate payload size in bytes (the sum of
+    /// [`Tuple::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         self.tuples.iter().map(Tuple::size_bytes).sum()
     }

@@ -41,15 +41,29 @@ impl Tuple {
             .collect()
     }
 
-    /// Approximate serialised size in bytes (communication cost modelling).
+    /// Approximate payload size in bytes: the id plus each value's
+    /// [`Value::size_bytes`].  Feeds size statistics such as
+    /// [`crate::Relation::avg_tuple_bytes`]; wire traffic is measured from
+    /// encoded frames instead.
     pub fn size_bytes(&self) -> usize {
         8 + self.values.iter().map(Value::size_bytes).sum::<usize>()
     }
 
+    /// Exact length of [`Tuple::encode`]'s output, computed without
+    /// encoding.
+    pub fn encoded_len(&self) -> usize {
+        12 + self
+            .values
+            .iter()
+            .map(|v| 4 + v.encoded_len())
+            .sum::<usize>()
+    }
+
     /// Stable byte encoding of the whole tuple (what gets encrypted when a
-    /// sensitive tuple is outsourced).
+    /// sensitive tuple is outsourced).  Integers are fixed-width big-endian,
+    /// so the length depends on the schema and the text/byte values only.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_bytes() + 4 * self.values.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.id.raw().to_be_bytes());
         out.extend_from_slice(&(self.values.len() as u32).to_be_bytes());
         for v in &self.values {
@@ -62,6 +76,16 @@ impl Tuple {
 
     /// Decodes a tuple previously produced by [`Tuple::encode`].
     pub fn decode(bytes: &[u8]) -> Option<Tuple> {
+        match Self::decode_prefix(bytes)? {
+            (tuple, used) if used == bytes.len() => Some(tuple),
+            _ => None,
+        }
+    }
+
+    /// Decodes the tuple [`Tuple::encode`] wrote at the front of `bytes`,
+    /// returning it with the number of bytes it occupied.  Whatever
+    /// follows (such as padding) is left to the caller.
+    pub fn decode_prefix(bytes: &[u8]) -> Option<(Tuple, usize)> {
         if bytes.len() < 12 {
             return None;
         }
@@ -81,10 +105,7 @@ impl Tuple {
             values.push(Value::decode(&bytes[offset..offset + len])?);
             offset += len;
         }
-        if offset != bytes.len() {
-            return None;
-        }
-        Some(Tuple { id, values })
+        Some((Tuple { id, values }, offset))
     }
 }
 
@@ -127,6 +148,17 @@ mod tests {
         assert_eq!(Tuple::decode(&[0u8; 11]), None);
         let mut enc = sample().encode();
         enc.push(0); // trailing junk
+        assert_eq!(Tuple::decode(&enc), None);
+    }
+
+    #[test]
+    fn encoded_len_is_exact_and_prefix_decoding_leaves_the_tail() {
+        let t = sample();
+        let mut enc = t.encode();
+        assert_eq!(enc.len(), t.encoded_len());
+        let used = enc.len();
+        enc.extend_from_slice(&[0, 0, 0]);
+        assert_eq!(Tuple::decode_prefix(&enc), Some((t, used)));
         assert_eq!(Tuple::decode(&enc), None);
     }
 
