@@ -1,23 +1,18 @@
 //! Wire-protocol overhead — what the byte-accurate frame layer costs.
 //!
-//! Three angles:
+//! Two angles:
 //!
 //! * **codec throughput** — encode and decode of a [`BinPayload`] carrying
 //!   realistic encrypted rows, at growing row counts (the response shape
 //!   that dominates QB retrieval traffic);
 //! * **composed vs fine-grained** — one [`BinPairRequest`] carrying a whole
 //!   episode versus the multi-round [`FetchBinRequest`] messages the live
-//!   §V-B back-ends send (frame-overhead amortisation);
-//! * **event-loop replay** — the `NetSim` makespan computation over a
-//!   synthetic multi-shard frame log (the cost added to a `Simulated`
-//!   transport dispatch).
+//!   §V-B back-ends send (frame-overhead amortisation).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pds_common::Value;
 use pds_crypto::NonDetCipher;
-use pds_proto::{
-    BinPairRequest, BinPayload, FetchBinRequest, LinkSpec, NetSim, RoundTrip, WireMessage, WireRow,
-};
+use pds_proto::{BinPairRequest, BinPayload, FetchBinRequest, WireMessage, WireRow};
 
 /// Realistic encrypted rows: ciphertext lengths match what `DbOwner`
 /// produces for a ~5-attribute tuple.
@@ -99,38 +94,5 @@ fn bench_composed_vs_fine_grained(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_netsim_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("netsim_replay");
-    group.sample_size(20);
-    let link = LinkSpec {
-        latency_sec: 0.01,
-        bandwidth_bytes_per_sec: 30.0e6 / 8.0,
-    };
-    for &shards in &[1usize, 4, 8] {
-        let sim = NetSim::uniform(shards, link).unwrap();
-        let traffic: Vec<Vec<RoundTrip>> = (0..shards)
-            .map(|s| {
-                (0..256 / shards)
-                    .map(|i| RoundTrip {
-                        up_bytes: 200 + (s * i) as u64 % 64,
-                        down_bytes: 4_000,
-                    })
-                    .collect()
-            })
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::new("round_trips_256_over_shards", shards),
-            &traffic,
-            |b, traffic| b.iter(|| black_box(sim.run(traffic).unwrap())),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_composed_vs_fine_grained,
-    bench_netsim_replay
-);
+criterion_group!(benches, bench_codec, bench_composed_vs_fine_grained);
 criterion_main!(benches);

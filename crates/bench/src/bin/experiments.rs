@@ -628,10 +628,10 @@ fn print_zipf(scale: f64, skew: Option<f64>, cache: Option<usize>) -> bool {
 }
 
 /// Prints the wire-protocol sweep; returns whether every cell's answers
-/// matched the in-process transport byte-for-byte, security held, and the
-/// simulated clock genuinely overlapped per-shard latency (any failure is
-/// a correctness bug in the wire stack, so it fails the process like a
-/// sharded failure).
+/// matched the same workload over the paper's WAN link byte-for-byte,
+/// security held, and the simulated clock genuinely overlapped per-shard
+/// latency (any failure is a correctness bug in the wire stack, so it
+/// fails the process like a sharded failure).
 fn print_wire(
     scale: f64,
     shards: Option<usize>,
@@ -649,7 +649,7 @@ fn print_wire(
         }
     });
     println!(
-        "== Wire protocol: byte-accurate traffic x event-simulated network ({tuples} tuples, \
+        "== Wire protocol: byte-accurate traffic x simulated per-shard links ({tuples} tuples, \
          exhaustive workload) =="
     );
     println!(
@@ -683,7 +683,7 @@ fn print_wire(
                 all_ok &= p.exact && p.secure;
             }
             if !all_ok {
-                eprintln!("wire answers diverged from the in-process transport or security broke");
+                eprintln!("wire answers diverged from the WAN-link baseline or security broke");
             }
             let overlaps = wire::overlap_holds(&points);
             if !overlaps {

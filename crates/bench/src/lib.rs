@@ -14,7 +14,7 @@
 //! | [`attacks`] | §VI — Arx hardening (size / frequency / workload-skew attacks with and without QB) and the §I/§V headline numbers |
 //! | [`sharded`] | beyond the paper — shard-scaling: the same workload over 1/2/4/8 bin-routed cloud shards, modelled *and* measured (threaded fan-out) |
 //! | [`zipf`] | beyond the paper — Zipf-skewed workloads × owner-side hot-bin cache sizes: hit rate and bytes moved vs skew |
-//! | [`wire`] | beyond the paper — wire-protocol sweep: byte-accurate bytes moved and the event-simulated network wall-clock over latency × bandwidth × shards, plus the composed-vs-fine-grained rounds gate |
+//! | [`wire`] | beyond the paper — wire-protocol sweep: byte-accurate bytes moved and the simulated network wall-clock (busiest shard's clock) over latency × bandwidth × shards, plus the composed-vs-fine-grained rounds gate |
 //! | [`hetero`] | beyond the paper — heterogeneous shards: a different secure back-end per shard, exact answers and per-shard + composed security |
 //! | [`planner`] | beyond the paper — the cost-based optimizer: measured calibration, per-shard engine choice under the workload-skew advantage constraint, residual pushdown; gated on beating every equally-secure homogeneous deployment |
 //! | [`rwmix`] | beyond the paper — read/write mixes over the Employee workload driving cache invalidation on insert under load |

@@ -33,9 +33,9 @@ pub struct ShardScalingPoint {
     /// observation the `parallel_sec` column only models.
     pub measured_sec: f64,
     /// Simulated-network wall-clock of the same workload's wire traffic:
-    /// the measured per-shard frame streams replayed through the
-    /// event-driven `pds_proto::NetSim`, one link per shard, so transfers
-    /// on different shards overlap on the virtual clock.
+    /// the busiest shard's communication time over the run.  Each shard
+    /// charges its measured frames to its own link, so transfers on
+    /// different shards overlap.
     pub sim_net_sec: f64,
 }
 

@@ -3,19 +3,20 @@
 //!
 //! Every owner↔cloud interaction encodes a real `pds-proto` frame, so the
 //! bytes column is **measured off the wire** (frame headers, CRC trailers
-//! and all), not estimated.  The timing column comes from
-//! [`pds_cloud::BinTransport::Simulated`]: the event-driven
-//! `pds_proto::NetSim` replays each shard's frame stream over its own link,
-//! so per-shard latency genuinely overlaps — simulated time for `N` shards
-//! stays well below `N ×` the single-shard time at fixed latency, which is
-//! exactly what the thread-based transport could never show for the
+//! and all), not estimated.  Each cell's deployment charges its frames to
+//! the cell's link: every shard adds `latency + bytes/bandwidth` per
+//! exchange to its own clock, and the timing column is the busiest
+//! shard's ([`pds_cloud::ShardRouter::parallel_comm_time`]).  Shards are
+//! independent links, so per-shard latency overlaps — simulated time for
+//! `N` shards stays well below `N ×` the single-shard time at fixed
+//! latency, which the thread-based transport could never show for the
 //! *network* component (threads only overlap compute).
 //!
-//! Each cell also re-runs the identical workload on an identical deployment
-//! over the in-process [`pds_cloud::BinTransport::Sequential`] transport
-//! and compares every answer byte-for-byte, and checks partitioned data
-//! security per shard and composed — the wire format and the simulator are
-//! pure accounting layers and must change nothing observable.
+//! Each cell's answers are compared byte-for-byte with the identical
+//! workload on an identical deployment over the paper's WAN link, and
+//! partitioned data security is checked per shard and composed — the wire
+//! format and the link are pure accounting and must change nothing
+//! observable.
 
 use pds_adversary::check_sharded_partitioned_security;
 use pds_cloud::{BinTransport, NetworkModel};
@@ -42,11 +43,11 @@ pub struct WirePoint {
     pub wire_bytes: u64,
     /// Wire frames moved (each request and each response is one frame).
     pub wire_frames: u64,
-    /// Simulated-network wall-clock of the workload's fan-out: the NetSim
-    /// makespan with per-shard links genuinely overlapping.
+    /// Simulated-network wall-clock of the workload's fan-out: the busiest
+    /// shard's communication time, with per-shard links overlapping.
     pub sim_wall_sec: f64,
-    /// Whether every answer was byte-identical to the same workload over
-    /// the in-process transport on an identical deployment.
+    /// Whether every answer was byte-identical to the same workload on an
+    /// identical deployment over the paper's WAN link.
     pub exact: bool,
     /// Whether partitioned data security held on every shard's view and on
     /// the composed view after the exhaustive workload.
@@ -56,11 +57,11 @@ pub struct WirePoint {
 /// Per-query answers as sorted encoded tuples, for byte-level comparison.
 type EncodedAnswers = Vec<Vec<Vec<u8>>>;
 
-/// One cell's run outcome: answers, simulated clock (when the transport
-/// simulates one), and the wire traffic the run moved.
+/// One cell's run outcome: answers, simulated network clock, and the wire
+/// traffic the run moved.
 struct CellRun {
     answers: EncodedAnswers,
-    sim_wall_sec: Option<f64>,
+    sim_wall_sec: f64,
     wire_bytes: u64,
     wire_frames: u64,
 }
@@ -80,35 +81,30 @@ fn answer_bytes(answers: &[Vec<Tuple>]) -> EncodedAnswers {
 fn deployment(
     relation: &pds_storage::Relation,
     shards: usize,
+    link: NetworkModel,
     seed: u64,
 ) -> Result<ShardedQbDeployment<NonDetScanEngine>> {
-    sharded_qb_deployment(
-        relation,
-        0.3,
-        shards,
-        NonDetScanEngine::new(),
-        NetworkModel::paper_wan(),
-        seed,
-    )
+    sharded_qb_deployment(relation, 0.3, shards, NonDetScanEngine::new(), link, seed)
 }
 
-/// Runs the exhaustive workload over one deployment through `transport`.
+/// Runs the exhaustive workload over one freshly built deployment, whose
+/// clocks were reset after outsourcing, so the busiest shard's clock is
+/// this run's simulated network time.
 fn run_cell(
     dep: &mut ShardedQbDeployment<NonDetScanEngine>,
     workload: &[Value],
-    transport: BinTransport,
 ) -> Result<CellRun> {
     let before = dep.router.metrics();
     let run = dep.executor.run_workload_transported(
         &mut dep.owner,
         &mut dep.router,
         workload,
-        &transport,
+        &BinTransport::Sequential,
     )?;
     let delta = dep.router.metrics().delta_since(&before);
     Ok(CellRun {
         answers: answer_bytes(&run.answers),
-        sim_wall_sec: run.sim_wall_clock_sec,
+        sim_wall_sec: dep.router.parallel_comm_time(),
         wire_bytes: delta.total_bytes(),
         wire_frames: delta.wire_frames,
     })
@@ -125,15 +121,15 @@ pub fn run(
     seed: u64,
 ) -> Result<Vec<WirePoint>> {
     let relation = lineitem(tuples, seed);
-    // The in-process baseline answers depend only on (relation, shards,
-    // seed) — never on the simulated link — so run it once per shard
-    // count, outside the latency x bandwidth sweep.
+    // The baseline answers depend only on (relation, shards, seed) — never
+    // on the simulated link — so run them once per shard count, outside
+    // the latency x bandwidth sweep.
     let mut baselines: Vec<(usize, Vec<Value>, EncodedAnswers)> =
         Vec::with_capacity(shard_counts.len());
     for &shards in shard_counts {
-        let mut baseline = deployment(&relation, shards, seed)?;
+        let mut baseline = deployment(&relation, shards, NetworkModel::paper_wan(), seed)?;
         let workload = baseline.workload(seed.wrapping_add(1))?.exhaustive();
-        let expected = run_cell(&mut baseline, &workload, BinTransport::Sequential)?;
+        let expected = run_cell(&mut baseline, &workload)?;
         baselines.push((shards, workload, expected.answers));
     }
     let mut out =
@@ -146,13 +142,10 @@ pub fn run(
             };
             for (shards, workload, expected) in &baselines {
                 let shards = *shards;
-                // Simulated-transport run on an identical deployment:
-                // answers must be byte-identical to the baseline.
-                let mut dep = deployment(&relation, shards, seed)?;
-                let cell = run_cell(&mut dep, workload, BinTransport::Simulated(link))?;
-                let sim_wall_sec = cell
-                    .sim_wall_sec
-                    .expect("Simulated transport reports a sim clock");
+                // The same deployment over this cell's link: answers must
+                // be byte-identical to the baseline.
+                let mut dep = deployment(&relation, shards, link, seed)?;
+                let cell = run_cell(&mut dep, workload)?;
                 let exact = &cell.answers == expected;
 
                 // Partitioned data security after the exhaustive workload,
@@ -167,7 +160,7 @@ pub fn run(
                     queries: workload.len(),
                     wire_bytes: cell.wire_bytes,
                     wire_frames: cell.wire_frames,
-                    sim_wall_sec,
+                    sim_wall_sec: cell.sim_wall_sec,
                     exact,
                     secure,
                 });
@@ -294,10 +287,11 @@ pub fn rounds_gate_holds(points: &[RoundsPoint]) -> bool {
         })
 }
 
-/// Checks the latency-overlap property the simulator must exhibit: within
-/// every (latency, bandwidth) group, the simulated time at `N > 1` shards
-/// must stay below `N ×` the single-shard simulated time (independent
-/// links overlap; a serial network could only match the product).
+/// Checks the latency-overlap property the network clock must exhibit:
+/// within every (latency, bandwidth) group, the simulated time at `N > 1`
+/// shards must stay below `N ×` the single-shard simulated time
+/// (independent links overlap; a serial network could only match the
+/// product).
 pub fn overlap_holds(points: &[WirePoint]) -> bool {
     points.iter().filter(|p| p.shards > 1).all(|p| {
         let single = points.iter().find(|q| {

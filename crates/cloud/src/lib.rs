@@ -19,8 +19,10 @@
 //!
 //! The crate also provides:
 //!
-//! * [`network::NetworkModel`] — a byte-accurate communication cost model
-//!   (the `Ccom` of the paper's §V-A analysis),
+//! * [`network::NetworkModel`] — the communication cost model (the `Ccom`
+//!   of the paper's §V-A analysis): every exchange adds
+//!   `latency + bytes/bandwidth` of its measured frame bytes to the
+//!   serving shard's [`CloudServer::comm_time`], the one network clock,
 //! * [`metrics::Metrics`] — counters of plaintext work, cryptographic work
 //!   and bytes moved, from which the experiment harness derives simulated
 //!   wall-clock times for back-ends (Opaque, Jana) that would be too slow to
@@ -29,11 +31,10 @@
 //!   independent `CloudServer` shards behind a seeded bin-to-shard placement
 //!   map, with per-shard *and* composed adversarial views,
 //! * [`transport::BinTransport`] — dispatch of per-shard bin fetches
-//!   sequentially, on scoped OS threads (measured compute overlap), or
-//!   through [`pds_proto::NetSim`]'s event loop
-//!   ([`transport::BinTransport::Simulated`]): the wire frames each shard
-//!   moved are replayed over per-shard links so the reported makespan shows
-//!   network latency genuinely overlapping, and
+//!   sequentially or on scoped OS threads (measured compute overlap); the
+//!   simulated network time of an overlapped fan-out is the busiest
+//!   shard's [`CloudServer::comm_time`]
+//!   ([`shard::ShardRouter::parallel_comm_time`]), and
 //! * [`cache::BinCache`] — the owner-side hot-bin LRU: whole decrypted bins
 //!   cached at the trusted owner, so repeated (skewed) queries skip the
 //!   cloud round-trip entirely, and
@@ -71,12 +72,12 @@ pub use cache::{BinCache, BinCacheStats, BinKey, BinKind};
 pub use metrics::Metrics;
 pub use network::NetworkModel;
 pub use owner::DbOwner;
-pub use pds_proto::{msg_tag, LinkSpec, RoundTrip, SimReport};
+pub use pds_proto::msg_tag;
 pub use server::{BinPairResult, CloudServer};
 pub use service::{ServiceConfig, ShardDaemon};
 pub use session::{BinEpisodeRequest, CloudSession};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
 pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
-pub use transport::{simulate_wire_traffic, BinTransport, DispatchReport};
+pub use transport::{BinTransport, DispatchReport};
 pub use view::{AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode};

@@ -5,6 +5,12 @@
 //! (≈ 4 µs for a 200-byte TPC-H Customer row, giving γ = Ce/Ccom ≈ 25 000
 //! for secret-sharing whose per-predicate search cost Ce ≈ 10 ms).
 //! [`NetworkModel`] converts bytes moved into simulated seconds.
+//!
+//! It is the one network clock: each owner↔cloud exchange a
+//! [`crate::CloudServer`] serves adds [`NetworkModel::transfer_time`] of
+//! its measured frame bytes to that shard's `comm_time`.  Shards are
+//! independent links, so an overlapped fan-out takes as long as its
+//! busiest shard ([`crate::ShardRouter::parallel_comm_time`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -50,28 +56,6 @@ impl NetworkModel {
     pub fn transfer_time(&self, bytes: usize) -> f64 {
         self.latency_sec + bytes as f64 / self.bandwidth_bytes_per_sec
     }
-
-    /// Time to transfer `bytes` split over `requests` requests.
-    pub fn transfer_time_requests(&self, bytes: usize, requests: usize) -> f64 {
-        self.latency_sec * requests as f64 + bytes as f64 / self.bandwidth_bytes_per_sec
-    }
-
-    /// Per-tuple transfer cost `Ccom` for tuples of `tuple_bytes` bytes
-    /// (excluding latency, matching the paper's amortised figure).
-    pub fn ccom_per_tuple(&self, tuple_bytes: usize) -> f64 {
-        tuple_bytes as f64 / self.bandwidth_bytes_per_sec
-    }
-
-    /// The event-simulator link with the same latency and bandwidth
-    /// (`pds_proto::NetSim` charges each round trip exactly what
-    /// [`NetworkModel::transfer_time`] would, but on an event loop that
-    /// overlaps links).
-    pub fn link_spec(&self) -> pds_proto::LinkSpec {
-        pds_proto::LinkSpec {
-            latency_sec: self.latency_sec,
-            bandwidth_bytes_per_sec: self.bandwidth_bytes_per_sec,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,11 +64,12 @@ mod tests {
 
     #[test]
     fn paper_wan_matches_reported_ccom() {
-        // ~200 byte tuple at 30 Mbps ≈ 53 µs; the paper quotes ≈ 4 µs for a
-        // faster effective link, so we just sanity-check the order of
+        // ~200 byte tuple at 30 Mbps ≈ 53 µs (the WAN charges no latency,
+        // so one tuple's transfer time is its Ccom); the paper quotes ≈ 4 µs
+        // for a faster effective link, so we just sanity-check the order of
         // magnitude is microseconds-to-tens-of-microseconds.
         let net = NetworkModel::paper_wan();
-        let ccom = net.ccom_per_tuple(200);
+        let ccom = net.transfer_time(200);
         assert!(ccom > 1e-6 && ccom < 1e-3, "ccom = {ccom}");
     }
 
@@ -95,7 +80,6 @@ mod tests {
             latency_sec: 1.0,
         };
         assert!((net.transfer_time(500) - 1.5).abs() < 1e-12);
-        assert!((net.transfer_time_requests(500, 3) - 3.5).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (searchable values and their frequency counts) — that metadata lives in
 //! `pds-core::metadata`, built on [`pds_storage::AttributeStats`].
 
-use pds_common::{AttrId, PdsError, Result, TupleId, Value};
+use pds_common::{AttrId, PdsError, Result, Value};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
 use pds_storage::{Relation, Tuple};
 use rand::rngs::StdRng;
@@ -174,53 +174,6 @@ impl DbOwner {
             .collect()
     }
 
-    /// Builds the plaintext form of a fake tuple (QB general-case padding).
-    ///
-    /// The fake tuple carries a *real* searchable value at position `attr`
-    /// so that the cloud — which matches on that value (or on its tag) —
-    /// returns the padding row alongside the real ones; every other position
-    /// holds the reserved marker so the owner (and only the owner, after
-    /// decryption) can recognise and drop it.
-    pub fn make_fake_tuple(id: TupleId, attr: AttrId, attr_value: &Value, arity: usize) -> Tuple {
-        let arity = arity.max(2);
-        let mut values = vec![Self::fake_marker(); arity];
-        let idx = attr.index().min(arity - 1);
-        values[idx] = attr_value.clone();
-        Tuple::new(id, values)
-    }
-
-    /// Encrypts a fake padding row directly (convenience over
-    /// [`DbOwner::make_fake_tuple`] + [`DbOwner::encrypt_row`]).
-    pub fn encrypt_fake_row(
-        &mut self,
-        id: TupleId,
-        attr: AttrId,
-        attr_value: &Value,
-        arity: usize,
-    ) -> EncryptedRow {
-        let tuple = Self::make_fake_tuple(id, attr, attr_value, arity);
-        let attr_ct = self.encrypt_value(attr_value);
-        let tuple_ct = self.encrypt_tuple(&tuple);
-        EncryptedRow {
-            id,
-            attr_ct,
-            tuple_ct,
-            search_tags: Vec::new(),
-        }
-    }
-
-    /// The reserved marker value stored inside fake tuples.
-    pub fn fake_marker() -> Value {
-        Value::Text("__PDS_FAKE__".to_string())
-    }
-
-    /// Whether a decrypted tuple is a padding row (any position holds the
-    /// reserved marker).
-    pub fn is_fake(tuple: &Tuple) -> bool {
-        let marker = Self::fake_marker();
-        tuple.values.iter().any(|v| v == &marker)
-    }
-
     // ----- observability ------------------------------------------------------
 
     /// Owner-side work counters (encryptions/decryptions performed).
@@ -245,6 +198,7 @@ impl std::fmt::Debug for DbOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pds_common::TupleId;
     use pds_storage::{DataType, Schema};
 
     fn sample_tuple() -> Tuple {
@@ -344,34 +298,6 @@ mod tests {
         );
         let t = owner.decrypt_tuple(&rows[0].tuple_ct).unwrap();
         assert_eq!(t.id, r.tuples()[0].id);
-    }
-
-    #[test]
-    fn fake_rows_are_recognised_by_owner_only() {
-        let mut owner = DbOwner::new(7);
-        let attr = AttrId::new(0);
-        let fake = owner.encrypt_fake_row(TupleId::new(77), attr, &Value::from("E259"), 3);
-        let decrypted = owner.decrypt_tuple(&fake.tuple_ct).unwrap();
-        assert!(DbOwner::is_fake(&decrypted));
-        // The fake carries the real searchable value so the cloud matches it.
-        assert_eq!(decrypted.value(attr), &Value::from("E259"));
-        assert_eq!(
-            owner.decrypt_value(&fake.attr_ct).unwrap(),
-            Value::from("E259")
-        );
-        assert!(!DbOwner::is_fake(&sample_tuple()));
-        assert!(!fake.tuple_ct.is_empty());
-    }
-
-    #[test]
-    fn fake_tuple_marker_survives_nonzero_attr_position() {
-        let t = DbOwner::make_fake_tuple(TupleId::new(1), AttrId::new(2), &Value::Int(9), 4);
-        assert_eq!(t.value(AttrId::new(2)), &Value::Int(9));
-        assert!(DbOwner::is_fake(&t));
-        // Arity of one is promoted to two so the marker is always present.
-        let t1 = DbOwner::make_fake_tuple(TupleId::new(2), AttrId::new(0), &Value::Int(9), 1);
-        assert!(DbOwner::is_fake(&t1));
-        assert_eq!(t1.values.len(), 2);
     }
 
     #[test]

@@ -11,18 +11,19 @@
 //! Every owner↔cloud interaction builds the actual [`pds_proto`] message
 //! it represents, encodes it into a wire frame, and charges the **encoded
 //! frame length** (header + payload + CRC trailer) to [`Metrics`] and the
-//! communication clock — not a `size_bytes` estimate.  Each interaction is
-//! also appended to a [`pds_proto::RoundTrip`] log so the event-driven
-//! network simulator ([`crate::BinTransport::Simulated`]) can replay the
-//! exact per-shard traffic.  In debug builds every encoded frame is decoded
-//! back and compared, so the test suite proves the wire format really
-//! carries the traffic it accounts for.
+//! communication clock — not a `size_bytes` estimate.  The clock,
+//! [`CloudServer::comm_time`], adds one
+//! [`NetworkModel::transfer_time`] per exchange, so its growth over a run
+//! is that shard's simulated network time; the busiest shard's growth is
+//! the overlapped fan-out's ([`crate::ShardRouter::parallel_comm_time`]).
+//! No per-exchange log is kept: the clock is one `f64`.  In debug builds
+//! every encoded frame is decoded back and compared, so the test suite
+//! proves the wire format really carries the traffic it accounts for.
 
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_proto::{
-    msg_tag, Ack, BinPairRequest, BinPayload, FetchBinRequest, InsertRequest, RoundTrip,
-    WireMessage, WireRow,
+    msg_tag, Ack, BinPairRequest, BinPayload, FetchBinRequest, InsertRequest, WireMessage, WireRow,
 };
 use pds_storage::{HashIndex, Relation, Tuple};
 
@@ -104,14 +105,6 @@ pub struct CloudServer {
     metrics: Metrics,
     network: NetworkModel,
     comm_time: f64,
-    /// Measured frame lengths of every owner↔cloud exchange, in order —
-    /// the traffic the event-driven network simulator replays.
-    wire_log: Vec<RoundTrip>,
-    /// Index into [`CloudServer::wire_log`] at the last
-    /// [`CloudServer::reset_metrics`]: exchanges before the cursor belong to
-    /// an earlier measurement window (e.g. outsourcing) and must not be
-    /// replayed as part of the current one.
-    wire_cursor: usize,
 }
 
 impl Default for CloudServer {
@@ -130,16 +123,13 @@ impl CloudServer {
             metrics: Metrics::new(),
             network,
             comm_time: 0.0,
-            wire_log: Vec::new(),
-            wire_cursor: 0,
         }
     }
 
     /// Charges one owner↔cloud exchange: `up`/`down` are typed wire frames
     /// whose lengths are **measured encoded frame lengths** (`None` when no
     /// frame travels in that direction).  Updates byte counters, the total
-    /// and per-type frame counters, the simulated communication clock, and
-    /// the wire log.
+    /// and per-type frame counters, and the simulated communication clock.
     fn record_exchange(&mut self, up: Option<Frame>, down: Option<Frame>) {
         let up_len = up.map_or(0, |(_, len)| len);
         let down_len = down.map_or(0, |(_, len)| len);
@@ -152,10 +142,6 @@ impl CloudServer {
             self.metrics.count_frame(tag);
         }
         self.comm_time += self.network.transfer_time(up_len + down_len);
-        self.wire_log.push(RoundTrip {
-            up_bytes: up_len as u64,
-            down_bytes: down_len as u64,
-        });
     }
 
     // ----- outsourcing -----------------------------------------------------
@@ -305,39 +291,6 @@ impl CloudServer {
         Ok(tuples)
     }
 
-    /// Full scan of the plaintext relation with an arbitrary predicate
-    /// (used by baselines that do not exploit the index).
-    pub fn plain_select_scan(&mut self, predicate: &pds_storage::Predicate) -> Result<Vec<Tuple>> {
-        let plain = self
-            .plain
-            .as_ref()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let query = pds_storage::SelectionQuery::new(predicate.clone());
-        let tuples = plain.relation.select(&query);
-        let attr = plain.attr;
-        let ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
-        let returned_values: Vec<Value> = tuples.iter().map(|t| t.value(attr).clone()).collect();
-        self.view
-            .observe_nonsensitive_result(&ids, &returned_values);
-        // The predicate travels in the request frame, so the uplink charge
-        // is the real encoded size of the pushed-down selection.
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: Vec::new(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: Some(predicate.clone()),
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: tuples.clone(),
-            encrypted_rows: Vec::new(),
-        }));
-        self.metrics.plaintext_tuples_scanned += plain.relation.len() as u64;
-        self.metrics.tuples_returned += tuples.len() as u64;
-        self.metrics.round_trips += 1;
-        self.record_exchange(Some(up), Some(down));
-        Ok(tuples)
-    }
-
     /// The outsourced plaintext relation, if any.
     pub fn plain_relation(&self) -> Option<&Relation> {
         self.plain.as_ref().map(|p| &p.relation)
@@ -400,29 +353,6 @@ impl CloudServer {
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
         Ok(out)
-    }
-
-    /// Returns every encrypted tuple (full scan), as strongly secure
-    /// back-ends that hide access patterns effectively do.
-    pub fn scan_encrypted(&mut self) -> Vec<(TupleId, Ciphertext)> {
-        let out: Vec<(TupleId, Ciphertext)> = self
-            .encrypted
-            .rows()
-            .iter()
-            .map(|r| (r.id, r.tuple_ct.clone()))
-            .collect();
-        let ids: Vec<TupleId> = out.iter().map(|(id, _)| *id).collect();
-        self.view.observe_sensitive_result(&ids);
-        let up = frame(&WireMessage::Opaque(Vec::new()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
-        self.metrics.encrypted_tuples_scanned += out.len() as u64;
-        self.metrics.tuples_returned += out.len() as u64;
-        self.metrics.round_trips += 1;
-        self.record_exchange(Some(up), Some(down));
-        out
     }
 
     /// Notes that a cloud-side secure execution environment (an SGX enclave
@@ -635,27 +565,12 @@ impl CloudServer {
         &self.metrics
     }
 
-    /// Simulated communication time accumulated so far, in seconds.
+    /// Simulated communication time accumulated since the last
+    /// [`CloudServer::reset_metrics`], in seconds: the sum, in exchange
+    /// order, of [`NetworkModel::transfer_time`] over every exchange's
+    /// measured frame bytes.
     pub fn comm_time(&self) -> f64 {
         self.comm_time
-    }
-
-    /// The measured wire traffic, in exchange order: one [`RoundTrip`] per
-    /// owner↔cloud interaction, each length an encoded frame size.  The
-    /// log is append-only (like the adversarial view); callers interested
-    /// in a window record the length before and slice afterwards.
-    pub fn wire_log(&self) -> &[RoundTrip] {
-        &self.wire_log
-    }
-
-    /// The wire traffic recorded since the last
-    /// [`CloudServer::reset_metrics`].  Replay windows that start "from the
-    /// reset" must use this slice: the full [`CloudServer::wire_log`] keeps
-    /// pre-reset exchanges (outsourcing uploads, earlier measurement
-    /// windows) whose replay would double-count traffic the byte counters
-    /// no longer report.
-    pub fn wire_log_since_reset(&self) -> &[RoundTrip] {
-        &self.wire_log[self.wire_cursor..]
     }
 
     /// The network model in force.
@@ -663,14 +578,11 @@ impl CloudServer {
         &self.network
     }
 
-    /// Resets metrics and communication time and advances the wire-log
-    /// cursor so [`CloudServer::wire_log_since_reset`] starts empty (the
-    /// adversarial view and the full wire log are *not* cleared — the
-    /// adversary never forgets).
+    /// Resets metrics and communication time (the adversarial view is
+    /// *not* cleared — the adversary never forgets).
     pub fn reset_metrics(&mut self) {
         self.metrics = Metrics::new();
         self.comm_time = 0.0;
-        self.wire_cursor = self.wire_log.len();
     }
 }
 
@@ -774,19 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_encrypted_returns_all() {
-        let mut s = server();
-        s.begin_query();
-        let all = s.scan_encrypted();
-        s.end_query();
-        assert_eq!(all.len(), 4);
-        assert_eq!(
-            s.adversarial_view().episodes()[0].sensitive_returned.len(),
-            4
-        );
-    }
-
-    #[test]
     fn tag_select_uses_index() {
         let mut s = server();
         s.begin_query();
@@ -840,35 +739,29 @@ mod tests {
     }
 
     #[test]
-    fn wire_log_records_every_exchange() {
-        let mut s = server(); // two uploads = two logged exchanges
-        assert_eq!(s.wire_log().len(), 2);
+    fn comm_time_charges_one_transfer_per_exchange() {
+        // One second of latency and one byte per second keep every charge
+        // an exact integer, so the clock compares exactly.
+        let mut s = CloudServer::new(NetworkModel {
+            bandwidth_bytes_per_sec: 1.0,
+            latency_sec: 1.0,
+        });
+        s.upload_plaintext(plain_relation(), "EId").unwrap();
+        s.upload_encrypted(encrypted_rows(4)).unwrap();
         let before = *s.metrics();
-        let log_start = s.wire_log().len();
+        let clock = s.comm_time();
         s.begin_query();
         s.plain_select_in(&[Value::from("E259")]).unwrap();
         s.note_encrypted_request(2, 64);
         s.fetch_encrypted(&[TupleId::new(101)]).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
-        let window = &s.wire_log()[log_start..];
-        assert_eq!(window.len(), 3, "one round trip per exchange");
-        let up: u64 = window.iter().map(|rt| rt.up_bytes).sum();
-        let down: u64 = window.iter().map(|rt| rt.down_bytes).sum();
-        assert_eq!(up, d.bytes_uploaded, "log and metrics agree on upload");
+        assert_eq!(d.round_trips, 3);
         assert_eq!(
-            down, d.bytes_downloaded,
-            "log and metrics agree on download"
+            s.comm_time() - clock,
+            3.0 + d.total_bytes() as f64,
+            "one latency per exchange plus every counted byte"
         );
-        let frames: u64 = window
-            .iter()
-            .map(|rt| u64::from(rt.up_bytes > 0) + u64::from(rt.down_bytes > 0))
-            .sum();
-        assert_eq!(frames, d.wire_frames);
-        // Every frame includes the fixed wire overhead.
-        for rt in window {
-            assert!(rt.up_bytes >= pds_proto::FRAME_OVERHEAD as u64);
-        }
     }
 
     #[test]
@@ -880,30 +773,14 @@ mod tests {
         s.reset_metrics();
         assert_eq!(s.metrics().total_bytes(), 0);
         assert_eq!(s.adversarial_view().len(), 1);
-    }
-
-    #[test]
-    fn reset_metrics_advances_the_wire_cursor() {
-        // Regression: `reset_metrics` used to zero the byte counters while
-        // leaving the wire log intact with no cursor, so a replay window
-        // anchored at "the reset" would double-count pre-reset traffic.
-        let mut s = server(); // two uploads = two pre-reset exchanges
-        assert_eq!(s.wire_log().len(), 2);
-        s.reset_metrics();
-        assert!(s.wire_log_since_reset().is_empty(), "window starts empty");
-        assert_eq!(s.wire_log().len(), 2, "full log keeps history");
-
+        // The clock restarts too: a window anchored at the reset counts
+        // no earlier traffic (the outsourcing uploads).
+        assert_eq!(s.comm_time(), 0.0);
         s.begin_query();
         s.plain_select_in(&[Value::from("E259")]).unwrap();
         s.end_query();
-        let window = s.wire_log_since_reset();
-        assert_eq!(window.len(), 1, "only post-reset traffic in the window");
-        let bytes: u64 = window.iter().map(|rt| rt.up_bytes + rt.down_bytes).sum();
-        assert_eq!(
-            bytes,
-            s.metrics().total_bytes(),
-            "window and post-reset counters agree"
-        );
+        let bytes = s.metrics().total_bytes() as usize;
+        assert_eq!(s.comm_time(), s.network().transfer_time(bytes));
     }
 
     #[test]

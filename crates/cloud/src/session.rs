@@ -85,7 +85,6 @@ pub struct CloudSession<'a> {
     server: &'a mut CloudServer,
     episode_start_rounds: u64,
     episode_open: bool,
-    episode_rounds: Vec<u64>,
 }
 
 impl<'a> CloudSession<'a> {
@@ -95,7 +94,6 @@ impl<'a> CloudSession<'a> {
             server,
             episode_start_rounds: 0,
             episode_open: false,
-            episode_rounds: Vec::new(),
         }
     }
 
@@ -114,19 +112,7 @@ impl<'a> CloudSession<'a> {
         }
         self.server.end_query();
         self.episode_open = false;
-        let rounds = self.server.metrics().round_trips - self.episode_start_rounds;
-        self.episode_rounds.push(rounds);
-        rounds
-    }
-
-    /// Round counts of every completed episode of this session, in order.
-    pub fn episode_rounds(&self) -> &[u64] {
-        &self.episode_rounds
-    }
-
-    /// Total rounds over every completed episode of this session.
-    pub fn total_rounds(&self) -> u64 {
-        self.episode_rounds.iter().sum()
+        self.server.metrics().round_trips - self.episode_start_rounds
     }
 
     /// The underlying shard, for multi-round back-ends that drive the
@@ -342,8 +328,6 @@ mod tests {
         assert_eq!(composed.0.len(), 1);
         assert_eq!(composed.1.len(), 1);
         assert_eq!(composed_rounds, 1, "composed episode is one round");
-        assert_eq!(session.episode_rounds(), &[2, 1]);
-        assert_eq!(session.total_rounds(), 3);
         assert_eq!(session.end_episode(), 0, "no episode open");
     }
 

@@ -459,19 +459,36 @@ mod tests {
 
     #[test]
     fn router_aggregates_metrics_and_comm_time() {
-        let mut router = ShardRouter::new(2, NetworkModel::paper_wan(), 5).unwrap();
-        router.upload_encrypted(0, encrypted_rows(100, 4)).unwrap();
-        router.upload_encrypted(1, encrypted_rows(200, 2)).unwrap();
-        assert_eq!(router.encrypted_len(), 6);
-        assert_eq!(router.shard(0).encrypted_len(), 4);
-        assert_eq!(router.shard(1).encrypted_len(), 2);
-        let total = router.metrics();
-        assert!(total.bytes_uploaded > 0);
-        assert!(router.comm_time() >= router.parallel_comm_time());
-        assert!(router.parallel_comm_time() > 0.0);
-        router.reset_metrics();
-        assert_eq!(router.metrics().total_bytes(), 0);
-        assert!(router.upload_encrypted(7, Vec::new()).is_err());
+        // The LAN link charges latency per exchange as well as bytes.
+        for network in [NetworkModel::paper_wan(), NetworkModel::lan()] {
+            let mut router = ShardRouter::new(2, network, 5).unwrap();
+            router.upload_encrypted(0, encrypted_rows(100, 4)).unwrap();
+            router.upload_encrypted(1, encrypted_rows(200, 2)).unwrap();
+            assert_eq!(router.encrypted_len(), 6);
+            assert_eq!(router.shard(0).encrypted_len(), 4);
+            assert_eq!(router.shard(1).encrypted_len(), 2);
+            let total = router.metrics();
+            assert!(total.bytes_uploaded > 0);
+            // Both shards are busy, so the overlapped fan-out (the busiest
+            // shard's clock) finishes strictly before the serial sum.
+            let busiest = router
+                .shards()
+                .iter()
+                .map(CloudServer::comm_time)
+                .fold(0.0_f64, f64::max);
+            assert_eq!(router.parallel_comm_time(), busiest, "{network:?}");
+            assert!(
+                router.parallel_comm_time() < router.comm_time(),
+                "{network:?}: parallel {} must be below serial {}",
+                router.parallel_comm_time(),
+                router.comm_time()
+            );
+            assert!(router.parallel_comm_time() > 0.0);
+            router.reset_metrics();
+            assert_eq!(router.metrics().total_bytes(), 0);
+            assert_eq!(router.comm_time(), 0.0);
+            assert!(router.upload_encrypted(7, Vec::new()).is_err());
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Dispatch of per-shard bin fetches — sequential or on real OS threads.
 //!
 //! The [`crate::ShardRouter`]'s `parallel_comm_time` is a *model*: the
-//! max-over-shards simulated seconds a workload would take if the shards
-//! were independent machines.  [`BinTransport`] turns that estimate into a
-//! *measurement*: each shard's stream of bin fetches runs as one task with
-//! exclusive access to its shard slot, and [`BinTransport::Threaded`] fans
-//! the tasks out on scoped `std::thread`s so genuinely overlapped work can
-//! be timed with a wall clock.
+//! max-over-shards simulated network seconds a workload would take if the
+//! shards were independent machines, whatever transport ran it.
+//! [`BinTransport`] adds a *measurement*: each shard's stream of bin
+//! fetches runs as one task with exclusive access to its shard slot, and
+//! [`BinTransport::Threaded`] fans the tasks out on scoped `std::thread`s
+//! so genuinely overlapped work can be timed with a wall clock.
 //!
 //! The dispatcher is deliberately engine-agnostic: tasks are plain `Send`
 //! closures over `&mut CloudServer`, so `pds-core` can capture each shard's
@@ -18,10 +18,6 @@
 
 use std::time::Instant;
 
-use pds_common::Result;
-use pds_proto::{NetSim, RoundTrip, SimReport};
-
-use crate::network::NetworkModel;
 use crate::server::CloudServer;
 use crate::tcp::TcpCloudClient;
 
@@ -35,14 +31,6 @@ pub enum BinTransport {
     /// overlap, so the measured wall-clock reflects real parallelism.
     #[default]
     Threaded,
-    /// Deterministic single-threaded execution plus an **event-driven
-    /// network simulation**: every wire frame the tasks move is replayed
-    /// through [`pds_proto::NetSim`] over one link per shard with the given
-    /// latency/bandwidth, and the report's
-    /// [`DispatchReport::sim_wall_clock_sec`] is the simulated makespan —
-    /// per-shard latency genuinely overlaps, unlike the thread-based
-    /// transport which only overlaps compute.
-    Simulated(NetworkModel),
     /// Real sockets: every episode travels as `pds-proto` frames to the
     /// per-shard [`crate::service::ShardDaemon`]s behind this pooled
     /// client.  The shards live in the daemons' address space, so this
@@ -57,7 +45,6 @@ impl PartialEq for BinTransport {
         match (self, other) {
             (BinTransport::Sequential, BinTransport::Sequential) => true,
             (BinTransport::Threaded, BinTransport::Threaded) => true,
-            (BinTransport::Simulated(a), BinTransport::Simulated(b)) => a == b,
             // Client handles are equal when they share the same pools.
             (BinTransport::Tcp(a), BinTransport::Tcp(b)) => a.same_client(b),
             _ => false,
@@ -73,9 +60,6 @@ pub struct DispatchReport<T> {
     pub per_shard: Vec<Option<T>>,
     /// Measured wall-clock seconds from first spawn to last join.
     pub wall_clock_sec: f64,
-    /// Simulated-network wall-clock of the fan-out's wire traffic
-    /// (`Some` for [`BinTransport::Simulated`], `None` otherwise).
-    pub sim_wall_clock_sec: Option<f64>,
     /// Owner↔cloud rounds each shard served during the dispatch (the
     /// `round_trips` delta of that shard's metrics), aligned with the
     /// shard slice.  The cost model charges `rounds × latency`, so the
@@ -88,17 +72,6 @@ impl<T> DispatchReport<T> {
     pub fn total_rounds(&self) -> u64 {
         self.rounds_per_shard.iter().sum()
     }
-}
-
-/// Replays per-shard wire traffic through the event-driven simulator over
-/// identical `link` links (one per traffic stream) and returns the
-/// simulation report.  This is how a *recorded* run — whatever transport
-/// executed it — gets its simulated-network wall-clock.
-pub fn simulate_wire_traffic(
-    link: NetworkModel,
-    per_shard: &[Vec<RoundTrip>],
-) -> Result<SimReport> {
-    NetSim::uniform(per_shard.len().max(1), link.link_spec())?.run(per_shard)
 }
 
 impl BinTransport {
@@ -126,7 +99,6 @@ impl BinTransport {
         let shard_count = shards.len();
         let rounds_before: Vec<u64> = shards.iter().map(|s| s.metrics().round_trips).collect();
         let start = Instant::now();
-        let mut sim_wall_clock_sec = None;
         let mut per_shard: Vec<Option<T>> = match self {
             BinTransport::Sequential => shards
                 .iter_mut()
@@ -144,33 +116,6 @@ impl BinTransport {
                     .map(|h| h.map(|h| h.join().expect("shard task panicked")))
                     .collect()
             }),
-            BinTransport::Simulated(link) => {
-                // Validate the link config up front, before any shard task
-                // runs: a bad NetworkModel is a caller bug and must fail
-                // with its own message, not a mislabeled one afterwards.
-                let sim = NetSim::uniform(shards.len(), link.link_spec()).expect(
-                    "BinTransport::Simulated needs a valid link: latency >= 0, bandwidth > 0",
-                );
-                // Deterministic sequential execution; the *network* overlap
-                // comes from replaying the wire frames each task moved
-                // through the event simulator afterwards.
-                let wire_start: Vec<usize> = shards.iter().map(|s| s.wire_log().len()).collect();
-                let out: Vec<Option<T>> = shards
-                    .iter_mut()
-                    .zip(tasks)
-                    .map(|(shard, task)| task.map(|f| f(shard)))
-                    .collect();
-                let traffic: Vec<Vec<RoundTrip>> = shards
-                    .iter()
-                    .zip(&wire_start)
-                    .map(|(s, &from)| s.wire_log()[from..].to_vec())
-                    .collect();
-                let report = sim
-                    .run(&traffic)
-                    .expect("one traffic stream per shard link, by construction");
-                sim_wall_clock_sec = Some(report.makespan_sec);
-                out
-            }
             BinTransport::Tcp(_) => panic!(
                 "BinTransport::Tcp episodes are executed by \
                  QbExecutor::run_workload_transported's remote fan-out; \
@@ -186,7 +131,6 @@ impl BinTransport {
         DispatchReport {
             per_shard,
             wall_clock_sec: start.elapsed().as_secs_f64(),
-            sim_wall_clock_sec,
             rounds_per_shard,
         }
     }
@@ -281,68 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_transport_reports_an_overlapped_makespan() {
-        // Each shard task fetches its own rows, moving real wire frames.
-        let link = NetworkModel {
-            bandwidth_bytes_per_sec: 1.0e6,
-            latency_sec: 0.02,
-        };
-        let run = |n: usize| {
-            let mut servers = shards(4);
-            let tasks: Vec<Option<_>> = (0..n as u64)
-                .map(|i| {
-                    Some(move |shard: &mut CloudServer| {
-                        shard.upload_encrypted(rows(i * 100, 3)).unwrap();
-                        shard.scan_encrypted().len()
-                    })
-                })
-                .collect();
-            BinTransport::Simulated(link).dispatch(&mut servers, tasks)
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(four.per_shard, vec![Some(3); 4]);
-        let one_sim = one.sim_wall_clock_sec.expect("simulated");
-        let four_sim = four.sim_wall_clock_sec.expect("simulated");
-        assert!(one_sim > 0.0);
-        // Four shards moving 4x the traffic of one shard finish in far
-        // less than 4x the single-shard simulated time: latency and
-        // transfer genuinely overlap across links.
-        assert!(
-            four_sim < 4.0 * one_sim,
-            "simulated {four_sim} must overlap vs serial {}",
-            4.0 * one_sim
-        );
-        // Sequential/Threaded transports report no simulated clock.
-        let mut servers = shards(1);
-        let report = BinTransport::Sequential
-            .dispatch::<usize, _>(&mut servers, vec![Some(|_: &mut CloudServer| 1)]);
-        assert!(report.sim_wall_clock_sec.is_none());
-    }
-
-    #[test]
-    fn simulate_wire_traffic_matches_the_network_model_on_one_link() {
-        let link = NetworkModel {
-            bandwidth_bytes_per_sec: 1000.0,
-            latency_sec: 0.5,
-        };
-        let traffic = vec![vec![
-            pds_proto::RoundTrip {
-                up_bytes: 250,
-                down_bytes: 250,
-            },
-            pds_proto::RoundTrip {
-                up_bytes: 0,
-                down_bytes: 500,
-            },
-        ]];
-        let report = simulate_wire_traffic(link, &traffic).unwrap();
-        // Two round trips of (latency 0.5 + 500B/1000Bps) = 1.0s each.
-        assert!((report.makespan_sec - 2.0).abs() < 1e-12, "{report:?}");
-        assert_eq!(report.total_bytes, 1000);
-    }
-
-    #[test]
     fn dispatch_reports_per_shard_rounds() {
         for transport in [BinTransport::Sequential, BinTransport::Threaded] {
             let mut servers = shards(3);
@@ -352,12 +234,12 @@ mod tests {
             // Shard 0: two round trips; shard 1: one; shard 2: none.
             let tasks: Vec<Option<BoxedTask>> = vec![
                 Some(Box::new(|shard: &mut CloudServer| {
-                    shard.scan_encrypted();
-                    shard.scan_encrypted();
+                    shard.fetch_encrypted(&[TupleId::new(0)]).unwrap();
+                    shard.fetch_encrypted(&[TupleId::new(1)]).unwrap();
                     0
                 })),
                 Some(Box::new(|shard: &mut CloudServer| {
-                    shard.scan_encrypted();
+                    shard.fetch_encrypted(&[TupleId::new(100)]).unwrap();
                     0
                 })),
                 None,

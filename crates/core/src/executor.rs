@@ -623,7 +623,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
             let mut out: Vec<Tuple> = Vec::with_capacity(ns.len() + s.len());
             for t in s {
-                if !fake_ids.contains(&t.id) && !DbOwner::is_fake(&t) && keep(&t) {
+                if !fake_ids.contains(&t.id) && keep(&t) {
                     out.push(t);
                 }
             }
@@ -753,13 +753,13 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             );
         }
 
-        // Fan the per-shard episode streams out.  Locally (sequential,
-        // threaded, simulated) each task owns its episode steps, the
+        // Fan the per-shard episode streams out.  Locally (sequential or
+        // threaded) each task owns its episode steps, the
         // disjoint `&mut` of its engine, and a forked owner (same keys,
         // private counters) so it is `Send` as a whole; over TCP the same
         // per-shard tasks drive checked-out daemon connections instead.
         let per_shard_steps = std::mem::take(&mut plan.per_shard);
-        let (slots, wall_clock_sec, sim_wall_clock_sec, mut rounds) = match transport {
+        let (slots, wall_clock_sec, mut rounds) = match transport {
             BinTransport::Tcp(client) => {
                 let (slots, wall, rounds) = tcp_fan_out(
                     owner,
@@ -768,7 +768,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                     per_shard_steps,
                     self.pipeline_window,
                 );
-                (slots, wall, None, rounds)
+                (slots, wall, rounds)
             }
             local => {
                 let mut tasks: Vec<Option<_>> = Vec::with_capacity(shard_count);
@@ -795,12 +795,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 }
                 let report = local.dispatch(cloud.shards_mut(), tasks);
                 let rounds = report.total_rounds();
-                (
-                    report.per_shard,
-                    report.wall_clock_sec,
-                    report.sim_wall_clock_sec,
-                    rounds,
-                )
+                (report.per_shard, report.wall_clock_sec, rounds)
             }
         };
 
@@ -861,7 +856,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         Ok(TransportedRun {
             answers,
             wall_clock_sec,
-            sim_wall_clock_sec,
             cache_hits,
             cache_misses,
             rounds,
@@ -942,11 +936,6 @@ pub struct TransportedRun {
     /// Measured wall-clock seconds of the shard fan-out (excludes
     /// owner-side cache serving and the final merge).
     pub wall_clock_sec: f64,
-    /// Simulated-network wall-clock of the fan-out's wire traffic —
-    /// `Some` when the batch ran over [`BinTransport::Simulated`]: every
-    /// frame the shards moved, replayed through the event-driven
-    /// `pds_proto::NetSim`, with per-shard latency overlapping.
-    pub sim_wall_clock_sec: Option<f64>,
     /// Queries answered from the owner-side hot-bin cache.
     pub cache_hits: usize,
     /// Queries that fetched their bin pair from a shard.
@@ -1021,8 +1010,8 @@ fn tcp_fan_out<E: SecureSelectionEngine>(
     (slots, wall_clock_sec, rounds)
 }
 
-/// `qmerge` of §II for a point query: drop fakes (by id and by marker),
-/// keep only tuples matching the queried value — and the residual
+/// `qmerge` of §II for a point query: drop fakes (by id), keep only
+/// tuples matching the queried value — and the residual
 /// predicate, when one is in force — then concatenate both streams.
 ///
 /// The residual is applied owner-side *unconditionally*: on the sensitive
@@ -1042,11 +1031,7 @@ fn merge_point_answer(
     let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
     let mut answer: Vec<Tuple> = Vec::new();
     for t in s_tuples {
-        if !fake_ids.contains(&t.id)
-            && !DbOwner::is_fake(&t)
-            && t.value(s_attr) == value
-            && keep(&t)
-        {
+        if !fake_ids.contains(&t.id) && t.value(s_attr) == value && keep(&t) {
             answer.push(t);
         }
     }
@@ -1176,7 +1161,9 @@ mod tests {
             let got = executor.select(&mut owner, &mut cloud, &value).unwrap();
             assert_eq!(got.len(), expected, "answer size for {eid}");
             assert!(got.iter().all(|t| t.value(attr) == &value));
-            assert!(got.iter().all(|t| !DbOwner::is_fake(t)));
+            assert!(got
+                .iter()
+                .all(|t| !executor.fake_tuple_ids().contains(&t.id)));
         }
     }
 
@@ -1485,11 +1472,7 @@ mod tests {
             })
             .collect();
 
-        for transport in [
-            BinTransport::Sequential,
-            BinTransport::Threaded,
-            BinTransport::Simulated(NetworkModel::lan()),
-        ] {
+        for transport in [BinTransport::Sequential, BinTransport::Threaded] {
             let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
             let mut exec =
                 QbExecutor::new(binning, NonDetScanEngine::new()).with_cache_capacity(32);
@@ -1511,13 +1494,6 @@ mod tests {
                 .collect();
             assert_eq!(got, expected, "{transport:?}");
             assert!(run.wall_clock_sec > 0.0);
-            match transport {
-                BinTransport::Simulated(_) => {
-                    let sim = run.sim_wall_clock_sec.expect("simulated transport");
-                    assert!(sim > 0.0, "simulated network clock must advance");
-                }
-                _ => assert!(run.sim_wall_clock_sec.is_none(), "{transport:?}"),
-            }
             // The doubled workload repeats every pair within the one batch:
             // repeats wait for the first occurrence's fetch and count as
             // hits, so at least half the batch is served owner-side — and a

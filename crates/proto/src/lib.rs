@@ -1,7 +1,6 @@
 //! # pds-proto
 //!
-//! The **byte-accurate owner↔cloud wire protocol** plus an **event-driven
-//! network simulator**.
+//! The **byte-accurate owner↔cloud wire protocol**.
 //!
 //! Until this crate existed, every `bytes_uploaded` / `bytes_downloaded`
 //! number in the workspace was an *estimate* (`Value::size_bytes` sums) —
@@ -16,16 +15,12 @@
 //!   [`ErrorFrame`], plus an [`WireMessage::Opaque`] escape hatch for
 //!   engine-specific token sets).  `pds-cloud` encodes the *actual* traffic
 //!   of every owner↔cloud interaction through these and charges the
-//!   encoded frame lengths to its metrics, so bytes moved are measured off
-//!   the wire.
+//!   encoded frame lengths to its metrics and its network clock
+//!   (`latency + bytes/bandwidth` per exchange), so bytes moved and
+//!   communication time are measured off the wire.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
-//! * [`netsim`] — a deterministic discrete-event simulator over per-shard
-//!   FIFO links.  Round trips on different links overlap on one virtual
-//!   clock, so the reported makespan shows per-shard latency genuinely
-//!   overlapping (`pds_cloud::BinTransport::Simulated` and the
-//!   `experiments wire` sweep are built on it).
 //!
 //! Layering: this crate depends only on `pds-common` (values, errors) and
 //! `pds-storage` (tuples).  Ciphertexts travel as opaque byte strings
@@ -36,7 +31,6 @@
 
 pub mod frame;
 pub mod messages;
-pub mod netsim;
 pub mod pool;
 
 pub use frame::{
@@ -48,5 +42,4 @@ pub use messages::{
     error_frame, msg_tag, Ack, BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello,
     InsertRequest, WireMessage, WireRow,
 };
-pub use netsim::{LinkSpec, NetSim, RoundTrip, SimReport};
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

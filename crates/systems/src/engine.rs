@@ -171,13 +171,14 @@ pub trait SecureSelectionEngine: Send {
 }
 
 /// Owner-side decrypt-and-filter over fetched sensitive rows: decrypts
-/// every tuple ciphertext, drops fake/padding tuples, and keeps only
-/// tuples whose searchable attribute is one of the requested `values`.
+/// every tuple ciphertext and keeps only tuples whose searchable attribute
+/// is one of the requested `values`.  Padding fakes carry a real bin value
+/// there, so they pass; the executor's `qmerge` drops them by tuple id.
 ///
-/// This is the security-relevant half of `qmerge` that every back-end's
-/// selection ends with — kept in one place so no engine's path can drift
-/// (a diverging copy that forgot the fake-drop or the false-positive
-/// filter would leak padding rows into answers).
+/// This is the half of `qmerge` that every back-end's selection ends
+/// with — kept in one place so no engine's path can drift (a diverging
+/// copy that forgot the false-positive filter would leak rows of other
+/// values into answers).
 pub fn decrypt_real_matches(
     owner: &mut DbOwner,
     attr: AttrId,
@@ -187,9 +188,6 @@ pub fn decrypt_real_matches(
     let mut out = Vec::with_capacity(rows.len());
     for (_, ct) in rows {
         let tuple = owner.decrypt_tuple(ct)?;
-        if DbOwner::is_fake(&tuple) {
-            continue;
-        }
         if values.contains(tuple.value(attr)) {
             out.push(tuple);
         }
