@@ -6,8 +6,8 @@
 //!   realistic encrypted rows, at growing row counts (the response shape
 //!   that dominates QB retrieval traffic);
 //! * **composed vs fine-grained** — one [`BinPairRequest`] carrying a whole
-//!   episode versus the multi-round [`FetchBinRequest`] messages the live
-//!   §V-B back-ends send (frame-overhead amortisation).
+//!   episode versus the separate [`FetchBinRequest`] messages of a
+//!   fine-grained episode (frame-overhead amortisation).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pds_common::Value;

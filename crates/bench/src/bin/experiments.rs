@@ -755,7 +755,8 @@ fn print_wire(
 
 /// Prints the heterogeneous-shard run; returns whether the gate held
 /// (exact answers, per-shard + composed security, >= 2 distinct engines,
-/// composed/fine-grained paths consistent with each engine's capability).
+/// one combined request per episode in one round on `BinPairRequest`
+/// shards and two elsewhere).
 fn print_hetero(shards: usize, scale: f64) -> bool {
     // `all --shards 1` still runs the other sharded sections at 1 shard;
     // hetero needs two engines, so the shared flag is floored here (an
@@ -766,13 +767,19 @@ fn print_hetero(shards: usize, scale: f64) -> bool {
     match hetero::run(tuples, shards, 42) {
         Ok(outcome) => {
             println!(
-                "{:>6} {:>14} {:>10} {:>10} {:>8} {:>12} {:>12}",
-                "shard", "engine", "composed", "episodes", "rounds", "BPR frames", "bytes"
+                "{:>6} {:>14} {:>10} {:>8} {:>12} {:>12} {:>12}",
+                "shard", "engine", "episodes", "rounds", "BPR frames", "FBR frames", "bytes"
             );
             for s in &outcome.per_shard {
                 println!(
-                    "{:>6} {:>14} {:>10} {:>10} {:>8} {:>12} {:>12}",
-                    s.shard, s.engine, s.composed, s.episodes, s.rounds, s.bin_pair_frames, s.bytes
+                    "{:>6} {:>14} {:>10} {:>8} {:>12} {:>12} {:>12}",
+                    s.shard,
+                    s.engine,
+                    s.episodes,
+                    s.rounds,
+                    s.bin_pair_frames,
+                    s.fetch_frames,
+                    s.bytes
                 );
             }
             println!(
@@ -812,25 +819,17 @@ fn print_planner(scale: f64) -> bool {
     match planner::run(tuples, 42) {
         Ok(outcome) => {
             println!(
-                "{:>14} {:>6} {:>10} {:>8} {:>16} {:>10} {:>10} {:>12}",
-                "scenario",
-                "shard",
-                "advantage",
-                "obliv?",
-                "engine",
-                "composed",
-                "pushdown",
-                "est (s)"
+                "{:>14} {:>6} {:>10} {:>8} {:>16} {:>10} {:>12}",
+                "scenario", "shard", "advantage", "obliv?", "engine", "pushdown", "est (s)"
             );
             for p in &outcome.plans {
                 println!(
-                    "{:>14} {:>6} {:>10.3} {:>8} {:>16} {:>10} {:>10} {:>12.6}",
+                    "{:>14} {:>6} {:>10.3} {:>8} {:>16} {:>10} {:>12.6}",
                     p.scenario,
                     p.shard,
                     p.advantage,
                     p.oblivious_required,
                     p.engine,
-                    p.composed,
                     p.pushdown,
                     p.estimated_sec
                 );

@@ -159,9 +159,9 @@ pub struct ShardedCostBreakdown {
     /// deployment enabled one).
     pub cache_hits: usize,
     /// Owner↔cloud rounds over every episode of the workload (what the
-    /// paper's cost model charges as `rounds × latency`): composed
-    /// `BinPairRequest` episodes contribute one round each, fine-grained
-    /// episodes as many as their back-end's procedure needs.
+    /// paper's cost model charges as `rounds × latency`): one per composed
+    /// episode of a back-end whose tokens the cloud resolves, two per
+    /// composed episode of one that locates its rows by address first.
     pub rounds: u64,
     /// Number of shards the workload ran over.
     pub shards: usize,
@@ -214,10 +214,10 @@ pub fn sharded_qb_deployment<E: SecureSelectionEngine>(
 /// Builds and outsources a **heterogeneous** sharded QB deployment: one
 /// explicit boxed engine per shard (shard count = `engines.len()`), so
 /// different secure back-ends serve different shards of the same
-/// deployment.  Planning consults each shard's engine individually:
-/// composed one-round back-ends answer their episodes with a single
-/// `BinPairRequest`, multi-round ones run the fine-grained path, side by
-/// side in one workload.
+/// deployment.  Each shard's episodes run through its own engine:
+/// one-round back-ends answer with a single `BinPairRequest`, and
+/// back-ends that locate rows by address add their locating round before
+/// one values+ids `FetchBinRequest`, side by side in one workload.
 pub fn hetero_qb_deployment(
     relation: &Relation,
     alpha: f64,

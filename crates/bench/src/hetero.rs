@@ -11,9 +11,11 @@
 //!   baseline;
 //! * partitioned data security holds on **every shard's own view** and on
 //!   the **composed** coalition view;
-//! * composed-capable shards really answer in one round per episode
-//!   (visible in their per-shard `BinPairRequest` frame counters), while
-//!   multi-round back-ends run fine-grained on the same workload.
+//! * every episode crosses the wire in the shape its shard's back-end
+//!   needs, visible in the per-shard frame counters: one `BinPairRequest`
+//!   round on shards whose tokens the cloud resolves (det-index, arx, the
+//!   Opaque simulator), and on the No-Ind shard a column download plus one
+//!   values+ids `FetchBinRequest`.
 
 use pds_adversary::check_sharded_partitioned_security;
 use pds_cloud::{msg_tag, BinTransport, NetworkModel};
@@ -32,14 +34,14 @@ pub struct HeteroShard {
     pub shard: usize,
     /// Name of the back-end serving this shard.
     pub engine: &'static str,
-    /// Whether this back-end answers composed one-round episodes.
-    pub composed: bool,
     /// Episodes this shard served.
     pub episodes: usize,
     /// Owner↔cloud rounds this shard served.
     pub rounds: u64,
     /// Composed `BinPairRequest` frames this shard saw.
     pub bin_pair_frames: u64,
+    /// `FetchBinRequest` frames this shard saw.
+    pub fetch_frames: u64,
     /// Bytes this shard moved (measured frame lengths).
     pub bytes: u64,
 }
@@ -60,8 +62,9 @@ pub struct HeteroOutcome {
     pub exact: bool,
     /// Whether partitioned data security held per shard and composed.
     pub secure: bool,
-    /// Whether every composed-capable shard served all its episodes as
-    /// one-round `BinPairRequest`s and every multi-round shard served none.
+    /// Whether every shard served each episode with exactly one combined
+    /// request (a `BinPairRequest` or a `FetchBinRequest`), in one round on
+    /// `BinPairRequest` shards and two elsewhere.
     pub paths_consistent: bool,
 }
 
@@ -72,8 +75,9 @@ impl HeteroOutcome {
     }
 }
 
-/// The default mixed fleet, cycled over `shards` shards: two one-round
-/// composed back-ends interleaved with two multi-round ones.
+/// The default mixed fleet, cycled over `shards` shards: det-index, No-Ind
+/// scan, Arx and the Opaque simulator — three one-round back-ends and one
+/// that locates its rows by address first.
 pub fn default_engines(shards: usize) -> Vec<Box<dyn SecureSelectionEngine>> {
     (0..shards)
         .map(|i| -> Box<dyn SecureSelectionEngine> {
@@ -154,25 +158,22 @@ pub fn run(tuples: usize, shards: usize, seed: u64) -> Result<HeteroOutcome> {
     for (idx, shard) in dep.router.shards().iter().enumerate() {
         let engine = &dep.executor.shard_engines()[idx];
         let delta = shard.metrics().delta_since(&before[idx]);
-        let episodes = shard.adversarial_view().len();
-        let composed = engine.composes_episodes();
+        let episodes = shard.adversarial_view().len() as u64;
         let bin_pair_frames = delta.frames_of_type(msg_tag::BIN_PAIR_REQUEST);
-        // Composed shards answer every episode in exactly one round (one
-        // BinPairRequest frame per episode); fine-grained shards never
-        // move a BinPairRequest frame and need more than one round per
-        // episode.
-        paths_consistent &= if composed {
-            bin_pair_frames as usize == episodes && delta.round_trips as usize == episodes
-        } else {
-            bin_pair_frames == 0 && (episodes == 0 || delta.round_trips as usize > episodes)
-        };
+        let fetch_frames = delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST);
+        // Every episode ends in exactly one combined request: one round in
+        // all on a `BinPairRequest` shard, and the locating round plus the
+        // values+ids `FetchBinRequest` on the others.
+        let rounds_per_episode = if bin_pair_frames > 0 { 1 } else { 2 };
+        paths_consistent &= bin_pair_frames + fetch_frames == episodes
+            && delta.round_trips == rounds_per_episode * episodes;
         per_shard.push(HeteroShard {
             shard: idx,
             engine: engine.name(),
-            composed,
-            episodes,
+            episodes: episodes as usize,
             rounds: delta.round_trips,
             bin_pair_frames,
+            fetch_frames,
             bytes: delta.total_bytes(),
         });
     }
@@ -216,13 +217,18 @@ mod tests {
         // accounted for.
         let episodes: usize = outcome.per_shard.iter().map(|s| s.episodes).sum();
         assert_eq!(episodes, outcome.queries);
-        // Composed shards moved BinPairRequest frames; fine-grained none.
+        // Tag and enclave shards answer in one BinPairRequest round; the
+        // No-Ind shard downloads its column, then sends one values+ids
+        // FetchBinRequest.
         for s in &outcome.per_shard {
-            if s.composed {
-                assert!(s.bin_pair_frames > 0, "{s:?}");
+            let (bin_pairs, fetches, rounds) = if s.engine == "nondet-scan" {
+                (0, s.episodes, 2 * s.episodes)
             } else {
-                assert_eq!(s.bin_pair_frames, 0, "{s:?}");
-            }
+                (s.episodes, 0, s.episodes)
+            };
+            assert_eq!(s.bin_pair_frames as usize, bin_pairs, "{s:?}");
+            assert_eq!(s.fetch_frames as usize, fetches, "{s:?}");
+            assert_eq!(s.rounds as usize, rounds, "{s:?}");
         }
     }
 
@@ -233,10 +239,18 @@ mod tests {
 
     #[test]
     fn default_fleet_cycles_and_mixes() {
-        let engines = default_engines(6);
-        assert_eq!(engines.len(), 6);
-        assert_eq!(engines[0].name(), engines[4].name());
-        assert!(engines[0].composes_episodes());
-        assert!(!engines[1].composes_episodes());
+        let names: Vec<&str> = default_engines(6).iter().map(|e| e.name()).collect();
+        // Three one-round back-ends and the two-round No-Ind scan, cycled.
+        assert_eq!(
+            names,
+            [
+                "det-index",
+                "nondet-scan",
+                "arx-index",
+                "opaque-sim",
+                "det-index",
+                "nondet-scan"
+            ]
+        );
     }
 }

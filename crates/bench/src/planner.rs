@@ -93,8 +93,6 @@ pub struct PlannedShard {
     pub oblivious_required: bool,
     /// The chosen back-end.
     pub engine: String,
-    /// Whether the chosen back-end answers composed one-round episodes.
-    pub composed: bool,
     /// Whether the residual rides the wire to this shard.
     pub pushdown: bool,
     /// The calibrated cost estimate the choice minimised, seconds.
@@ -451,7 +449,6 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
                 advantage: advantages[plan.shard],
                 oblivious_required: plan.oblivious_required,
                 engine: plan.engine.clone(),
-                composed: dep.executor.shard_engines()[plan.shard].composes_episodes(),
                 pushdown: true,
                 estimated_sec: plan.estimated_sec,
             });

@@ -33,8 +33,8 @@ use crate::store::{EncryptedRow, EncryptedStore};
 use crate::view::AdversarialView;
 
 /// The resolved clear-text side of a composed episode: matching tuples,
-/// their ids, the values they matched, and how many tuples the pushed-down
-/// residual filtered out cloud-side.
+/// their ids, the values they matched, and how many tuples the index
+/// matched before the pushed-down residual filtered them cloud-side.
 type ResolvedPlain = (Vec<Tuple>, Vec<TupleId>, Vec<Value>, usize);
 
 /// Encodes a message and returns its frame length, round-trip-verifying the
@@ -77,7 +77,7 @@ fn wire_row(row: &EncryptedRow) -> WireRow {
 }
 
 /// Wire rows for a response that carries only full-tuple ciphertexts.
-fn tuple_ct_rows(out: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
+pub(crate) fn tuple_ct_rows(out: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
     out.iter()
         .map(|(id, ct)| WireRow {
             id: id.raw(),
@@ -217,11 +217,15 @@ impl CloudServer {
     }
 
     /// Notes that the owner sent `count` encrypted (opaque) search values as
-    /// part of the current query (QB sends |SB| of them).  The token bytes
-    /// travel as one opaque frame, so the charged size is the engine's
-    /// payload estimate plus the real framing overhead.
-    pub fn note_encrypted_request(&mut self, count: usize, bytes: usize) {
+    /// part of the current query (QB sends |SB| of them) to a cloud-side
+    /// evaluator — the share servers, the two DPF servers, an SGX enclave
+    /// or an MPC committee — that touched `scanned` stored tuples to
+    /// answer them.  The token bytes travel as one opaque frame, so the
+    /// charged size is the engine's payload estimate plus the real framing
+    /// overhead; no data comes back in this round.
+    pub fn note_encrypted_request(&mut self, count: usize, bytes: usize, scanned: usize) {
         self.view.observe_encrypted_request(count);
+        self.metrics.encrypted_tuples_scanned += scanned as u64;
         self.record_exchange(Some((msg_tag::OPAQUE, pds_proto::encoded_len(bytes))), None);
         self.metrics.round_trips += 1;
     }
@@ -240,55 +244,22 @@ impl CloudServer {
     /// predicate (it is part of the request), which is why residuals must
     /// only mention non-sensitive, non-searchable attributes — the planner
     /// enforces that owner-side before anything reaches this wire path.
+    ///
+    /// The adversary sees the request values and the (residual-filtered)
+    /// matching tuples in clear-text; the request still names the whole
+    /// bin, so bin-level anonymity is exactly what it is without pushdown.
     pub fn plain_select_filtered(
         &mut self,
         values: &[Value],
         residual: Option<&pds_storage::Predicate>,
     ) -> Result<Vec<Tuple>> {
-        let plain = self
-            .plain
-            .as_ref()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let ids = plain.index.lookup_many(values);
-        let matched: Vec<Tuple> = ids
-            .iter()
-            .filter_map(|&id| plain.relation.get(id).cloned())
-            .collect();
-        let scanned = matched.len();
-        let tuples: Vec<Tuple> = match residual {
-            Some(p) => matched.into_iter().filter(|t| p.matches(t)).collect(),
-            None => matched,
-        };
-        let attr = plain.attr;
-
-        // Adversarial view: the request values arrive in clear-text, and the
-        // (residual-filtered) matching tuples go back in clear-text.  The
-        // request side still names the whole bin, so bin-level anonymity is
-        // exactly what it is without pushdown.
-        self.view.observe_plaintext_request(values);
-        let returned_ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
-        let returned_values: Vec<Value> = tuples.iter().map(|t| t.value(attr).clone()).collect();
-        self.view
-            .observe_nonsensitive_result(&returned_ids, &returned_values);
-
-        // Metrics: index lookups, measured frame bytes for request and
-        // response.
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
+        let request = FetchBinRequest {
             values: values.to_vec(),
             ids: Vec::new(),
             tags: Vec::new(),
             predicate: residual.cloned(),
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: tuples.clone(),
-            encrypted_rows: Vec::new(),
-        }));
-        self.metrics.plaintext_index_lookups += values.len() as u64;
-        self.metrics.plaintext_tuples_scanned += scanned as u64;
-        self.metrics.tuples_returned += tuples.len() as u64;
-        self.metrics.round_trips += 1;
-        self.record_exchange(Some(up), Some(down));
-        Ok(tuples)
+        };
+        Ok(self.bin_pair_by_ids(&request)?.0)
     }
 
     /// The outsourced plaintext relation, if any.
@@ -335,38 +306,20 @@ impl CloudServer {
     /// what access-pattern leakage reveals, so they enter the adversarial
     /// view as the sensitive side of the episode.
     pub fn fetch_encrypted(&mut self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
-        let rows = self.encrypted.fetch(ids)?;
-        let out: Vec<(TupleId, Ciphertext)> =
-            rows.iter().map(|r| (r.id, r.tuple_ct.clone())).collect();
-        self.view.observe_sensitive_result(ids);
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
+        let request = FetchBinRequest {
             values: Vec::new(),
             ids: ids.iter().map(|id| id.raw()).collect(),
             tags: Vec::new(),
             predicate: None,
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
-        self.metrics.tuples_returned += out.len() as u64;
-        self.metrics.round_trips += 1;
-        self.record_exchange(Some(up), Some(down));
-        Ok(out)
+        };
+        Ok(self.bin_pair_by_ids(&request)?.1)
     }
 
-    /// Notes that a cloud-side secure execution environment (an SGX enclave
-    /// or an MPC committee) obliviously processed `tuples` encrypted tuples
-    /// without shipping them to the owner.  Only work counters move; no
-    /// data is returned and nothing enters the adversarial view beyond the
-    /// fact that a query arrived.
-    pub fn note_oblivious_scan(&mut self, tuples: usize, request_bytes: usize) {
-        self.metrics.encrypted_tuples_scanned += tuples as u64;
-        self.record_exchange(
-            Some((msg_tag::OPAQUE, pds_proto::encoded_len(request_bytes))),
-            None,
-        );
-        self.metrics.round_trips += 1;
+    /// The tuple ciphertexts stored at `ids`, in request order; an unknown
+    /// id is an error, never a partial result.
+    fn tuple_cts(&self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
+        let rows = self.encrypted.fetch(ids)?;
+        Ok(rows.iter().map(|r| (r.id, r.tuple_ct.clone())).collect())
     }
 
     /// Cloud-side search by opaque tags (deterministic tags or Arx counter
@@ -445,8 +398,7 @@ impl CloudServer {
     /// what makes the composed path strictly cheaper in rounds than the
     /// fine-grained multi-message episode.
     pub fn bin_pair_by_tags(&mut self, request: &BinPairRequest) -> Result<BinPairResult> {
-        let (plain_tuples, ns_ids, ns_values, ns_scanned) =
-            self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
+        let plain = self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
 
         // Sensitive side: match the opaque tokens against the tag index,
         // exactly as `tag_select` would.
@@ -461,17 +413,18 @@ impl CloudServer {
             .filter_map(|&id| self.encrypted.get(id).map(|r| (r.id, r.tuple_ct.clone())))
             .collect();
 
+        let up = frame(&WireMessage::BinPairRequest(request.clone()));
+        let tokens = request.encrypted_values.len();
         self.record_bin_pair_exchange(
-            request,
-            &plain_tuples,
-            ns_scanned,
-            &ns_ids,
-            &ns_values,
+            up,
+            &request.nonsensitive_values,
+            tokens,
+            &plain,
             &ids,
             &rows,
         );
-        self.metrics.plaintext_index_lookups += request.encrypted_values.len() as u64;
-        Ok((plain_tuples, rows))
+        self.metrics.plaintext_index_lookups += tokens as u64;
+        Ok((plain.0, rows))
     }
 
     /// Serves one composed episode whose sensitive side was resolved by a
@@ -486,50 +439,71 @@ impl CloudServer {
         matching: &[TupleId],
         scanned: usize,
     ) -> Result<BinPairResult> {
-        let (plain_tuples, ns_ids, ns_values, ns_scanned) =
-            self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
-        let fetched = self.encrypted.fetch(matching)?;
-        let rows: Vec<(TupleId, Ciphertext)> =
-            fetched.iter().map(|r| (r.id, r.tuple_ct.clone())).collect();
+        let plain = self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
+        let rows = self.tuple_cts(matching)?;
+        let up = frame(&WireMessage::BinPairRequest(request.clone()));
+        let tokens = request.encrypted_values.len();
         self.record_bin_pair_exchange(
-            request,
-            &plain_tuples,
-            ns_scanned,
-            &ns_ids,
-            &ns_values,
+            up,
+            &request.nonsensitive_values,
+            tokens,
+            &plain,
             matching,
             &rows,
         );
         self.metrics.encrypted_tuples_scanned += scanned as u64;
-        Ok((plain_tuples, rows))
+        Ok((plain.0, rows))
     }
 
-    /// Shared accounting of one composed episode: adversarial view, work
+    /// Serves one exchange that fetches by **storage address**: a
+    /// [`FetchBinRequest`] carrying clear-text bin values (with the
+    /// pushed-down residual) and the addresses of encrypted rows, answered
+    /// by one [`BinPayload`] holding both sides.  It is the last round of a
+    /// composed episode whose back-end located its sensitive rows in rounds
+    /// of its own (nondet-scan's column download, the share or DPF
+    /// servers' evaluation) and, with one side empty, the fine-grained
+    /// path's clear-text selection or address fetch.  The addresses enter
+    /// the adversarial view as the episode's sensitive side.  A request
+    /// that also carries search tags is refused: `CloudSession::dispatch`
+    /// resolves those in an exchange of their own.
+    pub fn bin_pair_by_ids(&mut self, request: &FetchBinRequest) -> Result<BinPairResult> {
+        if !request.tags.is_empty() {
+            return Err(PdsError::Cloud(
+                "an address fetch carries no search tags".into(),
+            ));
+        }
+        let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
+        let ids: Vec<TupleId> = request.ids.iter().map(|&id| TupleId::new(id)).collect();
+        let rows = self.tuple_cts(&ids)?;
+        let up = frame(&WireMessage::FetchBinRequest(request.clone()));
+        self.record_bin_pair_exchange(up, &request.values, 0, &plain, &ids, &rows);
+        Ok((plain.0, rows))
+    }
+
+    /// Shared accounting of one bin exchange: adversarial view, work
     /// counters, and the single request/response exchange off the wire.
-    #[allow(clippy::too_many_arguments)]
+    /// `up` is the measured request frame; `plaintext_request` and
+    /// `encrypted_request_size` are what the request showed the cloud.
     fn record_bin_pair_exchange(
         &mut self,
-        request: &BinPairRequest,
-        plain_tuples: &[Tuple],
-        ns_scanned: usize,
-        ns_ids: &[TupleId],
-        ns_values: &[Value],
+        up: Frame,
+        plaintext_request: &[Value],
+        encrypted_request_size: usize,
+        plain: &ResolvedPlain,
         sensitive_ids: &[TupleId],
         rows: &[(TupleId, Ciphertext)],
     ) {
-        self.view
-            .observe_plaintext_request(&request.nonsensitive_values);
-        self.view
-            .observe_encrypted_request(request.encrypted_values.len());
+        let (plain_tuples, ns_ids, ns_values, ns_scanned) = plain;
+        self.view.observe_plaintext_request(plaintext_request);
+        self.view.observe_encrypted_request(encrypted_request_size);
         self.view.observe_nonsensitive_result(ns_ids, ns_values);
         self.view.observe_sensitive_result(sensitive_ids);
-        let up = frame(&WireMessage::BinPairRequest(request.clone()));
         let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: plain_tuples.to_vec(),
+            plain_tuples: plain_tuples.clone(),
             encrypted_rows: tuple_ct_rows(rows),
         }));
-        self.metrics.plaintext_index_lookups += request.nonsensitive_values.len() as u64;
-        self.metrics.plaintext_tuples_scanned += ns_scanned as u64;
+        self.metrics.plaintext_index_lookups += plaintext_request.len() as u64;
+        self.metrics.plaintext_tuples_scanned += *ns_scanned as u64;
         self.metrics.tuples_returned += (plain_tuples.len() + rows.len()) as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
@@ -662,7 +636,7 @@ mod tests {
     fn fetch_encrypted_records_access_pattern() {
         let mut s = server();
         s.begin_query();
-        s.note_encrypted_request(2, 64);
+        s.note_encrypted_request(2, 64, 0);
         let out = s
             .fetch_encrypted(&[TupleId::new(101), TupleId::new(103)])
             .unwrap();
@@ -752,7 +726,7 @@ mod tests {
         let clock = s.comm_time();
         s.begin_query();
         s.plain_select_in(&[Value::from("E259")]).unwrap();
-        s.note_encrypted_request(2, 64);
+        s.note_encrypted_request(2, 64, 0);
         s.fetch_encrypted(&[TupleId::new(101)]).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
@@ -790,7 +764,7 @@ mod tests {
         let before = *s.metrics();
         s.begin_query();
         s.plain_select_in(&[Value::from("E259")]).unwrap();
-        s.note_encrypted_request(2, 64);
+        s.note_encrypted_request(2, 64, 0);
         s.fetch_encrypted(&[TupleId::new(101)]).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
@@ -858,6 +832,63 @@ mod tests {
         // Unknown ids surface as an error, not a partial payload.
         assert!(s
             .bin_pair_oblivious(&BinPairRequest::default(), &[TupleId::new(999)], 0)
+            .is_err());
+    }
+
+    /// A values+ids fetch is one exchange that shows the cloud exactly what
+    /// the clear-text selection and the address fetch show it separately,
+    /// and returns the same tuples and rows.
+    #[test]
+    fn bin_pair_by_ids_folds_two_fetches_into_one_round() {
+        use pds_proto::msg_tag;
+        let values = vec![Value::from("E259"), Value::from("E254")];
+        let ids = [TupleId::new(103), TupleId::new(101)];
+
+        let mut apart = server();
+        let before = *apart.metrics();
+        apart.begin_query();
+        let plain = apart.plain_select_in(&values).unwrap();
+        let rows = apart.fetch_encrypted(&ids).unwrap();
+        apart.end_query();
+        let d_apart = apart.metrics().delta_since(&before);
+
+        let mut folded = server();
+        let before = *folded.metrics();
+        folded.begin_query();
+        let (folded_plain, folded_rows) = folded
+            .bin_pair_by_ids(&FetchBinRequest {
+                values,
+                ids: ids.iter().map(|id| id.raw()).collect(),
+                tags: Vec::new(),
+                predicate: None,
+            })
+            .unwrap();
+        folded.end_query();
+        let d = folded.metrics().delta_since(&before);
+
+        assert_eq!((folded_plain, folded_rows), (plain, rows));
+        assert_eq!(
+            folded.adversarial_view().episodes()[0].observed,
+            apart.adversarial_view().episodes()[0].observed,
+            "the fold shows the cloud nothing new"
+        );
+        assert_eq!(d.round_trips, 1);
+        assert_eq!(d_apart.round_trips, 2);
+        assert_eq!(d.wire_frames, 2, "one request frame, one response frame");
+        assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
+        assert_eq!(d.frames_of_type(msg_tag::BIN_PAYLOAD), 1);
+        assert_eq!(d.tuples_returned, d_apart.tuples_returned);
+        assert_eq!(d.plaintext_index_lookups, d_apart.plaintext_index_lookups);
+        assert!(
+            d.total_bytes() < d_apart.total_bytes(),
+            "one header pair saved"
+        );
+        // Search tags have no place in an address fetch.
+        assert!(folded
+            .bin_pair_by_ids(&FetchBinRequest {
+                tags: vec![vec![0u8]],
+                ..FetchBinRequest::default()
+            })
             .is_err());
     }
 

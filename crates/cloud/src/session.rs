@@ -13,8 +13,11 @@
 //! * **composed episodes** — [`CloudSession::bin_pair_by_tags`] and
 //!   [`CloudSession::bin_pair_oblivious`] carry one whole QB episode as a
 //!   single typed [`BinPairRequest`] frame answered by a single
-//!   [`pds_proto::BinPayload`] frame (one round), for back-ends that can
-//!   resolve a bin-set request cloud-side;
+//!   [`pds_proto::BinPayload`] frame (one round), for back-ends whose
+//!   sensitive side the cloud resolves from the request alone;
+//!   [`CloudSession::bin_pair_by_ids`] carries the clear-text bin together
+//!   with the storage addresses a back-end located in rounds of its own,
+//!   as one `FetchBinRequest` answered by one `BinPayload`;
 //! * **message dispatch** — [`CloudSession::dispatch`] accepts any
 //!   [`WireMessage`] and routes it onto the underlying server, returning
 //!   the typed response message.  A [`crate::ShardDaemon`] feeds every
@@ -22,30 +25,30 @@
 //!   methods directly and the test suite proves both agree.
 //!
 //! Engines run their in-process episodes against `&mut CloudSession`
-//! directly.  Multi-round back-ends reach the raw server through
-//! [`CloudSession::server_mut`], so a fine-grained episode
-//! (attribute-column download, address fetch, …) runs exactly as before
-//! while the session still counts its rounds.  Over TCP an episode never
-//! sees a session: the owner only writes composed `BinPairRequest`s
+//! directly.  Back-ends that locate their sensitive rows by address reach
+//! the raw server through [`CloudSession::server_mut`] for their own
+//! rounds (attribute-column download, share or DPF evaluation), so the
+//! session still counts them.  Over TCP an episode never sees a session:
+//! the owner only writes composed `BinPairRequest`s
 //! (`pds_core::execute_shard_pipelined`), and the daemon serves them here.
 //!
 //! [`pds_core`-compiled]: CloudSession
 
 use pds_common::{PdsError, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
-use pds_proto::{error_frame, Ack, BinPairRequest, BinPayload, WireMessage, WireRow};
+use pds_proto::{error_frame, Ack, BinPairRequest, BinPayload, FetchBinRequest, WireMessage};
 use pds_storage::{Predicate, Tuple};
 
-use crate::server::{BinPairResult, CloudServer};
+use crate::server::{tuple_ct_rows, BinPairResult, CloudServer};
 use crate::store::EncryptedRow;
 
 /// One Query Binning bin-pair episode as the executor hands it to a
 /// back-end: both bin indices plus the value sets of both sides.
 ///
 /// The engine decides how the sensitive side crosses the wire (opaque
-/// tokens for composed one-round back-ends; engine-specific sub-requests
-/// for multi-round ones); the clear-text side always travels as the
-/// non-sensitive values themselves.
+/// tokens the cloud resolves in one round, or storage addresses the
+/// back-end located in rounds of its own); the clear-text side always
+/// travels as the non-sensitive values themselves.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BinEpisodeRequest {
     /// Index of the sensitive bin being retrieved.
@@ -115,9 +118,10 @@ impl<'a> CloudSession<'a> {
         self.server.metrics().round_trips - self.episode_start_rounds
     }
 
-    /// The underlying shard, for multi-round back-ends that drive the
-    /// fine-grained server methods directly (every such call still counts
-    /// toward the open episode's rounds).
+    /// The underlying shard, for back-ends whose own rounds (locating rows
+    /// by address, or the fine-grained selection) drive the server methods
+    /// directly; every such call still counts toward the open episode's
+    /// rounds.
     pub fn server_mut(&mut self) -> &mut CloudServer {
         self.server
     }
@@ -163,6 +167,24 @@ impl<'a> CloudSession<'a> {
             .bin_pair_oblivious(&request.to_wire(tokens), matching, scanned)
     }
 
+    /// The last round of an episode whose back-end located its sensitive
+    /// rows by storage address: the clear-text bin values, the pushed-down
+    /// residual and the located `ids` travel as one `FetchBinRequest`
+    /// frame, answered by one payload frame (see
+    /// [`CloudServer::bin_pair_by_ids`]).
+    pub fn bin_pair_by_ids(
+        &mut self,
+        request: &BinEpisodeRequest,
+        ids: &[TupleId],
+    ) -> Result<BinPairResult> {
+        self.server.bin_pair_by_ids(&FetchBinRequest {
+            values: request.nonsensitive_values.clone(),
+            ids: ids.iter().map(|id| id.raw()).collect(),
+            tags: Vec::new(),
+            predicate: request.pushdown.clone(),
+        })
+    }
+
     /// Dispatches one typed wire message onto the shard and returns the
     /// typed response.  Unsupported message kinds come back as
     /// [`WireMessage::Error`] rather than panicking — a remote peer can
@@ -171,13 +193,14 @@ impl<'a> CloudSession<'a> {
     /// Two caveats distinguish this message-level adapter from the typed
     /// methods the in-process executor uses:
     ///
-    /// * **accounting granularity** — the underlying server charges one
-    ///   exchange per *operation*, so a `FetchBinRequest` combining values,
-    ///   ids and tags (or an `InsertRequest` mixing plain tuples and
-    ///   encrypted rows) is charged as several exchanges even though a
-    ///   remote peer framed it once.  The owner's TCP client never combines
-    ///   flavours in one message (its episodes are single `BinPairRequest`s),
-    ///   so its accounting stays frame-accurate.
+    /// * **accounting granularity** — a `FetchBinRequest` is one exchange
+    ///   ([`CloudServer::bin_pair_by_ids`]) unless it also carries search
+    ///   tags: the tags are then resolved as an exchange of their own, so a
+    ///   frame the peer sent once is charged as two.  An `InsertRequest`
+    ///   mixing plain tuples and encrypted rows is likewise charged per
+    ///   operation.  The owner's TCP client never sends either (its
+    ///   episodes are single `BinPairRequest`s), so its accounting stays
+    ///   frame-accurate.
     /// * **sensitive-side resolution** — a `BinPairRequest`'s opaque tokens
     ///   are resolved against the cloud-side tag index.  Back-ends whose
     ///   tokens are *not* tags (the Opaque/Jana enclave simulators) cannot
@@ -189,25 +212,23 @@ impl<'a> CloudSession<'a> {
     pub fn dispatch(&mut self, msg: &WireMessage) -> Result<WireMessage> {
         let _span = pds_obs::obs_span("cloud.dispatch");
         match msg {
+            WireMessage::FetchBinRequest(req) if req.tags.is_empty() => {
+                let (plain_tuples, rows) = self.server.bin_pair_by_ids(req)?;
+                Ok(bin_payload(plain_tuples, &rows))
+            }
             WireMessage::FetchBinRequest(req) => {
-                let mut payload = BinPayload::default();
-                if !req.values.is_empty() {
-                    payload.plain_tuples = self
-                        .server
-                        .plain_select_filtered(&req.values, req.predicate.as_ref())?;
-                }
-                if !req.ids.is_empty() {
-                    let ids: Vec<TupleId> = req.ids.iter().map(|&id| TupleId::new(id)).collect();
-                    payload
-                        .encrypted_rows
-                        .extend(rows_to_wire(&self.server.fetch_encrypted(&ids)?));
-                }
-                if !req.tags.is_empty() {
-                    payload
-                        .encrypted_rows
-                        .extend(rows_to_wire(&self.server.tag_select(&req.tags)));
-                }
-                Ok(WireMessage::BinPayload(payload))
+                // Search tags are resolved in an exchange of their own (the
+                // accounting caveat above).
+                let (plain_tuples, mut rows) = if req.values.is_empty() && req.ids.is_empty() {
+                    (Vec::new(), Vec::new())
+                } else {
+                    self.server.bin_pair_by_ids(&FetchBinRequest {
+                        tags: Vec::new(),
+                        ..req.clone()
+                    })?
+                };
+                rows.extend(self.server.tag_select(&req.tags));
+                Ok(bin_payload(plain_tuples, &rows))
             }
             WireMessage::BinPairRequest(req) => {
                 if !req.encrypted_values.is_empty() && !self.server.encrypted_store().has_tags() {
@@ -218,10 +239,7 @@ impl<'a> CloudSession<'a> {
                     ))));
                 }
                 let (plain_tuples, rows) = self.server.bin_pair_by_tags(req)?;
-                Ok(WireMessage::BinPayload(BinPayload {
-                    plain_tuples,
-                    encrypted_rows: rows_to_wire(&rows),
-                }))
+                Ok(bin_payload(plain_tuples, &rows))
             }
             WireMessage::InsertRequest(req) => {
                 let mut items = 0u64;
@@ -253,16 +271,12 @@ impl<'a> CloudSession<'a> {
     }
 }
 
-/// Converts `(id, tuple ciphertext)` results to their wire rows.
-fn rows_to_wire(rows: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
-    rows.iter()
-        .map(|(id, ct)| WireRow {
-            id: id.raw(),
-            attr_ct: Vec::new(),
-            tuple_ct: ct.as_bytes().to_vec(),
-            search_tags: Vec::new(),
-        })
-        .collect()
+/// The payload frame answering a bin request.
+fn bin_payload(plain_tuples: Vec<Tuple>, rows: &[(TupleId, Ciphertext)]) -> WireMessage {
+    WireMessage::BinPayload(BinPayload {
+        plain_tuples,
+        encrypted_rows: tuple_ct_rows(rows),
+    })
 }
 
 #[cfg(test)]
@@ -270,7 +284,7 @@ mod tests {
     use super::*;
     use crate::network::NetworkModel;
     use pds_crypto::NonDetCipher;
-    use pds_proto::FetchBinRequest;
+    use pds_proto::WireRow;
     use pds_storage::{DataType, Relation, Schema};
 
     fn server() -> CloudServer {
@@ -350,7 +364,29 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
 
-        // Fetch by tags and by ids in one message.
+        // Fetch by values and by ids in one message: one exchange.
+        let rounds = session.server().metrics().round_trips;
+        let resp = session
+            .dispatch(&WireMessage::FetchBinRequest(FetchBinRequest {
+                values: vec![Value::from("E199")],
+                ids: vec![102, 100],
+                tags: Vec::new(),
+                predicate: None,
+            }))
+            .unwrap();
+        match resp {
+            WireMessage::BinPayload(p) => {
+                assert_eq!(p.plain_tuples.len(), 1);
+                let ids: Vec<u64> = p.encrypted_rows.iter().map(|r| r.id).collect();
+                assert_eq!(ids, [102, 100]);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(session.server().metrics().round_trips, rounds + 1);
+
+        // Fetch by tags and by ids in one message: the tags are charged as
+        // an exchange of their own.
+        let rounds = session.server().metrics().round_trips;
         let resp = session
             .dispatch(&WireMessage::FetchBinRequest(FetchBinRequest {
                 values: Vec::new(),
@@ -363,6 +399,7 @@ mod tests {
             WireMessage::BinPayload(p) => assert_eq!(p.encrypted_rows.len(), 2),
             other => panic!("unexpected response {other:?}"),
         }
+        assert_eq!(session.server().metrics().round_trips, rounds + 2);
 
         // Composed bin pair.
         let resp = session

@@ -11,8 +11,8 @@
 //!    [`crate::plan::QueryPlan`]: Algorithm 2 rewrites each value into one
 //!    bin pair, the owner-side hot-bin cache serves what it can, and the
 //!    remaining episodes are grouped by the shard hosting their sensitive
-//!    bin, each marked composed (single-round `BinPairRequest`) or
-//!    fine-grained according to that shard's engine.
+//!    bin, each marked composed (the clear-text bin rides the sensitive
+//!    side's last exchange) or fine-grained according to the plan mode.
 //! 3. **Execution** — every planned episode runs as one adversarial-view
 //!    episode on its shard: in process through a
 //!    [`pds_cloud::CloudSession`], or over TCP through
@@ -66,9 +66,10 @@ pub struct SelectionStats {
     /// 1 when this retrieval had to fetch its bin pair from the cloud,
     /// else 0.
     pub cache_misses: usize,
-    /// Owner↔cloud rounds the retrieval took (0 on a cache hit; 1 when the
-    /// episode ran as a composed `BinPairRequest`; more on the fine-grained
-    /// multi-round path).
+    /// Owner↔cloud rounds the retrieval took (0 on a cache hit; composed,
+    /// 1 on back-ends whose tokens the cloud resolves and 2 on back-ends
+    /// that locate rows by address; one more on the fine-grained path, two
+    /// more for the enclave/MPC simulators).
     pub rounds: u64,
 }
 
@@ -175,9 +176,9 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Sets how episodes are shaped on the wire: [`PlanMode::Composed`]
-    /// (the default — one-round `BinPairRequest`s wherever the shard's
-    /// engine supports them) or [`PlanMode::FineGrained`] (force the
-    /// multi-round path everywhere, for baseline comparisons).
+    /// (the default — the clear-text bin rides the sensitive side's last
+    /// exchange) or [`PlanMode::FineGrained`] (separate messages, one
+    /// round more, for baseline comparisons).
     pub fn set_plan_mode(&mut self, mode: PlanMode) {
         self.plan_mode = mode;
     }
@@ -318,10 +319,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// Outsources with an explicit engine per shard instead of forking the
     /// prototype — a **heterogeneous** deployment when `E` is
     /// `Box<dyn SecureSelectionEngine>` and the boxes hold different
-    /// back-ends.  Each shard's episodes run through its own engine, and
-    /// planning consults each engine's composed-episode capability
-    /// individually, so one-round and multi-round back-ends mix freely in
-    /// one deployment.
+    /// back-ends.  Each shard's episodes run through its own engine, so
+    /// one-round and two-round back-ends mix freely in one deployment.
     pub fn outsource_with_engines<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -452,9 +451,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Compiles the episode step retrieving one bin pair: routed to the
-    /// shard hosting the sensitive bin, composed iff the plan mode allows
-    /// it and that shard's engine can answer a bin-set request in one
-    /// round.
+    /// shard hosting the sensitive bin, composed iff the plan mode is
+    /// [`PlanMode::Composed`].
     // pds-allow: plaintext-egress(BinEpisodeRequest is the owner-side episode description, not a wire frame: sensitive_values leave only as pds_crypto search tags when the session encodes the episode, and set_planner rejects residuals mentioning sensitive or searchable attributes before wire_residual will release one)
     fn compile_step<C: BinRoutedCloud>(
         &self,
@@ -462,17 +460,11 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         index: usize,
         pair: BinPair,
     ) -> EpisodeStep {
-        let shard = cloud.route_sensitive_bin(pair.sensitive_bin);
-        let composed = self.plan_mode == PlanMode::Composed
-            && self
-                .shard_engines
-                .get(shard)
-                .is_some_and(SecureSelectionEngine::composes_episodes);
         EpisodeStep {
             index,
             pair,
-            shard,
-            composed,
+            shard: cloud.route_sensitive_bin(pair.sensitive_bin),
+            composed: self.plan_mode == PlanMode::Composed,
             request: BinEpisodeRequest {
                 sensitive_bin: pair.sensitive_bin,
                 nonsensitive_bin: pair.nonsensitive_bin,
@@ -881,7 +873,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// Compiles one batch into a [`QueryPlan`]: resolves each value to its
     /// bin pair, serves what the owner-side cache can, defers in-batch
     /// repeats as waiters, and groups the remaining episodes by home shard
-    /// with their composed/fine-grained shape decided per shard engine.
+    /// in the plan mode's composed or fine-grained shape.
     fn plan_workload<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -941,8 +933,8 @@ pub struct TransportedRun {
     /// Queries that fetched their bin pair from a shard.
     pub cache_misses: usize,
     /// Total owner↔cloud rounds over every episode of the batch (cache
-    /// hits contribute none; composed episodes one each; fine-grained
-    /// episodes as many as their back-end's §V-B procedure needs).
+    /// hits contribute none; each episode as many as
+    /// [`SelectionStats::rounds`] describes).
     pub rounds: u64,
 }
 

@@ -31,10 +31,10 @@
 //!   parts, rewriting each query into its bin pair, running the encrypted
 //!   and clear-text sub-queries, and merging/filtering at the owner;
 //! * [`plan`] — the plan→session pipeline: batches compile into
-//!   [`plan::QueryPlan`]s of per-shard episode steps (composed one-round
-//!   `BinPairRequest`s where the back-end supports them, fine-grained
-//!   multi-round episodes otherwise) executed through
-//!   [`pds_cloud::CloudSession`]s;
+//!   [`plan::QueryPlan`]s of per-shard episode steps (composed: the
+//!   clear-text bin rides the sensitive side's last exchange, one round
+//!   or two by back-end; fine-grained: separate messages) executed
+//!   through [`pds_cloud::CloudSession`]s;
 //! * [`planner`] — the cost-based optimizer over that pipeline: a
 //!   calibrated [`planner::CostModel`] picks each shard's back-end under a
 //!   workload-skew security constraint, residual predicates push below the

@@ -17,11 +17,14 @@
 //!
 //! Each [`EpisodeStep`] runs as one adversarial-view episode through a
 //! [`CloudSession`] on the shard hosting its sensitive bin.  A step is
-//! either **composed** — the back-end answers the whole bin-pair request in
-//! a single `BinPairRequest`/`BinPayload` round — or **fine-grained**, the
-//! multi-round §V-B procedure, chosen per shard from the engine's
-//! [`SecureSelectionEngine::composes_episodes`] capability and the
-//! executor's [`PlanMode`].
+//! either **composed** — the clear-text bin travels in the same exchange
+//! as the sensitive side's last round — or **fine-grained**, with the
+//! clear-text selection as a message of its own, as the executor's
+//! [`PlanMode`] says.  Composed, a back-end whose tokens the cloud resolves
+//! (det-index, arx, the enclave/MPC simulators) takes one round; one that
+//! must first locate its rows by storage address (nondet-scan, secret
+//! sharing, DPF) takes two, the floor once the addresses come from a round
+//! of their own.
 
 use std::collections::VecDeque;
 
@@ -37,14 +40,18 @@ use crate::binning::BinPair;
 /// How the executor chooses the wire shape of each episode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Engines that can answer a composed bin-pair request in one round do
-    /// so; multi-round engines fall back to the fine-grained path.
+    /// Every episode sends its clear-text bin in the same exchange as its
+    /// sensitive side's last round
+    /// ([`SecureSelectionEngine::select_bin_episode`]): one round on
+    /// back-ends whose tokens the cloud resolves, two on back-ends that
+    /// locate their rows by storage address first.
     #[default]
     Composed,
-    /// Every episode runs the fine-grained multi-round path, whatever the
-    /// engine supports — the pre-refactor behaviour, kept selectable so
-    /// equivalence tests and the `experiments wire` rounds gate can compare
-    /// the two paths on identical deployments.
+    /// Every episode sends the clear-text selection and the sensitive
+    /// side's rounds as separate messages
+    /// ([`pds_systems::fine_grained_bin_episode`]), one round more — the
+    /// reference the equivalence tests and the `experiments wire` rounds
+    /// gate compare the composed path against on identical deployments.
     FineGrained,
 }
 
@@ -58,7 +65,9 @@ pub struct EpisodeStep {
     pub pair: BinPair,
     /// Shard hosting the sensitive bin (the whole episode runs there).
     pub shard: usize,
-    /// Whether the episode runs as one composed single-round request.
+    /// Whether the episode runs composed (the clear-text bin rides the
+    /// sensitive side's last exchange) rather than fine-grained; set from
+    /// the executor's [`PlanMode`].
     pub composed: bool,
     /// The bin-pair request handed to the back-end.
     pub request: BinEpisodeRequest,
@@ -105,7 +114,7 @@ impl QueryPlan {
         self.per_shard.iter().map(Vec::len).sum()
     }
 
-    /// Number of episodes that run as composed single-round requests.
+    /// Number of episodes that run composed.
     pub fn composed_step_count(&self) -> usize {
         self.per_shard
             .iter()
@@ -171,14 +180,16 @@ pub type PipelinedBatch = (Vec<(usize, BinPair, EpisodeResult)>, u64);
 ///
 /// The shard lives in a [`pds_cloud::ShardDaemon`]'s address space, so
 /// only composed episodes whose tokens the daemon's tag index resolves can
-/// travel.  Two kinds of back-end are refused with a typed
-/// [`PdsError::Wire`] naming the back-end, before any episode request is
-/// written:
+/// travel.  Two kinds of step are refused with a typed [`PdsError::Wire`]
+/// naming the back-end, before any episode request is written:
 ///
-/// * a **fine-grained** step (a multi-round back-end, or any back-end
-///   under [`PlanMode::FineGrained`]) needs in-process server access;
-/// * a back-end whose `composed_wire_tags` is `None` (the enclave/MPC
-///   simulators) resolves its tokens engine-side.
+/// * a **fine-grained** step (any back-end under
+///   [`PlanMode::FineGrained`]) needs in-process server access;
+/// * a step of a back-end whose `composed_wire_tags` is `None` locates its
+///   sensitive rows engine-side: nondet-scan, secret sharing and DPF in
+///   rounds of their own before the address fetch, the enclave/MPC
+///   simulators inside the enclave.  Serving them here would need the
+///   daemon to bracket one episode across several messages.
 ///
 /// Failure handling:
 ///
@@ -202,8 +213,8 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     let _span = pds_obs::obs_span("episode.pipelined");
     if steps.iter().any(|step| !step.composed) {
         return Err(PdsError::Wire(format!(
-            "the {} back-end plans fine-grained multi-round episodes, which \
-             need in-process server access; only composed single-round \
+            "the {} back-end was planned fine-grained (PlanMode::FineGrained), \
+             which needs in-process server access; only composed single-round \
              episodes travel over BinTransport::Tcp",
             engine.name()
         )));
@@ -224,9 +235,10 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
                 .composed_wire_tags(owner, &step.request)?
                 .ok_or_else(|| {
                     PdsError::Wire(format!(
-                        "the {} back-end resolves its composed episodes engine-side \
-                         (enclave/MPC simulation); only episodes whose tokens the \
-                         daemon's tag index resolves travel over BinTransport::Tcp",
+                        "the {} back-end locates its sensitive rows engine-side (a \
+                         column download, share or DPF evaluation, or enclave scan); \
+                         only episodes whose tokens the daemon's tag index resolves \
+                         travel over BinTransport::Tcp",
                         engine.name()
                     ))
                 })?;

@@ -26,7 +26,7 @@ use pds_common::{PdsError, TupleId, Value};
 use pds_core::{
     execute_shard_pipelined, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning,
 };
-use pds_proto::{read_frame, BinPayload, InsertRequest, ReadFrame, WireMessage};
+use pds_proto::{read_frame, BinPayload, FetchBinRequest, InsertRequest, ReadFrame, WireMessage};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
 use pds_systems::oblivious::opaque_sim;
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
@@ -179,14 +179,15 @@ fn eight_concurrent_tcp_owners_match_the_threaded_transport() {
     }
 }
 
-/// A fine-grained back-end (nondet-scan) and an enclave simulator whose
-/// tokens only it can resolve (opaque-sim) are both refused with a typed
-/// error naming the back-end, and no daemon serves a single episode.
+/// A back-end that locates its rows by storage address in rounds of its
+/// own (nondet-scan) and an enclave simulator whose tokens only it can
+/// resolve (opaque-sim) are both refused with a typed error naming the
+/// back-end, and no daemon serves a single episode.
 #[test]
 fn a_fine_grained_engine_is_refused_over_tcp_with_a_typed_error() {
     const SHARDS: usize = 2;
     let engines: [(Box<dyn SecureSelectionEngine>, &str); 2] = [
-        (Box::new(NonDetScanEngine::new()), "fine-grained"),
+        (Box::new(NonDetScanEngine::new()), "column download"),
         (Box::new(opaque_sim()), "engine-side"),
     ];
     for (engine, reason) in engines {
@@ -535,6 +536,69 @@ fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
         "bytes written vs daemons' uploaded count"
     );
     assert_eq!(read, downloaded, "bytes read vs daemons' downloaded count");
+    for daemon in daemons {
+        daemon.shutdown();
+    }
+}
+
+/// A `FetchBinRequest` carrying clear-text values and storage addresses
+/// — the last exchange of a nondet-scan, secret-sharing or DPF episode —
+/// is one exchange at the daemon too: the daemon's byte counters move by
+/// exactly the bytes the client's socket moved, and its round counter by
+/// one.
+#[test]
+fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
+    let mut tenants = vec![tenant_deployment(1, 1, NonDetScanEngine::new())];
+    let shard = &tenants[0].router.shards()[0];
+    let ids: Vec<u64> = shard
+        .encrypted_store()
+        .rows()
+        .iter()
+        .take(3)
+        .map(|r| r.id.raw())
+        .collect();
+    let attr = shard.plain_searchable_attr().unwrap();
+    let values = vec![shard.plain_relation().unwrap().tuples()[0]
+        .value(attr)
+        .clone()];
+    let daemons = spawn_daemons(&mut tenants, 1, &ServiceConfig::default());
+    let client = TcpCloudClient::new(1, daemons.iter().map(ShardDaemon::addr).collect());
+    let counters = || {
+        [
+            "pds_wire_bytes_uploaded_total",
+            "pds_wire_bytes_downloaded_total",
+            "pds_round_trips_total",
+        ]
+        .map(|metric| stat(&client, 0, metric) as u64)
+    };
+    let before = counters();
+    let (written_before, read_before) = (client.bytes_written(), client.bytes_read());
+
+    let mut conn = client.checkout(0).unwrap();
+    let resp = conn
+        .call(&WireMessage::FetchBinRequest(FetchBinRequest {
+            values,
+            ids: ids.clone(),
+            tags: Vec::new(),
+            predicate: None,
+        }))
+        .unwrap();
+    client.checkin(0, conn);
+    match resp {
+        WireMessage::BinPayload(p) => {
+            assert!(!p.plain_tuples.is_empty(), "the clear-text side answered");
+            let got: Vec<u64> = p.encrypted_rows.iter().map(|r| r.id).collect();
+            assert_eq!(got, ids, "the address side answered");
+        }
+        other => panic!("expected a BinPayload, got {}", other.name()),
+    }
+
+    let written = client.bytes_written() - written_before;
+    let read = client.bytes_read() - read_before;
+    let after = counters();
+    assert_eq!(after[0] - before[0], written, "uploaded vs bytes written");
+    assert_eq!(after[1] - before[1], read, "downloaded vs bytes read");
+    assert_eq!(after[2] - before[2], 1, "one frame each way is one round");
     for daemon in daemons {
         daemon.shutdown();
     }

@@ -102,9 +102,11 @@ pub struct FetchBinRequest {
 /// Owner → cloud: one whole Query Binning episode as a single message —
 /// the encrypted tokens of the sensitive bin plus the clear-text values of
 /// the non-sensitive bin.  This is the composed single-round-trip form of
-/// the protocol; the simulator's live path uses the finer-grained messages
-/// (its §V-B back-ends are multi-round by construction), and
-/// `benches/wire_overhead.rs` compares the two encodings.
+/// the protocol for back-ends whose tokens the cloud resolves; back-ends
+/// that locate their rows by storage address end an episode with one
+/// [`FetchBinRequest`] carrying values and ids instead, and
+/// `benches/wire_overhead.rs` compares these encodings with the
+/// fine-grained messages.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BinPairRequest {
     /// Index of the sensitive bin being retrieved.

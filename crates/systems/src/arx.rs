@@ -15,12 +15,11 @@
 use std::collections::HashMap;
 
 use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
-use pds_common::{AttrId, PdsError, Result, TupleId, Value};
-use pds_crypto::Ciphertext;
+use pds_common::{AttrId, Result, Value};
 use pds_storage::{Relation, Tuple};
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, BinEpisodeOutcome, SecureSelectionEngine};
+use crate::engine::{decrypt_real_matches, not_outsourced, SecureSelectionEngine};
 
 /// Arx-like per-occurrence counter-token index.
 #[derive(Debug, Default)]
@@ -28,7 +27,6 @@ pub struct ArxEngine {
     attr: Option<AttrId>,
     /// Owner-side histogram: value → number of occurrences outsourced.
     histogram: HashMap<Value, u64>,
-    outsourced: bool,
 }
 
 impl ArxEngine {
@@ -40,6 +38,18 @@ impl ArxEngine {
     /// The owner-side occurrence histogram (exposed for tests/attacks).
     pub fn histogram(&self) -> &HashMap<Value, u64> {
         &self.histogram
+    }
+
+    /// Every occurrence token of every value in `values`.
+    fn occurrence_tokens(&self, owner: &mut DbOwner, values: &[Value]) -> Vec<Vec<u8>> {
+        let mut tokens = Vec::new();
+        for v in values {
+            let count = self.histogram.get(v).copied().unwrap_or(0);
+            for i in 0..count {
+                tokens.push(owner.counter_tag(v, i));
+            }
+        }
+        tokens
     }
 }
 
@@ -65,8 +75,11 @@ impl SecureSelectionEngine for ArxEngine {
         }
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
+    }
+
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
     }
 
     fn select(
@@ -75,18 +88,8 @@ impl SecureSelectionEngine for ArxEngine {
         cloud: &mut CloudServer,
         values: &[Value],
     ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
-        // Generate every occurrence token of every requested value.
-        let mut tokens = Vec::new();
-        for v in values {
-            let count = self.histogram.get(v).copied().unwrap_or(0);
-            for i in 0..count {
-                tokens.push(owner.counter_tag(v, i));
-            }
-        }
+        let attr = self.searchable_attr()?;
+        let tokens = self.occurrence_tokens(owner, values);
         if tokens.is_empty() {
             return Ok(Vec::new());
         }
@@ -106,10 +109,6 @@ impl SecureSelectionEngine for ArxEngine {
         Box::new(self.fork())
     }
 
-    fn composes_episodes(&self) -> bool {
-        true
-    }
-
     /// One composed round: every occurrence token of every sensitive-bin
     /// value rides the `BinPairRequest` next to the clear-text
     /// non-sensitive values; the cloud matches the tokens against its
@@ -119,34 +118,10 @@ impl SecureSelectionEngine for ArxEngine {
         owner: &mut DbOwner,
         request: &BinEpisodeRequest,
     ) -> Result<Option<Vec<Vec<u8>>>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let mut tokens = Vec::new();
-        for v in &request.sensitive_values {
-            let count = self.histogram.get(v).copied().unwrap_or(0);
-            for i in 0..count {
-                tokens.push(owner.counter_tag(v, i));
-            }
-        }
-        Ok(Some(tokens))
-    }
-
-    fn finish_composed(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-        nonsensitive: Vec<Tuple>,
-        rows: Vec<(TupleId, Ciphertext)>,
-    ) -> Result<BinEpisodeOutcome> {
-        let attr = self
-            .attr
-            .ok_or_else(|| PdsError::Query("relation not outsourced yet".into()))?;
-        let sensitive = decrypt_real_matches(owner, attr, &request.sensitive_values, &rows)?;
-        Ok(BinEpisodeOutcome {
-            nonsensitive,
-            sensitive,
-        })
+        self.searchable_attr()?;
+        Ok(Some(
+            self.occurrence_tokens(owner, &request.sensitive_values),
+        ))
     }
 }
 

@@ -8,18 +8,16 @@
 //! `pds-adversary` exploits, and which QB removes (§VI of the paper).
 
 use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
-use pds_common::{AttrId, PdsError, Result, TupleId, Value};
-use pds_crypto::Ciphertext;
+use pds_common::{AttrId, Result, Value};
 use pds_storage::{Relation, Tuple};
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, BinEpisodeOutcome, SecureSelectionEngine};
+use crate::engine::{decrypt_real_matches, not_outsourced, SecureSelectionEngine};
 
 /// Deterministic-tag index back-end (CryptDB-like).
 #[derive(Debug, Default)]
 pub struct DeterministicIndexEngine {
     attr: Option<AttrId>,
-    outsourced: bool,
 }
 
 impl DeterministicIndexEngine {
@@ -51,8 +49,11 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
             .collect();
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
+    }
+
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
     }
 
     fn select(
@@ -61,10 +62,7 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
         cloud: &mut CloudServer,
         values: &[Value],
     ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
+        let attr = self.searchable_attr()?;
         let tags: Vec<Vec<u8>> = values.iter().map(|v| owner.det_tag(v)).collect();
         let fetched = cloud.tag_select(&tags);
         decrypt_real_matches(owner, attr, values, &fetched)
@@ -82,10 +80,6 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
         Box::new(self.fork())
     }
 
-    fn composes_episodes(&self) -> bool {
-        true
-    }
-
     /// One composed round: the deterministic tags of the whole sensitive
     /// bin ride the `BinPairRequest` next to the clear-text non-sensitive
     /// values, and the cloud answers both sides from its indexes in a
@@ -95,9 +89,7 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
         owner: &mut DbOwner,
         request: &BinEpisodeRequest,
     ) -> Result<Option<Vec<Vec<u8>>>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
+        self.searchable_attr()?;
         Ok(Some(
             request
                 .sensitive_values
@@ -105,23 +97,6 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
                 .map(|v| owner.det_tag(v))
                 .collect(),
         ))
-    }
-
-    fn finish_composed(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-        nonsensitive: Vec<Tuple>,
-        rows: Vec<(TupleId, Ciphertext)>,
-    ) -> Result<BinEpisodeOutcome> {
-        let attr = self
-            .attr
-            .ok_or_else(|| PdsError::Query("relation not outsourced yet".into()))?;
-        let sensitive = decrypt_real_matches(owner, attr, &request.sensitive_values, &rows)?;
-        Ok(BinEpisodeOutcome {
-            nonsensitive,
-            sensitive,
-        })
     }
 }
 

@@ -8,7 +8,10 @@
 //! generates a DPF key pair for the point `index(w)`; each server evaluates
 //! its key at every tuple's value index and returns the share vector; XORing
 //! the two vectors yields the indicator of matching tuples, which the owner
-//! then fetches from the encrypted store.
+//! then fetches from the encrypted store.  The evaluation is this engine's
+//! [`SecureSelectionEngine::locate`] round; in a Query Binning episode the
+//! fetch by address also carries the clear-text bin, so an episode takes
+//! two rounds.
 //!
 //! The per-query work is linear in the number of tuples on *both* servers —
 //! the expensive scan QB avoids performing over non-sensitive data.
@@ -20,10 +23,10 @@ use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::dpf::{self, DpfKey};
 use pds_crypto::FeistelPrp;
 use pds_crypto::Key128;
-use pds_storage::{Relation, Tuple};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, SecureSelectionEngine};
+use crate::engine::{not_outsourced, SecureSelectionEngine};
 
 /// One simulated DPF evaluation server.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +53,6 @@ pub struct DpfEngine {
     domain: HashMap<Value, usize>,
     domain_size: usize,
     attr: Option<AttrId>,
-    outsourced: bool,
     seed: u64,
 }
 
@@ -62,7 +64,6 @@ impl DpfEngine {
             domain: HashMap::new(),
             domain_size: 0,
             attr: None,
-            outsourced: false,
             seed,
         }
     }
@@ -108,20 +109,22 @@ impl SecureSelectionEngine for DpfEngine {
         let rows = owner.encrypt_relation(relation, attr);
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
     }
 
-    fn select(
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
+    }
+
+    /// The two servers' evaluation: one DPF key pair per requested value in
+    /// the domain, each key evaluated at every stored row.
+    fn locate(
         &mut self,
-        owner: &mut DbOwner,
+        _owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
+    ) -> Result<Vec<TupleId>> {
+        self.searchable_attr()?;
         let mut rng = pds_common::rng::seeded_rng(pds_common::rng::derive_seed(self.seed, "dpf-q"));
 
         // One DPF key pair per requested value that exists in the domain.
@@ -144,13 +147,13 @@ impl SecureSelectionEngine for DpfEngine {
         }
         matching.sort_unstable();
         matching.dedup();
-        cloud.note_encrypted_request(keys_generated, keys_generated * self.domain_size * 8);
-
-        if matching.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fetched = cloud.fetch_encrypted(&matching)?;
-        decrypt_real_matches(owner, attr, values, &fetched)
+        let rows = self.servers[0].tuple_value_index.len();
+        cloud.note_encrypted_request(
+            keys_generated,
+            keys_generated * self.domain_size * 8,
+            keys_generated * rows,
+        );
+        Ok(matching)
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -174,7 +177,7 @@ impl std::fmt::Debug for DpfEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DpfEngine")
             .field("domain_size", &self.domain_size)
-            .field("outsourced", &self.outsourced)
+            .field("outsourced", &self.attr.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -241,6 +244,27 @@ mod tests {
         let delta = cloud.metrics().delta_since(&before);
         // Only the note_encrypted_request round trip, no fetch.
         assert_eq!(delta.tuples_returned, 0);
+        assert_eq!(delta.round_trips, 1);
+        assert_eq!(
+            delta.encrypted_tuples_scanned, 0,
+            "no key, nothing evaluated"
+        );
+    }
+
+    #[test]
+    fn every_stored_row_is_evaluated_per_key() {
+        let (mut owner, mut cloud, mut engine) = setup();
+        let before = *cloud.metrics();
+        engine
+            .select(
+                &mut owner,
+                &mut cloud,
+                &[Value::Int(10), Value::Int(20), Value::Int(77)],
+            )
+            .unwrap();
+        let delta = cloud.metrics().delta_since(&before);
+        // Two keys (77 is not in the domain), each evaluated at six rows.
+        assert_eq!(delta.encrypted_tuples_scanned, 12);
     }
 
     #[test]

@@ -30,6 +30,21 @@ pub struct BinEpisodeOutcome {
 ///    selection for a *set* of values (Query Binning always asks for a whole
 ///    sensitive bin at once) and returns the decrypted, filtered tuples.
 ///
+/// A back-end finds its sensitive rows one of two ways, and implements the
+/// matching half of the trait:
+///
+/// * **by cloud-side tag** (det-index, arx): it builds opaque tokens
+///   ([`SecureSelectionEngine::composed_wire_tags`]) that the cloud's tag
+///   index resolves, so a whole bin-pair episode is one round, and it
+///   overrides [`SecureSelectionEngine::select`];
+/// * **by storage address** (nondet-scan, secret sharing, DPF, the
+///   Opaque/Jana simulators): its own rounds
+///   ([`SecureSelectionEngine::locate`]) find the matching addresses,
+///   and the rows are fetched by address afterwards.  A bin-pair episode
+///   then needs the locating rounds plus one fetch, which carries the
+///   clear-text bin too; two rounds is the floor, since the addresses
+///   exist only after the first.
+///
 /// Implementations must only return **real** tuples whose searchable
 /// attribute is one of the requested values; fake/padding tuples and false
 /// positives are filtered owner-side before returning.
@@ -59,14 +74,47 @@ pub trait SecureSelectionEngine: Send {
         attr: AttrId,
     ) -> Result<()>;
 
+    /// The searchable attribute the relation was outsourced on; a typed
+    /// [`PdsError::Query`] before outsourcing.
+    fn searchable_attr(&self) -> Result<AttrId>;
+
+    /// The back-end's own rounds of a selection: the storage addresses of
+    /// the encrypted rows whose searchable value is one of `values`, found
+    /// without fetching the rows.  Back-ends whose sensitive side the
+    /// cloud's tag index resolves have no such rounds and keep this
+    /// default, which refuses.
+    fn locate(
+        &mut self,
+        owner: &mut DbOwner,
+        cloud: &mut CloudServer,
+        values: &[Value],
+    ) -> Result<Vec<TupleId>> {
+        let _ = (owner, cloud, values);
+        Err(PdsError::Query(format!(
+            "the {} back-end resolves its sensitive side through the cloud's tag index, \
+             not by storage address",
+            self.name()
+        )))
+    }
+
     /// Runs an encrypted selection for the given set of values and returns
-    /// the matching decrypted tuples.
+    /// the matching decrypted tuples.  The default locates the rows
+    /// ([`SecureSelectionEngine::locate`]), fetches them by address in one
+    /// more round, and decrypts them owner-side.
     fn select(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
-    ) -> Result<Vec<Tuple>>;
+    ) -> Result<Vec<Tuple>> {
+        let attr = self.searchable_attr()?;
+        let ids = self.locate(owner, cloud, values)?;
+        if ids.is_empty() {
+            return Ok(Vec::new());
+        }
+        let rows = cloud.fetch_encrypted(&ids)?;
+        decrypt_real_matches(owner, attr, values, &rows)
+    }
 
     /// The cost profile used to convert work counters into simulated time.
     fn cost_profile(&self) -> CostProfile;
@@ -86,41 +134,44 @@ pub trait SecureSelectionEngine: Send {
     /// through this.
     fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine>;
 
-    /// Whether this back-end answers a whole composed bin-pair episode in
-    /// **one round trip** (a single `BinPairRequest` frame up, a single
-    /// `BinPayload` frame down).  Back-ends whose §V-B search procedure is
-    /// inherently multi-round return `false` and run the fine-grained path.
-    fn composes_episodes(&self) -> bool {
-        false
-    }
-
     /// Executes one whole Query Binning bin-pair episode through a
     /// [`CloudSession`]: the clear-text sub-query for the non-sensitive bin
     /// plus the encrypted sub-query for the sensitive bin, inside the
     /// episode the caller has already opened.
     ///
-    /// The default runs the two composed halves around one
-    /// `BinPairRequest` — [`SecureSelectionEngine::composed_wire_tags`],
-    /// the cloud's tag-index lookup, then
-    /// [`SecureSelectionEngine::finish_composed`] — so an in-process
-    /// episode and a TCP one share every owner-side step.  A back-end that
-    /// does not split falls back to the fine-grained multi-round path
-    /// ([`fine_grained_bin_episode`]).  Back-ends whose composed episode
-    /// resolves its tokens engine-side (the enclave/MPC simulators)
-    /// override it.
+    /// The default ends in one combined exchange answered by one
+    /// `BinPayload`, then [`SecureSelectionEngine::finish_composed`]:
+    ///
+    /// * a tag-index back-end sends its
+    ///   [`SecureSelectionEngine::composed_wire_tags`] as one
+    ///   `BinPairRequest` — one round in all;
+    /// * an address-locating back-end first runs
+    ///   [`SecureSelectionEngine::locate`], then sends the addresses, the
+    ///   clear-text bin values and the pushed-down residual as one
+    ///   `FetchBinRequest` — its locating rounds plus one.
+    ///
+    /// The enclave/MPC simulators, whose enclave resolves encrypted tokens
+    /// cloud-side in the same round, override it.
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
         session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        match self.composed_wire_tags(owner, request)? {
-            Some(tags) => {
-                let (nonsensitive, rows) = session.bin_pair_by_tags(request, tags)?;
-                self.finish_composed(owner, request, nonsensitive, rows)
+        let (nonsensitive, rows) = match self.composed_wire_tags(owner, request)? {
+            Some(tags) => session.bin_pair_by_tags(request, tags)?,
+            None => {
+                // Like the fine-grained path, an empty sensitive bin costs
+                // no locating rounds.
+                let ids = if request.sensitive_values.is_empty() {
+                    Vec::new()
+                } else {
+                    self.locate(owner, session.server_mut(), &request.sensitive_values)?
+                };
+                session.bin_pair_by_ids(request, &ids)?
             }
-            None => fine_grained_bin_episode(self, owner, session, request),
-        }
+        };
+        self.finish_composed(owner, request, nonsensitive, rows)
     }
 
     /// Whether the technique hides which encrypted tuples satisfied the
@@ -130,11 +181,11 @@ pub trait SecureSelectionEngine: Send {
         false
     }
 
-    /// The uplink half of a composed episode: the opaque search tokens of
-    /// the sensitive bin, ready to ride a `BinPairRequest` that the
-    /// cloud's tag index resolves.  Returns `Ok(None)` when this back-end
-    /// cannot split the episode this way; `Err` for owner-side failures
-    /// such as querying before outsourcing.
+    /// The uplink half of a one-round composed episode: the opaque search
+    /// tokens of the sensitive bin, ready to ride a `BinPairRequest` that
+    /// the cloud's tag index resolves.  Returns `Ok(None)` for back-ends
+    /// that locate their rows by address instead; `Err` for owner-side
+    /// failures such as querying before outsourcing.
     ///
     /// A back-end travels over TCP exactly when this returns `Some`: the
     /// owner writes a whole window of such requests before reading any
@@ -151,10 +202,9 @@ pub trait SecureSelectionEngine: Send {
     }
 
     /// The downlink half of a composed episode: owner-side
-    /// decrypt-and-filter of a `BinPayload` that answered the tokens from
-    /// [`SecureSelectionEngine::composed_wire_tags`].  Pure per-episode
-    /// post-processing — it must not talk to the cloud, which is what
-    /// makes out-of-order completion safe.
+    /// decrypt-and-filter of the `BinPayload` that answered it.  Pure
+    /// per-episode post-processing — it must not talk to the cloud, which
+    /// is what makes out-of-order completion safe.
     fn finish_composed(
         &mut self,
         owner: &mut DbOwner,
@@ -162,12 +212,19 @@ pub trait SecureSelectionEngine: Send {
         nonsensitive: Vec<Tuple>,
         rows: Vec<(TupleId, Ciphertext)>,
     ) -> Result<BinEpisodeOutcome> {
-        let _ = (owner, request, nonsensitive, rows);
-        Err(PdsError::Query(format!(
-            "the {} back-end does not split composed episodes",
-            self.name()
-        )))
+        let attr = self.searchable_attr()?;
+        let sensitive = decrypt_real_matches(owner, attr, &request.sensitive_values, &rows)?;
+        Ok(BinEpisodeOutcome {
+            nonsensitive,
+            sensitive,
+        })
     }
+}
+
+/// The typed error every back-end returns when queried before
+/// [`SecureSelectionEngine::outsource`].
+pub(crate) fn not_outsourced() -> PdsError {
+    PdsError::Query("relation not outsourced yet".into())
 }
 
 /// Owner-side decrypt-and-filter over fetched sensitive rows: decrypts
@@ -195,16 +252,19 @@ pub fn decrypt_real_matches(
     Ok(out)
 }
 
-/// The fine-grained multi-round form of one bin-pair episode: the
-/// clear-text `IN` selection travels as its own message, with the planner's
-/// pushed-down residual applied cloud-side, then the engine's
-/// [`SecureSelectionEngine::select`] runs its usual (possibly multi-round)
-/// procedure against the underlying server.
+/// The fine-grained form of one bin-pair episode, kept as the
+/// separate-messages reference [`SecureSelectionEngine::select_bin_episode`]
+/// is compared against: the clear-text `IN` selection travels as its own
+/// message, with the planner's pushed-down residual applied cloud-side,
+/// then the engine's [`SecureSelectionEngine::select`] runs its own
+/// rounds against the underlying server.  It takes one round more than the
+/// composed episode on every back-end but the enclave/MPC simulators,
+/// whose locating scan and fetch are two more.
 ///
-/// Free function (rather than only a trait default) so callers can force
-/// the fine-grained path on engines that *do* compose — the equivalence
-/// tests and the `experiments wire` rounds gate compare the two paths on
-/// identical deployments.
+/// Free function (rather than a trait method) so callers can force the
+/// fine-grained path on any engine — `PlanMode::FineGrained`, the
+/// equivalence tests and the `experiments wire` rounds gate compare the
+/// two paths on identical deployments.
 pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     owner: &mut DbOwner,
@@ -243,6 +303,19 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
         (**self).outsource(owner, cloud, relation, attr)
     }
 
+    fn searchable_attr(&self) -> Result<AttrId> {
+        (**self).searchable_attr()
+    }
+
+    fn locate(
+        &mut self,
+        owner: &mut DbOwner,
+        cloud: &mut CloudServer,
+        values: &[Value],
+    ) -> Result<Vec<TupleId>> {
+        (**self).locate(owner, cloud, values)
+    }
+
     fn select(
         &mut self,
         owner: &mut DbOwner,
@@ -262,10 +335,6 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
 
     fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine> {
         (**self).fork_boxed()
-    }
-
-    fn composes_episodes(&self) -> bool {
-        (**self).composes_episodes()
     }
 
     fn select_bin_episode(
@@ -336,12 +405,7 @@ mod tests {
         for engine in &engines {
             let fork = engine.fork();
             assert_eq!(fork.name(), engine.name());
-            assert_eq!(
-                fork.composes_episodes(),
-                engine.composes_episodes(),
-                "{}",
-                engine.name()
-            );
+            assert_eq!(fork.cost_profile(), engine.cost_profile());
         }
     }
 }

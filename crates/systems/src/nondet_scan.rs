@@ -6,20 +6,23 @@
 //! as: *"retrieve the searching attribute of a sensitive relation at the DB
 //! owner side, decrypt the attributes, and search for records that match
 //! |SB|. It then retrieves full tuples corresponding to |SB| predicates'
-//! addresses."*  This module reproduces exactly that procedure.
+//! addresses."*  This module reproduces exactly that procedure: its
+//! [`SecureSelectionEngine::locate`] is the column download and owner-side
+//! decrypt (one round), and the fetch by address is the next round.  In a
+//! Query Binning episode that fetch also carries the clear-text bin, so an
+//! episode takes two rounds.
 
 use pds_cloud::{CloudServer, DbOwner};
-use pds_common::{AttrId, PdsError, Result, Value};
-use pds_storage::{Relation, Tuple};
+use pds_common::{AttrId, Result, TupleId, Value};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, SecureSelectionEngine};
+use crate::engine::{not_outsourced, SecureSelectionEngine};
 
 /// Owner-side decrypt-and-filter over non-deterministically encrypted rows.
 #[derive(Debug, Default)]
 pub struct NonDetScanEngine {
     attr: Option<AttrId>,
-    outsourced: bool,
 }
 
 impl NonDetScanEngine {
@@ -44,40 +47,30 @@ impl SecureSelectionEngine for NonDetScanEngine {
         let rows = owner.encrypt_relation(relation, attr);
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
     }
 
-    fn select(
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
+    }
+
+    /// Downloads the encrypted searchable-attribute column, decrypts it
+    /// owner-side and keeps the addresses whose value was requested.
+    fn locate(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
-
-        // Step 1: download the encrypted searchable-attribute column.
+    ) -> Result<Vec<TupleId>> {
+        self.searchable_attr()?;
         let column = cloud.download_encrypted_attr_column();
-
-        // Step 2: decrypt owner-side and collect matching addresses.
         let mut matching = Vec::new();
         for (id, ct) in &column {
-            let value = owner.decrypt_value(ct)?;
-            if values.contains(&value) {
+            if values.contains(&owner.decrypt_value(ct)?) {
                 matching.push(*id);
             }
         }
-
-        // Step 3: fetch the full encrypted tuples at those addresses and
-        // decrypt them.
-        if matching.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fetched = cloud.fetch_encrypted(&matching)?;
-        decrypt_real_matches(owner, attr, values, &fetched)
+        Ok(matching)
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -167,6 +160,33 @@ mod tests {
             .unwrap();
         let delta = cloud.metrics().delta_since(&before);
         assert_eq!(delta.encrypted_tuples_scanned, 4);
+    }
+
+    /// A Query Binning episode takes the column download plus one fetch
+    /// that carries the addresses (and, when there is one, the clear-text
+    /// bin), and answers what the fine-grained selection answers.
+    #[test]
+    fn a_composed_episode_fetches_by_address_in_its_second_round() {
+        use pds_cloud::{msg_tag, BinEpisodeRequest, CloudSession};
+        let (mut owner, mut cloud, mut engine, _) = setup();
+        let values = vec![Value::from("E259"), Value::from("E101")];
+        let request = BinEpisodeRequest {
+            sensitive_values: values.clone(),
+            ..BinEpisodeRequest::default()
+        };
+        let before = *cloud.metrics();
+        let mut session = CloudSession::new(&mut cloud);
+        session.begin_episode();
+        let outcome = engine
+            .select_bin_episode(&mut owner, &mut session, &request)
+            .unwrap();
+        assert_eq!(session.end_episode(), 2);
+        let d = cloud.metrics().delta_since(&before);
+        assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
+        assert_eq!(d.encrypted_tuples_scanned, 4);
+        let direct = engine.select(&mut owner, &mut cloud, &values).unwrap();
+        assert_eq!(outcome.sensitive, direct);
+        assert!(outcome.nonsensitive.is_empty());
     }
 
     #[test]

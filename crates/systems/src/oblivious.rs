@@ -12,11 +12,11 @@
 //! `DESIGN.md` §5 documents this substitution.
 
 use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
-use pds_common::{AttrId, PdsError, Result, Value};
-use pds_storage::{Relation, Tuple};
+use pds_common::{AttrId, Result, TupleId, Value};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, BinEpisodeOutcome, SecureSelectionEngine};
+use crate::engine::{not_outsourced, BinEpisodeOutcome, SecureSelectionEngine};
 
 /// Which oblivious system is being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +39,8 @@ pub enum ObliviousKind {
 pub struct ObliviousScanEngine {
     kind: ObliviousKind,
     attr: Option<AttrId>,
-    outsourced: bool,
     /// The enclave's view of the searchable column: (tuple id, value).
-    enclave_column: Vec<(pds_common::TupleId, Value)>,
+    enclave_column: Vec<(TupleId, Value)>,
 }
 
 impl ObliviousScanEngine {
@@ -50,7 +49,6 @@ impl ObliviousScanEngine {
         ObliviousScanEngine {
             kind,
             attr: None,
-            outsourced: false,
             enclave_column: Vec::new(),
         }
     }
@@ -58,6 +56,16 @@ impl ObliviousScanEngine {
     /// The simulated system kind.
     pub fn kind(&self) -> ObliviousKind {
         self.kind
+    }
+
+    /// The enclave's scan: addresses of the rows whose value is in
+    /// `values`, found by touching every row of the column.
+    fn enclave_matches(&self, values: &[Value]) -> Vec<TupleId> {
+        self.enclave_column
+            .iter()
+            .filter(|(_, v)| values.contains(v))
+            .map(|(id, _)| *id)
+            .collect()
     }
 }
 
@@ -84,36 +92,26 @@ impl SecureSelectionEngine for ObliviousScanEngine {
             .map(|t| (t.id, t.value(attr).clone()))
             .collect();
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
     }
 
-    fn select(
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
+    }
+
+    /// Oblivious execution: the enclave / MPC committee touches every
+    /// tuple at the cloud; only the request crosses the network, and the
+    /// (padded, in QB deployments) result travels back in the next round.
+    fn locate(
         &mut self,
-        owner: &mut DbOwner,
+        _owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
-        // Oblivious execution: the enclave / MPC committee touches every
-        // tuple at the cloud; nothing but the request crosses the network.
+    ) -> Result<Vec<TupleId>> {
+        self.searchable_attr()?;
         let request_bytes: usize = values.iter().map(Value::size_bytes).sum::<usize>() + 64;
-        cloud.note_oblivious_scan(self.enclave_column.len(), request_bytes);
-        let matching: Vec<pds_common::TupleId> = self
-            .enclave_column
-            .iter()
-            .filter(|(_, v)| values.contains(v))
-            .map(|(id, _)| *id)
-            .collect();
-        if matching.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Only the (padded, in QB deployments) result travels to the owner.
-        let fetched = cloud.fetch_encrypted(&matching)?;
-        decrypt_real_matches(owner, attr, values, &fetched)
+        cloud.note_encrypted_request(values.len(), request_bytes, self.enclave_column.len());
+        Ok(self.enclave_matches(values))
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -135,10 +133,6 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         Box::new(self.fork())
     }
 
-    fn composes_episodes(&self) -> bool {
-        true
-    }
-
     /// One composed round: the sensitive bin's values travel as opaque
     /// encrypted tokens inside the `BinPairRequest` (only the enclave / MPC
     /// committee can read them), the secure environment scans every
@@ -150,29 +144,17 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         session: &mut CloudSession<'_>,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
+        self.searchable_attr()?;
         let tokens: Vec<Vec<u8>> = request
             .sensitive_values
             .iter()
             .map(|v| owner.encrypt_value(v).as_bytes().to_vec())
             .collect();
-        let matching: Vec<pds_common::TupleId> = self
-            .enclave_column
-            .iter()
-            .filter(|(_, v)| request.sensitive_values.contains(v))
-            .map(|(id, _)| *id)
-            .collect();
+        let matching = self.enclave_matches(&request.sensitive_values);
         let scanned = self.enclave_column.len();
         let (nonsensitive, rows) =
             session.bin_pair_oblivious(request, tokens, &matching, scanned)?;
-        let sensitive = decrypt_real_matches(owner, attr, &request.sensitive_values, &rows)?;
-        Ok(BinEpisodeOutcome {
-            nonsensitive,
-            sensitive,
-        })
+        self.finish_composed(owner, request, nonsensitive, rows)
     }
 }
 
@@ -231,6 +213,26 @@ mod tests {
         assert_eq!(out.len(), 5);
         assert_eq!(delta.encrypted_tuples_scanned, 50);
         assert!(engine.hides_access_pattern());
+    }
+
+    #[test]
+    fn the_scan_request_shows_its_value_count() {
+        let mut owner = DbOwner::new(61);
+        let mut cloud = CloudServer::new(NetworkModel::paper_wan());
+        let mut engine = opaque_sim();
+        let rel = sample_relation(20);
+        let attr = rel.schema().attr_id("K").unwrap();
+        engine
+            .outsource(&mut owner, &mut cloud, &rel, attr)
+            .unwrap();
+        cloud.begin_query();
+        engine
+            .select(&mut owner, &mut cloud, &[Value::Int(3), Value::Int(4)])
+            .unwrap();
+        cloud.end_query();
+        let ep = &cloud.adversarial_view().episodes()[0];
+        assert_eq!(ep.encrypted_request_size, 2);
+        assert_eq!(ep.sensitive_returned.len(), 4);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! every shared value (a linear scan — this is what makes the technique
 //! strong but slow; the paper quotes ≈10 ms per predicate search), after
 //! which the matching tuples are fetched from the encrypted store and
-//! decrypted by the owner.
+//! decrypted by the owner.  The scan is this engine's
+//! [`SecureSelectionEngine::locate`] round, charged as one request and
+//! one scanned share row per stored tuple; in a Query Binning episode the
+//! fetch by address also carries the clear-text bin, so an episode takes
+//! two rounds.
 //!
 //! The `n` share servers are held inside the engine (they are logically
 //! separate parties; the single [`CloudServer`] models the party that stores
@@ -16,10 +20,10 @@
 use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::shamir::{self, Share};
-use pds_storage::{Relation, Tuple};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, SecureSelectionEngine};
+use crate::engine::{not_outsourced, SecureSelectionEngine};
 
 /// Converts a value into a field element for sharing (hash of the encoding,
 /// so text values work too).
@@ -41,7 +45,6 @@ pub struct SecretSharingEngine {
     threshold: usize,
     servers: Vec<ShareServer>,
     attr: Option<AttrId>,
-    outsourced: bool,
 }
 
 impl SecretSharingEngine {
@@ -52,7 +55,6 @@ impl SecretSharingEngine {
             threshold: k,
             servers: vec![ShareServer::default(); n],
             attr: None,
-            outsourced: false,
         }
     }
 
@@ -95,20 +97,22 @@ impl SecureSelectionEngine for SecretSharingEngine {
         let rows = owner.encrypt_relation(relation, attr);
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        self.outsourced = true;
         Ok(())
     }
 
-    fn select(
+    fn searchable_attr(&self) -> Result<AttrId> {
+        self.attr.ok_or_else(not_outsourced)
+    }
+
+    /// The share servers' scan: every share row is reconstructed and
+    /// compared against the requested values.
+    fn locate(
         &mut self,
-        owner: &mut DbOwner,
+        _owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("relation not outsourced yet".into()));
-        }
-        let attr = self.attr.expect("attr set at outsource time");
+    ) -> Result<Vec<TupleId>> {
+        self.searchable_attr()?;
         let targets: Vec<u64> = values.iter().map(field_encode).collect();
 
         // Linear scan: reconstruct every shared value from `threshold`
@@ -128,14 +132,14 @@ impl SecureSelectionEngine for SecretSharingEngine {
                 matching.push(id);
             }
         }
-        // Account the scan as encrypted-tuple work on the cloud side.
-        cloud.note_encrypted_request(values.len(), values.iter().map(Value::size_bytes).sum());
-
-        if matching.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fetched = cloud.fetch_encrypted(&matching)?;
-        decrypt_real_matches(owner, attr, values, &fetched)
+        // Account the scan as encrypted-tuple work on the cloud side: one
+        // share row per stored tuple.
+        cloud.note_encrypted_request(
+            values.len(),
+            values.iter().map(Value::size_bytes).sum(),
+            tuple_count,
+        );
+        Ok(matching)
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -204,6 +208,18 @@ mod tests {
             .select(&mut owner, &mut cloud, &[Value::from("zzz")])
             .unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn every_share_row_is_scanned_every_query() {
+        let (mut owner, mut cloud, mut engine) = setup();
+        let before = *cloud.metrics();
+        engine
+            .select(&mut owner, &mut cloud, &[Value::from("a")])
+            .unwrap();
+        let delta = cloud.metrics().delta_since(&before);
+        assert_eq!(delta.encrypted_tuples_scanned, 4);
+        assert_eq!(delta.round_trips, 2, "the scan, then the fetch");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! plan-driven execution on the live composed path must be
 //! **observationally identical** to the fine-grained multi-round path
 //! (byte-identical answers for every value of the exhaustive Employee
-//! workload) and partitioned data security must hold on every shard's own
-//! view *and* on the composed coalition view in **both** modes.
+//! workload, and every shard's adversarial view equal episode by episode)
+//! while taking exactly the rounds and request frames each back-end's
+//! episode shape prescribes, and partitioned data security must hold on
+//! every shard's own view *and* on the composed coalition view in **both**
+//! modes.
 //!
 //! The engines are driven as `Box<dyn SecureSelectionEngine>` — the same
 //! trait-object form heterogeneous deployments use — so this suite also
@@ -38,6 +41,20 @@ fn backend(i: usize) -> Box<dyn SecureSelectionEngine> {
 }
 
 const BACKENDS: usize = 6;
+
+/// The exact shape of one episode per back-end, by index: its rounds when
+/// composed, its rounds when fine-grained, and whether the composed
+/// episode's one combined exchange is a `BinPairRequest` (tokens the cloud
+/// resolves) rather than a values+ids `FetchBinRequest` (addresses the
+/// back-end located in a round of its own first).
+const EPISODE_SHAPE: [(u64, u64, bool); BACKENDS] = [
+    (2, 3, false), // nondet-scan: column download, then the fetch
+    (1, 2, true),  // det-index
+    (1, 2, true),  // arx
+    (2, 3, false), // secret sharing: share scan, then the fetch
+    (2, 3, false), // DPF: two-server evaluation, then the fetch
+    (1, 3, true),  // opaque-sim: the enclave scans inside the one round
+];
 
 /// The engine an optimizer decision names, as a boxed trait object.
 fn engine_named(name: &str) -> Box<dyn SecureSelectionEngine> {
@@ -126,19 +143,24 @@ proptest! {
 
     /// For every back-end, shard count and placement seed, the composed
     /// plan mode returns byte-identical answers to the forced fine-grained
-    /// mode on an identical deployment, never uses more rounds, and the
+    /// mode on an identical deployment, shows every shard's cloud the same
+    /// observations in the same order, takes exactly the rounds and
+    /// request frames [`EPISODE_SHAPE`] prescribes per episode, and the
     /// security definition holds per shard and composed in both modes.
     #[test]
     fn composed_plans_match_fine_grained_across_backends(
         shards in 1usize..=8,
         placement_seed in 0u64..1_000,
     ) {
+        use partitioned_data_security::cloud::{msg_tag, EpisodeObservation};
+
         let (parts, values) = employee_setup();
-        for backend_idx in 0..BACKENDS {
+        let episodes = values.len() as u64;
+        for (backend_idx, &(composed_rounds, fine_rounds, by_tokens)) in
+            EPISODE_SHAPE.iter().enumerate()
+        {
             let mut answers: Vec<Vec<Vec<Vec<u8>>>> = Vec::new();
-            let mut rounds: Vec<u64> = Vec::new();
-            let mut bin_pair_frames: Vec<u64> = Vec::new();
-            let composes = backend(backend_idx).composes_episodes();
+            let mut views: Vec<Vec<Vec<EpisodeObservation>>> = Vec::new();
 
             for mode in [PlanMode::Composed, PlanMode::FineGrained] {
                 let binning =
@@ -154,20 +176,49 @@ proptest! {
                 executor.outsource(&mut owner, &mut router, &parts).unwrap();
                 let outsourcing = router.metrics();
 
+                let per_episode = match mode {
+                    PlanMode::Composed => composed_rounds,
+                    PlanMode::FineGrained => fine_rounds,
+                };
                 let mut mode_answers = Vec::with_capacity(values.len());
-                let mut mode_rounds = 0u64;
                 for value in &values {
                     let ts = executor.select(&mut owner, &mut router, value).unwrap();
                     mode_answers.push(answer_bytes(&ts));
-                    mode_rounds += executor.last_stats().rounds;
+                    let rounds = executor.last_stats().rounds;
+                    prop_assert!(
+                        rounds == per_episode,
+                        "backend={} mode={:?} value={}: {} rounds, want {}",
+                        backend_idx, mode, value, rounds, per_episode
+                    );
                 }
                 let delta = router.metrics().delta_since(&outsourcing);
                 // Per-episode rounds must add up to the metrics' counter.
-                prop_assert_eq!(delta.round_trips, mode_rounds);
+                prop_assert_eq!(delta.round_trips, episodes * per_episode);
+                // One combined exchange per composed episode, of the shape
+                // the back-end needs; fine-grained episodes send their two
+                // fetches (clear-text, then sensitive) as separate
+                // `FetchBinRequest`s and never a `BinPairRequest`.
+                let requests = (
+                    delta.frames_of_type(msg_tag::BIN_PAIR_REQUEST),
+                    delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST),
+                );
+                let expected = match mode {
+                    PlanMode::Composed if by_tokens => (episodes, 0),
+                    PlanMode::Composed => (0, episodes),
+                    PlanMode::FineGrained => (0, 2 * episodes),
+                };
+                prop_assert!(
+                    requests == expected,
+                    "backend={} mode={:?}: (BinPairRequest, FetchBinRequest) frames {:?}, want {:?}",
+                    backend_idx, mode, requests, expected
+                );
                 answers.push(mode_answers);
-                rounds.push(mode_rounds);
-                bin_pair_frames.push(
-                    delta.frames_of_type(partitioned_data_security::cloud::msg_tag::BIN_PAIR_REQUEST),
+                views.push(
+                    router
+                        .adversarial_views()
+                        .iter()
+                        .map(|v| v.episodes().iter().map(|e| (*e.observed).clone()).collect())
+                        .collect(),
                 );
 
                 // Security holds in this mode, per shard and composed.
@@ -186,20 +237,15 @@ proptest! {
                 "answers diverged for backend {} ({} shards, seed {})",
                 backend_idx, shards, placement_seed
             );
-            // The fine-grained run never touches the composed message; a
-            // composed-capable engine really moves one BinPairRequest per
-            // episode and strictly drops rounds.
-            prop_assert_eq!(bin_pair_frames[1], 0u64);
-            if composes {
-                prop_assert_eq!(bin_pair_frames[0] as usize, values.len());
+            // The same observations on every shard, episode by episode:
+            // folding the clear-text bin into another exchange shows the
+            // cloud nothing it did not see before.
+            for (shard, (composed, fine)) in views[0].iter().zip(&views[1]).enumerate() {
                 prop_assert!(
-                    rounds[0] < rounds[1],
-                    "composed must use strictly fewer rounds for backend {} ({} vs {})",
-                    backend_idx, rounds[0], rounds[1]
+                    composed == fine,
+                    "backend {} shard {} views diverged ({} shards, seed {})",
+                    backend_idx, shard, shards, placement_seed
                 );
-            } else {
-                prop_assert_eq!(bin_pair_frames[0], 0u64);
-                prop_assert_eq!(rounds[0], rounds[1]);
             }
         }
     }
