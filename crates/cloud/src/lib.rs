@@ -30,10 +30,11 @@
 //! * [`shard::ShardRouter`] — a sharded multi-server deployment: `N`
 //!   independent `CloudServer` shards behind a seeded bin-to-shard placement
 //!   map, with per-shard *and* composed adversarial views,
-//! * [`transport::BinTransport`] — dispatch of per-shard bin fetches
-//!   sequentially or on scoped OS threads (measured compute overlap); the
-//!   simulated network time of an overlapped fan-out is the busiest
-//!   shard's [`CloudServer::comm_time`]
+//! * [`transport::BinTransport`] — the one fan-out of per-shard episode
+//!   streams, in process or over TCP: sequentially on the calling thread,
+//!   or on scoped OS threads (measured overlap); each task captures its
+//!   own shard.  The simulated network time of an overlapped fan-out is
+//!   the busiest shard's [`CloudServer::comm_time`]
 //!   ([`shard::ShardRouter::parallel_comm_time`]), and
 //! * [`cache::BinCache`] — the owner-side hot-bin LRU: whole decrypted bins
 //!   cached at the trusted owner, so repeated (skewed) queries skip the
@@ -47,10 +48,11 @@
 //!   reader threads + worker pool) serving concurrent multi-tenant owners,
 //!   and the pooled client that writes composed `BinPairRequest` episodes
 //!   in a correlated in-flight window and demultiplexes their answers
-//!   ([`transport::BinTransport::Tcp`]).  Engines never see the socket:
-//!   they split a composed episode into the tokens that ride the request
-//!   and the post-processing of its answer, and only back-ends that split
-//!   this way travel over TCP.
+//!   ([`transport::BinTransport::Tcp`], whose shard tasks fan out through
+//!   the same [`transport::BinTransport::dispatch`]).  Engines never see
+//!   the socket: they split a composed episode into the tokens that ride
+//!   the request and the post-processing of its answer, and only back-ends
+//!   that split this way travel over TCP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,5 +81,5 @@ pub use session::{BinEpisodeRequest, CloudSession};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
 pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
-pub use transport::{BinTransport, DispatchReport};
+pub use transport::BinTransport;
 pub use view::{AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode};

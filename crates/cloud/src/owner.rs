@@ -8,16 +8,17 @@
 //! `pds-core::metadata`, built on [`pds_storage::AttributeStats`].
 
 use pds_common::{AttrId, PdsError, Result, Value};
+use pds_crypto::dpf::{self, DpfKey};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
 use pds_storage::{Relation, Tuple};
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 use crate::metrics::Metrics;
 use crate::store::EncryptedRow;
 
 /// The trusted client that owns the data and the keys.
 pub struct DbOwner {
-    seed: u64,
     cipher: NonDetCipher,
     tagger: DeterministicTagger,
     rng: StdRng,
@@ -31,7 +32,6 @@ impl DbOwner {
     /// Creates an owner whose keys and randomness derive from `seed`.
     pub fn new(seed: u64) -> Self {
         DbOwner {
-            seed,
             cipher: NonDetCipher::new(
                 Key128::derive(seed, "owner-enc"),
                 Key128::derive(seed, "owner-mac"),
@@ -44,21 +44,21 @@ impl DbOwner {
     }
 
     /// A worker owner holding the **same keys** and tuple padding width but
-    /// an independent randomness stream and zeroed counters.
+    /// its own randomness stream and zeroed counters.
     ///
-    /// The threaded shard fan-out hands one fork to every shard task: keys
+    /// The executor hands one fork to every shard task of every batch: keys
     /// must match (the fork has to decrypt what the original encrypted and
     /// produce identical deterministic tags) while the encryption
     /// randomness and the work counters must not be shared across threads.
-    /// Fold the fork's counters back with [`DbOwner::absorb_metrics`].
-    pub fn fork(&self, salt: u64) -> Self {
+    /// Each fork is seeded from this owner's own stream, which the fork
+    /// advances, so no two forks — of one batch or of successive batches —
+    /// replay the same nonces.  Fold the fork's counters back with
+    /// [`DbOwner::absorb_metrics`].
+    pub fn fork(&mut self) -> Self {
         DbOwner {
-            seed: self.seed,
             cipher: self.cipher.clone(),
             tagger: self.tagger.clone(),
-            rng: pds_common::rng::seeded_rng(
-                pds_common::rng::derive_seed(self.seed, "owner-fork").wrapping_add(salt),
-            ),
+            rng: pds_common::rng::seeded_rng(self.rng.next_u64()),
             metrics: Metrics::new(),
             tuple_width: self.tuple_width,
         }
@@ -99,6 +99,15 @@ impl DbOwner {
     pub fn det_tag(&mut self, value: &Value) -> Vec<u8> {
         self.metrics.owner_encryptions += 1;
         self.tagger.tag_vec(&value.encode())
+    }
+
+    /// A DPF key pair for the point `alpha` of a `domain_size` domain, one
+    /// key per non-colluding server.  The keys' random shares come from
+    /// this owner's stream, so every query gets fresh ones: reused
+    /// randomness would let a server XOR two queries' shares into the
+    /// indicator of their points.
+    pub fn dpf_keys(&mut self, domain_size: usize, alpha: usize) -> Result<(DpfKey, DpfKey)> {
+        dpf::generate(domain_size, alpha, 1, &mut self.rng)
     }
 
     /// Arx-style per-occurrence tag of `(value, occurrence)`.
@@ -250,7 +259,7 @@ mod tests {
         r.insert(vec![Value::from("E3"), Value::Null, Value::Null])
             .unwrap();
         owner.pad_tuples_to_widest(&r);
-        let mut fork = owner.fork(1);
+        let mut fork = owner.fork();
         let cts: Vec<Ciphertext> = r.tuples().iter().map(|t| fork.encrypt_tuple(t)).collect();
         assert!(cts.iter().all(|ct| ct.len() == cts[0].len()));
         for (t, ct) in r.tuples().iter().zip(&cts) {
@@ -320,7 +329,7 @@ mod tests {
     fn fork_shares_keys_but_not_counters() {
         let mut owner = DbOwner::new(7);
         let ct = owner.encrypt_value(&Value::from("secret"));
-        let mut fork = owner.fork(1);
+        let mut fork = owner.fork();
         assert_eq!(fork.metrics().owner_encryptions, 0, "fresh counters");
         assert_eq!(
             fork.decrypt_value(&ct).unwrap(),
@@ -333,7 +342,7 @@ mod tests {
             "deterministic tags agree across forks"
         );
         // Forked randomness streams are independent of each other.
-        let mut fork2 = owner.fork(2);
+        let mut fork2 = owner.fork();
         assert_ne!(
             fork.encrypt_value(&Value::Int(1)),
             fork2.encrypt_value(&Value::Int(1))
@@ -345,6 +354,19 @@ mod tests {
             owner.metrics().owner_decryptions + owner.metrics().owner_encryptions,
             fork.metrics().owner_decryptions + fork.metrics().owner_encryptions
         );
+    }
+
+    #[test]
+    fn successive_forks_encrypt_under_different_nonces() {
+        // Two forks that shared a CTR nonce would leak the XOR of their
+        // plaintexts through the XOR of their ciphertext bodies.
+        let mut owner = DbOwner::new(7);
+        let nonce = |ct: &Ciphertext| ct.as_bytes()[..pds_crypto::ctr::NONCE_LEN].to_vec();
+        let a = owner.fork().encrypt_value(&Value::from("AAAA"));
+        let b = owner.fork().encrypt_value(&Value::from("BBBB"));
+        assert_ne!(nonce(&a), nonce(&b));
+        assert_eq!(owner.decrypt_value(&a).unwrap(), Value::from("AAAA"));
+        assert_eq!(owner.decrypt_value(&b).unwrap(), Value::from("BBBB"));
     }
 
     #[test]

@@ -32,13 +32,12 @@
 //! [`BinRoutedCloud`] abstracts over "one server" and "many shards" so the
 //! Query Binning executor (`pds-core`) works unchanged against either.
 
-use pds_common::{PdsError, Result, Value};
-use pds_storage::{Relation, Tuple};
+use pds_common::{PdsError, Result};
+use pds_storage::Relation;
 
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::server::CloudServer;
-use crate::store::EncryptedRow;
 use crate::view::AdversarialView;
 
 /// Deterministic seeded assignment of sensitive bins to shards.
@@ -50,7 +49,6 @@ use crate::view::AdversarialView;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinPlacement {
     shard_of_bin: Vec<usize>,
-    shards: usize,
 }
 
 impl BinPlacement {
@@ -68,42 +66,12 @@ impl BinPlacement {
         for (i, bin) in order.into_iter().enumerate() {
             shard_of_bin[bin] = i % shards;
         }
-        Ok(BinPlacement {
-            shard_of_bin,
-            shards,
-        })
+        Ok(BinPlacement { shard_of_bin })
     }
 
     /// The shard hosting a sensitive bin.
     pub fn shard_of_sensitive_bin(&self, bin: usize) -> usize {
         self.shard_of_bin.get(bin).copied().unwrap_or(0)
-    }
-
-    /// The shard an episode for `(sensitive bin, non-sensitive bin)` is
-    /// routed to.  Depends only on the sensitive bin — see the module docs
-    /// for why per-shard security forbids routing by the non-sensitive bin.
-    pub fn shard_for_pair(&self, sensitive_bin: usize, _nonsensitive_bin: usize) -> usize {
-        self.shard_of_sensitive_bin(sensitive_bin)
-    }
-
-    /// Number of shards the placement spans.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of sensitive bins placed.
-    pub fn bin_count(&self) -> usize {
-        self.shard_of_bin.len()
-    }
-
-    /// The sensitive bins hosted by one shard.
-    pub fn bins_on_shard(&self, shard: usize) -> Vec<usize> {
-        self.shard_of_bin
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(bin, _)| bin)
-            .collect()
     }
 }
 
@@ -138,8 +106,8 @@ pub trait BinRoutedCloud {
     fn shard_mut(&mut self, idx: usize) -> &mut CloudServer;
 
     /// Exclusive access to **all** shard slots at once, in shard order.
-    /// This is what [`crate::BinTransport`] fans out over: each per-shard
-    /// task takes the disjoint `&mut` borrow of its own slot, so shards can
+    /// Each in-process task handed to [`crate::BinTransport::dispatch`]
+    /// captures the disjoint `&mut` borrow of its own slot, so shards can
     /// be driven from separate OS threads without locks.
     fn shards_mut(&mut self) -> &mut [CloudServer];
 
@@ -181,8 +149,8 @@ impl BinRoutedCloud for CloudServer {
 /// A multi-server cloud: `N` independent [`CloudServer`] shards plus the
 /// seeded [`BinPlacement`] routing bin pairs across them.
 ///
-/// The router exposes the same upload / select / adversarial-view / metrics
-/// surface as a single server, aggregated over shards, plus per-shard
+/// The router exposes the same upload / adversarial-view / metrics surface
+/// as a single server, aggregated over shards, plus per-shard
 /// accessors and a max-over-shards parallel wall-clock estimate (shards are
 /// independent machines, so a workload's communication time is bounded by
 /// its busiest shard, not by the sum).
@@ -219,11 +187,6 @@ impl ShardRouter {
         &self.shards
     }
 
-    /// The installed placement map, if outsourcing has happened.
-    pub fn placement(&self) -> Option<&BinPlacement> {
-        self.placement.as_ref()
-    }
-
     /// Installs (or re-installs) the placement map for `sensitive_bins`.
     pub fn install_placement(&mut self, sensitive_bins: usize) -> Result<()> {
         self.placement = Some(BinPlacement::build(
@@ -243,34 +206,10 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Uploads encrypted rows to one specific shard (the caller has already
-    /// grouped rows by their bins' shard).
-    pub fn upload_encrypted(&mut self, shard: usize, rows: Vec<EncryptedRow>) -> Result<()> {
-        self.shard_checked(shard)?.upload_encrypted(rows)
-    }
-
-    /// Runs a clear-text `IN` selection on the shard hosting
-    /// `sensitive_bin`'s episodes.
-    pub fn plain_select_in(
-        &mut self,
-        sensitive_bin: usize,
-        values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        let idx = self.route_bin(sensitive_bin);
-        self.shards[idx].plain_select_in(values)
-    }
-
     fn route_bin(&self, sensitive_bin: usize) -> usize {
         self.placement
             .as_ref()
             .map_or(0, |p| p.shard_of_sensitive_bin(sensitive_bin))
-    }
-
-    fn shard_checked(&mut self, idx: usize) -> Result<&mut CloudServer> {
-        let n = self.shards.len();
-        self.shards
-            .get_mut(idx)
-            .ok_or_else(|| PdsError::Cloud(format!("shard {idx} out of range ({n} shards)")))
     }
 
     // ----- observability ----------------------------------------------------
@@ -376,6 +315,7 @@ impl BinRoutedCloud for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::EncryptedRow;
     use pds_common::{TupleId, Value};
     use pds_crypto::NonDetCipher;
     use pds_storage::{DataType, Schema};
@@ -414,13 +354,11 @@ mod tests {
                 "same seed reproduces the placement"
             );
         }
-        let loads: Vec<usize> = (0..4).map(|s| a.bins_on_shard(s).len()).collect();
-        assert_eq!(loads.iter().sum::<usize>(), 10);
-        assert!(loads.iter().all(|&l| l == 2 || l == 3), "{loads:?}");
-        // The pair routing ignores the non-sensitive bin.
+        let mut loads = [0usize; 4];
         for bin in 0..10 {
-            assert_eq!(a.shard_for_pair(bin, 0), a.shard_for_pair(bin, 99));
+            loads[a.shard_of_sensitive_bin(bin)] += 1;
         }
+        assert!(loads.iter().all(|&l| l == 2 || l == 3), "{loads:?}");
     }
 
     #[test]
@@ -450,7 +388,11 @@ mod tests {
         for shard in router.shards() {
             assert_eq!(shard.plain_len(), 3, "every shard holds the replica");
         }
-        let out = router.plain_select_in(2, &[Value::from("E259")]).unwrap();
+        let shard = BinRoutedCloud::route_sensitive_bin(&router, 2);
+        let out = router
+            .shard_mut(shard)
+            .plain_select_in(&[Value::from("E259")])
+            .unwrap();
         assert_eq!(out.len(), 1);
         // Exactly one shard observed the request (the other views are empty).
         let views = router.adversarial_views();
@@ -462,8 +404,14 @@ mod tests {
         // The LAN link charges latency per exchange as well as bytes.
         for network in [NetworkModel::paper_wan(), NetworkModel::lan()] {
             let mut router = ShardRouter::new(2, network, 5).unwrap();
-            router.upload_encrypted(0, encrypted_rows(100, 4)).unwrap();
-            router.upload_encrypted(1, encrypted_rows(200, 2)).unwrap();
+            router
+                .shard_mut(0)
+                .upload_encrypted(encrypted_rows(100, 4))
+                .unwrap();
+            router
+                .shard_mut(1)
+                .upload_encrypted(encrypted_rows(200, 2))
+                .unwrap();
             assert_eq!(router.encrypted_len(), 6);
             assert_eq!(router.shard(0).encrypted_len(), 4);
             assert_eq!(router.shard(1).encrypted_len(), 2);
@@ -487,7 +435,6 @@ mod tests {
             router.reset_metrics();
             assert_eq!(router.metrics().total_bytes(), 0);
             assert_eq!(router.comm_time(), 0.0);
-            assert!(router.upload_encrypted(7, Vec::new()).is_err());
         }
     }
 
@@ -499,7 +446,10 @@ mod tests {
         for bin in 0..2 {
             let shard = BinRoutedCloud::route_sensitive_bin(&router, bin);
             router.shard_mut(shard).begin_query();
-            router.plain_select_in(bin, &[Value::from("E199")]).unwrap();
+            router
+                .shard_mut(shard)
+                .plain_select_in(&[Value::from("E199")])
+                .unwrap();
             router.shard_mut(shard).end_query();
         }
         let composed = router.composed_view();
@@ -525,7 +475,10 @@ mod tests {
     #[test]
     fn shards_mut_exposes_every_slot_in_order() {
         let mut router = ShardRouter::new(3, NetworkModel::paper_wan(), 5).unwrap();
-        router.upload_encrypted(2, encrypted_rows(500, 1)).unwrap();
+        router
+            .shard_mut(2)
+            .upload_encrypted(encrypted_rows(500, 1))
+            .unwrap();
         let slots = BinRoutedCloud::shards_mut(&mut router);
         assert_eq!(slots.len(), 3);
         assert_eq!(slots[2].encrypted_len(), 1);

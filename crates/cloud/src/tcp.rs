@@ -5,8 +5,8 @@
 //! [`crate::service::ShardDaemon`]s — one daemon address per shard, one
 //! lazily-grown connection pool per shard.  The handle is cheap to clone
 //! (shared pools behind an `Arc`), which is what lets it ride inside
-//! [`crate::BinTransport::Tcp`] and be captured by per-shard worker
-//! threads.
+//! [`crate::BinTransport::Tcp`] and be shared by the per-shard tasks of
+//! [`crate::BinTransport::dispatch`].
 //!
 //! A connection has two ways to exchange frames.  [`TcpShardConn::call`]
 //! writes one frame and awaits its response; the handshake and
@@ -410,11 +410,6 @@ impl TcpCloudClient {
     /// handshakes included.
     pub fn bytes_read(&self) -> u64 {
         self.inner.bytes.read.load(Ordering::Relaxed)
-    }
-
-    /// Whether two handles share the same pools (identity, not config).
-    pub fn same_client(&self, other: &TcpCloudClient) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Fetches a tenant-scoped Prometheus-text metrics snapshot from one

@@ -13,13 +13,15 @@
 //!    remaining episodes are grouped by the shard hosting their sensitive
 //!    bin, each marked composed (the clear-text bin rides the sensitive
 //!    side's last exchange) or fine-grained according to the plan mode.
-//! 3. **Execution** — every planned episode runs as one adversarial-view
-//!    episode on its shard: in process through a
-//!    [`pds_cloud::CloudSession`], or over TCP through
-//!    [`crate::plan::execute_shard_pipelined`]'s correlated window, with
-//!    measured round counts either way; the owner decrypts, drops fake
-//!    tuples and false positives, and merges the two result streams
-//!    (`qmerge` of §II).
+//! 3. **Execution** — the planned episodes fan out per shard through one
+//!    [`BinTransport::dispatch`], one task per shard with work holding
+//!    that shard's engine, its steps and a fresh owner fork.  Every
+//!    episode runs as one adversarial-view episode on its shard: in
+//!    process through a [`pds_cloud::CloudSession`], or over TCP through
+//!    [`crate::plan::execute_shard_pipelined`]'s correlated window.  A
+//!    batch's rounds are the sum of its episodes' measured rounds on every
+//!    transport.  The owner decrypts, drops fake tuples and false
+//!    positives, and merges the two result streams (`qmerge` of §II).
 //!
 //! All entry points — [`QbExecutor::select`], [`QbExecutor::fetch_bin_pair`]
 //! and [`QbExecutor::run_workload_transported`] — share this one
@@ -30,7 +32,7 @@ use std::collections::HashSet;
 
 use pds_cloud::{
     BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinRoutedCloud, BinTransport, CloudServer,
-    DbOwner, Metrics, TcpCloudClient,
+    DbOwner,
 };
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{PartitionedRelation, Predicate, Relation, Tuple};
@@ -48,6 +50,9 @@ use crate::planner::{reorder_for_locality, PlannerConfig};
 /// small enough that a torn connection never has more than a handful of
 /// idempotent episodes to replay.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 8;
+
+/// Executed episodes: each one's workload slot, bin pair and result.
+type Episodes = Vec<(usize, BinPair, EpisodeResult)>;
 
 /// Counters describing one QB selection (used by experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -483,10 +488,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// a co-occurrence edge); see `pds_cloud::cache`.  On a miss the
     /// fetched bins are cached individually, so a pair sharing one bin with
     /// this one reuses its contents once that pair has been observed once
-    /// itself.  Over [`BinTransport::Tcp`] the miss episode travels as a
-    /// one-step window to the daemon hosting the sensitive bin, with the
-    /// local `cloud` consulted only for routing; every other transport runs
-    /// it in process.  Returns `(nonsensitive, sensitive, cached, rounds)`.
+    /// itself.  The miss episode runs as a one-step plan through
+    /// [`QbExecutor::run_steps`], so it takes the same fan-out as a batch
+    /// on every transport: over [`BinTransport::Tcp`] it travels to the
+    /// daemon hosting the sensitive bin, with the local `cloud` consulted
+    /// only for routing.  Returns `(nonsensitive, sensitive, cached,
+    /// rounds)`.
     fn retrieve_pair<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -503,30 +510,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
         owner.note_bin_cache(false);
         let step = self.compile_step(cloud, 0, pair);
-        let engine = self
-            .shard_engines
-            .get_mut(step.shard)
-            .ok_or_else(|| PdsError::Query(format!("no engine for shard {}", step.shard)))?;
-        let result = match transport {
-            BinTransport::Tcp(client) => {
-                let steps = std::slice::from_ref(&step);
-                let (mut episodes, _) =
-                    execute_shard_pipelined(owner, client, step.shard, engine, steps, 1)?;
-                let (_, _, result) = episodes.pop().ok_or_else(|| {
-                    PdsError::Wire("a one-step window returned no episode".into())
-                })?;
-                result
-            }
-            _ => execute_episode(owner, cloud.shard_mut(step.shard), engine, &step)?,
-        };
-        if self.cache.capacity() > 0 {
-            self.cache.store_pair(
-                pair.sensitive_bin,
-                result.outcome.sensitive.clone(),
-                pair.nonsensitive_bin,
-                result.outcome.nonsensitive.clone(),
-            );
-        }
+        let mut per_shard = vec![Vec::new(); cloud.shard_count()];
+        per_shard[step.shard].push(step);
+        let (mut episodes, _) = self.run_steps(owner, cloud, transport, per_shard)?;
+        let (_, _, result) = episodes
+            .pop()
+            .ok_or_else(|| PdsError::Query("a one-step plan returned no episode".into()))?;
         Ok((
             result.outcome.nonsensitive,
             result.outcome.sensitive,
@@ -587,10 +576,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             self.last_stats = SelectionStats::default();
             return Ok(Vec::new());
         };
-        let s_attr = self.sensitive_attr.expect("set during outsourcing");
-        let ns_attr = self
-            .nonsensitive_attr
-            .ok_or_else(|| PdsError::Cloud("plaintext relation missing".into()))?;
+        let (s_attr, ns_attr) = self.searchable_attrs()?;
         // qmerge: drop fake tuples (recognised by their ids, which only the
         // owner knows), keep only tuples matching the actual query value,
         // and concatenate.
@@ -676,13 +662,17 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// counters are folded back afterwards.  [`QbExecutor::last_stats`] is
     /// *not* updated (there is no single "last" query in a batch).
     ///
-    /// With [`BinTransport::Tcp`], the shards live in per-shard
+    /// Every transport runs the batch through the same fan-out
+    /// ([`BinTransport::dispatch`]), and [`TransportedRun::rounds`] is the
+    /// sum of the episodes' measured rounds on all of them.  With
+    /// [`BinTransport::Tcp`], the shards live in per-shard
     /// [`pds_cloud::ShardDaemon`] processes behind the transport's pooled
     /// client: each shard's episode stream runs on its own OS thread through
     /// [`execute_shard_pipelined`], with the window set by
-    /// [`QbExecutor::set_pipeline_window`] in flight per connection.  The local `cloud` then only provides the bin→shard
-    /// routing; its in-process shard state is never touched.  The client
-    /// must authenticate as this executor's tenant.
+    /// [`QbExecutor::set_pipeline_window`] in flight per connection.  The
+    /// local `cloud` then only provides the bin→shard routing; its
+    /// in-process shard state is never touched.  The client must
+    /// authenticate as this executor's tenant.
     pub fn run_workload_transported<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -693,17 +683,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         if !self.outsourced {
             return Err(PdsError::Query("deployment not outsourced yet".into()));
         }
-        let s_attr = self.sensitive_attr.expect("set during outsourcing");
-        let ns_attr = self
-            .nonsensitive_attr
-            .ok_or_else(|| PdsError::Cloud("plaintext relation missing".into()))?;
+        let (s_attr, ns_attr) = self.searchable_attrs()?;
         let shard_count = cloud.shard_count();
-        if self.shard_engines.len() < shard_count {
-            return Err(PdsError::Query(format!(
-                "{} engines for {shard_count} shards",
-                self.shard_engines.len()
-            )));
-        }
         if let BinTransport::Tcp(client) = transport {
             if client.shard_count() != shard_count {
                 return Err(PdsError::Config(format!(
@@ -729,101 +710,24 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // every occurrence after the first is a hit.  (Their cache lookup
         // happens after the fan-out, once the first occurrence has
         // populated the cache.)
-        let mut plan = self.plan_workload(owner, cloud, values);
-        let mut answers: Vec<Vec<Tuple>> = vec![Vec::new(); values.len()];
+        let plan = self.plan_workload(owner, cloud, values);
         let mut cache_hits = plan.cache_served.len();
         let mut cache_misses = plan.step_count();
-        for served in &plan.cache_served {
-            answers[served.index] = merge_point_answer(
-                &self.fake_id_set,
-                s_attr,
-                ns_attr,
-                &values[served.index],
-                self.planner.residual.as_ref(),
-                served.nonsensitive.clone(),
-                served.sensitive.clone(),
-            );
-        }
-
-        // Fan the per-shard episode streams out.  Locally (sequential or
-        // threaded) each task owns its episode steps, the
-        // disjoint `&mut` of its engine, and a forked owner (same keys,
-        // private counters) so it is `Send` as a whole; over TCP the same
-        // per-shard tasks drive checked-out daemon connections instead.
-        let per_shard_steps = std::mem::take(&mut plan.per_shard);
-        let (slots, wall_clock_sec, mut rounds) = match transport {
-            BinTransport::Tcp(client) => {
-                let (slots, wall, rounds) = tcp_fan_out(
-                    owner,
-                    &mut self.shard_engines,
-                    client,
-                    per_shard_steps,
-                    self.pipeline_window,
-                );
-                (slots, wall, rounds)
-            }
-            local => {
-                let mut tasks: Vec<Option<_>> = Vec::with_capacity(shard_count);
-                for (engine, (shard_idx, steps)) in self
-                    .shard_engines
-                    .iter_mut()
-                    .zip(per_shard_steps.into_iter().enumerate())
-                {
-                    if steps.is_empty() {
-                        tasks.push(None);
-                        continue;
-                    }
-                    let mut task_owner = owner.fork(shard_idx as u64 + 1);
-                    tasks.push(Some(move |shard: &mut CloudServer| {
-                        let mut episodes = Vec::with_capacity(steps.len());
-                        for step in steps {
-                            match execute_episode(&mut task_owner, shard, engine, &step) {
-                                Ok(res) => episodes.push((step.index, step.pair, res)),
-                                Err(e) => return (*task_owner.metrics(), Err(e)),
-                            }
-                        }
-                        (*task_owner.metrics(), Ok(episodes))
-                    }));
-                }
-                let report = local.dispatch(cloud.shards_mut(), tasks);
-                let rounds = report.total_rounds();
-                (report.per_shard, report.wall_clock_sec, rounds)
-            }
-        };
-
-        // Fold every fork's counters back before surfacing any error, so a
-        // failed shard's work is still accounted for.
-        let mut outcomes = Vec::new();
-        for slot in slots.into_iter().flatten() {
-            let (fork_metrics, outcome): (Metrics, Result<Vec<_>>) = slot;
-            owner.absorb_metrics(&fork_metrics);
-            outcomes.push(outcome);
-        }
-        for outcome in outcomes {
-            for (idx, pair, res) in outcome? {
-                if self.cache.capacity() > 0 {
-                    self.cache.store_pair(
-                        pair.sensitive_bin,
-                        res.outcome.sensitive.clone(),
-                        pair.nonsensitive_bin,
-                        res.outcome.nonsensitive.clone(),
-                    );
-                }
-                answers[idx] = merge_point_answer(
-                    &self.fake_id_set,
-                    s_attr,
-                    ns_attr,
-                    &values[idx],
-                    self.planner.residual.as_ref(),
-                    res.outcome.nonsensitive,
-                    res.outcome.sensitive,
-                );
-            }
+        // Each answer slot's two raw streams, merged once all are in.
+        let mut streams: Vec<(usize, Vec<Tuple>, Vec<Tuple>)> = plan
+            .cache_served
+            .into_iter()
+            .map(|served| (served.index, served.nonsensitive, served.sensitive))
+            .collect();
+        let (episodes, wall_clock_sec) = self.run_steps(owner, cloud, transport, plan.per_shard)?;
+        let mut rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
+        for (idx, _, res) in episodes {
+            streams.push((idx, res.outcome.nonsensitive, res.outcome.sensitive));
         }
 
         // Waiters look the cache up now that the fan-out has populated it.
         // A waiter can still miss when a later store in the same batch
-        // evicted its bins (tiny capacities); it then fetches sequentially,
+        // evicted its bins (tiny capacities); it then fetches on its own,
         // exactly as the select path would.
         for (idx, pair) in plan.waiters {
             let (ns_tuples, s_tuples, cached, waiter_rounds) =
@@ -834,6 +738,11 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 cache_misses += 1;
                 rounds += waiter_rounds;
             }
+            streams.push((idx, ns_tuples, s_tuples));
+        }
+
+        let mut answers: Vec<Vec<Tuple>> = vec![Vec::new(); values.len()];
+        for (idx, ns_tuples, s_tuples) in streams {
             answers[idx] = merge_point_answer(
                 &self.fake_id_set,
                 s_attr,
@@ -844,7 +753,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 s_tuples,
             );
         }
-
         Ok(TransportedRun {
             answers,
             wall_clock_sec,
@@ -852,6 +760,109 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             cache_misses,
             rounds,
         })
+    }
+
+    /// Runs planned episode steps, grouped by home shard, through
+    /// `transport`'s one fan-out ([`BinTransport::dispatch`]).  Returns
+    /// every episode's workload slot, bin pair and result — shard by shard,
+    /// each shard's in the order it finished them — and the measured
+    /// wall-clock of the fan-out.
+    ///
+    /// Each shard with work becomes one task that holds the shard's engine,
+    /// its steps and a fresh owner fork (same keys; its own randomness and
+    /// counters), so the task is `Send` as a whole.  In process the task
+    /// runs [`execute_episode`] for each step on its shard slot; over
+    /// [`BinTransport::Tcp`] it runs [`execute_shard_pipelined`] on the
+    /// daemon client with the pipeline window, and `cloud` contributes only
+    /// its shard slots' count.  Every fork's counters are folded back into
+    /// `owner` before the first error (in shard order) surfaces, so a
+    /// failed shard's work is still accounted for.  Each fetched pair is
+    /// then stored in the hot-bin cache, when it is enabled.
+    fn run_steps<C: BinRoutedCloud>(
+        &mut self,
+        owner: &mut DbOwner,
+        cloud: &mut C,
+        transport: &BinTransport,
+        per_shard: Vec<Vec<EpisodeStep>>,
+    ) -> Result<(Episodes, f64)> {
+        if self.shard_engines.len() < per_shard.len() {
+            return Err(PdsError::Query(format!(
+                "{} engines for {} shards",
+                self.shard_engines.len(),
+                per_shard.len()
+            )));
+        }
+        let client = match transport {
+            BinTransport::Tcp(client) => Some(client),
+            BinTransport::Sequential | BinTransport::Threaded => None,
+        };
+        let window = self.pipeline_window;
+        let tasks: Vec<Option<_>> = self
+            .shard_engines
+            .iter_mut()
+            .zip(cloud.shards_mut())
+            .zip(per_shard)
+            .enumerate()
+            .map(|(shard, ((engine, slot), steps))| {
+                if steps.is_empty() {
+                    return None;
+                }
+                let mut fork = owner.fork();
+                Some(move || {
+                    let episodes = match client {
+                        Some(client) => execute_shard_pipelined(
+                            &mut fork, client, shard, engine, &steps, window,
+                        ),
+                        None => steps
+                            .iter()
+                            .map(|step| {
+                                execute_episode(&mut fork, slot, engine, step)
+                                    .map(|result| (step.index, step.pair, result))
+                            })
+                            .collect(),
+                    };
+                    (*fork.metrics(), episodes)
+                })
+            })
+            .collect();
+        let (outputs, wall_clock_sec) = transport.dispatch(tasks);
+        let outcomes: Vec<Result<Episodes>> = outputs
+            .into_iter()
+            .flatten()
+            .map(|(fork_metrics, outcome)| {
+                owner.absorb_metrics(&fork_metrics);
+                outcome
+            })
+            .collect();
+        let episodes: Episodes = outcomes
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .flatten()
+            .collect();
+        if self.cache.capacity() > 0 {
+            for (_, pair, result) in &episodes {
+                self.cache.store_pair(
+                    pair.sensitive_bin,
+                    result.outcome.sensitive.clone(),
+                    pair.nonsensitive_bin,
+                    result.outcome.nonsensitive.clone(),
+                );
+            }
+        }
+        Ok((episodes, wall_clock_sec))
+    }
+
+    /// The searchable attribute's position on the sensitive and on the
+    /// non-sensitive side, which every point-query merge needs.
+    fn searchable_attrs(&self) -> Result<(AttrId, AttrId)> {
+        let s_attr = self
+            .sensitive_attr
+            .ok_or_else(|| PdsError::Query("deployment not outsourced yet".into()))?;
+        let ns_attr = self
+            .nonsensitive_attr
+            .ok_or_else(|| PdsError::Cloud("plaintext relation missing".into()))?;
+        Ok((s_attr, ns_attr))
     }
 
     /// Compiles a batch into its [`QueryPlan`] **without executing it** —
@@ -936,70 +947,6 @@ pub struct TransportedRun {
     /// hits contribute none; each episode as many as
     /// [`SelectionStats::rounds`] describes).
     pub rounds: u64,
-}
-
-/// One shard task's output: the fork's final counters plus its episode
-/// results (or the first error), the same shape
-/// [`BinTransport::dispatch`]'s closures produce so both fan-outs share
-/// the executor's fold/merge tail.
-type ShardSlot = (Metrics, Result<Vec<(usize, BinPair, EpisodeResult)>>);
-
-/// The remote twin of [`BinTransport::dispatch`] for
-/// [`BinTransport::Tcp`]: one scoped OS thread per shard with work, each
-/// running its episodes through [`execute_shard_pipelined`] with up to
-/// `window` requests in flight.  Returns the per-shard slots, the measured
-/// wall-clock seconds, and the total owner↔cloud rounds counted
-/// client-side (one per episode).
-fn tcp_fan_out<E: SecureSelectionEngine>(
-    owner: &mut DbOwner,
-    engines: &mut [E],
-    client: &TcpCloudClient,
-    per_shard_steps: Vec<Vec<EpisodeStep>>,
-    window: usize,
-) -> (Vec<Option<ShardSlot>>, f64, u64) {
-    let mut tasks: Vec<Option<_>> = Vec::with_capacity(per_shard_steps.len());
-    for (engine, (shard_idx, steps)) in engines
-        .iter_mut()
-        .zip(per_shard_steps.into_iter().enumerate())
-    {
-        if steps.is_empty() {
-            tasks.push(None);
-            continue;
-        }
-        let mut task_owner = owner.fork(shard_idx as u64 + 1);
-        let client = client.clone();
-        tasks.push(Some(move || -> ShardSlot {
-            let outcome = execute_shard_pipelined(
-                &mut task_owner,
-                &client,
-                shard_idx,
-                engine,
-                &steps,
-                window,
-            );
-            (*task_owner.metrics(), outcome.map(|(episodes, _)| episodes))
-        }));
-    }
-    let start = std::time::Instant::now();
-    let slots: Vec<Option<ShardSlot>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| task.map(|f| scope.spawn(f)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("remote shard task panicked")))
-            .collect()
-    });
-    let wall_clock_sec = start.elapsed().as_secs_f64();
-    let rounds = slots
-        .iter()
-        .flatten()
-        .filter_map(|(_, outcome)| outcome.as_ref().ok())
-        .flatten()
-        .map(|(_, _, result)| result.rounds)
-        .sum();
-    (slots, wall_clock_sec, rounds)
 }
 
 /// `qmerge` of §II for a point query: drop fakes (by id), keep only
@@ -1471,9 +1418,15 @@ mod tests {
             let mut t_owner = DbOwner::new(5);
             let mut router = ShardRouter::new(3, NetworkModel::paper_wan(), 11).unwrap();
             exec.outsource(&mut t_owner, &mut router, &parts).unwrap();
+            let rounds_before = router.metrics().round_trips;
             let run = exec
                 .run_workload_transported(&mut t_owner, &mut router, &with_unknown, &transport)
                 .unwrap();
+            assert_eq!(
+                run.rounds,
+                router.metrics().round_trips - rounds_before,
+                "{transport:?}: the batch's rounds are the cloud's"
+            );
             assert_eq!(run.answers.len(), with_unknown.len());
             let got: Vec<Vec<u64>> = run
                 .answers
@@ -1496,9 +1449,12 @@ mod tests {
                 "{transport:?}: in-batch repeats must hit ({} hits)",
                 run.cache_hits
             );
+            let rounds_before = router.metrics().round_trips;
             let rerun = exec
                 .run_workload_transported(&mut t_owner, &mut router, &workload, &transport)
                 .unwrap();
+            assert_eq!(rerun.rounds, 0, "warm cache: {transport:?}");
+            assert_eq!(router.metrics().round_trips, rounds_before);
             assert_eq!(rerun.cache_misses, 0, "warm cache: {transport:?}");
             assert_eq!(rerun.cache_hits, workload.len());
             // Security still holds on every shard and composed.

@@ -113,15 +113,6 @@ impl QueryPlan {
     pub fn step_count(&self) -> usize {
         self.per_shard.iter().map(Vec::len).sum()
     }
-
-    /// Number of episodes that run composed.
-    pub fn composed_step_count(&self) -> usize {
-        self.per_shard
-            .iter()
-            .flatten()
-            .filter(|s| s.composed)
-            .count()
-    }
 }
 
 /// The outcome of executing one [`EpisodeStep`].
@@ -135,8 +126,8 @@ pub struct EpisodeResult {
 
 /// Executes one planned episode against its shard: opens a
 /// [`CloudSession`] episode, runs the composed or fine-grained path, and
-/// reports the measured round count.  Free function so the threaded
-/// per-shard fan-out can call it without borrowing the whole executor.
+/// reports the measured round count.  Free function so a shard task of the
+/// executor's fan-out can call it without borrowing the whole executor.
 pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     owner: &mut DbOwner,
     shard: &mut CloudServer,
@@ -161,22 +152,21 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     })
 }
 
-/// One shard's results over TCP: each episode's workload slot, its bin
-/// pair and its engine outcome, plus the number of owner↔cloud rounds the
-/// batch took (one per episode, whatever the window).
-pub type PipelinedBatch = (Vec<(usize, BinPair, EpisodeResult)>, u64);
-
 /// Executes one shard's planned episodes over a daemon connection — the
-/// only way an episode crosses TCP.  Up to `window` composed requests are
-/// framed and written back-to-back (vectored writes, no response awaited
-/// in between), and responses are matched back to their episodes by
-/// correlation id in whatever order the daemon's worker pool finishes
-/// them.  A window of 1 is lock-step: one request on the socket, then its
-/// answer.  Each episode's owner-side work is split across the engine's
-/// two halves — [`SecureSelectionEngine::composed_wire_tags`] before the
-/// uplink, [`SecureSelectionEngine::finish_composed`] after the downlink —
-/// so the client keeps issuing requests while earlier responses are still
-/// being computed cloud-side.
+/// only way an episode crosses TCP — and returns each episode's workload
+/// slot, bin pair and result, in the order the answers arrived.  Every
+/// result counts one owner↔cloud round, whatever the window.
+///
+/// Up to `window` composed requests are framed and written back-to-back
+/// (vectored writes, no response awaited in between), and responses are
+/// matched back to their episodes by correlation id in whatever order the
+/// daemon's worker pool finishes them.  A window of 1 is lock-step: one
+/// request on the socket, then its answer.  Each episode's owner-side work
+/// is split across the engine's two halves —
+/// [`SecureSelectionEngine::composed_wire_tags`] before the uplink,
+/// [`SecureSelectionEngine::finish_composed`] after the downlink — so the
+/// client keeps issuing requests while earlier responses are still being
+/// computed cloud-side.
 ///
 /// The shard lives in a [`pds_cloud::ShardDaemon`]'s address space, so
 /// only composed episodes whose tokens the daemon's tag index resolves can
@@ -209,7 +199,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     steps: &[EpisodeStep],
     window: usize,
-) -> Result<PipelinedBatch> {
+) -> Result<Vec<(usize, BinPair, EpisodeResult)>> {
     let _span = pds_obs::obs_span("episode.pipelined");
     if steps.iter().any(|step| !step.composed) {
         return Err(PdsError::Wire(format!(
@@ -272,7 +262,6 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
         let outcome = engine.finish_composed(owner, &step.request, nonsensitive, rows)?;
         episodes.push((step.index, step.pair, EpisodeResult { outcome, rounds: 1 }));
     }
-    let rounds = episodes.len() as u64;
     client.checkin(shard, conn);
-    Ok((episodes, rounds))
+    Ok(episodes)
 }

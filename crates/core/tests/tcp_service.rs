@@ -472,7 +472,8 @@ fn a_read_insert_soak_keeps_every_shard_view_bounded() {
 /// frame bytes the client wrote and read must equal those counters'
 /// deltas.  The client's counters are read after the first stats
 /// exchanges and before the second, so stats frames count on neither
-/// side.
+/// side.  The batch's own round count must equal the daemons'
+/// `pds_round_trips_total` delta.
 #[test]
 fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
     const SHARDS: usize = 2;
@@ -488,9 +489,10 @@ fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
         |metric: &str| -> u64 { (0..SHARDS).map(|s| stat(&client, s, metric)).sum::<f64>() as u64 };
     // The stats exchanges also dial (and handshake) one pooled connection
     // per shard, so the measured window below dials nothing.
-    let (up_before, down_before) = (
+    let (up_before, down_before, rounds_before) = (
         counted("pds_wire_bytes_uploaded_total"),
         counted("pds_wire_bytes_downloaded_total"),
+        counted("pds_round_trips_total"),
     );
     let (written_before, read_before) = (client.bytes_written(), client.bytes_read());
 
@@ -530,6 +532,10 @@ fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
     let read = client.bytes_read() - read_before;
     let uploaded = counted("pds_wire_bytes_uploaded_total") - up_before;
     let downloaded = counted("pds_wire_bytes_downloaded_total") - down_before;
+    // The insert and the stats exchanges count no rounds, so the daemons'
+    // round counters moved by exactly the batch's episodes.
+    let rounds = counted("pds_round_trips_total") - rounds_before;
+    assert_eq!(run.rounds, rounds, "batch rounds vs daemons' round count");
     assert!(written > 0 && read > written, "{written} up, {read} down");
     assert_eq!(
         written, uploaded,
@@ -726,10 +732,10 @@ fn out_of_order_responses_are_matched_to_the_right_episodes() {
     let client = TcpCloudClient::new(7, vec![addr]);
     let (mut owner, mut engine) = outsourced_det();
     let steps = pipeline_steps(4);
-    let (episodes, rounds) =
-        execute_shard_pipelined(&mut owner, &client, 0, &mut engine, &steps, 4).unwrap();
+    let episodes = execute_shard_pipelined(&mut owner, &client, 0, &mut engine, &steps, 4).unwrap();
     daemon.join().unwrap();
 
+    let rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
     assert_eq!(rounds, 4);
     // Responses arrived in reverse, and the demux must have attributed
     // each to its own episode: the marker tuple the rogue daemon built

@@ -8,10 +8,13 @@
 //! generates a DPF key pair for the point `index(w)`; each server evaluates
 //! its key at every tuple's value index and returns the share vector; XORing
 //! the two vectors yields the indicator of matching tuples, which the owner
-//! then fetches from the encrypted store.  The evaluation is this engine's
-//! [`SecureSelectionEngine::locate`] round; in a Query Binning episode the
-//! fetch by address also carries the clear-text bin, so an episode takes
-//! two rounds.
+//! then fetches from the encrypted store.  The owner generates the keys
+//! ([`DbOwner::dpf_keys`]) from its own randomness stream, so every query's
+//! random shares are fresh: keys generated from one fixed seed would hand
+//! server 1 the XOR of two queries' shares, the indicator of both points.
+//! The evaluation is this engine's [`SecureSelectionEngine::locate`] round;
+//! in a Query Binning episode the fetch by address also carries the
+//! clear-text bin, so an episode takes two rounds.
 //!
 //! The per-query work is linear in the number of tuples on *both* servers —
 //! the expensive scan QB avoids performing over non-sensitive data.
@@ -72,6 +75,16 @@ impl DpfEngine {
     pub fn domain_size(&self) -> usize {
         self.domain_size
     }
+
+    /// One DPF key pair per requested value that exists in the domain,
+    /// generated by the owner with fresh randomness.
+    fn query_keys(&self, owner: &mut DbOwner, values: &[Value]) -> Result<Vec<(DpfKey, DpfKey)>> {
+        values
+            .iter()
+            .filter_map(|value| self.domain.get(value))
+            .map(|&alpha| owner.dpf_keys(self.domain_size, alpha))
+            .collect()
+    }
 }
 
 impl SecureSelectionEngine for DpfEngine {
@@ -120,24 +133,16 @@ impl SecureSelectionEngine for DpfEngine {
     /// the domain, each key evaluated at every stored row.
     fn locate(
         &mut self,
-        _owner: &mut DbOwner,
+        owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
     ) -> Result<Vec<TupleId>> {
         self.searchable_attr()?;
-        let mut rng = pds_common::rng::seeded_rng(pds_common::rng::derive_seed(self.seed, "dpf-q"));
-
-        // One DPF key pair per requested value that exists in the domain.
+        let keys = self.query_keys(owner, values)?;
         let mut matching: Vec<TupleId> = Vec::new();
-        let mut keys_generated = 0usize;
-        for value in values {
-            let Some(&alpha) = self.domain.get(value) else {
-                continue;
-            };
-            let (k0, k1) = dpf::generate(self.domain_size, alpha, 1, &mut rng)?;
-            keys_generated += 1;
-            let e0 = self.servers[0].evaluate(&k0)?;
-            let e1 = self.servers[1].evaluate(&k1)?;
+        for (k0, k1) in &keys {
+            let e0 = self.servers[0].evaluate(k0)?;
+            let e1 = self.servers[1].evaluate(k1)?;
             for ((id0, s0), (id1, s1)) in e0.iter().zip(e1.iter()) {
                 debug_assert_eq!(id0, id1);
                 if s0 ^ s1 == 1 {
@@ -149,9 +154,9 @@ impl SecureSelectionEngine for DpfEngine {
         matching.dedup();
         let rows = self.servers[0].tuple_value_index.len();
         cloud.note_encrypted_request(
-            keys_generated,
-            keys_generated * self.domain_size * 8,
-            keys_generated * rows,
+            keys.len(),
+            keys.len() * self.domain_size * 8,
+            keys.len() * rows,
         );
         Ok(matching)
     }
@@ -265,6 +270,18 @@ mod tests {
         let delta = cloud.metrics().delta_since(&before);
         // Two keys (77 is not in the domain), each evaluated at six rows.
         assert_eq!(delta.encrypted_tuples_scanned, 12);
+    }
+
+    #[test]
+    fn every_query_draws_fresh_key_randomness() {
+        let (mut owner, _, engine) = setup();
+        let value = [Value::Int(10)];
+        let first = engine.query_keys(&mut owner, &value).unwrap();
+        let second = engine.query_keys(&mut owner, &value).unwrap();
+        // Server 1 must not see the same shares twice: XORing two queries'
+        // shares would otherwise give it the indicator of both points.
+        let server1 = |keys: &[(DpfKey, DpfKey)]| engine.servers[1].evaluate(&keys[0].1).unwrap();
+        assert_ne!(server1(&first), server1(&second));
     }
 
     #[test]

@@ -50,11 +50,11 @@ pub struct BinEpisodeOutcome {
 /// positives are filtered owner-side before returning.
 ///
 /// Engines are `Send`: sharded deployments fork one engine per shard and
-/// the threaded transport (`pds_cloud::BinTransport::Threaded`) moves each
-/// fork onto its shard's OS thread, so every back-end's per-shard state
-/// must be transferable across threads (all six workspace engines hold
-/// only owned data, so this is a compile-time guarantee, not a runtime
-/// cost).
+/// the threaded and TCP fan-out (`pds_cloud::BinTransport::dispatch`)
+/// lends each fork to its shard's OS thread, so every back-end's
+/// per-shard state must be transferable across threads (all six
+/// workspace engines hold only owned data, so this is a compile-time
+/// guarantee, not a runtime cost).
 ///
 /// The trait is **object safe**: a deployment can hold
 /// `Box<dyn SecureSelectionEngine>` engines, which is how sharded

@@ -360,7 +360,8 @@ proptest! {
 /// cloud-side on all six back-ends in both plan modes — the fine-grained
 /// path included — so every deployment returns strictly fewer tuples than
 /// with the residual applied owner-side only, with identical answers and
-/// partitioned security intact per shard and composed.
+/// partitioned security intact per shard and composed.  Each batch's
+/// reported rounds equal the shards' own `round_trips` delta.
 #[test]
 fn pushdown_filters_cloud_side_on_every_backend_in_both_plan_modes() {
     let (parts, values) = employee_setup();
@@ -399,7 +400,12 @@ fn pushdown_filters_cloud_side_on_every_backend_in_both_plan_modes() {
                         .map(|ts| answer_bytes(ts))
                         .collect::<Vec<_>>(),
                 );
-                returned.push(router.metrics().delta_since(&outsourcing).tuples_returned);
+                let delta = router.metrics().delta_since(&outsourcing);
+                assert_eq!(
+                    run.rounds, delta.round_trips,
+                    "{name} {mode:?} pushdown={pushdown}: the batch's rounds are the cloud's"
+                );
+                returned.push(delta.tuples_returned);
                 let report = check_sharded_partitioned_security(&router.adversarial_views());
                 assert!(
                     report.is_secure(),
