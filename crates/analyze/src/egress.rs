@@ -58,10 +58,10 @@ pub const SOURCES: &[&str] = &[
     "sensitive_predicate",
 ];
 
-/// Identifiers that mark a wire-egress point.  The last three are the
-/// residual-pushdown path: the predicate encoder, the cloud's filtered
-/// select entry point, and the planner accessor that releases a residual
-/// onto the wire.
+/// Identifiers that mark a wire-egress point.  `fetch_bin` is the cloud's
+/// query entry point, which every query request reaches.  The last two
+/// are the residual-pushdown path: the predicate encoder, and the planner
+/// accessor that releases a residual onto the wire.
 pub const SINKS: &[&str] = &[
     "write_all",
     "encode",
@@ -69,12 +69,11 @@ pub const SINKS: &[&str] = &[
     "to_wire",
     "TcpStream",
     "WireMessage",
-    "BinPairRequest",
     "FetchBinRequest",
     "InsertRequest",
     "BinPayload",
+    "fetch_bin",
     "write_predicate",
-    "plain_select_filtered",
     "wire_residual",
 ];
 

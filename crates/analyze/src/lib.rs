@@ -82,7 +82,6 @@ pub const LOCK_FILES: &[&str] = &[
 pub const HOT_FILES: &[&str] = &[
     "crates/cloud/src/service.rs",
     "crates/cloud/src/tcp.rs",
-    "crates/cloud/src/session.rs",
     "crates/proto/src/frame.rs",
     "crates/proto/src/messages.rs",
 ];

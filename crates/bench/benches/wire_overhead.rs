@@ -5,14 +5,15 @@
 //! * **codec throughput** — encode and decode of a [`BinPayload`] carrying
 //!   realistic encrypted rows, at growing row counts (the response shape
 //!   that dominates QB retrieval traffic);
-//! * **composed vs fine-grained** — one [`BinPairRequest`] carrying a whole
-//!   episode versus the separate [`FetchBinRequest`] messages of a
-//!   fine-grained episode (frame-overhead amortisation).
+//! * **composed vs fine-grained** — one [`FetchBinRequest`] carrying a
+//!   whole episode (clear-text values and search tags) versus the two
+//!   separate requests of a fine-grained episode (frame-overhead
+//!   amortisation).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pds_common::Value;
 use pds_crypto::NonDetCipher;
-use pds_proto::{BinPairRequest, BinPayload, FetchBinRequest, WireMessage, WireRow};
+use pds_proto::{BinPayload, FetchBinRequest, WireMessage, WireRow};
 
 /// Realistic encrypted rows: ciphertext lengths match what `DbOwner`
 /// produces for a ~5-attribute tuple.
@@ -53,11 +54,10 @@ fn bench_composed_vs_fine_grained(c: &mut Criterion) {
     group.sample_size(20);
     let tokens: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 44]).collect();
     let values: Vec<Value> = (0..32).map(Value::Int).collect();
-    let composed = WireMessage::BinPairRequest(BinPairRequest {
-        sensitive_bin: 3,
-        nonsensitive_bin: 9,
-        encrypted_values: tokens.clone(),
-        nonsensitive_values: values.clone(),
+    let composed = WireMessage::FetchBinRequest(FetchBinRequest {
+        values: values.clone(),
+        ids: Vec::new(),
+        tags: tokens.clone(),
         predicate: None,
     });
     let fine: Vec<WireMessage> = vec![
@@ -77,11 +77,11 @@ fn bench_composed_vs_fine_grained(c: &mut Criterion) {
     let composed_len = composed.encoded_len().unwrap();
     let fine_len: usize = fine.iter().map(|m| m.encoded_len().unwrap()).sum();
     println!(
-        "episode encoding: composed BinPairRequest {composed_len} B vs \
+        "episode encoding: composed FetchBinRequest {composed_len} B vs \
          {} fine-grained frames {fine_len} B",
         fine.len()
     );
-    group.bench_function("composed_pair_request", |b| {
+    group.bench_function("composed_request", |b| {
         b.iter(|| black_box(composed.encode().unwrap()))
     });
     group.bench_function("fine_grained_requests", |b| {

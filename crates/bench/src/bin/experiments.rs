@@ -25,6 +25,9 @@
 //! of its default {1, 2, 4} sweep, and `--owners` (>= 1) sets its number
 //! of concurrent tenant owners (default 8; `--shards` sets its daemon
 //! count, default 2).
+//!
+//! A section that errors or fails its gate prints why to stderr; the
+//! process exits 1 once every requested section has printed.
 
 use pds_bench::{
     attacks, fig6a, fig6b, fig6c, hetero, pipeline, planner, rwmix, service, sharded, table6, wire,
@@ -192,54 +195,53 @@ fn main() {
     let trace_root = pds_obs::obs_span("experiment.run");
 
     let run_all = which == "all";
+    // A failed section fails the process, but only after every requested
+    // section has printed, so a partial `all` stays readable.
+    let mut sections_ok = true;
     if run_all || which == "fig6a" {
         print_fig6a();
     }
     if run_all || which == "fig6b" {
-        print_fig6b(scale);
+        sections_ok &= print_fig6b(scale);
     }
     if run_all || which == "fig6c" {
-        print_fig6c(scale);
+        sections_ok &= print_fig6c(scale);
     }
     if run_all || which == "table6" {
-        print_table6(scale);
+        sections_ok &= print_table6(scale);
     }
     if run_all || which == "arx" {
-        print_arx(scale);
+        sections_ok &= print_arx(scale);
     }
-    // Sharded runs are CI regression gates: a failure must fail the process
-    // (the paper-figure sections keep printing so a partial `all` remains
-    // useful for eyeballing).
-    let mut sharded_ok = true;
     if run_all || which == "headline" {
-        sharded_ok &= print_headline(shards.unwrap_or(1), scale);
+        sections_ok &= print_headline(shards.unwrap_or(1), scale);
     }
     if run_all || which == "sharded" {
-        sharded_ok &= print_sharded(shards.unwrap_or(8), scale);
+        sections_ok &= print_sharded(shards.unwrap_or(8), scale);
     }
     if run_all || which == "zipf" {
-        sharded_ok &= print_zipf(scale, skew, cache);
+        sections_ok &= print_zipf(scale, skew, cache);
     }
     if run_all || which == "wire" {
-        sharded_ok &= print_wire(scale, shards, latency, bandwidth);
+        sections_ok &= print_wire(scale, shards, latency, bandwidth);
     }
     if run_all || which == "hetero" {
-        sharded_ok &= print_hetero(shards.unwrap_or(4), scale);
+        sections_ok &= print_hetero(shards.unwrap_or(4), scale);
     }
     if run_all || which == "planner" {
-        sharded_ok &= print_planner(scale);
+        sections_ok &= print_planner(scale);
     }
     if run_all || which == "rwmix" {
         // `--cache` primarily pins zipf; an explicit `rwmix --cache 0` was
         // rejected at parse time, and `all --cache 0` falls back to the
         // rwmix default rather than failing the whole suite.
-        sharded_ok &= print_rwmix(cache.filter(|&c| c > 0).unwrap_or(32));
+        sections_ok &= print_rwmix(cache.filter(|&c| c > 0).unwrap_or(32));
     }
     if run_all || which == "service" {
-        sharded_ok &= print_service(shards.unwrap_or(2), workers, owners.unwrap_or(8));
+        sections_ok &= print_service(shards.unwrap_or(2), workers, owners.unwrap_or(8));
     }
     if run_all || which == "pipeline" {
-        sharded_ok &= print_pipeline(shards.unwrap_or(2).max(2));
+        sections_ok &= print_pipeline(shards.unwrap_or(2).max(2));
     }
     if run_all || which == "employee" {
         print_employee();
@@ -255,7 +257,7 @@ fn main() {
         }
     }
 
-    if !sharded_ok {
+    if !sections_ok {
         std::process::exit(1);
     }
 }
@@ -403,48 +405,43 @@ fn print_fig6a() {
     println!();
 }
 
-fn print_fig6b(scale: f64) {
+/// Prints Figure 6b; returns whether the run completed.
+fn print_fig6b(scale: f64) -> bool {
     println!("== Figure 6b: measured eta vs alpha for three dataset sizes (scale {scale}) ==");
     println!(
         "{:>10} {:>8} {:>14} {:>14} {:>8}",
         "tuples", "alpha", "qb s/query", "full s/query", "eta"
     );
-    match fig6b::paper_run(scale, 42) {
-        Ok(points) => {
-            for p in points {
-                println!(
-                    "{:>10} {:>8.2} {:>14.6} {:>14.6} {:>8.4}",
-                    p.tuples, p.alpha, p.qb_sec, p.full_sec, p.eta
-                );
-            }
-        }
-        Err(e) => println!("fig6b failed: {e}"),
-    }
+    let ok = print_rows("fig6b", fig6b::paper_run(scale, 42), |p| {
+        println!(
+            "{:>10} {:>8.2} {:>14.6} {:>14.6} {:>8.4}",
+            p.tuples, p.alpha, p.qb_sec, p.full_sec, p.eta
+        )
+    });
     println!();
+    ok
 }
 
-fn print_fig6c(scale: f64) {
+/// Prints Figure 6c; returns whether the run completed.
+fn print_fig6c(scale: f64) -> bool {
     let tuples = ((40_000.0 * scale) as usize).max(2_000);
     println!("== Figure 6c: per-query time vs bin-size imbalance ({tuples} tuples) ==");
     println!(
         "{:>8} {:>12} {:>16} {:>16}",
         "SB bins", "||SB|-|NSB||", "sim s/query", "wall s/query"
     );
-    match fig6c::paper_run(tuples, 42) {
-        Ok(points) => {
-            for p in points {
-                println!(
-                    "{:>8} {:>12} {:>16.6} {:>16.6}",
-                    p.sensitive_bins, p.imbalance, p.per_query_sec, p.wall_clock_sec
-                );
-            }
-        }
-        Err(e) => println!("fig6c failed: {e}"),
-    }
+    let ok = print_rows("fig6c", fig6c::paper_run(tuples, 42), |p| {
+        println!(
+            "{:>8} {:>12} {:>16.6} {:>16.6}",
+            p.sensitive_bins, p.imbalance, p.per_query_sec, p.wall_clock_sec
+        )
+    });
     println!();
+    ok
 }
 
-fn print_table6(scale: f64) {
+/// Prints Table VI; returns whether the run completed.
+fn print_table6(scale: f64) -> bool {
     let tuples = ((60_000.0 * scale) as usize).max(2_000);
     println!(
         "== Table VI: QB + Opaque / QB + Jana at 1-60% sensitivity ({tuples} generated tuples,"
@@ -454,21 +451,20 @@ fn print_table6(scale: f64) {
         "{:>12} {:>8} {:>14} {:>16}",
         "backend", "alpha", "QB sec", "without QB sec"
     );
-    match table6::run(tuples, &table6::paper_alphas(), 3, 42) {
-        Ok(cells) => {
-            for c in cells {
-                println!(
-                    "{:>12} {:>8.2} {:>14.1} {:>16.1}",
-                    c.backend, c.alpha, c.qb_sec, c.without_qb_sec
-                );
-            }
-        }
-        Err(e) => println!("table6 failed: {e}"),
-    }
+    let cells = table6::run(tuples, &table6::paper_alphas(), 3, 42);
+    let ok = print_rows("table6", cells, |c| {
+        println!(
+            "{:>12} {:>8.2} {:>14.1} {:>16.1}",
+            c.backend, c.alpha, c.qb_sec, c.without_qb_sec
+        )
+    });
     println!();
+    ok
 }
 
-fn print_arx(scale: f64) {
+/// Prints the Arx hardening comparison; returns whether both runs
+/// completed.
+fn print_arx(scale: f64) -> bool {
     let tuples = ((20_000.0 * scale) as usize).max(1_500);
     println!(
         "== Section VI: Arx hardening — attacks with and without QB ({tuples} tuples, skewed) =="
@@ -482,12 +478,13 @@ fn print_arx(scale: f64) {
         "anonymity set",
         "secure?"
     );
+    let mut ok = true;
     for (label, result) in [
         ("arx-alone", attacks::arx_without_qb(tuples, 150, 0.4, 42)),
         ("arx+QB", attacks::arx_with_qb(tuples, 150, 0.4, 42)),
     ] {
-        match result {
-            Ok(o) => println!(
+        ok &= print_rows(label, result.map(|o| [o]), |o| {
+            println!(
                 "{:>10} {:>16.3} {:>18.3} {:>14.3} {:>14.2} {:>10}",
                 label,
                 o.size_attack_exact_rate,
@@ -495,11 +492,30 @@ fn print_arx(scale: f64) {
                 o.skew_attack_hit_rate,
                 o.skew_anonymity_set,
                 o.partitioned_security_holds
-            ),
-            Err(e) => println!("{label} failed: {e}"),
-        }
+            )
+        });
     }
     println!();
+    ok
+}
+
+/// Prints each row of a paper section's result with `print_row`, or the
+/// section's error to stderr; returns whether the run completed.
+fn print_rows<T, E: std::fmt::Display>(
+    name: &str,
+    result: Result<impl IntoIterator<Item = T>, E>,
+    print_row: impl FnMut(T),
+) -> bool {
+    match result {
+        Ok(rows) => {
+            rows.into_iter().for_each(print_row);
+            true
+        }
+        Err(e) => {
+            eprintln!("{name} failed: {e}");
+            false
+        }
+    }
 }
 
 fn print_headline(shards: usize, scale: f64) -> bool {
@@ -701,20 +717,18 @@ fn print_wire(
 
     // Composed vs fine-grained: the same exhaustive workload over identical
     // deterministic-index deployments, once forced multi-round and once on
-    // the live composed BinPairRequest path.
+    // the live composed path (one FetchBinRequest per episode).
+    println!("== Composed vs fine-grained episodes ({tuples} tuples, exhaustive workload) ==");
     println!(
-        "== Composed BinPairRequest vs fine-grained episodes ({tuples} tuples, \
-         exhaustive workload) =="
-    );
-    println!(
-        "{:>8} {:>8} {:>10} {:>10} {:>12} {:>12} {:>10} {:>7} {:>8}",
+        "{:>8} {:>8} {:>10} {:>10} {:>12} {:>12} {:>8} {:>8} {:>7} {:>8}",
         "shards",
         "queries",
         "rounds f",
         "rounds c",
         "bytes f",
         "bytes c",
-        "BPR frames",
+        "FBR f",
+        "FBR c",
         "exact?",
         "secure?"
     );
@@ -722,14 +736,15 @@ fn print_wire(
         Ok(points) => {
             for p in &points {
                 println!(
-                    "{:>8} {:>8} {:>10} {:>10} {:>12} {:>12} {:>10} {:>7} {:>8}",
+                    "{:>8} {:>8} {:>10} {:>10} {:>12} {:>12} {:>8} {:>8} {:>7} {:>8}",
                     p.shards,
                     p.queries,
                     p.rounds_fine,
                     p.rounds_composed,
                     p.bytes_fine,
                     p.bytes_composed,
-                    p.bin_pair_frames_composed,
+                    p.requests_fine,
+                    p.requests_composed,
                     p.exact,
                     p.secure
                 );
@@ -738,7 +753,7 @@ fn print_wire(
             if !ok {
                 eprintln!(
                     "composed path failed its gate (needs strictly fewer rounds, <= 1.1x bytes, \
-                     identical answers, BinPairRequest frames on the wire)"
+                     identical answers, one request frame per composed episode)"
                 );
             }
             println!();
@@ -755,8 +770,7 @@ fn print_wire(
 
 /// Prints the heterogeneous-shard run; returns whether the gate held
 /// (exact answers, per-shard + composed security, >= 2 distinct engines,
-/// one combined request per episode in one round on `BinPairRequest`
-/// shards and two elsewhere).
+/// one `FetchBinRequest` per episode after no locating round or one).
 fn print_hetero(shards: usize, scale: f64) -> bool {
     // `all --shards 1` still runs the other sharded sections at 1 shard;
     // hetero needs two engines, so the shared flag is floored here (an
@@ -767,17 +781,17 @@ fn print_hetero(shards: usize, scale: f64) -> bool {
     match hetero::run(tuples, shards, 42) {
         Ok(outcome) => {
             println!(
-                "{:>6} {:>14} {:>10} {:>8} {:>12} {:>12} {:>12}",
-                "shard", "engine", "episodes", "rounds", "BPR frames", "FBR frames", "bytes"
+                "{:>6} {:>14} {:>10} {:>8} {:>14} {:>12} {:>12}",
+                "shard", "engine", "episodes", "rounds", "locate frames", "FBR frames", "bytes"
             );
             for s in &outcome.per_shard {
                 println!(
-                    "{:>6} {:>14} {:>10} {:>8} {:>12} {:>12} {:>12}",
+                    "{:>6} {:>14} {:>10} {:>8} {:>14} {:>12} {:>12}",
                     s.shard,
                     s.engine,
                     s.episodes,
                     s.rounds,
-                    s.bin_pair_frames,
+                    s.locate_frames,
                     s.fetch_frames,
                     s.bytes
                 );

@@ -214,10 +214,10 @@ pub fn sharded_qb_deployment<E: SecureSelectionEngine>(
 /// Builds and outsources a **heterogeneous** sharded QB deployment: one
 /// explicit boxed engine per shard (shard count = `engines.len()`), so
 /// different secure back-ends serve different shards of the same
-/// deployment.  Each shard's episodes run through its own engine:
-/// one-round back-ends answer with a single `BinPairRequest`, and
-/// back-ends that locate rows by address add their locating round before
-/// one values+ids `FetchBinRequest`, side by side in one workload.
+/// deployment.  Each shard's episodes run through its own engine and
+/// each ends in one `FetchBinRequest`: alone on the one-round back-ends
+/// (values and tags), after their locating round on back-ends that locate
+/// rows by address (values and ids), side by side in one workload.
 pub fn hetero_qb_deployment(
     relation: &Relation,
     alpha: f64,

@@ -12,10 +12,10 @@
 //! * partitioned data security holds on **every shard's own view** and on
 //!   the **composed** coalition view;
 //! * every episode crosses the wire in the shape its shard's back-end
-//!   needs, visible in the per-shard frame counters: one `BinPairRequest`
-//!   round on shards whose tokens the cloud resolves (det-index, arx, the
-//!   Opaque simulator), and on the No-Ind shard a column download plus one
-//!   values+ids `FetchBinRequest`.
+//!   needs, visible in the per-shard frame counters: one `FetchBinRequest`
+//!   per episode on every shard, in one round where the cloud resolves
+//!   the tokens (det-index, arx, the Opaque simulator), and on the No-Ind
+//!   shard after a column download whose request is one `Opaque` frame.
 
 use pds_adversary::check_sharded_partitioned_security;
 use pds_cloud::{msg_tag, BinTransport, NetworkModel};
@@ -38,8 +38,9 @@ pub struct HeteroShard {
     pub episodes: usize,
     /// Owner↔cloud rounds this shard served.
     pub rounds: u64,
-    /// Composed `BinPairRequest` frames this shard saw.
-    pub bin_pair_frames: u64,
+    /// `Opaque` request frames of locating rounds this shard saw (the
+    /// No-Ind column download; none where one request is the episode).
+    pub locate_frames: u64,
     /// `FetchBinRequest` frames this shard saw.
     pub fetch_frames: u64,
     /// Bytes this shard moved (measured frame lengths).
@@ -62,9 +63,9 @@ pub struct HeteroOutcome {
     pub exact: bool,
     /// Whether partitioned data security held per shard and composed.
     pub secure: bool,
-    /// Whether every shard served each episode with exactly one combined
-    /// request (a `BinPairRequest` or a `FetchBinRequest`), in one round on
-    /// `BinPairRequest` shards and two elsewhere.
+    /// Whether every shard served each episode with exactly one
+    /// `FetchBinRequest`, after no locating round or after exactly one per
+    /// episode.
     pub paths_consistent: bool,
 }
 
@@ -159,20 +160,20 @@ pub fn run(tuples: usize, shards: usize, seed: u64) -> Result<HeteroOutcome> {
         let engine = &dep.executor.shard_engines()[idx];
         let delta = shard.metrics().delta_since(&before[idx]);
         let episodes = shard.adversarial_view().len() as u64;
-        let bin_pair_frames = delta.frames_of_type(msg_tag::BIN_PAIR_REQUEST);
+        let locate_frames = delta.frames_of_type(msg_tag::OPAQUE);
         let fetch_frames = delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST);
-        // Every episode ends in exactly one combined request: one round in
-        // all on a `BinPairRequest` shard, and the locating round plus the
-        // values+ids `FetchBinRequest` on the others.
-        let rounds_per_episode = if bin_pair_frames > 0 { 1 } else { 2 };
-        paths_consistent &= bin_pair_frames + fetch_frames == episodes
-            && delta.round_trips == rounds_per_episode * episodes;
+        // Every episode ends in exactly one combined request, after no
+        // locating round or after one: rounds are the requests plus the
+        // locating frames.
+        paths_consistent &= fetch_frames == episodes
+            && (locate_frames == 0 || locate_frames == episodes)
+            && delta.round_trips == episodes + locate_frames;
         per_shard.push(HeteroShard {
             shard: idx,
             engine: engine.name(),
             episodes: episodes as usize,
             rounds: delta.round_trips,
-            bin_pair_frames,
+            locate_frames,
             fetch_frames,
             bytes: delta.total_bytes(),
         });
@@ -217,18 +218,18 @@ mod tests {
         // accounted for.
         let episodes: usize = outcome.per_shard.iter().map(|s| s.episodes).sum();
         assert_eq!(episodes, outcome.queries);
-        // Tag and enclave shards answer in one BinPairRequest round; the
-        // No-Ind shard downloads its column, then sends one values+ids
-        // FetchBinRequest.
+        // Every shard sends one FetchBinRequest per episode: in one round
+        // on the tag and enclave shards, after a column download on the
+        // No-Ind shard.
         for s in &outcome.per_shard {
-            let (bin_pairs, fetches, rounds) = if s.engine == "nondet-scan" {
-                (0, s.episodes, 2 * s.episodes)
+            let locating = if s.engine == "nondet-scan" {
+                s.episodes
             } else {
-                (s.episodes, 0, s.episodes)
+                0
             };
-            assert_eq!(s.bin_pair_frames as usize, bin_pairs, "{s:?}");
-            assert_eq!(s.fetch_frames as usize, fetches, "{s:?}");
-            assert_eq!(s.rounds as usize, rounds, "{s:?}");
+            assert_eq!(s.locate_frames as usize, locating, "{s:?}");
+            assert_eq!(s.fetch_frames as usize, s.episodes, "{s:?}");
+            assert_eq!(s.rounds as usize, s.episodes + locating, "{s:?}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! same tenant deployment against the same daemons and the same episode
 //! loop, `pds_core::execute_shard_pipelined`; only
 //! [`QbExecutor::set_pipeline_window`] differs.  With a window of 1 the
-//! loop writes one `BinPairRequest` and blocks for its answer before
+//! loop writes one episode's `FetchBinRequest` and blocks for its answer before
 //! writing the next; with a deeper window it enqueues a whole window of
 //! correlated requests per shard (vectored writes, one flush), then
 //! demuxes the responses by correlation id in whatever order the daemon's

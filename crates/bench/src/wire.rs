@@ -171,10 +171,10 @@ pub fn run(
 }
 
 /// One row of the composed-vs-fine-grained comparison: the identical
-/// exhaustive workload over two identical deployments of a
-/// composed-capable back-end, once with every episode forced onto the
-/// fine-grained multi-round path and once with the live composed
-/// `BinPairRequest` path.
+/// exhaustive workload over two identical deployments of a tag back-end,
+/// once with every episode forced onto the fine-grained multi-round path
+/// and once on the live composed path, where each episode is one
+/// `FetchBinRequest`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundsPoint {
     /// Shards the deployments ran over.
@@ -189,11 +189,14 @@ pub struct RoundsPoint {
     pub bytes_fine: u64,
     /// Bytes moved by the composed run.
     pub bytes_composed: u64,
-    /// `BinPairRequest` frames the fine-grained run moved (must be 0).
-    pub bin_pair_frames_fine: u64,
-    /// `BinPairRequest` frames the composed run moved (must cover every
-    /// episode — this is the metrics-only proof the composed path is live).
-    pub bin_pair_frames_composed: u64,
+    /// Episodes each run executed (both modes run the same plan).
+    pub episodes: u64,
+    /// `FetchBinRequest` frames the fine-grained run moved (more than one
+    /// per episode: the clear-text and the sensitive fetch travel apart).
+    pub requests_fine: u64,
+    /// `FetchBinRequest` frames the composed run moved (exactly one per
+    /// episode — the metrics-only proof the composed path is live).
+    pub requests_composed: u64,
     /// Whether both runs' answers were byte-identical.
     pub exact: bool,
     /// Whether partitioned data security held (per shard and composed) on
@@ -228,6 +231,7 @@ pub fn rounds_drop(tuples: usize, shard_counts: &[usize], seed: u64) -> Result<V
     let mut out = Vec::with_capacity(shard_counts.len());
     for &shards in shard_counts {
         let mut cells = Vec::with_capacity(2);
+        let mut episodes = 0;
         for mode in [PlanMode::FineGrained, PlanMode::Composed] {
             let mut dep = det_deployment(&relation, shards, seed, mode)?;
             let workload = dep.workload(seed.wrapping_add(1))?.exhaustive();
@@ -239,20 +243,23 @@ pub fn rounds_drop(tuples: usize, shard_counts: &[usize], seed: u64) -> Result<V
                 &BinTransport::Sequential,
             )?;
             let delta = dep.router.metrics().delta_since(&before);
-            let secure =
-                check_sharded_partitioned_security(&dep.router.adversarial_views()).is_secure();
+            let views = dep.router.adversarial_views();
+            let secure = check_sharded_partitioned_security(&views).is_secure();
+            // Both modes run the same plan, so either run's views count
+            // its episodes.
+            episodes = views.iter().map(|v| v.len() as u64).sum();
             cells.push((
                 workload.len(),
                 run.rounds,
                 delta.total_bytes(),
-                delta.frames_of_type(pds_cloud::msg_tag::BIN_PAIR_REQUEST),
+                delta.frames_of_type(pds_cloud::msg_tag::FETCH_BIN_REQUEST),
                 answer_bytes(&run.answers),
                 secure,
             ));
         }
-        let (queries, rounds_fine, bytes_fine, frames_fine, answers_fine, secure_fine) =
+        let (queries, rounds_fine, bytes_fine, requests_fine, answers_fine, secure_fine) =
             cells.swap_remove(0);
-        let (_, rounds_composed, bytes_composed, frames_composed, answers_composed, secure_comp) =
+        let (_, rounds_composed, bytes_composed, requests_composed, answers_composed, secure_comp) =
             cells.swap_remove(0);
         out.push(RoundsPoint {
             shards,
@@ -261,8 +268,9 @@ pub fn rounds_drop(tuples: usize, shard_counts: &[usize], seed: u64) -> Result<V
             rounds_composed,
             bytes_fine,
             bytes_composed,
-            bin_pair_frames_fine: frames_fine,
-            bin_pair_frames_composed: frames_composed,
+            episodes,
+            requests_fine,
+            requests_composed,
             exact: answers_fine == answers_composed,
             secure: secure_fine && secure_comp,
         });
@@ -273,8 +281,8 @@ pub fn rounds_drop(tuples: usize, shard_counts: &[usize], seed: u64) -> Result<V
 /// The gate `experiments wire` enforces on the composed path: byte-identical
 /// answers, security preserved, **strictly fewer rounds** than the
 /// fine-grained path, no more than `1.1×` its bytes, and — provable from
-/// metrics alone — composed `BinPairRequest` frames on the wire in composed
-/// mode and none in fine-grained mode.
+/// metrics alone — exactly one request frame per composed episode, and
+/// more in fine-grained mode.
 pub fn rounds_gate_holds(points: &[RoundsPoint]) -> bool {
     !points.is_empty()
         && points.iter().all(|p| {
@@ -282,8 +290,9 @@ pub fn rounds_gate_holds(points: &[RoundsPoint]) -> bool {
                 && p.secure
                 && p.rounds_composed < p.rounds_fine
                 && (p.bytes_composed as f64) <= 1.1 * p.bytes_fine as f64
-                && p.bin_pair_frames_composed > 0
-                && p.bin_pair_frames_fine == 0
+                && p.episodes > 0
+                && p.requests_composed == p.episodes
+                && p.requests_fine > p.episodes
         })
 }
 
@@ -391,9 +400,10 @@ mod tests {
                 "composed bytes blew past 1.1x the baseline: {p:?}"
             );
             // Provable from metrics alone: every composed episode moved one
-            // BinPairRequest frame; the fine-grained run moved none.
-            assert_eq!(p.bin_pair_frames_fine, 0);
-            assert_eq!(p.bin_pair_frames_composed as usize, p.queries);
+            // request frame; every fine-grained episode moved two.
+            assert_eq!(p.episodes as usize, p.queries);
+            assert_eq!(p.requests_composed, p.episodes);
+            assert_eq!(p.requests_fine, 2 * p.episodes);
             // det-index episodes are 2 fine-grained rounds (tag select +
             // plaintext select) vs exactly 1 composed round per query.
             assert_eq!(p.rounds_composed as usize, p.queries);
@@ -404,5 +414,11 @@ mod tests {
         let mut broken = points.clone();
         broken[0].rounds_composed = broken[0].rounds_fine;
         assert!(!rounds_gate_holds(&broken), "gate must catch a non-drop");
+        let mut split = points.clone();
+        split[0].requests_composed += 1;
+        assert!(
+            !rounds_gate_holds(&split),
+            "gate must catch a composed episode sending two requests"
+        );
     }
 }

@@ -39,20 +39,22 @@
 //! * [`cache::BinCache`] — the owner-side hot-bin LRU: whole decrypted bins
 //!   cached at the trusted owner, so repeated (skewed) queries skip the
 //!   cloud round-trip entirely, and
-//! * [`session::CloudSession`] — the typed-message session layer: per-episode
-//!   round counting, composed one-round `BinPairRequest` episodes, and
-//!   `WireMessage` dispatch onto the server (the live execution path of the
-//!   plan→session pipeline in `pds-core`), and
-//! * [`service::ShardDaemon`] / [`tcp::TcpCloudClient`] — the same dispatch
-//!   seam behind a real loopback TCP socket: a per-shard daemon (acceptor +
-//!   reader threads + worker pool) serving concurrent multi-tenant owners,
-//!   and the pooled client that writes composed `BinPairRequest` episodes
-//!   in a correlated in-flight window and demultiplexes their answers
-//!   ([`transport::BinTransport::Tcp`], whose shard tasks fan out through
-//!   the same [`transport::BinTransport::dispatch`]).  Engines never see
-//!   the socket: they split a composed episode into the tokens that ride
-//!   the request and the post-processing of its answer, and only back-ends
-//!   that split this way travel over TCP.
+//! * [`service::ShardDaemon`] / [`tcp::TcpCloudClient`] — the server behind
+//!   a real loopback TCP socket: a per-shard daemon (acceptor + reader
+//!   threads + worker pool) serving concurrent multi-tenant owners through
+//!   [`CloudServer::serve`], and the pooled client that writes composed
+//!   episodes in a correlated in-flight window and demultiplexes their
+//!   answers ([`transport::BinTransport::Tcp`], whose shard tasks fan out
+//!   through the same [`transport::BinTransport::dispatch`]).  Engines
+//!   never see the socket: they split a composed episode into the tags
+//!   that ride the request and the post-processing of its answer, and
+//!   only back-ends that split this way travel over TCP.
+//!
+//! Every query, in process or over TCP, is one [`FetchBinRequest`] served
+//! by one handler, [`CloudServer::fetch_bin`]: the clear-text bin with its
+//! pushed-down residual, storage addresses and search tags in one
+//! exchange.  Engines run their episodes on `&mut CloudServer` directly,
+//! from the owner-side [`BinEpisodeRequest`] the executor plans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +65,6 @@ pub mod network;
 pub mod owner;
 pub mod server;
 pub mod service;
-pub mod session;
 pub mod shard;
 pub mod store;
 pub mod tcp;
@@ -74,10 +75,9 @@ pub use cache::{BinCache, BinCacheStats, BinKey, BinKind};
 pub use metrics::Metrics;
 pub use network::NetworkModel;
 pub use owner::DbOwner;
-pub use pds_proto::msg_tag;
-pub use server::{BinPairResult, CloudServer};
+pub use pds_proto::{msg_tag, FetchBinRequest};
+pub use server::{BinEpisodeRequest, BinPairResult, CloudServer};
 pub use service::{ServiceConfig, ShardDaemon};
-pub use session::{BinEpisodeRequest, CloudSession};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
 pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};

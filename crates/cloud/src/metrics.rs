@@ -31,12 +31,12 @@ pub struct Metrics {
     /// response is one frame).
     pub wire_frames: u64,
     /// Wire frames broken down by message type, indexed by
-    /// `pds_proto::msg_tag - 1` (FetchBinRequest, BinPairRequest,
-    /// BinPayload, InsertRequest, Ack, Error, Opaque).  Every frame the
+    /// `pds_proto::msg_tag - 1` (FetchBinRequest, the retired tag 2,
+    /// BinPayload, InsertRequest, Ack, Error, Opaque, ...).  Every frame the
     /// cloud charges carries a known tag, so the sum over all slots equals
-    /// [`Metrics::wire_frames`] and protocol-level properties (e.g. "the
-    /// composed path really moved `BinPairRequest` frames") are assertable
-    /// from metrics alone.
+    /// [`Metrics::wire_frames`] and protocol-level properties (e.g. "a
+    /// composed episode moved exactly one `FetchBinRequest` frame") are
+    /// assertable from metrics alone.
     pub wire_frames_by_type: [u64; pds_proto::msg_tag::COUNT],
     /// Number of request round trips between owner and cloud.
     pub round_trips: u64,
@@ -211,11 +211,11 @@ mod tests {
     fn per_type_frame_counters_track_the_total() {
         use pds_proto::msg_tag;
         let mut m = Metrics::new();
-        m.count_frame(msg_tag::BIN_PAIR_REQUEST);
+        m.count_frame(msg_tag::FETCH_BIN_REQUEST);
         m.count_frame(msg_tag::BIN_PAYLOAD);
         m.count_frame(msg_tag::BIN_PAYLOAD);
         assert_eq!(m.wire_frames, 3);
-        assert_eq!(m.frames_of_type(msg_tag::BIN_PAIR_REQUEST), 1);
+        assert_eq!(m.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
         assert_eq!(m.frames_of_type(msg_tag::BIN_PAYLOAD), 2);
         assert_eq!(m.frames_of_type(msg_tag::ACK), 0);
         assert_eq!(m.wire_frames_by_type.iter().sum::<u64>(), m.wire_frames);
@@ -233,6 +233,6 @@ mod tests {
         assert_eq!(sum.frames_of_type(msg_tag::BIN_PAYLOAD), 4);
         let d = sum.delta_since(&m);
         assert_eq!(d.frames_of_type(msg_tag::BIN_PAYLOAD), 2);
-        assert_eq!(d.frames_of_type(msg_tag::BIN_PAIR_REQUEST), 1);
+        assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
     }
 }

@@ -5,6 +5,19 @@
 //! searchable attribute, as the paper's cloud-side indexes allow) and `Rs`
 //! as an [`EncryptedStore`].  Every interaction is recorded in the
 //! [`AdversarialView`] and counted in [`Metrics`].
+//!
+//! ## One query handler
+//!
+//! [`CloudServer::fetch_bin`] serves the one query message,
+//! [`FetchBinRequest`]: in one exchange it resolves the clear-text bin
+//! (with its pushed-down residual), the storage addresses and the search
+//! tags a request carries, and answers with one [`BinPayload`].  Engines
+//! call it in process, and the shard daemon calls it through
+//! [`CloudServer::serve`], so both transports record the same view and
+//! the same counters.  [`BinEpisodeRequest`] is the owner-side episode an
+//! engine turns into that request.  The only other query entry point is
+//! [`CloudServer::fetch_bin_oblivious`], for the enclave simulators whose
+//! tokens only the engine-side enclave can resolve.
 
 //! ## Byte accounting is measured off the wire
 //!
@@ -22,17 +35,15 @@
 
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
-use pds_proto::{
-    msg_tag, Ack, BinPairRequest, BinPayload, FetchBinRequest, InsertRequest, WireMessage, WireRow,
-};
-use pds_storage::{HashIndex, Relation, Tuple};
+use pds_proto::{msg_tag, Ack, BinPayload, FetchBinRequest, InsertRequest, WireMessage, WireRow};
+use pds_storage::{HashIndex, Predicate, Relation, Tuple};
 
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::store::{EncryptedRow, EncryptedStore};
 use crate::view::AdversarialView;
 
-/// The resolved clear-text side of a composed episode: matching tuples,
+/// The resolved clear-text side of a request: matching tuples,
 /// their ids, the values they matched, and how many tuples the index
 /// matched before the pushed-down residual filtered them cloud-side.
 type ResolvedPlain = (Vec<Tuple>, Vec<TupleId>, Vec<Value>, usize);
@@ -56,10 +67,47 @@ fn frame_len(msg: &WireMessage) -> usize {
 /// measured encoded length.
 type Frame = (u8, usize);
 
-/// The two result streams of one composed bin-pair episode as the cloud
-/// returns them: clear-text non-sensitive tuples and `(address, ciphertext)`
-/// rows from the sensitive side.
+/// The two result streams of one [`FetchBinRequest`] as the cloud returns
+/// them: clear-text non-sensitive tuples and `(address, ciphertext)` rows
+/// from the sensitive side.
 pub type BinPairResult = (Vec<Tuple>, Vec<(TupleId, Ciphertext)>);
+
+/// One Query Binning bin-pair episode as the executor hands it to a
+/// back-end: the value sets of both bins and the residual pushed below
+/// the fetch.
+///
+/// The engine decides how the sensitive side crosses the wire (search tags
+/// the cloud resolves, or storage addresses the back-end located in rounds
+/// of its own); the clear-text side always travels as the non-sensitive
+/// values themselves.  [`BinEpisodeRequest::to_wire`] builds the one
+/// [`FetchBinRequest`] that carries both.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BinEpisodeRequest {
+    /// Clear-text values of the sensitive bin (owner-side only — never on
+    /// the wire in this form).
+    pub sensitive_values: Vec<Value>,
+    /// Clear-text values of the non-sensitive bin.
+    pub nonsensitive_values: Vec<Value>,
+    /// Residual predicate the planner pushed below the bin fetch, applied
+    /// cloud-side to the clear-text (non-sensitive) result stream before the
+    /// downlink.  Must only reference non-sensitive, non-searchable
+    /// attributes — the planner validates that before it reaches a request.
+    pub pushdown: Option<Predicate>,
+}
+
+impl BinEpisodeRequest {
+    /// The episode's combined request: the non-sensitive values with the
+    /// pushed-down residual, plus the sensitive side as opaque search
+    /// `tags` and/or located storage `ids`.
+    pub fn to_wire(&self, tags: Vec<Vec<u8>>, ids: &[TupleId]) -> FetchBinRequest {
+        FetchBinRequest {
+            values: self.nonsensitive_values.clone(),
+            ids: ids.iter().map(|id| id.raw()).collect(),
+            tags,
+            predicate: self.pushdown.clone(),
+        }
+    }
+}
 
 /// Builds the accounting form of a message (tag + measured frame length).
 fn frame(msg: &WireMessage) -> Frame {
@@ -232,34 +280,14 @@ impl CloudServer {
 
     // ----- plaintext side ---------------------------------------------------
 
-    /// Executes a clear-text `IN` selection on the non-sensitive relation.
+    /// Executes a clear-text `IN` selection on the non-sensitive relation:
+    /// one [`CloudServer::fetch_bin`] carrying only `values`.
     pub fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        self.plain_select_filtered(values, None)
-    }
-
-    /// Clear-text `IN` selection with an optional **residual predicate
-    /// pushed below the bin fetch**: the index resolves `values` as usual,
-    /// then the residual filters the matching tuples *before* the downlink,
-    /// so non-matching tuples never travel.  The uplink frame carries the
-    /// predicate (it is part of the request), which is why residuals must
-    /// only mention non-sensitive, non-searchable attributes — the planner
-    /// enforces that owner-side before anything reaches this wire path.
-    ///
-    /// The adversary sees the request values and the (residual-filtered)
-    /// matching tuples in clear-text; the request still names the whole
-    /// bin, so bin-level anonymity is exactly what it is without pushdown.
-    pub fn plain_select_filtered(
-        &mut self,
-        values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
-    ) -> Result<Vec<Tuple>> {
         let request = FetchBinRequest {
             values: values.to_vec(),
-            ids: Vec::new(),
-            tags: Vec::new(),
-            predicate: residual.cloned(),
+            ..FetchBinRequest::default()
         };
-        Ok(self.bin_pair_by_ids(&request)?.0)
+        Ok(self.fetch_bin(&request)?.0)
     }
 
     /// The outsourced plaintext relation, if any.
@@ -302,17 +330,16 @@ impl CloudServer {
         out
     }
 
-    /// Fetches full encrypted tuples by storage address.  The addresses are
+    /// Fetches full encrypted tuples by storage address: one
+    /// [`CloudServer::fetch_bin`] carrying only `ids`.  The addresses are
     /// what access-pattern leakage reveals, so they enter the adversarial
     /// view as the sensitive side of the episode.
     pub fn fetch_encrypted(&mut self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
         let request = FetchBinRequest {
-            values: Vec::new(),
             ids: ids.iter().map(|id| id.raw()).collect(),
-            tags: Vec::new(),
-            predicate: None,
+            ..FetchBinRequest::default()
         };
-        Ok(self.bin_pair_by_ids(&request)?.1)
+        Ok(self.fetch_bin(&request)?.1)
     }
 
     /// The tuple ciphertexts stored at `ids`, in request order; an unknown
@@ -322,50 +349,19 @@ impl CloudServer {
         Ok(rows.iter().map(|r| (r.id, r.tuple_ct.clone())).collect())
     }
 
-    /// Cloud-side search by opaque tags (deterministic tags or Arx counter
-    /// tokens).  The cloud matches tags against its index without learning
-    /// plaintext values.
-    pub fn tag_select(&mut self, tags: &[Vec<u8>]) -> Vec<(TupleId, Ciphertext)> {
-        let mut ids: Vec<TupleId> = Vec::new();
-        for tag in tags {
-            ids.extend_from_slice(self.encrypted.lookup_tag(tag));
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        let out: Vec<(TupleId, Ciphertext)> = ids
-            .iter()
-            .filter_map(|&id| self.encrypted.get(id).map(|r| (r.id, r.tuple_ct.clone())))
-            .collect();
-        self.view.observe_encrypted_request(tags.len());
-        self.view.observe_sensitive_result(&ids);
-        let up = frame(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values: Vec::new(),
-            ids: Vec::new(),
-            tags: tags.to_vec(),
-            predicate: None,
-        }));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: tuple_ct_rows(&out),
-        }));
-        self.metrics.plaintext_index_lookups += tags.len() as u64;
-        self.metrics.tuples_returned += out.len() as u64;
-        self.metrics.round_trips += 1;
-        self.record_exchange(Some(up), Some(down));
-        out
-    }
+    // ----- the query exchange -----------------------------------------------
 
-    // ----- composed bin-pair episodes ---------------------------------------
-
-    /// Resolves the clear-text side of a composed bin-pair episode without
-    /// touching metrics or the view (the caller charges the one exchange).
-    /// Empty value sets resolve to an empty result even before outsourcing,
-    /// mirroring the fine-grained path which skips the plaintext sub-query
-    /// entirely in that case.
+    /// Resolves the clear-text side of a request without touching metrics
+    /// or the view (the caller charges the one exchange).  The index
+    /// resolves `values`, then the pushed-down `residual` filters the
+    /// matching tuples *before* the downlink, so non-matching tuples never
+    /// travel.  Empty value sets resolve to an empty result even before
+    /// outsourcing, mirroring the fine-grained path which skips the
+    /// plaintext sub-query entirely in that case.
     fn resolve_plain(
         &self,
         values: &[Value],
-        residual: Option<&pds_storage::Predicate>,
+        residual: Option<&Predicate>,
     ) -> Result<ResolvedPlain> {
         if values.is_empty() {
             return Ok((Vec::new(), Vec::new(), Vec::new(), 0));
@@ -389,120 +385,90 @@ impl CloudServer {
         Ok((tuples, ids, returned, scanned))
     }
 
-    /// Serves one **composed** Query Binning episode in a single round
-    /// trip: the owner's [`BinPairRequest`] carries the encrypted search
-    /// tokens of the sensitive bin (matched against the cloud-side tag
-    /// index) together with the clear-text values of the non-sensitive bin,
-    /// and one [`BinPayload`] answers both sides.  Exactly one request and
-    /// one response frame move, and `round_trips` advances by one — this is
-    /// what makes the composed path strictly cheaper in rounds than the
-    /// fine-grained multi-message episode.
-    pub fn bin_pair_by_tags(&mut self, request: &BinPairRequest) -> Result<BinPairResult> {
-        let plain = self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
-
-        // Sensitive side: match the opaque tokens against the tag index,
-        // exactly as `tag_select` would.
-        let mut ids: Vec<TupleId> = Vec::new();
-        for tag in &request.encrypted_values {
-            ids.extend_from_slice(self.encrypted.lookup_tag(tag));
+    /// Serves one query exchange: a [`FetchBinRequest`] up, one
+    /// [`BinPayload`] down, one round.
+    ///
+    /// * **clear-text side** — the index resolves the request's values and
+    ///   the pushed-down residual filters them cloud-side.  The uplink frame
+    ///   carries the predicate, which is why residuals may only mention
+    ///   non-sensitive, non-searchable attributes; the planner enforces
+    ///   that owner-side.  The request still names the whole bin, so
+    ///   bin-level anonymity is what it is without pushdown.
+    /// * **sensitive side** — the rows at the request's storage addresses,
+    ///   in request order, then the rows its search tags match in the
+    ///   cloud-side tag index, sorted and deduplicated.  An unknown address
+    ///   is an error, never a partial payload.
+    ///
+    /// The adversarial view records the values, the number of tags, the
+    /// returned clear-text tuples and every returned address; the index
+    /// lookups counted are one per value and one per tag.  Tags sent to a
+    /// deployment with no tag index are a typed [`PdsError::Wire`]: the
+    /// enclave/MPC back-ends resolve their tokens engine-side
+    /// ([`CloudServer::fetch_bin_oblivious`]), which a bare message cannot
+    /// reach.
+    pub fn fetch_bin(&mut self, request: &FetchBinRequest) -> Result<BinPairResult> {
+        if !request.tags.is_empty() && !self.encrypted.has_tags() {
+            return Err(PdsError::Wire(
+                "request carries search tags but this deployment has no cloud-side tag \
+                 index (enclave/MPC back-ends resolve tokens engine-side)"
+                    .into(),
+            ));
         }
-        ids.sort_unstable();
-        ids.dedup();
-        let rows: Vec<(TupleId, Ciphertext)> = ids
-            .iter()
-            .filter_map(|&id| self.encrypted.get(id).map(|r| (r.id, r.tuple_ct.clone())))
-            .collect();
-
-        let up = frame(&WireMessage::BinPairRequest(request.clone()));
-        let tokens = request.encrypted_values.len();
-        self.record_bin_pair_exchange(
-            up,
-            &request.nonsensitive_values,
-            tokens,
-            &plain,
-            &ids,
-            &rows,
-        );
-        self.metrics.plaintext_index_lookups += tokens as u64;
+        let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
+        let mut tagged: Vec<TupleId> = Vec::new();
+        for tag in &request.tags {
+            tagged.extend_from_slice(self.encrypted.lookup_tag(tag));
+        }
+        tagged.sort_unstable();
+        tagged.dedup();
+        let mut ids: Vec<TupleId> = request.ids.iter().map(|&id| TupleId::new(id)).collect();
+        ids.extend(tagged);
+        let rows = self.tuple_cts(&ids)?;
+        self.record_fetch(request, &plain, &ids, &rows);
+        self.metrics.plaintext_index_lookups += request.tags.len() as u64;
         Ok((plain.0, rows))
     }
 
-    /// Serves one composed episode whose sensitive side was resolved by a
-    /// cloud-side secure execution environment (an SGX enclave or an MPC
-    /// committee) that obliviously scanned `scanned` encrypted tuples and
-    /// selected `matching`.  As with [`CloudServer::bin_pair_by_tags`],
-    /// exactly one round trip moves: the composed request up, the combined
-    /// payload down.
-    pub fn bin_pair_oblivious(
+    /// Serves one query exchange whose sensitive side a cloud-side secure
+    /// execution environment (an SGX enclave or an MPC committee) resolved:
+    /// it obliviously scanned `scanned` encrypted tuples for the request's
+    /// tokens, which ride as its `tags`, and selected `matching`.  Like
+    /// [`CloudServer::fetch_bin`] it is one request frame, one payload
+    /// frame and one round; the tokens are counted in the view but looked
+    /// up in no index.
+    pub fn fetch_bin_oblivious(
         &mut self,
-        request: &BinPairRequest,
+        request: &FetchBinRequest,
         matching: &[TupleId],
         scanned: usize,
     ) -> Result<BinPairResult> {
-        let plain = self.resolve_plain(&request.nonsensitive_values, request.predicate.as_ref())?;
+        let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
         let rows = self.tuple_cts(matching)?;
-        let up = frame(&WireMessage::BinPairRequest(request.clone()));
-        let tokens = request.encrypted_values.len();
-        self.record_bin_pair_exchange(
-            up,
-            &request.nonsensitive_values,
-            tokens,
-            &plain,
-            matching,
-            &rows,
-        );
+        self.record_fetch(request, &plain, matching, &rows);
         self.metrics.encrypted_tuples_scanned += scanned as u64;
         Ok((plain.0, rows))
     }
 
-    /// Serves one exchange that fetches by **storage address**: a
-    /// [`FetchBinRequest`] carrying clear-text bin values (with the
-    /// pushed-down residual) and the addresses of encrypted rows, answered
-    /// by one [`BinPayload`] holding both sides.  It is the last round of a
-    /// composed episode whose back-end located its sensitive rows in rounds
-    /// of its own (nondet-scan's column download, the share or DPF
-    /// servers' evaluation) and, with one side empty, the fine-grained
-    /// path's clear-text selection or address fetch.  The addresses enter
-    /// the adversarial view as the episode's sensitive side.  A request
-    /// that also carries search tags is refused: `CloudSession::dispatch`
-    /// resolves those in an exchange of their own.
-    pub fn bin_pair_by_ids(&mut self, request: &FetchBinRequest) -> Result<BinPairResult> {
-        if !request.tags.is_empty() {
-            return Err(PdsError::Cloud(
-                "an address fetch carries no search tags".into(),
-            ));
-        }
-        let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
-        let ids: Vec<TupleId> = request.ids.iter().map(|&id| TupleId::new(id)).collect();
-        let rows = self.tuple_cts(&ids)?;
-        let up = frame(&WireMessage::FetchBinRequest(request.clone()));
-        self.record_bin_pair_exchange(up, &request.values, 0, &plain, &ids, &rows);
-        Ok((plain.0, rows))
-    }
-
-    /// Shared accounting of one bin exchange: adversarial view, work
+    /// Shared accounting of one query exchange: adversarial view, work
     /// counters, and the single request/response exchange off the wire.
-    /// `up` is the measured request frame; `plaintext_request` and
-    /// `encrypted_request_size` are what the request showed the cloud.
-    fn record_bin_pair_exchange(
+    fn record_fetch(
         &mut self,
-        up: Frame,
-        plaintext_request: &[Value],
-        encrypted_request_size: usize,
+        request: &FetchBinRequest,
         plain: &ResolvedPlain,
         sensitive_ids: &[TupleId],
         rows: &[(TupleId, Ciphertext)],
     ) {
         let (plain_tuples, ns_ids, ns_values, ns_scanned) = plain;
-        self.view.observe_plaintext_request(plaintext_request);
-        self.view.observe_encrypted_request(encrypted_request_size);
+        self.view.observe_plaintext_request(&request.values);
+        self.view.observe_encrypted_request(request.tags.len());
         self.view.observe_nonsensitive_result(ns_ids, ns_values);
         self.view.observe_sensitive_result(sensitive_ids);
+        let up = frame(&WireMessage::FetchBinRequest(request.clone()));
         let down = frame(&WireMessage::BinPayload(BinPayload {
             plain_tuples: plain_tuples.clone(),
             encrypted_rows: tuple_ct_rows(rows),
         }));
-        self.metrics.plaintext_index_lookups += plaintext_request.len() as u64;
+        self.metrics.plaintext_index_lookups += request.values.len() as u64;
         self.metrics.plaintext_tuples_scanned += *ns_scanned as u64;
         self.metrics.tuples_returned += (plain_tuples.len() + rows.len()) as u64;
         self.metrics.round_trips += 1;
@@ -574,7 +540,7 @@ mod tests {
             ("E259", "Design"),
             ("E199", "Design"),
             ("E254", "Design"),
-            ("E152", "Design"),
+            ("E152", "Sales"),
         ] {
             r.insert(vec![Value::from(e), Value::from(d)]).unwrap();
         }
@@ -660,15 +626,153 @@ mod tests {
     }
 
     #[test]
-    fn tag_select_uses_index() {
+    fn a_tag_fetch_uses_the_index() {
         let mut s = server();
         s.begin_query();
-        let out = s.tag_select(&[vec![0u8], vec![2u8], vec![77u8]]);
+        let (plain, out) = s
+            .fetch_bin(&FetchBinRequest {
+                tags: vec![vec![2u8], vec![0u8], vec![77u8], vec![2u8]],
+                ..FetchBinRequest::default()
+            })
+            .unwrap();
         s.end_query();
-        assert_eq!(out.len(), 2);
+        assert!(plain.is_empty());
+        let ids: Vec<TupleId> = out.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            ids,
+            [TupleId::new(100), TupleId::new(102)],
+            "sorted, deduplicated"
+        );
         let ep = &s.adversarial_view().episodes()[0];
-        assert_eq!(ep.encrypted_request_size, 3);
+        assert_eq!(ep.encrypted_request_size, 4);
         assert_eq!(ep.sensitive_returned.len(), 2);
+    }
+
+    #[test]
+    fn tags_at_an_untagged_deployment_are_a_wire_error() {
+        // A deployment whose encrypted rows carry no cloud-side tags
+        // (enclave/MPC back-ends) cannot resolve opaque tokens from a bare
+        // message: the fetch is a typed error, never a silently empty
+        // payload, and it is charged nothing.
+        let cipher = NonDetCipher::from_seed(3);
+        let mut rng = pds_common::rng::seeded_rng(5);
+        let mut s = CloudServer::default();
+        s.upload_encrypted(vec![EncryptedRow {
+            id: TupleId::new(1),
+            attr_ct: cipher.encrypt(b"a", &mut rng),
+            tuple_ct: cipher.encrypt(b"t", &mut rng),
+            search_tags: Vec::new(),
+        }])
+        .unwrap();
+        let before = *s.metrics();
+        let request = FetchBinRequest {
+            tags: vec![vec![1, 2, 3]],
+            ..FetchBinRequest::default()
+        };
+        assert!(matches!(s.fetch_bin(&request), Err(PdsError::Wire(_))));
+        assert!(matches!(
+            s.serve(&WireMessage::FetchBinRequest(request)),
+            Err(PdsError::Wire(_))
+        ));
+        assert_eq!(*s.metrics(), before);
+        assert!(s.adversarial_view().is_empty());
+    }
+
+    #[test]
+    fn pushdown_filters_cloud_side_and_shrinks_the_downlink() {
+        // Residual predicate on the non-search attribute: the filtered
+        // fetch must return exactly the matching subset and move fewer
+        // downlink bytes than the unfiltered one.
+        let residual = Predicate::Eq {
+            attr: AttrId::new(1),
+            value: Value::from("Design"),
+        };
+        let bin = vec![Value::from("E259"), Value::from("E152")];
+
+        let mut plain_cloud = server();
+        let before = *plain_cloud.metrics();
+        let unfiltered = plain_cloud.plain_select_in(&bin).unwrap();
+        let plain_down = plain_cloud.metrics().delta_since(&before).bytes_downloaded;
+
+        let mut cloud = server();
+        let before = *cloud.metrics();
+        let request = FetchBinRequest {
+            values: bin,
+            predicate: Some(residual.clone()),
+            ..FetchBinRequest::default()
+        };
+        let filtered = cloud.fetch_bin(&request).unwrap().0;
+        let d = cloud.metrics().delta_since(&before);
+
+        assert_eq!(unfiltered.len(), 2);
+        assert_eq!(filtered.len(), 1, "E152 is in Sales and must be dropped");
+        assert!(filtered.iter().all(|t| residual.matches(t)));
+        assert!(
+            d.bytes_downloaded < plain_down,
+            "pushdown must shrink the downlink ({} vs {plain_down})",
+            d.bytes_downloaded
+        );
+        // Scan counters still see both index matches.
+        assert_eq!(d.plaintext_tuples_scanned, 2);
+        assert_eq!(d.tuples_returned, 1);
+
+        // The daemon's message entry serves the same filtered fetch.
+        match server()
+            .serve(&WireMessage::FetchBinRequest(request))
+            .unwrap()
+        {
+            WireMessage::BinPayload(p) => assert_eq!(p.plain_tuples, filtered),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_answers_queries_and_inserts_and_refuses_the_rest() {
+        // A query message is answered with exactly what `fetch_bin`
+        // returns, as one payload frame.
+        let request = FetchBinRequest {
+            values: vec![Value::from("E199")],
+            ids: vec![102],
+            tags: vec![vec![0u8]],
+            predicate: None,
+        };
+        let (plain, rows) = server().fetch_bin(&request).unwrap();
+        let mut s = server();
+        match s.serve(&WireMessage::FetchBinRequest(request)).unwrap() {
+            WireMessage::BinPayload(p) => {
+                assert_eq!(p.plain_tuples, plain);
+                assert_eq!(p.encrypted_rows, tuple_ct_rows(&rows));
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+
+        // Inserts (plain + encrypted) are acknowledged with an item count.
+        let cipher = NonDetCipher::from_seed(4);
+        let mut rng = pds_common::rng::seeded_rng(7);
+        let ct = cipher.encrypt(b"z", &mut rng);
+        let resp = s
+            .serve(&WireMessage::InsertRequest(InsertRequest {
+                plain_tuples: vec![Tuple::new(
+                    TupleId::new(500),
+                    vec![Value::from("E500"), Value::from("Ops")],
+                )],
+                encrypted_rows: vec![WireRow {
+                    id: 900,
+                    attr_ct: ct.as_bytes().to_vec(),
+                    tuple_ct: ct.as_bytes().to_vec(),
+                    search_tags: vec![vec![9u8]],
+                }],
+            }))
+            .unwrap();
+        assert_eq!(resp, WireMessage::Ack(Ack { items: 2 }));
+        assert_eq!(s.plain_len(), 5);
+        assert_eq!(s.encrypted_len(), 5);
+
+        // Every other kind is a typed error.
+        assert!(matches!(
+            s.serve(&WireMessage::Ack(Ack { items: 1 })),
+            Err(PdsError::Wire(_))
+        ));
     }
 
     #[test]
@@ -771,33 +875,31 @@ mod tests {
         assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 2);
         assert_eq!(d.frames_of_type(msg_tag::BIN_PAYLOAD), 2);
         assert_eq!(d.frames_of_type(msg_tag::OPAQUE), 1);
-        assert_eq!(d.frames_of_type(msg_tag::BIN_PAIR_REQUEST), 0);
         assert_eq!(d.wire_frames_by_type.iter().sum::<u64>(), d.wire_frames);
     }
 
     #[test]
-    fn composed_bin_pair_by_tags_is_one_round() {
+    fn a_values_and_tags_fetch_is_one_round() {
         use pds_proto::msg_tag;
         let mut s = server();
         let before = *s.metrics();
         s.begin_query();
         let (plain, rows) = s
-            .bin_pair_by_tags(&BinPairRequest {
-                sensitive_bin: 0,
-                nonsensitive_bin: 0,
-                encrypted_values: vec![vec![0u8], vec![2u8]],
-                nonsensitive_values: vec![Value::from("E259"), Value::from("E254")],
-                predicate: None,
+            .fetch_bin(&FetchBinRequest {
+                values: vec![Value::from("E259"), Value::from("E254")],
+                tags: vec![vec![0u8], vec![2u8]],
+                ..FetchBinRequest::default()
             })
             .unwrap();
         s.end_query();
         assert_eq!(plain.len(), 2);
         assert_eq!(rows.len(), 2);
         let d = s.metrics().delta_since(&before);
-        assert_eq!(d.round_trips, 1, "composed episode is one round");
+        assert_eq!(d.round_trips, 1, "one request is one round");
         assert_eq!(d.wire_frames, 2, "one request frame, one response frame");
-        assert_eq!(d.frames_of_type(msg_tag::BIN_PAIR_REQUEST), 1);
+        assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
         assert_eq!(d.frames_of_type(msg_tag::BIN_PAYLOAD), 1);
+        assert_eq!(d.plaintext_index_lookups, 4, "two values and two tags");
         let ep = s.adversarial_view().episodes().last().unwrap();
         assert_eq!(ep.plaintext_request.len(), 2);
         assert_eq!(ep.encrypted_request_size, 2);
@@ -806,18 +908,16 @@ mod tests {
     }
 
     #[test]
-    fn composed_bin_pair_oblivious_charges_the_scan() {
+    fn an_oblivious_fetch_charges_the_scan() {
         let mut s = server();
         let before = *s.metrics();
         s.begin_query();
         let (plain, rows) = s
-            .bin_pair_oblivious(
-                &BinPairRequest {
-                    sensitive_bin: 1,
-                    nonsensitive_bin: 2,
-                    encrypted_values: vec![vec![9u8; 32]],
-                    nonsensitive_values: vec![Value::from("E199")],
-                    predicate: None,
+            .fetch_bin_oblivious(
+                &FetchBinRequest {
+                    values: vec![Value::from("E199")],
+                    tags: vec![vec![9u8; 32]],
+                    ..FetchBinRequest::default()
                 },
                 &[TupleId::new(100), TupleId::new(102)],
                 4,
@@ -829,9 +929,13 @@ mod tests {
         let d = s.metrics().delta_since(&before);
         assert_eq!(d.round_trips, 1);
         assert_eq!(d.encrypted_tuples_scanned, 4);
+        assert_eq!(d.plaintext_index_lookups, 1, "the tokens hit no index");
+        let ep = s.adversarial_view().episodes().last().unwrap();
+        assert_eq!(ep.encrypted_request_size, 1);
+        assert_eq!(ep.sensitive_returned.len(), 2);
         // Unknown ids surface as an error, not a partial payload.
         assert!(s
-            .bin_pair_oblivious(&BinPairRequest::default(), &[TupleId::new(999)], 0)
+            .fetch_bin_oblivious(&FetchBinRequest::default(), &[TupleId::new(999)], 0)
             .is_err());
     }
 
@@ -839,7 +943,7 @@ mod tests {
     /// the clear-text selection and the address fetch show it separately,
     /// and returns the same tuples and rows.
     #[test]
-    fn bin_pair_by_ids_folds_two_fetches_into_one_round() {
+    fn a_values_and_ids_fetch_folds_two_fetches_into_one_round() {
         use pds_proto::msg_tag;
         let values = vec![Value::from("E259"), Value::from("E254")];
         let ids = [TupleId::new(103), TupleId::new(101)];
@@ -856,11 +960,10 @@ mod tests {
         let before = *folded.metrics();
         folded.begin_query();
         let (folded_plain, folded_rows) = folded
-            .bin_pair_by_ids(&FetchBinRequest {
+            .fetch_bin(&FetchBinRequest {
                 values,
                 ids: ids.iter().map(|id| id.raw()).collect(),
-                tags: Vec::new(),
-                predicate: None,
+                ..FetchBinRequest::default()
             })
             .unwrap();
         folded.end_query();
@@ -883,13 +986,16 @@ mod tests {
             d.total_bytes() < d_apart.total_bytes(),
             "one header pair saved"
         );
-        // Search tags have no place in an address fetch.
-        assert!(folded
-            .bin_pair_by_ids(&FetchBinRequest {
-                tags: vec![vec![0u8]],
+        // Addresses come back in request order, tag matches after them.
+        let (_, mixed) = folded
+            .fetch_bin(&FetchBinRequest {
+                ids: vec![103, 101],
+                tags: vec![vec![2u8], vec![0u8]],
                 ..FetchBinRequest::default()
             })
-            .is_err());
+            .unwrap();
+        let got: Vec<u64> = mixed.iter().map(|(id, _)| id.raw()).collect();
+        assert_eq!(got, [103, 101, 100, 102]);
     }
 
     #[test]

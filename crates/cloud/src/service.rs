@@ -1,10 +1,11 @@
 //! A real TCP daemon serving one cloud shard to concurrent tenant owners.
 //!
-//! Until this module existed every byte-accurate `pds-proto` frame still
-//! travelled through an in-process function call; [`ShardDaemon`] puts the
-//! same [`crate::CloudSession::dispatch`] seam behind a loopback socket so
-//! the failure modes of a real network — partial reads, dead peers,
-//! hostile bytes, concurrent tenants — exist and are tested.
+//! [`CloudServer::serve`], defined here, is the daemon's message entry:
+//! the one query message goes to [`CloudServer::fetch_bin`], the same
+//! handler engines call in process, and an insert to the outsourcing
+//! path.  [`ShardDaemon`] puts that entry behind a loopback socket so the
+//! failure modes of a real network — partial reads, dead peers, hostile
+//! bytes, concurrent tenants — exist and are tested.
 //!
 //! Architecture (one daemon per shard):
 //!
@@ -14,7 +15,7 @@
 //!        │     Hello handshake → FrameReader loop → job queue
 //!        ▼
 //!   mpsc job queue ── worker pool (N compute threads)
-//!        │     catch_unwind( lock tenant shard → dispatch → response )
+//!        │     catch_unwind( lock tenant shard → serve → response )
 //!        ▼
 //!   per-connection write mutex → response frame back on the same socket
 //! ```
@@ -57,13 +58,65 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pds_common::{OrderedMutex, PdsError, Result};
+use pds_common::{OrderedMutex, PdsError, Result, TupleId};
+use pds_crypto::Ciphertext;
 use pds_obs::{obs_span, record_manual, Registry, StatsScope};
-use pds_proto::{error_frame, msg_tag, FrameReader, ReadFrame, WireMessage};
+use pds_proto::{error_frame, msg_tag, Ack, BinPayload, FrameReader, ReadFrame, WireMessage};
 
-use crate::server::CloudServer;
-use crate::session::CloudSession;
+use crate::server::{tuple_ct_rows, CloudServer};
+use crate::store::EncryptedRow;
 use crate::view::EpisodeLoads;
+
+impl CloudServer {
+    /// Serves one decoded wire message and returns the typed response —
+    /// the daemon's message entry.  A [`WireMessage::FetchBinRequest`] is
+    /// answered by [`CloudServer::fetch_bin`] as one [`BinPayload`], and a
+    /// [`WireMessage::InsertRequest`] with an [`Ack`] carrying its item
+    /// count.  Anything else is a typed [`PdsError::Wire`]: a remote peer
+    /// can send anything that decodes, and none of it may panic.
+    ///
+    /// An insert mixing clear-text tuples and encrypted rows is charged as
+    /// one exchange per outsourcing operation; the owners' clients never
+    /// send one.
+    pub fn serve(&mut self, msg: &WireMessage) -> Result<WireMessage> {
+        let _span = obs_span("cloud.dispatch");
+        match msg {
+            WireMessage::FetchBinRequest(request) => {
+                let (plain_tuples, rows) = self.fetch_bin(request)?;
+                Ok(WireMessage::BinPayload(BinPayload {
+                    plain_tuples,
+                    encrypted_rows: tuple_ct_rows(&rows),
+                }))
+            }
+            WireMessage::InsertRequest(request) => {
+                for tuple in &request.plain_tuples {
+                    self.insert_plaintext(tuple.clone())?;
+                }
+                if !request.encrypted_rows.is_empty() {
+                    let rows: Vec<EncryptedRow> = request
+                        .encrypted_rows
+                        .iter()
+                        .map(|row| EncryptedRow {
+                            id: TupleId::new(row.id),
+                            attr_ct: Ciphertext(row.attr_ct.clone()),
+                            tuple_ct: Ciphertext(row.tuple_ct.clone()),
+                            search_tags: row.search_tags.clone(),
+                        })
+                        .collect();
+                    self.upload_encrypted(rows)?;
+                }
+                let items = request.plain_tuples.len() + request.encrypted_rows.len();
+                Ok(WireMessage::Ack(Ack {
+                    items: items as u64,
+                }))
+            }
+            other => Err(PdsError::Wire(format!(
+                "a shard serves no {} message",
+                other.name()
+            ))),
+        }
+    }
+}
 
 /// Tuning knobs of one [`ShardDaemon`].
 #[derive(Debug, Clone)]
@@ -468,7 +521,9 @@ fn run_worker(state: &SharedState, jobs: &OrderedMutex<Receiver<Job>>) {
         // only that connection.  The tenant lock the handler held is
         // poisoned by the unwind; every lock site recovers because
         // [`OrderedMutex::lock`] resolves poison to the inner value.
-        match catch_unwind(AssertUnwindSafe(|| serve(state, job.tenant, &job.msg))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            serve_tenant(state, job.tenant, &job.msg)
+        })) {
             Ok(Ok(resp)) => {
                 let _ = write_msg(&job.writer, job.corr, &resp);
             }
@@ -505,7 +560,7 @@ fn run_worker(state: &SharedState, jobs: &OrderedMutex<Receiver<Job>>) {
 }
 
 /// Serves one decoded request against the tenant's shard server.
-fn serve(state: &SharedState, tenant: u64, msg: &WireMessage) -> Result<WireMessage> {
+fn serve_tenant(state: &SharedState, tenant: u64, msg: &WireMessage) -> Result<WireMessage> {
     let _span = obs_span("daemon.dispatch");
     let server = state
         .tenants
@@ -520,20 +575,16 @@ fn serve(state: &SharedState, tenant: u64, msg: &WireMessage) -> Result<WireMess
             panic!("injected handler panic");
         }
     }
-    let mut session = CloudSession::new(&mut server);
-    // Query messages are bracketed as one adversarial-view episode each —
+    // Each query message is bracketed as one adversarial-view episode —
     // exactly how the in-process executor brackets a composed episode — so
     // a daemon-served workload records the same view as a local one.
-    let episodic = matches!(
-        msg,
-        WireMessage::FetchBinRequest(_) | WireMessage::BinPairRequest(_)
-    );
-    if episodic {
-        session.begin_episode();
+    let query = matches!(msg, WireMessage::FetchBinRequest(_));
+    if query {
+        server.begin_query();
     }
-    let resp = session.dispatch(msg);
-    if episodic {
-        session.end_episode();
+    let resp = server.serve(msg);
+    if query {
+        server.end_query();
     }
     resp
 }
@@ -584,13 +635,17 @@ fn flush_tenant_stats(state: &SharedState, tenant: u64, server: &CloudServer) {
     let labels: &[(&str, &str)] = &[("shard", &state.shard_label), ("tenant", &tenant_label)];
     let m = server.metrics();
     for (slot, &count) in m.wire_frames_by_type.iter().enumerate() {
-        let tag = (slot + 1) as u8;
+        let name = msg_tag::name((slot + 1) as u8);
+        // The retired tag's slot has no message type to report.
+        if name == "unknown" {
+            continue;
+        }
         registry.counter_set(
             "pds_wire_frames_total",
             &[
                 ("shard", &state.shard_label),
                 ("tenant", &tenant_label),
-                ("type", msg_tag::name(tag)),
+                ("type", name),
             ],
             count,
         );

@@ -11,8 +11,8 @@
 //! A connection has two ways to exchange frames.  [`TcpShardConn::call`]
 //! writes one frame and awaits its response; the handshake and
 //! [`TcpCloudClient::fetch_stats`] use it.  Episodes always go through the
-//! pipelined split: [`TcpShardConn::enqueue_bin_pair`] frames one composed
-//! `BinPairRequest` under a fresh correlation id and buffers it,
+//! pipelined split: [`TcpShardConn::enqueue_bin_pair`] frames one
+//! episode's `FetchBinRequest` under a fresh correlation id and buffers it,
 //! [`TcpShardConn::flush`] puts the whole batch on the socket with
 //! vectored writes, and [`TcpShardConn::recv_bin_pair`] reads one response
 //! frame with the correlation id its header carries.
@@ -29,10 +29,9 @@ use std::sync::Arc;
 
 use pds_common::{OrderedMutex, PdsError, Result, TupleId};
 use pds_crypto::Ciphertext;
-use pds_proto::{FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
+use pds_proto::{FetchBinRequest, FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
 
 use crate::server::BinPairResult;
-use crate::session::BinEpisodeRequest;
 
 /// Frame bytes a client's connections wrote to and read from their
 /// sockets, shared by every connection the client dials.
@@ -186,15 +185,11 @@ impl TcpShardConn {
         Ok(resp)
     }
 
-    /// Frames one composed bin-pair episode under a fresh correlation id
-    /// and buffers it for the next [`Self::flush`] — the typed uplink half
-    /// of every episode that crosses TCP.
-    pub fn enqueue_bin_pair(
-        &mut self,
-        request: &BinEpisodeRequest,
-        tags: Vec<Vec<u8>>,
-    ) -> Result<u64> {
-        self.enqueue(&WireMessage::BinPairRequest(request.to_wire(tags)))
+    /// Frames one episode's request under a fresh correlation id and
+    /// buffers it for the next [`Self::flush`] — the typed uplink half of
+    /// every episode that crosses TCP.
+    pub fn enqueue_bin_pair(&mut self, request: FetchBinRequest) -> Result<u64> {
+        self.enqueue(&WireMessage::FetchBinRequest(request))
     }
 
     /// Reads one pipelined response frame and interprets it as a composed

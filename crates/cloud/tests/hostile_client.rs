@@ -2,12 +2,12 @@
 //! and abandoned frames, oversized declared lengths, handshake
 //! violations, and a panicking handler — none of which may wedge the
 //! daemon or disturb a well-behaved neighbour, whose answers must stay
-//! byte-identical to the in-process dispatch path throughout.
+//! byte-identical to the in-process message entry throughout.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 
-use pds_cloud::{CloudSession, ServiceConfig, ShardDaemon, TcpShardConn};
+use pds_cloud::{ServiceConfig, ShardDaemon, TcpShardConn};
 use pds_common::Value;
 use pds_proto::{read_frame, FetchBinRequest, Hello, ReadFrame, WireMessage};
 
@@ -23,13 +23,11 @@ fn fetch(values: &[&str]) -> WireMessage {
     })
 }
 
-/// The encoded response the in-process dispatch seam gives for `msg` on an
-/// identically-built server — the byte-identical reference every daemon
-/// answer is held against.
+/// The encoded response [`pds_cloud::CloudServer::serve`] gives for `msg`
+/// on an identically-built server in process — the byte-identical
+/// reference every daemon answer is held against.
 fn reference_bytes(seed: u64, msg: &WireMessage) -> Vec<u8> {
-    let mut local = server(seed);
-    let mut session = CloudSession::new(&mut local);
-    session.dispatch(msg).unwrap().encode().unwrap()
+    server(seed).serve(msg).unwrap().encode().unwrap()
 }
 
 #[test]

@@ -98,8 +98,11 @@ fn stats_snapshot_is_byte_stable_and_tenant_scoped() {
     ] {
         assert!(first.lines().any(|l| l == line), "no `{line}` in:\n{first}");
     }
-    // ...plus unlabelled shard-health series...
+    // ...plus unlabelled shard-health series, and no frame series for the
+    // retired message tag...
     assert!(first.contains("pds_daemon_connections_total"), "{first}");
+    assert!(first.contains("type=\"FetchBinRequest\""), "{first}");
+    assert!(!first.contains("type=\"unknown\""), "{first}");
     // ...and nothing about the neighbouring tenant.
     assert!(
         !first.contains("tenant=\"8\""),

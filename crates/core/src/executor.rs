@@ -17,7 +17,8 @@
 //!    [`BinTransport::dispatch`], one task per shard with work holding
 //!    that shard's engine, its steps and a fresh owner fork.  Every
 //!    episode runs as one adversarial-view episode on its shard: in
-//!    process through a [`pds_cloud::CloudSession`], or over TCP through
+//!    process on the shard's [`CloudServer`]
+//!    ([`crate::plan::execute_episode`]), or over TCP through
 //!    [`crate::plan::execute_shard_pipelined`]'s correlated window.  A
 //!    batch's rounds are the sum of its episodes' measured rounds on every
 //!    transport.  The owner decrypts, drops fake tuples and false
@@ -458,7 +459,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// Compiles the episode step retrieving one bin pair: routed to the
     /// shard hosting the sensitive bin, composed iff the plan mode is
     /// [`PlanMode::Composed`].
-    // pds-allow: plaintext-egress(BinEpisodeRequest is the owner-side episode description, not a wire frame: sensitive_values leave only as pds_crypto search tags when the session encodes the episode, and set_planner rejects residuals mentioning sensitive or searchable attributes before wire_residual will release one)
+    // pds-allow: plaintext-egress(BinEpisodeRequest is the owner-side episode description, not a wire frame: sensitive_values leave only as pds_crypto search tags or located addresses when the engine builds the episode's FetchBinRequest, and set_planner rejects residuals mentioning sensitive or searchable attributes before wire_residual will release one)
     fn compile_step<C: BinRoutedCloud>(
         &self,
         cloud: &C,
@@ -471,8 +472,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             shard: cloud.route_sensitive_bin(pair.sensitive_bin),
             composed: self.plan_mode == PlanMode::Composed,
             request: BinEpisodeRequest {
-                sensitive_bin: pair.sensitive_bin,
-                nonsensitive_bin: pair.nonsensitive_bin,
                 sensitive_values: self.binning.sensitive_bin(pair.sensitive_bin).to_vec(),
                 nonsensitive_values: self.binning.nonsensitive_bin(pair.nonsensitive_bin),
                 pushdown: self.planner.wire_residual().cloned(),

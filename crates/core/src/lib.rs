@@ -30,11 +30,12 @@
 //! * [`executor`] — the end-to-end partitioned execution: outsourcing both
 //!   parts, rewriting each query into its bin pair, running the encrypted
 //!   and clear-text sub-queries, and merging/filtering at the owner;
-//! * [`plan`] — the plan→session pipeline: batches compile into
+//! * [`plan`] — the plan→episode pipeline: batches compile into
 //!   [`plan::QueryPlan`]s of per-shard episode steps (composed: the
 //!   clear-text bin rides the sensitive side's last exchange, one round
-//!   or two by back-end; fine-grained: separate messages) executed
-//!   through [`pds_cloud::CloudSession`]s;
+//!   or two by back-end; fine-grained: separate requests), each executed
+//!   as one adversarial-view episode whose every exchange is one
+//!   `FetchBinRequest` served by [`pds_cloud::CloudServer::fetch_bin`];
 //! * [`planner`] — the cost-based optimizer over that pipeline: a
 //!   calibrated [`planner::CostModel`] picks each shard's back-end under a
 //!   workload-skew security constraint, residual predicates push below the

@@ -12,25 +12,23 @@
 //!                      │ per_shard[s]   (EpisodeSteps, one per bin pair)
 //!                      │ waiters        (in-batch repeats, resolved last)
 //!                      ▼
-//!             CloudSession(shard s) ◄── typed pds-proto messages
+//!             CloudServer(shard s) ◄── FetchBinRequest → BinPayload
 //! ```
 //!
-//! Each [`EpisodeStep`] runs as one adversarial-view episode through a
-//! [`CloudSession`] on the shard hosting its sensitive bin.  A step is
-//! either **composed** — the clear-text bin travels in the same exchange
-//! as the sensitive side's last round — or **fine-grained**, with the
-//! clear-text selection as a message of its own, as the executor's
-//! [`PlanMode`] says.  Composed, a back-end whose tokens the cloud resolves
-//! (det-index, arx, the enclave/MPC simulators) takes one round; one that
-//! must first locate its rows by storage address (nondet-scan, secret
-//! sharing, DPF) takes two, the floor once the addresses come from a round
-//! of their own.
+//! Each [`EpisodeStep`] runs as one adversarial-view episode on the shard
+//! hosting its sensitive bin ([`execute_episode`] in process,
+//! [`execute_shard_pipelined`] over TCP).  A step is either **composed** —
+//! the clear-text bin travels in the same `FetchBinRequest` as the
+//! sensitive side's last round — or **fine-grained**, with the clear-text
+//! selection as a request of its own, as the executor's [`PlanMode`] says.
+//! Composed, a back-end whose tokens the cloud resolves (det-index, arx,
+//! the enclave/MPC simulators) takes one round; one that must first locate
+//! its rows by storage address (nondet-scan, secret sharing, DPF) takes
+//! two, the floor once the addresses come from a round of their own.
 
 use std::collections::VecDeque;
 
-use pds_cloud::{
-    BinEpisodeRequest, CloudServer, CloudSession, CorrelationWindow, DbOwner, TcpCloudClient,
-};
+use pds_cloud::{BinEpisodeRequest, CloudServer, CorrelationWindow, DbOwner, TcpCloudClient};
 use pds_common::{PdsError, Result};
 use pds_storage::Tuple;
 use pds_systems::{fine_grained_bin_episode, BinEpisodeOutcome, SecureSelectionEngine};
@@ -124,10 +122,11 @@ pub struct EpisodeResult {
     pub rounds: u64,
 }
 
-/// Executes one planned episode against its shard: opens a
-/// [`CloudSession`] episode, runs the composed or fine-grained path, and
-/// reports the measured round count.  Free function so a shard task of the
-/// executor's fan-out can call it without borrowing the whole executor.
+/// Executes one planned episode against its shard: brackets it as one
+/// adversarial-view episode, runs the composed or fine-grained path, and
+/// reports its rounds as the shard's `round_trips` delta.  Free function so
+/// a shard task of the executor's fan-out can call it without borrowing
+/// the whole executor.
 pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     owner: &mut DbOwner,
     shard: &mut CloudServer,
@@ -135,20 +134,20 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
     step: &EpisodeStep,
 ) -> Result<EpisodeResult> {
     let _span = pds_obs::obs_span("episode.execute");
-    let mut session = CloudSession::new(shard);
-    session.begin_episode();
+    shard.begin_query();
+    let rounds_before = shard.metrics().round_trips;
     let outcome = {
         let _engine_span = pds_obs::obs_span("engine.call");
         if step.composed {
-            engine.select_bin_episode(owner, &mut session, &step.request)
+            engine.select_bin_episode(owner, shard, &step.request)
         } else {
-            fine_grained_bin_episode(engine, owner, &mut session, &step.request)
+            fine_grained_bin_episode(engine, owner, shard, &step.request)
         }
     };
-    let rounds = session.end_episode();
+    shard.end_query();
     Ok(EpisodeResult {
         outcome: outcome?,
-        rounds,
+        rounds: shard.metrics().round_trips - rounds_before,
     })
 }
 
@@ -157,29 +156,30 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
 /// slot, bin pair and result, in the order the answers arrived.  Every
 /// result counts one owner↔cloud round, whatever the window.
 ///
-/// Up to `window` composed requests are framed and written back-to-back
+/// Up to `window` composed `FetchBinRequest`s
+/// ([`BinEpisodeRequest::to_wire`]) are framed and written back-to-back
 /// (vectored writes, no response awaited in between), and responses are
 /// matched back to their episodes by correlation id in whatever order the
 /// daemon's worker pool finishes them.  A window of 1 is lock-step: one
 /// request on the socket, then its answer.  Each episode's owner-side work
 /// is split across the engine's two halves —
-/// [`SecureSelectionEngine::composed_wire_tags`] before the uplink,
+/// [`SecureSelectionEngine::tags`] before the uplink,
 /// [`SecureSelectionEngine::finish_composed`] after the downlink — so the
 /// client keeps issuing requests while earlier responses are still being
 /// computed cloud-side.
 ///
 /// The shard lives in a [`pds_cloud::ShardDaemon`]'s address space, so
-/// only composed episodes whose tokens the daemon's tag index resolves can
+/// only composed episodes whose tags the daemon's tag index resolves can
 /// travel.  Two kinds of step are refused with a typed [`PdsError::Wire`]
 /// naming the back-end, before any episode request is written:
 ///
 /// * a **fine-grained** step (any back-end under
 ///   [`PlanMode::FineGrained`]) needs in-process server access;
-/// * a step of a back-end whose `composed_wire_tags` is `None` locates its
-///   sensitive rows engine-side: nondet-scan, secret sharing and DPF in
-///   rounds of their own before the address fetch, the enclave/MPC
-///   simulators inside the enclave.  Serving them here would need the
-///   daemon to bracket one episode across several messages.
+/// * a step of a back-end whose `tags` are `None` locates its sensitive
+///   rows engine-side: nondet-scan, secret sharing and DPF in rounds of
+///   their own before the address fetch, the enclave/MPC simulators inside
+///   the enclave.  Serving them here would need the daemon to bracket one
+///   episode across several messages.
 ///
 /// Failure handling:
 ///
@@ -222,7 +222,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
             let Some(slot) = queue.pop_front() else { break };
             let step = &steps[slot];
             let tags = engine
-                .composed_wire_tags(owner, &step.request)?
+                .tags(owner, &step.request.sensitive_values)?
                 .ok_or_else(|| {
                     PdsError::Wire(format!(
                         "the {} back-end locates its sensitive rows engine-side (a \
@@ -232,7 +232,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
                         engine.name()
                     ))
                 })?;
-            let corr = conn.enqueue_bin_pair(&step.request, tags)?;
+            let corr = conn.enqueue_bin_pair(step.request.to_wire(tags, &[]))?;
             inflight.track(corr, slot)?;
         }
         // Put the window on the socket and drain one response;

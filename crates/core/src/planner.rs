@@ -533,13 +533,7 @@ mod tests {
             },
             shard: 0,
             composed: true,
-            request: BinEpisodeRequest {
-                sensitive_bin: s,
-                nonsensitive_bin: ns,
-                sensitive_values: Vec::new(),
-                nonsensitive_values: Vec::new(),
-                pushdown: None,
-            },
+            request: BinEpisodeRequest::default(),
         };
         let mut plan = QueryPlan::new(1);
         plan.per_shard[0] = vec![step(0, 3, 1), step(1, 1, 2), step(2, 3, 0), step(3, 1, 2)];

@@ -13,8 +13,11 @@
 //! within its size bound while the daemons run, read from the view-size
 //! gauges every tenant can request.  A byte reconciliation checks that
 //! the bytes the daemons count equal the bytes the client's sockets
-//! moved.
+//! moved, and that one query frame is one exchange at the daemon.  A
+//! transport comparison checks that every shard's episodes and wire
+//! counters over TCP equal those of the in-process run.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 
@@ -29,7 +32,7 @@ use pds_core::{
 use pds_proto::{read_frame, BinPayload, FetchBinRequest, InsertRequest, ReadFrame, WireMessage};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
 use pds_systems::oblivious::opaque_sim;
-use pds_systems::{DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
+use pds_systems::{ArxEngine, DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
 use pds_workload::{employee_relation, employee_sensitivity_policy};
 use proptest::prelude::*;
 
@@ -547,26 +550,15 @@ fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
     }
 }
 
-/// A `FetchBinRequest` carrying clear-text values and storage addresses
-/// — the last exchange of a nondet-scan, secret-sharing or DPF episode —
-/// is one exchange at the daemon too: the daemon's byte counters move by
+/// Sends `request` to a one-shard daemon hosting `tenant`'s server and
+/// asserts it is one exchange there: the daemon's byte counters move by
 /// exactly the bytes the client's socket moved, and its round counter by
-/// one.
-#[test]
-fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
-    let mut tenants = vec![tenant_deployment(1, 1, NonDetScanEngine::new())];
-    let shard = &tenants[0].router.shards()[0];
-    let ids: Vec<u64> = shard
-        .encrypted_store()
-        .rows()
-        .iter()
-        .take(3)
-        .map(|r| r.id.raw())
-        .collect();
-    let attr = shard.plain_searchable_attr().unwrap();
-    let values = vec![shard.plain_relation().unwrap().tuples()[0]
-        .value(attr)
-        .clone()];
+/// one.  Returns the payload that answered.
+fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
+    tenant: Tenant<E>,
+    request: FetchBinRequest,
+) -> BinPayload {
+    let mut tenants = vec![tenant];
     let daemons = spawn_daemons(&mut tenants, 1, &ServiceConfig::default());
     let client = TcpCloudClient::new(1, daemons.iter().map(ShardDaemon::addr).collect());
     let counters = || {
@@ -581,23 +573,8 @@ fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
     let (written_before, read_before) = (client.bytes_written(), client.bytes_read());
 
     let mut conn = client.checkout(0).unwrap();
-    let resp = conn
-        .call(&WireMessage::FetchBinRequest(FetchBinRequest {
-            values,
-            ids: ids.clone(),
-            tags: Vec::new(),
-            predicate: None,
-        }))
-        .unwrap();
+    let resp = conn.call(&WireMessage::FetchBinRequest(request)).unwrap();
     client.checkin(0, conn);
-    match resp {
-        WireMessage::BinPayload(p) => {
-            assert!(!p.plain_tuples.is_empty(), "the clear-text side answered");
-            let got: Vec<u64> = p.encrypted_rows.iter().map(|r| r.id).collect();
-            assert_eq!(got, ids, "the address side answered");
-        }
-        other => panic!("expected a BinPayload, got {}", other.name()),
-    }
 
     let written = client.bytes_written() - written_before;
     let read = client.bytes_read() - read_before;
@@ -607,6 +584,147 @@ fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
     assert_eq!(after[2] - before[2], 1, "one frame each way is one round");
     for daemon in daemons {
         daemon.shutdown();
+    }
+    match resp {
+        WireMessage::BinPayload(p) => p,
+        other => panic!("expected a BinPayload, got {}", other.name()),
+    }
+}
+
+/// The first clear-text value of a one-shard tenant's non-sensitive side.
+fn first_plain_value<E: SecureSelectionEngine>(tenant: &Tenant<E>) -> Value {
+    let shard = &tenant.router.shards()[0];
+    let attr = shard.plain_searchable_attr().unwrap();
+    shard.plain_relation().unwrap().tuples()[0]
+        .value(attr)
+        .clone()
+}
+
+/// A `FetchBinRequest` carrying clear-text values and storage addresses
+/// — the last exchange of a nondet-scan, secret-sharing or DPF episode —
+/// is one exchange at the daemon too.
+#[test]
+fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
+    let tenant = tenant_deployment(1, 1, NonDetScanEngine::new());
+    let ids: Vec<u64> = tenant.router.shards()[0]
+        .encrypted_store()
+        .rows()
+        .iter()
+        .take(3)
+        .map(|r| r.id.raw())
+        .collect();
+    let request = FetchBinRequest {
+        values: vec![first_plain_value(&tenant)],
+        ids: ids.clone(),
+        ..FetchBinRequest::default()
+    };
+    let p = one_exchange_at_the_daemon(tenant, request);
+    assert!(!p.plain_tuples.is_empty(), "the clear-text side answered");
+    let got: Vec<u64> = p.encrypted_rows.iter().map(|r| r.id).collect();
+    assert_eq!(got, ids, "the address side answered");
+}
+
+/// A `FetchBinRequest` carrying clear-text values and search tags — a
+/// composed det-index or arx episode — is one exchange at the daemon too,
+/// not an address fetch plus a tag lookup charged apart.
+#[test]
+fn a_values_and_tags_fetch_is_one_exchange_at_the_daemon() {
+    let tenant = tenant_deployment(1, 1, DeterministicIndexEngine::new());
+    let row = &tenant.router.shards()[0].encrypted_store().rows()[0];
+    let (id, tags) = (row.id.raw(), row.search_tags.clone());
+    let request = FetchBinRequest {
+        values: vec![first_plain_value(&tenant)],
+        tags,
+        ..FetchBinRequest::default()
+    };
+    let p = one_exchange_at_the_daemon(tenant, request);
+    assert!(!p.plain_tuples.is_empty(), "the clear-text side answered");
+    assert!(
+        p.encrypted_rows.iter().any(|r| r.id == id),
+        "the tag side answered"
+    );
+}
+
+/// The same workload over identical deployments, once in process
+/// (`Sequential`) and once over loopback daemons at windows 1 and 8, on a
+/// tag back-end each: equal answers and rounds, and on every shard the
+/// same episode observations (as a multiset — a window completes out of
+/// order) and the same bytes each way, frames by type, rounds and tuples
+/// returned.
+#[test]
+fn tcp_views_and_counters_equal_the_in_process_run() {
+    const SHARDS: usize = 2;
+    let engines: [fn() -> Box<dyn SecureSelectionEngine>; 2] = [
+        || Box::new(DeterministicIndexEngine::new()),
+        || Box::new(ArxEngine::new()),
+    ];
+    for engine in engines {
+        for window in [1, 8] {
+            let mut local = tenant_deployment(1, SHARDS, engine());
+            let mut tenants = vec![tenant_deployment(1, SHARDS, engine())];
+            let name = local.executor.engine().name();
+            let local_before = local.router.shard_metrics();
+            let remote_before = tenants[0].router.shard_metrics();
+            let workload = local.workload.clone();
+            let want = local
+                .executor
+                .run_workload_transported(
+                    &mut local.owner,
+                    &mut local.router,
+                    &workload,
+                    &BinTransport::Sequential,
+                )
+                .unwrap();
+
+            let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(2));
+            let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
+            let t = &mut tenants[0];
+            t.executor.set_pipeline_window(window);
+            let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
+            let run = t
+                .executor
+                .run_workload_transported(&mut t.owner, &mut t.router, &workload, &transport)
+                .unwrap();
+            reclaim_servers(daemons, &mut tenants);
+
+            let case = format!("{name} window {window}");
+            assert_eq!(run.answers, want.answers, "{case}: answers");
+            assert_eq!(run.rounds, want.rounds, "{case}: rounds");
+            let shards = local.router.shards().iter().zip(tenants[0].router.shards());
+            for (s, (in_process, remote)) in shards.enumerate() {
+                let observations = |server: &CloudServer| {
+                    let mut counts: HashMap<_, usize> = HashMap::new();
+                    for ep in server.adversarial_view().episodes() {
+                        *counts.entry((*ep.observed).clone()).or_default() += 1;
+                    }
+                    counts
+                };
+                assert_eq!(
+                    observations(remote),
+                    observations(in_process),
+                    "{case}: shard {s} episodes"
+                );
+                let want = in_process.metrics().delta_since(&local_before[s]);
+                let got = remote.metrics().delta_since(&remote_before[s]);
+                assert_eq!(
+                    (got.bytes_uploaded, got.bytes_downloaded),
+                    (want.bytes_uploaded, want.bytes_downloaded),
+                    "{case}: shard {s} bytes up and down"
+                );
+                assert_eq!(
+                    got.wire_frames_by_type, want.wire_frames_by_type,
+                    "{case}: shard {s} frames by type"
+                );
+                assert_eq!(
+                    got.round_trips, want.round_trips,
+                    "{case}: shard {s} rounds"
+                );
+                assert_eq!(
+                    got.tuples_returned, want.tuples_returned,
+                    "{case}: shard {s} tuples returned"
+                );
+            }
+        }
     }
 }
 
@@ -626,8 +744,9 @@ enum RogueMode {
 
 /// A daemon that handshakes properly, reads `batch` composed requests,
 /// and then answers according to `mode`.  Each answer's payload encodes
-/// which request it serves (a tuple built from the request's bin index),
-/// so the test can prove responses were matched to the right episodes.
+/// which request it serves (a tuple built from the request's clear-text
+/// value), so the test can prove responses were matched to the right
+/// episodes.
 fn rogue_daemon(mode: RogueMode, batch: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -649,12 +768,17 @@ fn rogue_daemon(mode: RogueMode, batch: usize) -> (SocketAddr, std::thread::Join
                 other => panic!("expected a request frame, got {other:?}"),
             };
             let (corr, msg) = WireMessage::decode_corr(&frame).unwrap();
-            let WireMessage::BinPairRequest(req) = msg else {
-                panic!("expected a BinPairRequest, got {}", msg.name());
+            let WireMessage::FetchBinRequest(req) = msg else {
+                panic!("expected a FetchBinRequest, got {}", msg.name());
             };
+            // `pipeline_steps` gives episode i the clear-text value 100 + i.
+            let [Value::Int(value)] = req.values.as_slice() else {
+                panic!("expected one clear-text value, got {:?}", req.values);
+            };
+            let episode = value - 100;
             let marker = Tuple::new(
-                TupleId::new(1000 + u64::from(req.nonsensitive_bin)),
-                vec![Value::Int(i64::from(req.nonsensitive_bin))],
+                TupleId::new(1000 + episode as u64),
+                vec![Value::Int(episode)],
             );
             let resp = WireMessage::BinPayload(BinPayload {
                 plain_tuples: vec![marker],
@@ -703,8 +827,8 @@ fn outsourced_det() -> (DbOwner, DeterministicIndexEngine) {
     (owner, engine)
 }
 
-/// `n` composed single-shard steps with distinct bin indices, so every
-/// response is attributable to exactly one episode.
+/// `n` composed single-shard steps with distinct clear-text values, so
+/// every response is attributable to exactly one episode.
 fn pipeline_steps(n: usize) -> Vec<EpisodeStep> {
     (0..n)
         .map(|i| EpisodeStep {
@@ -716,8 +840,6 @@ fn pipeline_steps(n: usize) -> Vec<EpisodeStep> {
             shard: 0,
             composed: true,
             request: BinEpisodeRequest {
-                sensitive_bin: i,
-                nonsensitive_bin: i,
                 sensitive_values: vec![Value::Int(i as i64)],
                 nonsensitive_values: vec![Value::Int(100 + i as i64)],
                 pushdown: None,

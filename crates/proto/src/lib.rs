@@ -10,10 +10,12 @@
 //! * [`frame`] — a versioned, length-delimited, CRC-checked frame layout.
 //!   Decoding is total: truncated or corrupted input yields
 //!   `Err(PdsError::Wire(..))`, never a panic.
-//! * [`messages`] — the typed protocol messages ([`FetchBinRequest`],
-//!   [`BinPairRequest`], [`BinPayload`], [`InsertRequest`], [`Ack`],
-//!   [`ErrorFrame`], plus an [`WireMessage::Opaque`] escape hatch for
-//!   engine-specific token sets).  `pds-cloud` encodes the *actual* traffic
+//! * [`messages`] — the typed protocol messages: one query message
+//!   ([`FetchBinRequest`], by clear-text values, storage addresses and
+//!   search tags at once) answered by one [`BinPayload`], plus
+//!   [`InsertRequest`], [`Ack`], [`ErrorFrame`], the [`Hello`] handshake,
+//!   the stats exchange, and an [`WireMessage::Opaque`] escape hatch for
+//!   engine-specific token sets.  `pds-cloud` encodes the *actual* traffic
 //!   of every owner↔cloud interaction through these and charges the
 //!   encoded frame lengths to its metrics and its network clock
 //!   (`latency + bytes/bandwidth` per exchange), so bytes moved and
@@ -39,7 +41,7 @@ pub use frame::{
     TRAILER_LEN, VERSION, VERSION_V1,
 };
 pub use messages::{
-    error_frame, msg_tag, Ack, BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello,
-    InsertRequest, WireMessage, WireRow,
+    error_frame, msg_tag, Ack, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest,
+    WireMessage, WireRow,
 };
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

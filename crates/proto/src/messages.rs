@@ -5,7 +5,7 @@
 //!
 //! | field | encoding |
 //! |---|---|
-//! | integer: count, byte-string length, tuple/row id, bin index, attribute id, `Ack` items, `Hello` tenant | unsigned LEB128 varint (7 bits per byte, low group first, high bit set on every byte but the last; 1–10 bytes) |
+//! | integer: count, byte-string length, tuple/row id, attribute id, `Ack` items, `Hello` tenant | unsigned LEB128 varint (7 bits per byte, low group first, high bit set on every byte but the last; 1–10 bytes) |
 //! | byte string (ciphertext, search tag, text) | varint length, then the bytes |
 //! | clear-text [`Value`] | tag byte (`0` Null, `1` Int, `2` Text, `3` Bytes, `4` Bool), then nothing for Null, a zigzag varint for Int, a byte string for Text/Bytes, one `0`/`1` byte for Bool |
 //! | clear-text [`Tuple`] | varint id, varint arity, then each value |
@@ -27,10 +27,10 @@
 //!
 //! Decoding is total: every read is bounds-checked and malformed payloads
 //! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
-//! non-canonical varints, varints past `u64`, `u32` fields past
-//! `u32::MAX`, unknown tags, invalid UTF-8 and trailing bytes are all
-//! rejected, and a peer's declared counts reserve at most `PREALLOC_CAP`
-//! items up front.  The frame layer's CRC already rejects
+//! non-canonical varints, varints past `u64`, unknown tags, invalid UTF-8
+//! and trailing bytes are all rejected, and a peer's declared counts
+//! reserve at most `PREALLOC_CAP` items up front.  The frame layer's CRC
+//! already rejects
 //! corrupted-in-flight bytes; the payload decoders defend against
 //! malformed-but-checksummed input (a buggy or malicious peer).
 
@@ -80,9 +80,17 @@ impl WireRow {
     }
 }
 
-/// Owner → cloud: fetch tuples by clear-text values, by storage address,
-/// and/or by opaque searchable tags (the three retrieval flavours the
-/// simulated cloud serves).
+/// Owner → cloud: the one query message.  It fetches tuples by clear-text
+/// values, by storage address and by opaque searchable tags, in any
+/// combination, and one [`BinPayload`] answers all three.
+///
+/// A composed Query Binning episode ends in exactly one of these: the
+/// clear-text values of the non-sensitive bin next to the sensitive side,
+/// which travels as the search tags of the sensitive bin (det-index, arx,
+/// or the tokens an enclave resolves) or as the storage addresses a
+/// back-end located in rounds of its own (nondet-scan, secret sharing,
+/// DPF).  A fine-grained episode sends the clear-text selection and the
+/// sensitive fetch as two of them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FetchBinRequest {
     /// Clear-text values of one non-sensitive bin (`IN` selection).
@@ -96,30 +104,6 @@ pub struct FetchBinRequest {
     /// the downlink, so non-matching tuples never travel.  The owner must
     /// only place predicates over non-sensitive, non-searchable attributes
     /// here — anything else would leak plaintext structure on the wire.
-    pub predicate: Option<Predicate>,
-}
-
-/// Owner → cloud: one whole Query Binning episode as a single message —
-/// the encrypted tokens of the sensitive bin plus the clear-text values of
-/// the non-sensitive bin.  This is the composed single-round-trip form of
-/// the protocol for back-ends whose tokens the cloud resolves; back-ends
-/// that locate their rows by storage address end an episode with one
-/// [`FetchBinRequest`] carrying values and ids instead, and
-/// `benches/wire_overhead.rs` compares these encodings with the
-/// fine-grained messages.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BinPairRequest {
-    /// Index of the sensitive bin being retrieved.
-    pub sensitive_bin: u32,
-    /// Index of the non-sensitive bin being retrieved.
-    pub nonsensitive_bin: u32,
-    /// Encrypted search tokens, one per value of the sensitive bin.
-    pub encrypted_values: Vec<Vec<u8>>,
-    /// Clear-text values of the non-sensitive bin.
-    pub nonsensitive_values: Vec<Value>,
-    /// Optional residual predicate applied to the clear-text non-sensitive
-    /// result stream cloud-side (see [`FetchBinRequest::predicate`]).  The
-    /// encrypted sensitive stream is never filtered by it.
     pub predicate: Option<Predicate>,
 }
 
@@ -193,8 +177,9 @@ pub struct Hello {
 pub mod msg_tag {
     /// [`super::FetchBinRequest`].
     pub const FETCH_BIN_REQUEST: u8 = 1;
-    /// [`super::BinPairRequest`].
-    pub const BIN_PAIR_REQUEST: u8 = 2;
+    // Tag 2 is retired: it carried a second query message, whose work
+    // `FetchBinRequest` now does.  A frame carrying it is refused as an
+    // unknown type, and no other tag took its number.
     /// [`super::BinPayload`].
     pub const BIN_PAYLOAD: u8 = 3;
     /// [`super::InsertRequest`].
@@ -211,14 +196,14 @@ pub mod msg_tag {
     pub const STATS_REQUEST: u8 = 9;
     /// [`super::WireMessage::StatsSnapshot`].
     pub const STATS_SNAPSHOT: u8 = 10;
-    /// Number of distinct message types (tags are `1..=COUNT`).
+    /// The highest tag in use: tags are `1..=COUNT`, tag 2 among them
+    /// retired, and per-type counters are sized to it.
     pub const COUNT: usize = 10;
 
     /// Short human-readable name of a type tag (for experiment output).
     pub fn name(tag: u8) -> &'static str {
         match tag {
             FETCH_BIN_REQUEST => "FetchBinRequest",
-            BIN_PAIR_REQUEST => "BinPairRequest",
             BIN_PAYLOAD => "BinPayload",
             INSERT_REQUEST => "InsertRequest",
             ACK => "Ack",
@@ -235,10 +220,8 @@ pub mod msg_tag {
 /// Every message of the owner↔cloud protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMessage {
-    /// Fetch by values / addresses / tags.
+    /// The query: fetch by values, addresses and tags.
     FetchBinRequest(FetchBinRequest),
-    /// One composed QB episode request.
-    BinPairRequest(BinPairRequest),
     /// Result stream of a retrieval.
     BinPayload(BinPayload),
     /// Outsourcing upload.
@@ -266,7 +249,6 @@ impl WireMessage {
     pub fn msg_type(&self) -> u8 {
         match self {
             WireMessage::FetchBinRequest(_) => msg_tag::FETCH_BIN_REQUEST,
-            WireMessage::BinPairRequest(_) => msg_tag::BIN_PAIR_REQUEST,
             WireMessage::BinPayload(_) => msg_tag::BIN_PAYLOAD,
             WireMessage::InsertRequest(_) => msg_tag::INSERT_REQUEST,
             WireMessage::Ack(_) => msg_tag::ACK,
@@ -282,7 +264,6 @@ impl WireMessage {
     pub fn name(&self) -> &'static str {
         match self {
             WireMessage::FetchBinRequest(_) => "FetchBinRequest",
-            WireMessage::BinPairRequest(_) => "BinPairRequest",
             WireMessage::BinPayload(_) => "BinPayload",
             WireMessage::InsertRequest(_) => "InsertRequest",
             WireMessage::Ack(_) => "Ack",
@@ -322,13 +303,6 @@ impl WireMessage {
                 write_list(payload, &m.values, write_value);
                 write_list(payload, &m.ids, |out, id| write_varint(out, *id));
                 write_list(payload, &m.tags, |out, tag| write_bytes(out, tag));
-                write_opt_predicate(payload, m.predicate.as_ref())?;
-            }
-            WireMessage::BinPairRequest(m) => {
-                write_varint(payload, u64::from(m.sensitive_bin));
-                write_varint(payload, u64::from(m.nonsensitive_bin));
-                write_list(payload, &m.encrypted_values, |out, ev| write_bytes(out, ev));
-                write_list(payload, &m.nonsensitive_values, write_value);
                 write_opt_predicate(payload, m.predicate.as_ref())?;
             }
             WireMessage::BinPayload(BinPayload {
@@ -372,13 +346,6 @@ impl WireMessage {
                 values: r.list(Reader::value)?,
                 ids: r.list(Reader::varint)?,
                 tags: r.list(Reader::blob)?,
-                predicate: read_opt_predicate(&mut r)?,
-            }),
-            msg_tag::BIN_PAIR_REQUEST => WireMessage::BinPairRequest(BinPairRequest {
-                sensitive_bin: r.varint_u32()?,
-                nonsensitive_bin: r.varint_u32()?,
-                encrypted_values: r.list(Reader::blob)?,
-                nonsensitive_values: r.list(Reader::value)?,
                 predicate: read_opt_predicate(&mut r)?,
             }),
             msg_tag::BIN_PAYLOAD => WireMessage::BinPayload(BinPayload {
@@ -702,11 +669,6 @@ impl<'a> Reader<'a> {
         )))
     }
 
-    fn varint_u32(&mut self) -> Result<u32> {
-        let v = self.varint()?;
-        u32::try_from(v).map_err(|_| PdsError::Wire(format!("u32 field holds {v}")))
-    }
-
     fn len(&mut self) -> Result<usize> {
         let n = self.varint()?;
         usize::try_from(n).map_err(|_| PdsError::Wire(format!("length {n} overflows usize")))
@@ -828,13 +790,6 @@ mod tests {
                 tags: vec![vec![], vec![1, 2, 3]],
                 predicate: Some(sample_predicate()),
             }),
-            WireMessage::BinPairRequest(BinPairRequest {
-                sensitive_bin: 3,
-                nonsensitive_bin: 7,
-                encrypted_values: vec![vec![9; 48], vec![]],
-                nonsensitive_values: vec![Value::from("E101")],
-                predicate: None,
-            }),
             WireMessage::BinPayload(BinPayload {
                 plain_tuples: vec![sample_tuple(1), sample_tuple(2)],
                 encrypted_rows: vec![WireRow {
@@ -899,6 +854,9 @@ mod tests {
     fn unknown_type_tag_is_an_error() {
         let frame = crate::frame::encode_frame(200, b"").unwrap();
         assert!(WireMessage::decode(&frame).is_err());
+        // The retired tag 2 is unknown too, whatever its payload.
+        assert_wire_error(2, &[3, 7, 0, 0, 0]);
+        assert_eq!(msg_tag::name(2), "unknown");
     }
 
     #[test]
@@ -950,21 +908,15 @@ mod tests {
     }
 
     #[test]
-    fn predicate_roundtrips_on_both_request_types() {
+    fn predicate_roundtrips_on_the_query_message() {
         let deep = Predicate::Not(Box::new(sample_predicate()));
-        for msg in [
-            WireMessage::FetchBinRequest(FetchBinRequest {
+        for tags in [Vec::new(), vec![vec![7u8; 16]]] {
+            let msg = WireMessage::FetchBinRequest(FetchBinRequest {
                 values: vec![Value::from("a")],
+                tags,
                 predicate: Some(deep.clone()),
                 ..FetchBinRequest::default()
-            }),
-            WireMessage::BinPairRequest(BinPairRequest {
-                sensitive_bin: 1,
-                nonsensitive_bin: 2,
-                predicate: Some(deep.clone()),
-                ..BinPairRequest::default()
-            }),
-        ] {
+            });
             let frame = msg.encode().unwrap();
             assert_eq!(WireMessage::decode(&frame).unwrap(), msg);
         }
@@ -1067,19 +1019,6 @@ mod tests {
             WireMessage::decode(&frame).unwrap(),
             WireMessage::Ack(Ack { items: u64::MAX })
         );
-    }
-
-    #[test]
-    fn a_u32_field_past_u32_max_is_a_wire_error() {
-        let mut payload = Vec::new();
-        write_varint(&mut payload, u64::from(u32::MAX) + 1); // sensitive_bin
-        payload.extend_from_slice(&[0, 0, 0, 0]); // bin, tokens, values, predicate
-        assert_wire_error(msg_tag::BIN_PAIR_REQUEST, &payload);
-        let mut ok = Vec::new();
-        write_varint(&mut ok, u64::from(u32::MAX));
-        ok.extend_from_slice(&[0, 0, 0, 0]);
-        let frame = crate::frame::encode_frame(msg_tag::BIN_PAIR_REQUEST, &ok).unwrap();
-        assert!(WireMessage::decode(&frame).is_ok());
     }
 
     #[test]

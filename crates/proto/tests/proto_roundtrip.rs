@@ -4,7 +4,7 @@
 //!
 //! The generators mix the codec's edge cases into the random inputs:
 //! `i64::MIN`/`i64::MAX`/0/−1, empty and multi-byte UTF-8 text, empty
-//! bytes, ids and bin indices at the varint length boundaries.
+//! bytes, and ids at the varint length boundaries.
 //!
 //! Seeding rides the workspace's deterministic proptest machinery
 //! (`PROPTEST_SEED` / `PROPTEST_CASES`, regressions recorded under
@@ -12,8 +12,7 @@
 
 use pds_common::{PdsError, TupleId, Value};
 use pds_proto::{
-    Ack, BinPairRequest, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest,
-    WireMessage, WireRow,
+    Ack, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest, WireMessage, WireRow,
 };
 use pds_storage::{Predicate, Tuple};
 use proptest::prelude::*;
@@ -60,14 +59,6 @@ fn arb_id<R: Rng>(rng: &mut R) -> u64 {
     match rng.gen_range(0u8..4) {
         0 => [0, u64::from(u32::MAX), 1 << 32, u64::MAX][rng.gen_range(0usize..4)],
         _ => rng.gen_range(0u64..u64::MAX),
-    }
-}
-
-/// A bin index, including both ends of its `u32` range.
-fn arb_bin<R: Rng>(rng: &mut R) -> u32 {
-    match rng.gen_range(0u8..4) {
-        0 => [0, u32::MAX][rng.gen_range(0usize..2)],
-        _ => rng.gen_range(0u32..1 << 20),
     }
 }
 
@@ -139,7 +130,7 @@ fn arb_row<R: Rng>(rng: &mut R) -> WireRow {
 /// One random message of a random type, driven by the proptest case seed.
 fn arb_message(seed: u64) -> WireMessage {
     let mut rng = pds_common::rng::seeded_rng(seed);
-    match rng.gen_range(0u8..10) {
+    match rng.gen_range(0u8..9) {
         0 => WireMessage::FetchBinRequest(FetchBinRequest {
             values: (0..rng.gen_range(0usize..6))
                 .map(|_| arb_value(&mut rng))
@@ -152,18 +143,7 @@ fn arb_message(seed: u64) -> WireMessage {
                 .collect(),
             predicate: arb_opt_predicate(&mut rng),
         }),
-        1 => WireMessage::BinPairRequest(BinPairRequest {
-            sensitive_bin: arb_bin(&mut rng),
-            nonsensitive_bin: arb_bin(&mut rng),
-            encrypted_values: (0..rng.gen_range(0usize..5))
-                .map(|_| arb_blob(&mut rng, 64))
-                .collect(),
-            nonsensitive_values: (0..rng.gen_range(0usize..5))
-                .map(|_| arb_value(&mut rng))
-                .collect(),
-            predicate: arb_opt_predicate(&mut rng),
-        }),
-        2 => WireMessage::BinPayload(BinPayload {
+        1 => WireMessage::BinPayload(BinPayload {
             plain_tuples: (0..rng.gen_range(0usize..4))
                 .map(|_| arb_tuple(&mut rng))
                 .collect(),
@@ -171,7 +151,7 @@ fn arb_message(seed: u64) -> WireMessage {
                 .map(|_| arb_row(&mut rng))
                 .collect(),
         }),
-        3 => WireMessage::InsertRequest(InsertRequest {
+        2 => WireMessage::InsertRequest(InsertRequest {
             plain_tuples: (0..rng.gen_range(0usize..4))
                 .map(|_| arb_tuple(&mut rng))
                 .collect(),
@@ -179,10 +159,10 @@ fn arb_message(seed: u64) -> WireMessage {
                 .map(|_| arb_row(&mut rng))
                 .collect(),
         }),
-        4 => WireMessage::Ack(Ack {
+        3 => WireMessage::Ack(Ack {
             items: arb_id(&mut rng),
         }),
-        5 => {
+        4 => {
             let msg_len = rng.gen_range(0usize..40);
             WireMessage::Error(ErrorFrame {
                 category: "cloud".to_string(),
@@ -191,11 +171,11 @@ fn arb_message(seed: u64) -> WireMessage {
                     .collect(),
             })
         }
-        6 => WireMessage::Opaque(arb_blob(&mut rng, 100)),
-        7 => WireMessage::Hello(Hello {
+        5 => WireMessage::Opaque(arb_blob(&mut rng, 100)),
+        6 => WireMessage::Hello(Hello {
             tenant: arb_id(&mut rng),
         }),
-        8 => WireMessage::StatsRequest,
+        7 => WireMessage::StatsRequest,
         _ => WireMessage::StatsSnapshot(match arb_value(&mut rng) {
             Value::Text(text) => text,
             _ => String::new(),

@@ -14,12 +14,12 @@
 
 use std::collections::HashMap;
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
+use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, Result, Value};
-use pds_storage::{Relation, Tuple};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, not_outsourced, SecureSelectionEngine};
+use crate::engine::{not_outsourced, SecureSelectionEngine};
 
 /// Arx-like per-occurrence counter-token index.
 #[derive(Debug, Default)]
@@ -82,19 +82,13 @@ impl SecureSelectionEngine for ArxEngine {
         self.attr.ok_or_else(not_outsourced)
     }
 
-    fn select(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        let attr = self.searchable_attr()?;
-        let tokens = self.occurrence_tokens(owner, values);
-        if tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fetched = cloud.tag_select(&tokens);
-        decrypt_real_matches(owner, attr, values, &fetched)
+    /// Every occurrence token of every value: the cloud matches them
+    /// against its counter-token index, so a composed episode — these
+    /// tokens next to the clear-text non-sensitive values in one
+    /// `FetchBinRequest` — is a single round.
+    fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
+        self.searchable_attr()?;
+        Ok(Some(self.occurrence_tokens(owner, values)))
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -107,21 +101,6 @@ impl SecureSelectionEngine for ArxEngine {
 
     fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine> {
         Box::new(self.fork())
-    }
-
-    /// One composed round: every occurrence token of every sensitive-bin
-    /// value rides the `BinPairRequest` next to the clear-text
-    /// non-sensitive values; the cloud matches the tokens against its
-    /// counter-token index and answers both sides in a single payload.
-    fn composed_wire_tags(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        self.searchable_attr()?;
-        Ok(Some(
-            self.occurrence_tokens(owner, &request.sensitive_values),
-        ))
     }
 }
 

@@ -7,12 +7,12 @@
 //! attribute — which is precisely the leakage the frequency-count attack in
 //! `pds-adversary` exploits, and which QB removes (§VI of the paper).
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
+use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, Result, Value};
-use pds_storage::{Relation, Tuple};
+use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{decrypt_real_matches, not_outsourced, SecureSelectionEngine};
+use crate::engine::{not_outsourced, SecureSelectionEngine};
 
 /// Deterministic-tag index back-end (CryptDB-like).
 #[derive(Debug, Default)]
@@ -56,16 +56,13 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
         self.attr.ok_or_else(not_outsourced)
     }
 
-    fn select(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        let attr = self.searchable_attr()?;
-        let tags: Vec<Vec<u8>> = values.iter().map(|v| owner.det_tag(v)).collect();
-        let fetched = cloud.tag_select(&tags);
-        decrypt_real_matches(owner, attr, values, &fetched)
+    /// One deterministic tag per value: the cloud answers from its index
+    /// without decrypting anything, so a composed episode — these tags
+    /// next to the clear-text non-sensitive values in one
+    /// `FetchBinRequest` — is a single round.
+    fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
+        self.searchable_attr()?;
+        Ok(Some(values.iter().map(|v| owner.det_tag(v)).collect()))
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -78,25 +75,6 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
 
     fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine> {
         Box::new(self.fork())
-    }
-
-    /// One composed round: the deterministic tags of the whole sensitive
-    /// bin ride the `BinPairRequest` next to the clear-text non-sensitive
-    /// values, and the cloud answers both sides from its indexes in a
-    /// single `BinPayload`.
-    fn composed_wire_tags(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        self.searchable_attr()?;
-        Ok(Some(
-            request
-                .sensitive_values
-                .iter()
-                .map(|v| owner.det_tag(v))
-                .collect(),
-        ))
     }
 }
 

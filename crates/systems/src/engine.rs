@@ -1,6 +1,6 @@
 //! The common interface of secure selection back-ends.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
+use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, FetchBinRequest};
 use pds_common::PdsError;
 use pds_common::{AttrId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
@@ -33,10 +33,9 @@ pub struct BinEpisodeOutcome {
 /// A back-end finds its sensitive rows one of two ways, and implements the
 /// matching half of the trait:
 ///
-/// * **by cloud-side tag** (det-index, arx): it builds opaque tokens
-///   ([`SecureSelectionEngine::composed_wire_tags`]) that the cloud's tag
-///   index resolves, so a whole bin-pair episode is one round, and it
-///   overrides [`SecureSelectionEngine::select`];
+/// * **by cloud-side tag** (det-index, arx): it builds opaque search tags
+///   ([`SecureSelectionEngine::tags`]) that the cloud's tag index
+///   resolves, so a whole bin-pair episode is one round;
 /// * **by storage address** (nondet-scan, secret sharing, DPF, the
 ///   Opaque/Jana simulators): its own rounds
 ///   ([`SecureSelectionEngine::locate`]) find the matching addresses,
@@ -44,6 +43,12 @@ pub struct BinEpisodeOutcome {
 ///   then needs the locating rounds plus one fetch, which carries the
 ///   clear-text bin too; two rounds is the floor, since the addresses
 ///   exist only after the first.
+///
+/// Either way the rows arrive in one `FetchBinRequest`, served by
+/// [`CloudServer::fetch_bin`]; the default
+/// [`SecureSelectionEngine::select`] and
+/// [`SecureSelectionEngine::select_bin_episode`] build it from the tags or
+/// from the located addresses.
 ///
 /// Implementations must only return **real** tuples whose searchable
 /// attribute is one of the requested values; fake/padding tuples and false
@@ -81,8 +86,8 @@ pub trait SecureSelectionEngine: Send {
     /// The back-end's own rounds of a selection: the storage addresses of
     /// the encrypted rows whose searchable value is one of `values`, found
     /// without fetching the rows.  Back-ends whose sensitive side the
-    /// cloud's tag index resolves have no such rounds and keep this
-    /// default, which refuses.
+    /// cloud's tag index resolves ([`SecureSelectionEngine::tags`]) have no
+    /// such rounds and keep this default, which refuses.
     fn locate(
         &mut self,
         owner: &mut DbOwner,
@@ -97,10 +102,27 @@ pub trait SecureSelectionEngine: Send {
         )))
     }
 
+    /// The opaque search tags of `values` that the cloud's tag index
+    /// resolves (deterministic tags, Arx counter tokens).  Returns
+    /// `Ok(None)` for back-ends that locate their rows by address instead;
+    /// `Err` for owner-side failures such as querying before outsourcing.
+    ///
+    /// A back-end travels over TCP exactly when this returns `Some`: the
+    /// owner writes a whole window of requests before reading any answer,
+    /// which needs an uplink half that only *builds* tags and a downlink
+    /// half ([`SecureSelectionEngine::finish_composed`]) that only
+    /// *post-processes*, with no owner↔cloud exchange in between.
+    fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
+        let _ = (owner, values);
+        Ok(None)
+    }
+
     /// Runs an encrypted selection for the given set of values and returns
-    /// the matching decrypted tuples.  The default locates the rows
-    /// ([`SecureSelectionEngine::locate`]), fetches them by address in one
-    /// more round, and decrypts them owner-side.
+    /// the matching decrypted tuples.  The default sends the
+    /// [`SecureSelectionEngine::tags`] of `values`, or else the addresses
+    /// [`SecureSelectionEngine::locate`] finds, as one `FetchBinRequest`
+    /// and decrypts the rows owner-side.  A selection with nothing to
+    /// fetch sends nothing.
     fn select(
         &mut self,
         owner: &mut DbOwner,
@@ -108,11 +130,19 @@ pub trait SecureSelectionEngine: Send {
         values: &[Value],
     ) -> Result<Vec<Tuple>> {
         let attr = self.searchable_attr()?;
-        let ids = self.locate(owner, cloud, values)?;
-        if ids.is_empty() {
+        let (tags, ids) = match self.tags(owner, values)? {
+            Some(tags) => (tags, Vec::new()),
+            None => (Vec::new(), self.locate(owner, cloud, values)?),
+        };
+        if tags.is_empty() && ids.is_empty() {
             return Ok(Vec::new());
         }
-        let rows = cloud.fetch_encrypted(&ids)?;
+        let request = FetchBinRequest {
+            ids: ids.iter().map(|id| id.raw()).collect(),
+            tags,
+            ..FetchBinRequest::default()
+        };
+        let (_, rows) = cloud.fetch_bin(&request)?;
         decrypt_real_matches(owner, attr, values, &rows)
     }
 
@@ -134,43 +164,38 @@ pub trait SecureSelectionEngine: Send {
     /// through this.
     fn fork_boxed(&self) -> Box<dyn SecureSelectionEngine>;
 
-    /// Executes one whole Query Binning bin-pair episode through a
-    /// [`CloudSession`]: the clear-text sub-query for the non-sensitive bin
-    /// plus the encrypted sub-query for the sensitive bin, inside the
-    /// episode the caller has already opened.
+    /// Executes one whole Query Binning bin-pair episode on its shard: the
+    /// clear-text sub-query for the non-sensitive bin plus the encrypted
+    /// sub-query for the sensitive bin, inside the episode the caller has
+    /// already opened.
     ///
-    /// The default ends in one combined exchange answered by one
-    /// `BinPayload`, then [`SecureSelectionEngine::finish_composed`]:
-    ///
-    /// * a tag-index back-end sends its
-    ///   [`SecureSelectionEngine::composed_wire_tags`] as one
-    ///   `BinPairRequest` — one round in all;
-    /// * an address-locating back-end first runs
-    ///   [`SecureSelectionEngine::locate`], then sends the addresses, the
-    ///   clear-text bin values and the pushed-down residual as one
-    ///   `FetchBinRequest` — its locating rounds plus one.
+    /// The default ends in one `FetchBinRequest`
+    /// ([`BinEpisodeRequest::to_wire`]) answered by one `BinPayload`, then
+    /// [`SecureSelectionEngine::finish_composed`].  The request carries the
+    /// clear-text bin values and the pushed-down residual next to either
+    /// the sensitive bin's [`SecureSelectionEngine::tags`] — one round in
+    /// all — or the addresses [`SecureSelectionEngine::locate`] found —
+    /// its locating rounds plus one.
     ///
     /// The enclave/MPC simulators, whose enclave resolves encrypted tokens
     /// cloud-side in the same round, override it.
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut CloudSession<'_>,
+        cloud: &mut CloudServer,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        let (nonsensitive, rows) = match self.composed_wire_tags(owner, request)? {
-            Some(tags) => session.bin_pair_by_tags(request, tags)?,
-            None => {
-                // Like the fine-grained path, an empty sensitive bin costs
-                // no locating rounds.
-                let ids = if request.sensitive_values.is_empty() {
-                    Vec::new()
-                } else {
-                    self.locate(owner, session.server_mut(), &request.sensitive_values)?
-                };
-                session.bin_pair_by_ids(request, &ids)?
-            }
+        let (tags, ids) = match self.tags(owner, &request.sensitive_values)? {
+            Some(tags) => (tags, Vec::new()),
+            // Like the fine-grained path, an empty sensitive bin costs no
+            // locating rounds.
+            None if request.sensitive_values.is_empty() => (Vec::new(), Vec::new()),
+            None => (
+                Vec::new(),
+                self.locate(owner, cloud, &request.sensitive_values)?,
+            ),
         };
+        let (nonsensitive, rows) = cloud.fetch_bin(&request.to_wire(tags, &ids))?;
         self.finish_composed(owner, request, nonsensitive, rows)
     }
 
@@ -179,26 +204,6 @@ pub trait SecureSelectionEngine: Send {
     /// notes access-pattern-hiding back-ends compose with QB too.
     fn hides_access_pattern(&self) -> bool {
         false
-    }
-
-    /// The uplink half of a one-round composed episode: the opaque search
-    /// tokens of the sensitive bin, ready to ride a `BinPairRequest` that
-    /// the cloud's tag index resolves.  Returns `Ok(None)` for back-ends
-    /// that locate their rows by address instead; `Err` for owner-side
-    /// failures such as querying before outsourcing.
-    ///
-    /// A back-end travels over TCP exactly when this returns `Some`: the
-    /// owner writes a whole window of such requests before reading any
-    /// answer, which needs an uplink half that only *builds* tokens and a
-    /// downlink half ([`SecureSelectionEngine::finish_composed`]) that only
-    /// *post-processes*, with no owner↔cloud exchange in between.
-    fn composed_wire_tags(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        let _ = (owner, request);
-        Ok(None)
     }
 
     /// The downlink half of a composed episode: owner-side
@@ -254,12 +259,12 @@ pub fn decrypt_real_matches(
 
 /// The fine-grained form of one bin-pair episode, kept as the
 /// separate-messages reference [`SecureSelectionEngine::select_bin_episode`]
-/// is compared against: the clear-text `IN` selection travels as its own
-/// message, with the planner's pushed-down residual applied cloud-side,
-/// then the engine's [`SecureSelectionEngine::select`] runs its own
-/// rounds against the underlying server.  It takes one round more than the
-/// composed episode on every back-end but the enclave/MPC simulators,
-/// whose locating scan and fetch are two more.
+/// is compared against: the clear-text `IN` selection travels as a
+/// `FetchBinRequest` of its own, with the planner's pushed-down residual
+/// applied cloud-side, then the engine's [`SecureSelectionEngine::select`]
+/// runs its own rounds.  It takes one round more than the composed episode
+/// on every back-end but the enclave/MPC simulators, whose locating scan
+/// and fetch are two more.
 ///
 /// Free function (rather than a trait method) so callers can force the
 /// fine-grained path on any engine — `PlanMode::FineGrained`, the
@@ -268,19 +273,19 @@ pub fn decrypt_real_matches(
 pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     owner: &mut DbOwner,
-    session: &mut CloudSession<'_>,
+    cloud: &mut CloudServer,
     request: &BinEpisodeRequest,
 ) -> Result<BinEpisodeOutcome> {
     let _span = pds_obs::obs_span("engine.fine_grained");
     let nonsensitive = if request.nonsensitive_values.is_empty() {
         Vec::new()
     } else {
-        session.plain_select_filtered(&request.nonsensitive_values, request.pushdown.as_ref())?
+        cloud.fetch_bin(&request.to_wire(Vec::new(), &[]))?.0
     };
     let sensitive = if request.sensitive_values.is_empty() {
         Vec::new()
     } else {
-        engine.select(owner, session.server_mut(), &request.sensitive_values)?
+        engine.select(owner, cloud, &request.sensitive_values)?
     };
     Ok(BinEpisodeOutcome {
         nonsensitive,
@@ -340,22 +345,18 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut CloudSession<'_>,
+        cloud: &mut CloudServer,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        (**self).select_bin_episode(owner, session, request)
+        (**self).select_bin_episode(owner, cloud, request)
     }
 
     fn hides_access_pattern(&self) -> bool {
         (**self).hides_access_pattern()
     }
 
-    fn composed_wire_tags(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-    ) -> Result<Option<Vec<Vec<u8>>>> {
-        (**self).composed_wire_tags(owner, request)
+    fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
+        (**self).tags(owner, values)
     }
 
     fn finish_composed(

@@ -167,7 +167,7 @@ mod tests {
     /// bin), and answers what the fine-grained selection answers.
     #[test]
     fn a_composed_episode_fetches_by_address_in_its_second_round() {
-        use pds_cloud::{msg_tag, BinEpisodeRequest, CloudSession};
+        use pds_cloud::{msg_tag, BinEpisodeRequest};
         let (mut owner, mut cloud, mut engine, _) = setup();
         let values = vec![Value::from("E259"), Value::from("E101")];
         let request = BinEpisodeRequest {
@@ -175,13 +175,13 @@ mod tests {
             ..BinEpisodeRequest::default()
         };
         let before = *cloud.metrics();
-        let mut session = CloudSession::new(&mut cloud);
-        session.begin_episode();
+        cloud.begin_query();
         let outcome = engine
-            .select_bin_episode(&mut owner, &mut session, &request)
+            .select_bin_episode(&mut owner, &mut cloud, &request)
             .unwrap();
-        assert_eq!(session.end_episode(), 2);
+        cloud.end_query();
         let d = cloud.metrics().delta_since(&before);
+        assert_eq!(d.round_trips, 2);
         assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
         assert_eq!(d.encrypted_tuples_scanned, 4);
         let direct = engine.select(&mut owner, &mut cloud, &values).unwrap();

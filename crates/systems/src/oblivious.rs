@@ -11,7 +11,7 @@
 //! (which tuples are returned) is exact; only wall-clock time is simulated.
 //! `DESIGN.md` §5 documents this substitution.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, CloudSession, DbOwner};
+use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
 use pds_common::{AttrId, Result, TupleId, Value};
 use pds_storage::Relation;
 
@@ -134,14 +134,15 @@ impl SecureSelectionEngine for ObliviousScanEngine {
     }
 
     /// One composed round: the sensitive bin's values travel as opaque
-    /// encrypted tokens inside the `BinPairRequest` (only the enclave / MPC
-    /// committee can read them), the secure environment scans every
-    /// encrypted tuple cloud-side, and the matching rows come back in the
-    /// same payload as the clear-text non-sensitive tuples.
+    /// encrypted tokens in the tags of the episode's `FetchBinRequest`
+    /// (only the enclave / MPC committee can read them), the secure
+    /// environment scans every encrypted tuple cloud-side, and the
+    /// matching rows come back in the same payload as the clear-text
+    /// non-sensitive tuples ([`CloudServer::fetch_bin_oblivious`]).
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
-        session: &mut CloudSession<'_>,
+        cloud: &mut CloudServer,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
         self.searchable_attr()?;
@@ -153,7 +154,7 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         let matching = self.enclave_matches(&request.sensitive_values);
         let scanned = self.enclave_column.len();
         let (nonsensitive, rows) =
-            session.bin_pair_oblivious(request, tokens, &matching, scanned)?;
+            cloud.fetch_bin_oblivious(&request.to_wire(tokens, &[]), &matching, scanned)?;
         self.finish_composed(owner, request, nonsensitive, rows)
     }
 }

@@ -67,8 +67,7 @@ pub mod prelude {
     };
     pub use pds_cloud::{
         AdversarialView, BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinKind, BinPlacement,
-        BinRoutedCloud, BinTransport, CloudServer, CloudSession, DbOwner, Metrics, NetworkModel,
-        ShardRouter,
+        BinRoutedCloud, BinTransport, CloudServer, DbOwner, Metrics, NetworkModel, ShardRouter,
     };
     pub use pds_common::{Domain, PdsError, Result, Value};
     pub use pds_core::executor::NaivePartitionedExecutor;

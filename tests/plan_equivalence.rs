@@ -1,4 +1,4 @@
-//! Property-based integration tests for the plan→session episode pipeline:
+//! Property-based integration tests for the plan→episode pipeline:
 //! whatever the back-end, the shard count and the placement seed,
 //! plan-driven execution on the live composed path must be
 //! **observationally identical** to the fine-grained multi-round path
@@ -43,17 +43,17 @@ fn backend(i: usize) -> Box<dyn SecureSelectionEngine> {
 const BACKENDS: usize = 6;
 
 /// The exact shape of one episode per back-end, by index: its rounds when
-/// composed, its rounds when fine-grained, and whether the composed
-/// episode's one combined exchange is a `BinPairRequest` (tokens the cloud
-/// resolves) rather than a values+ids `FetchBinRequest` (addresses the
-/// back-end located in a round of its own first).
-const EPISODE_SHAPE: [(u64, u64, bool); BACKENDS] = [
-    (2, 3, false), // nondet-scan: column download, then the fetch
-    (1, 2, true),  // det-index
-    (1, 2, true),  // arx
-    (2, 3, false), // secret sharing: share scan, then the fetch
-    (2, 3, false), // DPF: two-server evaluation, then the fetch
-    (1, 3, true),  // opaque-sim: the enclave scans inside the one round
+/// composed and its rounds when fine-grained.  Either way each episode
+/// sends its clear-text bin in one `FetchBinRequest`: composed, next to
+/// the sensitive side's tags or located addresses; fine-grained, alone,
+/// with the sensitive fetch as a second one.
+const EPISODE_SHAPE: [(u64, u64); BACKENDS] = [
+    (2, 3), // nondet-scan: column download, then the fetch
+    (1, 2), // det-index
+    (1, 2), // arx
+    (2, 3), // secret sharing: share scan, then the fetch
+    (2, 3), // DPF: two-server evaluation, then the fetch
+    (1, 3), // opaque-sim: the enclave scans inside the one round
 ];
 
 /// The engine an optimizer decision names, as a boxed trait object.
@@ -156,7 +156,7 @@ proptest! {
 
         let (parts, values) = employee_setup();
         let episodes = values.len() as u64;
-        for (backend_idx, &(composed_rounds, fine_rounds, by_tokens)) in
+        for (backend_idx, &(composed_rounds, fine_rounds)) in
             EPISODE_SHAPE.iter().enumerate()
         {
             let mut answers: Vec<Vec<Vec<Vec<u8>>>> = Vec::new();
@@ -194,22 +194,17 @@ proptest! {
                 let delta = router.metrics().delta_since(&outsourcing);
                 // Per-episode rounds must add up to the metrics' counter.
                 prop_assert_eq!(delta.round_trips, episodes * per_episode);
-                // One combined exchange per composed episode, of the shape
-                // the back-end needs; fine-grained episodes send their two
-                // fetches (clear-text, then sensitive) as separate
-                // `FetchBinRequest`s and never a `BinPairRequest`.
-                let requests = (
-                    delta.frames_of_type(msg_tag::BIN_PAIR_REQUEST),
-                    delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST),
-                );
+                // One combined request per composed episode; fine-grained
+                // episodes send their two fetches (clear-text, then
+                // sensitive) as separate requests.
+                let requests = delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST);
                 let expected = match mode {
-                    PlanMode::Composed if by_tokens => (episodes, 0),
-                    PlanMode::Composed => (0, episodes),
-                    PlanMode::FineGrained => (0, 2 * episodes),
+                    PlanMode::Composed => episodes,
+                    PlanMode::FineGrained => 2 * episodes,
                 };
                 prop_assert!(
                     requests == expected,
-                    "backend={} mode={:?}: (BinPairRequest, FetchBinRequest) frames {:?}, want {:?}",
+                    "backend={} mode={:?}: {} FetchBinRequest frames, want {}",
                     backend_idx, mode, requests, expected
                 );
                 answers.push(mode_answers);
