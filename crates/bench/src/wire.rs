@@ -1,9 +1,11 @@
 //! Wire-protocol experiment: byte-accurate bytes moved and a
 //! simulated-network wall-clock, swept over latency × bandwidth × shards.
 //!
-//! Every owner↔cloud interaction encodes a real `pds-proto` frame, so the
-//! bytes column is **measured off the wire** (frame headers, CRC trailers
-//! and all), not estimated.  Each cell's deployment charges its frames to
+//! Every owner↔cloud interaction is charged the length of the `pds-proto`
+//! frame that carries it (frame headers, CRC trailers and all), summed
+//! structurally from the codec's per-item lengths and checked against
+//! the real encode in debug builds, so the bytes column is what the wire
+//! carries, not an estimate.  Each cell's deployment charges its frames to
 //! the cell's link: every shard adds `latency + bytes/bandwidth` per
 //! exchange to its own clock, and the timing column is the busiest
 //! shard's ([`pds_cloud::ShardRouter::parallel_comm_time`]).  Shards are
@@ -38,8 +40,8 @@ pub struct WirePoint {
     pub shards: usize,
     /// Queries executed (the exhaustive workload, one per distinct value).
     pub queries: usize,
-    /// Bytes moved between owner and cloud — measured encoded frame
-    /// lengths summed over every exchange of the workload.
+    /// Bytes moved between owner and cloud — frame lengths summed over
+    /// every exchange of the workload.
     pub wire_bytes: u64,
     /// Wire frames moved (each request and each response is one frame).
     pub wire_frames: u64,

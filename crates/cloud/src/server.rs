@@ -19,23 +19,41 @@
 //! [`CloudServer::fetch_bin_oblivious`], for the enclave simulators whose
 //! tokens only the engine-side enclave can resolve.
 
-//! ## Byte accounting is measured off the wire
+//! ## Byte accounting: frames sized structurally
 //!
-//! Every owner↔cloud interaction builds the actual [`pds_proto`] message
-//! it represents, encodes it into a wire frame, and charges the **encoded
-//! frame length** (header + payload + CRC trailer) to [`Metrics`] and the
-//! communication clock — not a `size_bytes` estimate.  The clock,
-//! [`CloudServer::comm_time`], adds one
+//! Every owner↔cloud interaction is charged the **frame length**
+//! (header + payload + CRC trailer) of the [`pds_proto`] message it
+//! represents — not a `size_bytes` estimate — to [`Metrics`] and the
+//! communication clock.  The length is summed structurally from the
+//! borrowed data ([`pds_proto::fetch_frame_len`],
+//! [`pds_proto::rows_frame_len`]), so accounting builds, clones and encodes
+//! nothing.  It is cross-checked twice: in debug builds every accounted
+//! message is also built, encoded, decoded back and compared, and its
+//! encoded length must equal the structural one; over TCP the daemon's
+//! counters equal the bytes on the socket (`crates/core/tests/
+//! tcp_service.rs`).  The clock, [`CloudServer::comm_time`], adds one
 //! [`NetworkModel::transfer_time`] per exchange, so its growth over a run
 //! is that shard's simulated network time; the busiest shard's growth is
 //! the overlapped fan-out's ([`crate::ShardRouter::parallel_comm_time`]).
-//! No per-exchange log is kept: the clock is one `f64`.  In debug builds
-//! every encoded frame is decoded back and compared, so the test suite
-//! proves the wire format really carries the traffic it accounts for.
+//! No per-exchange log is kept: the clock is one `f64`.
+//!
+//! ## The clear-text side is shared
+//!
+//! The non-sensitive relation and its index form one `PlainSide`, built
+//! once per upload and held behind an [`Arc`].  A sharded deployment
+//! replicates it to every shard by sharing that `Arc`; an insert copies it
+//! on write, so shards that take inserts diverge exactly as replicas
+//! would.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
-use pds_proto::{msg_tag, Ack, BinPayload, FetchBinRequest, InsertRequest, WireMessage, WireRow};
+use pds_proto::{
+    fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload, FetchBinRequest, InsertRequest,
+    RowParts, WireMessage, WireRow,
+};
 use pds_storage::{HashIndex, Predicate, Relation, Tuple};
 
 use crate::metrics::Metrics;
@@ -48,24 +66,51 @@ use crate::view::AdversarialView;
 /// matched before the pushed-down residual filtered them cloud-side.
 type ResolvedPlain = (Vec<Tuple>, Vec<TupleId>, Vec<Value>, usize);
 
-/// Encodes a message and returns its frame length, round-trip-verifying the
-/// codec in debug builds (the test suite runs unoptimised, so every frame
-/// the simulator accounts for is proven to decode back to its message).
-/// The frame is a pooled buffer, so it goes back to the thread's pool when
-/// dropped here.
-fn frame_len(msg: &WireMessage) -> usize {
-    let frame = msg.encode_framed(0).expect("in-range wire message");
-    debug_assert_eq!(
-        &WireMessage::decode(&frame).expect("encoded frame decodes"),
-        msg,
-        "wire frame must roundtrip"
-    );
-    frame.len()
+/// One wire frame as the accounting layer sees it: its type tag and its
+/// frame length.
+pub(crate) type Frame = (u8, usize);
+
+/// One accounted frame: `tag` and its structural length `len`.
+///
+/// Debug builds also materialise the message with `build`, encode it,
+/// decode it back and compare, and assert that the encoded frame has this
+/// tag and length.  The test suite runs unoptimised, so every frame the
+/// cloud accounts for is proven to be what the wire would carry; release
+/// builds never call `build`.
+fn frame(tag: u8, len: Result<usize>, build: impl FnOnce() -> WireMessage) -> Result<Frame> {
+    let len = len?;
+    if cfg!(debug_assertions) {
+        let msg = build();
+        assert_eq!(
+            encoded_frame(&msg).map_err(|e| e.to_string()),
+            Ok((tag, len)),
+            "the structural size of a {} frame must equal its encoding",
+            msg.name()
+        );
+    }
+    Ok((tag, len))
 }
 
-/// One wire frame as the accounting layer sees it: its type tag and its
-/// measured encoded length.
-type Frame = (u8, usize);
+/// Encodes `msg` and decodes it back: its tag and encoded length when the
+/// roundtrip is exact.
+fn encoded_frame(msg: &WireMessage) -> Result<Frame> {
+    let encoded = msg.encode_framed(0)?;
+    if WireMessage::decode(&encoded)? != *msg {
+        return Err(PdsError::Wire(format!(
+            "{} frame does not roundtrip",
+            msg.name()
+        )));
+    }
+    Ok((msg.msg_type(), encoded.len()))
+}
+
+/// The [`Ack`] frame answering a request of `items` items.
+fn ack_frame(items: usize) -> Result<Frame> {
+    let ack = WireMessage::Ack(Ack {
+        items: items as u64,
+    });
+    frame(msg_tag::ACK, ack.encoded_len(), || ack)
+}
 
 /// The two result streams of one [`FetchBinRequest`] as the cloud returns
 /// them: clear-text non-sensitive tuples and `(address, ciphertext)` rows
@@ -109,45 +154,76 @@ impl BinEpisodeRequest {
     }
 }
 
-/// Builds the accounting form of a message (tag + measured frame length).
-fn frame(msg: &WireMessage) -> Frame {
-    (msg.msg_type(), frame_len(msg))
+/// The wire fields of a response row that carries only its full-tuple
+/// ciphertext.
+fn tuple_ct_parts((id, ct): &(TupleId, Ciphertext)) -> RowParts<'_> {
+    RowParts {
+        id: id.raw(),
+        attr_ct: &[],
+        tuple_ct: ct.as_bytes(),
+        search_tags: &[],
+    }
 }
 
-/// The wire form of an [`EncryptedRow`]: ciphertexts become opaque bytes.
-fn wire_row(row: &EncryptedRow) -> WireRow {
-    WireRow {
-        id: row.id.raw(),
-        attr_ct: row.attr_ct.as_bytes().to_vec(),
-        tuple_ct: row.tuple_ct.as_bytes().to_vec(),
-        search_tags: row.search_tags.clone(),
+/// The wire fields of a column row that carries only its attribute
+/// ciphertext.
+fn attr_ct_parts((id, ct): &(TupleId, Ciphertext)) -> RowParts<'_> {
+    RowParts {
+        id: id.raw(),
+        attr_ct: ct.as_bytes(),
+        tuple_ct: &[],
+        search_tags: &[],
     }
 }
 
 /// Wire rows for a response that carries only full-tuple ciphertexts.
 pub(crate) fn tuple_ct_rows(out: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
-    out.iter()
-        .map(|(id, ct)| WireRow {
-            id: id.raw(),
-            attr_ct: Vec::new(),
-            tuple_ct: ct.as_bytes().to_vec(),
-            search_tags: Vec::new(),
-        })
-        .collect()
+    out.iter().map(|row| tuple_ct_parts(row).to_row()).collect()
 }
 
-/// The plaintext (non-sensitive) side of the deployment.
+/// The clear-text (non-sensitive) side of a deployment: the relation and
+/// its index on the searchable attribute.
 #[derive(Debug, Clone)]
-struct PlainSide {
+pub(crate) struct PlainSide {
     relation: Relation,
     attr: AttrId,
     index: HashIndex,
 }
 
+impl PlainSide {
+    /// Indexes `relation` on `searchable_attr`, and sizes its upload: one
+    /// [`InsertRequest`] carrying every tuple, answered by one [`Ack`].
+    pub(crate) fn build(
+        relation: Relation,
+        searchable_attr: &str,
+    ) -> Result<(Arc<PlainSide>, [Frame; 2])> {
+        let attr = relation.schema().attr_id(searchable_attr)?;
+        let tuples = relation.tuples();
+        let up = frame(
+            msg_tag::INSERT_REQUEST,
+            rows_frame_len(tuples, std::iter::empty()),
+            || {
+                WireMessage::InsertRequest(InsertRequest {
+                    plain_tuples: tuples.to_vec(),
+                    encrypted_rows: Vec::new(),
+                })
+            },
+        )?;
+        let down = ack_frame(relation.len())?;
+        let index = HashIndex::build(&relation, attr);
+        let side = PlainSide {
+            relation,
+            attr,
+            index,
+        };
+        Ok((Arc::new(side), [up, down]))
+    }
+}
+
 /// The simulated untrusted public cloud.
 #[derive(Debug, Clone)]
 pub struct CloudServer {
-    plain: Option<PlainSide>,
+    plain: Option<Arc<PlainSide>>,
     encrypted: EncryptedStore,
     view: AdversarialView,
     metrics: Metrics,
@@ -175,8 +251,8 @@ impl CloudServer {
     }
 
     /// Charges one owner↔cloud exchange: `up`/`down` are typed wire frames
-    /// whose lengths are **measured encoded frame lengths** (`None` when no
-    /// frame travels in that direction).  Updates byte counters, the total
+    /// with their frame lengths (`None` when no frame travels in that
+    /// direction).  Updates byte counters, the total
     /// and per-type frame counters, and the simulated communication clock.
     fn record_exchange(&mut self, up: Option<Frame>, down: Option<Frame>) {
         let up_len = up.map_or(0, |(_, len)| len);
@@ -197,35 +273,23 @@ impl CloudServer {
     /// Uploads the clear-text non-sensitive relation and builds the
     /// cloud-side index on `searchable_attr`.
     pub fn upload_plaintext(&mut self, relation: Relation, searchable_attr: &str) -> Result<()> {
-        let attr = relation.schema().attr_id(searchable_attr)?;
-        let index = HashIndex::build(&relation, attr);
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: relation.tuples().to_vec(),
-            encrypted_rows: Vec::new(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack {
-            items: relation.len() as u64,
-        }));
-        self.record_exchange(Some(up), Some(down));
-        self.plain = Some(PlainSide {
-            relation,
-            attr,
-            index,
-        });
+        let (side, upload) = PlainSide::build(relation, searchable_attr)?;
+        self.share_plaintext(side, upload);
         Ok(())
     }
 
-    /// Uploads encrypted sensitive rows.
-    pub fn upload_encrypted(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: Vec::new(),
-            encrypted_rows: rows.iter().map(wire_row).collect(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack {
-            items: rows.len() as u64,
-        }));
+    /// Installs a clear-text side built once for many shards, charging this
+    /// server its own upload exchange (`upload`, from [`PlainSide::build`]).
+    pub(crate) fn share_plaintext(&mut self, side: Arc<PlainSide>, [up, down]: [Frame; 2]) {
         self.record_exchange(Some(up), Some(down));
-        self.encrypted.insert_many(rows)
+        self.plain = Some(side);
+    }
+
+    /// Uploads encrypted sensitive rows as one [`InsertRequest`], all or
+    /// nothing: an id already stored, or repeated among `rows`, stores and
+    /// charges nothing.
+    pub fn upload_encrypted(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
+        self.insert(Vec::new(), rows).map(drop)
     }
 
     /// Inserts one clear-text tuple into the outsourced non-sensitive
@@ -234,22 +298,55 @@ impl CloudServer {
     /// read/write-mix workloads drive it), so the exchange is charged like
     /// any other: one typed request frame up, one [`Ack`] down.
     pub fn insert_plaintext(&mut self, tuple: Tuple) -> Result<()> {
-        let plain = self
-            .plain
-            .as_mut()
-            .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let value = tuple.value(plain.attr).clone();
-        plain
-            .relation
-            .insert_with_id(tuple.id, tuple.values.clone())?;
-        plain.index.insert(value, tuple.id);
-        let up = frame(&WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: vec![tuple],
-            encrypted_rows: Vec::new(),
-        }));
-        let down = frame(&WireMessage::Ack(Ack { items: 1 }));
+        self.insert(vec![tuple], Vec::new()).map(drop)
+    }
+
+    /// Stores the clear-text `tuples` and encrypted `rows` of one
+    /// [`InsertRequest`] and charges it as one exchange: the request's
+    /// frame up, one [`Ack`] down.  Returns the item count the `Ack`
+    /// carries.
+    ///
+    /// All or nothing: every tuple is checked against the schema, and
+    /// every id against the stores and the rest of the request, before
+    /// anything is stored, so a refused request stores and charges
+    /// nothing.  Clear-text tuples need an outsourced clear-text side;
+    /// when other servers share it, this one copies it first.
+    pub(crate) fn insert(&mut self, tuples: Vec<Tuple>, rows: Vec<EncryptedRow>) -> Result<u64> {
+        if !tuples.is_empty() {
+            let plain = self
+                .plain
+                .as_deref()
+                .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
+            let mut seen = HashSet::with_capacity(tuples.len());
+            for t in &tuples {
+                plain.relation.schema().validate_row(&t.values)?;
+                if plain.relation.get(t.id).is_some() || !seen.insert(t.id) {
+                    return Err(PdsError::Schema(format!("duplicate tuple id {}", t.id)));
+                }
+            }
+        }
+        let up = frame(
+            msg_tag::INSERT_REQUEST,
+            rows_frame_len(&tuples, rows.iter().map(EncryptedRow::wire_parts)),
+            || {
+                WireMessage::InsertRequest(InsertRequest {
+                    plain_tuples: tuples.clone(),
+                    encrypted_rows: rows.iter().map(|r| r.wire_parts().to_row()).collect(),
+                })
+            },
+        )?;
+        let items = tuples.len() + rows.len();
+        let down = ack_frame(items)?;
+        self.encrypted.insert_many(rows)?;
+        if let (false, Some(side)) = (tuples.is_empty(), self.plain.as_mut()) {
+            let plain = Arc::make_mut(side);
+            for t in tuples {
+                plain.index.insert(t.value(plain.attr).clone(), t.id);
+                plain.relation.insert_with_id(t.id, t.values)?;
+            }
+        }
         self.record_exchange(Some(up), Some(down));
-        Ok(())
+        Ok(items as u64)
     }
 
     // ----- query episode management ----------------------------------------
@@ -292,42 +389,41 @@ impl CloudServer {
 
     /// The outsourced plaintext relation, if any.
     pub fn plain_relation(&self) -> Option<&Relation> {
-        self.plain.as_ref().map(|p| &p.relation)
+        self.plain.as_deref().map(|p| &p.relation)
     }
 
     /// The searchable attribute of the plaintext relation.
     pub fn plain_searchable_attr(&self) -> Option<AttrId> {
-        self.plain.as_ref().map(|p| p.attr)
+        self.plain.as_deref().map(|p| p.attr)
     }
 
     // ----- encrypted side ---------------------------------------------------
 
     /// Downloads the encrypted searchable-attribute column (id, ciphertext)
     /// — the first step of the paper's §V-B search procedure.
-    pub fn download_encrypted_attr_column(&mut self) -> Vec<(TupleId, Ciphertext)> {
+    pub fn download_encrypted_attr_column(&mut self) -> Result<Vec<(TupleId, Ciphertext)>> {
         let out: Vec<(TupleId, Ciphertext)> = self
             .encrypted
             .rows()
             .iter()
             .map(|r| (r.id, r.attr_ct.clone()))
             .collect();
-        let up = frame(&WireMessage::Opaque(Vec::new()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: Vec::new(),
-            encrypted_rows: out
-                .iter()
-                .map(|(id, ct)| WireRow {
-                    id: id.raw(),
-                    attr_ct: ct.as_bytes().to_vec(),
-                    tuple_ct: Vec::new(),
-                    search_tags: Vec::new(),
+        let request = WireMessage::Opaque(Vec::new());
+        let up = frame(msg_tag::OPAQUE, request.encoded_len(), || request)?;
+        let down = frame(
+            msg_tag::BIN_PAYLOAD,
+            rows_frame_len(&[], out.iter().map(attr_ct_parts)),
+            || {
+                WireMessage::BinPayload(BinPayload {
+                    plain_tuples: Vec::new(),
+                    encrypted_rows: out.iter().map(|row| attr_ct_parts(row).to_row()).collect(),
                 })
-                .collect(),
-        }));
+            },
+        )?;
         self.metrics.encrypted_tuples_scanned += out.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
-        out
+        Ok(out)
     }
 
     /// Fetches full encrypted tuples by storage address: one
@@ -368,7 +464,7 @@ impl CloudServer {
         }
         let plain = self
             .plain
-            .as_ref()
+            .as_deref()
             .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
         let ids = plain.index.lookup_many(values);
         let matched: Vec<Tuple> = ids
@@ -424,7 +520,7 @@ impl CloudServer {
         let mut ids: Vec<TupleId> = request.ids.iter().map(|&id| TupleId::new(id)).collect();
         ids.extend(tagged);
         let rows = self.tuple_cts(&ids)?;
-        self.record_fetch(request, &plain, &ids, &rows);
+        self.record_fetch(request, &plain, &ids, &rows)?;
         self.metrics.plaintext_index_lookups += request.tags.len() as u64;
         Ok((plain.0, rows))
     }
@@ -444,35 +540,52 @@ impl CloudServer {
     ) -> Result<BinPairResult> {
         let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
         let rows = self.tuple_cts(matching)?;
-        self.record_fetch(request, &plain, matching, &rows);
+        self.record_fetch(request, &plain, matching, &rows)?;
         self.metrics.encrypted_tuples_scanned += scanned as u64;
         Ok((plain.0, rows))
     }
 
     /// Shared accounting of one query exchange: adversarial view, work
-    /// counters, and the single request/response exchange off the wire.
+    /// counters, and the single request/response exchange.  The frames are
+    /// sized first, so a request that cannot be framed records nothing.
     fn record_fetch(
         &mut self,
         request: &FetchBinRequest,
         plain: &ResolvedPlain,
         sensitive_ids: &[TupleId],
         rows: &[(TupleId, Ciphertext)],
-    ) {
+    ) -> Result<()> {
         let (plain_tuples, ns_ids, ns_values, ns_scanned) = plain;
+        let up = frame(
+            msg_tag::FETCH_BIN_REQUEST,
+            fetch_frame_len(
+                &request.values,
+                &request.ids,
+                &request.tags,
+                request.predicate.as_ref(),
+            ),
+            || WireMessage::FetchBinRequest(request.clone()),
+        )?;
+        let down = frame(
+            msg_tag::BIN_PAYLOAD,
+            rows_frame_len(plain_tuples, rows.iter().map(tuple_ct_parts)),
+            || {
+                WireMessage::BinPayload(BinPayload {
+                    plain_tuples: plain_tuples.clone(),
+                    encrypted_rows: tuple_ct_rows(rows),
+                })
+            },
+        )?;
         self.view.observe_plaintext_request(&request.values);
         self.view.observe_encrypted_request(request.tags.len());
         self.view.observe_nonsensitive_result(ns_ids, ns_values);
         self.view.observe_sensitive_result(sensitive_ids);
-        let up = frame(&WireMessage::FetchBinRequest(request.clone()));
-        let down = frame(&WireMessage::BinPayload(BinPayload {
-            plain_tuples: plain_tuples.clone(),
-            encrypted_rows: tuple_ct_rows(rows),
-        }));
         self.metrics.plaintext_index_lookups += request.values.len() as u64;
         self.metrics.plaintext_tuples_scanned += *ns_scanned as u64;
         self.metrics.tuples_returned += (plain_tuples.len() + rows.len()) as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
+        Ok(())
     }
 
     /// Number of encrypted rows stored.
@@ -490,7 +603,7 @@ impl CloudServer {
 
     /// Number of plaintext tuples stored.
     pub fn plain_len(&self) -> usize {
-        self.plain.as_ref().map_or(0, |p| p.relation.len())
+        self.plain.as_deref().map_or(0, |p| p.relation.len())
     }
 
     // ----- observability ----------------------------------------------------
@@ -620,7 +733,7 @@ mod tests {
     #[test]
     fn attr_column_download_scans_everything() {
         let mut s = server();
-        let col = s.download_encrypted_attr_column();
+        let col = s.download_encrypted_attr_column().unwrap();
         assert_eq!(col.len(), 4);
         assert_eq!(s.metrics().encrypted_tuples_scanned, 4);
     }
@@ -996,6 +1109,83 @@ mod tests {
             .unwrap();
         let got: Vec<u64> = mixed.iter().map(|(id, _)| id.raw()).collect();
         assert_eq!(got, [103, 101, 100, 102]);
+    }
+
+    /// A request of two clear-text tuples and one encrypted row.
+    fn mixed_insert(first: u64, second: u64, row_id: u64) -> InsertRequest {
+        let tuple =
+            |id, e: &str| Tuple::new(TupleId::new(id), vec![Value::from(e), Value::from("Ops")]);
+        let row = encrypted_rows(1).remove(0);
+        InsertRequest {
+            plain_tuples: vec![tuple(first, "E500"), tuple(second, "E501")],
+            encrypted_rows: vec![WireRow {
+                id: row_id,
+                ..row.wire_parts().to_row()
+            }],
+        }
+    }
+
+    #[test]
+    fn a_multi_item_insert_is_one_exchange() {
+        let mut s = server();
+        let before = *s.metrics();
+        let request = mixed_insert(500, 501, 900);
+        let ack = s
+            .serve(&WireMessage::InsertRequest(request.clone()))
+            .unwrap();
+        assert_eq!(ack, WireMessage::Ack(Ack { items: 3 }));
+        let d = s.metrics().delta_since(&before);
+        assert_eq!(d.wire_frames, 2, "one request frame, one Ack");
+        assert_eq!(d.frames_of_type(msg_tag::INSERT_REQUEST), 1);
+        assert_eq!(d.frames_of_type(msg_tag::ACK), 1);
+        assert_eq!(
+            d.bytes_uploaded,
+            WireMessage::InsertRequest(request).encode().unwrap().len() as u64
+        );
+        assert_eq!(d.bytes_downloaded, ack.encode().unwrap().len() as u64);
+        assert_eq!(d.round_trips, 0, "an insert is no query round");
+        assert_eq!((s.plain_len(), s.encrypted_len()), (6, 5));
+        let out = s.plain_select_in(&[Value::from("E501")]).unwrap();
+        assert_eq!(out.len(), 1, "the index serves the second tuple");
+    }
+
+    #[test]
+    fn a_refused_insert_stores_and_charges_nothing() {
+        // The second tuple repeats a stored id; then an id the request
+        // repeats itself; then a row id already stored.
+        for request in [
+            mixed_insert(500, 2, 900),
+            mixed_insert(500, 500, 900),
+            mixed_insert(500, 501, 101),
+        ] {
+            let mut s = server();
+            let before = *s.metrics();
+            assert!(s.serve(&WireMessage::InsertRequest(request)).is_err());
+            assert_eq!(*s.metrics(), before, "nothing charged");
+            assert_eq!((s.plain_len(), s.encrypted_len()), (4, 4), "nothing stored");
+            assert!(s.plain_relation().unwrap().get(TupleId::new(500)).is_none());
+            assert!(s
+                .plain_select_in(&[Value::from("E500")])
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn shared_clear_text_sides_copy_on_insert() {
+        let mut a = server();
+        let mut b = a.clone();
+        a.insert_plaintext(Tuple::new(
+            TupleId::new(900),
+            vec![Value::from("E300"), Value::from("Sales")],
+        ))
+        .unwrap();
+        assert_eq!((a.plain_len(), b.plain_len()), (5, 4));
+        assert!(b
+            .plain_select_in(&[Value::from("E300")])
+            .unwrap()
+            .is_empty());
+        assert_eq!(a.plain_select_in(&[Value::from("E300")]).unwrap().len(), 1);
     }
 
     #[test]

@@ -75,9 +75,9 @@ impl CloudServer {
     /// count.  Anything else is a typed [`PdsError::Wire`]: a remote peer
     /// can send anything that decodes, and none of it may panic.
     ///
-    /// An insert mixing clear-text tuples and encrypted rows is charged as
-    /// one exchange per outsourcing operation; the owners' clients never
-    /// send one.
+    /// An insert is one exchange however many clear-text tuples and
+    /// encrypted rows it carries, and it is all or nothing: a request that
+    /// repeats a stored id, or one of its own, stores and charges nothing.
     pub fn serve(&mut self, msg: &WireMessage) -> Result<WireMessage> {
         let _span = obs_span("cloud.dispatch");
         match msg {
@@ -89,26 +89,18 @@ impl CloudServer {
                 }))
             }
             WireMessage::InsertRequest(request) => {
-                for tuple in &request.plain_tuples {
-                    self.insert_plaintext(tuple.clone())?;
-                }
-                if !request.encrypted_rows.is_empty() {
-                    let rows: Vec<EncryptedRow> = request
-                        .encrypted_rows
-                        .iter()
-                        .map(|row| EncryptedRow {
-                            id: TupleId::new(row.id),
-                            attr_ct: Ciphertext(row.attr_ct.clone()),
-                            tuple_ct: Ciphertext(row.tuple_ct.clone()),
-                            search_tags: row.search_tags.clone(),
-                        })
-                        .collect();
-                    self.upload_encrypted(rows)?;
-                }
-                let items = request.plain_tuples.len() + request.encrypted_rows.len();
-                Ok(WireMessage::Ack(Ack {
-                    items: items as u64,
-                }))
+                let rows = request
+                    .encrypted_rows
+                    .iter()
+                    .map(|row| EncryptedRow {
+                        id: TupleId::new(row.id),
+                        attr_ct: Ciphertext(row.attr_ct.clone()),
+                        tuple_ct: Ciphertext(row.tuple_ct.clone()),
+                        search_tags: row.search_tags.clone(),
+                    })
+                    .collect();
+                let items = self.insert(request.plain_tuples.clone(), rows)?;
+                Ok(WireMessage::Ack(Ack { items }))
             }
             other => Err(PdsError::Wire(format!(
                 "a shard serves no {} message",

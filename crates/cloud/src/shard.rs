@@ -26,18 +26,24 @@
 //!
 //! The clear-text non-sensitive relation is replicated to every shard (it is
 //! non-sensitive by definition, and replication keeps every episode local to
-//! one shard).  Encrypted sensitive data is never replicated: each sensitive
-//! bin lives on exactly one shard.
+//! one shard).  In process the replicas are one copy: the router indexes
+//! the relation once and every shard holds that clear-text side behind an
+//! `Arc`, copying it only if it takes an insert.  Each shard is still
+//! charged its own upload exchange, as separate machines would be.
+//! Encrypted sensitive data is never replicated: each sensitive bin lives
+//! on exactly one shard.
 //!
 //! [`BinRoutedCloud`] abstracts over "one server" and "many shards" so the
 //! Query Binning executor (`pds-core`) works unchanged against either.
+
+use std::sync::Arc;
 
 use pds_common::{PdsError, Result};
 use pds_storage::Relation;
 
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
-use crate::server::CloudServer;
+use crate::server::{CloudServer, PlainSide};
 use crate::view::AdversarialView;
 
 /// Deterministic seeded assignment of sensitive bins to shards.
@@ -198,10 +204,12 @@ impl ShardRouter {
     }
 
     /// Uploads the clear-text non-sensitive relation, replicated to every
-    /// shard so any episode can run locally on its shard.
+    /// shard so any episode can run locally on its shard.  The relation is
+    /// indexed once and shared; every shard is charged one upload.
     pub fn upload_plaintext(&mut self, relation: Relation, searchable_attr: &str) -> Result<()> {
+        let (side, upload) = PlainSide::build(relation, searchable_attr)?;
         for shard in &mut self.shards {
-            shard.upload_plaintext(relation.clone(), searchable_attr)?;
+            shard.share_plaintext(Arc::clone(&side), upload);
         }
         Ok(())
     }

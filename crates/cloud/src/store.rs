@@ -15,10 +15,11 @@
 //! flagged server-side only in the sense that the *owner* knows their ids;
 //! to the cloud and the adversary they are indistinguishable from real rows.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pds_common::{PdsError, Result, TupleId};
 use pds_crypto::Ciphertext;
+use pds_proto::RowParts;
 
 /// One encrypted sensitive tuple as stored by the cloud.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +41,20 @@ impl EncryptedRow {
             + self.tuple_ct.len()
             + self.search_tags.iter().map(Vec::len).sum::<usize>()
     }
+
+    /// The row's wire fields, borrowed (ciphertexts as opaque bytes).
+    pub(crate) fn wire_parts(&self) -> RowParts<'_> {
+        RowParts {
+            id: self.id.raw(),
+            attr_ct: self.attr_ct.as_bytes(),
+            tuple_ct: self.tuple_ct.as_bytes(),
+            search_tags: &self.search_tags,
+        }
+    }
+}
+
+fn duplicate(id: TupleId) -> PdsError {
+    PdsError::Cloud(format!("duplicate encrypted tuple id {id}"))
 }
 
 /// The encrypted store: rows plus an (optional) tag index.
@@ -59,10 +74,7 @@ impl EncryptedStore {
     /// Inserts a row; ids must be unique.
     pub fn insert(&mut self, row: EncryptedRow) -> Result<()> {
         if self.by_id.contains_key(&row.id) {
-            return Err(PdsError::Cloud(format!(
-                "duplicate encrypted tuple id {}",
-                row.id
-            )));
+            return Err(duplicate(row.id));
         }
         self.by_id.insert(row.id, self.rows.len());
         for tag in &row.search_tags {
@@ -72,8 +84,16 @@ impl EncryptedStore {
         Ok(())
     }
 
-    /// Bulk insert.
+    /// Bulk insert, all or nothing: an id already stored, or repeated
+    /// within `rows`, is an error and stores no row.
     pub fn insert_many(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
+        let mut seen = HashSet::with_capacity(rows.len());
+        if let Some(row) = rows
+            .iter()
+            .find(|r| self.by_id.contains_key(&r.id) || !seen.insert(r.id))
+        {
+            return Err(duplicate(row.id));
+        }
         for row in rows {
             self.insert(row)?;
         }
@@ -173,6 +193,21 @@ mod tests {
         let mut store = EncryptedStore::new();
         store.insert(row(0, vec![])).unwrap();
         assert!(store.insert(row(0, vec![])).is_err());
+    }
+
+    #[test]
+    fn a_bulk_insert_with_a_duplicate_stores_nothing() {
+        let mut store = EncryptedStore::new();
+        store.insert(row(0, vec![vec![1]])).unwrap();
+        // Against the store, and within the batch.
+        for batch in [
+            vec![row(1, vec![vec![1]]), row(0, vec![])],
+            vec![row(1, vec![vec![1]]), row(2, vec![]), row(1, vec![])],
+        ] {
+            assert!(store.insert_many(batch).is_err());
+            assert_eq!(store.len(), 1);
+            assert_eq!(store.lookup_tag(&[1]), &[TupleId::new(0)]);
+        }
     }
 
     #[test]

@@ -365,11 +365,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         self.cache = BinCache::new(self.cache.capacity());
         self.cache.set_tenant(self.tenant);
 
-        // Sensitive side: clone, append fake tuples per bin, then split into
-        // one sub-relation per shard (a sensitive bin lives on one shard).
+        // Sensitive side: clone, append fake tuples per bin, then move the
+        // tuples into one sub-relation per shard (a sensitive bin lives on
+        // one shard).
         let augmented = self.augment_with_fakes(&partitioned.sensitive, s_attr)?;
         owner.pad_tuples_to_widest(&augmented);
-        let per_shard = self.split_by_shard(cloud, &augmented, s_attr)?;
+        let per_shard = self.split_by_shard(cloud, augmented, s_attr)?;
         self.shard_engines = engines;
         for (shard, relation) in per_shard.iter().enumerate() {
             self.shard_engines[shard].outsource(owner, cloud.shard_mut(shard), relation, s_attr)?;
@@ -378,12 +379,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         Ok(())
     }
 
-    /// Groups the augmented sensitive relation into one sub-relation per
-    /// shard, following the cloud's bin routing.
+    /// Moves the augmented sensitive relation's tuples into one
+    /// sub-relation per shard, following the cloud's bin routing.
     fn split_by_shard<C: BinRoutedCloud>(
         &self,
         cloud: &C,
-        augmented: &Relation,
+        augmented: Relation,
         attr: AttrId,
     ) -> Result<Vec<Relation>> {
         let mut per_shard: Vec<Relation> = (0..cloud.shard_count())
@@ -394,7 +395,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 )
             })
             .collect();
-        for t in augmented.tuples() {
+        for t in augmented.into_tuples() {
             let assignment = self
                 .binning
                 .sensitive_assignment(t.value(attr))
@@ -405,7 +406,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                     ))
                 })?;
             let shard = cloud.route_sensitive_bin(assignment.bin);
-            per_shard[shard].insert_with_id(t.id, t.values.clone())?;
+            per_shard[shard].insert_with_id(t.id, t.values)?;
         }
         Ok(per_shard)
     }

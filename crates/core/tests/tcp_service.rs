@@ -13,7 +13,8 @@
 //! within its size bound while the daemons run, read from the view-size
 //! gauges every tenant can request.  A byte reconciliation checks that
 //! the bytes the daemons count equal the bytes the client's sockets
-//! moved, and that one query frame is one exchange at the daemon.  A
+//! moved, and that one query or insert frame is one exchange at the
+//! daemon.  A
 //! transport comparison checks that every shard's episodes and wire
 //! counters over TCP equal those of the in-process run.
 
@@ -29,7 +30,9 @@ use pds_common::{PdsError, TupleId, Value};
 use pds_core::{
     execute_shard_pipelined, BinPair, BinningConfig, EpisodeStep, QbExecutor, QueryBinning,
 };
-use pds_proto::{read_frame, BinPayload, FetchBinRequest, InsertRequest, ReadFrame, WireMessage};
+use pds_proto::{
+    read_frame, BinPayload, FetchBinRequest, InsertRequest, ReadFrame, WireMessage, WireRow,
+};
 use pds_storage::{DataType, PartitionedRelation, Partitioner, Relation, Schema, Tuple};
 use pds_systems::oblivious::opaque_sim;
 use pds_systems::{ArxEngine, DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine};
@@ -469,8 +472,8 @@ fn a_read_insert_soak_keeps_every_shard_view_bounded() {
     assert!(report.is_secure(), "{report:?}");
 }
 
-/// The daemons charge `pds_wire_bytes_{uploaded,downloaded}_total` from an
-/// accounting encode of each exchange, not from the socket.  Over a
+/// The daemons charge `pds_wire_bytes_{uploaded,downloaded}_total` from
+/// the structural frame size of each exchange, not from the socket.  Over a
 /// pipelined batch of composed episodes plus one `InsertRequest`, the
 /// frame bytes the client wrote and read must equal those counters'
 /// deltas.  The client's counters are read after the first stats
@@ -552,12 +555,14 @@ fn counted_wire_bytes_equal_the_bytes_on_the_socket() {
 
 /// Sends `request` to a one-shard daemon hosting `tenant`'s server and
 /// asserts it is one exchange there: the daemon's byte counters move by
-/// exactly the bytes the client's socket moved, and its round counter by
-/// one.  Returns the payload that answered.
-fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
+/// exactly the bytes the client's socket moved, its frame counter by two,
+/// and its round counter by one for a query and none for an insert.
+/// Returns the response.
+fn exchange_at_the_daemon<E: SecureSelectionEngine>(
     tenant: Tenant<E>,
-    request: FetchBinRequest,
-) -> BinPayload {
+    request: WireMessage,
+) -> WireMessage {
+    let rounds = u64::from(matches!(request, WireMessage::FetchBinRequest(_)));
     let mut tenants = vec![tenant];
     let daemons = spawn_daemons(&mut tenants, 1, &ServiceConfig::default());
     let client = TcpCloudClient::new(1, daemons.iter().map(ShardDaemon::addr).collect());
@@ -566,6 +571,7 @@ fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
             "pds_wire_bytes_uploaded_total",
             "pds_wire_bytes_downloaded_total",
             "pds_round_trips_total",
+            "pds_wire_frames_total",
         ]
         .map(|metric| stat(&client, 0, metric) as u64)
     };
@@ -573,7 +579,7 @@ fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
     let (written_before, read_before) = (client.bytes_written(), client.bytes_read());
 
     let mut conn = client.checkout(0).unwrap();
-    let resp = conn.call(&WireMessage::FetchBinRequest(request)).unwrap();
+    let resp = conn.call(&request).unwrap();
     client.checkin(0, conn);
 
     let written = client.bytes_written() - written_before;
@@ -581,11 +587,25 @@ fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
     let after = counters();
     assert_eq!(after[0] - before[0], written, "uploaded vs bytes written");
     assert_eq!(after[1] - before[1], read, "downloaded vs bytes read");
-    assert_eq!(after[2] - before[2], 1, "one frame each way is one round");
+    assert_eq!(
+        after[2] - before[2],
+        rounds,
+        "a query is one round, an insert none"
+    );
+    assert_eq!(after[3] - before[3], 2, "one frame each way");
     for daemon in daemons {
         daemon.shutdown();
     }
-    match resp {
+    resp
+}
+
+/// [`exchange_at_the_daemon`] for a query: returns the payload that
+/// answered.
+fn one_exchange_at_the_daemon<E: SecureSelectionEngine>(
+    tenant: Tenant<E>,
+    request: FetchBinRequest,
+) -> BinPayload {
+    match exchange_at_the_daemon(tenant, WireMessage::FetchBinRequest(request)) {
         WireMessage::BinPayload(p) => p,
         other => panic!("expected a BinPayload, got {}", other.name()),
     }
@@ -642,6 +662,37 @@ fn a_values_and_tags_fetch_is_one_exchange_at_the_daemon() {
     assert!(
         p.encrypted_rows.iter().any(|r| r.id == id),
         "the tag side answered"
+    );
+}
+
+/// An `InsertRequest` carrying two clear-text tuples and one encrypted
+/// row is one exchange at the daemon: one request frame charged at its
+/// socket length and one `Ack`, not one exchange per item.
+#[test]
+fn a_multi_item_insert_is_one_exchange_at_the_daemon() {
+    let tenant = tenant_deployment(1, 1, DeterministicIndexEngine::new());
+    let parts = employee_parts();
+    let fresh = u64::from(u32::MAX);
+    let plain_tuples = parts.nonsensitive.tuples()[..2]
+        .iter()
+        .zip(fresh..)
+        .map(|(t, id)| Tuple::new(TupleId::new(id), t.values.clone()))
+        .collect();
+    let row = &tenant.router.shards()[0].encrypted_store().rows()[0];
+    let encrypted_rows = vec![WireRow {
+        id: fresh + 2,
+        attr_ct: row.attr_ct.as_bytes().to_vec(),
+        tuple_ct: row.tuple_ct.as_bytes().to_vec(),
+        search_tags: row.search_tags.clone(),
+    }];
+    let request = WireMessage::InsertRequest(InsertRequest {
+        plain_tuples,
+        encrypted_rows,
+    });
+    let ack = exchange_at_the_daemon(tenant, request);
+    assert!(
+        matches!(ack, WireMessage::Ack(ref a) if a.items == 3),
+        "{ack:?}"
     );
 }
 

@@ -131,6 +131,17 @@ pub const fn encoded_len(payload_len: usize) -> usize {
     FRAME_OVERHEAD + payload_len
 }
 
+/// [`encoded_len`] of a payload an encoder accepts, or the error every
+/// encoder gives for one past [`MAX_PAYLOAD_LEN`].
+pub(crate) fn checked_frame_len(payload_len: usize) -> Result<usize> {
+    if payload_len > MAX_PAYLOAD_LEN {
+        return Err(PdsError::Wire(format!(
+            "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit"
+        )));
+    }
+    Ok(encoded_len(payload_len))
+}
+
 /// Starts a v2 frame in `buf`: magic, version, type, correlation id, and a
 /// zeroed length placeholder that [`finish_frame`] patches.  The caller
 /// appends the payload directly after this — one buffer end to end, which
@@ -148,11 +159,7 @@ pub fn begin_frame(buf: &mut Vec<u8>, msg_type: u8, corr: u64) {
 /// length, patches the header's length field, and appends the CRC trailer.
 pub fn finish_frame(buf: &mut Vec<u8>) -> Result<()> {
     let payload_len = buf.len().saturating_sub(HEADER_LEN);
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(PdsError::Wire(format!(
-            "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit"
-        )));
-    }
+    checked_frame_len(payload_len)?;
     buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_be_bytes());
     let crc = crc32(buf);
     buf.extend_from_slice(&crc.to_be_bytes());
@@ -167,14 +174,9 @@ pub fn encode_frame(msg_type: u8, payload: &[u8]) -> Result<Vec<u8>> {
 /// Wraps a message payload into one wire frame carrying `corr`.
 pub fn encode_frame_corr(msg_type: u8, corr: u64, payload: &[u8]) -> Result<Vec<u8>> {
     let _span = pds_obs::obs_span("frame.encode");
-    if payload.len() > MAX_PAYLOAD_LEN {
-        return Err(PdsError::Wire(format!(
-            "payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit",
-            payload.len()
-        )));
-    }
+    let frame_len = checked_frame_len(payload.len())?;
     let mut out = pool::take_buf();
-    out.reserve(encoded_len(payload.len()));
+    out.reserve(frame_len);
     begin_frame(&mut out, msg_type, corr);
     out.extend_from_slice(payload);
     finish_frame(&mut out)?;
@@ -455,6 +457,18 @@ mod tests {
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_be_bytes());
         out
+    }
+
+    #[test]
+    fn checked_frame_len_refuses_what_encoders_refuse() {
+        assert_eq!(
+            checked_frame_len(MAX_PAYLOAD_LEN).unwrap(),
+            encoded_len(MAX_PAYLOAD_LEN)
+        );
+        assert!(matches!(
+            checked_frame_len(MAX_PAYLOAD_LEN + 1),
+            Err(PdsError::Wire(_))
+        ));
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!   search tags at once) answered by one [`BinPayload`], plus
 //!   [`InsertRequest`], [`Ack`], [`ErrorFrame`], the [`Hello`] handshake,
 //!   the stats exchange, and an [`WireMessage::Opaque`] escape hatch for
-//!   engine-specific token sets.  `pds-cloud` encodes the *actual* traffic
-//!   of every owner↔cloud interaction through these and charges the
-//!   encoded frame lengths to its metrics and its network clock
+//!   engine-specific token sets.  `pds-cloud` charges every owner↔cloud
+//!   interaction the frame length of the message it represents, summed
+//!   structurally by [`WireMessage::encoded_len`], [`fetch_frame_len`]
+//!   and [`rows_frame_len`] (and checked against the real encode in debug
+//!   builds), to its metrics and its network clock
 //!   (`latency + bytes/bandwidth` per exchange), so bytes moved and
-//!   communication time are measured off the wire.
+//!   communication time are what the wire would carry.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
@@ -41,7 +43,7 @@ pub use frame::{
     TRAILER_LEN, VERSION, VERSION_V1,
 };
 pub use messages::{
-    error_frame, msg_tag, Ack, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest,
-    WireMessage, WireRow,
+    error_frame, fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload, ErrorFrame,
+    FetchBinRequest, Hello, InsertRequest, RowParts, WireMessage, WireRow,
 };
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

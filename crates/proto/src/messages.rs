@@ -25,6 +25,14 @@
 //! values), whose encoded length reveals nothing new, and to framing
 //! around opaque byte strings.
 //!
+//! **Sizes are structural.**  Every item the codec writes has a length
+//! function next to its writer (varint, value, tuple, row, predicate), and
+//! [`WireMessage::encoded_len`] sums them instead of encoding.  The
+//! borrowed entry points [`fetch_frame_len`] and [`rows_frame_len`] size a
+//! query, payload or insert frame from slices and [`RowParts`], so an
+//! accounting layer charges exactly the bytes a frame would carry without
+//! building the message.
+//!
 //! Decoding is total: every read is bounds-checked and malformed payloads
 //! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
 //! non-canonical varints, varints past `u64`, unknown tags, invalid UTF-8
@@ -37,7 +45,7 @@
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{Predicate, Tuple};
 
-use crate::frame::{begin_frame, decode_frame_corr, finish_frame};
+use crate::frame::{begin_frame, checked_frame_len, decode_frame_corr, finish_frame};
 use crate::pool::{self, PooledBuf};
 
 /// One encrypted row as it travels over the wire.
@@ -59,11 +67,14 @@ pub struct WireRow {
 }
 
 impl WireRow {
-    fn write(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.id);
-        write_bytes(out, &self.attr_ct);
-        write_bytes(out, &self.tuple_ct);
-        write_list(out, &self.search_tags, |out, tag| write_bytes(out, tag));
+    /// The row's fields, borrowed.
+    pub fn parts(&self) -> RowParts<'_> {
+        RowParts {
+            id: self.id,
+            attr_ct: &self.attr_ct,
+            tuple_ct: &self.tuple_ct,
+            search_tags: &self.search_tags,
+        }
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self> {
@@ -77,6 +88,48 @@ impl WireRow {
             tuple_ct,
             search_tags,
         })
+    }
+}
+
+/// One encrypted row's wire fields, borrowed from wherever the row lives
+/// (a [`WireRow`], or a cloud store's ciphertexts).  An empty slice stands
+/// for a field the message leaves empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowParts<'a> {
+    /// Storage address / tuple id.
+    pub id: u64,
+    /// Ciphertext of the searchable attribute value.
+    pub attr_ct: &'a [u8],
+    /// Ciphertext of the full tuple.
+    pub tuple_ct: &'a [u8],
+    /// Cloud-side searchable tags.
+    pub search_tags: &'a [Vec<u8>],
+}
+
+impl RowParts<'_> {
+    /// An owned [`WireRow`] with these fields.
+    pub fn to_row(&self) -> WireRow {
+        WireRow {
+            id: self.id,
+            attr_ct: self.attr_ct.to_vec(),
+            tuple_ct: self.tuple_ct.to_vec(),
+            search_tags: self.search_tags.to_vec(),
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.id);
+        write_bytes(out, self.attr_ct);
+        write_bytes(out, self.tuple_ct);
+        write_list(out, self.search_tags, |out, tag| write_bytes(out, tag));
+    }
+
+    /// Length of [`RowParts::write`]'s output.
+    fn len(&self) -> usize {
+        varint_len(self.id)
+            + bytes_len(self.attr_ct)
+            + bytes_len(self.tuple_ct)
+            + list_len(self.search_tags, |tag| bytes_len(tag))
     }
 }
 
@@ -314,7 +367,7 @@ impl WireMessage {
                 encrypted_rows,
             }) => {
                 write_list(payload, plain_tuples, write_tuple);
-                write_list(payload, encrypted_rows, |out, row| row.write(out));
+                write_list(payload, encrypted_rows, |out, row| row.parts().write(out));
             }
             WireMessage::Ack(m) => write_varint(payload, m.items),
             WireMessage::Error(m) => {
@@ -375,12 +428,60 @@ impl WireMessage {
         Ok((corr, msg))
     }
 
-    /// Convenience: the encoded frame length of this message in bytes.
-    /// The frame is encoded into a pooled buffer that goes back to the
-    /// pool on return, so accounting encodes keep the pool warm.
+    /// The encoded frame length of this message in bytes, summed from the
+    /// codec's per-item lengths without encoding.  It fails exactly where
+    /// [`WireMessage::encode`] fails: a predicate past the depth cap, or a
+    /// payload past [`crate::MAX_PAYLOAD_LEN`].
     pub fn encoded_len(&self) -> Result<usize> {
-        Ok(self.encode_framed(0)?.len())
+        match self {
+            WireMessage::FetchBinRequest(m) => {
+                fetch_frame_len(&m.values, &m.ids, &m.tags, m.predicate.as_ref())
+            }
+            WireMessage::BinPayload(BinPayload {
+                plain_tuples,
+                encrypted_rows,
+            })
+            | WireMessage::InsertRequest(InsertRequest {
+                plain_tuples,
+                encrypted_rows,
+            }) => rows_frame_len(plain_tuples, encrypted_rows.iter().map(WireRow::parts)),
+            WireMessage::Ack(m) => checked_frame_len(varint_len(m.items)),
+            WireMessage::Error(m) => checked_frame_len(
+                bytes_len(m.category.as_bytes()) + bytes_len(m.message.as_bytes()),
+            ),
+            WireMessage::Opaque(body) => checked_frame_len(body.len()),
+            WireMessage::Hello(m) => checked_frame_len(varint_len(m.tenant)),
+            WireMessage::StatsRequest => checked_frame_len(0),
+            WireMessage::StatsSnapshot(text) => checked_frame_len(bytes_len(text.as_bytes())),
+        }
     }
+}
+
+/// The frame length of a [`FetchBinRequest`] with these fields, summed
+/// without building or encoding it.  Fails where encoding would.
+pub fn fetch_frame_len(
+    values: &[Value],
+    ids: &[u64],
+    tags: &[Vec<u8>],
+    predicate: Option<&Predicate>,
+) -> Result<usize> {
+    checked_frame_len(
+        list_len(values, value_len)
+            + list_len(ids, |id| varint_len(*id))
+            + list_len(tags, |tag| bytes_len(tag))
+            + opt_predicate_len(predicate)?,
+    )
+}
+
+/// The frame length of a [`BinPayload`] or an [`InsertRequest`] (the two
+/// share one layout) carrying `plain_tuples` and `rows`, summed without
+/// building or encoding it.  Fails where encoding would.
+pub fn rows_frame_len<'a>(
+    plain_tuples: &[Tuple],
+    rows: impl ExactSizeIterator<Item = RowParts<'a>>,
+) -> Result<usize> {
+    let rows_len = len_len(rows.len()) + rows.map(|row| row.len()).sum::<usize>();
+    checked_frame_len(list_len(plain_tuples, tuple_len) + rows_len)
 }
 
 /// Builds the wire form of a [`PdsError`].
@@ -431,12 +532,27 @@ pub fn write_opt_predicate(out: &mut Vec<u8>, p: Option<&Predicate>) -> Result<(
     }
 }
 
-fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()> {
+/// Length of [`write_opt_predicate`]'s output; fails where it fails.
+fn opt_predicate_len(p: Option<&Predicate>) -> Result<usize> {
+    Ok(1 + match p {
+        None => 0,
+        Some(p) => predicate_len(p, 0)?,
+    })
+}
+
+/// Refuses a predicate node at `depth` past [`PREDICATE_DEPTH_CAP`] (the
+/// writer, its length and the reader share the check).
+fn check_depth(depth: usize) -> Result<()> {
     if depth >= PREDICATE_DEPTH_CAP {
         return Err(PdsError::Wire(format!(
             "predicate nesting exceeds the wire depth cap of {PREDICATE_DEPTH_CAP}"
         )));
     }
+    Ok(())
+}
+
+fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()> {
+    check_depth(depth)?;
     match p {
         Predicate::Eq { attr, value } => {
             out.push(pred_tag::EQ);
@@ -474,6 +590,26 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
     Ok(())
 }
 
+/// Length of [`write_predicate`]'s output; fails where it fails.
+fn predicate_len(p: &Predicate, depth: usize) -> Result<usize> {
+    check_depth(depth)?;
+    let operands = match p {
+        Predicate::Eq { attr, value } => varint_len(attr.raw()) + value_len(value),
+        Predicate::InSet { attr, values } => varint_len(attr.raw()) + list_len(values, value_len),
+        Predicate::Range { attr, lo, hi } => varint_len(attr.raw()) + value_len(lo) + value_len(hi),
+        Predicate::And(ps) | Predicate::Or(ps) => {
+            let mut n = len_len(ps.len());
+            for child in ps {
+                n += predicate_len(child, depth + 1)?;
+            }
+            n
+        }
+        Predicate::Not(child) => predicate_len(child, depth + 1)?,
+        Predicate::True => 0,
+    };
+    Ok(1 + operands)
+}
+
 fn read_opt_predicate(r: &mut Reader<'_>) -> Result<Option<Predicate>> {
     match r.byte()? {
         0 => Ok(None),
@@ -485,11 +621,7 @@ fn read_opt_predicate(r: &mut Reader<'_>) -> Result<Option<Predicate>> {
 }
 
 fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
-    if depth >= PREDICATE_DEPTH_CAP {
-        return Err(PdsError::Wire(format!(
-            "predicate nesting exceeds the wire depth cap of {PREDICATE_DEPTH_CAP}"
-        )));
-    }
+    check_depth(depth)?;
     let tag = r.byte()?;
     match tag {
         pred_tag::EQ => Ok(Predicate::Eq {
@@ -544,9 +676,20 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// Length of [`write_varint`]'s output: one byte per 7-bit group, at
+/// least one.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Appends a count or length as a varint.
 fn write_len(out: &mut Vec<u8>, n: usize) {
     write_varint(out, n as u64);
+}
+
+/// Length of [`write_len`]'s output.
+fn len_len(n: usize) -> usize {
+    varint_len(n as u64)
 }
 
 /// Appends a byte string: varint length, then the bytes.
@@ -555,12 +698,22 @@ fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
+/// Length of [`write_bytes`]'s output.
+fn bytes_len(b: &[u8]) -> usize {
+    len_len(b.len()) + b.len()
+}
+
 /// Appends a varint item count, then each item.
 fn write_list<T>(out: &mut Vec<u8>, items: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) {
     write_len(out, items.len());
     for item in items {
         write(out, item);
     }
+}
+
+/// Length of [`write_list`]'s output, given each item's length.
+fn list_len<T>(items: &[T], item_len: impl Fn(&T) -> usize) -> usize {
+    len_len(items.len()) + items.iter().map(item_len).sum::<usize>()
 }
 
 /// Zigzag-maps a signed integer so small magnitudes of either sign get
@@ -598,11 +751,27 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Length of [`write_value`]'s output: the tag byte and its operand.
+fn value_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Null => 0,
+        Value::Int(i) => varint_len(zigzag(*i)),
+        Value::Text(s) => bytes_len(s.as_bytes()),
+        Value::Bytes(b) => bytes_len(b),
+        Value::Bool(_) => 1,
+    }
+}
+
 /// Writes one clear-text tuple straight into the frame buffer: varint id,
 /// varint arity, then each value.
 fn write_tuple(out: &mut Vec<u8>, t: &Tuple) {
     write_varint(out, t.id.raw());
     write_list(out, &t.values, write_value);
+}
+
+/// Length of [`write_tuple`]'s output.
+fn tuple_len(t: &Tuple) -> usize {
+    varint_len(t.id.raw()) + list_len(&t.values, value_len)
 }
 
 /// Bounds-checked sequential reader over a message payload.
@@ -934,6 +1103,10 @@ mod tests {
             ..FetchBinRequest::default()
         });
         assert!(msg.encode().is_err());
+        assert!(
+            msg.encoded_len().is_err(),
+            "sizing fails where encoding does"
+        );
 
         // ...and a hand-forged payload of NOT tags must fail to decode
         // before recursing past the cap.

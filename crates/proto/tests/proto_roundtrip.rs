@@ -4,7 +4,10 @@
 //!
 //! The generators mix the codec's edge cases into the random inputs:
 //! `i64::MIN`/`i64::MAX`/0/−1, empty and multi-byte UTF-8 text, empty
-//! bytes, and ids at the varint length boundaries.
+//! bytes, ids at the varint length boundaries, and — at most once per
+//! message — a byte-string length or item count at the one- and two-byte
+//! varint boundaries (127, 128, 16,383, 16,384), where a structural size
+//! is most likely to be wrong.
 //!
 //! Seeding rides the workspace's deterministic proptest machinery
 //! (`PROPTEST_SEED` / `PROPTEST_CASES`, regressions recorded under
@@ -12,39 +15,89 @@
 
 use pds_common::{PdsError, TupleId, Value};
 use pds_proto::{
-    Ack, BinPayload, ErrorFrame, FetchBinRequest, Hello, InsertRequest, WireMessage, WireRow,
+    fetch_frame_len, rows_frame_len, Ack, BinPayload, ErrorFrame, FetchBinRequest, Hello,
+    InsertRequest, WireMessage, WireRow,
 };
 use pds_storage::{Predicate, Tuple};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::Rng;
 
-fn arb_value<R: Rng>(rng: &mut R) -> Value {
-    match rng.gen_range(0u8..7) {
+/// Lengths and counts where an unsigned LEB128 varint grows a byte.
+const VARINT_BOUNDARIES: [usize; 4] = [127, 128, 16_383, 16_384];
+
+/// The case's random source, plus the one boundary-sized length or count
+/// it may still hand out.
+struct Gen {
+    rng: StdRng,
+    boundary: Option<usize>,
+}
+
+impl Gen {
+    /// A generator for `seed`; one message in four may carry a boundary.
+    fn new(seed: u64) -> Self {
+        let mut rng = pds_common::rng::seeded_rng(seed);
+        let boundary = (rng.gen_range(0u8..4) == 0)
+            .then(|| VARINT_BOUNDARIES[rng.gen_range(0usize..VARINT_BOUNDARIES.len())]);
+        Gen { rng, boundary }
+    }
+
+    /// A length or count below `max`, or, now and then, the boundary.
+    fn len(&mut self, max: usize) -> usize {
+        match self.boundary {
+            Some(n) if self.rng.gen_range(0u8..4) == 0 => {
+                self.boundary = None;
+                n
+            }
+            _ => self.rng.gen_range(0..max),
+        }
+    }
+
+    /// `len(max)` items drawn by `item`.
+    fn list<T>(&mut self, max: usize, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let n = self.len(max);
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
+impl std::ops::Deref for Gen {
+    type Target = StdRng;
+
+    fn deref(&self) -> &StdRng {
+        &self.rng
+    }
+}
+
+impl std::ops::DerefMut for Gen {
+    fn deref_mut(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
+}
+
+fn arb_text(g: &mut Gen, max_len: usize) -> String {
+    let len = g.len(max_len);
+    (0..len)
+        .map(|_| char::from(g.gen_range(0x20u8..0x7f)))
+        .collect()
+}
+
+fn arb_value(g: &mut Gen) -> Value {
+    match g.gen_range(0u8..7) {
         0 => Value::Null,
-        1 => Value::Int(rng.gen_range(i64::MIN..i64::MAX)),
-        2 => {
-            let len = rng.gen_range(0usize..24);
-            Value::Text(
-                (0..len)
-                    .map(|_| char::from(rng.gen_range(0x20u8..0x7f)))
-                    .collect(),
-            )
-        }
-        3 => {
-            let len = rng.gen_range(0usize..48);
-            Value::Bytes((0..len).map(|_| rng.gen_range(0u8..=255)).collect())
-        }
-        4 => Value::Bool(rng.gen_range(0u8..2) == 1),
+        1 => Value::Int(g.gen_range(i64::MIN..i64::MAX)),
+        2 => Value::Text(arb_text(g, 24)),
+        3 => Value::Bytes(arb_blob(g, 48)),
+        4 => Value::Bool(g.gen_range(0u8..2) == 1),
         // The codec's edge cases: zigzag varint extremes, and empty,
         // multi-byte UTF-8 and empty-bytes strings.
-        5 => Value::Int([i64::MIN, i64::MAX, 0, -1][rng.gen_range(0usize..4)]),
-        _ => match rng.gen_range(0u8..3) {
+        5 => Value::Int([i64::MIN, i64::MAX, 0, -1][g.gen_range(0usize..4)]),
+        _ => match g.gen_range(0u8..3) {
             0 => Value::Text(String::new()),
             1 => {
-                let len = rng.gen_range(1usize..8);
+                let len = g.gen_range(1usize..8);
                 Value::Text(
                     (0..len)
-                        .map(|_| ['é', 'ß', '€', '中', '𝄞'][rng.gen_range(0usize..5)])
+                        .map(|_| ['é', 'ß', '€', '中', '𝄞'][g.gen_range(0usize..5)])
                         .collect(),
                 )
             }
@@ -55,50 +108,44 @@ fn arb_value<R: Rng>(rng: &mut R) -> Value {
 
 /// A tuple, row or request id: usually random (so mostly above 2^32),
 /// sometimes one of the varint length boundaries.
-fn arb_id<R: Rng>(rng: &mut R) -> u64 {
-    match rng.gen_range(0u8..4) {
-        0 => [0, u64::from(u32::MAX), 1 << 32, u64::MAX][rng.gen_range(0usize..4)],
-        _ => rng.gen_range(0u64..u64::MAX),
+fn arb_id(g: &mut Gen) -> u64 {
+    match g.gen_range(0u8..4) {
+        0 => [0, u64::from(u32::MAX), 1 << 32, u64::MAX][g.gen_range(0usize..4)],
+        _ => g.gen_range(0u64..u64::MAX),
     }
 }
 
-fn arb_blob<R: Rng>(rng: &mut R, max_len: usize) -> Vec<u8> {
-    let len = rng.gen_range(0..max_len);
-    (0..len).map(|_| rng.gen_range(0u8..=255)).collect()
+fn arb_blob(g: &mut Gen, max_len: usize) -> Vec<u8> {
+    let len = g.len(max_len);
+    (0..len).map(|_| g.gen_range(0u8..=255)).collect()
 }
 
-fn arb_tuple<R: Rng>(rng: &mut R) -> Tuple {
-    let arity = rng.gen_range(1usize..5);
-    Tuple::new(
-        TupleId::new(arb_id(rng)),
-        (0..arity).map(|_| arb_value(rng)).collect(),
-    )
+fn arb_tuple(g: &mut Gen) -> Tuple {
+    let id = TupleId::new(arb_id(g));
+    let arity = 1 + g.len(4);
+    Tuple::new(id, (0..arity).map(|_| arb_value(g)).collect())
 }
 
-fn arb_predicate<R: Rng>(rng: &mut R, depth: usize) -> Predicate {
+fn arb_predicate(g: &mut Gen, depth: usize) -> Predicate {
     let leaf_only = depth >= 3;
-    match rng.gen_range(0u8..if leaf_only { 4 } else { 7 }) {
+    match g.gen_range(0u8..if leaf_only { 4 } else { 7 }) {
         0 => Predicate::True,
         1 => Predicate::Eq {
-            attr: pds_common::AttrId::new(rng.gen_range(0u64..16)),
-            value: arb_value(rng),
+            attr: pds_common::AttrId::new(g.gen_range(0u64..16)),
+            value: arb_value(g),
         },
         2 => Predicate::InSet {
-            attr: pds_common::AttrId::new(rng.gen_range(0u64..16)),
-            values: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_value(rng))
-                .collect(),
+            attr: pds_common::AttrId::new(g.gen_range(0u64..16)),
+            values: g.list(4, arb_value),
         },
         3 => Predicate::Range {
-            attr: pds_common::AttrId::new(rng.gen_range(0u64..16)),
-            lo: arb_value(rng),
-            hi: arb_value(rng),
+            attr: pds_common::AttrId::new(g.gen_range(0u64..16)),
+            lo: arb_value(g),
+            hi: arb_value(g),
         },
-        4 => Predicate::Not(Box::new(arb_predicate(rng, depth + 1))),
+        4 => Predicate::Not(Box::new(arb_predicate(g, depth + 1))),
         other => {
-            let children = (0..rng.gen_range(0usize..3))
-                .map(|_| arb_predicate(rng, depth + 1))
-                .collect();
+            let children = g.list(3, |g| arb_predicate(g, depth + 1));
             if other == 5 {
                 Predicate::And(children)
             } else {
@@ -108,75 +155,50 @@ fn arb_predicate<R: Rng>(rng: &mut R, depth: usize) -> Predicate {
     }
 }
 
-fn arb_opt_predicate<R: Rng>(rng: &mut R) -> Option<Predicate> {
-    if rng.gen_range(0u8..3) == 0 {
-        Some(arb_predicate(rng, 0))
+fn arb_opt_predicate(g: &mut Gen) -> Option<Predicate> {
+    if g.gen_range(0u8..3) == 0 {
+        Some(arb_predicate(g, 0))
     } else {
         None
     }
 }
 
-fn arb_row<R: Rng>(rng: &mut R) -> WireRow {
+fn arb_row(g: &mut Gen) -> WireRow {
     WireRow {
-        id: arb_id(rng),
-        attr_ct: arb_blob(rng, 40),
-        tuple_ct: arb_blob(rng, 120),
-        search_tags: (0..rng.gen_range(0usize..3))
-            .map(|_| arb_blob(rng, 20))
-            .collect(),
+        id: arb_id(g),
+        attr_ct: arb_blob(g, 40),
+        tuple_ct: arb_blob(g, 120),
+        search_tags: g.list(3, |g| arb_blob(g, 20)),
     }
 }
 
 /// One random message of a random type, driven by the proptest case seed.
 fn arb_message(seed: u64) -> WireMessage {
-    let mut rng = pds_common::rng::seeded_rng(seed);
-    match rng.gen_range(0u8..9) {
+    let g = &mut Gen::new(seed);
+    match g.gen_range(0u8..9) {
         0 => WireMessage::FetchBinRequest(FetchBinRequest {
-            values: (0..rng.gen_range(0usize..6))
-                .map(|_| arb_value(&mut rng))
-                .collect(),
-            ids: (0..rng.gen_range(0usize..6))
-                .map(|_| arb_id(&mut rng))
-                .collect(),
-            tags: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_blob(&mut rng, 24))
-                .collect(),
-            predicate: arb_opt_predicate(&mut rng),
+            values: g.list(6, arb_value),
+            ids: g.list(6, arb_id),
+            tags: g.list(4, |g| arb_blob(g, 24)),
+            predicate: arb_opt_predicate(g),
         }),
         1 => WireMessage::BinPayload(BinPayload {
-            plain_tuples: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_tuple(&mut rng))
-                .collect(),
-            encrypted_rows: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_row(&mut rng))
-                .collect(),
+            plain_tuples: g.list(4, arb_tuple),
+            encrypted_rows: g.list(4, arb_row),
         }),
         2 => WireMessage::InsertRequest(InsertRequest {
-            plain_tuples: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_tuple(&mut rng))
-                .collect(),
-            encrypted_rows: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_row(&mut rng))
-                .collect(),
+            plain_tuples: g.list(4, arb_tuple),
+            encrypted_rows: g.list(4, arb_row),
         }),
-        3 => WireMessage::Ack(Ack {
-            items: arb_id(&mut rng),
+        3 => WireMessage::Ack(Ack { items: arb_id(g) }),
+        4 => WireMessage::Error(ErrorFrame {
+            category: "cloud".to_string(),
+            message: arb_text(g, 40),
         }),
-        4 => {
-            let msg_len = rng.gen_range(0usize..40);
-            WireMessage::Error(ErrorFrame {
-                category: "cloud".to_string(),
-                message: (0..msg_len)
-                    .map(|_| char::from(rng.gen_range(0x20u8..0x7f)))
-                    .collect(),
-            })
-        }
-        5 => WireMessage::Opaque(arb_blob(&mut rng, 100)),
-        6 => WireMessage::Hello(Hello {
-            tenant: arb_id(&mut rng),
-        }),
+        5 => WireMessage::Opaque(arb_blob(g, 100)),
+        6 => WireMessage::Hello(Hello { tenant: arb_id(g) }),
         7 => WireMessage::StatsRequest,
-        _ => WireMessage::StatsSnapshot(match arb_value(&mut rng) {
+        _ => WireMessage::StatsSnapshot(match arb_value(g) {
             Value::Text(text) => text,
             _ => String::new(),
         }),
@@ -212,6 +234,26 @@ proptest! {
     fn encoded_len_matches_frame(seed in proptest::arbitrary::any::<u64>()) {
         let msg = arb_message(seed);
         prop_assert_eq!(msg.encoded_len().unwrap(), msg.encode().unwrap().len());
+    }
+
+    #[test]
+    fn borrowed_sizes_equal_the_owned_message(seed in proptest::arbitrary::any::<u64>()) {
+        // The entry points an accounting layer calls on borrowed fields
+        // size the frame the owned message encodes to.
+        let msg = arb_message(seed);
+        let borrowed = match &msg {
+            WireMessage::FetchBinRequest(m) => {
+                fetch_frame_len(&m.values, &m.ids, &m.tags, m.predicate.as_ref())
+            }
+            WireMessage::BinPayload(BinPayload { plain_tuples, encrypted_rows })
+            | WireMessage::InsertRequest(InsertRequest { plain_tuples, encrypted_rows }) => {
+                rows_frame_len(plain_tuples, encrypted_rows.iter().map(WireRow::parts))
+            }
+            _ => return Ok(()),
+        };
+        let borrowed = borrowed.unwrap();
+        prop_assert_eq!(borrowed, msg.encoded_len().unwrap());
+        prop_assert_eq!(borrowed, msg.encode().unwrap().len());
     }
 
     #[test]
@@ -294,8 +336,13 @@ proptest! {
 
     #[test]
     fn random_garbage_never_panics(seed in proptest::arbitrary::any::<u64>()) {
-        let mut rng = pds_common::rng::seeded_rng(seed);
-        let garbage = arb_blob(&mut rng, 256);
+        let garbage = arb_blob(
+            &mut Gen {
+                rng: pds_common::rng::seeded_rng(seed),
+                boundary: None,
+            },
+            256,
+        );
         // Random bytes essentially never form a valid CRC-framed message;
         // the property under test is totality (Err, not panic).
         let _ = WireMessage::decode(&garbage);

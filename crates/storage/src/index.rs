@@ -5,6 +5,11 @@
 //! techniques (CryptDB-style deterministic tags, Arx-style counter tokens)
 //! index ciphertext tags.  Both a hash index (point/IN lookups) and an
 //! ordered index (range lookups) are provided.
+//!
+//! An index holds only its postings, so it is `Sync`: the clear-text side
+//! of a sharded deployment (relation and [`HashIndex`]) is built once and
+//! shared read-only between shards.  Callers that count lookups do so
+//! themselves (the cloud charges them to its own metrics).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -16,7 +21,6 @@ use crate::relation::Relation;
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     map: HashMap<Value, Vec<TupleId>>,
-    lookups: std::cell::Cell<u64>,
 }
 
 impl HashIndex {
@@ -26,10 +30,7 @@ impl HashIndex {
         for t in relation.tuples() {
             map.entry(t.value(attr).clone()).or_default().push(t.id);
         }
-        HashIndex {
-            map,
-            lookups: std::cell::Cell::new(0),
-        }
+        HashIndex { map }
     }
 
     /// Inserts a posting (used for incremental maintenance on insert).
@@ -54,7 +55,6 @@ impl HashIndex {
 
     /// Tuple ids whose indexed attribute equals `value`.
     pub fn lookup(&self, value: &Value) -> &[TupleId] {
-        self.lookups.set(self.lookups.get() + 1);
         self.map.get(value).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -72,11 +72,6 @@ impl HashIndex {
     /// Number of distinct indexed values.
     pub fn distinct(&self) -> usize {
         self.map.len()
-    }
-
-    /// Number of lookups performed (for cost accounting in experiments).
-    pub fn lookup_count(&self) -> u64 {
-        self.lookups.get()
     }
 }
 
@@ -153,7 +148,6 @@ mod tests {
         assert_eq!(idx.lookup(&Value::Int(5)).len(), 2);
         assert_eq!(idx.lookup(&Value::Int(2)).len(), 0);
         assert_eq!(idx.distinct(), 4);
-        assert_eq!(idx.lookup_count(), 2);
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! How the classification is *derived* (inference detection, user-defined
 //! rules, ...) is outside the paper's scope and ours; the policy here simply
 //! expresses the result of the classification.
+//!
+//! [`Partitioner::split`] is one linear pass: the row predicate is
+//! compiled once per split (each `IN` set hashed, so a tuple costs O(1)
+//! per set however many values the policy lists), the attribute ids of
+//! both splits are resolved once, and every tuple is copied once into its
+//! part.
 
 use pds_common::{PdsError, Result, Value};
 
-use crate::predicate::Predicate;
+use crate::predicate::{CompiledPredicate, Predicate};
 use crate::relation::Relation;
 use crate::schema::Schema;
 
@@ -128,25 +134,27 @@ impl Partitioner {
             .iter()
             .map(|n| schema.attr_id(n))
             .collect::<Result<Vec<_>>>()?;
+        // The vertical split's columns: the key, then each sensitive
+        // attribute.
+        let column_ids = match (&sensitive_columns, &self.policy.key_attribute) {
+            (Some(_), Some(key)) => std::iter::once(key)
+                .chain(&self.policy.sensitive_attributes)
+                .map(|n| schema.attr_id(n))
+                .collect::<Result<Vec<_>>>()?,
+            _ => Vec::new(),
+        };
+        let is_sensitive = CompiledPredicate::new(&self.policy.row_predicate);
 
         for tuple in relation.tuples() {
-            let kept_values: Vec<Value> =
-                kept_ids.iter().map(|&a| tuple.value(a).clone()).collect();
-            if self.policy.row_predicate.matches(tuple) {
-                sensitive.insert_with_id(tuple.id, kept_values)?;
+            let project =
+                |ids: &[_]| -> Vec<Value> { ids.iter().map(|&a| tuple.value(a).clone()).collect() };
+            if is_sensitive.matches(tuple) {
+                sensitive.insert_with_id(tuple.id, project(&kept_ids))?;
             } else {
-                nonsensitive.insert_with_id(tuple.id, kept_values)?;
+                nonsensitive.insert_with_id(tuple.id, project(&kept_ids))?;
             }
-            if let (Some(cols_rel), Some(key)) = (
-                sensitive_columns.as_mut(),
-                self.policy.key_attribute.as_ref(),
-            ) {
-                let key_id = schema.attr_id(key)?;
-                let mut row = vec![tuple.value(key_id).clone()];
-                for name in &self.policy.sensitive_attributes {
-                    row.push(tuple.value(schema.attr_id(name)?).clone());
-                }
-                cols_rel.insert_with_id(tuple.id, row)?;
+            if let Some(cols_rel) = sensitive_columns.as_mut() {
+                cols_rel.insert_with_id(tuple.id, project(&column_ids))?;
             }
         }
 

@@ -6,6 +6,8 @@
 //! provided because the QB extensions (range queries, §IV of the full
 //! version) need them.
 
+use std::collections::HashSet;
+
 use pds_common::{AttrId, PdsError, Result, Value};
 use serde::{Deserialize, Serialize};
 
@@ -139,6 +141,52 @@ impl Predicate {
     }
 }
 
+/// A [`Predicate`] compiled for evaluation over many tuples: every
+/// `InSet` node's values are hashed once, so testing a tuple costs O(1)
+/// per node however large the set.  [`Predicate::matches`] stays the
+/// reference it must agree with.
+#[derive(Debug)]
+pub(crate) enum CompiledPredicate<'a> {
+    Eq(AttrId, &'a Value),
+    InSet(AttrId, HashSet<&'a Value>),
+    Range(AttrId, &'a Value, &'a Value),
+    And(Vec<CompiledPredicate<'a>>),
+    Or(Vec<CompiledPredicate<'a>>),
+    Not(Box<CompiledPredicate<'a>>),
+    True,
+}
+
+impl<'a> CompiledPredicate<'a> {
+    /// Compiles `p`, borrowing its values.
+    pub(crate) fn new(p: &'a Predicate) -> Self {
+        match p {
+            Predicate::Eq { attr, value } => Self::Eq(*attr, value),
+            Predicate::InSet { attr, values } => Self::InSet(*attr, values.iter().collect()),
+            Predicate::Range { attr, lo, hi } => Self::Range(*attr, lo, hi),
+            Predicate::And(ps) => Self::And(ps.iter().map(Self::new).collect()),
+            Predicate::Or(ps) => Self::Or(ps.iter().map(Self::new).collect()),
+            Predicate::Not(child) => Self::Not(Box::new(Self::new(child))),
+            Predicate::True => Self::True,
+        }
+    }
+
+    /// Evaluates the predicate on a tuple, as [`Predicate::matches`] does.
+    pub(crate) fn matches(&self, tuple: &Tuple) -> bool {
+        match self {
+            Self::Eq(attr, value) => tuple.value(*attr) == *value,
+            Self::InSet(attr, values) => values.contains(tuple.value(*attr)),
+            Self::Range(attr, lo, hi) => {
+                let v = tuple.value(*attr);
+                !v.is_null() && v >= *lo && v <= *hi
+            }
+            Self::And(ps) => ps.iter().all(|p| p.matches(tuple)),
+            Self::Or(ps) => ps.iter().any(|p| p.matches(tuple)),
+            Self::Not(p) => !p.matches(tuple),
+            Self::True => true,
+        }
+    }
+}
+
 /// A selection query: a predicate plus an optional projection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectionQuery {
@@ -188,6 +236,7 @@ mod tests {
     use super::*;
     use crate::schema::DataType;
     use pds_common::TupleId;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[("EId", DataType::Text), ("Office", DataType::Int)]).unwrap()
@@ -254,6 +303,76 @@ mod tests {
             vals,
             vec![Value::from("a"), Value::from("b"), Value::from("c")]
         );
+    }
+
+    /// A value from a small mixed domain, so equality, set and range
+    /// nodes both hit and miss.
+    fn small_value(rng: &mut TestRng) -> Value {
+        match (0u8..4).sample(rng) {
+            0 => Value::Null,
+            1 => Value::Int((-2i64..4).sample(rng)),
+            2 => Value::from(["a", "b", "c"][(0usize..3).sample(rng)]),
+            _ => Value::Bool((0u8..2).sample(rng) == 1),
+        }
+    }
+
+    fn random_predicate(rng: &mut TestRng, depth: usize) -> Predicate {
+        let attr = AttrId::new((0u64..2).sample(rng));
+        match (0u8..if depth >= 3 { 4 } else { 7 }).sample(rng) {
+            0 => Predicate::True,
+            1 => Predicate::Eq {
+                attr,
+                value: small_value(rng),
+            },
+            2 => Predicate::InSet {
+                attr,
+                values: (0..(0usize..6).sample(rng))
+                    .map(|_| small_value(rng))
+                    .collect(),
+            },
+            3 => Predicate::Range {
+                attr,
+                lo: small_value(rng),
+                hi: small_value(rng),
+            },
+            4 => Predicate::Not(Box::new(random_predicate(rng, depth + 1))),
+            kind => {
+                let children = (0..(0usize..4).sample(rng))
+                    .map(|_| random_predicate(rng, depth + 1))
+                    .collect();
+                if kind == 5 {
+                    Predicate::And(children)
+                } else {
+                    Predicate::Or(children)
+                }
+            }
+        }
+    }
+
+    /// A random predicate over two attributes and tuples to test it on.
+    struct PredicateCases;
+
+    impl Strategy for PredicateCases {
+        type Value = (Predicate, Vec<Tuple>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let p = random_predicate(rng, 0);
+            let tuples = (0..32)
+                .map(|_| Tuple::new(TupleId::new(0), vec![small_value(rng), small_value(rng)]))
+                .collect();
+            (p, tuples)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn compiled_predicates_agree_with_matches(case in PredicateCases) {
+            let (p, tuples) = case;
+            let compiled = CompiledPredicate::new(&p);
+            for t in &tuples {
+                prop_assert_eq!(compiled.matches(t), p.matches(t));
+            }
+        }
     }
 
     #[test]

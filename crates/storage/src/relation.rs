@@ -1,4 +1,13 @@
 //! Relations: named collections of tuples conforming to a schema.
+//!
+//! A [`Relation`] keeps an id → position map next to its tuples, so
+//! [`Relation::get`], [`Relation::delete`] and the duplicate check of
+//! [`Relation::insert_with_id`] take O(1) time: building a relation of `n`
+//! tuples is one linear pass, whatever their ids.
+//!
+//! [`Relation::tuples`] lists tuples in insertion order until the first
+//! delete.  A delete moves the last tuple into the freed slot, so after it
+//! the order is insertion order with that one move applied.
 
 use std::collections::HashMap;
 
@@ -16,6 +25,8 @@ pub struct Relation {
     name: String,
     schema: Schema,
     tuples: Vec<Tuple>,
+    /// Position of every tuple in `tuples`, by id.
+    positions: HashMap<TupleId, usize>,
     next_id: u64,
 }
 
@@ -26,6 +37,7 @@ impl Relation {
             name: name.into(),
             schema,
             tuples: Vec::new(),
+            positions: HashMap::new(),
             next_id: 0,
         }
     }
@@ -50,9 +62,15 @@ impl Relation {
         self.tuples.is_empty()
     }
 
-    /// All tuples in insertion order.
+    /// All tuples, in insertion order until the first
+    /// [`Relation::delete`] (see the module docs).
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples
+    }
+
+    /// The tuples, moved out in [`Relation::tuples`] order.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
     }
 
     /// Inserts a row, assigning it a fresh tuple id; returns the id.
@@ -60,20 +78,27 @@ impl Relation {
         self.schema.validate_row(&values)?;
         let id = TupleId::new(self.next_id);
         self.next_id += 1;
-        self.tuples.push(Tuple::new(id, values));
+        self.push(Tuple::new(id, values));
         Ok(id)
     }
 
     /// Inserts a row with an explicit tuple id (used when partitioning, so
-    /// the sensitive/non-sensitive parts keep the original ids).
+    /// the sensitive/non-sensitive parts keep the original ids).  A
+    /// duplicate id is a [`PdsError::Schema`] error, found in O(1).
     pub fn insert_with_id(&mut self, id: TupleId, values: Vec<Value>) -> Result<()> {
         self.schema.validate_row(&values)?;
-        if self.tuples.iter().any(|t| t.id == id) {
+        if self.positions.contains_key(&id) {
             return Err(PdsError::Schema(format!("duplicate tuple id {id}")));
         }
         self.next_id = self.next_id.max(id.raw() + 1);
-        self.tuples.push(Tuple::new(id, values));
+        self.push(Tuple::new(id, values));
         Ok(())
+    }
+
+    /// Appends a tuple whose id is known to be new.
+    fn push(&mut self, tuple: Tuple) {
+        self.positions.insert(tuple.id, self.tuples.len());
+        self.tuples.push(tuple);
     }
 
     /// Bulk insert of many rows; returns the assigned ids.
@@ -85,16 +110,23 @@ impl Relation {
         Ok(ids)
     }
 
-    /// Fetches a tuple by id.
+    /// Fetches a tuple by id, in O(1).
     pub fn get(&self, id: TupleId) -> Option<&Tuple> {
-        self.tuples.iter().find(|t| t.id == id)
+        self.positions.get(&id).map(|&at| &self.tuples[at])
     }
 
-    /// Deletes a tuple by id; returns whether a tuple was removed.
+    /// Deletes a tuple by id in O(1); returns whether a tuple was removed.
+    /// The last tuple takes the deleted one's place in
+    /// [`Relation::tuples`].
     pub fn delete(&mut self, id: TupleId) -> bool {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| t.id != id);
-        before != self.tuples.len()
+        let Some(at) = self.positions.remove(&id) else {
+            return false;
+        };
+        self.tuples.swap_remove(at);
+        if let Some(moved) = self.tuples.get(at) {
+            self.positions.insert(moved.id, at);
+        }
+        true
     }
 
     /// Runs a selection query with a full scan, returning matching tuples
@@ -274,5 +306,105 @@ mod tests {
         let attr = r.schema().attr_id("EId").unwrap();
         assert_eq!(r.matching_ids(attr, &Value::from("E259")).len(), 2);
         assert!(r.matching_ids(attr, &Value::from("E000")).is_empty());
+    }
+
+    #[test]
+    fn delete_moves_the_last_tuple_into_the_gap() {
+        let mut r = people();
+        assert!(r.delete(TupleId::new(1)));
+        let ids: Vec<u64> = r.tuples().iter().map(|t| t.id.raw()).collect();
+        assert_eq!(ids, vec![0, 3, 2]);
+        assert_eq!(r.get(TupleId::new(3)).unwrap().values[1], Value::Int(3));
+        assert!(r.delete(TupleId::new(2)), "the last slot deletes cleanly");
+        assert_eq!(r.get(TupleId::new(3)).unwrap().id, TupleId::new(3));
+        assert_eq!(r.len(), 2);
+    }
+
+    /// The reference [`Relation`] is checked against: a `Vec` it scans.
+    #[derive(Default)]
+    struct ScanModel {
+        tuples: Vec<Tuple>,
+        next_id: u64,
+    }
+
+    impl ScanModel {
+        fn get(&self, id: TupleId) -> Option<&Tuple> {
+            self.tuples.iter().find(|t| t.id == id)
+        }
+
+        fn insert_with_id(&mut self, id: TupleId, values: Vec<Value>) -> bool {
+            if self.get(id).is_some() {
+                return false;
+            }
+            self.next_id = self.next_id.max(id.raw() + 1);
+            self.tuples.push(Tuple::new(id, values));
+            true
+        }
+
+        fn delete(&mut self, id: TupleId) -> bool {
+            let before = self.tuples.len();
+            self.tuples.retain(|t| t.id != id);
+            before != self.tuples.len()
+        }
+    }
+
+    fn sorted(tuples: &[Tuple]) -> Vec<Tuple> {
+        let mut out = tuples.to_vec();
+        out.sort_by_key(|t| t.id);
+        out
+    }
+
+    proptest::proptest! {
+        /// Random sequences of inserts (fresh and explicit ids, repeats
+        /// included), deletes (first, middle, last, absent) and gets leave
+        /// the relation equal to the linear-scan model after every step.
+        #[test]
+        fn relation_matches_a_linear_scan_model(
+            ops in proptest::collection::vec((0u8..8, 0u64..16, -3i64..3), 0..64)
+        ) {
+            let schema = Schema::from_pairs(&[("A", DataType::Int)]).unwrap();
+            let mut r = Relation::new("T", schema);
+            let mut model = ScanModel::default();
+            for (kind, id, v) in ops {
+                let row = vec![Value::Int(v)];
+                let at = |pos: usize| r.tuples().get(pos).map(|t| t.id);
+                match kind {
+                    0 => {
+                        let fresh = r.insert(row.clone()).unwrap();
+                        proptest::prop_assert_eq!(fresh.raw(), model.next_id);
+                        model.insert_with_id(fresh, row);
+                    }
+                    1 | 2 => {
+                        let id = TupleId::new(id);
+                        let stored = r.insert_with_id(id, row.clone()).is_ok();
+                        proptest::prop_assert_eq!(stored, model.insert_with_id(id, row));
+                    }
+                    3..=6 => {
+                        let len = r.len();
+                        let target = match kind {
+                            3 => at(0),
+                            4 => at(len / 2),
+                            5 => len.checked_sub(1).and_then(at),
+                            _ => Some(TupleId::new(1_000 + id)),
+                        };
+                        if let Some(target) = target {
+                            proptest::prop_assert_eq!(r.delete(target), model.delete(target));
+                        }
+                    }
+                    _ => {
+                        let id = TupleId::new(id);
+                        proptest::prop_assert_eq!(r.get(id), model.get(id));
+                    }
+                }
+                proptest::prop_assert_eq!(r.len(), model.tuples.len());
+                proptest::prop_assert_eq!(sorted(r.tuples()), sorted(&model.tuples));
+                for raw in 0..model.next_id + 2 {
+                    let id = TupleId::new(raw);
+                    proptest::prop_assert_eq!(r.get(id), model.get(id));
+                }
+                let mut probe = r.clone();
+                proptest::prop_assert_eq!(probe.insert(vec![Value::Int(0)]).unwrap().raw(), model.next_id);
+            }
+        }
     }
 }

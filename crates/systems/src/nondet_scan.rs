@@ -63,7 +63,7 @@ impl SecureSelectionEngine for NonDetScanEngine {
         values: &[Value],
     ) -> Result<Vec<TupleId>> {
         self.searchable_attr()?;
-        let column = cloud.download_encrypted_attr_column();
+        let column = cloud.download_encrypted_attr_column()?;
         let mut matching = Vec::new();
         for (id, ct) in &column {
             if values.contains(&owner.decrypt_value(ct)?) {
