@@ -244,7 +244,7 @@ fn main() {
         sections_ok &= print_pipeline(shards.unwrap_or(2).max(2));
     }
     if run_all || which == "employee" {
-        print_employee();
+        sections_ok &= print_employee();
     }
 
     drop(trace_root);
@@ -982,7 +982,7 @@ fn print_service(shards: usize, workers: Option<usize>, owners: usize) -> bool {
 /// Prints the pipelined-vs-lock-step comparison and the experiment's own
 /// metrics registry (buffer-pool reuse counters); returns whether the
 /// gate held (strictly faster, blocked-read self-time shrank, identical
-/// answers, security intact, pool hits nonzero, v1 frames still decode).
+/// answers, security intact, pool hits nonzero).
 fn print_pipeline(shards: usize) -> bool {
     println!(
         "== Pipelined wire dispatch vs lock-step over {shards} loopback shard daemons \
@@ -991,7 +991,7 @@ fn print_pipeline(shards: usize) -> bool {
     match pipeline::run(shards, 4, pds_core::DEFAULT_PIPELINE_WINDOW, 3, 42) {
         Ok(o) => {
             println!(
-                "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8} {:>8}",
+                "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8}",
                 "shards",
                 "queries",
                 "window",
@@ -999,11 +999,10 @@ fn print_pipeline(shards: usize) -> bool {
                 "pipelined s",
                 "speedup",
                 "exact?",
-                "secure?",
-                "v1 ok?"
+                "secure?"
             );
             println!(
-                "{:>8} {:>8} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8} {:>8}",
+                "{:>8} {:>8} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8}",
                 o.shards,
                 o.queries,
                 o.window,
@@ -1011,8 +1010,7 @@ fn print_pipeline(shards: usize) -> bool {
                 o.pipelined_sec,
                 o.speedup(),
                 o.exact,
-                o.secure,
-                o.v1_compat
+                o.secure
             );
             println!(
                 "wire.call self-time (client blocked on response reads, {} reps): \
@@ -1027,7 +1025,7 @@ fn print_pipeline(shards: usize) -> bool {
             if !o.holds() {
                 eprintln!(
                     "pipeline failed its gate (needs strictly faster wall-clock, shrinking \
-                     wire.call self-time, identical answers, security, pool hits, v1 compat)"
+                     wire.call self-time, identical answers, security, pool hits)"
                 );
             }
             println!();
@@ -1041,7 +1039,32 @@ fn print_pipeline(shards: usize) -> bool {
     }
 }
 
-fn print_employee() {
+/// Prints the Employee example's adversarial views without and with QB
+/// (Tables II and III); returns whether, after the exhaustive workload,
+/// the naive view fails partitioned data security and the QB view
+/// satisfies it, as the paper's tables show.
+fn print_employee() -> bool {
+    println!("== Tables II & III: adversarial views for the Employee example ==");
+    match employee_views() {
+        Ok((false, true)) => true,
+        Ok((naive_secure, qb_secure)) => {
+            eprintln!(
+                "employee failed its gate (needs the naive view insecure and the QB view \
+                 secure; got {naive_secure} and {qb_secure})"
+            );
+            false
+        }
+        Err(e) => {
+            eprintln!("employee failed: {e}");
+            false
+        }
+    }
+}
+
+/// Runs the Employee example through the naive executor (Table II) and
+/// through QB (Table III), printing each view, and returns whether each
+/// view satisfies partitioned data security after the exhaustive workload.
+fn employee_views() -> pds_common::Result<(bool, bool)> {
     use pds_cloud::{CloudServer, DbOwner, NetworkModel};
     use pds_core::executor::NaivePartitionedExecutor;
     use pds_core::{BinningConfig, QbExecutor, QueryBinning};
@@ -1049,48 +1072,43 @@ fn print_employee() {
     use pds_systems::NonDetScanEngine;
     use pds_workload::{employee_relation, employee_sensitivity_policy};
 
-    println!("== Tables II & III: adversarial views for the Employee example ==");
     let rel = employee_relation();
-    let policy = employee_sensitivity_policy(&rel).unwrap();
-    let parts = Partitioner::new(policy).split(&rel).unwrap();
+    let policy = employee_sensitivity_policy(&rel)?;
+    let parts = Partitioner::new(policy).split(&rel)?;
 
     // Table II: naive partitioned execution.
     let mut naive = NaivePartitionedExecutor::new("EId", NonDetScanEngine::new());
     let mut owner = DbOwner::new(3);
     let mut cloud = CloudServer::new(NetworkModel::paper_wan());
-    naive.outsource(&mut owner, &mut cloud, &parts).unwrap();
+    naive.outsource(&mut owner, &mut cloud, &parts)?;
     for eid in ["E259", "E101", "E199"] {
-        naive.select(&mut owner, &mut cloud, &eid.into()).unwrap();
+        naive.select(&mut owner, &mut cloud, &eid.into())?;
     }
     println!("-- without QB (Table II) --");
     print!("{}", cloud.adversarial_view().render_table());
     // Let the adversary observe queries for every value before judging.
     for eid in ["E101", "E152", "E159", "E254"] {
-        naive.select(&mut owner, &mut cloud, &eid.into()).unwrap();
+        naive.select(&mut owner, &mut cloud, &eid.into())?;
     }
-    let naive_report = pds_adversary::check_partitioned_security(cloud.adversarial_view());
-    println!(
-        "partitioned data security holds (after exhaustive workload): {}\n",
-        naive_report.is_secure()
-    );
+    let naive_secure =
+        pds_adversary::check_partitioned_security(cloud.adversarial_view()).is_secure();
+    println!("partitioned data security holds (after exhaustive workload): {naive_secure}\n");
 
     // Table III: the same queries through QB.
-    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
+    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default())?;
     let mut qb = QbExecutor::new(binning, NonDetScanEngine::new());
     let mut owner = DbOwner::new(3);
     let mut cloud = CloudServer::new(NetworkModel::paper_wan());
-    qb.outsource(&mut owner, &mut cloud, &parts).unwrap();
+    qb.outsource(&mut owner, &mut cloud, &parts)?;
     for eid in ["E259", "E101", "E199"] {
-        qb.select(&mut owner, &mut cloud, &eid.into()).unwrap();
+        qb.select(&mut owner, &mut cloud, &eid.into())?;
     }
     println!("-- with QB (Table III) --");
     print!("{}", cloud.adversarial_view().render_table());
     for eid in ["E101", "E152", "E159", "E254"] {
-        qb.select(&mut owner, &mut cloud, &eid.into()).unwrap();
+        qb.select(&mut owner, &mut cloud, &eid.into())?;
     }
-    let qb_report = pds_adversary::check_partitioned_security(cloud.adversarial_view());
-    println!(
-        "partitioned data security holds (after exhaustive workload): {}\n",
-        qb_report.is_secure()
-    );
+    let qb_secure = pds_adversary::check_partitioned_security(cloud.adversarial_view()).is_secure();
+    println!("partitioned data security holds (after exhaustive workload): {qb_secure}\n");
+    Ok((naive_secure, qb_secure))
 }

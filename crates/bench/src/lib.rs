@@ -19,7 +19,7 @@
 //! | [`planner`] | beyond the paper — the cost-based optimizer: measured calibration, per-shard engine choice under the workload-skew advantage constraint, residual pushdown; gated on beating every equally-secure homogeneous deployment |
 //! | [`rwmix`] | beyond the paper — read/write mixes over the Employee workload driving cache invalidation on insert under load |
 //! | [`service`] | beyond the paper — real TCP shard daemons: concurrent multi-tenant owners in a closed loop, throughput vs worker-pool size with p50/p99 latency, gated on exact answers and composed security |
-//! | [`pipeline`] | beyond the paper — pipelined wire dispatch vs lock-step over the same daemons: correlated in-flight windows, gated on strictly faster wall-clock, shrinking blocked-read self-time, identical answers, intact security, buffer-pool reuse and v1 frame compatibility |
+//! | [`pipeline`] | beyond the paper — pipelined wire dispatch vs lock-step over the same daemons: correlated in-flight windows, gated on strictly faster wall-clock, shrinking blocked-read self-time, identical answers, intact security and buffer-pool reuse |
 //!
 //! [`deploy`] holds the shared machinery: building a partitioned TPC-H-like
 //! deployment (single-server or sharded) at a target sensitivity ratio,

@@ -23,10 +23,7 @@
 //! * **security intact** — per-shard and composed partitioned-security
 //!   checks pass after the daemons hand their servers back;
 //! * **hot-path reuse** — the `pds-proto` buffer pool served codec
-//!   buffers from its free list (`pds_wire_buf_reuse_total` hits > 0);
-//! * **version compatibility** — a legacy v1 frame (no correlation id)
-//!   still decodes through the v2 codec, and a v2 frame round-trips its
-//!   correlation id.
+//!   buffers from its free list (`pds_wire_buf_reuse_total` hits > 0).
 //!
 //! Pool counters are flushed into the *experiment's own* metrics
 //! [`Registry`] — never the daemons' (their stats snapshots are gated
@@ -44,10 +41,7 @@ use pds_cloud::{
 use pds_common::{PdsError, Result, Value};
 use pds_core::{BinningConfig, QbExecutor, QueryBinning};
 use pds_obs::Registry;
-use pds_proto::{
-    crc32, decode_frame_corr, frame::MAGIC, pool_stats, Hello, PoolStats, WireMessage, HEADER_LEN,
-    VERSION_V1,
-};
+use pds_proto::{pool_stats, PoolStats};
 use pds_storage::{Partitioner, Tuple};
 use pds_systems::DeterministicIndexEngine;
 use pds_workload::{employee_relation, employee_sensitivity_policy};
@@ -74,9 +68,6 @@ pub struct PipelineOutcome {
     pub wire_call_pipe_ns: u64,
     /// Buffer-pool counter deltas over the whole experiment.
     pub pool: PoolStats,
-    /// Whether a hand-rolled v1 frame decoded through the v2 codec and
-    /// a v2 frame round-tripped its correlation id.
-    pub v1_compat: bool,
     /// Whether every arm's every answer equalled the threaded reference.
     pub exact: bool,
     /// Whether per-shard and composed security held afterwards.
@@ -98,7 +89,6 @@ impl PipelineOutcome {
         self.shards >= 2
             && self.exact
             && self.secure
-            && self.v1_compat
             && self.pipelined_sec < self.lock_step_sec
             && self.wire_call_pipe_ns < self.wire_call_lock_ns
             && self.pool.hits > 0
@@ -117,37 +107,6 @@ impl PipelineOutcome {
             registry.counter_set("pds_wire_buf_reuse_total", &[("event", event)], value);
         }
     }
-}
-
-/// Proves the frame codec's version compatibility without touching the
-/// network: a v2 frame must round-trip its correlation id, and a
-/// hand-rolled legacy v1 frame (8-byte header, no correlation id) must
-/// still decode — as correlation id 0 — through the same decoder.
-pub fn v1_frames_still_decode() -> bool {
-    let msg = WireMessage::Hello(Hello { tenant: 42 });
-    let v2 = match msg.encode_framed(77) {
-        Ok(f) => f,
-        Err(_) => return false,
-    };
-    let v2_ok = matches!(
-        decode_frame_corr(&v2),
-        Ok((_, 77, payload)) if payload == &v2[HEADER_LEN..v2.len() - 4]
-    );
-
-    let payload = &v2[HEADER_LEN..v2.len() - 4];
-    let mut v1 = Vec::with_capacity(payload.len() + 12);
-    v1.extend_from_slice(&MAGIC);
-    v1.push(VERSION_V1);
-    v1.push(v2[3]); // same message type
-    v1.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    v1.extend_from_slice(payload);
-    let crc = crc32(&v1);
-    v1.extend_from_slice(&crc.to_be_bytes());
-    let v1_ok = match decode_frame_corr(&v1) {
-        Ok((ty, corr, body)) => ty == v2[3] && corr == 0 && body == payload,
-        Err(_) => false,
-    };
-    v2_ok && v1_ok
 }
 
 struct Deployment {
@@ -311,7 +270,6 @@ pub fn run(
             returns: pool_after.returns - pool_before.returns,
             reader_grows: pool_after.reader_grows - pool_before.reader_grows,
         },
-        v1_compat: v1_frames_still_decode(),
         exact,
         secure,
     })
@@ -321,11 +279,6 @@ pub fn run(
 mod tests {
     use super::*;
     use pds_core::DEFAULT_PIPELINE_WINDOW;
-
-    #[test]
-    fn v1_compat_check_passes_on_the_live_codec() {
-        assert!(v1_frames_still_decode());
-    }
 
     #[test]
     fn pipeline_gate_holds_on_a_smoke_run() {
@@ -338,7 +291,6 @@ mod tests {
         for _ in 0..2 {
             assert!(outcome.exact, "answers diverged: {outcome:?}");
             assert!(outcome.secure, "security broke: {outcome:?}");
-            assert!(outcome.v1_compat);
             assert!(outcome.pool.hits > 0, "pool never hit: {:?}", outcome.pool);
             if outcome.holds() {
                 break;
@@ -347,7 +299,6 @@ mod tests {
         }
         assert!(outcome.exact, "answers diverged: {outcome:?}");
         assert!(outcome.secure, "security broke: {outcome:?}");
-        assert!(outcome.v1_compat);
         assert!(outcome.pool.hits > 0, "pool never hit: {:?}", outcome.pool);
         assert!(
             outcome.pipelined_sec < outcome.lock_step_sec,

@@ -42,7 +42,10 @@ pub struct Metrics {
     pub round_trips: u64,
     /// Tuples returned to the owner (sensitive + non-sensitive).
     pub tuples_returned: u64,
-    /// Fake tuples returned (QB general case padding).
+    /// Fake tuples returned (QB general case padding).  Nothing adds to
+    /// it, so it reads 0 by construction: the cloud cannot tell a padding
+    /// fake from a real row — that is what the padding is for — and only
+    /// the owner's `qmerge` recognises fakes, by tuple id.
     pub fake_tuples_returned: u64,
     /// Bin-pair retrievals answered from the owner-side hot-bin cache
     /// (no cloud interaction at all).

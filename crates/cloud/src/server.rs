@@ -16,8 +16,9 @@
 //! [`CloudServer::serve`], so both transports record the same view and
 //! the same counters.  [`BinEpisodeRequest`] is the owner-side episode an
 //! engine turns into that request.  The only other query entry point is
-//! [`CloudServer::fetch_bin_oblivious`], for the enclave simulators whose
-//! tokens only the engine-side enclave can resolve.
+//! [`CloudServer::fetch_bin_oblivious`], the enclave simulators' only way
+//! in: their tokens only the engine-side enclave can resolve, and each of
+//! their selections is one such exchange.
 
 //! ## Byte accounting: frames sized structurally
 //!
@@ -363,11 +364,11 @@ impl CloudServer {
 
     /// Notes that the owner sent `count` encrypted (opaque) search values as
     /// part of the current query (QB sends |SB| of them) to a cloud-side
-    /// evaluator — the share servers, the two DPF servers, an SGX enclave
-    /// or an MPC committee — that touched `scanned` stored tuples to
-    /// answer them.  The token bytes travel as one opaque frame, so the
-    /// charged size is the engine's payload estimate plus the real framing
-    /// overhead; no data comes back in this round.
+    /// evaluator — the share servers or the two DPF servers — that touched
+    /// `scanned` stored tuples to locate the matching rows.  The token
+    /// bytes travel as one opaque frame, so the charged size is the
+    /// engine's payload estimate plus the real framing overhead; no data
+    /// comes back in this round.
     pub fn note_encrypted_request(&mut self, count: usize, bytes: usize, scanned: usize) {
         self.view.observe_encrypted_request(count);
         self.metrics.encrypted_tuples_scanned += scanned as u64;
@@ -376,16 +377,6 @@ impl CloudServer {
     }
 
     // ----- plaintext side ---------------------------------------------------
-
-    /// Executes a clear-text `IN` selection on the non-sensitive relation:
-    /// one [`CloudServer::fetch_bin`] carrying only `values`.
-    pub fn plain_select_in(&mut self, values: &[Value]) -> Result<Vec<Tuple>> {
-        let request = FetchBinRequest {
-            values: values.to_vec(),
-            ..FetchBinRequest::default()
-        };
-        Ok(self.fetch_bin(&request)?.0)
-    }
 
     /// The outsourced plaintext relation, if any.
     pub fn plain_relation(&self) -> Option<&Relation> {
@@ -424,18 +415,6 @@ impl CloudServer {
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
         Ok(out)
-    }
-
-    /// Fetches full encrypted tuples by storage address: one
-    /// [`CloudServer::fetch_bin`] carrying only `ids`.  The addresses are
-    /// what access-pattern leakage reveals, so they enter the adversarial
-    /// view as the sensitive side of the episode.
-    pub fn fetch_encrypted(&mut self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
-        let request = FetchBinRequest {
-            ids: ids.iter().map(|id| id.raw()).collect(),
-            ..FetchBinRequest::default()
-        };
-        Ok(self.fetch_bin(&request)?.1)
     }
 
     /// The tuple ciphertexts stored at `ids`, in request order; an unknown
@@ -531,7 +510,9 @@ impl CloudServer {
     /// tokens, which ride as its `tags`, and selected `matching`.  Like
     /// [`CloudServer::fetch_bin`] it is one request frame, one payload
     /// frame and one round; the tokens are counted in the view but looked
-    /// up in no index.
+    /// up in no index.  It is the enclave simulators' only entry: each of
+    /// their selections, standalone or inside an episode, is one such
+    /// exchange.
     pub fn fetch_bin_oblivious(
         &mut self,
         request: &FetchBinRequest,
@@ -680,6 +661,26 @@ mod tests {
         s
     }
 
+    /// A clear-text `IN` selection: one [`CloudServer::fetch_bin`] carrying
+    /// only `values`.
+    fn plain_select(s: &mut CloudServer, values: &[Value]) -> Result<Vec<Tuple>> {
+        let request = FetchBinRequest {
+            values: values.to_vec(),
+            ..FetchBinRequest::default()
+        };
+        Ok(s.fetch_bin(&request)?.0)
+    }
+
+    /// A fetch by storage address: one [`CloudServer::fetch_bin`] carrying
+    /// only `ids`.
+    fn fetch_ids(s: &mut CloudServer, ids: &[u64]) -> Result<Vec<(TupleId, Ciphertext)>> {
+        let request = FetchBinRequest {
+            ids: ids.to_vec(),
+            ..FetchBinRequest::default()
+        };
+        Ok(s.fetch_bin(&request)?.1)
+    }
+
     #[test]
     fn upload_counts_bytes() {
         let s = server();
@@ -693,9 +694,7 @@ mod tests {
     fn plain_select_records_view() {
         let mut s = server();
         s.begin_query();
-        let out = s
-            .plain_select_in(&[Value::from("E259"), Value::from("E254")])
-            .unwrap();
+        let out = plain_select(&mut s, &[Value::from("E259"), Value::from("E254")]).unwrap();
         s.end_query();
         assert_eq!(out.len(), 2);
         let ep = &s.adversarial_view().episodes()[0];
@@ -708,17 +707,15 @@ mod tests {
     #[test]
     fn plain_select_without_upload_errors() {
         let mut s = CloudServer::default();
-        assert!(s.plain_select_in(&[Value::from("x")]).is_err());
+        assert!(plain_select(&mut s, &[Value::from("x")]).is_err());
     }
 
     #[test]
-    fn fetch_encrypted_records_access_pattern() {
+    fn an_address_fetch_records_the_access_pattern() {
         let mut s = server();
         s.begin_query();
         s.note_encrypted_request(2, 64, 0);
-        let out = s
-            .fetch_encrypted(&[TupleId::new(101), TupleId::new(103)])
-            .unwrap();
+        let out = fetch_ids(&mut s, &[101, 103]).unwrap();
         s.end_query();
         assert_eq!(out.len(), 2);
         let ep = &s.adversarial_view().episodes()[0];
@@ -727,7 +724,7 @@ mod tests {
             ep.sensitive_returned[..],
             [TupleId::new(101), TupleId::new(103)]
         );
-        assert!(s.fetch_encrypted(&[TupleId::new(999)]).is_err());
+        assert!(fetch_ids(&mut s, &[999]).is_err());
     }
 
     #[test]
@@ -804,7 +801,7 @@ mod tests {
 
         let mut plain_cloud = server();
         let before = *plain_cloud.metrics();
-        let unfiltered = plain_cloud.plain_select_in(&bin).unwrap();
+        let unfiltered = plain_select(&mut plain_cloud, &bin).unwrap();
         let plain_down = plain_cloud.metrics().delta_since(&before).bytes_downloaded;
 
         let mut cloud = server();
@@ -902,7 +899,7 @@ mod tests {
         let before = *s.metrics();
         s.begin_query();
         let values = [Value::from("E259"), Value::from("E254")];
-        let tuples = s.plain_select_in(&values).unwrap();
+        let tuples = plain_select(&mut s, &values).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
         let est_up: usize = values.iter().map(Value::size_bytes).sum();
@@ -942,9 +939,9 @@ mod tests {
         let before = *s.metrics();
         let clock = s.comm_time();
         s.begin_query();
-        s.plain_select_in(&[Value::from("E259")]).unwrap();
+        plain_select(&mut s, &[Value::from("E259")]).unwrap();
         s.note_encrypted_request(2, 64, 0);
-        s.fetch_encrypted(&[TupleId::new(101)]).unwrap();
+        fetch_ids(&mut s, &[101]).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
         assert_eq!(d.round_trips, 3);
@@ -959,7 +956,7 @@ mod tests {
     fn reset_metrics_keeps_view() {
         let mut s = server();
         s.begin_query();
-        s.plain_select_in(&[Value::from("E259")]).unwrap();
+        plain_select(&mut s, &[Value::from("E259")]).unwrap();
         s.end_query();
         s.reset_metrics();
         assert_eq!(s.metrics().total_bytes(), 0);
@@ -968,7 +965,7 @@ mod tests {
         // no earlier traffic (the outsourcing uploads).
         assert_eq!(s.comm_time(), 0.0);
         s.begin_query();
-        s.plain_select_in(&[Value::from("E259")]).unwrap();
+        plain_select(&mut s, &[Value::from("E259")]).unwrap();
         s.end_query();
         let bytes = s.metrics().total_bytes() as usize;
         assert_eq!(s.comm_time(), s.network().transfer_time(bytes));
@@ -980,9 +977,9 @@ mod tests {
         let mut s = server();
         let before = *s.metrics();
         s.begin_query();
-        s.plain_select_in(&[Value::from("E259")]).unwrap();
+        plain_select(&mut s, &[Value::from("E259")]).unwrap();
         s.note_encrypted_request(2, 64, 0);
-        s.fetch_encrypted(&[TupleId::new(101)]).unwrap();
+        fetch_ids(&mut s, &[101]).unwrap();
         s.end_query();
         let d = s.metrics().delta_since(&before);
         assert_eq!(d.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 2);
@@ -1064,8 +1061,9 @@ mod tests {
         let mut apart = server();
         let before = *apart.metrics();
         apart.begin_query();
-        let plain = apart.plain_select_in(&values).unwrap();
-        let rows = apart.fetch_encrypted(&ids).unwrap();
+        let plain = plain_select(&mut apart, &values).unwrap();
+        let raw: Vec<u64> = ids.iter().map(|id| id.raw()).collect();
+        let rows = fetch_ids(&mut apart, &raw).unwrap();
         apart.end_query();
         let d_apart = apart.metrics().delta_since(&before);
 
@@ -1145,7 +1143,7 @@ mod tests {
         assert_eq!(d.bytes_downloaded, ack.encode().unwrap().len() as u64);
         assert_eq!(d.round_trips, 0, "an insert is no query round");
         assert_eq!((s.plain_len(), s.encrypted_len()), (6, 5));
-        let out = s.plain_select_in(&[Value::from("E501")]).unwrap();
+        let out = plain_select(&mut s, &[Value::from("E501")]).unwrap();
         assert_eq!(out.len(), 1, "the index serves the second tuple");
     }
 
@@ -1164,8 +1162,7 @@ mod tests {
             assert_eq!(*s.metrics(), before, "nothing charged");
             assert_eq!((s.plain_len(), s.encrypted_len()), (4, 4), "nothing stored");
             assert!(s.plain_relation().unwrap().get(TupleId::new(500)).is_none());
-            assert!(s
-                .plain_select_in(&[Value::from("E500")])
+            assert!(plain_select(&mut s, &[Value::from("E500")])
                 .unwrap()
                 .is_empty());
         }
@@ -1181,11 +1178,13 @@ mod tests {
         ))
         .unwrap();
         assert_eq!((a.plain_len(), b.plain_len()), (5, 4));
-        assert!(b
-            .plain_select_in(&[Value::from("E300")])
+        assert!(plain_select(&mut b, &[Value::from("E300")])
             .unwrap()
             .is_empty());
-        assert_eq!(a.plain_select_in(&[Value::from("E300")]).unwrap().len(), 1);
+        assert_eq!(
+            plain_select(&mut a, &[Value::from("E300")]).unwrap().len(),
+            1
+        );
     }
 
     #[test]
@@ -1198,7 +1197,7 @@ mod tests {
         );
         s.insert_plaintext(tuple).unwrap();
         assert_eq!(s.plain_len(), 5);
-        let out = s.plain_select_in(&[Value::from("E300")]).unwrap();
+        let out = plain_select(&mut s, &[Value::from("E300")]).unwrap();
         assert_eq!(out.len(), 1, "index serves the inserted tuple");
         let d = s.metrics().delta_since(&before);
         assert!(d.frames_of_type(pds_proto::msg_tag::INSERT_REQUEST) >= 1);

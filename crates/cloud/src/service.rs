@@ -159,7 +159,7 @@ struct Job {
     tenant: u64,
     /// Correlation id from the request frame's header, stamped verbatim on
     /// the response frame so a pipelining client can demux out-of-order
-    /// answers (0 for legacy v1 requests).
+    /// answers (0 when the client sent an uncorrelated frame).
     corr: u64,
     msg: WireMessage,
     writer: Arc<OrderedMutex<TcpStream>>,
@@ -650,6 +650,8 @@ fn flush_tenant_stats(state: &SharedState, tenant: u64, server: &CloudServer) {
     );
     registry.counter_set("pds_round_trips_total", labels, m.round_trips);
     registry.counter_set("pds_tuples_returned_total", labels, m.tuples_returned);
+    // Always 0: the cloud cannot tell a padding fake from a real row (only
+    // the owner's `qmerge` can), so nothing ever adds to this counter.
     registry.counter_set(
         "pds_fake_tuples_returned_total",
         labels,

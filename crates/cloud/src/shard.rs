@@ -326,6 +326,7 @@ mod tests {
     use crate::store::EncryptedRow;
     use pds_common::{TupleId, Value};
     use pds_crypto::NonDetCipher;
+    use pds_proto::FetchBinRequest;
     use pds_storage::{DataType, Schema};
 
     fn plain_relation() -> Relation {
@@ -397,9 +398,12 @@ mod tests {
             assert_eq!(shard.plain_len(), 3, "every shard holds the replica");
         }
         let shard = BinRoutedCloud::route_sensitive_bin(&router, 2);
-        let out = router
+        let (out, _) = router
             .shard_mut(shard)
-            .plain_select_in(&[Value::from("E259")])
+            .fetch_bin(&FetchBinRequest {
+                values: vec![Value::from("E259")],
+                ..FetchBinRequest::default()
+            })
             .unwrap();
         assert_eq!(out.len(), 1);
         // Exactly one shard observed the request (the other views are empty).
@@ -456,7 +460,10 @@ mod tests {
             router.shard_mut(shard).begin_query();
             router
                 .shard_mut(shard)
-                .plain_select_in(&[Value::from("E199")])
+                .fetch_bin(&FetchBinRequest {
+                    values: vec![Value::from("E199")],
+                    ..FetchBinRequest::default()
+                })
                 .unwrap();
             router.shard_mut(shard).end_query();
         }

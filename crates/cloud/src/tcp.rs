@@ -49,8 +49,9 @@ pub struct TcpShardConn {
     frames: FrameReader,
     /// Where this connection counts the frame bytes it moves.
     bytes: Arc<SocketBytes>,
-    /// Next correlation id; starts at 1 so 0 stays "uncorrelated" (the v1
-    /// wire value), and never repeats within a connection's lifetime.
+    /// Next correlation id; starts at 1 so 0 stays "uncorrelated" (what
+    /// the daemon stamps on its refusal of a frame it could not decode),
+    /// and never repeats within a connection's lifetime.
     next_corr: u64,
     /// Frames enqueued but not yet flushed to the socket (pooled buffers —
     /// flushing returns them to the codec pool).
@@ -171,13 +172,14 @@ impl TcpShardConn {
 
     /// One lock-step request/response exchange: write the encoded frame,
     /// read exactly one response frame, and check it answers this request.
+    /// Correlation id 0 is accepted only on an `Error` frame: the daemon
+    /// stamps 0 only when it refuses a frame it could not decode.
     pub fn call(&mut self, msg: &WireMessage) -> Result<WireMessage> {
         let sent = self.enqueue(msg)?;
         self.flush()?;
         let (corr, resp) = self.recv_response()?;
-        // A v1 daemon answers with corr 0; only a *different* request's id
-        // is a protocol violation.
-        if corr != sent && corr != 0 {
+        let uncorrelated_refusal = corr == 0 && matches!(resp, WireMessage::Error(_));
+        if corr != sent && !uncorrelated_refusal {
             return Err(PdsError::Wire(format!(
                 "response correlation id {corr} does not answer request {sent}"
             )));
@@ -428,7 +430,58 @@ impl TcpCloudClient {
 
 #[cfg(test)]
 mod tests {
-    use super::CorrelationWindow;
+    use super::{CorrelationWindow, TcpShardConn};
+    use pds_common::PdsError;
+    use pds_proto::{error_frame, read_frame, ReadFrame, WireMessage};
+    use std::io::Write;
+    use std::net::{SocketAddr, TcpListener};
+
+    /// A peer that echoes the handshake under its correlation id, reads
+    /// one more frame and answers it with `answer` under correlation id 0.
+    fn uncorrelated_peer(answer: WireMessage) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = stream.try_clone().unwrap();
+            let mut next_frame = || match read_frame(&mut reader).unwrap() {
+                ReadFrame::Frame(bytes) => WireMessage::decode_corr(&bytes).unwrap(),
+                other => panic!("expected a frame, got {other:?}"),
+            };
+            let (corr, hello) = next_frame();
+            stream
+                .write_all(hello.encode_framed(corr).unwrap().as_ref())
+                .unwrap();
+            next_frame();
+            stream
+                .write_all(answer.encode_framed(0).unwrap().as_ref())
+                .unwrap();
+        });
+        (addr, peer)
+    }
+
+    /// The daemon stamps correlation id 0 only on its refusal of a frame
+    /// it could not decode, so a lock-step call takes id 0 as an answer
+    /// only on an `Error` frame.
+    #[test]
+    fn call_accepts_correlation_id_zero_only_on_an_error_frame() {
+        let refusal = WireMessage::Error(error_frame(&PdsError::Wire("undecodable".into())));
+        let (addr, peer) = uncorrelated_peer(refusal);
+        let mut conn = TcpShardConn::connect(addr, 7).unwrap();
+        assert!(matches!(
+            conn.call(&WireMessage::StatsRequest),
+            Ok(WireMessage::Error(_))
+        ));
+        peer.join().unwrap();
+
+        let (addr, peer) = uncorrelated_peer(WireMessage::StatsSnapshot(String::new()));
+        let mut conn = TcpShardConn::connect(addr, 7).unwrap();
+        assert!(matches!(
+            conn.call(&WireMessage::StatsRequest),
+            Err(PdsError::Wire(_))
+        ));
+        peer.join().unwrap();
+    }
 
     #[test]
     fn window_resolves_out_of_order() {

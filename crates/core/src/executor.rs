@@ -25,9 +25,11 @@
 //!    positives, and merges the two result streams (`qmerge` of §II).
 //!
 //! All entry points — [`QbExecutor::select`], [`QbExecutor::fetch_bin_pair`]
-//! and [`QbExecutor::run_workload_transported`] — share this one
-//! plan→execute code path, so cache bookkeeping, co-observation tracking
-//! and security-view recording behave identically however a query arrives.
+//! and [`QbExecutor::run_workload_transported`] — run one batch of bin
+//! pairs through this one plan→execute code path (a point query is a batch
+//! of one over [`BinTransport::Sequential`]), so cache bookkeeping,
+//! co-observation tracking and security-view recording behave identically
+//! however a query arrives.
 
 use std::collections::HashSet;
 
@@ -37,7 +39,7 @@ use pds_cloud::{
 };
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{PartitionedRelation, Predicate, Relation, Tuple};
-use pds_systems::SecureSelectionEngine;
+use pds_systems::{fine_grained_bin_episode, BinEpisodeOutcome, SecureSelectionEngine};
 
 use crate::binning::{BinPair, QueryBinning};
 use crate::plan::{
@@ -55,29 +57,9 @@ pub const DEFAULT_PIPELINE_WINDOW: usize = 8;
 /// Executed episodes: each one's workload slot, bin pair and result.
 type Episodes = Vec<(usize, BinPair, EpisodeResult)>;
 
-/// Counters describing one QB selection (used by experiments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectionStats {
-    /// Values requested on the sensitive (encrypted) side.
-    pub sensitive_values_requested: usize,
-    /// Values requested on the non-sensitive (clear-text) side.
-    pub nonsensitive_values_requested: usize,
-    /// Tuples returned by the two sub-queries before owner-side filtering.
-    pub tuples_before_filter: usize,
-    /// Tuples in the final answer.
-    pub tuples_in_answer: usize,
-    /// 1 when this retrieval was served from the owner-side hot-bin cache
-    /// (no cloud interaction), else 0.
-    pub cache_hits: usize,
-    /// 1 when this retrieval had to fetch its bin pair from the cloud,
-    /// else 0.
-    pub cache_misses: usize,
-    /// Owner↔cloud rounds the retrieval took (0 on a cache hit; composed,
-    /// 1 on back-ends whose tokens the cloud resolves and 2 on back-ends
-    /// that locate rows by address; one more on the fine-grained path, two
-    /// more for the enclave/MPC simulators).
-    pub rounds: u64,
-}
+/// A batch's raw result streams before `qmerge`: each retrieved slot with
+/// its non-sensitive and its sensitive stream.
+type Streams = Vec<(usize, Vec<Tuple>, Vec<Tuple>)>;
 
 /// The end-to-end Query Binning executor over a chosen secure back-end.
 ///
@@ -118,7 +100,6 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     /// Namespaces the hot-bin cache keys and must match the tenant a
     /// [`BinTransport::Tcp`] client authenticates as.
     tenant: u64,
-    last_stats: SelectionStats,
 }
 
 impl<E: SecureSelectionEngine> QbExecutor<E> {
@@ -139,7 +120,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             fake_id_set: HashSet::new(),
             cache: BinCache::new(0),
             tenant: 0,
-            last_stats: SelectionStats::default(),
         }
     }
 
@@ -299,11 +279,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// (available once outsourced).
     pub fn searchable_attr(&self) -> Option<AttrId> {
         self.sensitive_attr
-    }
-
-    /// Counters describing the most recent selection.
-    pub fn last_stats(&self) -> SelectionStats {
-        self.last_stats
     }
 
     /// Outsources the partitioned relation: `Rns` in clear-text (replicated
@@ -481,11 +456,13 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Fetches (or serves from cache) the raw result streams of one bin
-    /// pair, executing a single-step plan on a miss.  A **hit** requires
-    /// both bins cached *and* the pair previously co-observed by the cloud
-    /// — anything weaker distorts the cloud's view (lone-bin episodes break
-    /// count indistinguishability; serving a never-co-observed pair erases
-    /// a co-occurrence edge); see `pds_cloud::cache`.  On a miss the
+    /// pair, executing a single-step plan on a miss: how an in-batch waiter
+    /// resolves once the batch's fan-out has populated the cache.  A
+    /// **hit** requires both bins cached *and* the pair previously
+    /// co-observed by the cloud — anything weaker distorts the cloud's view
+    /// (lone-bin episodes break count indistinguishability; serving a
+    /// never-co-observed pair erases a co-occurrence edge); see
+    /// `pds_cloud::cache`.  On a miss the
     /// fetched bins are cached individually, so a pair sharing one bin with
     /// this one reuses its contents once that pair has been observed once
     /// itself.  The miss episode runs as a one-step plan through
@@ -524,90 +501,47 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         ))
     }
 
-    /// The retrieval [`QbExecutor::select`] and
-    /// [`QbExecutor::fetch_bin_pair`] share: fetches one pair in process,
-    /// merges its two streams with `merge` (given the fake-id set and the
-    /// residual in force), and records the retrieval's
-    /// [`QbExecutor::last_stats`].
-    fn retrieve_merged<C: BinRoutedCloud>(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut C,
-        pair: BinPair,
-        merge: impl FnOnce(&HashSet<TupleId>, Option<&Predicate>, Vec<Tuple>, Vec<Tuple>) -> Vec<Tuple>,
-    ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("deployment not outsourced yet".into()));
-        }
-        let (ns_tuples, s_tuples, cached, rounds) =
-            self.retrieve_pair(owner, cloud, &BinTransport::Sequential, pair)?;
-        let before = ns_tuples.len() + s_tuples.len();
-        let answer = merge(
-            &self.fake_id_set,
-            self.planner.residual.as_ref(),
-            ns_tuples,
-            s_tuples,
-        );
-        self.last_stats = SelectionStats {
-            sensitive_values_requested: self.binning.sensitive_bin(pair.sensitive_bin).len(),
-            nonsensitive_values_requested: self.binning.nonsensitive_bin_len(pair.nonsensitive_bin),
-            tuples_before_filter: before,
-            tuples_in_answer: answer.len(),
-            cache_hits: usize::from(cached),
-            cache_misses: usize::from(!cached),
-            rounds,
-        };
-        Ok(answer)
-    }
-
-    /// Runs a QB selection for a single value.
+    /// Runs a QB selection for a single value: a one-value
+    /// [`QbExecutor::run_workload_transported`] over
+    /// [`BinTransport::Sequential`].
     pub fn select<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut C,
         value: &Value,
     ) -> Result<Vec<Tuple>> {
-        if !self.outsourced {
-            return Err(PdsError::Query("deployment not outsourced yet".into()));
-        }
-        let Some(pair) = self.binning.retrieve(value) else {
-            // The value occurs nowhere; nothing needs to be retrieved
-            // (Algorithm 2's final case).
-            self.last_stats = SelectionStats::default();
-            return Ok(Vec::new());
-        };
-        let (s_attr, ns_attr) = self.searchable_attrs()?;
-        // qmerge: drop fake tuples (recognised by their ids, which only the
-        // owner knows), keep only tuples matching the actual query value,
-        // and concatenate.
-        self.retrieve_merged(owner, cloud, pair, |fake_ids, residual, ns, s| {
-            merge_point_answer(fake_ids, s_attr, ns_attr, value, residual, ns, s)
-        })
+        let run = self.run_workload_transported(
+            owner,
+            cloud,
+            std::slice::from_ref(value),
+            &BinTransport::Sequential,
+        )?;
+        Ok(run.answers.into_iter().flatten().collect())
     }
 
-    /// Retrieves one bin pair exactly as a point query would (same
-    /// adversarial view, same costs) and returns *all* real tuples of both
-    /// bins without filtering to a particular value.  The range, aggregate
-    /// and join extensions build on this.  [`QbExecutor::last_stats`] is
-    /// refreshed just as for a point query, so extension callers observe the
-    /// counters of their own retrieval rather than a stale previous one.
+    /// Retrieves one bin pair exactly as a point query would (same plan,
+    /// same adversarial view, same costs) and returns *all* real tuples of
+    /// both bins without filtering to a particular value.  The range,
+    /// aggregate and join extensions build on this.
     pub fn fetch_bin_pair<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut C,
         pair: BinPair,
     ) -> Result<Vec<Tuple>> {
-        self.retrieve_merged(owner, cloud, pair, |fake_ids, residual, ns, s| {
-            let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
-            let mut out: Vec<Tuple> = Vec::with_capacity(ns.len() + s.len());
-            for t in s {
-                if !fake_ids.contains(&t.id) && keep(&t) {
-                    out.push(t);
-                }
-            }
+        let (streams, _) =
+            self.run_pairs(owner, cloud, &[Some(pair)], &BinTransport::Sequential)?;
+        let residual = self.planner.residual.as_ref();
+        let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
+        let mut out: Vec<Tuple> = Vec::new();
+        for (_, ns, s) in streams {
+            out.extend(
+                s.into_iter()
+                    .filter(|t| !self.fake_id_set.contains(&t.id) && keep(t)),
+            );
             out.extend(ns.into_iter().filter(|t| keep(t)));
-            out
-        })
+        }
+        Ok(out)
     }
 
     /// Invalidates the hot-bin cache for a planned insert of `value` on the
@@ -659,8 +593,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// before the fan-out — repeat occurrences of a pair within the batch
     /// wait for the first occurrence's fetch and hit afterwards, just as
     /// they would sequentially — and every per-shard engine/owner fork's
-    /// counters are folded back afterwards.  [`QbExecutor::last_stats`] is
-    /// *not* updated (there is no single "last" query in a batch).
+    /// counters are folded back afterwards.
     ///
     /// Every transport runs the batch through the same fan-out
     /// ([`BinTransport::dispatch`]), and [`TransportedRun::rounds`] is the
@@ -680,10 +613,48 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         values: &[Value],
         transport: &BinTransport,
     ) -> Result<TransportedRun> {
+        let (s_attr, ns_attr) = self.searchable_attrs()?;
+        let pairs: Vec<Option<BinPair>> = values.iter().map(|v| self.binning.retrieve(v)).collect();
+        let (streams, mut run) = self.run_pairs(owner, cloud, &pairs, transport)?;
+        for (idx, ns_tuples, s_tuples) in streams {
+            run.answers[idx] = merge_point_answer(
+                &self.fake_id_set,
+                s_attr,
+                ns_attr,
+                &values[idx],
+                self.planner.residual.as_ref(),
+                ns_tuples,
+                s_tuples,
+            );
+        }
+        Ok(run)
+    }
+
+    /// The pair-level batch behind both merges: retrieves `pairs` (one
+    /// answer slot each; `None` for a value that occurs nowhere, which
+    /// needs nothing retrieved — Algorithm 2's final case) through
+    /// `transport` and returns every retrieved slot's raw streams, with
+    /// the batch's counters in a [`TransportedRun`] whose answers the
+    /// caller's merge fills in.
+    ///
+    /// It checks a TCP client against the deployment, compiles the plan —
+    /// cache hits are captured owner-side right away, misses become
+    /// episode steps grouped by the shard hosting their sensitive bin —
+    /// runs the steps through [`QbExecutor::run_steps`], then resolves the
+    /// waiters.  With caching enabled, repeat occurrences of a pair already
+    /// pending in this batch are deferred as waiters instead of fetched
+    /// again, matching one-at-a-time retrieval, where every occurrence
+    /// after the first is a hit.
+    fn run_pairs<C: BinRoutedCloud>(
+        &mut self,
+        owner: &mut DbOwner,
+        cloud: &mut C,
+        pairs: &[Option<BinPair>],
+        transport: &BinTransport,
+    ) -> Result<(Streams, TransportedRun)> {
         if !self.outsourced {
             return Err(PdsError::Query("deployment not outsourced yet".into()));
         }
-        let (s_attr, ns_attr) = self.searchable_attrs()?;
         let shard_count = cloud.shard_count();
         if let BinTransport::Tcp(client) = transport {
             if client.shard_count() != shard_count {
@@ -702,19 +673,10 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             }
         }
 
-        // Compile the batch: cache hits are captured owner-side right away,
-        // misses become episode steps grouped by the shard hosting their
-        // sensitive bin.  With caching enabled, repeat occurrences of a
-        // pair already pending in this batch are deferred as waiters
-        // instead of fetched again — matching the sequential path, where
-        // every occurrence after the first is a hit.  (Their cache lookup
-        // happens after the fan-out, once the first occurrence has
-        // populated the cache.)
-        let plan = self.plan_workload(owner, cloud, values);
+        let plan = self.plan_workload(owner, cloud, pairs);
         let mut cache_hits = plan.cache_served.len();
         let mut cache_misses = plan.step_count();
-        // Each answer slot's two raw streams, merged once all are in.
-        let mut streams: Vec<(usize, Vec<Tuple>, Vec<Tuple>)> = plan
+        let mut streams: Streams = plan
             .cache_served
             .into_iter()
             .map(|served| (served.index, served.nonsensitive, served.sensitive))
@@ -727,8 +689,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
 
         // Waiters look the cache up now that the fan-out has populated it.
         // A waiter can still miss when a later store in the same batch
-        // evicted its bins (tiny capacities); it then fetches on its own,
-        // exactly as the select path would.
+        // evicted its bins (tiny capacities); it then fetches on its own.
         for (idx, pair) in plan.waiters {
             let (ns_tuples, s_tuples, cached, waiter_rounds) =
                 self.retrieve_pair(owner, cloud, transport, pair)?;
@@ -740,26 +701,14 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             }
             streams.push((idx, ns_tuples, s_tuples));
         }
-
-        let mut answers: Vec<Vec<Tuple>> = vec![Vec::new(); values.len()];
-        for (idx, ns_tuples, s_tuples) in streams {
-            answers[idx] = merge_point_answer(
-                &self.fake_id_set,
-                s_attr,
-                ns_attr,
-                &values[idx],
-                self.planner.residual.as_ref(),
-                ns_tuples,
-                s_tuples,
-            );
-        }
-        Ok(TransportedRun {
-            answers,
+        let run = TransportedRun {
+            answers: vec![Vec::new(); pairs.len()],
             wall_clock_sec,
             cache_hits,
             cache_misses,
             rounds,
-        })
+        };
+        Ok((streams, run))
     }
 
     /// Runs planned episode steps, grouped by home shard, through
@@ -878,24 +827,26 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         cloud: &C,
         values: &[Value],
     ) -> QueryPlan {
-        self.plan_workload(owner, cloud, values)
+        let pairs: Vec<Option<BinPair>> = values.iter().map(|v| self.binning.retrieve(v)).collect();
+        self.plan_workload(owner, cloud, &pairs)
     }
 
-    /// Compiles one batch into a [`QueryPlan`]: resolves each value to its
-    /// bin pair, serves what the owner-side cache can, defers in-batch
-    /// repeats as waiters, and groups the remaining episodes by home shard
-    /// in the plan mode's composed or fine-grained shape.
+    /// Compiles one batch of bin pairs (one per answer slot; `None` slots
+    /// need nothing) into a [`QueryPlan`]: serves what the owner-side cache
+    /// can, defers in-batch repeats as waiters, and groups the remaining
+    /// episodes by home shard in the plan mode's composed or fine-grained
+    /// shape.
     fn plan_workload<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &C,
-        values: &[Value],
+        pairs: &[Option<BinPair>],
     ) -> QueryPlan {
         let _span = pds_obs::obs_span("plan.compile");
         let mut plan = QueryPlan::new(cloud.shard_count());
         let mut pending_pairs: HashSet<(usize, usize)> = HashSet::new();
-        for (idx, value) in values.iter().enumerate() {
-            let Some(pair) = self.binning.retrieve(value) else {
+        for (idx, &pair) in pairs.iter().enumerate() {
+            let Some(pair) = pair else {
                 continue;
             };
             let pair_key = (pair.sensitive_bin, pair.nonsensitive_bin);
@@ -943,9 +894,12 @@ pub struct TransportedRun {
     pub cache_hits: usize,
     /// Queries that fetched their bin pair from a shard.
     pub cache_misses: usize,
-    /// Total owner↔cloud rounds over every episode of the batch (cache
-    /// hits contribute none; each episode as many as
-    /// [`SelectionStats::rounds`] describes).
+    /// Total owner↔cloud rounds over every episode of the batch, measured
+    /// as each episode's shard's `round_trips` delta (over TCP, one per
+    /// episode).  Cache hits contribute none.  A composed episode takes 1
+    /// round on det-index, arx and the enclave/MPC simulators and 2 on
+    /// nondet-scan, secret sharing and DPF; a fine-grained one takes one
+    /// more.
     pub rounds: u64,
 }
 
@@ -998,7 +952,6 @@ impl<E: SecureSelectionEngine> std::fmt::Debug for QbExecutor<E> {
 pub struct NaivePartitionedExecutor<E: SecureSelectionEngine> {
     engine: E,
     attr_name: String,
-    sensitive_attr: Option<AttrId>,
     outsourced: bool,
 }
 
@@ -1008,7 +961,6 @@ impl<E: SecureSelectionEngine> NaivePartitionedExecutor<E> {
         NaivePartitionedExecutor {
             engine,
             attr_name: attr_name.into(),
-            sensitive_attr: None,
             outsourced: false,
         }
     }
@@ -1021,7 +973,6 @@ impl<E: SecureSelectionEngine> NaivePartitionedExecutor<E> {
         partitioned: &PartitionedRelation,
     ) -> Result<()> {
         let s_attr = partitioned.sensitive.schema().attr_id(&self.attr_name)?;
-        self.sensitive_attr = Some(s_attr);
         cloud.upload_plaintext(partitioned.nonsensitive.clone(), &self.attr_name)?;
         self.engine
             .outsource(owner, cloud, &partitioned.sensitive, s_attr)?;
@@ -1030,7 +981,8 @@ impl<E: SecureSelectionEngine> NaivePartitionedExecutor<E> {
     }
 
     /// Runs a naive partitioned selection: the exact value goes to both
-    /// sides in a single episode.
+    /// sides in a single episode, the fine-grained episode of the pair
+    /// ({v}, {v}).  The episode ends whether or not it succeeded.
     pub fn select(
         &mut self,
         owner: &mut DbOwner,
@@ -1040,15 +992,20 @@ impl<E: SecureSelectionEngine> NaivePartitionedExecutor<E> {
         if !self.outsourced {
             return Err(PdsError::Query("deployment not outsourced yet".into()));
         }
+        let request = BinEpisodeRequest {
+            sensitive_values: vec![value.clone()],
+            nonsensitive_values: vec![value.clone()],
+            pushdown: None,
+        };
         cloud.begin_query();
-        let ns = cloud.plain_select_in(std::slice::from_ref(value))?;
-        let s = self
-            .engine
-            .select(owner, cloud, std::slice::from_ref(value))?;
+        let outcome = fine_grained_bin_episode(&mut self.engine, owner, cloud, &request);
         cloud.end_query();
-        let mut answer = s;
-        answer.extend(ns);
-        Ok(answer)
+        let BinEpisodeOutcome {
+            nonsensitive,
+            mut sensitive,
+        } = outcome?;
+        sensitive.extend(nonsensitive);
+        Ok(sensitive)
     }
 }
 
@@ -1159,56 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reflect_bin_sizes() {
-        let (mut owner, mut cloud, mut executor, _) = qb_setup();
-        executor
-            .select(&mut owner, &mut cloud, &Value::from("E259"))
-            .unwrap();
-        let stats = executor.last_stats();
-        assert!(stats.sensitive_values_requested >= 1);
-        assert!(stats.nonsensitive_values_requested >= 1);
-        assert!(stats.tuples_before_filter >= stats.tuples_in_answer);
-        assert_eq!(
-            stats.tuples_in_answer, 2,
-            "E259 has one Defense and one Design tuple"
-        );
-    }
-
-    #[test]
-    fn fetch_bin_pair_refreshes_stats() {
-        // Regression: fetch_bin_pair used to leave last_stats untouched, so
-        // range/aggregate/join extensions reported the previous point
-        // query's counters.
-        let (mut owner, mut cloud, mut executor, _) = qb_setup();
-        executor
-            .select(&mut owner, &mut cloud, &Value::from("E259"))
-            .unwrap();
-        let stale = executor.last_stats();
-        let pair = executor.binning().retrieve(&Value::from("E101")).unwrap();
-        let out = executor
-            .fetch_bin_pair(&mut owner, &mut cloud, pair)
-            .unwrap();
-        let stats = executor.last_stats();
-        assert_eq!(stats.tuples_in_answer, out.len());
-        assert_eq!(
-            stats.sensitive_values_requested,
-            executor.binning().sensitive_bin(pair.sensitive_bin).len()
-        );
-        assert_eq!(
-            stats.nonsensitive_values_requested,
-            executor
-                .binning()
-                .nonsensitive_bin(pair.nonsensitive_bin)
-                .len()
-        );
-        assert!(stats.tuples_before_filter >= stats.tuples_in_answer);
-        assert_ne!(
-            stats, stale,
-            "bin-pair retrieval must overwrite the point query's counters"
-        );
-    }
-
-    #[test]
     fn sharded_deployment_answers_match_single_server() {
         use pds_cloud::ShardRouter;
 
@@ -1273,20 +1180,22 @@ mod tests {
         let mut cloud = CloudServer::new(NetworkModel::paper_wan());
         cached.outsource(&mut owner, &mut cloud, &parts).unwrap();
 
-        let value = Value::from("E259");
-        let first = cached.select(&mut owner, &mut cloud, &value).unwrap();
-        assert_eq!(cached.last_stats().cache_misses, 1);
+        let value = [Value::from("E259")];
+        let first = cached
+            .run_workload_transported(&mut owner, &mut cloud, &value, &BinTransport::Sequential)
+            .unwrap();
+        assert_eq!(first.cache_misses, 1);
         let episodes_after_first = cloud.adversarial_view().len();
         let bytes_after_first = cloud.metrics().total_bytes();
 
-        let second = cached.select(&mut owner, &mut cloud, &value).unwrap();
+        let second = cached
+            .run_workload_transported(&mut owner, &mut cloud, &value, &BinTransport::Sequential)
+            .unwrap();
+        assert_eq!(second.cache_hits, 1, "{:?}", cached.cache_stats());
         assert_eq!(
-            cached.last_stats().cache_hits,
-            1,
-            "{:?}",
-            cached.cache_stats()
+            first.answers, second.answers,
+            "cached answer is byte-identical"
         );
-        assert_eq!(first, second, "cached answer is byte-identical");
         assert_eq!(
             cloud.adversarial_view().len(),
             episodes_after_first,
@@ -1327,8 +1236,15 @@ mod tests {
         // Every bin is now cached; re-querying anything is a pure hit.
         let misses_after_warmup = exec.cache_stats().misses;
         for v in &values {
-            exec.select(&mut owner, &mut cloud, v).unwrap();
-            assert_eq!(exec.last_stats().cache_hits, 1, "warm cache serves {v}");
+            let run = exec
+                .run_workload_transported(
+                    &mut owner,
+                    &mut cloud,
+                    std::slice::from_ref(v),
+                    &BinTransport::Sequential,
+                )
+                .unwrap();
+            assert_eq!(run.cache_hits, 1, "warm cache serves {v}");
         }
         assert_eq!(exec.cache_stats().misses, misses_after_warmup);
     }

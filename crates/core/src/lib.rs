@@ -77,7 +77,7 @@ pub mod shape;
 
 pub use binning::{BinAssignment, BinPair, BinningConfig, QueryBinning};
 pub use cost::EtaModel;
-pub use executor::{QbExecutor, SelectionStats, TransportedRun, DEFAULT_PIPELINE_WINDOW};
+pub use executor::{QbExecutor, TransportedRun, DEFAULT_PIPELINE_WINDOW};
 pub use plan::{execute_shard_pipelined, EpisodeStep, PlanMode, QueryPlan};
 pub use planner::{choose_engines, CostModel, EngineCandidate, PlannerConfig, ShardPlan};
 pub use shape::BinShape;

@@ -1,9 +1,8 @@
 //! Query plans: the compiled form of a Query Binning batch.
 //!
-//! The executor no longer drives the cloud through scattered ad-hoc method
-//! calls.  Every entry point — [`crate::QbExecutor::select`],
-//! [`crate::QbExecutor::fetch_bin_pair`],
-//! [`crate::QbExecutor::run_workload_transported`] — first **compiles** the
+//! Every query entry point of the executor —
+//! [`crate::QbExecutor::select`], [`crate::QbExecutor::fetch_bin_pair`],
+//! [`crate::QbExecutor::run_workload_transported`] — first **compiles** its
 //! batch into a [`QueryPlan`] and then **executes** it:
 //!
 //! ```text
@@ -25,13 +24,17 @@
 //! the enclave/MPC simulators) takes one round; one that must first locate
 //! its rows by storage address (nondet-scan, secret sharing, DPF) takes
 //! two, the floor once the addresses come from a round of their own.
+//! Fine-grained, every back-end takes one round more: two on det-index,
+//! arx and the enclave/MPC simulators, three on the others.
 
 use std::collections::VecDeque;
 
 use pds_cloud::{BinEpisodeRequest, CloudServer, CorrelationWindow, DbOwner, TcpCloudClient};
 use pds_common::{PdsError, Result};
 use pds_storage::Tuple;
-use pds_systems::{fine_grained_bin_episode, BinEpisodeOutcome, SecureSelectionEngine};
+use pds_systems::{
+    fine_grained_bin_episode, finish_episode, BinEpisodeOutcome, SecureSelectionEngine,
+};
 
 use crate::binning::BinPair;
 
@@ -47,9 +50,13 @@ pub enum PlanMode {
     Composed,
     /// Every episode sends the clear-text selection and the sensitive
     /// side's rounds as separate messages
-    /// ([`pds_systems::fine_grained_bin_episode`]), one round more — the
-    /// reference the equivalence tests and the `experiments wire` rounds
-    /// gate compare the composed path against on identical deployments.
+    /// ([`pds_systems::fine_grained_bin_episode`]), one round more on every
+    /// back-end: two on det-index, arx and the enclave/MPC simulators
+    /// (the clear-text fetch, then the tags' or the enclave's fetch), three
+    /// on nondet-scan, secret sharing and DPF (the clear-text fetch, the
+    /// locating round, then the address fetch).  It is the reference the
+    /// equivalence tests and the `experiments wire` rounds gate compare
+    /// the composed path against on identical deployments.
     FineGrained,
 }
 
@@ -162,11 +169,10 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
 /// matched back to their episodes by correlation id in whatever order the
 /// daemon's worker pool finishes them.  A window of 1 is lock-step: one
 /// request on the socket, then its answer.  Each episode's owner-side work
-/// is split across the engine's two halves —
-/// [`SecureSelectionEngine::tags`] before the uplink,
-/// [`SecureSelectionEngine::finish_composed`] after the downlink — so the
-/// client keeps issuing requests while earlier responses are still being
-/// computed cloud-side.
+/// is split in two halves — [`SecureSelectionEngine::tags`] before the
+/// uplink, [`finish_episode`] after the downlink — so the client keeps
+/// issuing requests while earlier responses are still being computed
+/// cloud-side.
 ///
 /// The shard lives in a [`pds_cloud::ShardDaemon`]'s address space, so
 /// only composed episodes whose tags the daemon's tag index resolves can
@@ -209,6 +215,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
             engine.name()
         )));
     }
+    let attr = engine.searchable_attr()?;
     let window = window.max(1);
     let mut conn = client.checkout(shard)?;
     let mut inflight = CorrelationWindow::new();
@@ -251,15 +258,14 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
         };
         if corr == 0 {
             return Err(PdsError::Wire(
-                "daemon answered without a correlation id (v1 frames); pipelined \
-                 dispatch needs a correlation-aware daemon"
+                "daemon answered without a correlation id; pipelined dispatch \
+                 matches every answer to its request by id"
                     .into(),
             ));
         }
         let slot = inflight.resolve(corr)?;
         let step = &steps[slot];
-        let (nonsensitive, rows) = answer?;
-        let outcome = engine.finish_composed(owner, &step.request, nonsensitive, rows)?;
+        let outcome = finish_episode(owner, attr, &step.request, answer?)?;
         episodes.push((step.index, step.pair, EpisodeResult { outcome, rounds: 1 }));
     }
     client.checkin(shard, conn);

@@ -2,8 +2,8 @@
 //! protocol.
 //!
 //! Every owner↔cloud message travels inside exactly one frame.  The
-//! current layout (protocol version 2) carries a correlation id so
-//! responses can be matched to requests out of order:
+//! layout (protocol version 2) carries a correlation id so responses can
+//! be matched to requests out of order:
 //!
 //! ```text
 //!  offset  size  field
@@ -17,11 +17,8 @@
 //!    16+n     4  CRC-32 (IEEE) over bytes [0, 16+n), big-endian
 //! ```
 //!
-//! Version-1 frames (no correlation-id field; the length sits at offset 4
-//! and the payload at offset 8) still **decode**: the decoders switch on
-//! the version byte and report correlation id 0 for v1 input, so a peer
-//! speaking the old protocol keeps working.  Encoders always emit v2.
-//! `tests/proto_roundtrip.rs` property-tests the compat path.
+//! Any other version byte, the retired version 1 (no correlation-id field)
+//! included, is a typed wire error.
 //!
 //! Decoding is total: any truncated, oversized, or corrupted input yields
 //! `Err(PdsError::Wire(..))` — never a panic.  The CRC trailer guarantees
@@ -44,24 +41,20 @@ use crate::pool::{self, PooledBuf};
 /// Frame magic: ASCII "PD".
 pub const MAGIC: [u8; 2] = [0x50, 0x44];
 
-/// Current protocol version (with the correlation-id header field).
+/// The protocol version (with the correlation-id header field).
 pub const VERSION: u8 = 2;
 
-/// The previous protocol version, still accepted by every decoder.
-pub const VERSION_V1: u8 = 1;
-
-/// Bytes before the payload in a **v2** frame:
-/// magic + version + type + correlation id + length.
+/// Bytes before the payload: magic + version + type + correlation id +
+/// length.
 pub const HEADER_LEN: usize = 16;
 
-/// Bytes before the payload in a legacy **v1** frame (no correlation id).
-pub const HEADER_LEN_V1: usize = 8;
+/// Bytes of the header that identify a frame: magic + version + type.
+const PREFIX_LEN: usize = 4;
 
 /// Bytes after the payload: the CRC-32 trailer.
 pub const TRAILER_LEN: usize = 4;
 
-/// Fixed per-frame overhead added on top of the payload (v2 layout, which
-/// is what every encoder emits).
+/// Fixed per-frame overhead added on top of the payload.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + TRAILER_LEN;
 
 /// Hard ceiling on a frame's payload length.  Protects decoders against
@@ -183,10 +176,9 @@ pub fn encode_frame_corr(msg_type: u8, corr: u64, payload: &[u8]) -> Result<Vec<
     Ok(out.into_vec())
 }
 
-/// Unwraps one wire frame, returning `(msg_type, payload)`.
-///
-/// Accepts both protocol versions; see [`decode_frame_corr`] for the form
-/// that also surfaces the correlation id.
+/// Unwraps one wire frame, returning `(msg_type, payload)`; see
+/// [`decode_frame_corr`] for the form that also surfaces the correlation
+/// id.
 pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8])> {
     decode_frame_corr(bytes).map(|(msg_type, _, payload)| (msg_type, payload))
 }
@@ -195,47 +187,24 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8])> {
 ///
 /// The input must be exactly one frame (trailing garbage is rejected —
 /// stream reassembly happens above this layer, using the length field).
-/// Legacy v1 frames decode with correlation id 0.
 pub fn decode_frame_corr(bytes: &[u8]) -> Result<(u8, u64, &[u8])> {
     let _span = pds_obs::obs_span("frame.decode");
-    if bytes.len() < HEADER_LEN_V1 + TRAILER_LEN {
+    if bytes.len() < FRAME_OVERHEAD {
         return Err(PdsError::Wire(format!(
-            "frame truncated: {} bytes, need at least {}",
-            bytes.len(),
-            HEADER_LEN_V1 + TRAILER_LEN
+            "frame truncated: {} bytes, need at least {FRAME_OVERHEAD}",
+            bytes.len()
         )));
     }
-    if bytes[..2] != MAGIC {
-        return Err(PdsError::Wire(format!(
-            "bad frame magic {:02x}{:02x}",
-            bytes[0], bytes[1]
-        )));
-    }
-    let (header_len, corr) = match bytes[2] {
-        VERSION_V1 => (HEADER_LEN_V1, 0),
-        VERSION => {
-            if bytes.len() < FRAME_OVERHEAD {
-                return Err(PdsError::Wire(format!(
-                    "v2 frame truncated: {} bytes, need at least {FRAME_OVERHEAD}",
-                    bytes.len()
-                )));
-            }
-            (HEADER_LEN, be_u64(&bytes[4..12]))
-        }
-        other => {
-            return Err(PdsError::Wire(format!(
-                "unsupported protocol version {other}"
-            )));
-        }
-    };
+    check_prefix(&bytes[..PREFIX_LEN])?;
     let msg_type = bytes[3];
-    let len = be_u32(&bytes[header_len - 4..header_len]) as usize;
+    let corr = be_u64(&bytes[4..12]);
+    let len = be_u32(&bytes[12..HEADER_LEN]) as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(PdsError::Wire(format!(
             "declared payload of {len} bytes exceeds the {MAX_PAYLOAD_LEN}-byte frame limit"
         )));
     }
-    let expected_total = match header_len
+    let expected_total = match HEADER_LEN
         .checked_add(len)
         .and_then(|n| n.checked_add(TRAILER_LEN))
     {
@@ -249,7 +218,7 @@ pub fn decode_frame_corr(bytes: &[u8]) -> Result<(u8, u64, &[u8])> {
             bytes.len()
         )));
     }
-    let body_end = header_len + len;
+    let body_end = HEADER_LEN + len;
     let declared_crc = be_u32(&bytes[body_end..]);
     let actual_crc = crc32(&bytes[..body_end]);
     if declared_crc != actual_crc {
@@ -257,7 +226,25 @@ pub fn decode_frame_corr(bytes: &[u8]) -> Result<(u8, u64, &[u8])> {
             "frame checksum mismatch: header {declared_crc:08x}, computed {actual_crc:08x}"
         )));
     }
-    Ok((msg_type, corr, &bytes[header_len..body_end]))
+    Ok((msg_type, corr, &bytes[HEADER_LEN..body_end]))
+}
+
+/// Refuses a frame whose first bytes are not the magic and the protocol
+/// version.
+fn check_prefix(prefix: &[u8]) -> Result<()> {
+    if prefix[..2] != MAGIC {
+        return Err(PdsError::Wire(format!(
+            "bad frame magic {:02x}{:02x}",
+            prefix[0], prefix[1]
+        )));
+    }
+    if prefix[2] != VERSION {
+        return Err(PdsError::Wire(format!(
+            "unsupported protocol version {}",
+            prefix[2]
+        )));
+    }
+    Ok(())
 }
 
 /// Outcome of one streaming frame read.
@@ -276,8 +263,8 @@ pub enum ReadFrame {
     Oversized {
         /// Message type tag from the offending header.
         msg_type: u8,
-        /// Correlation id from the offending header (0 for v1 frames), so
-        /// the refusal can be stamped onto the right in-flight request.
+        /// Correlation id from the offending header, so the refusal can be
+        /// stamped onto the right in-flight request.
         corr: u64,
         /// Payload length the header declared.
         declared: usize,
@@ -298,7 +285,9 @@ pub enum ReadFrame {
 /// dribble schedule cannot force per-read reallocation: growth events are
 /// bounded by `ceil(frame len / READ_CHUNK)`, not by the number of `read`
 /// calls, and are counted in [`pool::pool_stats`]'s `reader_grows` so
-/// tests can assert the bound.  Accepts both protocol versions.
+/// tests can assert the bound.  A bad magic or version is refused as soon
+/// as the first four header bytes arrive, before the reader waits for the
+/// rest of the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameReader {
     max_payload: usize,
@@ -336,60 +325,29 @@ impl FrameReader {
     pub fn read<R: Read>(&self, r: &mut R) -> Result<ReadFrame> {
         let mut header = [0u8; HEADER_LEN];
         let mut got = 0;
-        // Both versions share the first 8 bytes' magic/version/type prefix;
-        // only after the version byte do we know whether 8 more follow.
-        while got < HEADER_LEN_V1 {
-            match r.read(&mut header[got..HEADER_LEN_V1]) {
-                Ok(0) if got == 0 => return Ok(ReadFrame::Eof),
-                Ok(0) => {
-                    return Err(PdsError::Wire(format!(
-                        "stream ended mid-header: got {got} of {HEADER_LEN_V1} bytes"
-                    )))
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(PdsError::Wire(format!("frame header read failed: {e}"))),
-            }
-        }
-        if header[..2] != MAGIC {
-            return Err(PdsError::Wire(format!(
-                "bad frame magic {:02x}{:02x}",
-                header[0], header[1]
-            )));
-        }
-        let (header_len, corr, declared) = match header[2] {
-            VERSION_V1 => (
-                HEADER_LEN_V1,
-                0u64,
-                be_u32(&header[4..HEADER_LEN_V1]) as usize,
-            ),
-            VERSION => {
-                while got < HEADER_LEN {
-                    match r.read(&mut header[got..HEADER_LEN]) {
-                        Ok(0) => {
-                            return Err(PdsError::Wire(format!(
-                                "stream ended mid-header: got {got} of {HEADER_LEN} bytes"
-                            )))
-                        }
-                        Ok(n) => got += n,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            return Err(PdsError::Wire(format!("frame header read failed: {e}")))
-                        }
+        // Magic and version are checked as soon as they arrive, so a peer
+        // speaking something else is refused without waiting for the rest
+        // of a header it may never send.
+        for end in [PREFIX_LEN, HEADER_LEN] {
+            while got < end {
+                match r.read(&mut header[got..end]) {
+                    Ok(0) if got == 0 => return Ok(ReadFrame::Eof),
+                    Ok(0) => {
+                        return Err(PdsError::Wire(format!(
+                            "stream ended mid-header: got {got} of {HEADER_LEN} bytes"
+                        )))
                     }
+                    Ok(n) => got += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(PdsError::Wire(format!("frame header read failed: {e}"))),
                 }
-                (
-                    HEADER_LEN,
-                    be_u64(&header[4..12]),
-                    be_u32(&header[12..16]) as usize,
-                )
             }
-            other => {
-                return Err(PdsError::Wire(format!(
-                    "unsupported protocol version {other}"
-                )));
+            if end == PREFIX_LEN {
+                check_prefix(&header[..PREFIX_LEN])?;
             }
-        };
+        }
+        let corr = be_u64(&header[4..12]);
+        let declared = be_u32(&header[12..HEADER_LEN]) as usize;
         let msg_type = header[3];
         if declared > self.max_payload {
             return Ok(ReadFrame::Oversized {
@@ -404,7 +362,7 @@ impl FrameReader {
         // READ_CHUNK of reserve, and a warm pool buffer (capacity from the
         // last frame of this size) grows zero times.
         let mut frame = pool::take_buf();
-        frame.extend_from_slice(&header[..header_len]);
+        frame.extend_from_slice(&header);
         let mut remaining = rest;
         while remaining > 0 {
             let chunk = remaining.min(READ_CHUNK);
@@ -445,12 +403,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<ReadFrame> {
 mod tests {
     use super::*;
 
-    /// Builds a legacy v1 frame (length at offset 4, payload at offset 8,
-    /// no correlation id) — the compat fixture every decoder must accept.
+    /// Builds a frame of the retired version 1 (length at offset 4,
+    /// payload at offset 8, no correlation id), which every decoder must
+    /// refuse.
     fn encode_frame_v1(msg_type: u8, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN_V1 + payload.len() + TRAILER_LEN);
+        let mut out = Vec::with_capacity(8 + payload.len() + TRAILER_LEN);
         out.extend_from_slice(&MAGIC);
-        out.push(VERSION_V1);
+        out.push(1);
         out.push(msg_type);
         out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         out.extend_from_slice(payload);
@@ -492,22 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode_with_corr_zero() {
+    fn v1_frames_are_a_wire_error() {
         let frame = encode_frame_v1(3, b"legacy peer");
-        let (ty, corr, payload) = decode_frame_corr(&frame).unwrap();
-        assert_eq!(ty, 3);
-        assert_eq!(corr, 0);
-        assert_eq!(payload, b"legacy peer");
-        // And through the streaming reader.
+        assert!(matches!(decode_frame_corr(&frame), Err(PdsError::Wire(_))));
         let mut cursor = std::io::Cursor::new(frame);
-        match read_frame(&mut cursor).unwrap() {
-            ReadFrame::Frame(bytes) => {
-                let (ty, corr, payload) = decode_frame_corr(&bytes).unwrap();
-                assert_eq!((ty, corr), (3, 0));
-                assert_eq!(payload, b"legacy peer");
-            }
-            other => panic!("expected a frame, got {other:?}"),
-        }
+        assert!(matches!(read_frame(&mut cursor), Err(PdsError::Wire(_))));
     }
 
     #[test]
@@ -528,30 +476,22 @@ mod tests {
 
     #[test]
     fn every_truncation_is_an_error() {
-        for frame in [
-            encode_frame(2, b"payload bytes").unwrap(),
-            encode_frame_v1(2, b"payload bytes"),
-        ] {
-            for cut in 0..frame.len() {
-                assert!(
-                    decode_frame(&frame[..cut]).is_err(),
-                    "truncation to {cut} bytes must fail"
-                );
-            }
+        let frame = encode_frame(2, b"payload bytes").unwrap();
+        for cut in 0..frame.len() {
+            assert!(
+                decode_frame(&frame[..cut]).is_err(),
+                "truncation to {cut} bytes must fail"
+            );
         }
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        for frame in [
-            encode_frame(5, b"tamper with me").unwrap(),
-            encode_frame_v1(5, b"tamper with me"),
-        ] {
-            for i in 0..frame.len() {
-                let mut bad = frame.clone();
-                bad[i] ^= 0x01;
-                assert!(decode_frame(&bad).is_err(), "flip at byte {i} must fail");
-            }
+        let frame = encode_frame(5, b"tamper with me").unwrap();
+        for i in 0..frame.len() {
+            let mut bad = frame.clone();
+            bad[i] ^= 0x01;
+            assert!(decode_frame(&bad).is_err(), "flip at byte {i} must fail");
         }
     }
 
@@ -663,9 +603,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_read_reassembles_back_to_back_mixed_version_frames() {
+    fn streaming_read_reassembles_back_to_back_frames() {
         let mut stream = encode_frame(1, b"first").unwrap();
-        stream.extend_from_slice(&encode_frame_v1(2, b"second"));
+        stream.extend_from_slice(&encode_frame(2, b"second").unwrap());
         let mut cursor = std::io::Cursor::new(stream);
         for expected in [(1u8, b"first".as_slice()), (2u8, b"second".as_slice())] {
             match read_frame(&mut cursor).unwrap() {
@@ -687,14 +627,6 @@ mod tests {
             assert!(
                 read_frame(&mut cursor).is_err(),
                 "EOF after {cut} header bytes must be Err(Wire), not a hang or Eof"
-            );
-        }
-        let v1 = encode_frame_v1(4, b"cut me off");
-        for cut in 1..HEADER_LEN_V1 {
-            let mut cursor = std::io::Cursor::new(v1[..cut].to_vec());
-            assert!(
-                read_frame(&mut cursor).is_err(),
-                "EOF after {cut} v1 header bytes must be Err(Wire)"
             );
         }
     }
@@ -720,6 +652,31 @@ mod tests {
         let mut bad_version = encode_frame(1, b"x").unwrap();
         bad_version[2] = 9;
         assert!(read_frame(&mut std::io::Cursor::new(bad_version)).is_err());
+    }
+
+    /// A reader that hands out `bytes` and then blocks: any read past
+    /// them fails the test instead of waiting.
+    struct ThenBlocks<'a>(&'a [u8]);
+
+    impl Read for ThenBlocks<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(!self.0.is_empty(), "read past the bytes that arrived");
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn bad_magic_and_version_fail_before_the_rest_of_the_header() {
+        for prefix in [[0xFF, 0x44, VERSION, 1], [MAGIC[0], MAGIC[1], 9, 1]] {
+            let mut r = ThenBlocks(&prefix);
+            assert!(matches!(
+                FrameReader::default().read(&mut r),
+                Err(PdsError::Wire(_))
+            ));
+        }
     }
 
     #[test]

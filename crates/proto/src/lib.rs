@@ -39,8 +39,8 @@ pub mod pool;
 
 pub use frame::{
     crc32, decode_frame, decode_frame_corr, encode_frame, encode_frame_corr, encoded_len,
-    read_frame, FrameReader, ReadFrame, FRAME_OVERHEAD, HEADER_LEN, HEADER_LEN_V1, MAX_PAYLOAD_LEN,
-    TRAILER_LEN, VERSION, VERSION_V1,
+    read_frame, FrameReader, ReadFrame, FRAME_OVERHEAD, HEADER_LEN, MAX_PAYLOAD_LEN, TRAILER_LEN,
+    VERSION,
 };
 pub use messages::{
     error_frame, fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload, ErrorFrame,

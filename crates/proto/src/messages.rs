@@ -390,7 +390,7 @@ impl WireMessage {
     }
 
     /// Decodes one complete wire frame back into a message plus the
-    /// correlation id its header carried (0 for legacy v1 frames).
+    /// correlation id its header carried (0 for an uncorrelated frame).
     pub fn decode_corr(frame: &[u8]) -> Result<(u64, WireMessage)> {
         let (msg_type, corr, payload) = decode_frame_corr(frame)?;
         let mut r = Reader::new(payload);

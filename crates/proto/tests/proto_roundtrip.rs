@@ -205,22 +205,6 @@ fn arb_message(seed: u64) -> WireMessage {
     }
 }
 
-/// Re-wraps a (v2) encoded frame's payload in the legacy v1 layout: no
-/// correlation-id field, length at offset 4, payload at offset 8.  This is
-/// what an old-protocol peer would put on the wire.
-fn reframe_as_v1(frame: &[u8]) -> Vec<u8> {
-    let payload = &frame[pds_proto::HEADER_LEN..frame.len() - pds_proto::TRAILER_LEN];
-    let mut out = Vec::with_capacity(pds_proto::HEADER_LEN_V1 + payload.len() + 4);
-    out.extend_from_slice(&pds_proto::frame::MAGIC);
-    out.push(pds_proto::VERSION_V1);
-    out.push(frame[3]);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    let crc = pds_proto::crc32(&out);
-    out.extend_from_slice(&crc.to_be_bytes());
-    out
-}
-
 proptest! {
     #[test]
     fn encode_decode_is_identity(seed in proptest::arbitrary::any::<u64>()) {
@@ -305,33 +289,6 @@ proptest! {
         let (got_corr, back) = WireMessage::decode_corr(&framed).expect("roundtrip");
         prop_assert_eq!(got_corr, corr);
         prop_assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn legacy_v1_frames_decode_identically(seed in proptest::arbitrary::any::<u64>()) {
-        // Compat gate for the frame version bump: any message re-wrapped in
-        // the old v1 layout must decode to the same value, with correlation
-        // id 0, through both the one-shot decoder and the stream reader.
-        let msg = arb_message(seed);
-        let v1 = reframe_as_v1(&msg.encode().unwrap());
-        let (corr, back) = WireMessage::decode_corr(&v1).expect("v1 frame decodes");
-        prop_assert_eq!(corr, 0);
-        prop_assert_eq!(&back, &msg);
-        let mut cursor = std::io::Cursor::new(v1.clone());
-        match pds_proto::read_frame(&mut cursor).expect("v1 frame streams") {
-            pds_proto::ReadFrame::Frame(bytes) => {
-                prop_assert_eq!(bytes.as_ref(), v1.as_slice());
-                prop_assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);
-            }
-            other => prop_assert!(false, "expected a frame, got {:?}", other),
-        }
-        // Truncation totality holds for the legacy layout too.
-        for cut in 0..v1.len() {
-            prop_assert!(matches!(
-                WireMessage::decode(&v1[..cut]),
-                Err(PdsError::Wire(_))
-            ));
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The common interface of secure selection back-ends.
 
-use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner, FetchBinRequest};
+use pds_cloud::{BinEpisodeRequest, BinPairResult, CloudServer, DbOwner};
 use pds_common::PdsError;
 use pds_common::{AttrId, Result, TupleId, Value};
-use pds_crypto::Ciphertext;
 use pds_storage::{Relation, Tuple};
 
 use crate::cost::CostProfile;
@@ -26,29 +25,33 @@ pub struct BinEpisodeOutcome {
 /// The workflow is always:
 /// 1. [`SecureSelectionEngine::outsource`] — encrypt and upload the relation
 ///    (plus whatever cloud-side index structures the technique uses);
-/// 2. repeated [`SecureSelectionEngine::select`] calls — each one runs a
-///    selection for a *set* of values (Query Binning always asks for a whole
-///    sensitive bin at once) and returns the decrypted, filtered tuples.
+/// 2. repeated [`SecureSelectionEngine::select_bin_episode`] calls — each
+///    one runs a Query Binning bin-pair episode: the clear-text selection
+///    of a non-sensitive bin next to the encrypted selection of a whole
+///    sensitive bin, decrypted and filtered owner-side.  A standalone
+///    [`SecureSelectionEngine::select`] is the same episode with an empty
+///    clear-text bin.
 ///
 /// A back-end finds its sensitive rows one of two ways, and implements the
-/// matching half of the trait:
+/// matching method:
 ///
 /// * **by cloud-side tag** (det-index, arx): it builds opaque search tags
 ///   ([`SecureSelectionEngine::tags`]) that the cloud's tag index
 ///   resolves, so a whole bin-pair episode is one round;
-/// * **by storage address** (nondet-scan, secret sharing, DPF, the
-///   Opaque/Jana simulators): its own rounds
-///   ([`SecureSelectionEngine::locate`]) find the matching addresses,
-///   and the rows are fetched by address afterwards.  A bin-pair episode
-///   then needs the locating rounds plus one fetch, which carries the
-///   clear-text bin too; two rounds is the floor, since the addresses
-///   exist only after the first.
+/// * **by storage address** (nondet-scan, secret sharing, DPF): its own
+///   rounds ([`SecureSelectionEngine::locate`]) find the matching
+///   addresses, and the rows are fetched by address afterwards.  A
+///   bin-pair episode then needs the locating rounds plus one fetch,
+///   which carries the clear-text bin too; two rounds is the floor, since
+///   the addresses exist only after the first.
 ///
 /// Either way the rows arrive in one `FetchBinRequest`, served by
-/// [`CloudServer::fetch_bin`]; the default
-/// [`SecureSelectionEngine::select`] and
-/// [`SecureSelectionEngine::select_bin_episode`] build it from the tags or
-/// from the located addresses.
+/// [`CloudServer::fetch_bin`], and the default
+/// [`SecureSelectionEngine::select_bin_episode`] builds it from the tags or
+/// from the located addresses.  That episode is the one method a back-end
+/// may override: the enclave/MPC simulators do, since their enclave
+/// resolves encrypted tokens cloud-side in the episode's one round and
+/// implement neither `tags` nor `locate`.
 ///
 /// Implementations must only return **real** tuples whose searchable
 /// attribute is one of the requested values; fake/padding tuples and false
@@ -110,40 +113,28 @@ pub trait SecureSelectionEngine: Send {
     /// A back-end travels over TCP exactly when this returns `Some`: the
     /// owner writes a whole window of requests before reading any answer,
     /// which needs an uplink half that only *builds* tags and a downlink
-    /// half ([`SecureSelectionEngine::finish_composed`]) that only
-    /// *post-processes*, with no owner↔cloud exchange in between.
+    /// half ([`finish_episode`]) that only *post-processes*, with no
+    /// owner↔cloud exchange in between.
     fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
         let _ = (owner, values);
         Ok(None)
     }
 
     /// Runs an encrypted selection for the given set of values and returns
-    /// the matching decrypted tuples.  The default sends the
-    /// [`SecureSelectionEngine::tags`] of `values`, or else the addresses
-    /// [`SecureSelectionEngine::locate`] finds, as one `FetchBinRequest`
-    /// and decrypts the rows owner-side.  A selection with nothing to
-    /// fetch sends nothing.
+    /// the matching decrypted tuples: one
+    /// [`SecureSelectionEngine::select_bin_episode`] with an empty
+    /// clear-text bin, whose sensitive stream it returns.
     fn select(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut CloudServer,
         values: &[Value],
     ) -> Result<Vec<Tuple>> {
-        let attr = self.searchable_attr()?;
-        let (tags, ids) = match self.tags(owner, values)? {
-            Some(tags) => (tags, Vec::new()),
-            None => (Vec::new(), self.locate(owner, cloud, values)?),
+        let request = BinEpisodeRequest {
+            sensitive_values: values.to_vec(),
+            ..BinEpisodeRequest::default()
         };
-        if tags.is_empty() && ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let request = FetchBinRequest {
-            ids: ids.iter().map(|id| id.raw()).collect(),
-            tags,
-            ..FetchBinRequest::default()
-        };
-        let (_, rows) = cloud.fetch_bin(&request)?;
-        decrypt_real_matches(owner, attr, values, &rows)
+        Ok(self.select_bin_episode(owner, cloud, &request)?.sensitive)
     }
 
     /// The cost profile used to convert work counters into simulated time.
@@ -167,15 +158,16 @@ pub trait SecureSelectionEngine: Send {
     /// Executes one whole Query Binning bin-pair episode on its shard: the
     /// clear-text sub-query for the non-sensitive bin plus the encrypted
     /// sub-query for the sensitive bin, inside the episode the caller has
-    /// already opened.
+    /// already opened.  Every in-process selection runs through here.
     ///
     /// The default ends in one `FetchBinRequest`
     /// ([`BinEpisodeRequest::to_wire`]) answered by one `BinPayload`, then
-    /// [`SecureSelectionEngine::finish_composed`].  The request carries the
-    /// clear-text bin values and the pushed-down residual next to either
-    /// the sensitive bin's [`SecureSelectionEngine::tags`] — one round in
-    /// all — or the addresses [`SecureSelectionEngine::locate`] found —
-    /// its locating rounds plus one.
+    /// [`finish_episode`].  The request carries the clear-text bin values
+    /// and the pushed-down residual next to either the sensitive bin's
+    /// [`SecureSelectionEngine::tags`] — one round in all — or the
+    /// addresses [`SecureSelectionEngine::locate`] found — its locating
+    /// rounds plus one.  A request with no values, no tags and no
+    /// addresses sends nothing.
     ///
     /// The enclave/MPC simulators, whose enclave resolves encrypted tokens
     /// cloud-side in the same round, override it.
@@ -185,6 +177,7 @@ pub trait SecureSelectionEngine: Send {
         cloud: &mut CloudServer,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
+        let attr = self.searchable_attr()?;
         let (tags, ids) = match self.tags(owner, &request.sensitive_values)? {
             Some(tags) => (tags, Vec::new()),
             // Like the fine-grained path, an empty sensitive bin costs no
@@ -195,8 +188,11 @@ pub trait SecureSelectionEngine: Send {
                 self.locate(owner, cloud, &request.sensitive_values)?,
             ),
         };
-        let (nonsensitive, rows) = cloud.fetch_bin(&request.to_wire(tags, &ids))?;
-        self.finish_composed(owner, request, nonsensitive, rows)
+        let wire = request.to_wire(tags, &ids);
+        if wire.values.is_empty() && wire.tags.is_empty() && wire.ids.is_empty() {
+            return Ok(BinEpisodeOutcome::default());
+        }
+        finish_episode(owner, attr, request, cloud.fetch_bin(&wire)?)
     }
 
     /// Whether the technique hides which encrypted tuples satisfied the
@@ -204,25 +200,6 @@ pub trait SecureSelectionEngine: Send {
     /// notes access-pattern-hiding back-ends compose with QB too.
     fn hides_access_pattern(&self) -> bool {
         false
-    }
-
-    /// The downlink half of a composed episode: owner-side
-    /// decrypt-and-filter of the `BinPayload` that answered it.  Pure
-    /// per-episode post-processing — it must not talk to the cloud, which
-    /// is what makes out-of-order completion safe.
-    fn finish_composed(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-        nonsensitive: Vec<Tuple>,
-        rows: Vec<(TupleId, Ciphertext)>,
-    ) -> Result<BinEpisodeOutcome> {
-        let attr = self.searchable_attr()?;
-        let sensitive = decrypt_real_matches(owner, attr, &request.sensitive_values, &rows)?;
-        Ok(BinEpisodeOutcome {
-            nonsensitive,
-            sensitive,
-        })
     }
 }
 
@@ -232,29 +209,35 @@ pub(crate) fn not_outsourced() -> PdsError {
     PdsError::Query("relation not outsourced yet".into())
 }
 
-/// Owner-side decrypt-and-filter over fetched sensitive rows: decrypts
-/// every tuple ciphertext and keeps only tuples whose searchable attribute
-/// is one of the requested `values`.  Padding fakes carry a real bin value
-/// there, so they pass; the executor's `qmerge` drops them by tuple id.
+/// The downlink half of every episode: owner-side decrypt-and-filter of
+/// the `BinPayload` that answered `request`.  Decrypts every tuple
+/// ciphertext and keeps only tuples whose searchable attribute `attr`
+/// holds one of the requested sensitive values; the clear-text tuples pass
+/// through.  Padding fakes carry a real bin value, so they pass; the
+/// executor's `qmerge` drops them by tuple id.
 ///
-/// This is the half of `qmerge` that every back-end's selection ends
-/// with — kept in one place so no engine's path can drift (a diverging
+/// Pure post-processing — it never talks to the cloud, which is what makes
+/// out-of-order completion over TCP safe.  Every back-end's episode, in
+/// process and pipelined, ends here, so no path can drift (a diverging
 /// copy that forgot the false-positive filter would leak rows of other
 /// values into answers).
-pub fn decrypt_real_matches(
+pub fn finish_episode(
     owner: &mut DbOwner,
     attr: AttrId,
-    values: &[Value],
-    rows: &[(TupleId, Ciphertext)],
-) -> Result<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for (_, ct) in rows {
+    request: &BinEpisodeRequest,
+    (nonsensitive, rows): BinPairResult,
+) -> Result<BinEpisodeOutcome> {
+    let mut sensitive = Vec::with_capacity(rows.len());
+    for (_, ct) in &rows {
         let tuple = owner.decrypt_tuple(ct)?;
-        if values.contains(tuple.value(attr)) {
-            out.push(tuple);
+        if request.sensitive_values.contains(tuple.value(attr)) {
+            sensitive.push(tuple);
         }
     }
-    Ok(out)
+    Ok(BinEpisodeOutcome {
+        nonsensitive,
+        sensitive,
+    })
 }
 
 /// The fine-grained form of one bin-pair episode, kept as the
@@ -263,8 +246,7 @@ pub fn decrypt_real_matches(
 /// `FetchBinRequest` of its own, with the planner's pushed-down residual
 /// applied cloud-side, then the engine's [`SecureSelectionEngine::select`]
 /// runs its own rounds.  It takes one round more than the composed episode
-/// on every back-end but the enclave/MPC simulators, whose locating scan
-/// and fetch are two more.
+/// on every back-end.
 ///
 /// Free function (rather than a trait method) so callers can force the
 /// fine-grained path on any engine — `PlanMode::FineGrained`, the
@@ -321,15 +303,6 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
         (**self).locate(owner, cloud, values)
     }
 
-    fn select(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        values: &[Value],
-    ) -> Result<Vec<Tuple>> {
-        (**self).select(owner, cloud, values)
-    }
-
     fn cost_profile(&self) -> CostProfile {
         (**self).cost_profile()
     }
@@ -358,16 +331,6 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
     fn tags(&mut self, owner: &mut DbOwner, values: &[Value]) -> Result<Option<Vec<Vec<u8>>>> {
         (**self).tags(owner, values)
     }
-
-    fn finish_composed(
-        &mut self,
-        owner: &mut DbOwner,
-        request: &BinEpisodeRequest,
-        nonsensitive: Vec<Tuple>,
-        rows: Vec<(TupleId, Ciphertext)>,
-    ) -> Result<BinEpisodeOutcome> {
-        (**self).finish_composed(owner, request, nonsensitive, rows)
-    }
 }
 
 #[cfg(test)]
@@ -390,6 +353,34 @@ mod tests {
         // The boxed form the heterogeneous deployments use is an engine
         // too (and `Send`, since the trait object carries the bound).
         assert_engine::<Box<dyn SecureSelectionEngine>>();
+    }
+
+    /// A boxed engine forwards the methods its back-end implements: the
+    /// trait's defaults would refuse `locate` and build no `tags`.
+    #[test]
+    fn boxed_engines_forward_locate_and_tags() {
+        use pds_cloud::{CloudServer, DbOwner};
+        use pds_common::Value;
+        use pds_storage::{DataType, Relation, Schema};
+
+        let mut rel = Relation::new("T", Schema::from_pairs(&[("K", DataType::Int)]).unwrap());
+        for k in [1, 2, 1] {
+            rel.insert(vec![Value::Int(k)]).unwrap();
+        }
+        let attr = rel.schema().attr_id("K").unwrap();
+        let mut owner = DbOwner::new(3);
+        let one = [Value::Int(1)];
+
+        let mut scan: Box<dyn SecureSelectionEngine> = Box::new(crate::NonDetScanEngine::new());
+        let mut cloud = CloudServer::default();
+        scan.outsource(&mut owner, &mut cloud, &rel, attr).unwrap();
+        assert_eq!(scan.locate(&mut owner, &mut cloud, &one).unwrap().len(), 2);
+
+        let mut det: Box<dyn SecureSelectionEngine> =
+            Box::new(crate::DeterministicIndexEngine::new());
+        let mut cloud = CloudServer::default();
+        det.outsource(&mut owner, &mut cloud, &rel, attr).unwrap();
+        assert!(det.tags(&mut owner, &one).unwrap().is_some());
     }
 
     /// Boxed forks preserve the concrete kind behind the trait object.

@@ -42,7 +42,9 @@ pub use arx::ArxEngine;
 pub use cost::{computation_time, CostProfile};
 pub use det_index::DeterministicIndexEngine;
 pub use dpf_engine::DpfEngine;
-pub use engine::{fine_grained_bin_episode, BinEpisodeOutcome, SecureSelectionEngine};
+pub use engine::{
+    fine_grained_bin_episode, finish_episode, BinEpisodeOutcome, SecureSelectionEngine,
+};
 pub use nondet_scan::NonDetScanEngine;
 pub use oblivious::{JanaSimEngine, ObliviousScanEngine, OpaqueSimEngine};
 pub use secret_sharing::SecretSharingEngine;

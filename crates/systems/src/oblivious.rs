@@ -16,7 +16,7 @@ use pds_common::{AttrId, Result, TupleId, Value};
 use pds_storage::Relation;
 
 use crate::cost::CostProfile;
-use crate::engine::{not_outsourced, BinEpisodeOutcome, SecureSelectionEngine};
+use crate::engine::{finish_episode, not_outsourced, BinEpisodeOutcome, SecureSelectionEngine};
 
 /// Which oblivious system is being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,21 +99,6 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         self.attr.ok_or_else(not_outsourced)
     }
 
-    /// Oblivious execution: the enclave / MPC committee touches every
-    /// tuple at the cloud; only the request crosses the network, and the
-    /// (padded, in QB deployments) result travels back in the next round.
-    fn locate(
-        &mut self,
-        _owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        values: &[Value],
-    ) -> Result<Vec<TupleId>> {
-        self.searchable_attr()?;
-        let request_bytes: usize = values.iter().map(Value::size_bytes).sum::<usize>() + 64;
-        cloud.note_encrypted_request(values.len(), request_bytes, self.enclave_column.len());
-        Ok(self.enclave_matches(values))
-    }
-
     fn cost_profile(&self) -> CostProfile {
         match self.kind {
             ObliviousKind::Opaque => CostProfile::opaque(),
@@ -133,19 +118,20 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         Box::new(self.fork())
     }
 
-    /// One composed round: the sensitive bin's values travel as opaque
-    /// encrypted tokens in the tags of the episode's `FetchBinRequest`
-    /// (only the enclave / MPC committee can read them), the secure
-    /// environment scans every encrypted tuple cloud-side, and the
-    /// matching rows come back in the same payload as the clear-text
-    /// non-sensitive tuples ([`CloudServer::fetch_bin_oblivious`]).
+    /// Oblivious execution in one round: the sensitive bin's values
+    /// travel as opaque encrypted tokens in the tags of the episode's
+    /// `FetchBinRequest` (only the enclave / MPC committee can read them),
+    /// the secure environment scans every encrypted tuple cloud-side, and
+    /// the matching rows come back in the same payload as the clear-text
+    /// non-sensitive tuples ([`CloudServer::fetch_bin_oblivious`]).  A
+    /// standalone selection is the same round with no clear-text bin.
     fn select_bin_episode(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut CloudServer,
         request: &BinEpisodeRequest,
     ) -> Result<BinEpisodeOutcome> {
-        self.searchable_attr()?;
+        let attr = self.searchable_attr()?;
         let tokens: Vec<Vec<u8>> = request
             .sensitive_values
             .iter()
@@ -153,9 +139,9 @@ impl SecureSelectionEngine for ObliviousScanEngine {
             .collect();
         let matching = self.enclave_matches(&request.sensitive_values);
         let scanned = self.enclave_column.len();
-        let (nonsensitive, rows) =
+        let answer =
             cloud.fetch_bin_oblivious(&request.to_wire(tokens, &[]), &matching, scanned)?;
-        self.finish_composed(owner, request, nonsensitive, rows)
+        finish_episode(owner, attr, request, answer)
     }
 }
 
@@ -184,7 +170,7 @@ impl JanaSimEngine {
 mod tests {
     use super::*;
     use crate::cost::computation_time;
-    use pds_cloud::NetworkModel;
+    use pds_cloud::{msg_tag, NetworkModel};
     use pds_storage::{DataType, Schema};
 
     fn sample_relation(n: i64) -> Relation {
@@ -214,6 +200,11 @@ mod tests {
         assert_eq!(out.len(), 5);
         assert_eq!(delta.encrypted_tuples_scanned, 50);
         assert!(engine.hides_access_pattern());
+        // The enclave's tokens ride one request: one round, one fetch, and
+        // no separate scan request.
+        assert_eq!(delta.round_trips, 1);
+        assert_eq!(delta.frames_of_type(msg_tag::FETCH_BIN_REQUEST), 1);
+        assert_eq!(delta.frames_of_type(msg_tag::OPAQUE), 0);
     }
 
     #[test]

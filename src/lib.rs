@@ -74,8 +74,7 @@ pub mod prelude {
     pub use pds_core::extensions::{equi_join, group_by_aggregate, select_range, InsertPlanner};
     pub use pds_core::{
         choose_engines, BinShape, BinningConfig, CostModel, EngineCandidate, EtaModel, PlanMode,
-        PlannerConfig, QbExecutor, QueryBinning, QueryPlan, SelectionStats, ShardPlan,
-        TransportedRun,
+        PlannerConfig, QbExecutor, QueryBinning, QueryPlan, ShardPlan, TransportedRun,
     };
     pub use pds_storage::{
         Attribute, DataType, Partitioner, Predicate, Relation, Schema, SelectionQuery,

@@ -59,10 +59,17 @@ proptest! {
             let expect = answer_bytes(
                 &uncached.select(&mut base_owner, &mut base_cloud, value).unwrap(),
             );
-            let got = answer_bytes(&cached.select(&mut owner, &mut cloud, value).unwrap());
+            let run = cached
+                .run_workload_transported(
+                    &mut owner,
+                    &mut cloud,
+                    std::slice::from_ref(value),
+                    &BinTransport::Sequential,
+                )
+                .unwrap();
+            let got = answer_bytes(&run.answers[0]);
             prop_assert!(got == expect, "answers diverge for {value} at capacity {capacity}");
-            let stats = cached.last_stats();
-            prop_assert_eq!(stats.cache_hits + stats.cache_misses, 1);
+            prop_assert_eq!(run.cache_hits + run.cache_misses, 1);
         }
 
         // The cloud's view of the cached run is secure (hits only removed

@@ -53,7 +53,7 @@ const EPISODE_SHAPE: [(u64, u64); BACKENDS] = [
     (1, 2), // arx
     (2, 3), // secret sharing: share scan, then the fetch
     (2, 3), // DPF: two-server evaluation, then the fetch
-    (1, 3), // opaque-sim: the enclave scans inside the one round
+    (1, 2), // opaque-sim: the enclave scans inside its one fetch
 ];
 
 /// The engine an optimizer decision names, as a boxed trait object.
@@ -182,9 +182,16 @@ proptest! {
                 };
                 let mut mode_answers = Vec::with_capacity(values.len());
                 for value in &values {
-                    let ts = executor.select(&mut owner, &mut router, value).unwrap();
-                    mode_answers.push(answer_bytes(&ts));
-                    let rounds = executor.last_stats().rounds;
+                    let run = executor
+                        .run_workload_transported(
+                            &mut owner,
+                            &mut router,
+                            std::slice::from_ref(value),
+                            &BinTransport::Sequential,
+                        )
+                        .unwrap();
+                    mode_answers.push(answer_bytes(&run.answers[0]));
+                    let rounds = run.rounds;
                     prop_assert!(
                         rounds == per_episode,
                         "backend={} mode={:?} value={}: {} rounds, want {}",
