@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-use pds_cloud::{AdversarialView, EpisodeObservation};
+use pds_cloud::AdversarialView;
 use pds_common::{TupleId, Value};
 
 /// A sensitive-side retrieval group: the set of encrypted tuple ids returned
@@ -45,19 +45,27 @@ pub struct SurvivingMatches {
 impl SurvivingMatches {
     /// Builds the analysis from an adversarial view.
     ///
-    /// Every update below is an idempotent set insert, so an observation
-    /// the view shares between several episodes is folded in once: the
-    /// cost grows with the distinct observations, not the episode count.
+    /// Every update below is an idempotent set insert that reads only an
+    /// episode's request and sensitive ids, so each distinct (request,
+    /// sensitive ids) pair is folded in once.  The view interns its lists,
+    /// so two of them are one allocation exactly when they are equal, and
+    /// the pair is keyed by its two pointers: the cost grows with the bin
+    /// pairs observed, not with the episodes or with how many clear-text
+    /// results inserts made of each pair.
     pub fn from_view(view: &AdversarialView) -> Self {
         let mut sensitive_groups: Vec<SensitiveGroup> = Vec::new();
         let mut nonsensitive_groups: Vec<NonSensitiveGroup> = Vec::new();
         let mut edges = BTreeSet::new();
         let mut value_candidates: BTreeMap<TupleId, BTreeSet<Value>> = BTreeMap::new();
         let mut all_ns_values: BTreeSet<Value> = BTreeSet::new();
-        let mut folded: HashSet<*const EpisodeObservation> = HashSet::new();
+        let mut folded: HashSet<(*const [Value], *const [TupleId])> = HashSet::new();
 
         for ep in view.episodes() {
-            if !folded.insert(Arc::as_ptr(&ep.observed)) {
+            let pair = (
+                Arc::as_ptr(&ep.plaintext_request),
+                Arc::as_ptr(&ep.sensitive_returned),
+            );
+            if !folded.insert(pair) {
                 continue;
             }
             let s_group: SensitiveGroup = ep.sensitive_returned.iter().copied().collect();

@@ -82,4 +82,6 @@ pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
 pub use store::{EncryptedRow, EncryptedStore};
 pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
 pub use transport::BinTransport;
-pub use view::{AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode};
+pub use view::{
+    AdversarialView, EpisodeLoads, EpisodeObservation, QueryEpisode, ResultList, ResultPair,
+};

@@ -699,8 +699,8 @@ mod tests {
         assert_eq!(out.len(), 2);
         let ep = &s.adversarial_view().episodes()[0];
         assert_eq!(ep.plaintext_request.len(), 2);
-        assert_eq!(ep.nonsensitive_returned.len(), 2);
-        assert_eq!(ep.nonsensitive_values.len(), 2);
+        assert_eq!(ep.nonsensitive_output_size(), 2);
+        assert_eq!(ep.nonsensitive_values().count(), 2);
         assert!(ep.sensitive_returned.is_empty());
     }
 
@@ -1014,7 +1014,7 @@ mod tests {
         assert_eq!(ep.plaintext_request.len(), 2);
         assert_eq!(ep.encrypted_request_size, 2);
         assert_eq!(ep.sensitive_returned.len(), 2);
-        assert_eq!(ep.nonsensitive_returned.len(), 2);
+        assert_eq!(ep.nonsensitive_output_size(), 2);
     }
 
     #[test]

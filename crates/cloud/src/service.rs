@@ -677,15 +677,22 @@ fn flush_tenant_stats(state: &SharedState, tenant: u64, server: &CloudServer) {
     registry.gauge_set("pds_bin_load_uniformity", labels, load_uniformity(&loads));
     registry.counter_set("pds_observed_episodes_total", labels, loads.episodes);
     // View size: how many distinct observations and shared lists the
-    // episode log holds. Counts only, read in O(1) like the loads above.
+    // episode log holds, and how many clear-text (id, value) pairs its
+    // result lists store. Counts only, read in O(1) like the loads above.
     registry.gauge_set(
         "pds_view_distinct_observations",
         labels,
         view.distinct_observations() as f64,
     );
+    registry.gauge_set(
+        "pds_view_retained_pairs",
+        labels,
+        view.retained_pairs() as f64,
+    );
     for (kind, lists) in [
         ("values", view.shared_value_lists()),
         ("ids", view.shared_id_lists()),
+        ("results", view.shared_result_lists()),
     ] {
         registry.gauge_set(
             "pds_view_shared_lists",

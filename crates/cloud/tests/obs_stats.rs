@@ -88,12 +88,14 @@ fn stats_snapshot_is_byte_stable_and_tenant_scoped() {
     assert!(first.contains("pds_round_trips_total"), "{first}");
     assert!(first.contains("pds_bin_load_uniformity"), "{first}");
     // ...the size of its adversarial view, as counts: three fetches of two
-    // distinct requests, whose returned values equal the requested ones and
-    // so share their lists (ids: two returned lists plus the empty
-    // sensitive one)...
+    // distinct requests (two request lists), their two clear-text results
+    // holding 1 + 2 (id, value) pairs, and the one empty sensitive id
+    // list...
     for line in [
         "pds_view_distinct_observations{shard=\"3\",tenant=\"7\"} 2.0",
-        "pds_view_shared_lists{kind=\"ids\",shard=\"3\",tenant=\"7\"} 3.0",
+        "pds_view_retained_pairs{shard=\"3\",tenant=\"7\"} 3.0",
+        "pds_view_shared_lists{kind=\"ids\",shard=\"3\",tenant=\"7\"} 1.0",
+        "pds_view_shared_lists{kind=\"results\",shard=\"3\",tenant=\"7\"} 2.0",
         "pds_view_shared_lists{kind=\"values\",shard=\"3\",tenant=\"7\"} 2.0",
     ] {
         assert!(first.lines().any(|l| l == line), "no `{line}` in:\n{first}");

@@ -4,14 +4,17 @@
 //! rendered table and the same load summary — whatever mix of begin /
 //! observe / end / absorb calls (dangling episodes included) produced it.
 //! And within one view, equal lists are one allocation even when the
-//! observations holding them differ.
+//! observations holding them differ, and a clear-text result is stored as
+//! an extension of the result last observed for its request exactly when
+//! it extends that result.
 //!
 //! Replay a failing case with `PROPTEST_SEED=<seed>`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
 use std::sync::Arc;
 
-use pds_cloud::{AdversarialView, EpisodeLoads};
+use pds_cloud::{AdversarialView, EpisodeLoads, ResultList, ResultPair};
 use pds_common::{QueryId, TupleId, Value};
 use proptest::prelude::*;
 
@@ -48,15 +51,32 @@ impl NaiveEpisode {
             self.sensitive_returned.clone(),
         )
     }
+
+    /// The clear-text result as (id, value) pairs.
+    fn result(&self) -> Vec<ResultPair> {
+        self.nonsensitive_returned
+            .iter()
+            .copied()
+            .zip(self.nonsensitive_values.iter().cloned())
+            .collect()
+    }
 }
 
 /// The reference recorder: a fresh owned copy of every episode, kept
-/// forever, with the view's numbering and dangling-episode rules.
+/// forever, with the view's numbering and dangling-episode rules.  It
+/// also models the view's storage rule for clear-text results: a result
+/// first seen when it strictly extends the result last observed for the
+/// same request is stored as an extension; an absorbed one keeps the
+/// shape it had in its own view.
 #[derive(Default)]
 struct NaiveView {
     episodes: Vec<NaiveEpisode>,
     in_progress: Option<NaiveEpisode>,
     next_id: u64,
+    /// Per request, the result last observed for it.
+    last: HashMap<Vec<Value>, Vec<ResultPair>>,
+    /// Per distinct result, whether it is stored as an extension.
+    extends: HashMap<Vec<ResultPair>, bool>,
 }
 
 impl NaiveView {
@@ -75,6 +95,12 @@ impl NaiveView {
 
     fn end(&mut self) {
         if let Some(ep) = self.in_progress.take() {
+            let result = ep.result();
+            let last = self.last.get(&ep.plaintext_request);
+            let extends =
+                last.is_some_and(|last| last.len() < result.len() && result.starts_with(last));
+            self.extends.entry(result.clone()).or_insert(extends);
+            self.last.insert(ep.plaintext_request.clone(), result);
             self.episodes.push(ep);
         }
     }
@@ -91,6 +117,11 @@ impl NaiveView {
         for ep in &other.episodes {
             let mut ep = ep.clone();
             ep.id = self.fresh_id();
+            let result = ep.result();
+            self.extends
+                .entry(result.clone())
+                .or_insert(other.extends[&result]);
+            self.last.insert(ep.plaintext_request.clone(), result);
             self.episodes.push(ep);
         }
     }
@@ -142,20 +173,22 @@ impl NaiveView {
 }
 
 /// Asserts that the view's lists of one kind are interned: two of them
-/// are one allocation exactly when they are equal, and the view counts one
-/// shared list per distinct one.
-fn lists_are_shared<T: PartialEq + std::fmt::Debug>(
-    lists: &[&Arc<[T]>],
+/// are one allocation exactly when they are equal (`same` tells whether
+/// two are one allocation), and the view counts one shared list per
+/// distinct one.
+fn lists_are_shared<L: PartialEq + Debug + ?Sized>(
+    lists: &[&L],
+    same: impl Fn(&L, &L) -> bool,
     shared: usize,
 ) -> Result<(), TestCaseError> {
     let mut distinct = 0;
-    for (i, a) in lists.iter().enumerate() {
-        if !lists[..i].iter().any(|b| a[..] == b[..]) {
+    for (i, &a) in lists.iter().enumerate() {
+        if !lists[..i].contains(&a) {
             distinct += 1;
         }
-        for b in &lists[i + 1..] {
+        for &b in &lists[i + 1..] {
             prop_assert!(
-                (a[..] == b[..]) == Arc::ptr_eq(a, b),
+                (a == b) == same(a, b),
                 "{:?} and {:?} are equal exactly when shared",
                 a,
                 b
@@ -167,20 +200,42 @@ fn lists_are_shared<T: PartialEq + std::fmt::Debug>(
 }
 
 /// Asserts list interning over every field of every episode of `view`,
-/// whether recorded or absorbed: request and returned values share one
-/// interner, returned non-sensitive and sensitive ids the other.
+/// whether recorded or absorbed: requests, clear-text results and
+/// sensitive ids each have their own interner.  Every result stored as an
+/// extension extends another of the view's results, and the view's count
+/// of retained pairs is what its distinct results store themselves.
 fn check_list_sharing(view: &AdversarialView) -> Result<(), TestCaseError> {
     let eps = view.episodes();
-    let values: Vec<_> = eps
-        .iter()
-        .flat_map(|ep| [&ep.plaintext_request, &ep.nonsensitive_values])
-        .collect();
-    let ids: Vec<_> = eps
-        .iter()
-        .flat_map(|ep| [&ep.nonsensitive_returned, &ep.sensitive_returned])
-        .collect();
-    lists_are_shared(&values, view.shared_value_lists())?;
-    lists_are_shared(&ids, view.shared_id_lists())
+    let requests: Vec<_> = eps.iter().map(|ep| &ep.plaintext_request).collect();
+    let results: Vec<_> = eps.iter().map(|ep| &ep.nonsensitive_result).collect();
+    let ids: Vec<_> = eps.iter().map(|ep| &ep.sensitive_returned).collect();
+    lists_are_shared(&requests, Arc::ptr_eq, view.shared_value_lists())?;
+    lists_are_shared(&results, ResultList::ptr_eq, view.shared_result_lists())?;
+    lists_are_shared(&ids, Arc::ptr_eq, view.shared_id_lists())?;
+
+    let mut distinct: Vec<&ResultList> = Vec::new();
+    for &list in &results {
+        if !distinct.iter().any(|&d| ResultList::ptr_eq(d, list)) {
+            distinct.push(list);
+        }
+    }
+    for &list in &distinct {
+        if let Some(base) = list.base() {
+            prop_assert!(
+                results.iter().any(|&r| ResultList::ptr_eq(r, base)),
+                "the base of {:?} is not one of the view's results",
+                list
+            );
+            prop_assert!(base.len() < list.len());
+            prop_assert!(list.iter().take(base.len()).eq(base.iter()));
+            prop_assert_eq!(list.own_pairs(), list.len() - base.len());
+        } else {
+            prop_assert_eq!(list.own_pairs(), list.len());
+        }
+    }
+    let retained: usize = distinct.iter().map(|list| list.own_pairs()).sum();
+    prop_assert_eq!(view.retained_pairs(), retained);
+    Ok(())
 }
 
 /// A view under test and its naive twin, driven in lock-step.
@@ -201,6 +256,13 @@ fn values(seed: u64, len: usize) -> Vec<Value> {
 fn ids(seed: u64, len: usize) -> Vec<TupleId> {
     (0..len as u64)
         .map(|i| TupleId::new((seed + i) % 4))
+        .collect()
+}
+
+/// Ids above every id `ids` draws, as an insert would take.
+fn fresh_ids(seed: u64, len: usize) -> Vec<TupleId> {
+    (0..len as u64)
+        .map(|i| TupleId::new(4 + seed + i))
         .collect()
 }
 
@@ -226,18 +288,43 @@ impl Pair {
             }
             4 => {
                 let (tids, vals) = (ids(seed, len), values(seed, len));
-                self.view.observe_nonsensitive_result(&tids, &vals);
-                let ep = self.naive.current();
-                ep.nonsensitive_returned.extend(tids);
-                ep.nonsensitive_values.extend(vals);
+                self.observe_result(tids, vals);
             }
-            _ => {
+            5 => {
                 let tids = ids(seed, len);
                 self.view.observe_sensitive_result(&tids);
                 self.naive.current().sensitive_returned.extend(tids);
             }
+            _ => {
+                // Re-observe an earlier episode's request and result, plus
+                // `len` appended pairs: what a read after inserts returns.
+                let eps = &self.naive.episodes;
+                let Some(earlier) = eps.len().checked_sub(1 + seed as usize % eps.len().max(1))
+                else {
+                    return Ok(());
+                };
+                let earlier = eps[earlier].clone();
+                self.view
+                    .observe_plaintext_request(&earlier.plaintext_request);
+                self.naive
+                    .current()
+                    .plaintext_request
+                    .extend(earlier.plaintext_request);
+                let mut tids = earlier.nonsensitive_returned;
+                let mut vals = earlier.nonsensitive_values;
+                tids.extend(fresh_ids(seed, len));
+                vals.extend(values(seed, len));
+                self.observe_result(tids, vals);
+            }
         }
         Ok(())
+    }
+
+    fn observe_result(&mut self, tids: Vec<TupleId>, vals: Vec<Value>) {
+        self.view.observe_nonsensitive_result(&tids, &vals);
+        let ep = self.naive.current();
+        ep.nonsensitive_returned.extend(tids);
+        ep.nonsensitive_values.extend(vals);
     }
 
     fn absorb(&mut self, other: &Pair) {
@@ -255,12 +342,22 @@ impl Pair {
                 id: ep.id,
                 plaintext_request: ep.plaintext_request.to_vec(),
                 encrypted_request_size: ep.encrypted_request_size,
-                nonsensitive_returned: ep.nonsensitive_returned.to_vec(),
-                nonsensitive_values: ep.nonsensitive_values.to_vec(),
+                nonsensitive_returned: ep.nonsensitive_ids().collect(),
+                nonsensitive_values: ep.nonsensitive_values().cloned().collect(),
                 sensitive_returned: ep.sensitive_returned.to_vec(),
             })
             .collect();
         prop_assert_eq!(&got, &self.naive.episodes);
+        // Each result is stored as an extension exactly when the model
+        // says so.
+        for (ep, naive) in self.view.episodes().iter().zip(&self.naive.episodes) {
+            prop_assert!(
+                ep.nonsensitive_result.base().is_some() == self.naive.extends[&naive.result()],
+                "episode {}: {:?}",
+                naive.id,
+                ep.nonsensitive_result
+            );
+        }
         prop_assert_eq!(self.view.len(), self.naive.episodes.len());
         prop_assert_eq!(self.view.render_table(), self.naive.render_table());
         prop_assert_eq!(self.view.sensitive_loads(), self.naive.loads());
@@ -294,10 +391,11 @@ proptest! {
     /// view identical to the naive recorder, with equal lists shared even
     /// across differing observations. Ops with `target == 1` build a
     /// side view that `op == 6` absorbs into the main one (possibly while
-    /// the main view has an episode open).
+    /// the main view has an episode open); `op == 7` re-observes an
+    /// earlier episode's result with pairs appended.
     #[test]
     fn interned_view_matches_naive_recorder(
-        ops in prop::collection::vec((0u8..7, 0u8..2, 0u64..4, 0usize..3), 0..80),
+        ops in prop::collection::vec((0u8..8, 0u8..2, 0u64..4, 0usize..3), 0..80),
     ) {
         let mut main = Pair::default();
         let mut side = Pair::default();

@@ -23,8 +23,8 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 
 use pds_cloud::{
-    BinEpisodeRequest, BinRoutedCloud, BinTransport, CloudServer, DbOwner, NetworkModel,
-    ServiceConfig, ShardDaemon, ShardRouter, TcpCloudClient,
+    AdversarialView, BinEpisodeRequest, BinRoutedCloud, BinTransport, CloudServer, DbOwner,
+    NetworkModel, ServiceConfig, ShardDaemon, ShardRouter, TcpCloudClient,
 };
 use pds_common::{PdsError, TupleId, Value};
 use pds_core::{
@@ -338,6 +338,15 @@ fn a_dead_daemon_is_a_typed_error_after_one_bounded_retry() {
 /// Sums the samples of `metric` in one shard's tenant-scoped stats
 /// snapshot.
 fn stat(client: &TcpCloudClient, shard: usize, metric: &str) -> f64 {
+    snapshot(client, shard)
+        .lines()
+        .filter_map(|line| line.strip_prefix(metric)?.strip_prefix('{'))
+        .map(|sample| sample.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+/// One shard's stats snapshot for the client's tenant.
+fn snapshot(client: &TcpCloudClient, shard: usize) -> String {
     let mut conn = client.checkout(shard).unwrap();
     let snapshot = match conn.call(&WireMessage::StatsRequest).unwrap() {
         WireMessage::StatsSnapshot(text) => text,
@@ -345,19 +354,166 @@ fn stat(client: &TcpCloudClient, shard: usize, metric: &str) -> f64 {
     };
     client.checkin(shard, conn);
     snapshot
-        .lines()
-        .filter_map(|line| line.strip_prefix(metric)?.strip_prefix('{'))
-        .map(|sample| sample.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
-        .sum()
+}
+
+/// Shared request, sensitive-id and clear-text result lists of one view.
+fn shared_lists(view: &AdversarialView) -> usize {
+    view.shared_value_lists() + view.shared_id_lists() + view.shared_result_lists()
+}
+
+/// A view's size: its shared request, sensitive-id and result lists, and
+/// the (id, value) pairs its results retain.
+type ViewSize = [usize; 4];
+
+fn view_size(view: &AdversarialView) -> ViewSize {
+    [
+        view.shared_value_lists(),
+        view.shared_id_lists(),
+        view.shared_result_lists(),
+        view.retained_pairs(),
+    ]
+}
+
+/// The same size, read from one shard's view gauges over the wire.
+fn gauged_view_size(client: &TcpCloudClient, shard: usize) -> ViewSize {
+    let snapshot = snapshot(client, shard);
+    let sample = |series: &str| -> usize {
+        let line = snapshot
+            .lines()
+            .find(|line| line.starts_with(series))
+            .unwrap_or_else(|| panic!("no `{series}` in:\n{snapshot}"));
+        line.rsplit(' ').next().unwrap().parse::<f64>().unwrap() as usize
+    };
+    [
+        sample("pds_view_shared_lists{kind=\"values\""),
+        sample("pds_view_shared_lists{kind=\"ids\""),
+        sample("pds_view_shared_lists{kind=\"results\""),
+        sample("pds_view_retained_pairs{"),
+    ]
+}
+
+/// Each insert step puts one to three copies of a non-sensitive tuple (so
+/// their value is already binned) under fresh ids on every shard, then
+/// every bin is read twice, with no owner cache, in process and over
+/// loopback daemons.  Each shard's view grows by one clear-text result list holding
+/// exactly the inserted (id, value) pairs; its request and sensitive-id
+/// lists do not grow, and the second read adds nothing.  The daemons'
+/// gauges read what the in-process twin's views hold.
+#[test]
+fn an_insert_grows_each_shard_view_by_one_result_list_and_its_pairs() {
+    const SHARDS: usize = 2;
+    let mut twin = tenant_deployment(1, SHARDS, DeterministicIndexEngine::new());
+    let mut tenants = vec![tenant_deployment(
+        1,
+        SHARDS,
+        DeterministicIndexEngine::new(),
+    )];
+    for executor in [&mut twin.executor, &mut tenants[0].executor] {
+        executor.set_cache_capacity(0);
+    }
+    let parts = employee_parts();
+    let templates = parts.nonsensitive.tuples();
+    let mut next_id = parts
+        .sensitive
+        .tuples()
+        .iter()
+        .chain(templates)
+        .map(|t| t.id.raw())
+        .chain(twin.executor.fake_tuple_ids().iter().map(|id| id.raw()))
+        .max()
+        .unwrap()
+        + 1;
+
+    let daemons = spawn_daemons(&mut tenants, SHARDS, &ServiceConfig::with_workers(2));
+    let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
+    let client = TcpCloudClient::new(1, addrs);
+    let transport = BinTransport::Tcp(client.clone());
+    // Reads every bin over TCP and in the twin, and returns the twin's
+    // per-shard view sizes.
+    fn read_all<E: SecureSelectionEngine>(
+        t: &mut Tenant<E>,
+        twin: &mut Tenant<E>,
+        transport: &BinTransport,
+    ) -> Vec<ViewSize> {
+        let run = t
+            .executor
+            .run_workload_transported(&mut t.owner, &mut t.router, &t.workload, transport)
+            .unwrap();
+        let want = twin
+            .executor
+            .run_workload_transported(
+                &mut twin.owner,
+                &mut twin.router,
+                &twin.workload,
+                &BinTransport::Threaded,
+            )
+            .unwrap();
+        assert_eq!(run.answers, want.answers);
+        twin.router
+            .adversarial_views()
+            .into_iter()
+            .map(view_size)
+            .collect()
+    }
+    let t = &mut tenants[0];
+    let mut before = read_all(t, &mut twin, &transport);
+    for (step, copies) in [1, 1, 2, 1, 3].into_iter().enumerate() {
+        let template = &templates[(3 * step) % templates.len()];
+        let tuples: Vec<Tuple> = (0..copies)
+            .map(|i| Tuple::new(TupleId::new(next_id + i), template.values.clone()))
+            .collect();
+        next_id += copies;
+        let msg = WireMessage::InsertRequest(InsertRequest {
+            plain_tuples: tuples.clone(),
+            encrypted_rows: Vec::new(),
+        });
+        for shard in 0..SHARDS {
+            let mut conn = client.checkout(shard).unwrap();
+            let ack = conn.call(&msg).unwrap();
+            assert!(matches!(ack, WireMessage::Ack(_)), "{ack:?}");
+            client.checkin(shard, conn);
+            for tuple in &tuples {
+                twin.router.shards_mut()[shard]
+                    .insert_plaintext(tuple.clone())
+                    .unwrap();
+            }
+        }
+
+        let after = read_all(t, &mut twin, &transport);
+        assert_eq!(
+            read_all(t, &mut twin, &transport),
+            after,
+            "step {step}: a re-read grew a view"
+        );
+        for shard in 0..SHARDS {
+            let [values, ids, results, pairs] = before[shard];
+            let want = [values, ids, results + 1, pairs + copies as usize];
+            assert_eq!(after[shard], want, "step {step}, shard {shard}");
+            assert_eq!(
+                gauged_view_size(&client, shard),
+                want,
+                "step {step}, shard {shard} gauges"
+            );
+        }
+        before = after;
+    }
+    reclaim_servers(daemons, &mut tenants);
+    let views = tenants[0].router.adversarial_views();
+    for (view, local) in views.iter().zip(twin.router.adversarial_views()) {
+        assert_eq!(view_size(view), view_size(local));
+    }
+    let report = pds_adversary::check_sharded_partitioned_security(&views);
+    assert!(report.is_secure(), "{report:?}");
 }
 
 /// A read/insert soak over loopback daemons, the TCP twin of
 /// `tests/view_memory.rs`: every insert copies a non-sensitive tuple (so
 /// its value is already binned) under a fresh id, goes to every shard as
-/// an `InsertRequest`, then drops the owner's cached bin.  While the daemons run, each shard's view-size
-/// gauges stay within |SB| + 3·|NSB| + 2·inserts + 2 shared lists.  An
-/// in-process twin of the tenant, fed the same inserts, fixes the exact
-/// answers and view sizes to expect, and the reclaimed views are secure.
+/// an `InsertRequest`, then drops the owner's cached bin.  While the
+/// daemons run, each shard's view-size gauges stay within
+/// |SB| + 2·|NSB| + 3 + inserts shared lists.  An in-process twin of the
+/// tenant, fed the same inserts, fixes the exact answers and view sizes to
+/// expect, and the reclaimed views are secure.
 #[test]
 fn a_read_insert_soak_keeps_every_shard_view_bounded() {
     const SHARDS: usize = 2;
@@ -415,7 +571,7 @@ fn a_read_insert_soak_keeps_every_shard_view_bounded() {
             first_pass_tuples = tuples;
         }
         assert_eq!(tuples, first_pass_tuples + inserts);
-        let bound = sb + 3 * nsb + 2 * inserts + 2;
+        let bound = sb + 2 * nsb + 3 + inserts;
         for shard in 0..SHARDS {
             let lists = stat(&client, shard, "pds_view_shared_lists");
             let observations = stat(&client, shard, "pds_view_distinct_observations");
@@ -462,10 +618,11 @@ fn a_read_insert_soak_keeps_every_shard_view_bounded() {
         .zip(twin.router.adversarial_views())
         .zip(gauges)
     {
-        let lists = view.shared_value_lists() + view.shared_id_lists();
+        let lists = shared_lists(view);
         assert_eq!(lists as f64, gauge);
-        assert!(lists > sb + 3 * nsb + 2, "the inserts were observed");
-        assert_eq!(lists, local.shared_value_lists() + local.shared_id_lists());
+        assert!(lists > sb + 2 * nsb + 3, "the inserts were observed");
+        assert_eq!(lists, shared_lists(local));
+        assert_eq!(view.retained_pairs(), local.retained_pairs());
         assert_eq!(view.distinct_observations(), local.distinct_observations());
     }
     let report = pds_adversary::check_sharded_partitioned_security(&views);

@@ -62,10 +62,19 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
     HmacKey::new(key).mac(data)
 }
 
-/// Constant-length tag comparison. (Not constant-time; the simulation does
-/// not defend against timing adversaries.)
-pub fn verify(tag: &[u8], expected: &[u8; DIGEST_LEN]) -> bool {
-    tag.len() == DIGEST_LEN && tag == expected
+/// Constant-time tag comparison: whether `tag` equals `expected`.  The
+/// lengths are public; the bytes are compared without a data-dependent
+/// branch or early exit, so the time taken does not reveal how many
+/// leading bytes of a forged tag were right.
+pub fn verify(tag: &[u8], expected: &[u8]) -> bool {
+    if tag.len() != expected.len() {
+        return false;
+    }
+    let diff = tag
+        .iter()
+        .zip(expected)
+        .fold(0u8, |acc, (a, b)| acc | (a ^ b));
+    std::hint::black_box(diff) == 0
 }
 
 #[cfg(test)]
@@ -142,6 +151,11 @@ mod tests {
         let mut wrong = tag;
         wrong[0] ^= 1;
         assert!(!verify(&wrong, &tag));
+        let mut last = tag;
+        last[31] ^= 0x80;
+        assert!(!verify(&last, &tag));
         assert!(!verify(&tag[..31], &tag));
+        assert!(verify(&tag[..16], &tag[..16]));
+        assert!(verify(&[], &[]));
     }
 }

@@ -12,7 +12,7 @@ use rand::Rng;
 
 use crate::aes::Aes128;
 use crate::ctr::{ctr_transform, NONCE_LEN};
-use crate::hmac::HmacKey;
+use crate::hmac::{self, HmacKey};
 use crate::Key128;
 
 /// Length of the authentication tag stored with each ciphertext.
@@ -95,7 +95,7 @@ impl NonDetCipher {
         }
         let (payload, tag) = data.split_at(data.len() - TAG_LEN);
         let expected = self.mac.mac(payload);
-        if tag != &expected[..TAG_LEN] {
+        if !hmac::verify(tag, &expected[..TAG_LEN]) {
             return Err(PdsError::Crypto("authentication tag mismatch".into()));
         }
         let nonce: [u8; NONCE_LEN] = payload[..NONCE_LEN].try_into().expect("nonce length");

@@ -73,13 +73,20 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros then 8-byte length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0u8]);
+        // Padding, written straight into the block buffer: 0x80, zeros up
+        // to byte 56 (spilling into a second block when fewer than 8 bytes
+        // remain), then the message length in bits.
+        let mut end = self.buffer_len;
+        self.buffer[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buffer[end..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            end = 0;
         }
-        // Manually append the length without counting it in total_len again.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[end..56].fill(0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
@@ -207,6 +214,31 @@ mod tests {
             h.update(&data[..len / 2]);
             h.update(&data[len / 2..]);
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    /// `finalize` against the padded message spelled out as FIPS 180-4
+    /// §5.1.1 defines it, compressed block by block, for every length of
+    /// the last block's tail.
+    #[test]
+    fn padding_matches_the_standard_for_every_tail_length() {
+        for len in 0..=192usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut h = Sha256::new();
+            for block in padded.chunks(64) {
+                h.compress(block.try_into().unwrap());
+            }
+            let mut want = [0u8; DIGEST_LEN];
+            for (i, word) in h.state.iter().enumerate() {
+                want[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            assert_eq!(sha256(&data), want, "len {len}");
         }
     }
 }

@@ -136,6 +136,45 @@ pub fn reconstruct(shares: &[Share]) -> Result<u64> {
     Ok(secret)
 }
 
+/// The Lagrange weights at zero of the evaluation points `xs`: the secret
+/// behind shares `(xs[i], y_i)` is `Σ weights[i]·y_i` ([`weighted_sum`]).
+///
+/// A scan over many values shared at the same points computes these once
+/// instead of running [`reconstruct`], with its inversions, per value.
+pub fn lagrange_weights(xs: &[u64]) -> Result<Vec<u64>> {
+    if xs.is_empty() {
+        return Err(PdsError::Crypto("no shares provided".into()));
+    }
+    for (i, x) in xs.iter().enumerate() {
+        if xs[i + 1..].contains(x) {
+            return Err(PdsError::Crypto("duplicate share points".into()));
+        }
+    }
+    xs.iter()
+        .enumerate()
+        .map(|(i, &xi)| {
+            let mut num = 1u64;
+            let mut den = 1u64;
+            for (j, &xj) in xs.iter().enumerate() {
+                if i != j {
+                    num = mul(num, xj % MODULUS);
+                    den = mul(den, sub(xj, xi));
+                }
+            }
+            Ok(mul(num, inv(den)?))
+        })
+        .collect()
+}
+
+/// `Σ weights[i]·ys[i]`: with [`lagrange_weights`] of the shares'
+/// evaluation points, the secret behind share values `ys`.
+pub fn weighted_sum(weights: &[u64], ys: impl IntoIterator<Item = u64>) -> u64 {
+    weights
+        .iter()
+        .zip(ys)
+        .fold(0, |acc, (&w, y)| add(acc, mul(w, y)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +241,8 @@ mod tests {
         assert!(reconstruct(&[]).is_err());
         assert!(reconstruct(&[Share { x: 1, y: 2 }, Share { x: 1, y: 3 }]).is_err());
         assert!(inv(0).is_err());
+        assert!(lagrange_weights(&[]).is_err());
+        assert!(lagrange_weights(&[2, 5, 2]).is_err());
     }
 
     proptest! {
@@ -212,6 +253,33 @@ mod tests {
             let mut rng = seeded_rng(seed);
             let shares = share(secret, k, n, &mut rng).unwrap();
             prop_assert_eq!(reconstruct(&shares[..k]).unwrap(), secret);
+        }
+
+        /// The weighted sum equals `reconstruct` for any distinct points
+        /// and any share values, not only consistent shares.
+        #[test]
+        fn weighted_sum_equals_reconstruct(seed in any::<u64>(), k in 1usize..7) {
+            let mut rng = seeded_rng(seed);
+            let mut shares: Vec<Share> = Vec::new();
+            while shares.len() < k {
+                let x = rng.gen_range(1..MODULUS);
+                if shares.iter().all(|s| s.x != x) {
+                    shares.push(Share { x, y: rng.gen_range(0..MODULUS) });
+                }
+            }
+            let xs: Vec<u64> = shares.iter().map(|s| s.x).collect();
+            let weights = lagrange_weights(&xs).unwrap();
+            prop_assert_eq!(
+                weighted_sum(&weights, shares.iter().map(|s| s.y)),
+                reconstruct(&shares).unwrap()
+            );
+            // The fixed server points 1..=k, as the secret-sharing scan uses.
+            let fixed = share(seed % MODULUS, k, k, &mut rng).unwrap();
+            let xs: Vec<u64> = (1..=k as u64).collect();
+            prop_assert_eq!(
+                weighted_sum(&lagrange_weights(&xs).unwrap(), fixed.iter().map(|s| s.y)),
+                reconstruct(&fixed).unwrap()
+            );
         }
 
         #[test]

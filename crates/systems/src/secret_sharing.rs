@@ -118,18 +118,23 @@ impl SecureSelectionEngine for SecretSharingEngine {
         // Linear scan: reconstruct every shared value from `threshold`
         // servers and compare against the targets.  (A real deployment
         // compares under sharing; reconstructing at the owner touches the
-        // same number of values and keeps the simulation simple.)
+        // same number of values and keeps the simulation simple.)  Server
+        // `j` holds every value's share at the point `j + 1`, so the
+        // Lagrange weights are computed once and each row is one weighted
+        // sum.
+        let servers = &self.servers[..self.threshold];
+        let points: Vec<u64> = (1..=servers.len() as u64).collect();
+        let weights = shamir::lagrange_weights(&points)?;
         let tuple_count = self.servers[0].shares.len();
         let mut matching: Vec<TupleId> = Vec::new();
         for i in 0..tuple_count {
-            let id = self.servers[0].shares[i].0;
-            let shares: Vec<Share> = self.servers[..self.threshold]
+            debug_assert!(servers
                 .iter()
-                .map(|s| s.shares[i].1)
-                .collect();
-            let secret = shamir::reconstruct(&shares)?;
+                .zip(&points)
+                .all(|(s, &x)| s.shares[i].1.x == x));
+            let secret = shamir::weighted_sum(&weights, servers.iter().map(|s| s.shares[i].1.y));
             if targets.contains(&secret) {
-                matching.push(id);
+                matching.push(self.servers[0].shares[i].0);
             }
         }
         // Account the scan as encrypted-tuple work on the cloud side: one

@@ -2,13 +2,15 @@
 //!
 //! Every QB query fetches one whole (sensitive bin, non-sensitive bin)
 //! pair, so however long a read-only session runs each shard observes at
-//! most |SB|·|NSB| distinct things, built from at most |SB| + 3·|NSB| + 2
-//! distinct lists.  The view keeps every episode (with its own id, in
-//! order) but must store each distinct list and observation once, so its
-//! memory grows by one id and one pointer per episode.  Inserts are what
-//! still grow it: a non-sensitive insert of an already-binned value adds
-//! at most two lists per shard, and one of a value the binning does not
-//! hold adds none.
+//! most |SB|·|NSB| distinct things, built from at most |SB| + 2·|NSB| + 3
+//! distinct lists whose clear-text results retain each non-sensitive
+//! tuple's (id, value) pair once.  The view keeps every episode (with its
+//! own id, in order) but must store each distinct list and observation
+//! once, so its memory grows by one id and one pointer per episode.
+//! Inserts are what still grow it: a non-sensitive insert of an
+//! already-binned value adds at most one list per shard, holding the
+//! inserted pair, and one of a value the binning does not hold adds
+//! none.
 
 use partitioned_data_security::common::TupleId;
 use partitioned_data_security::prelude::*;
@@ -81,11 +83,20 @@ impl Deployment {
             .map(shared_lists)
             .collect()
     }
+
+    /// Retained clear-text (id, value) pairs, per shard.
+    fn retained_pairs(&self) -> Vec<usize> {
+        self.router
+            .adversarial_views()
+            .into_iter()
+            .map(AdversarialView::retained_pairs)
+            .collect()
+    }
 }
 
-/// Shared value plus id lists of one view.
+/// Shared request, sensitive-id and clear-text result lists of one view.
 fn shared_lists(view: &AdversarialView) -> usize {
-    view.shared_value_lists() + view.shared_id_lists()
+    view.shared_value_lists() + view.shared_id_lists() + view.shared_result_lists()
 }
 
 #[test]
@@ -109,9 +120,15 @@ fn repeated_qb_episodes_share_one_observation_per_bin_pair() {
         );
         let lists = shared_lists(view);
         assert!(
-            lists <= sb + 3 * nsb + 2,
+            lists <= sb + 2 * nsb + 3,
             "shard {shard}: {lists} shared lists over {} episodes",
             view.len(),
+        );
+        assert!(
+            view.retained_pairs() <= d.parts.nonsensitive.len(),
+            "shard {shard}: {} retained pairs from {} clear-text tuples",
+            view.retained_pairs(),
+            d.parts.nonsensitive.len(),
         );
         assert_eq!(view.sensitive_loads().episodes, view.len() as u64);
     }
@@ -120,12 +137,13 @@ fn repeated_qb_episodes_share_one_observation_per_bin_pair() {
 
 /// A write-heavy session: every insert copies an existing non-sensitive
 /// tuple (so its value is already binned) under a fresh id onto every
-/// shard, so the next read of its bin returns a grown id list and value
-/// list.  Each shard's shared lists grow by at most two per insert, and
-/// re-reading every bin adds none.  A tuple whose value the binning does
-/// not hold, inserted first, is never requested and adds none at all.
+/// shard, so the next read of its bin returns a grown clear-text result.
+/// Each shard's shared lists grow by at most one per insert, its retained
+/// pairs by at most the inserted one, and re-reading every bin adds none.
+/// A tuple whose value the binning does not hold, inserted first, is
+/// never requested and adds none at all.
 #[test]
-fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
+fn inserts_grow_shared_lists_by_at_most_one_and_reads_by_none() {
     const INSERTS: usize = 24;
     let mut d = Deployment::new();
     let (sb, nsb) = d.bins();
@@ -156,6 +174,7 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
     let values = d.values.clone();
     d.read(&values);
     let before = d.shared_lists();
+    let pairs_before = d.retained_pairs();
     d.insert(&unbinned);
     d.read(&values);
     assert_eq!(
@@ -163,6 +182,7 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
         before,
         "inserting an unbinned value added lists"
     );
+    assert_eq!(d.retained_pairs(), pairs_before);
 
     let mut reads = 2 * values.len();
     for inserts in 0..=INSERTS {
@@ -175,11 +195,18 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
             after_first_pass,
             "after {inserts} inserts, re-reading every bin added lists"
         );
-        let bound = sb + 3 * nsb + 2 * inserts + 2;
+        let bound = sb + 2 * nsb + 3 + inserts;
         for (shard, lists) in after_first_pass.into_iter().enumerate() {
             assert!(
                 lists <= bound,
                 "shard {shard}: {lists} shared lists after {inserts} inserts, at most {bound}"
+            );
+        }
+        let pair_bound = d.parts.nonsensitive.len() + inserts;
+        for (shard, pairs) in d.retained_pairs().into_iter().enumerate() {
+            assert!(
+                pairs <= pair_bound,
+                "shard {shard}: {pairs} retained pairs after {inserts} inserts, at most {pair_bound}"
             );
         }
         if inserts == INSERTS {
@@ -195,7 +222,7 @@ fn inserts_grow_shared_lists_by_at_most_two_and_reads_by_none() {
     assert_eq!(episodes, reads, "every episode is kept");
     for (shard, view) in views.iter().enumerate() {
         assert!(
-            shared_lists(view) > sb + 3 * nsb + 2,
+            shared_lists(view) > sb + 2 * nsb + 3,
             "shard {shard} observed the inserts"
         );
         let bound = sb * (nsb + INSERTS);
@@ -214,9 +241,13 @@ fn surviving_matches(view: &AdversarialView) -> String {
     format!("{:?}", SurvivingMatches::from_view(view))
 }
 
+/// Per shard: distinct observations, shared lists, retained pairs, the
+/// largest sensitive load and the surviving-matches text.
+type ShardVerdict = (usize, usize, usize, u64, String);
+
 /// Per shard, everything about a view that must not depend on how often
 /// an episode was recorded, plus the sharded security report.
-fn verdict(d: &Deployment) -> (Vec<(usize, usize, u64, String)>, ShardedSecurityReport) {
+fn verdict(d: &Deployment) -> (Vec<ShardVerdict>, ShardedSecurityReport) {
     let views = d.router.adversarial_views();
     let shards = views
         .iter()
@@ -224,6 +255,7 @@ fn verdict(d: &Deployment) -> (Vec<(usize, usize, u64, String)>, ShardedSecurity
             (
                 v.distinct_observations(),
                 shared_lists(v),
+                v.retained_pairs(),
                 v.sensitive_loads().max,
                 surviving_matches(v),
             )
