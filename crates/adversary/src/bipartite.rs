@@ -29,15 +29,26 @@ pub type SensitiveGroup = BTreeSet<TupleId>;
 pub type NonSensitiveGroup = BTreeSet<Value>;
 
 /// The adversary's surviving-matches state after observing a view.
+///
+/// A tuple's candidates are the values of every non-sensitive group one of
+/// its sensitive groups co-occurred with, so they are kept per sensitive
+/// group, not per tuple: each group holds the union of its co-occurring
+/// non-sensitive groups, and each tuple the indices of the groups it was
+/// returned in.  Under Query Binning every tuple lies in one group (its
+/// bin) and reads that group's set; a tuple returned in several groups
+/// takes the union of theirs.
 #[derive(Debug, Clone)]
 pub struct SurvivingMatches {
     sensitive_groups: Vec<SensitiveGroup>,
     nonsensitive_groups: Vec<NonSensitiveGroup>,
     /// Edges between group indices that were observed co-retrieved.
     edges: BTreeSet<(usize, usize)>,
-    /// For every sensitive tuple id: the set of non-sensitive values that
-    /// remain candidate associations.
-    value_candidates: BTreeMap<TupleId, BTreeSet<Value>>,
+    /// For every sensitive group: the non-sensitive values that remain
+    /// candidate associations of its tuples.
+    group_candidates: Vec<BTreeSet<Value>>,
+    /// For every returned sensitive tuple id: the indices of the sensitive
+    /// groups it was returned in, ascending.
+    tuple_groups: BTreeMap<TupleId, Vec<usize>>,
     /// Every clear-text value the adversary has seen requested.
     all_nonsensitive_values: BTreeSet<Value>,
 }
@@ -51,12 +62,12 @@ impl SurvivingMatches {
     /// so two of them are one allocation exactly when they are equal, and
     /// the pair is keyed by its two pointers: the cost grows with the bin
     /// pairs observed, not with the episodes or with how many clear-text
-    /// results inserts made of each pair.
+    /// results inserts made of each pair.  Candidates are then filled once
+    /// per edge, not once per returned tuple.
     pub fn from_view(view: &AdversarialView) -> Self {
         let mut sensitive_groups: Vec<SensitiveGroup> = Vec::new();
         let mut nonsensitive_groups: Vec<NonSensitiveGroup> = Vec::new();
         let mut edges = BTreeSet::new();
-        let mut value_candidates: BTreeMap<TupleId, BTreeSet<Value>> = BTreeMap::new();
         let mut all_ns_values: BTreeSet<Value> = BTreeSet::new();
         let mut folded: HashSet<(*const [Value], *const [TupleId])> = HashSet::new();
 
@@ -74,14 +85,19 @@ impl SurvivingMatches {
             if s_group.is_empty() && ns_group.is_empty() {
                 continue;
             }
-            let s_idx = Self::intern(&mut sensitive_groups, s_group.clone());
-            let ns_idx = Self::intern(&mut nonsensitive_groups, ns_group.clone());
+            let s_idx = Self::intern(&mut sensitive_groups, s_group);
+            let ns_idx = Self::intern(&mut nonsensitive_groups, ns_group);
             edges.insert((s_idx, ns_idx));
-            for &tid in &s_group {
-                value_candidates
-                    .entry(tid)
-                    .or_default()
-                    .extend(ns_group.iter().cloned());
+        }
+
+        let mut group_candidates = vec![BTreeSet::new(); sensitive_groups.len()];
+        for &(s, ns) in &edges {
+            group_candidates[s].extend(nonsensitive_groups[ns].iter().cloned());
+        }
+        let mut tuple_groups: BTreeMap<TupleId, Vec<usize>> = BTreeMap::new();
+        for (s, group) in sensitive_groups.iter().enumerate() {
+            for &tid in group {
+                tuple_groups.entry(tid).or_default().push(s);
             }
         }
 
@@ -89,7 +105,8 @@ impl SurvivingMatches {
             sensitive_groups,
             nonsensitive_groups,
             edges,
-            value_candidates,
+            group_candidates,
+            tuple_groups,
             all_nonsensitive_values: all_ns_values,
         }
     }
@@ -149,7 +166,28 @@ impl SurvivingMatches {
     /// The candidate non-sensitive values still associable with a given
     /// encrypted tuple (empty set when the tuple was never returned).
     pub fn candidates(&self, id: TupleId) -> BTreeSet<Value> {
-        self.value_candidates.get(&id).cloned().unwrap_or_default()
+        match self.tuple_groups.get(&id).map(Vec::as_slice) {
+            None => BTreeSet::new(),
+            Some([group]) => self.group_candidates[*group].clone(),
+            Some(groups) => groups
+                .iter()
+                .flat_map(|&g| self.group_candidates[g].iter().cloned())
+                .collect(),
+        }
+    }
+
+    /// How many candidates [`SurvivingMatches::candidates`] holds for `id`,
+    /// read without copying a value.
+    fn candidate_count(&self, id: TupleId) -> usize {
+        match self.tuple_groups.get(&id).map(Vec::as_slice) {
+            None => 0,
+            Some([group]) => self.group_candidates[*group].len(),
+            Some(groups) => groups
+                .iter()
+                .flat_map(|&g| &self.group_candidates[g])
+                .collect::<BTreeSet<&Value>>()
+                .len(),
+        }
     }
 
     /// The *association ambiguity* of an encrypted tuple: the fraction of
@@ -160,13 +198,13 @@ impl SurvivingMatches {
         if self.all_nonsensitive_values.is_empty() {
             return 1.0;
         }
-        self.candidates(id).len() as f64 / self.all_nonsensitive_values.len() as f64
+        self.candidate_count(id) as f64 / self.all_nonsensitive_values.len() as f64
     }
 
     /// The minimum ambiguity across all returned sensitive tuples — the
     /// adversary's best (most pinned-down) target. 1.0 = no leakage.
     pub fn min_ambiguity(&self) -> f64 {
-        self.value_candidates
+        self.tuple_groups
             .keys()
             .map(|&id| self.ambiguity(id))
             .fold(1.0_f64, f64::min)
@@ -182,6 +220,7 @@ impl SurvivingMatches {
 mod tests {
     use super::*;
     use pds_cloud::AdversarialView;
+    use proptest::prelude::*;
 
     /// Builds a view with the given episodes: (sensitive ids, requested ns values).
     fn view(episodes: &[(&[u64], &[&str])]) -> AdversarialView {
@@ -260,5 +299,95 @@ mod tests {
         let av = view(&[(&[1], &["a", "b"]), (&[2], &["b", "c"])]);
         let sm = SurvivingMatches::from_view(&av);
         assert_eq!(sm.observed_nonsensitive_values().len(), 3);
+    }
+
+    /// The per-tuple formulation the group form replaced, as the oracle:
+    /// a returned tuple's candidates are the union of the requests of every
+    /// episode that returned it, and the graph is complete when every
+    /// distinct sensitive set co-occurred with every distinct request set.
+    struct Reference {
+        candidates: BTreeMap<TupleId, BTreeSet<Value>>,
+        all_values: BTreeSet<Value>,
+        complete: bool,
+    }
+
+    impl Reference {
+        fn of(view: &AdversarialView) -> Self {
+            let mut candidates: BTreeMap<TupleId, BTreeSet<Value>> = BTreeMap::new();
+            let mut all_values = BTreeSet::new();
+            let (mut s_sets, mut ns_sets, mut pairs) =
+                (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+            for ep in view.episodes() {
+                let s: BTreeSet<TupleId> = ep.sensitive_returned.iter().copied().collect();
+                let ns: BTreeSet<Value> = ep.plaintext_request.iter().cloned().collect();
+                all_values.extend(ns.iter().cloned());
+                for &tid in &s {
+                    candidates
+                        .entry(tid)
+                        .or_default()
+                        .extend(ns.iter().cloned());
+                }
+                if !(s.is_empty() && ns.is_empty()) {
+                    s_sets.insert(s.clone());
+                    ns_sets.insert(ns.clone());
+                    pairs.insert((s, ns));
+                }
+            }
+            Reference {
+                candidates,
+                all_values,
+                complete: pairs.len() == s_sets.len() * ns_sets.len(),
+            }
+        }
+
+        fn ambiguity(&self, id: TupleId) -> f64 {
+            if self.all_values.is_empty() {
+                return 1.0;
+            }
+            self.candidates.get(&id).map_or(0, BTreeSet::len) as f64 / self.all_values.len() as f64
+        }
+    }
+
+    proptest! {
+        /// Random views, with tuples returned in several groups and empty
+        /// groups on either side: the group form answers exactly as the
+        /// per-tuple oracle does.
+        #[test]
+        fn group_candidates_equal_the_per_tuple_formulation(
+            episodes in proptest::collection::vec(
+                (
+                    proptest::collection::btree_set(0u64..8, 0..4),
+                    proptest::collection::btree_set(0i64..6, 0..4),
+                ),
+                0..12,
+            )
+        ) {
+            let mut av = AdversarialView::new();
+            for (ids, values) in &episodes {
+                av.begin_episode();
+                let values: Vec<Value> = values.iter().map(|&v| Value::Int(v)).collect();
+                av.observe_plaintext_request(&values);
+                let ids: Vec<TupleId> = ids.iter().map(|&i| TupleId::new(i)).collect();
+                av.observe_sensitive_result(&ids);
+                av.end_episode();
+            }
+            let sm = SurvivingMatches::from_view(&av);
+            let reference = Reference::of(&av);
+            for id in (0..8).chain([99]).map(TupleId::new) {
+                prop_assert_eq!(
+                    sm.candidates(id),
+                    reference.candidates.get(&id).cloned().unwrap_or_default()
+                );
+                prop_assert_eq!(sm.ambiguity(id), reference.ambiguity(id));
+            }
+            let min = reference
+                .candidates
+                .keys()
+                .map(|&id| reference.ambiguity(id))
+                .fold(1.0_f64, f64::min);
+            prop_assert_eq!(sm.min_ambiguity(), min);
+            prop_assert_eq!(sm.is_complete(), reference.complete);
+            prop_assert_eq!(sm.observed_nonsensitive_values(), &reference.all_values);
+        }
     }
 }

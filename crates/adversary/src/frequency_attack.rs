@@ -138,7 +138,7 @@ mod tests {
                     tag
                 };
                 truth.insert(tag.clone(), v.clone());
-                owner.encrypt_row(t, attr, vec![tag])
+                owner.encrypt_row(t, None, vec![tag])
             })
             .collect();
         cloud.upload_encrypted(rows).unwrap();

@@ -123,10 +123,11 @@ impl Arm {
                 values[self.attr.index()] = value.clone();
                 let tuple = Tuple::new(TupleId::new(*id), values);
                 if *sensitive {
-                    // Sensitive side: encrypt and upload one more row (the
-                    // NonDetScan engine scans the whole column per query,
-                    // so the new row is immediately searchable).
-                    let row = self.owner.encrypt_row(&tuple, self.attr, Vec::new());
+                    // Sensitive side: encrypt and upload one more row with
+                    // its attribute ciphertext (the NonDetScan engine scans
+                    // that column per query, so the new row is immediately
+                    // searchable).
+                    let row = self.owner.encrypt_row(&tuple, Some(self.attr), Vec::new());
                     self.cloud.upload_encrypted(vec![row])?;
                 } else {
                     // Non-sensitive side: live plaintext insert.

@@ -9,6 +9,7 @@
 
 use pds_common::{AttrId, PdsError, Result, Value};
 use pds_crypto::dpf::{self, DpfKey};
+use pds_crypto::shamir::{self, Share};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
 use pds_storage::{Relation, Tuple};
 use rand::rngs::StdRng;
@@ -84,7 +85,11 @@ impl DbOwner {
     /// Non-deterministically encrypts a single value.
     pub fn encrypt_value(&mut self, value: &Value) -> Ciphertext {
         self.metrics.owner_encryptions += 1;
-        self.cipher.encrypt(&value.encode(), &mut self.rng)
+        self.cipher.encrypt_with(
+            value.encoded_len(),
+            |out| value.encode_into(out),
+            &mut self.rng,
+        )
     }
 
     /// Decrypts a value ciphertext.
@@ -108,6 +113,16 @@ impl DbOwner {
     /// indicator of their points.
     pub fn dpf_keys(&mut self, domain_size: usize, alpha: usize) -> Result<(DpfKey, DpfKey)> {
         dpf::generate(domain_size, alpha, 1, &mut self.rng)
+    }
+
+    /// Shamir shares of `secret` for `n` share servers, any `k` of which
+    /// reconstruct it.  The polynomial's coefficients come from this
+    /// owner's stream, so they depend on the owner's seed and are fresh
+    /// for every secret: a fixed coefficient stream would give equal
+    /// secrets equal shares, and let one server subtract its shares of
+    /// two deployments into the difference of their secrets.
+    pub fn shamir_shares(&mut self, secret: u64, k: usize, n: usize) -> Result<Vec<Share>> {
+        shamir::share(secret, k, n, &mut self.rng)
     }
 
     /// Arx-style per-occurrence tag of `(value, occurrence)`.
@@ -137,13 +152,12 @@ impl DbOwner {
 
     /// Non-deterministically encrypts a whole tuple, its plaintext
     /// zero-padded to the width fixed by [`DbOwner::pad_tuples_to_widest`].
+    /// The tuple is encoded straight into the ciphertext buffer.
     pub fn encrypt_tuple(&mut self, tuple: &Tuple) -> Ciphertext {
         self.metrics.owner_encryptions += 1;
-        let mut plaintext = tuple.encode();
-        if plaintext.len() < self.tuple_width {
-            plaintext.resize(self.tuple_width, 0);
-        }
-        self.cipher.encrypt(&plaintext, &mut self.rng)
+        let width = tuple.encoded_len().max(self.tuple_width);
+        self.cipher
+            .encrypt_with(width, |out| tuple.encode_into(out), &mut self.rng)
     }
 
     /// Decrypts a tuple ciphertext and strips its zero padding.
@@ -161,10 +175,21 @@ impl DbOwner {
     }
 
     /// Encrypts one sensitive tuple into the row format the cloud stores:
-    /// the searchable attribute value and the full tuple are encrypted
-    /// separately; `tags` carry optional cloud-side searchable tags.
-    pub fn encrypt_row(&mut self, tuple: &Tuple, attr: AttrId, tags: Vec<Vec<u8>>) -> EncryptedRow {
-        let attr_ct = self.encrypt_value(tuple.value(attr));
+    /// the full tuple's ciphertext, the cloud-side search `tags` (if any)
+    /// and, when `attr_column` names the searchable attribute, a separate
+    /// ciphertext of that attribute's value.
+    ///
+    /// Only the No-Ind column scan (nondet-scan) downloads that column, so
+    /// only it asks for it; every other back-end passes `None` and saves one
+    /// encryption per row.  The owner's counters take one encryption per
+    /// ciphertext built.
+    pub fn encrypt_row(
+        &mut self,
+        tuple: &Tuple,
+        attr_column: Option<AttrId>,
+        tags: Vec<Vec<u8>>,
+    ) -> EncryptedRow {
+        let attr_ct = attr_column.map(|attr| self.encrypt_value(tuple.value(attr)));
         let tuple_ct = self.encrypt_tuple(tuple);
         EncryptedRow {
             id: tuple.id,
@@ -174,12 +199,18 @@ impl DbOwner {
         }
     }
 
-    /// Encrypts an entire sensitive relation (no cloud-side tags).
-    pub fn encrypt_relation(&mut self, relation: &Relation, attr: AttrId) -> Vec<EncryptedRow> {
+    /// Encrypts an entire sensitive relation with no cloud-side tags:
+    /// [`DbOwner::encrypt_row`] of every tuple, with the attribute column
+    /// exactly when `attr_column` is `Some`.
+    pub fn encrypt_relation(
+        &mut self,
+        relation: &Relation,
+        attr_column: Option<AttrId>,
+    ) -> Vec<EncryptedRow> {
         relation
             .tuples()
             .iter()
-            .map(|t| self.encrypt_row(t, attr, Vec::new()))
+            .map(|t| self.encrypt_row(t, attr_column, Vec::new()))
             .collect()
     }
 
@@ -298,15 +329,51 @@ mod tests {
         r.insert(vec![Value::from("E101"), Value::Int(1)]).unwrap();
         r.insert(vec![Value::from("E259"), Value::Int(6)]).unwrap();
         let attr = r.schema().attr_id("EId").unwrap();
-        let rows = owner.encrypt_relation(&r, attr);
+        let rows = owner.encrypt_relation(&r, Some(attr));
         assert_eq!(rows.len(), 2);
+        assert_eq!(
+            owner.metrics().owner_encryptions,
+            4,
+            "two ciphertexts a row"
+        );
         // Decrypting the attribute ciphertext recovers the searchable value.
         assert_eq!(
-            owner.decrypt_value(&rows[1].attr_ct).unwrap(),
+            owner
+                .decrypt_value(rows[1].attr_ct.as_ref().unwrap())
+                .unwrap(),
             Value::from("E259")
         );
         let t = owner.decrypt_tuple(&rows[0].tuple_ct).unwrap();
         assert_eq!(t.id, r.tuples()[0].id);
+
+        // Without the column a row is its tuple ciphertext and its tags.
+        owner.reset_metrics();
+        let row = owner.encrypt_row(&r.tuples()[1], None, vec![vec![7]]);
+        assert_eq!(row.attr_ct, None);
+        assert_eq!(row.search_tags, vec![vec![7]]);
+        assert_eq!(owner.metrics().owner_encryptions, 1);
+        assert_eq!(owner.decrypt_tuple(&row.tuple_ct).unwrap(), r.tuples()[1]);
+    }
+
+    #[test]
+    fn shamir_coefficients_come_from_the_owner_stream() {
+        let secret = 12_345;
+        let a = DbOwner::new(1).shamir_shares(secret, 2, 3).unwrap();
+        let b = DbOwner::new(2).shamir_shares(secret, 2, 3).unwrap();
+        assert!(
+            a.iter().zip(&b).all(|(a, b)| a.y != b.y),
+            "seeds share no share"
+        );
+        let mut owner = DbOwner::new(1);
+        let first = owner.shamir_shares(secret, 2, 3).unwrap();
+        let second = owner.shamir_shares(secret, 2, 3).unwrap();
+        assert_ne!(
+            first, second,
+            "one secret shared twice gets fresh coefficients"
+        );
+        for shares in [&a, &b, &first, &second] {
+            assert_eq!(shamir::reconstruct(&shares[1..]).unwrap(), secret);
+        }
     }
 
     #[test]

@@ -391,14 +391,24 @@ impl CloudServer {
     // ----- encrypted side ---------------------------------------------------
 
     /// Downloads the encrypted searchable-attribute column (id, ciphertext)
-    /// — the first step of the paper's §V-B search procedure.
+    /// — the first step of the paper's §V-B search procedure.  A store
+    /// whose rows were outsourced without the column (every back-end but
+    /// the No-Ind scan) is a typed [`PdsError::Cloud`] that charges nothing.
     pub fn download_encrypted_attr_column(&mut self) -> Result<Vec<(TupleId, Ciphertext)>> {
         let out: Vec<(TupleId, Ciphertext)> = self
             .encrypted
             .rows()
             .iter()
-            .map(|r| (r.id, r.attr_ct.clone()))
-            .collect();
+            .map(|r| {
+                let ct = r.attr_ct.clone().ok_or_else(|| {
+                    PdsError::Cloud(format!(
+                        "encrypted tuple {} was stored without an attribute ciphertext",
+                        r.id
+                    ))
+                })?;
+                Ok((r.id, ct))
+            })
+            .collect::<Result<_>>()?;
         let request = WireMessage::Opaque(Vec::new());
         let up = frame(msg_tag::OPAQUE, request.encoded_len(), || request)?;
         let down = frame(
@@ -647,7 +657,7 @@ mod tests {
         (0..n)
             .map(|i| EncryptedRow {
                 id: TupleId::new(100 + i),
-                attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng),
+                attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
                 tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
                 search_tags: vec![vec![i as u8]],
             })
@@ -736,6 +746,21 @@ mod tests {
     }
 
     #[test]
+    fn a_store_without_the_column_refuses_its_download_and_charges_nothing() {
+        let mut s = server();
+        let mut row = encrypted_rows(5).pop().unwrap();
+        row.attr_ct = None;
+        s.upload_encrypted(vec![row]).unwrap();
+        let (before, clock) = (*s.metrics(), s.comm_time());
+        assert!(matches!(
+            s.download_encrypted_attr_column(),
+            Err(PdsError::Cloud(_))
+        ));
+        assert_eq!(*s.metrics(), before);
+        assert_eq!(s.comm_time(), clock);
+    }
+
+    #[test]
     fn a_tag_fetch_uses_the_index() {
         let mut s = server();
         s.begin_query();
@@ -769,7 +794,7 @@ mod tests {
         let mut s = CloudServer::default();
         s.upload_encrypted(vec![EncryptedRow {
             id: TupleId::new(1),
-            attr_ct: cipher.encrypt(b"a", &mut rng),
+            attr_ct: None,
             tuple_ct: cipher.encrypt(b"t", &mut rng),
             search_tags: Vec::new(),
         }])
@@ -877,6 +902,25 @@ mod tests {
         assert_eq!(resp, WireMessage::Ack(Ack { items: 2 }));
         assert_eq!(s.plain_len(), 5);
         assert_eq!(s.encrypted_len(), 5);
+        let stored = s.encrypted_store().get(TupleId::new(900)).unwrap();
+        assert_eq!(stored.attr_ct.as_ref(), Some(&ct));
+
+        // An empty wire attribute ciphertext is a row stored without one.
+        let resp = s
+            .serve(&WireMessage::InsertRequest(InsertRequest {
+                plain_tuples: Vec::new(),
+                encrypted_rows: vec![WireRow {
+                    id: 901,
+                    attr_ct: Vec::new(),
+                    tuple_ct: ct.as_bytes().to_vec(),
+                    search_tags: Vec::new(),
+                }],
+            }))
+            .unwrap();
+        assert_eq!(resp, WireMessage::Ack(Ack { items: 1 }));
+        let stored = s.encrypted_store().get(TupleId::new(901)).unwrap();
+        assert_eq!(stored.attr_ct, None);
+        assert_eq!(stored.tuple_ct, ct);
 
         // Every other kind is a typed error.
         assert!(matches!(

@@ -94,7 +94,9 @@ impl CloudServer {
                     .iter()
                     .map(|row| EncryptedRow {
                         id: TupleId::new(row.id),
-                        attr_ct: Ciphertext(row.attr_ct.clone()),
+                        // A well-formed ciphertext is never empty, so an
+                        // empty one is a row stored without the column.
+                        attr_ct: (!row.attr_ct.is_empty()).then(|| Ciphertext(row.attr_ct.clone())),
                         tuple_ct: Ciphertext(row.tuple_ct.clone()),
                         search_tags: row.search_tags.clone(),
                     })

@@ -345,7 +345,7 @@ mod tests {
         (0..n)
             .map(|i| EncryptedRow {
                 id: TupleId::new(base + i),
-                attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng),
+                attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
                 tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
                 search_tags: Vec::new(),
             })

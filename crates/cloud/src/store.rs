@@ -4,8 +4,11 @@
 //!
 //! * `tuple_ct` — the whole tuple under non-deterministic encryption;
 //! * `attr_ct` — the searchable attribute value alone, also under
-//!   non-deterministic encryption (the "No-Ind" search procedure of §V-B
-//!   downloads this column, decrypts it owner-side and selects addresses);
+//!   non-deterministic encryption, stored only for the "No-Ind" search
+//!   procedure of §V-B, which downloads this column, decrypts it
+//!   owner-side and selects addresses.  Every other back-end finds its
+//!   rows by tag, by share or DPF scan, or in an enclave, never reads the
+//!   column, and does not store it;
 //! * `search_tags` — optional cloud-side searchable tags (deterministic
 //!   equality tags for the CryptDB-style back-end, per-occurrence counter
 //!   tokens for the Arx-style back-end). Absent for strongly secure
@@ -26,8 +29,10 @@ use pds_proto::RowParts;
 pub struct EncryptedRow {
     /// Storage address / tuple id (what access-pattern leakage reveals).
     pub id: TupleId,
-    /// Encryption of the searchable attribute value.
-    pub attr_ct: Ciphertext,
+    /// Encryption of the searchable attribute value, present only on rows
+    /// of the No-Ind column scan (nondet-scan), the one back-end that
+    /// downloads the column; `None` elsewhere.
+    pub attr_ct: Option<Ciphertext>,
     /// Encryption of the full tuple.
     pub tuple_ct: Ciphertext,
     /// Cloud-side searchable tags (empty for non-indexable back-ends).
@@ -37,7 +42,7 @@ pub struct EncryptedRow {
 impl EncryptedRow {
     /// Total stored size in bytes.
     pub fn size_bytes(&self) -> usize {
-        8 + self.attr_ct.len()
+        8 + self.attr_ct.as_ref().map_or(0, Ciphertext::len)
             + self.tuple_ct.len()
             + self.search_tags.iter().map(Vec::len).sum::<usize>()
     }
@@ -46,7 +51,7 @@ impl EncryptedRow {
     pub(crate) fn wire_parts(&self) -> RowParts<'_> {
         RowParts {
             id: self.id.raw(),
-            attr_ct: self.attr_ct.as_bytes(),
+            attr_ct: self.attr_ct.as_ref().map_or(&[], Ciphertext::as_bytes),
             tuple_ct: self.tuple_ct.as_bytes(),
             search_tags: &self.search_tags,
         }
@@ -143,11 +148,6 @@ impl EncryptedStore {
         !self.tag_index.is_empty()
     }
 
-    /// Total size of the attribute-ciphertext column in bytes.
-    pub fn attr_column_bytes(&self) -> usize {
-        self.rows.iter().map(|r| 8 + r.attr_ct.len()).sum()
-    }
-
     /// Total stored size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.rows.iter().map(EncryptedRow::size_bytes).sum()
@@ -164,7 +164,7 @@ mod tests {
         let mut rng = pds_common::rng::seeded_rng(id);
         EncryptedRow {
             id: TupleId::new(id),
-            attr_ct: cipher.encrypt(b"attr", &mut rng),
+            attr_ct: Some(cipher.encrypt(b"attr", &mut rng)),
             tuple_ct: cipher.encrypt(b"tuple-payload", &mut rng),
             search_tags: tags,
         }
@@ -222,12 +222,16 @@ mod tests {
     }
 
     #[test]
-    fn sizes_are_positive() {
+    fn sizes_count_every_stored_field() {
         let mut store = EncryptedStore::new();
-        store
-            .insert_many(vec![row(0, vec![]), row(1, vec![vec![5; 16]])])
-            .unwrap();
-        assert!(store.attr_column_bytes() > 0);
-        assert!(store.size_bytes() > store.attr_column_bytes());
+        let (a, mut b) = (row(0, vec![]), row(1, vec![vec![5; 16]]));
+        b.attr_ct = None;
+        let cts =
+            |r: &EncryptedRow| r.attr_ct.as_ref().map_or(0, Ciphertext::len) + r.tuple_ct.len();
+        assert_eq!(a.size_bytes(), 8 + cts(&a));
+        assert_eq!(b.size_bytes(), 8 + cts(&b) + 16);
+        let want = a.size_bytes() + b.size_bytes();
+        store.insert_many(vec![a, b]).unwrap();
+        assert_eq!(store.size_bytes(), want);
     }
 }

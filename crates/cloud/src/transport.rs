@@ -92,7 +92,7 @@ mod tests {
         (0..n)
             .map(|i| EncryptedRow {
                 id: TupleId::new(base + i),
-                attr_ct: cipher.encrypt(b"attr", &mut rng),
+                attr_ct: Some(cipher.encrypt(b"attr", &mut rng)),
                 tuple_ct: cipher.encrypt(b"tuple", &mut rng),
                 search_tags: Vec::new(),
             })

@@ -22,7 +22,7 @@ pub fn server(seed: u64) -> CloudServer {
     let rows: Vec<EncryptedRow> = (0..3u64)
         .map(|i| EncryptedRow {
             id: TupleId::new(100 + i),
-            attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng),
+            attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
             tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
             search_tags: vec![vec![i as u8]],
         })

@@ -82,27 +82,30 @@ impl Value {
     /// value — and of any ciphertext over it — never depends on an
     /// integer's magnitude.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Value::encode`]'s bytes to `out`, so a caller building a
+    /// larger plaintext (a tuple, or a ciphertext after its nonce) writes
+    /// the value in place instead of allocating it first.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => vec![0u8],
+            Value::Null => out.push(0),
             Value::Int(v) => {
-                let mut out = Vec::with_capacity(9);
-                out.push(1u8);
+                out.push(1);
                 out.extend_from_slice(&v.to_be_bytes());
-                out
             }
             Value::Text(s) => {
-                let mut out = Vec::with_capacity(1 + s.len());
-                out.push(2u8);
+                out.push(2);
                 out.extend_from_slice(s.as_bytes());
-                out
             }
             Value::Bytes(b) => {
-                let mut out = Vec::with_capacity(1 + b.len());
-                out.push(3u8);
+                out.push(3);
                 out.extend_from_slice(b);
-                out
             }
-            Value::Bool(b) => vec![4u8, u8::from(*b)],
+            Value::Bool(b) => out.extend_from_slice(&[4, u8::from(*b)]),
         }
     }
 
@@ -382,6 +385,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every variant's encrypted byte form is fixed, and `encode_into`
+    /// appends it after whatever the buffer already holds.
+    #[test]
+    fn encode_into_appends_the_fixed_encoding() {
+        let cases: [(Value, &[u8]); 5] = [
+            (Value::Null, &[0]),
+            (
+                Value::Int(-2),
+                &[1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe],
+            ),
+            (Value::from("E2"), &[2, b'E', b'2']),
+            (Value::Bytes(vec![7, 0]), &[3, 7, 0]),
+            (Value::Bool(true), &[4, 1]),
+        ];
+        let mut out = vec![0xaa];
+        for (v, want) in &cases {
+            let start = out.len();
+            v.encode_into(&mut out);
+            assert_eq!(&out[start..], *want, "{v:?}");
+            assert_eq!(v.encoded_len(), want.len(), "{v:?}");
+            assert_eq!(v.encode(), *want, "{v:?}");
+        }
+        assert_eq!(out[0], 0xaa, "earlier bytes are left alone");
     }
 
     #[test]

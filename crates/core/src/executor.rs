@@ -284,7 +284,9 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// Outsources the partitioned relation: `Rns` in clear-text (replicated
     /// to every shard), `Rs` (augmented with fake tuples) through one forked
     /// engine per shard, each shard receiving exactly the sensitive bins the
-    /// placement assigns to it.
+    /// placement assigns to it.  The shards encrypt and upload concurrently,
+    /// each through its own fork of `owner`, whose counters fold back into
+    /// `owner`.
     pub fn outsource<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -347,9 +349,33 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         owner.pad_tuples_to_widest(&augmented);
         let per_shard = self.split_by_shard(cloud, augmented, s_attr)?;
         self.shard_engines = engines;
-        for (shard, relation) in per_shard.iter().enumerate() {
-            self.shard_engines[shard].outsource(owner, cloud.shard_mut(shard), relation, s_attr)?;
+
+        // Every shard encrypts and uploads its sub-relation at once, one
+        // task per shard on the fan-out queries use.  The owner forks are
+        // taken here, in shard order, after the padding width is fixed, so
+        // what each shard stores does not depend on thread scheduling.
+        let tasks: Vec<Option<_>> = self
+            .shard_engines
+            .iter_mut()
+            .zip(cloud.shards_mut())
+            .zip(&per_shard)
+            .map(|((engine, slot), relation)| {
+                let mut fork = owner.fork();
+                Some(move || {
+                    let outcome = engine.outsource(&mut fork, slot, relation, s_attr);
+                    (*fork.metrics(), outcome)
+                })
+            })
+            .collect();
+        let (outputs, _) = BinTransport::Threaded.dispatch(tasks);
+        // Every fork's work counts, even when a shard failed; the first
+        // failure in shard order is the one reported.
+        let mut outcome = Ok(());
+        for (fork_metrics, shard_outcome) in outputs.into_iter().flatten() {
+            owner.absorb_metrics(&fork_metrics);
+            outcome = outcome.and(shard_outcome);
         }
+        outcome?;
         self.outsourced = true;
         Ok(())
     }

@@ -11,7 +11,7 @@ use pds_common::{PdsError, Result};
 use rand::Rng;
 
 use crate::aes::Aes128;
-use crate::ctr::{ctr_transform, NONCE_LEN};
+use crate::ctr::{ctr_transform, ctr_xor, NONCE_LEN};
 use crate::hmac::{self, HmacKey};
 use crate::Key128;
 
@@ -70,18 +70,33 @@ impl NonDetCipher {
 
     /// Encrypts a plaintext with a fresh random nonce drawn from `rng`.
     pub fn encrypt<R: Rng>(&self, plaintext: &[u8], rng: &mut R) -> Ciphertext {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill(&mut nonce);
-        self.encrypt_with_nonce(plaintext, &nonce)
+        self.encrypt_with(plaintext.len(), |out| out.extend_from_slice(plaintext), rng)
     }
 
-    /// Encrypts with an explicit nonce (used by tests; callers must never
-    /// reuse a nonce under the same key).
-    pub fn encrypt_with_nonce(&self, plaintext: &[u8], nonce: &[u8; NONCE_LEN]) -> Ciphertext {
-        let body = ctr_transform(&self.aes, nonce, plaintext);
-        let mut out = Vec::with_capacity(NONCE_LEN + body.len() + TAG_LEN);
-        out.extend_from_slice(nonce);
-        out.extend_from_slice(&body);
+    /// Encrypts the plaintext that `write` appends to the buffer, zero-padded
+    /// to at least `padded_len` bytes, under a fresh random nonce drawn from
+    /// `rng`.
+    ///
+    /// The ciphertext is built in one buffer of its final size: the nonce,
+    /// then the plaintext written straight after it (a tuple or value
+    /// encoder writes in place, with no intermediate copy), CTR applied in
+    /// place, then the tag appended.  A `write` longer than `padded_len` is
+    /// encrypted whole, at the cost of one reallocation.
+    pub fn encrypt_with<R: Rng>(
+        &self,
+        padded_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+        rng: &mut R,
+    ) -> Ciphertext {
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill(&mut nonce);
+        let mut out = Vec::with_capacity(Self::ciphertext_len(padded_len));
+        out.extend_from_slice(&nonce);
+        write(&mut out);
+        if out.len() < NONCE_LEN + padded_len {
+            out.resize(NONCE_LEN + padded_len, 0);
+        }
+        ctr_xor(&self.aes, &nonce, &mut out[NONCE_LEN..]);
         let tag = self.mac.mac(&out);
         out.extend_from_slice(&tag[..TAG_LEN]);
         Ciphertext(out)
@@ -166,6 +181,33 @@ mod tests {
         let mut rng = seeded_rng(4);
         let ct = cipher.encrypt(b"", &mut rng);
         assert_eq!(cipher.decrypt(&ct).unwrap(), Vec::<u8>::new());
+    }
+
+    /// The in-place writer builds exactly the encrypt-then-MAC ciphertext
+    /// of the zero-padded plaintext: nonce ‖ CTR body ‖ truncated tag.
+    #[test]
+    fn in_place_encryption_matches_the_reference_construction() {
+        let cipher = NonDetCipher::from_seed(5);
+        for (pt, padded_len) in [(&b""[..], 0), (b"abc", 3), (b"abc", 40), (b"abcdefgh", 4)] {
+            let ct = cipher.encrypt_with(
+                padded_len,
+                |out| out.extend_from_slice(pt),
+                &mut seeded_rng(9),
+            );
+            let mut plaintext = pt.to_vec();
+            if plaintext.len() < padded_len {
+                plaintext.resize(padded_len, 0);
+            }
+            let mut nonce = [0u8; NONCE_LEN];
+            seeded_rng(9).fill(&mut nonce);
+            let mut want = nonce.to_vec();
+            want.extend_from_slice(&ctr_transform(&cipher.aes, &nonce, &plaintext));
+            let tag = cipher.mac.mac(&want);
+            want.extend_from_slice(&tag[..TAG_LEN]);
+            assert_eq!(ct.0, want, "{pt:?} padded to {padded_len}");
+            assert_eq!(ct.len(), NonDetCipher::ciphertext_len(plaintext.len()));
+            assert_eq!(cipher.decrypt(&ct).unwrap(), plaintext);
+        }
     }
 
     proptest! {

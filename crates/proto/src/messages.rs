@@ -57,8 +57,11 @@ use crate::pool::{self, PooledBuf};
 pub struct WireRow {
     /// Storage address / tuple id.
     pub id: u64,
-    /// Ciphertext of the searchable attribute value (may be empty when the
-    /// message only carries full-tuple ciphertexts, and vice versa).
+    /// Ciphertext of the searchable attribute value; empty when the
+    /// message only carries full-tuple ciphertexts, or the row has no
+    /// attribute ciphertext (every back-end but the No-Ind column scan).
+    /// A well-formed ciphertext is never empty, so the two cannot be
+    /// confused.
     pub attr_ct: Vec<u8>,
     /// Ciphertext of the full tuple.
     pub tuple_ct: Vec<u8>,

@@ -64,14 +64,20 @@ impl Tuple {
     /// so the length depends on the schema and the text/byte values only.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Tuple::encode`]'s bytes to `out`: the id, the arity, then
+    /// each value's length and [`Value::encode_into`] bytes, written in
+    /// place with no allocation per value.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.raw().to_be_bytes());
         out.extend_from_slice(&(self.values.len() as u32).to_be_bytes());
         for v in &self.values {
-            let enc = v.encode();
-            out.extend_from_slice(&(enc.len() as u32).to_be_bytes());
-            out.extend_from_slice(&enc);
+            out.extend_from_slice(&(v.encoded_len() as u32).to_be_bytes());
+            v.encode_into(out);
         }
-        out
     }
 
     /// Decodes a tuple previously produced by [`Tuple::encode`].
@@ -160,6 +166,43 @@ mod tests {
         enc.extend_from_slice(&[0, 0, 0]);
         assert_eq!(Tuple::decode_prefix(&enc), Some((t, used)));
         assert_eq!(Tuple::decode(&enc), None);
+    }
+
+    /// The encrypted form of a tuple is fixed: this is the plaintext every
+    /// stored ciphertext holds, so a change here would make old rows
+    /// undecryptable, and a varint integer would make a ciphertext's length
+    /// depend on a sensitive integer's magnitude.
+    #[test]
+    fn encoding_matches_the_fixed_vector() {
+        let t = Tuple::new(
+            TupleId::new(0x0102),
+            vec![
+                Value::Int(5),
+                Value::from("ab"),
+                Value::Null,
+                Value::Int(-1),
+            ],
+        );
+        let want: Vec<u8> = [
+            &[0, 0, 0, 0, 0, 0, 1, 2][..], // id
+            &[0, 0, 0, 4],                 // arity
+            &[0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 5],
+            &[0, 0, 0, 3, 2, b'a', b'b'],
+            &[0, 0, 0, 1, 0],
+            &[
+                0, 0, 0, 9, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            ],
+        ]
+        .concat();
+        assert_eq!(t.encode(), want);
+        assert_eq!(t.encoded_len(), want.len());
+        let mut out = vec![9];
+        t.encode_into(&mut out);
+        assert_eq!(out[1..], want[..]);
+        // An integer's magnitude never changes the length.
+        let big = Tuple::new(TupleId::new(u64::MAX), vec![Value::Int(i64::MAX)]);
+        let small = Tuple::new(TupleId::new(0), vec![Value::Int(0)]);
+        assert_eq!(big.encode().len(), small.encode().len());
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl SecureSelectionEngine for ArxEngine {
             let occurrence = self.histogram.entry(value.clone()).or_insert(0);
             let token = owner.counter_tag(&value, *occurrence);
             *occurrence += 1;
-            rows.push(owner.encrypt_row(t, attr, vec![token]));
+            rows.push(owner.encrypt_row(t, None, vec![token]));
         }
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);

@@ -44,7 +44,7 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
             .iter()
             .map(|t| {
                 let tag = owner.det_tag(t.value(attr));
-                owner.encrypt_row(t, attr, vec![tag])
+                owner.encrypt_row(t, None, vec![tag])
             })
             .collect();
         cloud.upload_encrypted(rows)?;

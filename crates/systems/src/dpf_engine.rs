@@ -119,7 +119,7 @@ impl SecureSelectionEngine for DpfEngine {
             self.servers[1].tuple_value_index.push((t.id, idx));
         }
         // The encrypted payload tuples live on the cloud.
-        let rows = owner.encrypt_relation(relation, attr);
+        let rows = owner.encrypt_relation(relation, None);
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
         Ok(())

@@ -44,7 +44,8 @@ impl SecureSelectionEngine for NonDetScanEngine {
         relation: &Relation,
         attr: AttrId,
     ) -> Result<()> {
-        let rows = owner.encrypt_relation(relation, attr);
+        // The one back-end that downloads the attribute column stores it.
+        let rows = owner.encrypt_relation(relation, Some(attr));
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
         Ok(())

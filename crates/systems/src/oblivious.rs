@@ -84,7 +84,7 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         relation: &Relation,
         attr: AttrId,
     ) -> Result<()> {
-        let rows = owner.encrypt_relation(relation, attr);
+        let rows = owner.encrypt_relation(relation, None);
         cloud.upload_encrypted(rows)?;
         self.enclave_column = relation
             .tuples()

@@ -84,17 +84,17 @@ impl SecureSelectionEngine for SecretSharingEngine {
         if self.threshold == 0 || self.threshold > self.servers.len() {
             return Err(PdsError::Config("invalid secret sharing threshold".into()));
         }
-        // Shares of the searchable attribute go to the share servers...
-        let mut rng = pds_common::rng::seeded_rng(0x5ec7);
+        // Shares of the searchable attribute go to the share servers, each
+        // polynomial drawn from the owner's randomness...
         for t in relation.tuples() {
             let secret = field_encode(t.value(attr));
-            let shares = shamir::share(secret, self.threshold, self.servers.len(), &mut rng)?;
+            let shares = owner.shamir_shares(secret, self.threshold, self.servers.len())?;
             for (server, share) in self.servers.iter_mut().zip(shares) {
                 server.shares.push((t.id, share));
             }
         }
         // ...and the encrypted payload tuples go to the cloud.
-        let rows = owner.encrypt_relation(relation, attr);
+        let rows = owner.encrypt_relation(relation, None);
         cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
         Ok(())
@@ -239,6 +239,56 @@ mod tests {
             .filter(|(_, s)| s.y == encoded)
             .count();
         assert!(equal < engine.servers[0].shares.len());
+    }
+
+    /// The shares depend on the owner's secret randomness: one relation
+    /// outsourced under two owner seeds leaves no share equal on any
+    /// server, so a server cannot subtract two deployments' shares into
+    /// the difference of the values, and both still answer alike.
+    #[test]
+    fn shares_are_drawn_from_the_owner_and_differ_across_owner_seeds() {
+        let rel = sample_relation();
+        let attr = rel.schema().attr_id("K").unwrap();
+        let mut deployments: Vec<_> = [41, 42]
+            .into_iter()
+            .map(|seed| {
+                let mut owner = DbOwner::new(seed);
+                let mut cloud = CloudServer::default();
+                let mut engine = SecretSharingEngine::default_deployment();
+                engine
+                    .outsource(&mut owner, &mut cloud, &rel, attr)
+                    .unwrap();
+                (owner, cloud, engine)
+            })
+            .collect();
+        let [a, b] = &deployments[..] else {
+            unreachable!()
+        };
+        for (server_a, server_b) in a.2.servers.iter().zip(&b.2.servers) {
+            assert_eq!(server_a.shares.len(), rel.len());
+            for ((id_a, share_a), (id_b, share_b)) in server_a.shares.iter().zip(&server_b.shares) {
+                assert_eq!(id_a, id_b);
+                assert_ne!(
+                    share_a.y, share_b.y,
+                    "row {id_a} shared alike under both seeds"
+                );
+            }
+        }
+        let answers: Vec<Vec<_>> = deployments
+            .iter_mut()
+            .map(|(owner, cloud, engine)| {
+                let mut ids: Vec<_> = engine
+                    .select(owner, cloud, &[Value::from("a"), Value::from("c")])
+                    .unwrap()
+                    .into_iter()
+                    .map(|t| t.id)
+                    .collect();
+                ids.sort();
+                ids
+            })
+            .collect();
+        assert_eq!(answers[0].len(), 3);
+        assert_eq!(answers[0], answers[1]);
     }
 
     #[test]
