@@ -828,7 +828,7 @@ fn print_hetero(shards: usize, scale: f64) -> bool {
 fn print_planner(scale: f64) -> bool {
     let tuples = ((8_000.0 * scale) as usize).max(600);
     println!(
-        "== Cost-based planner: engine per shard, pushdown, calibrated model ({tuples} tuples) =="
+        "== Cost-based planner: engine per shard, pushdown, counted-work cost model ({tuples} tuples) =="
     );
     match planner::run(tuples, 42) {
         Ok(outcome) => {

@@ -16,7 +16,7 @@
 //! | [`zipf`] | beyond the paper — Zipf-skewed workloads × owner-side hot-bin cache sizes: hit rate and bytes moved vs skew |
 //! | [`wire`] | beyond the paper — wire-protocol sweep: byte-accurate bytes moved and the simulated network wall-clock (busiest shard's clock) over latency × bandwidth × shards, plus the composed-vs-fine-grained rounds gate |
 //! | [`hetero`] | beyond the paper — heterogeneous shards: a different secure back-end per shard, exact answers and per-shard + composed security |
-//! | [`planner`] | beyond the paper — the cost-based optimizer: measured calibration, per-shard engine choice under the workload-skew advantage constraint, residual pushdown; gated on beating every equally-secure homogeneous deployment |
+//! | [`planner`] | beyond the paper — the cost-based optimizer: back-ends priced on their counted work, per-shard engine choice under the workload-skew advantage constraint, residual pushdown; gated on beating every equally-secure homogeneous deployment |
 //! | [`rwmix`] | beyond the paper — read/write mixes over the Employee workload driving cache invalidation on insert under load |
 //! | [`service`] | beyond the paper — real TCP shard daemons: concurrent multi-tenant owners in a closed loop, throughput vs worker-pool size with p50/p99 latency, gated on exact answers and composed security |
 //! | [`pipeline`] | beyond the paper — pipelined wire dispatch vs lock-step over the same daemons: correlated in-flight windows, gated on strictly faster wall-clock, shrinking blocked-read self-time, identical answers, intact security and buffer-pool reuse |

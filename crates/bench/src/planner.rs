@@ -8,12 +8,12 @@
 //!
 //! 1. every one of the six homogeneous deployments runs the suite with the
 //!    residual applied owner-side (pushdown off); their per-(engine, shard)
-//!    metric deltas and measured wall-clocks calibrate a
-//!    [`pds_core::CostModel`];
+//!    work deltas are what a [`pds_core::CostModel`] prices each candidate
+//!    on, so the choice never reads a clock;
 //! 2. a per-value pilot mounts the workload-skew attack against every
 //!    shard's episode stream, yielding the per-shard linkage advantage;
 //! 3. [`pds_core::choose_engines`] picks each shard's back-end — oblivious
-//!    where the advantage exceeds the threshold, the cheapest calibrated
+//!    where the advantage exceeds the threshold, the cheapest estimated
 //!    engine elsewhere — and the planner deployment runs the same suite
 //!    with the residual pushed below the bin fetch;
 //! 4. the gate: planner answers are **byte-identical** to the homogeneous
@@ -63,11 +63,11 @@ pub const HOMOGENEOUS: [&str; 6] = [
 pub const WALL_SLACK: f64 = 2.0;
 
 /// Timed runs of each deployment's workload, after an untimed first run:
-/// the calibration and the wall-clock gate each read a deployment's
-/// fastest run, taken in rounds that run every deployment once, so a busy
-/// stretch of the machine slows the deployments it compares alike instead
-/// of flipping the comparison.  Debug builds, whose timings say nothing
-/// (every accounted frame is also encoded and checked there), time once.
+/// the wall-clock gate reads a deployment's fastest run, taken in rounds
+/// that run every deployment once, so a busy stretch of the machine slows
+/// the deployments it compares alike instead of flipping the comparison.
+/// Debug builds, whose timings say little about an optimised build, time
+/// once.
 pub const WALL_RUNS: usize = if cfg!(debug_assertions) { 1 } else { 5 };
 
 /// Nominal owner↔cloud round-trip latency the cost model charges per
@@ -104,7 +104,7 @@ pub struct PlannedShard {
     pub engine: String,
     /// Whether the residual rides the wire to this shard.
     pub pushdown: bool,
-    /// The calibrated cost estimate the choice minimised, seconds.
+    /// The cost estimate the choice minimised, seconds.
     pub estimated_sec: f64,
 }
 
@@ -425,8 +425,7 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
         let hot = advantages.iter().any(|&a| a > threshold);
 
         // Homogeneous baselines: residual owner-side, no pushdown.  Their
-        // first runs' per-(engine, shard) deltas and their fastest timed
-        // runs calibrate the cost model.
+        // first runs' per-(engine, shard) work deltas price the candidates.
         let baseline_config = PlannerConfig {
             residual: Some(sc.residual.clone()),
             pushdown: false,
@@ -443,15 +442,12 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
                 .collect::<Result<_>>()?;
             candidates.push(EngineCandidate::of(engines[0].as_ref()));
             let mut dep = deploy(sc, engines, baseline_config.clone(), seed)?;
-            measures.push(measure(&mut dep, &sc.workload)?);
-            baselines.push(dep);
-        }
-        let mut timed: Vec<&mut Deployment> = baselines.iter_mut().collect();
-        let calibration = fastest_walls(&mut timed, &sc.workload)?;
-        for ((name, m), wall_sec) in HOMOGENEOUS.iter().zip(&measures).zip(calibration) {
+            let m = measure(&mut dep, &sc.workload)?;
             for (shard, delta) in m.per_shard_delta.iter().enumerate() {
-                model.observe(name, shard, delta, wall_sec);
+                model.observe(name, shard, delta);
             }
+            measures.push(m);
+            baselines.push(dep);
         }
 
         // The optimizer's choice, deployed with pushdown on.
@@ -479,8 +475,8 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
         }
         let m = measure(&mut dep, &sc.workload)?;
 
-        // The gate's wall-clocks: the planner and every baseline timed
-        // again, in shared rounds.
+        // The gate's wall-clocks: the planner and every baseline timed in
+        // shared rounds.
         let mut timed: Vec<&mut Deployment> = std::iter::once(&mut dep)
             .chain(baselines.iter_mut())
             .collect();

@@ -2,9 +2,8 @@
 //! simulated-network wall-clock, swept over latency × bandwidth × shards.
 //!
 //! Every owner↔cloud interaction is charged the length of the `pds-proto`
-//! frame that carries it (frame headers, CRC trailers and all), summed
-//! structurally from the codec's per-item lengths and checked against
-//! the real encode in debug builds, so the bytes column is what the wire
+//! frame that carries it (frame headers, CRC trailers and all), counted by
+//! running the codec's own writers, so the bytes column is what the wire
 //! carries, not an estimate.  Each cell's deployment charges its frames to
 //! the cell's link: every shard adds `latency + bytes/bandwidth` per
 //! exchange to its own clock, and the timing column is the busiest

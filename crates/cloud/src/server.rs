@@ -11,8 +11,9 @@
 //! [`CloudServer::fetch_bin`] serves the one query message,
 //! [`FetchBinRequest`]: in one exchange it resolves the clear-text bin
 //! (with its pushed-down residual), the storage addresses and the search
-//! tags a request carries, and answers with one [`BinPayload`].  Engines
-//! call it in process, and the shard daemon calls it through
+//! tags a request carries, and answers with one
+//! [`BinPayload`](pds_proto::BinPayload).  Engines call it in process, and
+//! the shard daemon calls it through
 //! [`CloudServer::serve`], so both transports record the same view and
 //! the same counters.  [`BinEpisodeRequest`] is the owner-side episode an
 //! engine turns into that request.  The only other query entry point is
@@ -20,22 +21,23 @@
 //! in: their tokens only the engine-side enclave can resolve, and each of
 //! their selections is one such exchange.
 
-//! ## Byte accounting: frames sized structurally
+//! ## Byte accounting: frames sized by their encoder
 //!
 //! Every owner↔cloud interaction is charged the **frame length**
 //! (header + payload + CRC trailer) of the [`pds_proto`] message it
 //! represents — not a `size_bytes` estimate — to [`Metrics`] and the
-//! communication clock.  The length is summed structurally from the
-//! borrowed data ([`pds_proto::fetch_frame_len`],
-//! [`pds_proto::rows_frame_len`]), so accounting builds, clones and encodes
-//! nothing.  It is cross-checked twice: in debug builds every accounted
-//! message is also built, encoded, decoded back and compared, and its
-//! encoded length must equal the structural one; over TCP the daemon's
-//! counters equal the bytes on the socket (`crates/core/tests/
-//! tcp_service.rs`).  The clock, [`CloudServer::comm_time`], adds one
-//! [`NetworkModel::transfer_time`] per exchange, so its growth over a run
-//! is that shard's simulated network time; the busiest shard's growth is
-//! the overlapped fan-out's ([`crate::ShardRouter::parallel_comm_time`]).
+//! communication clock.  The length is the codec's own writers run over
+//! the borrowed data into a byte counter ([`pds_proto::fetch_frame_len`],
+//! [`pds_proto::rows_frame_len`], [`pds_proto::ack_frame_len`]), so
+//! accounting builds, clones and encodes nothing, and a charge equals the
+//! encoded frame by construction.  Tests here pin the charge of every
+//! upload, insert, column download and fetch to the encoding of the
+//! message it stands for, and over TCP the daemon's counters equal the
+//! bytes on the socket (`crates/core/tests/tcp_service.rs`).  The clock,
+//! [`CloudServer::comm_time`], adds one [`NetworkModel::transfer_time`]
+//! per exchange, so its growth over a run is that shard's simulated
+//! network time; the busiest shard's growth is the overlapped fan-out's
+//! ([`crate::ShardRouter::parallel_comm_time`]).
 //! No per-exchange log is kept: the clock is one `f64`.
 //!
 //! ## The clear-text side is shared
@@ -52,8 +54,7 @@ use std::sync::Arc;
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
 use pds_proto::{
-    fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload, FetchBinRequest, InsertRequest,
-    RowParts, WireMessage, WireRow,
+    ack_frame_len, fetch_frame_len, msg_tag, rows_frame_len, FetchBinRequest, RowParts, WireRow,
 };
 use pds_storage::{HashIndex, Predicate, Relation, Tuple};
 
@@ -71,46 +72,9 @@ type ResolvedPlain = (Vec<Tuple>, Vec<TupleId>, Vec<Value>, usize);
 /// frame length.
 pub(crate) type Frame = (u8, usize);
 
-/// One accounted frame: `tag` and its structural length `len`.
-///
-/// Debug builds also materialise the message with `build`, encode it,
-/// decode it back and compare, and assert that the encoded frame has this
-/// tag and length.  The test suite runs unoptimised, so every frame the
-/// cloud accounts for is proven to be what the wire would carry; release
-/// builds never call `build`.
-fn frame(tag: u8, len: Result<usize>, build: impl FnOnce() -> WireMessage) -> Result<Frame> {
-    let len = len?;
-    if cfg!(debug_assertions) {
-        let msg = build();
-        assert_eq!(
-            encoded_frame(&msg).map_err(|e| e.to_string()),
-            Ok((tag, len)),
-            "the structural size of a {} frame must equal its encoding",
-            msg.name()
-        );
-    }
-    Ok((tag, len))
-}
-
-/// Encodes `msg` and decodes it back: its tag and encoded length when the
-/// roundtrip is exact.
-fn encoded_frame(msg: &WireMessage) -> Result<Frame> {
-    let encoded = msg.encode_framed(0)?;
-    if WireMessage::decode(&encoded)? != *msg {
-        return Err(PdsError::Wire(format!(
-            "{} frame does not roundtrip",
-            msg.name()
-        )));
-    }
-    Ok((msg.msg_type(), encoded.len()))
-}
-
-/// The [`Ack`] frame answering a request of `items` items.
-fn ack_frame(items: usize) -> Result<Frame> {
-    let ack = WireMessage::Ack(Ack {
-        items: items as u64,
-    });
-    frame(msg_tag::ACK, ack.encoded_len(), || ack)
+/// The [`Ack`](pds_proto::Ack) frame answering a request of `items` items.
+fn ack_frame(items: usize) -> Frame {
+    (msg_tag::ACK, ack_frame_len(items as u64))
 }
 
 /// The two result streams of one [`FetchBinRequest`] as the cloud returns
@@ -193,24 +157,18 @@ pub(crate) struct PlainSide {
 
 impl PlainSide {
     /// Indexes `relation` on `searchable_attr`, and sizes its upload: one
-    /// [`InsertRequest`] carrying every tuple, answered by one [`Ack`].
+    /// [`InsertRequest`](pds_proto::InsertRequest) carrying every tuple,
+    /// answered by one [`Ack`](pds_proto::Ack).
     pub(crate) fn build(
         relation: Relation,
         searchable_attr: &str,
     ) -> Result<(Arc<PlainSide>, [Frame; 2])> {
         let attr = relation.schema().attr_id(searchable_attr)?;
-        let tuples = relation.tuples();
-        let up = frame(
+        let up = (
             msg_tag::INSERT_REQUEST,
-            rows_frame_len(tuples, std::iter::empty()),
-            || {
-                WireMessage::InsertRequest(InsertRequest {
-                    plain_tuples: tuples.to_vec(),
-                    encrypted_rows: Vec::new(),
-                })
-            },
-        )?;
-        let down = ack_frame(relation.len())?;
+            rows_frame_len(relation.tuples(), std::iter::empty())?,
+        );
+        let down = ack_frame(relation.len());
         let index = HashIndex::build(&relation, attr);
         let side = PlainSide {
             relation,
@@ -286,26 +244,27 @@ impl CloudServer {
         self.plain = Some(side);
     }
 
-    /// Uploads encrypted sensitive rows as one [`InsertRequest`], all or
-    /// nothing: an id already stored, or repeated among `rows`, stores and
-    /// charges nothing.
+    /// Uploads encrypted sensitive rows as one
+    /// [`InsertRequest`](pds_proto::InsertRequest), all or nothing: an id
+    /// already stored, or repeated among `rows`, stores and charges nothing.
     pub fn upload_encrypted(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
         self.insert(Vec::new(), rows).map(drop)
     }
 
     /// Inserts one clear-text tuple into the outsourced non-sensitive
     /// relation, keeping the cloud-side index current.  This is the live
-    /// form of an owner→cloud [`InsertRequest`] after outsourcing (the
-    /// read/write-mix workloads drive it), so the exchange is charged like
-    /// any other: one typed request frame up, one [`Ack`] down.
+    /// form of an owner→cloud [`InsertRequest`](pds_proto::InsertRequest)
+    /// after outsourcing (the read/write-mix workloads drive it), so the
+    /// exchange is charged like any other: one typed request frame up, one
+    /// [`Ack`](pds_proto::Ack) down.
     pub fn insert_plaintext(&mut self, tuple: Tuple) -> Result<()> {
         self.insert(vec![tuple], Vec::new()).map(drop)
     }
 
     /// Stores the clear-text `tuples` and encrypted `rows` of one
-    /// [`InsertRequest`] and charges it as one exchange: the request's
-    /// frame up, one [`Ack`] down.  Returns the item count the `Ack`
-    /// carries.
+    /// [`InsertRequest`](pds_proto::InsertRequest) and charges it as one
+    /// exchange: the request's frame up, one [`Ack`](pds_proto::Ack) down.
+    /// Returns the item count the `Ack` carries.
     ///
     /// All or nothing: every tuple is checked against the schema, and
     /// every id against the stores and the rest of the request, before
@@ -326,18 +285,12 @@ impl CloudServer {
                 }
             }
         }
-        let up = frame(
+        let up = (
             msg_tag::INSERT_REQUEST,
-            rows_frame_len(&tuples, rows.iter().map(EncryptedRow::wire_parts)),
-            || {
-                WireMessage::InsertRequest(InsertRequest {
-                    plain_tuples: tuples.clone(),
-                    encrypted_rows: rows.iter().map(|r| r.wire_parts().to_row()).collect(),
-                })
-            },
-        )?;
+            rows_frame_len(&tuples, rows.iter().map(EncryptedRow::wire_parts))?,
+        );
         let items = tuples.len() + rows.len();
-        let down = ack_frame(items)?;
+        let down = ack_frame(items);
         self.encrypted.insert_many(rows)?;
         if let (false, Some(side)) = (tuples.is_empty(), self.plain.as_mut()) {
             let plain = Arc::make_mut(side);
@@ -409,18 +362,13 @@ impl CloudServer {
                 Ok((r.id, ct))
             })
             .collect::<Result<_>>()?;
-        let request = WireMessage::Opaque(Vec::new());
-        let up = frame(msg_tag::OPAQUE, request.encoded_len(), || request)?;
-        let down = frame(
+        // The request is an empty opaque frame; the column comes back as
+        // one payload of attribute-ciphertext rows.
+        let up = (msg_tag::OPAQUE, pds_proto::encoded_len(0));
+        let down = (
             msg_tag::BIN_PAYLOAD,
-            rows_frame_len(&[], out.iter().map(attr_ct_parts)),
-            || {
-                WireMessage::BinPayload(BinPayload {
-                    plain_tuples: Vec::new(),
-                    encrypted_rows: out.iter().map(|row| attr_ct_parts(row).to_row()).collect(),
-                })
-            },
-        )?;
+            rows_frame_len(&[], out.iter().map(attr_ct_parts))?,
+        );
         self.metrics.encrypted_tuples_scanned += out.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
@@ -471,7 +419,7 @@ impl CloudServer {
     }
 
     /// Serves one query exchange: a [`FetchBinRequest`] up, one
-    /// [`BinPayload`] down, one round.
+    /// [`BinPayload`](pds_proto::BinPayload) down, one round.
     ///
     /// * **clear-text side** — the index resolves the request's values and
     ///   the pushed-down residual filters them cloud-side.  The uplink frame
@@ -547,26 +495,19 @@ impl CloudServer {
         rows: &[(TupleId, Ciphertext)],
     ) -> Result<()> {
         let (plain_tuples, ns_ids, ns_values, ns_scanned) = plain;
-        let up = frame(
+        let up = (
             msg_tag::FETCH_BIN_REQUEST,
             fetch_frame_len(
                 &request.values,
                 &request.ids,
                 &request.tags,
                 request.predicate.as_ref(),
-            ),
-            || WireMessage::FetchBinRequest(request.clone()),
-        )?;
-        let down = frame(
+            )?,
+        );
+        let down = (
             msg_tag::BIN_PAYLOAD,
-            rows_frame_len(plain_tuples, rows.iter().map(tuple_ct_parts)),
-            || {
-                WireMessage::BinPayload(BinPayload {
-                    plain_tuples: plain_tuples.clone(),
-                    encrypted_rows: tuple_ct_rows(rows),
-                })
-            },
-        )?;
+            rows_frame_len(plain_tuples, rows.iter().map(tuple_ct_parts))?,
+        );
         self.view.observe_plaintext_request(&request.values);
         self.view.observe_encrypted_request(request.tags.len());
         self.view.observe_nonsensitive_result(ns_ids, ns_values);
@@ -634,6 +575,7 @@ impl CloudServer {
 mod tests {
     use super::*;
     use pds_crypto::NonDetCipher;
+    use pds_proto::{Ack, BinPayload, InsertRequest, WireMessage};
     use pds_storage::{DataType, Schema};
 
     fn plain_relation() -> Relation {
@@ -691,10 +633,73 @@ mod tests {
         Ok(s.fetch_bin(&request)?.1)
     }
 
+    /// Asserts that the traffic charged since `before` is exactly the
+    /// encoded `up` frame and the encoded `down` frame.
+    fn assert_charged(s: &CloudServer, before: &Metrics, up: &WireMessage, down: &WireMessage) {
+        let d = s.metrics().delta_since(before);
+        let frame_len = |msg: &WireMessage| msg.encode().unwrap().len() as u64;
+        assert_eq!(
+            (d.bytes_uploaded, d.bytes_downloaded),
+            (frame_len(up), frame_len(down)),
+            "a {} up and a {} down",
+            up.name(),
+            down.name()
+        );
+    }
+
+    /// The payload answering a fetch with `plain` tuples and tuple
+    /// ciphertext `rows`, built field by field.
+    fn fetch_payload(plain: Vec<Tuple>, rows: &[(TupleId, Ciphertext)]) -> WireMessage {
+        WireMessage::BinPayload(BinPayload {
+            plain_tuples: plain,
+            encrypted_rows: rows
+                .iter()
+                .map(|(id, ct)| WireRow {
+                    id: id.raw(),
+                    tuple_ct: ct.as_bytes().to_vec(),
+                    ..WireRow::default()
+                })
+                .collect(),
+        })
+    }
+
     #[test]
     fn upload_counts_bytes() {
-        let s = server();
-        assert!(s.metrics().bytes_uploaded > 0);
+        let mut s = CloudServer::new(NetworkModel::paper_wan());
+        let relation = plain_relation();
+        let tuples = relation.tuples().to_vec();
+        s.upload_plaintext(relation, "EId").unwrap();
+        assert_charged(
+            &s,
+            &Metrics::new(),
+            &WireMessage::InsertRequest(InsertRequest {
+                plain_tuples: tuples,
+                encrypted_rows: Vec::new(),
+            }),
+            &WireMessage::Ack(Ack { items: 4 }),
+        );
+
+        let rows = encrypted_rows(4);
+        let wire_rows = rows
+            .iter()
+            .map(|r| WireRow {
+                id: r.id.raw(),
+                attr_ct: r.attr_ct.as_ref().unwrap().as_bytes().to_vec(),
+                tuple_ct: r.tuple_ct.as_bytes().to_vec(),
+                search_tags: r.search_tags.clone(),
+            })
+            .collect();
+        let before = *s.metrics();
+        s.upload_encrypted(rows).unwrap();
+        assert_charged(
+            &s,
+            &before,
+            &WireMessage::InsertRequest(InsertRequest {
+                plain_tuples: Vec::new(),
+                encrypted_rows: wire_rows,
+            }),
+            &WireMessage::Ack(Ack { items: 4 }),
+        );
         assert_eq!(s.plain_len(), 4);
         assert_eq!(s.encrypted_len(), 4);
         assert!(s.comm_time() > 0.0);
@@ -740,9 +745,29 @@ mod tests {
     #[test]
     fn attr_column_download_scans_everything() {
         let mut s = server();
+        let before = *s.metrics();
         let col = s.download_encrypted_attr_column().unwrap();
         assert_eq!(col.len(), 4);
         assert_eq!(s.metrics().encrypted_tuples_scanned, 4);
+        // An empty opaque request up, the column's attribute ciphertexts
+        // down.
+        let column = col
+            .iter()
+            .map(|(id, ct)| WireRow {
+                id: id.raw(),
+                attr_ct: ct.as_bytes().to_vec(),
+                ..WireRow::default()
+            })
+            .collect();
+        assert_charged(
+            &s,
+            &before,
+            &WireMessage::Opaque(Vec::new()),
+            &WireMessage::BinPayload(BinPayload {
+                plain_tuples: Vec::new(),
+                encrypted_rows: column,
+            }),
+        );
     }
 
     #[test]
@@ -1091,6 +1116,48 @@ mod tests {
         assert!(s
             .fetch_bin_oblivious(&FetchBinRequest::default(), &[TupleId::new(999)], 0)
             .is_err());
+    }
+
+    #[test]
+    fn fetches_are_charged_their_encoded_frames() {
+        // A fetch carrying values, tags and a residual.
+        let mut s = server();
+        let request = FetchBinRequest {
+            values: vec![Value::from("E259"), Value::from("E152")],
+            tags: vec![vec![0u8], vec![2u8]],
+            predicate: Some(Predicate::Eq {
+                attr: AttrId::new(1),
+                value: Value::from("Design"),
+            }),
+            ..FetchBinRequest::default()
+        };
+        let before = *s.metrics();
+        let (plain, rows) = s.fetch_bin(&request).unwrap();
+        assert_eq!((plain.len(), rows.len()), (1, 2));
+        assert_charged(
+            &s,
+            &before,
+            &WireMessage::FetchBinRequest(request),
+            &fetch_payload(plain, &rows),
+        );
+
+        // An enclave's selection: its tokens ride as tags.
+        let request = FetchBinRequest {
+            values: vec![Value::from("E199")],
+            tags: vec![vec![9u8; 32]],
+            ..FetchBinRequest::default()
+        };
+        let before = *s.metrics();
+        let (plain, rows) = s
+            .fetch_bin_oblivious(&request, &[TupleId::new(101), TupleId::new(103)], 4)
+            .unwrap();
+        assert_eq!((plain.len(), rows.len()), (1, 2));
+        assert_charged(
+            &s,
+            &before,
+            &WireMessage::FetchBinRequest(request),
+            &fetch_payload(plain, &rows),
+        );
     }
 
     /// A values+ids fetch is one exchange that shows the cloud exactly what

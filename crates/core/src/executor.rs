@@ -83,8 +83,8 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     /// Maximum unanswered episode requests per shard connection over a
     /// TCP transport (1 is lock-step).
     pipeline_window: usize,
-    /// The cost-based planner's per-batch behaviour: episode reordering,
-    /// residual predicate, and whether the residual pushes down the wire.
+    /// The cost-based planner's per-batch behaviour: the residual
+    /// predicate, and whether it pushes down the wire.
     planner: PlannerConfig,
     sensitive_attr: Option<AttrId>,
     nonsensitive_attr: Option<AttrId>,
@@ -156,11 +156,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         self
     }
 
-    /// How episodes are shaped on the wire.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.plan_mode
-    }
-
     /// Sets how episodes are shaped on the wire: [`PlanMode::Composed`]
     /// (the default — the clear-text bin rides the sensitive side's last
     /// exchange) or [`PlanMode::FineGrained`] (separate messages, one
@@ -178,17 +173,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// answers do not depend on the window.
     pub fn set_pipeline_window(&mut self, window: usize) {
         self.pipeline_window = window;
-    }
-
-    /// Installs a planner configuration (builder form).
-    pub fn with_planner(mut self, config: PlannerConfig) -> Result<Self> {
-        self.set_planner(config)?;
-        Ok(self)
-    }
-
-    /// The planner configuration in force.
-    pub fn planner(&self) -> &PlannerConfig {
-        &self.planner
     }
 
     /// Installs a planner configuration.  Fails if the residual predicate
@@ -901,9 +885,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // The optimizer pass: per-shard episodes settle into deterministic
         // bin-major order (results are keyed by `EpisodeStep::index`, so
         // answer alignment is order-independent).
-        if self.planner.reorder {
-            reorder_for_locality(&mut plan);
-        }
+        reorder_for_locality(&mut plan);
         plan
     }
 }

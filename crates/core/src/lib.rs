@@ -37,10 +37,11 @@
 //!   as one adversarial-view episode whose every exchange is one
 //!   `FetchBinRequest` served by [`pds_cloud::CloudServer::fetch_bin`];
 //! * [`planner`] — the cost-based optimizer over that pipeline: a
-//!   calibrated [`planner::CostModel`] picks each shard's back-end under a
-//!   workload-skew security constraint, residual predicates push below the
-//!   bin fetch for cloud-side filtering, and per-shard episodes reorder
-//!   into deterministic bin-major order;
+//!   [`planner::CostModel`] prices each back-end's counted work and picks
+//!   each shard's back-end under a workload-skew security constraint,
+//!   residual predicates push below the bin fetch for cloud-side
+//!   filtering, and per-shard episodes reorder into deterministic
+//!   bin-major order;
 //! * [`cost`] — the analytical performance model η of §V-A;
 //! * [`extensions`] — range queries, inserts, group-by aggregation and
 //!   equi-joins on top of QB (the full-version extensions).

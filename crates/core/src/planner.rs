@@ -6,11 +6,12 @@
 //! pipeline into a real optimizer with three decisions:
 //!
 //! 1. **Engine choice per shard** ([`choose_engines`]) — a [`CostModel`]
-//!    seeded from each back-end's static
-//!    [`pds_systems::cost::CostProfile`] and *calibrated* against measured
-//!    executions (scale factors learned from `Metrics`-delta vs wall-clock
-//!    observations) picks the cheapest engine for each shard's expected
-//!    workload.  Security is a constraint, not an objective: where the
+//!    prices the work each back-end was observed to do on each shard (the
+//!    counted `Metrics` delta of a pilot run) under the back-end's static
+//!    [`pds_systems::cost::CostProfile`], and picks the cheapest engine
+//!    for each shard's expected workload.  Counted work is deterministic,
+//!    so the choice never depends on the machine's clock.  Security is a
+//!    constraint, not an objective: where the
 //!    workload-skew attack reports linkage advantage above the configured
 //!    threshold, only access-pattern-hiding back-ends are eligible;
 //!    everywhere else the cheap deterministic index wins on cost.
@@ -39,12 +40,6 @@ use pds_systems::SecureSelectionEngine;
 
 use crate::plan::QueryPlan;
 
-/// Calibration scales are clamped to this band: a single noisy pilot
-/// measurement (debug builds, loaded CI machines) must not be able to
-/// invert the ordering between back-ends whose modelled costs differ by
-/// orders of magnitude.
-const SCALE_CLAMP: (f64, f64) = (0.1, 10.0);
-
 /// How the executor's planner behaves for every compiled episode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
@@ -52,8 +47,6 @@ pub struct PlannerConfig {
     /// by an access-pattern-hiding back-end
     /// (see `pds_adversary::WorkloadSkewOutcome::advantage`).
     pub advantage_threshold: f64,
-    /// Stably reorder each shard's episodes into bin-major order.
-    pub reorder: bool,
     /// Residual predicate constraining the query beyond the searchable
     /// attribute.  Must only mention non-searchable attributes; the
     /// executor rejects residuals touching the binned attribute.
@@ -72,7 +65,6 @@ impl Default for PlannerConfig {
             // this on every suite workload, so the default only forces
             // oblivious engines where linkage is demonstrably strong.
             advantage_threshold: 0.5,
-            reorder: true,
             residual: None,
             pushdown: true,
         }
@@ -92,31 +84,22 @@ impl PlannerConfig {
     }
 }
 
-/// One measured per-(engine, shard) observation: the work profile the
-/// engine exhibited on that shard plus the calibration scale learned from
-/// the accompanying wall-clock measurement.
-#[derive(Debug, Clone)]
-struct Calibration {
-    work: Metrics,
-    scale: f64,
-}
-
-/// A cost model over back-ends: static seed profiles refined by measured
-/// per-(engine, shard) work profiles and calibration scales.
+/// A cost model over back-ends: static seed profiles priced on the work
+/// each (engine, shard) was observed to do.
 ///
-/// Estimates are `seed_modelled_seconds × scale(engine, shard)` where the
-/// scale starts at 1.0 and is learned by [`CostModel::observe`] from pairs
-/// of (counted work, measured seconds).  `observe` also records the work
-/// profile itself, which is what lets [`choose_engines`] price every
-/// candidate on the counters *it* exhibited — a scan back-end touches
-/// every tuple of a bin where an index back-end touches only matches, so
-/// pricing both on one shared counter vector would bias the choice.  All
-/// maps are `BTreeMap`s so iteration — and therefore planning — is
-/// deterministic.
+/// An estimate is the seed profile's modelled seconds on the counted work
+/// plus a per-round latency charge.  [`CostModel::observe`] records each
+/// (engine, shard)'s work profile, which is what lets [`choose_engines`]
+/// price every candidate on the counters *it* exhibited — a scan back-end
+/// touches every tuple of a bin where an index back-end touches only
+/// matches, so pricing both on one shared counter vector would bias the
+/// choice.  No wall-clock enters an estimate, and all maps are
+/// `BTreeMap`s, so planning is a deterministic function of the observed
+/// work.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     seeds: BTreeMap<String, CostProfile>,
-    calib: BTreeMap<(String, usize), Calibration>,
+    observed: BTreeMap<(String, usize), Metrics>,
     round_trip_sec: f64,
 }
 
@@ -144,11 +127,11 @@ impl CostModel {
         self.seeds.get(engine)
     }
 
-    /// The work counters' cost in seconds under the engine's *seed*
-    /// profile, before calibration.  Per-query fixed costs are charged
-    /// once per round trip: exact for composed one-round back-ends (one
-    /// round per episode) and an upper bound for multi-round ones, so a
-    /// batch profile never hides an enclave's per-query setup cost behind
+    /// The work counters' cost in seconds under the engine's seed
+    /// profile, without the per-round latency.  Per-query fixed costs are
+    /// charged once per round trip: exact for composed one-round back-ends
+    /// (one round per episode) and an upper bound for multi-round ones, so
+    /// a batch profile never hides an enclave's per-query setup cost behind
     /// a single fixed charge.
     pub fn modelled(&self, engine: &str, work: &Metrics) -> Option<f64> {
         self.seeds
@@ -156,43 +139,17 @@ impl CostModel {
             .map(|p| computation_time_for_queries(work, p, work.round_trips))
     }
 
-    /// Records one measured execution of `engine` on `shard`: the work
-    /// profile is kept as the engine's expected workload there, and the
-    /// calibration scale becomes `measured / modelled`, clamped to one
-    /// order of magnitude each way.  Engines without a seed profile are
-    /// ignored; a degenerate measurement (non-positive, non-finite, or
-    /// negligible modelled cost) still records the work profile but leaves
-    /// the scale at 1.0 — it carries no timing signal, only division
-    /// noise.
-    pub fn observe(&mut self, engine: &str, shard: usize, work: &Metrics, measured_sec: f64) {
-        let Some(modelled) = self.modelled(engine, work) else {
-            return;
-        };
-        let scale = if modelled <= f64::EPSILON || !measured_sec.is_finite() || measured_sec <= 0.0
-        {
-            1.0
-        } else {
-            (measured_sec / modelled).clamp(SCALE_CLAMP.0, SCALE_CLAMP.1)
-        };
-        self.calib.insert(
-            (engine.to_string(), shard),
-            Calibration { work: *work, scale },
-        );
+    /// Records the work `engine` did on `shard` as its expected workload
+    /// there.  Engines without a seed profile are ignored.
+    pub fn observe(&mut self, engine: &str, shard: usize, work: &Metrics) {
+        if self.seeds.contains_key(engine) {
+            self.observed.insert((engine.to_string(), shard), *work);
+        }
     }
 
-    /// The calibration scale in force for an (engine, shard): 1.0 until
-    /// [`CostModel::observe`] has seen a measurement for it.
-    pub fn scale(&self, engine: &str, shard: usize) -> f64 {
-        self.calib
-            .get(&(engine.to_string(), shard))
-            .map_or(1.0, |c| c.scale)
-    }
-
-    /// The measured work profile of an (engine, shard), if observed.
+    /// The observed work profile of an (engine, shard), if any.
     pub fn observed_work(&self, engine: &str, shard: usize) -> Option<&Metrics> {
-        self.calib
-            .get(&(engine.to_string(), shard))
-            .map(|c| &c.work)
+        self.observed.get(&(engine.to_string(), shard))
     }
 
     /// Sets the nominal owner↔cloud round-trip latency charged per round
@@ -208,21 +165,21 @@ impl CostModel {
         self.round_trip_sec
     }
 
-    /// The calibrated cost estimate for running `work` on `shard` through
-    /// `engine`, in seconds: calibrated computation plus the per-round
-    /// latency charge; `None` for engines the model has no seed for.
-    pub fn estimate(&self, engine: &str, shard: usize, work: &Metrics) -> Option<f64> {
+    /// The cost estimate for running `work` through `engine`, in seconds:
+    /// modelled computation plus the per-round latency charge; `None` for
+    /// engines the model has no seed for.
+    pub fn estimate(&self, engine: &str, work: &Metrics) -> Option<f64> {
         self.modelled(engine, work)
-            .map(|t| t * self.scale(engine, shard) + work.round_trips as f64 * self.round_trip_sec)
+            .map(|t| t + work.round_trips as f64 * self.round_trip_sec)
     }
 
-    /// The calibrated estimate of an (engine, shard) on its *own* observed
-    /// work profile — what [`choose_engines`] ranks candidates by.  `None`
+    /// The estimate of an (engine, shard) on its *own* observed work
+    /// profile — what [`choose_engines`] ranks candidates by.  `None`
     /// until the pair has been observed (an engine the planner has never
     /// profiled cannot be chosen).
     pub fn estimate_observed(&self, engine: &str, shard: usize) -> Option<f64> {
         let work = self.observed_work(engine, shard)?;
-        self.estimate(engine, shard, work)
+        self.estimate(engine, work)
     }
 }
 
@@ -255,8 +212,8 @@ pub struct ShardPlan {
     /// Whether the security constraint restricted the pool to
     /// access-pattern-hiding engines on this shard.
     pub oblivious_required: bool,
-    /// The calibrated cost estimate of the shard's expected workload under
-    /// the chosen engine, seconds.
+    /// The cost estimate of the shard's expected workload under the
+    /// chosen engine, seconds.
     pub estimated_sec: f64,
 }
 
@@ -269,7 +226,7 @@ pub struct ShardPlan {
 /// pays for the full bins it touches while an index back-end pays only for
 /// its matches.  Where `advantage[s] > threshold`, only candidates with
 /// `hides_access_pattern` are eligible; picking then minimises the
-/// calibrated estimate with a deterministic name tie-break.  Candidates
+/// estimate with a deterministic name tie-break.  Candidates
 /// the model has never observed on a shard are not eligible there.
 pub fn choose_engines(
     model: &CostModel,
@@ -375,8 +332,7 @@ mod tests {
         ])
     }
 
-    /// Installs the same pilot work profile for every (candidate, shard)
-    /// with measured == modelled, i.e. scale 1.0 everywhere.
+    /// Installs the same pilot work profile for every (candidate, shard).
     fn profile_all(
         model: &mut CostModel,
         candidates: &[EngineCandidate],
@@ -385,8 +341,7 @@ mod tests {
     ) {
         for cand in candidates {
             for shard in 0..shards {
-                let measured = model.modelled(&cand.name, work).unwrap_or(0.0);
-                model.observe(&cand.name, shard, work, measured);
+                model.observe(&cand.name, shard, work);
             }
         }
     }
@@ -426,8 +381,8 @@ mod tests {
             .into_iter()
             .filter(|c| c.name == "det-index" || c.name == "nondet-scan")
             .collect();
-        model.observe("det-index", 0, &point_work(4, 4), 0.0);
-        model.observe("nondet-scan", 0, &point_work(4096, 4096), 0.0);
+        model.observe("det-index", 0, &point_work(4, 4));
+        model.observe("nondet-scan", 0, &point_work(4096, 4096));
         let plans = choose_engines(&model, &candidates, &[0.0], 0.5).unwrap();
         assert_eq!(plans[0].engine, "det-index");
     }
@@ -446,29 +401,17 @@ mod tests {
 
     #[test]
     fn unobserved_engines_are_not_eligible() {
-        let model = suite_model();
+        let mut model = suite_model();
         // No observations at all: nothing can be chosen anywhere.
         let err = choose_engines(&model, &suite_candidates(), &[0.0], 0.5);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn calibration_moves_estimates_and_is_clamped() {
-        let mut model = suite_model();
+        // Unknown engines have no estimate, and observing one records
+        // nothing, so they never win planning.
         let work = point_work(1000, 1000);
-        let base = model.estimate("det-index", 0, &work).unwrap();
-        model.observe("det-index", 0, &work, base * 3.0);
-        let calibrated = model.estimate("det-index", 0, &work).unwrap();
-        assert!((calibrated - base * 3.0).abs() < base * 1e-6);
-        // Other shards stay at the seed.
-        assert_eq!(model.estimate("det-index", 1, &work), Some(base));
-        // A wild measurement cannot move the scale past one decade.
-        model.observe("det-index", 0, &work, base * 1e6);
-        assert!((model.scale("det-index", 0) - 10.0).abs() < 1e-12);
-        // Unknown engines have no estimate and never win planning.
-        assert_eq!(model.estimate("no-such-engine", 0, &work), None);
-        model.observe("no-such-engine", 0, &work, 1.0);
-        assert_eq!(model.scale("no-such-engine", 0), 1.0);
+        assert_eq!(model.estimate("no-such-engine", &work), None);
+        model.observe("no-such-engine", 0, &work);
+        assert_eq!(model.observed_work("no-such-engine", 0), None);
+        assert_eq!(model.estimate_observed("no-such-engine", 0), None);
     }
 
     #[test]
@@ -488,8 +431,8 @@ mod tests {
             },
         ];
         let work = point_work(4, 4);
-        model.observe("zeta", 0, &work, 0.0);
-        model.observe("alpha", 0, &work, 0.0);
+        model.observe("zeta", 0, &work);
+        model.observe("alpha", 0, &work);
         let plans = choose_engines(&model, &candidates, &[0.0], 0.5).unwrap();
         assert_eq!(plans[0].engine, "alpha");
     }
@@ -504,8 +447,8 @@ mod tests {
         one.round_trips = 8;
         let mut five = point_work(4, 4);
         five.round_trips = 40;
-        model.observe("one-round", 0, &one, 0.0);
-        model.observe("five-round", 0, &five, 0.0);
+        model.observe("one-round", 0, &one);
+        model.observe("five-round", 0, &five);
         model.set_round_trip_cost(0.01);
         let candidates = vec![
             EngineCandidate {

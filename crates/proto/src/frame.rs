@@ -139,7 +139,7 @@ pub(crate) fn checked_frame_len(payload_len: usize) -> Result<usize> {
 /// zeroed length placeholder that [`finish_frame`] patches.  The caller
 /// appends the payload directly after this — one buffer end to end, which
 /// is what lets the codec hot path run without a per-frame allocation.
-pub fn begin_frame(buf: &mut Vec<u8>, msg_type: u8, corr: u64) {
+pub(crate) fn begin_frame(buf: &mut Vec<u8>, msg_type: u8, corr: u64) {
     buf.clear();
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
@@ -150,7 +150,7 @@ pub fn begin_frame(buf: &mut Vec<u8>, msg_type: u8, corr: u64) {
 
 /// Completes a frame begun with [`begin_frame`]: validates the payload
 /// length, patches the header's length field, and appends the CRC trailer.
-pub fn finish_frame(buf: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn finish_frame(buf: &mut Vec<u8>) -> Result<()> {
     let payload_len = buf.len().saturating_sub(HEADER_LEN);
     checked_frame_len(payload_len)?;
     buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_be_bytes());

@@ -16,12 +16,13 @@
 //!   [`InsertRequest`], [`Ack`], [`ErrorFrame`], the [`Hello`] handshake,
 //!   the stats exchange, and an [`WireMessage::Opaque`] escape hatch for
 //!   engine-specific token sets.  `pds-cloud` charges every owner↔cloud
-//!   interaction the frame length of the message it represents, summed
-//!   structurally by [`WireMessage::encoded_len`], [`fetch_frame_len`]
-//!   and [`rows_frame_len`] (and checked against the real encode in debug
-//!   builds), to its metrics and its network clock
-//!   (`latency + bytes/bandwidth` per exchange), so bytes moved and
-//!   communication time are what the wire would carry.
+//!   interaction the frame length of the message it represents to its
+//!   metrics and its network clock (`latency + bytes/bandwidth` per
+//!   exchange), so bytes moved and communication time are what the wire
+//!   would carry.  The length is the encoder's own output counted
+//!   instead of stored ([`WireMessage::encoded_len`], and
+//!   [`fetch_frame_len`], [`rows_frame_len`] and [`ack_frame_len`] over
+//!   borrowed fields): one writer per wire item both sizes and encodes.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
@@ -43,7 +44,7 @@ pub use frame::{
     VERSION,
 };
 pub use messages::{
-    error_frame, fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload, ErrorFrame,
-    FetchBinRequest, Hello, InsertRequest, RowParts, WireMessage, WireRow,
+    ack_frame_len, error_frame, fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload,
+    ErrorFrame, FetchBinRequest, Hello, InsertRequest, RowParts, WireMessage, WireRow,
 };
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

@@ -25,13 +25,15 @@
 //! values), whose encoded length reveals nothing new, and to framing
 //! around opaque byte strings.
 //!
-//! **Sizes are structural.**  Every item the codec writes has a length
-//! function next to its writer (varint, value, tuple, row, predicate), and
-//! [`WireMessage::encoded_len`] sums them instead of encoding.  The
-//! borrowed entry points [`fetch_frame_len`] and [`rows_frame_len`] size a
-//! query, payload or insert frame from slices and [`RowParts`], so an
-//! accounting layer charges exactly the bytes a frame would carry without
-//! building the message.
+//! **One writer per item sizes and encodes.**  Every writer (varint, byte
+//! string, list, value, tuple, row, predicate) writes into a byte sink:
+//! the frame buffer when encoding, or a counter that keeps only the
+//! number of bytes.  [`WireMessage::encoded_len`] runs the payload writer
+//! into the counter, and the borrowed entry points [`fetch_frame_len`],
+//! [`rows_frame_len`] and [`ack_frame_len`] run the query, rows and
+//! acknowledgement writers over slices, [`RowParts`] and counts, so an
+//! accounting layer charges exactly the bytes a frame carries without
+//! building the message, and the two lengths agree by construction.
 //!
 //! Decoding is total: every read is bounds-checked and malformed payloads
 //! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
@@ -45,7 +47,7 @@
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{Predicate, Tuple};
 
-use crate::frame::{begin_frame, checked_frame_len, decode_frame_corr, finish_frame};
+use crate::frame::{begin_frame, checked_frame_len, decode_frame_corr, encoded_len, finish_frame};
 use crate::pool::{self, PooledBuf};
 
 /// One encrypted row as it travels over the wire.
@@ -120,19 +122,11 @@ impl RowParts<'_> {
         }
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
+    fn write(&self, out: &mut impl Sink) {
         write_varint(out, self.id);
         write_bytes(out, self.attr_ct);
         write_bytes(out, self.tuple_ct);
         write_list(out, self.search_tags, |out, tag| write_bytes(out, tag));
-    }
-
-    /// Length of [`RowParts::write`]'s output.
-    fn len(&self) -> usize {
-        varint_len(self.id)
-            + bytes_len(self.attr_ct)
-            + bytes_len(self.tuple_ct)
-            + list_len(self.search_tags, |tag| bytes_len(tag))
     }
 }
 
@@ -318,17 +312,7 @@ impl WireMessage {
 
     /// Short human-readable name of this message type.
     pub fn name(&self) -> &'static str {
-        match self {
-            WireMessage::FetchBinRequest(_) => "FetchBinRequest",
-            WireMessage::BinPayload(_) => "BinPayload",
-            WireMessage::InsertRequest(_) => "InsertRequest",
-            WireMessage::Ack(_) => "Ack",
-            WireMessage::Error(_) => "Error",
-            WireMessage::Opaque(_) => "Opaque",
-            WireMessage::Hello(_) => "Hello",
-            WireMessage::StatsRequest => "StatsRequest",
-            WireMessage::StatsSnapshot(_) => "StatsSnapshot",
-        }
+        msg_tag::name(self.msg_type())
     }
 
     /// Encodes the message into one complete wire frame
@@ -346,20 +330,18 @@ impl WireMessage {
         let _span = pds_obs::obs_span("frame.encode");
         let mut frame = pool::take_buf();
         begin_frame(&mut frame, self.msg_type(), corr);
-        self.write_payload(&mut frame)?;
+        self.write_payload(&mut *frame)?;
         finish_frame(&mut frame)?;
         Ok(frame)
     }
 
-    /// Appends this message's payload encoding to `payload` (which already
-    /// holds the frame header when called from [`Self::encode_framed`]).
-    fn write_payload(&self, payload: &mut Vec<u8>) -> Result<()> {
+    /// Writes this message's payload into `out`: after the frame header
+    /// when called from [`Self::encode_framed`], into a [`Counter`] when
+    /// called from [`Self::encoded_len`].
+    fn write_payload(&self, out: &mut impl Sink) -> Result<()> {
         match self {
             WireMessage::FetchBinRequest(m) => {
-                write_list(payload, &m.values, write_value);
-                write_list(payload, &m.ids, |out, id| write_varint(out, *id));
-                write_list(payload, &m.tags, |out, tag| write_bytes(out, tag));
-                write_opt_predicate(payload, m.predicate.as_ref())?;
+                write_fetch(out, &m.values, &m.ids, &m.tags, m.predicate.as_ref())?;
             }
             WireMessage::BinPayload(BinPayload {
                 plain_tuples,
@@ -368,19 +350,16 @@ impl WireMessage {
             | WireMessage::InsertRequest(InsertRequest {
                 plain_tuples,
                 encrypted_rows,
-            }) => {
-                write_list(payload, plain_tuples, write_tuple);
-                write_list(payload, encrypted_rows, |out, row| row.parts().write(out));
-            }
-            WireMessage::Ack(m) => write_varint(payload, m.items),
+            }) => write_rows(out, plain_tuples, encrypted_rows.iter().map(WireRow::parts)),
+            WireMessage::Ack(m) => write_varint(out, m.items),
             WireMessage::Error(m) => {
-                write_bytes(payload, m.category.as_bytes());
-                write_bytes(payload, m.message.as_bytes());
+                write_bytes(out, m.category.as_bytes());
+                write_bytes(out, m.message.as_bytes());
             }
-            WireMessage::Opaque(body) => payload.extend_from_slice(body),
-            WireMessage::Hello(m) => write_varint(payload, m.tenant),
+            WireMessage::Opaque(body) => out.put_slice(body),
+            WireMessage::Hello(m) => write_varint(out, m.tenant),
             WireMessage::StatsRequest => {}
-            WireMessage::StatsSnapshot(text) => write_bytes(payload, text.as_bytes()),
+            WireMessage::StatsSnapshot(text) => write_bytes(out, text.as_bytes()),
         }
         Ok(())
     }
@@ -431,36 +410,16 @@ impl WireMessage {
         Ok((corr, msg))
     }
 
-    /// The encoded frame length of this message in bytes, summed from the
-    /// codec's per-item lengths without encoding.  It fails exactly where
+    /// The encoded frame length of this message in bytes: the payload
+    /// writer's output counted, not stored.  It fails exactly where
     /// [`WireMessage::encode`] fails: a predicate past the depth cap, or a
     /// payload past [`crate::MAX_PAYLOAD_LEN`].
     pub fn encoded_len(&self) -> Result<usize> {
-        match self {
-            WireMessage::FetchBinRequest(m) => {
-                fetch_frame_len(&m.values, &m.ids, &m.tags, m.predicate.as_ref())
-            }
-            WireMessage::BinPayload(BinPayload {
-                plain_tuples,
-                encrypted_rows,
-            })
-            | WireMessage::InsertRequest(InsertRequest {
-                plain_tuples,
-                encrypted_rows,
-            }) => rows_frame_len(plain_tuples, encrypted_rows.iter().map(WireRow::parts)),
-            WireMessage::Ack(m) => checked_frame_len(varint_len(m.items)),
-            WireMessage::Error(m) => checked_frame_len(
-                bytes_len(m.category.as_bytes()) + bytes_len(m.message.as_bytes()),
-            ),
-            WireMessage::Opaque(body) => checked_frame_len(body.len()),
-            WireMessage::Hello(m) => checked_frame_len(varint_len(m.tenant)),
-            WireMessage::StatsRequest => checked_frame_len(0),
-            WireMessage::StatsSnapshot(text) => checked_frame_len(bytes_len(text.as_bytes())),
-        }
+        counted_frame_len(|out| self.write_payload(out))
     }
 }
 
-/// The frame length of a [`FetchBinRequest`] with these fields, summed
+/// The frame length of a [`FetchBinRequest`] with these fields, counted
 /// without building or encoding it.  Fails where encoding would.
 pub fn fetch_frame_len(
     values: &[Value],
@@ -468,23 +427,56 @@ pub fn fetch_frame_len(
     tags: &[Vec<u8>],
     predicate: Option<&Predicate>,
 ) -> Result<usize> {
-    checked_frame_len(
-        list_len(values, value_len)
-            + list_len(ids, |id| varint_len(*id))
-            + list_len(tags, |tag| bytes_len(tag))
-            + opt_predicate_len(predicate)?,
-    )
+    counted_frame_len(|out| write_fetch(out, values, ids, tags, predicate))
 }
 
 /// The frame length of a [`BinPayload`] or an [`InsertRequest`] (the two
-/// share one layout) carrying `plain_tuples` and `rows`, summed without
+/// share one layout) carrying `plain_tuples` and `rows`, counted without
 /// building or encoding it.  Fails where encoding would.
 pub fn rows_frame_len<'a>(
     plain_tuples: &[Tuple],
     rows: impl ExactSizeIterator<Item = RowParts<'a>>,
 ) -> Result<usize> {
-    let rows_len = len_len(rows.len()) + rows.map(|row| row.len()).sum::<usize>();
-    checked_frame_len(list_len(plain_tuples, tuple_len) + rows_len)
+    counted_frame_len(|out| {
+        write_rows(out, plain_tuples, rows);
+        Ok(())
+    })
+}
+
+/// The frame length of an [`Ack`] carrying `items`.
+pub fn ack_frame_len(items: u64) -> usize {
+    let mut counter = Counter::default();
+    write_varint(&mut counter, items);
+    encoded_len(counter.0)
+}
+
+/// Writes a [`FetchBinRequest`]'s fields: the values, the storage
+/// addresses, the tags, then the optional predicate.
+fn write_fetch(
+    out: &mut impl Sink,
+    values: &[Value],
+    ids: &[u64],
+    tags: &[Vec<u8>],
+    predicate: Option<&Predicate>,
+) -> Result<()> {
+    write_list(out, values, write_value);
+    write_list(out, ids, |out, id| write_varint(out, *id));
+    write_list(out, tags, |out, tag| write_bytes(out, tag));
+    write_opt_predicate(out, predicate)
+}
+
+/// Writes the layout [`BinPayload`] and [`InsertRequest`] share: the
+/// clear-text tuples as a list, then the encrypted rows as a list.
+fn write_rows<'a>(
+    out: &mut impl Sink,
+    plain_tuples: &[Tuple],
+    rows: impl ExactSizeIterator<Item = RowParts<'a>>,
+) {
+    write_list(out, plain_tuples, write_tuple);
+    write_len(out, rows.len());
+    for row in rows {
+        row.write(out);
+    }
 }
 
 /// Builds the wire form of a [`PdsError`].
@@ -522,29 +514,21 @@ mod pred_tag {
 /// recursive tagged encoding.  Predicates travel in clear by design — they
 /// may only reference non-sensitive attributes (the planner enforces this
 /// owner-side; `pds-analyze`'s egress lint watches the call sites).
-pub fn write_opt_predicate(out: &mut Vec<u8>, p: Option<&Predicate>) -> Result<()> {
+fn write_opt_predicate(out: &mut impl Sink, p: Option<&Predicate>) -> Result<()> {
     match p {
         None => {
-            out.push(0);
+            out.put_byte(0);
             Ok(())
         }
         Some(p) => {
-            out.push(1);
+            out.put_byte(1);
             write_predicate(out, p, 0)
         }
     }
 }
 
-/// Length of [`write_opt_predicate`]'s output; fails where it fails.
-fn opt_predicate_len(p: Option<&Predicate>) -> Result<usize> {
-    Ok(1 + match p {
-        None => 0,
-        Some(p) => predicate_len(p, 0)?,
-    })
-}
-
 /// Refuses a predicate node at `depth` past [`PREDICATE_DEPTH_CAP`] (the
-/// writer, its length and the reader share the check).
+/// writer and the reader share the check).
 fn check_depth(depth: usize) -> Result<()> {
     if depth >= PREDICATE_DEPTH_CAP {
         return Err(PdsError::Wire(format!(
@@ -554,27 +538,27 @@ fn check_depth(depth: usize) -> Result<()> {
     Ok(())
 }
 
-fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()> {
+fn write_predicate(out: &mut impl Sink, p: &Predicate, depth: usize) -> Result<()> {
     check_depth(depth)?;
     match p {
         Predicate::Eq { attr, value } => {
-            out.push(pred_tag::EQ);
+            out.put_byte(pred_tag::EQ);
             write_varint(out, attr.raw());
             write_value(out, value);
         }
         Predicate::InSet { attr, values } => {
-            out.push(pred_tag::IN_SET);
+            out.put_byte(pred_tag::IN_SET);
             write_varint(out, attr.raw());
             write_list(out, values, write_value);
         }
         Predicate::Range { attr, lo, hi } => {
-            out.push(pred_tag::RANGE);
+            out.put_byte(pred_tag::RANGE);
             write_varint(out, attr.raw());
             write_value(out, lo);
             write_value(out, hi);
         }
         Predicate::And(ps) | Predicate::Or(ps) => {
-            out.push(if matches!(p, Predicate::And(_)) {
+            out.put_byte(if matches!(p, Predicate::And(_)) {
                 pred_tag::AND
             } else {
                 pred_tag::OR
@@ -585,32 +569,12 @@ fn write_predicate(out: &mut Vec<u8>, p: &Predicate, depth: usize) -> Result<()>
             }
         }
         Predicate::Not(child) => {
-            out.push(pred_tag::NOT);
+            out.put_byte(pred_tag::NOT);
             write_predicate(out, child, depth + 1)?;
         }
-        Predicate::True => out.push(pred_tag::TRUE),
+        Predicate::True => out.put_byte(pred_tag::TRUE),
     }
     Ok(())
-}
-
-/// Length of [`write_predicate`]'s output; fails where it fails.
-fn predicate_len(p: &Predicate, depth: usize) -> Result<usize> {
-    check_depth(depth)?;
-    let operands = match p {
-        Predicate::Eq { attr, value } => varint_len(attr.raw()) + value_len(value),
-        Predicate::InSet { attr, values } => varint_len(attr.raw()) + list_len(values, value_len),
-        Predicate::Range { attr, lo, hi } => varint_len(attr.raw()) + value_len(lo) + value_len(hi),
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            let mut n = len_len(ps.len());
-            for child in ps {
-                n += predicate_len(child, depth + 1)?;
-            }
-            n
-        }
-        Predicate::Not(child) => predicate_len(child, depth + 1)?,
-        Predicate::True => 0,
-    };
-    Ok(1 + operands)
 }
 
 fn read_opt_predicate(r: &mut Reader<'_>) -> Result<Option<Predicate>> {
@@ -669,54 +633,75 @@ mod value_tag {
 /// Longest canonical LEB128 encoding of a `u64`: ten 7-bit groups.
 const MAX_VARINT_LEN: usize = 10;
 
-/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
-/// group first, high bit set on every byte but the last.
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v & 0x7f) as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
+/// Where the writers put their bytes: the frame buffer (`Vec<u8>`) when
+/// encoding, or a [`Counter`] when sizing.  Sizing runs the very writers
+/// that encode, so a counted length is the encoded length.
+trait Sink {
+    /// Appends one byte.
+    fn put_byte(&mut self, byte: u8);
+    /// Appends a run of bytes.
+    fn put_slice(&mut self, bytes: &[u8]);
 }
 
-/// Length of [`write_varint`]'s output: one byte per 7-bit group, at
-/// least one.
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros()).div_ceil(7) as usize
+impl Sink for Vec<u8> {
+    fn put_byte(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written to it.
+#[derive(Default)]
+struct Counter(usize);
+
+impl Sink for Counter {
+    fn put_byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// The frame length of the payload `write` writes, counted, or the error
+/// the writer or the frame limit gives where encoding would give it.
+fn counted_frame_len(write: impl FnOnce(&mut Counter) -> Result<()>) -> Result<usize> {
+    let mut counter = Counter::default();
+    write(&mut counter)?;
+    checked_frame_len(counter.0)
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// group first, high bit set on every byte but the last.
+fn write_varint(out: &mut impl Sink, mut v: u64) {
+    while v >= 0x80 {
+        out.put_byte((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.put_byte(v as u8);
 }
 
 /// Appends a count or length as a varint.
-fn write_len(out: &mut Vec<u8>, n: usize) {
+fn write_len(out: &mut impl Sink, n: usize) {
     write_varint(out, n as u64);
 }
 
-/// Length of [`write_len`]'s output.
-fn len_len(n: usize) -> usize {
-    varint_len(n as u64)
-}
-
 /// Appends a byte string: varint length, then the bytes.
-fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
+fn write_bytes(out: &mut impl Sink, b: &[u8]) {
     write_len(out, b.len());
-    out.extend_from_slice(b);
-}
-
-/// Length of [`write_bytes`]'s output.
-fn bytes_len(b: &[u8]) -> usize {
-    len_len(b.len()) + b.len()
+    out.put_slice(b);
 }
 
 /// Appends a varint item count, then each item.
-fn write_list<T>(out: &mut Vec<u8>, items: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) {
+fn write_list<S: Sink, T>(out: &mut S, items: &[T], mut write: impl FnMut(&mut S, &T)) {
     write_len(out, items.len());
     for item in items {
         write(out, item);
     }
-}
-
-/// Length of [`write_list`]'s output, given each item's length.
-fn list_len<T>(items: &[T], item_len: impl Fn(&T) -> usize) -> usize {
-    len_len(items.len()) + items.iter().map(item_len).sum::<usize>()
 }
 
 /// Zigzag-maps a signed integer so small magnitudes of either sign get
@@ -732,49 +717,33 @@ fn unzigzag(v: u64) -> i64 {
 
 /// Writes one clear-text value straight into the frame buffer (see the
 /// module docs for the layout).
-fn write_value(out: &mut Vec<u8>, v: &Value) {
+fn write_value(out: &mut impl Sink, v: &Value) {
     match v {
-        Value::Null => out.push(value_tag::NULL),
+        Value::Null => out.put_byte(value_tag::NULL),
         Value::Int(i) => {
-            out.push(value_tag::INT);
+            out.put_byte(value_tag::INT);
             write_varint(out, zigzag(*i));
         }
         Value::Text(s) => {
-            out.push(value_tag::TEXT);
+            out.put_byte(value_tag::TEXT);
             write_bytes(out, s.as_bytes());
         }
         Value::Bytes(b) => {
-            out.push(value_tag::BYTES);
+            out.put_byte(value_tag::BYTES);
             write_bytes(out, b);
         }
         Value::Bool(b) => {
-            out.push(value_tag::BOOL);
-            out.push(u8::from(*b));
+            out.put_byte(value_tag::BOOL);
+            out.put_byte(u8::from(*b));
         }
-    }
-}
-
-/// Length of [`write_value`]'s output: the tag byte and its operand.
-fn value_len(v: &Value) -> usize {
-    1 + match v {
-        Value::Null => 0,
-        Value::Int(i) => varint_len(zigzag(*i)),
-        Value::Text(s) => bytes_len(s.as_bytes()),
-        Value::Bytes(b) => bytes_len(b),
-        Value::Bool(_) => 1,
     }
 }
 
 /// Writes one clear-text tuple straight into the frame buffer: varint id,
 /// varint arity, then each value.
-fn write_tuple(out: &mut Vec<u8>, t: &Tuple) {
+fn write_tuple(out: &mut impl Sink, t: &Tuple) {
     write_varint(out, t.id.raw());
     write_list(out, &t.values, write_value);
-}
-
-/// Length of [`write_tuple`]'s output.
-fn tuple_len(t: &Tuple) -> usize {
-    varint_len(t.id.raw()) + list_len(&t.values, value_len)
 }
 
 /// Bounds-checked sequential reader over a message payload.
@@ -994,6 +963,14 @@ mod tests {
             let back = WireMessage::decode(&frame).unwrap();
             assert_eq!(back, msg, "{} roundtrip", msg.name());
             assert_eq!(frame.len(), msg.encoded_len().unwrap());
+        }
+    }
+
+    #[test]
+    fn ack_frame_len_counts_the_encoded_ack() {
+        for items in [0, 0x7f, 0x80, u64::MAX] {
+            let ack = WireMessage::Ack(Ack { items });
+            assert_eq!(ack_frame_len(items), ack.encode().unwrap().len());
         }
     }
 

@@ -140,8 +140,8 @@ impl CostProfile {
 
     /// The seed profile for a back-end, keyed by its
     /// [`crate::SecureSelectionEngine::name`].  This is what the planner's
-    /// cost model starts from before any measured calibration; `None` for
-    /// names no shipped engine reports.
+    /// cost model prices observed work with; `None` for names no shipped
+    /// engine reports.
     pub fn for_engine(name: &str) -> Option<CostProfile> {
         match name {
             "cleartext" => Some(CostProfile::cleartext()),

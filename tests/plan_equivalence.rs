@@ -69,9 +69,8 @@ fn engine_named(name: &str) -> Box<dyn SecureSelectionEngine> {
     }
 }
 
-/// A calibrated cost model built from **synthetic, seed-derived**
-/// observations — no wall-clock is ever read, so identical `(shards, seed)`
-/// inputs always reproduce the identical model.
+/// A cost model built from **synthetic, seed-derived** work profiles, so
+/// identical `(shards, seed)` inputs always reproduce the identical model.
 fn synthetic_model(shards: usize, seed: u64) -> (CostModel, Vec<EngineCandidate>) {
     let candidates: Vec<EngineCandidate> = (0..BACKENDS)
         .map(|i| EngineCandidate::of(backend(i).as_ref()))
@@ -81,18 +80,19 @@ fn synthetic_model(shards: usize, seed: u64) -> (CostModel, Vec<EngineCandidate>
     model.set_round_trip_cost(0.010);
     for (i, name) in names.iter().enumerate() {
         for shard in 0..shards {
+            // A deterministic jitter in [0.5, 1.9] × the base scan, so
+            // different engines win on different shards.
+            let jitter = (seed ^ (i as u64 * 31 + shard as u64 * 7)) % 15;
+            let scanned = (40 + 3 * i as u64) * (5 + jitter) / 10;
             let work = Metrics {
-                encrypted_tuples_scanned: 40 + 3 * i as u64,
+                encrypted_tuples_scanned: scanned,
                 plaintext_tuples_scanned: 60,
                 plaintext_index_lookups: 1,
-                owner_decryptions: 40 + 3 * i as u64,
+                owner_decryptions: scanned,
                 round_trips: 1 + i as u64 % 2,
                 ..Default::default()
             };
-            let modelled = model.modelled(name, &work).expect("engine is seeded");
-            // A deterministic pseudo-measurement in [0.5, 1.9] × modelled.
-            let jitter = ((seed ^ (i as u64 * 31 + shard as u64 * 7)) % 15) as f64 / 10.0;
-            model.observe(name, shard, &work, modelled * (0.5 + jitter));
+            model.observe(name, shard, &work);
         }
     }
     (model, candidates)
