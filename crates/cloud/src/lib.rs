@@ -32,7 +32,8 @@
 //!   map, with per-shard *and* composed adversarial views,
 //! * [`transport::BinTransport`] — the one fan-out of per-shard episode
 //!   streams, in process or over TCP: sequentially on the calling thread,
-//!   or on scoped OS threads (measured overlap); each task captures its
+//!   or at once, the last task on the calling thread and the others on
+//!   scoped OS threads (measured overlap); each task captures its
 //!   own shard.  The simulated network time of an overlapped fan-out is
 //!   the busiest shard's [`CloudServer::comm_time`]
 //!   ([`shard::ShardRouter::parallel_comm_time`]), and

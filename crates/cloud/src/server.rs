@@ -388,9 +388,11 @@ impl CloudServer {
     /// or the view (the caller charges the one exchange).  The index
     /// resolves `values`, then the pushed-down `residual` filters the
     /// matching tuples *before* the downlink, so non-matching tuples never
-    /// travel.  Empty value sets resolve to an empty result even before
-    /// outsourcing, mirroring the fine-grained path which skips the
-    /// plaintext sub-query entirely in that case.
+    /// travel, and only the survivors are cloned out of the relation
+    /// (`scanned` stays the index's match count).  Empty value sets
+    /// resolve to an empty result even before outsourcing, mirroring the
+    /// fine-grained path which skips the plaintext sub-query entirely in
+    /// that case.
     fn resolve_plain(
         &self,
         values: &[Value],
@@ -403,16 +405,19 @@ impl CloudServer {
             .plain
             .as_deref()
             .ok_or_else(|| PdsError::Cloud("no plaintext relation outsourced".into()))?;
-        let ids = plain.index.lookup_many(values);
-        let matched: Vec<Tuple> = ids
+        let mut scanned = 0;
+        let mut tuples = Vec::new();
+        for t in plain
+            .index
+            .lookup_many(values)
             .iter()
-            .filter_map(|&id| plain.relation.get(id).cloned())
-            .collect();
-        let scanned = matched.len();
-        let tuples: Vec<Tuple> = match residual {
-            Some(p) => matched.into_iter().filter(|t| p.matches(t)).collect(),
-            None => matched,
-        };
+            .filter_map(|&id| plain.relation.get(id))
+        {
+            scanned += 1;
+            if residual.map_or(true, |p| p.matches(t)) {
+                tuples.push(t.clone());
+            }
+        }
         let ids: Vec<TupleId> = tuples.iter().map(|t| t.id).collect();
         let returned: Vec<Value> = tuples.iter().map(|t| t.value(plain.attr).clone()).collect();
         Ok((tuples, ids, returned, scanned))

@@ -5,8 +5,9 @@
 //! shards were independent machines, whatever transport ran it.
 //! [`BinTransport`] adds a *measurement*: each shard's stream of bin-pair
 //! episodes runs as one task, and [`BinTransport::Threaded`] and
-//! [`BinTransport::Tcp`] fan the tasks out on scoped `std::thread`s so
-//! genuinely overlapped work can be timed with a wall clock.
+//! [`BinTransport::Tcp`] fan the tasks out over the calling thread and
+//! scoped `std::thread`s so genuinely overlapped work can be timed with a
+//! wall clock.
 //!
 //! The dispatcher is deliberately engine- and shard-agnostic: a task is a
 //! plain `Send` closure that captures whatever its shard needs, so
@@ -27,12 +28,13 @@ pub enum BinTransport {
     /// wall-clock the planner's calibration prices, and a deterministic
     /// baseline for debugging.
     Sequential,
-    /// One scoped OS thread per shard that has work: fetches genuinely
+    /// Every shard that has work runs at once, the last on the calling
+    /// thread and each other one on a scoped OS thread: fetches genuinely
     /// overlap, so the measured wall-clock reflects real parallelism.
     Threaded,
     /// Real sockets: every episode travels as `pds-proto` frames to the
     /// per-shard [`crate::service::ShardDaemon`]s behind this pooled
-    /// client.  Shard tasks fan out on scoped OS threads exactly as under
+    /// client.  Shard tasks fan out exactly as under
     /// [`BinTransport::Threaded`]; each drives its daemon connection
     /// instead of an in-process shard slot.
     Tcp(TcpCloudClient),
@@ -45,10 +47,13 @@ impl BinTransport {
     /// task's start to the last task's end.
     ///
     /// [`BinTransport::Sequential`] runs the tasks in shard order on the
-    /// calling thread; the other variants spawn one scoped thread per task.
-    /// A panicking task's panic resumes on the calling thread once every
-    /// other task has joined (scoped threads guarantee the join).
-    pub fn dispatch<T, F>(&self, tasks: Vec<Option<F>>) -> (Vec<Option<T>>, f64)
+    /// calling thread.  The other variants spawn a scoped thread for every
+    /// task but the last present one, which runs on the calling thread
+    /// meanwhile: a single-shard fan-out, such as a point query, starts no
+    /// thread, and its task keeps the caller's thread-local buffer pool
+    /// warm.  A panicking task's panic resumes on the calling thread once
+    /// every other task has finished (scoped threads guarantee the join).
+    pub fn dispatch<T, F>(&self, mut tasks: Vec<Option<F>>) -> (Vec<Option<T>>, f64)
     where
         F: FnOnce() -> T + Send,
         T: Send,
@@ -56,16 +61,27 @@ impl BinTransport {
         let start = Instant::now();
         let outputs = match self {
             BinTransport::Sequential => tasks.into_iter().map(|task| task.map(|f| f())).collect(),
-            BinTransport::Threaded | BinTransport::Tcp(_) => std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .map(|task| task.map(|f| scope.spawn(f)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
-                    .collect()
-            }),
+            BinTransport::Threaded | BinTransport::Tcp(_) => {
+                let last = tasks.iter().rposition(Option::is_some);
+                let local = last.and_then(|i| tasks[i].take());
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = tasks
+                        .into_iter()
+                        .map(|task| task.map(|f| scope.spawn(f)))
+                        .collect();
+                    let local = local.map(|f| f());
+                    let mut outputs: Vec<Option<T>> = handles
+                        .into_iter()
+                        .map(|h| {
+                            h.map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        })
+                        .collect();
+                    if let Some(i) = last {
+                        outputs[i] = local;
+                    }
+                    outputs
+                })
+            }
         };
         (outputs, start.elapsed().as_secs_f64())
     }
@@ -156,6 +172,28 @@ mod tests {
             thr < seq,
             "threaded {thr} must overlap the sleeps, sequential was {seq}"
         );
+    }
+
+    #[test]
+    fn the_last_task_runs_on_the_caller_and_the_others_do_not() {
+        let caller = std::thread::current().id();
+        // Shard 3 has no task, so shard 2's is the last present one.
+        let tasks: Vec<Option<_>> = (0..4)
+            .map(|i| (i != 3).then_some(move || (i, std::thread::current().id())))
+            .collect();
+        let (outputs, _) = BinTransport::Threaded.dispatch(tasks);
+        assert_eq!(outputs[3], None);
+        for (i, output) in outputs.iter().take(3).enumerate() {
+            let (shard, thread) = output.expect("shards 0-2 had tasks");
+            assert_eq!(shard, i, "outputs stay in shard order");
+            assert_eq!(thread == caller, i == 2, "shard {i} ran on {thread:?}");
+        }
+        // Sequential runs every task on the caller.
+        let tasks: Vec<Option<_>> = (0..3)
+            .map(|_| Some(|| std::thread::current().id()))
+            .collect();
+        let (outputs, _) = BinTransport::Sequential.dispatch(tasks);
+        assert!(outputs.iter().all(|t| *t == Some(caller)));
     }
 
     #[test]

@@ -593,8 +593,9 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
 
     /// Runs a batch of point queries with the bin fetches of different
     /// shards dispatched through `transport` — with
-    /// [`BinTransport::Threaded`], each shard's episode stream runs on its
-    /// own OS thread, so [`TransportedRun::wall_clock_sec`] is a *measured*
+    /// [`BinTransport::Threaded`], the shards' episode streams run at once
+    /// (the last on the calling thread, each other one on an OS thread of
+    /// its own), so [`TransportedRun::wall_clock_sec`] is a *measured*
     /// parallel wall-clock rather than the router's max-over-shards model.
     ///
     /// Answers are byte-identical to running [`QbExecutor::select`] per
@@ -610,7 +611,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// sum of the episodes' measured rounds on all of them.  With
     /// [`BinTransport::Tcp`], the shards live in per-shard
     /// [`pds_cloud::ShardDaemon`] processes behind the transport's pooled
-    /// client: each shard's episode stream runs on its own OS thread through
+    /// client: the shards' episode streams fan out as under
+    /// [`BinTransport::Threaded`], each through
     /// [`execute_shard_pipelined`], with the window set by
     /// [`QbExecutor::set_pipeline_window`] in flight per connection.  The
     /// local `cloud` then only provides the bin→shard routing; its

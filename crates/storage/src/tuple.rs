@@ -52,31 +52,59 @@ impl Tuple {
     /// Exact length of [`Tuple::encode`]'s output, computed without
     /// encoding.
     pub fn encoded_len(&self) -> usize {
-        12 + self
-            .values
-            .iter()
-            .map(|v| 4 + v.encoded_len())
-            .sum::<usize>()
+        8 + varint_len(self.values.len())
+            + self
+                .values
+                .iter()
+                .map(|v| match v {
+                    Value::Null => 1,
+                    Value::Int(_) => 9,
+                    Value::Bool(_) => 2,
+                    Value::Text(s) => 1 + varint_len(s.len()) + s.len(),
+                    Value::Bytes(b) => 1 + varint_len(b.len()) + b.len(),
+                })
+                .sum::<usize>()
     }
 
-    /// Stable byte encoding of the whole tuple (what gets encrypted when a
-    /// sensitive tuple is outsourced).  Integers are fixed-width big-endian,
-    /// so the length depends on the schema and the text/byte values only.
+    /// Stable, self-delimiting byte encoding of the whole tuple: the
+    /// plaintext a sensitive tuple's ciphertext holds.
+    ///
+    /// The layout is the 8-byte big-endian id (the owner recognises fake
+    /// padding rows by it), the arity as a LEB128 varint, then each value
+    /// as its [`Value::encode`] tag followed by
+    ///
+    /// * nothing, for `Null`;
+    /// * the 8-byte big-endian integer, for `Int`;
+    /// * one 0/1 byte, for `Bool`;
+    /// * a varint length and the bytes, for `Text` and `Bytes`.
+    ///
+    /// Integers stay fixed-width rather than varints, so the length of an
+    /// encoding, and of any ciphertext over it, depends on the schema and
+    /// the text and byte values only, never on a sensitive integer's
+    /// magnitude.  A LINEITEM row (five integers and a ship mode of at
+    /// most 7 bytes) takes at most 63 bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
 
-    /// Appends [`Tuple::encode`]'s bytes to `out`: the id, the arity, then
-    /// each value's length and [`Value::encode_into`] bytes, written in
-    /// place with no allocation per value.
+    /// Appends [`Tuple::encode`]'s bytes to `out`, written in place with
+    /// no allocation per value.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.raw().to_be_bytes());
-        out.extend_from_slice(&(self.values.len() as u32).to_be_bytes());
+        write_varint(out, self.values.len());
         for v in &self.values {
-            out.extend_from_slice(&(v.encoded_len() as u32).to_be_bytes());
-            v.encode_into(out);
+            match v {
+                Value::Null => out.push(TAG_NULL),
+                Value::Int(i) => {
+                    out.push(TAG_INT);
+                    out.extend_from_slice(&i.to_be_bytes());
+                }
+                Value::Bool(b) => out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+                Value::Text(s) => write_sized(out, TAG_TEXT, s.as_bytes()),
+                Value::Bytes(b) => write_sized(out, TAG_BYTES, b),
+            }
         }
     }
 
@@ -91,27 +119,119 @@ impl Tuple {
     /// Decodes the tuple [`Tuple::encode`] wrote at the front of `bytes`,
     /// returning it with the number of bytes it occupied.  Whatever
     /// follows (such as padding) is left to the caller.
+    ///
+    /// Only what [`Tuple::encode`] writes decodes: minimal varints, known
+    /// tags, 0/1 booleans and UTF-8 text, so an accepted prefix re-encodes
+    /// to exactly itself.  Every value takes at least its tag byte, so an
+    /// arity above the bytes left fails before anything is reserved, and
+    /// the reservation never exceeds the input.
     pub fn decode_prefix(bytes: &[u8]) -> Option<(Tuple, usize)> {
-        if bytes.len() < 12 {
+        let mut r = Reader { bytes, pos: 0 };
+        let id = TupleId::new(u64::from_be_bytes(r.array()?));
+        let count = r.varint()?;
+        if count > bytes.len() - r.pos {
             return None;
         }
-        let id = TupleId::new(u64::from_be_bytes(bytes[..8].try_into().ok()?));
-        let count = u32::from_be_bytes(bytes[8..12].try_into().ok()?) as usize;
         let mut values = Vec::with_capacity(count);
-        let mut offset = 12;
         for _ in 0..count {
-            if bytes.len() < offset + 4 {
-                return None;
-            }
-            let len = u32::from_be_bytes(bytes[offset..offset + 4].try_into().ok()?) as usize;
-            offset += 4;
-            if bytes.len() < offset + len {
-                return None;
-            }
-            values.push(Value::decode(&bytes[offset..offset + len])?);
-            offset += len;
+            values.push(match r.byte()? {
+                TAG_NULL => Value::Null,
+                TAG_INT => Value::Int(i64::from_be_bytes(r.array()?)),
+                TAG_BOOL => match r.byte()? {
+                    0 => Value::Bool(false),
+                    1 => Value::Bool(true),
+                    _ => return None,
+                },
+                TAG_TEXT => Value::Text(std::str::from_utf8(r.sized()?).ok()?.to_owned()),
+                TAG_BYTES => Value::Bytes(r.sized()?.to_vec()),
+                _ => return None,
+            });
         }
-        Some((Tuple { id, values }, offset))
+        Some((Tuple { id, values }, r.pos))
+    }
+}
+
+/// Value tags of [`Tuple::encode`]'s layout, the same as [`Value::encode`]'s.
+const TAG_NULL: u8 = 0;
+const TAG_INT: u8 = 1;
+const TAG_TEXT: u8 = 2;
+const TAG_BYTES: u8 = 3;
+const TAG_BOOL: u8 = 4;
+
+/// Longest LEB128 encoding of a `u64`: ten 7-bit groups.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Length of `n`'s LEB128 encoding.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Appends `n` as a LEB128 varint: seven bits per byte, low group first,
+/// the high bit set on every byte but the last.
+fn write_varint(out: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        out.push((n & 0x7f) as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Appends a variable-length value: its tag, a varint length, the bytes.
+fn write_sized(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
+    out.push(tag);
+    write_varint(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Bounds-checked sequential reader over a tuple plaintext.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let out = self.bytes.get(self.pos..end)?;
+        self.pos = end;
+        Some(out)
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let b = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// Reads one minimal LEB128 varint that fits a `usize`: no more than
+    /// ten bytes, no bits past 64, no redundant trailing zero group.
+    fn varint(&mut self) -> Option<usize> {
+        let mut value = 0u64;
+        for i in 0..MAX_VARINT_LEN {
+            let byte = self.byte()?;
+            // The tenth group holds only bit 63.
+            if i == MAX_VARINT_LEN - 1 && byte & 0x7f > 1 {
+                return None;
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return None;
+                }
+                return usize::try_from(value).ok();
+            }
+        }
+        None
+    }
+
+    /// Reads a varint length, then that many bytes.
+    fn sized(&mut self) -> Option<&'a [u8]> {
+        let len = self.varint()?;
+        self.take(len)
     }
 }
 
@@ -185,13 +305,11 @@ mod tests {
         );
         let want: Vec<u8> = [
             &[0, 0, 0, 0, 0, 0, 1, 2][..], // id
-            &[0, 0, 0, 4],                 // arity
-            &[0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 5],
-            &[0, 0, 0, 3, 2, b'a', b'b'],
-            &[0, 0, 0, 1, 0],
-            &[
-                0, 0, 0, 9, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-            ],
+            &[4],                          // arity
+            &[1, 0, 0, 0, 0, 0, 0, 0, 5],
+            &[2, 2, b'a', b'b'],
+            &[0],
+            &[1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
         ]
         .concat();
         assert_eq!(t.encode(), want);
@@ -203,6 +321,52 @@ mod tests {
         let big = Tuple::new(TupleId::new(u64::MAX), vec![Value::Int(i64::MAX)]);
         let small = Tuple::new(TupleId::new(0), vec![Value::Int(0)]);
         assert_eq!(big.encode().len(), small.encode().len());
+    }
+
+    /// The variants the fixed vector above leaves out, and a length that
+    /// takes a second varint byte.
+    #[test]
+    fn bool_bytes_and_long_text_match_their_fixed_bytes() {
+        let long = "x".repeat(200);
+        let t = Tuple::new(
+            TupleId::new(7),
+            vec![
+                Value::Bool(true),
+                Value::Bytes(vec![9, 8]),
+                Value::from(long.as_str()),
+            ],
+        );
+        let want: Vec<u8> = [
+            &[0, 0, 0, 0, 0, 0, 0, 7, 3][..],
+            &[4, 1],
+            &[3, 2, 9, 8],
+            &[2, 0xc8, 0x01],
+            long.as_bytes(),
+        ]
+        .concat();
+        assert_eq!(t.encode(), want);
+        assert_eq!(t.encoded_len(), want.len());
+        assert_eq!(Tuple::decode(&want), Some(t));
+    }
+
+    #[test]
+    fn non_canonical_encodings_are_rejected() {
+        let id = [0u8; 8];
+        let decode = |rest: &[u8]| Tuple::decode(&[&id[..], rest].concat());
+        assert_eq!(decode(&[0]), Some(Tuple::new(TupleId::new(0), vec![])));
+        // A redundant trailing zero group in the arity or in a length.
+        assert_eq!(decode(&[0x80, 0x00]), None);
+        assert_eq!(decode(&[1, 3, 0x80, 0x00]), None);
+        // A Bool byte other than 0 or 1, an unknown tag, invalid UTF-8.
+        assert_eq!(decode(&[1, 4, 2]), None);
+        assert_eq!(decode(&[1, 5]), None);
+        assert_eq!(decode(&[1, 2, 1, 0xff]), None);
+        // An arity past u64, and a varint longer than ten bytes.
+        let past_u64 = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        assert_eq!(decode(&past_u64), None);
+        assert_eq!(decode(&[0x80; 11]), None);
+        // An arity above the bytes left fails before any value is read.
+        assert_eq!(decode(&[3, 0, 0]), None);
     }
 
     #[test]
@@ -220,6 +384,59 @@ mod tests {
             values.extend(texts.into_iter().map(Value::Text));
             let t = Tuple::new(TupleId::new(id), values);
             prop_assert_eq!(Tuple::decode(&t.encode()), Some(t));
+        }
+
+        /// A tuple of every variant, padded with zeros as the owner pads a
+        /// plaintext before encrypting it, decodes back exactly and leaves
+        /// the padding.  Integers include both extremes, and text and
+        /// byte lengths of 127, 128 and 300 take one and two varint bytes.
+        #[test]
+        fn padded_tuples_decode_exactly(id in any::<u64>(),
+                                        cells in proptest::collection::vec(
+                                            (0u8..5, any::<i64>(), 0usize..4, any::<u8>()), 0..10),
+                                        zeros in 0usize..96) {
+            let values: Vec<Value> = cells
+                .into_iter()
+                .map(|(kind, int, len, byte)| {
+                    let len = [0, 127, 128, 300][len];
+                    match kind {
+                        0 => Value::Null,
+                        1 => Value::Int([i64::MIN, i64::MAX, 0, int][usize::from(byte % 4)]),
+                        2 => Value::Bool(byte % 2 == 1),
+                        3 => Value::Bytes(vec![byte; len]),
+                        // Two-byte characters, then ASCII up to `len` bytes.
+                        _ => Value::Text("é".repeat(len / 2) + &"a".repeat(len % 2)),
+                    }
+                })
+                .collect();
+            let t = Tuple::new(TupleId::new(id), values);
+            let mut bytes = t.encode();
+            prop_assert_eq!(bytes.len(), t.encoded_len());
+            bytes.resize(bytes.len() + zeros, 0);
+            prop_assert_eq!(Tuple::decode_prefix(&bytes), Some((t.clone(), t.encoded_len())));
+        }
+
+        /// Any byte string decodes to `None` or to a tuple that re-encodes
+        /// to exactly the bytes it used; bytes drawn from the tags' range
+        /// reach the value decoders far more often than uniform ones.  An
+        /// arity forged above the bytes that follow it fails: reserving it
+        /// would overflow `Vec`'s capacity for almost every `u64` drawn.
+        #[test]
+        fn any_bytes_decode_to_none_or_their_canonical_tuple(
+            raw in proptest::collection::vec(any::<u8>(), 0..64),
+            near_tags in proptest::collection::vec(0u8..6, 0..64),
+            arity in any::<u64>(),
+        ) {
+            for bytes in [&raw, &near_tags] {
+                if let Some((t, used)) = Tuple::decode_prefix(bytes) {
+                    prop_assert!(t.values.capacity() <= bytes.len());
+                    prop_assert_eq!(t.encode(), bytes[..used].to_vec());
+                }
+            }
+            let mut forged = vec![0u8; 8];
+            write_varint(&mut forged, (arity as usize).max(raw.len() + 1));
+            forged.extend_from_slice(&raw);
+            prop_assert_eq!(Tuple::decode_prefix(&forged), None);
         }
     }
 }

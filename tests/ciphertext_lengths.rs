@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 
+use partitioned_data_security::common::TupleId;
 use partitioned_data_security::prelude::*;
 use partitioned_data_security::storage::PartitionedRelation;
 
@@ -19,16 +20,25 @@ use common::{answer_bytes, employee_setup};
 
 const SHARDS: usize = 2;
 
-/// Outsources `parts` to a fresh two-shard det-index deployment, checks
-/// that every shard stores one `tuple_ct` length and that answers still
-/// decrypt exactly, and returns how many fakes the binning added.
-fn assert_one_ciphertext_length_per_shard(parts: &PartitionedRelation, attr: &str) -> usize {
+/// Outsources `parts` to a fresh two-shard det-index deployment.
+fn outsource(
+    parts: &PartitionedRelation,
+    attr: &str,
+) -> (QbExecutor<DeterministicIndexEngine>, DbOwner, ShardRouter) {
     let binning = QueryBinning::build(parts, attr, BinningConfig::default()).unwrap();
-    let values = binning.all_values().to_vec();
     let mut executor = QbExecutor::new(binning, DeterministicIndexEngine::new());
     let mut owner = DbOwner::new(42);
     let mut router = ShardRouter::new(SHARDS, NetworkModel::paper_wan(), 42).unwrap();
     executor.outsource(&mut owner, &mut router, parts).unwrap();
+    (executor, owner, router)
+}
+
+/// Outsources `parts`, checks that every shard stores one `tuple_ct`
+/// length and that answers still decrypt exactly, and returns how many
+/// fakes the binning added.
+fn assert_one_ciphertext_length_per_shard(parts: &PartitionedRelation, attr: &str) -> usize {
+    let (mut executor, mut owner, mut router) = outsource(parts, attr);
+    let values = executor.binning().all_values().to_vec();
 
     for (shard, server) in router.shards().iter().enumerate() {
         let lengths: BTreeSet<usize> = server
@@ -62,14 +72,9 @@ fn assert_one_ciphertext_length_per_shard(parts: &PartitionedRelation, attr: &st
     executor.fake_tuple_ids().len()
 }
 
-#[test]
-fn every_shard_stores_one_tuple_ciphertext_length() {
-    // Employee rows differ in length by their text columns alone.
-    let (employee, _) = employee_setup();
-    assert_one_ciphertext_length_per_shard(&employee, "EId");
-
-    // A LINEITEM deployment shaped like the benchmark's: 30% of the part
-    // keys are sensitive.
+/// A LINEITEM relation split like the benchmark's: 2,000 tuples over 250
+/// part keys, 30% of which are sensitive.
+fn benchmark_shaped_lineitem() -> PartitionedRelation {
     let lineitem = TpchGenerator::new(TpchConfig {
         lineitem_tuples: 2_000,
         distinct_partkeys: 250,
@@ -87,7 +92,38 @@ fn every_shard_stores_one_tuple_ciphertext_length() {
         .map(|(_, v)| v)
         .collect();
     let policy = SensitivityPolicy::rows(Predicate::InSet { attr, values: keys });
-    let parts = Partitioner::new(policy).split(&lineitem).unwrap();
-    let fakes = assert_one_ciphertext_length_per_shard(&parts, "L_PARTKEY");
+    Partitioner::new(policy).split(&lineitem).unwrap()
+}
+
+#[test]
+fn every_shard_stores_one_tuple_ciphertext_length() {
+    // Employee rows differ in length by their text columns alone.
+    let (employee, _) = employee_setup();
+    assert_one_ciphertext_length_per_shard(&employee, "EId");
+
+    let fakes = assert_one_ciphertext_length_per_shard(&benchmark_shaped_lineitem(), "L_PARTKEY");
     assert!(fakes > 0, "the LINEITEM binning pads its bins with fakes");
+}
+
+/// Every stored LINEITEM ciphertext, fake rows included, is an 8-byte
+/// nonce, a 63-byte plaintext and a 16-byte tag.  The plaintext is the
+/// widest row: an 8-byte id, a 1-byte arity, five integers of 9 bytes
+/// with their tags, and the 7-byte ship mode `REG AIR` with its tag and
+/// 1-byte length.
+#[test]
+fn every_lineitem_ciphertext_is_87_bytes() {
+    let parts = benchmark_shaped_lineitem();
+    let (executor, _, router) = outsource(&parts, "L_PARTKEY");
+    let fakes: BTreeSet<TupleId> = executor.fake_tuple_ids().iter().copied().collect();
+    let mut stored = 0;
+    let mut stored_fakes = 0;
+    for server in router.shards() {
+        for row in server.encrypted_store().rows() {
+            assert_eq!(row.tuple_ct.len(), 87, "row {:?}", row.id);
+            stored += 1;
+            stored_fakes += usize::from(fakes.contains(&row.id));
+        }
+    }
+    assert_eq!(stored, parts.sensitive.len() + fakes.len());
+    assert!(stored_fakes > 0 && stored_fakes == fakes.len());
 }
