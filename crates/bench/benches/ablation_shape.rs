@@ -1,27 +1,18 @@
 //! Ablation — exact factorisation vs the near-square extension (§IV-A):
-//! retrieval breadth and end-to-end query cost for awkward |NS| values
-//! (primes and numbers with lopsided factors).
+//! the cost of computing a bin shape for awkward |NS| values (primes and
+//! numbers with lopsided factors).  The end-to-end query cost of a
+//! balanced vs a lopsided layout is `experiments fig6c`'s sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pds_bench::fig6c;
 use pds_core::shape::BinShape;
 
 fn bench_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_shape");
-    // Shape computation for awkward domain sizes.
     for &ns in &[82usize, 1_999, 10_007] {
         group.bench_with_input(BenchmarkId::new("shape_for_counts", ns), &ns, |b, &ns| {
             b.iter(|| black_box(BinShape::for_counts(ns / 2, ns).unwrap()))
         });
     }
-    // End-to-end cost at a near-square layout vs a deliberately lopsided one.
-    group.sample_size(10);
-    group.bench_function("query_cost_balanced_layout", |b| {
-        b.iter(|| black_box(fig6c::run(2_000, 0.5, &[16], 4, 7).unwrap()))
-    });
-    group.bench_function("query_cost_lopsided_layout", |b| {
-        b.iter(|| black_box(fig6c::run(2_000, 0.5, &[2], 4, 7).unwrap()))
-    });
     group.finish();
 }
 

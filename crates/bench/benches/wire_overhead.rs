@@ -1,6 +1,6 @@
 //! Wire-protocol overhead — what the byte-accurate frame layer costs.
 //!
-//! Two angles:
+//! Three angles:
 //!
 //! * **codec throughput** — encode and decode of a [`BinPayload`] carrying
 //!   realistic encrypted rows, at growing row counts (the response shape
@@ -8,12 +8,19 @@
 //! * **composed vs fine-grained** — one [`FetchBinRequest`] carrying a
 //!   whole episode (clear-text values and search tags) versus the two
 //!   separate requests of a fine-grained episode (frame-overhead
-//!   amortisation).
+//!   amortisation);
+//! * **pooled codec** — steady-state encode and framed reads, where the
+//!   thread-local buffer pool serves every frame from its free list (the
+//!   `pds_wire_buf_reuse_total` counters printed at the end prove it).
+
+use std::io::Cursor;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pds_common::Value;
 use pds_crypto::NonDetCipher;
-use pds_proto::{BinPayload, FetchBinRequest, WireMessage, WireRow};
+use pds_proto::{
+    pool_stats, read_frame, BinPayload, FetchBinRequest, Hello, ReadFrame, WireMessage, WireRow,
+};
 
 /// Realistic encrypted rows: ciphertext lengths match what `DbOwner`
 /// produces for a ~5-attribute tuple.
@@ -94,5 +101,43 @@ fn bench_composed_vs_fine_grained(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_composed_vs_fine_grained);
+fn bench_pooled_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pooled_codec");
+    group.sample_size(20);
+    let msg = WireMessage::Hello(Hello { tenant: 7 });
+    group.bench_function("encode_framed", |b| {
+        b.iter(|| black_box(msg.encode_framed(9).unwrap()))
+    });
+
+    // A stream of 64 frames read back through the pooled FrameReader; in
+    // steady state every read reuses one pooled buffer.
+    let mut stream = Vec::new();
+    for corr in 1..=64u64 {
+        stream.extend_from_slice(&msg.encode_framed(corr).unwrap());
+    }
+    group.bench_function("read_frame_stream_64", |b| {
+        b.iter(|| {
+            let mut cursor = Cursor::new(stream.as_slice());
+            let mut frames = 0u32;
+            while let ReadFrame::Frame(frame) = read_frame(&mut cursor).unwrap() {
+                black_box(&frame);
+                frames += 1;
+            }
+            assert_eq!(frames, 64);
+        })
+    });
+    group.finish();
+    let p = pool_stats();
+    println!(
+        "buffer pool: {} hits, {} misses, {} returns, {} reader grows",
+        p.hits, p.misses, p.returns, p.reader_grows
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_composed_vs_fine_grained,
+    bench_pooled_codec
+);
 criterion_main!(benches);

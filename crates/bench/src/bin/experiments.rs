@@ -5,44 +5,46 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [fig6a|fig6b|fig6c|table6|arx|headline|sharded|zipf|wire|hetero|planner|rwmix|service|pipeline|employee|all]
-//!             [--scale <f64>] [--shards <n>] [--skew <f64>] [--cache <n>]
-//!             [--latency <sec>] [--bandwidth <mbps>] [--workers <n>] [--owners <n>]
+//! experiments [fig6a|fig6b|fig6c|table6|arx|headline|sharded|wire|hetero|planner|service|pipeline|employee|all]
+//!             [--scale <f64>] [--shards <n>] [--latency <sec>] [--bandwidth <mbps>]
+//!             [--workers <n>] [--owners <n>] [--trace <out.jsonl>]
+//! experiments trace-report <trace.jsonl> [--gate-pct <f64>]
+//! experiments obs-overhead [--budget-pct <f64>]
 //! ```
 //!
 //! `--scale` shrinks the generated datasets (default 0.01 of the paper's
 //! sizes) so the full suite completes in seconds on a laptop; it must be a
 //! finite value strictly greater than zero.  `--shards` sets the shard
 //! count of the sharded experiments (default 8 for `sharded`, 4 for
-//! `hetero`; `headline` adds a sharded retrieval section when it is
-//! greater than 1; `wire` sweeps {1, N}).  `--skew` (finite, >= 0) and
-//! `--cache` pin the `zipf` experiment to a single skew exponent / hot-bin
-//! cache size instead of the default sweep (`--cache` also sets the
-//! `rwmix` cache size).  `--latency` (seconds, finite, >= 0) and
-//! `--bandwidth` (Mbps, finite, > 0) pin the `wire` experiment's simulated
-//! link instead of its default latency x bandwidth sweep.  `--workers`
-//! (>= 1) pins the `service` experiment's daemon worker-pool size instead
-//! of its default {1, 2, 4} sweep, and `--owners` (>= 1) sets its number
-//! of concurrent tenant owners (default 8; `--shards` sets its daemon
-//! count, default 2).
+//! `hetero`, 2 for `service` and `pipeline`; `headline` adds a sharded
+//! retrieval section when it is greater than 1; `wire` sweeps {1, N};
+//! `hetero` and `pipeline` refuse fewer than 2).  `--latency` (seconds,
+//! finite, >= 0) and `--bandwidth` (Mbps, finite, > 0) pin the `wire`
+//! experiment's simulated link instead of its default latency x bandwidth
+//! sweep.  `--workers` (>= 1) pins the `service` experiment's daemon
+//! worker-pool size instead of its default {1, 2, 4} sweep, and
+//! `--owners` (>= 1) sets its number of concurrent tenant owners
+//! (default 8).  `--trace` records every span of the run to a JSON-lines
+//! file that `trace-report` aggregates and gates (`--gate-pct`, default
+//! 5); `obs-overhead` gates the projected cost of disabled tracing
+//! (`--budget-pct`, default 3).
 //!
 //! A section that errors or fails its gate prints why to stderr; the
 //! process exits 1 once every requested section has printed.
 
 use pds_bench::{
-    attacks, fig6a, fig6b, fig6c, hetero, pipeline, planner, rwmix, service, sharded, table6, wire,
-    zipf,
+    attacks, fig6a, fig6b, fig6c, hetero, pipeline, planner, service, sharded, table6, wire,
 };
 
-const KNOWN: [&str; 16] = [
-    "all", "fig6a", "fig6b", "fig6c", "table6", "arx", "headline", "sharded", "zipf", "wire",
-    "hetero", "planner", "rwmix", "service", "pipeline", "employee",
+const KNOWN: [&str; 14] = [
+    "all", "fig6a", "fig6b", "fig6c", "table6", "arx", "headline", "sharded", "wire", "hetero",
+    "planner", "service", "pipeline", "employee",
 ];
 
 fn usage_exit(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
-        "usage: experiments [{}] [--scale <f64>] [--shards <n>] [--skew <f64>] [--cache <n>] \
+        "usage: experiments [{}] [--scale <f64>] [--shards <n>] \
          [--latency <sec>] [--bandwidth <mbps>] [--workers <n>] [--owners <n>] \
          [--trace <out.jsonl>]\n\
          \x20      experiments trace-report <trace.jsonl> [--gate-pct <f64>]\n\
@@ -75,8 +77,6 @@ fn main() {
         let arg = args[i].as_str();
         if arg == "--scale"
             || arg == "--shards"
-            || arg == "--skew"
-            || arg == "--cache"
             || arg == "--latency"
             || arg == "--bandwidth"
             || arg == "--workers"
@@ -139,16 +139,6 @@ fn main() {
     if shards == Some(0) {
         usage_exit("--shards must be at least 1");
     }
-    // `--skew` feeds `Zipf::new` directly, so reject what it rejects (and
-    // NaN, which a bare `>= 0.0` comparison would silently wave through)
-    // here at parse time, mirroring `--scale`.
-    let skew = parse_flag::<f64>(&args, "--skew");
-    if let Some(s) = skew {
-        if !s.is_finite() || s < 0.0 {
-            usage_exit(&format!("--skew must be a finite value >= 0, got {s}"));
-        }
-    }
-    let cache = parse_flag::<usize>(&args, "--cache");
     let latency = parse_flag::<f64>(&args, "--latency");
     if let Some(l) = latency {
         if !l.is_finite() || l < 0.0 {
@@ -179,8 +169,10 @@ fn main() {
     if which == "hetero" && shards.is_some_and(|s| s < 2) {
         usage_exit("hetero needs --shards >= 2 (one engine per shard, at least two kinds)");
     }
-    if which == "rwmix" && cache == Some(0) {
-        usage_exit("rwmix needs --cache >= 1 (capacity 0 never hits, so nothing to invalidate)");
+    if which == "pipeline" && shards.is_some_and(|s| s < 2) {
+        usage_exit(
+            "pipeline needs --shards >= 2 (its gate compares fan-outs over several daemons)",
+        );
     }
 
     // `--trace out.jsonl`: record spans for the whole run, bracketed by one
@@ -219,9 +211,6 @@ fn main() {
     if run_all || which == "sharded" {
         sections_ok &= print_sharded(shards.unwrap_or(8), scale);
     }
-    if run_all || which == "zipf" {
-        sections_ok &= print_zipf(scale, skew, cache);
-    }
     if run_all || which == "wire" {
         sections_ok &= print_wire(scale, shards, latency, bandwidth);
     }
@@ -231,17 +220,11 @@ fn main() {
     if run_all || which == "planner" {
         sections_ok &= print_planner(scale);
     }
-    if run_all || which == "rwmix" {
-        // `--cache` primarily pins zipf; an explicit `rwmix --cache 0` was
-        // rejected at parse time, and `all --cache 0` falls back to the
-        // rwmix default rather than failing the whole suite.
-        sections_ok &= print_rwmix(cache.filter(|&c| c > 0).unwrap_or(32));
-    }
     if run_all || which == "service" {
         sections_ok &= print_service(shards.unwrap_or(2), workers, owners.unwrap_or(8));
     }
     if run_all || which == "pipeline" {
-        sections_ok &= print_pipeline(shards.unwrap_or(2).max(2));
+        sections_ok &= print_pipeline(shards.unwrap_or(2));
     }
     if run_all || which == "employee" {
         sections_ok &= print_employee();
@@ -597,52 +580,6 @@ fn print_shard_table(title: &str, tuples: usize, counts: &[usize], queries: usiz
     ok
 }
 
-/// Prints the Zipf-skew × cache-size sweep; returns whether every cell's
-/// cached answers matched the uncached baseline (a mismatch is a
-/// correctness bug, so it fails the process like a sharded failure).
-fn print_zipf(scale: f64, skew: Option<f64>, cache: Option<usize>) -> bool {
-    let tuples = ((40_000.0 * scale) as usize).max(2_000);
-    let queries = 96;
-    let skews = skew.map_or_else(zipf::default_skews, |s| vec![s]);
-    let capacities = cache.map_or_else(zipf::default_capacities, |c| vec![c]);
-    println!(
-        "== Zipf workload x owner-side hot-bin cache ({tuples} tuples, {queries} queries/cell) =="
-    );
-    println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>10} {:>12} {:>10} {:>8}",
-        "skew", "cache", "hits", "misses", "hit rate", "bytes moved", "episodes", "exact?"
-    );
-    match zipf::run(tuples, &skews, &capacities, queries, 42) {
-        Ok(points) => {
-            let mut all_exact = true;
-            for p in &points {
-                println!(
-                    "{:>8.2} {:>8} {:>8} {:>8} {:>10.3} {:>12} {:>10} {:>8}",
-                    p.skew,
-                    p.cache_bins,
-                    p.cache_hits,
-                    p.cache_misses,
-                    p.hit_rate(),
-                    p.total_bytes,
-                    p.episodes,
-                    p.matches_uncached
-                );
-                all_exact &= p.matches_uncached;
-            }
-            if !all_exact {
-                eprintln!("cached answers diverged from the uncached baseline");
-            }
-            println!();
-            all_exact
-        }
-        Err(e) => {
-            eprintln!("zipf run failed: {e}");
-            println!();
-            false
-        }
-    }
-}
-
 /// Prints the wire-protocol sweep; returns whether every cell's answers
 /// matched the same workload over the paper's WAN link byte-for-byte,
 /// security held, and the simulated clock genuinely overlapped per-shard
@@ -897,47 +834,6 @@ fn print_planner(scale: f64) -> bool {
     }
 }
 
-/// Prints the read/write-mix run; returns whether the gate held (exact
-/// answers under invalidation, staleness observable without it, hit rate
-/// drops after a write).
-fn print_rwmix(cache_bins: usize) -> bool {
-    println!("== Read/write mix: cache invalidation on insert (Employee workload) ==");
-    match rwmix::run(cache_bins, 2, 42) {
-        Ok(o) => {
-            println!(
-                "{:>8} {:>8} {:>16} {:>16} {:>14} {:>8} {:>18}",
-                "reads",
-                "writes",
-                "hit rate before",
-                "hit rate after",
-                "hit overall",
-                "exact?",
-                "stale w/o inval?"
-            );
-            println!(
-                "{:>8} {:>8} {:>16.3} {:>16.3} {:>14.3} {:>8} {:>18}",
-                o.reads,
-                o.writes,
-                o.hit_rate_before_write,
-                o.hit_rate_after_write,
-                o.hit_rate_overall,
-                o.answers_exact,
-                o.stale_without_invalidation
-            );
-            if !o.holds() {
-                eprintln!("read/write mix failed its gate");
-            }
-            println!();
-            o.holds()
-        }
-        Err(e) => {
-            eprintln!("rwmix run failed: {e}");
-            println!();
-            false
-        }
-    }
-}
-
 fn print_service(shards: usize, workers: Option<usize>, owners: usize) -> bool {
     let pools = workers.map_or_else(service::default_workers, |w| vec![w]);
     println!(
@@ -984,11 +880,21 @@ fn print_service(shards: usize, workers: Option<usize>, owners: usize) -> bool {
 /// gate held (strictly faster, blocked-read self-time shrank, identical
 /// answers, security intact, pool hits nonzero).
 fn print_pipeline(shards: usize) -> bool {
+    // `all --shards 1` still runs the other sharded sections at 1 shard;
+    // the gate needs two daemons, so the shared flag is floored here (an
+    // explicit `pipeline --shards 1` was already rejected at parse time).
+    let shards = shards.max(2);
     println!(
         "== Pipelined wire dispatch vs lock-step over {shards} loopback shard daemons \
          (Employee workload) =="
     );
-    match pipeline::run(shards, 4, pds_core::DEFAULT_PIPELINE_WINDOW, 3, 42) {
+    match pipeline::run(
+        shards,
+        pipeline::PASSES,
+        pds_core::DEFAULT_PIPELINE_WINDOW,
+        3,
+        42,
+    ) {
         Ok(o) => {
             println!(
                 "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8}",

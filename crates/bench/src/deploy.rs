@@ -1,11 +1,19 @@
-//! Shared experiment machinery: deployments, workloads and cost accounting.
+//! Shared experiment machinery: deployments, workloads, cost accounting,
+//! byte-level answers, and the tenants that the `service` and `pipeline`
+//! experiments move onto loopback shard daemons.
 
-use pds_cloud::{BinTransport, CloudServer, DbOwner, Metrics, NetworkModel, ShardRouter};
-use pds_common::{Result, Value};
+use pds_cloud::{
+    BinRoutedCloud, BinTransport, CloudServer, DbOwner, Metrics, NetworkModel, ServiceConfig,
+    ShardDaemon, ShardRouter,
+};
+use pds_common::{PdsError, Result, Value};
 use pds_core::{BinningConfig, QbExecutor, QueryBinning};
-use pds_storage::{PartitionedRelation, Partitioner, Relation};
-use pds_systems::SecureSelectionEngine;
-use pds_workload::{QueryWorkload, SensitivityAssigner, TpchConfig, TpchGenerator};
+use pds_storage::{PartitionedRelation, Partitioner, Relation, Tuple};
+use pds_systems::{DeterministicIndexEngine, SecureSelectionEngine};
+use pds_workload::{
+    employee_relation, employee_sensitivity_policy, QueryWorkload, SensitivityAssigner, TpchConfig,
+    TpchGenerator,
+};
 
 /// The searchable attribute every TPC-H-style experiment uses.
 pub const SEARCH_ATTR: &str = "L_PARTKEY";
@@ -450,6 +458,134 @@ pub fn scale_cost(
         communication_sec: cost.communication_sec * f,
         queries: cost.queries,
     }
+}
+
+/// Per-query answers as sorted encoded tuples, for byte-level comparison.
+pub type EncodedAnswers = Vec<Vec<Vec<u8>>>;
+
+/// Encodes per-query answers as [`EncodedAnswers`].
+pub fn answer_bytes(answers: &[Vec<Tuple>]) -> EncodedAnswers {
+    answers
+        .iter()
+        .map(|ts| {
+            let mut out: Vec<Vec<u8>> = ts.iter().map(Tuple::encode).collect();
+            out.sort();
+            out
+        })
+        .collect()
+}
+
+/// One tenant of the loopback-daemon experiments: the Employee relation
+/// on det-index behind a router of local shard servers, and its
+/// in-process threaded reference answers.
+pub struct EmployeeTenant {
+    /// The tenant id its executor, client and daemons key it by.
+    pub id: u64,
+    /// The tenant's trusted owner.
+    pub owner: DbOwner,
+    /// The tenant's shard servers (empty slots while a daemon hosts them).
+    pub router: ShardRouter,
+    /// The tenant's QB executor (cache capacity 0, so every query pays
+    /// the full owner↔daemon round trip).
+    pub executor: QbExecutor<DeterministicIndexEngine>,
+    /// The exhaustive Employee value workload, repeated.
+    pub workload: Vec<Value>,
+    /// The [`BinTransport::Threaded`] answers to `workload`.
+    pub reference: Vec<Vec<Tuple>>,
+}
+
+/// Builds tenant `id` over `shards` servers with the exhaustive Employee
+/// workload repeated `passes` times, and records its threaded reference.
+pub fn employee_tenant(id: u64, shards: usize, passes: usize, seed: u64) -> Result<EmployeeTenant> {
+    let relation = employee_relation();
+    let policy = employee_sensitivity_policy(&relation)?;
+    let parts = Partitioner::new(policy).split(&relation)?;
+    let attr = parts.sensitive.schema().attr_id("EId")?;
+    let mut values = parts.sensitive.distinct_values(attr);
+    for v in parts.nonsensitive.distinct_values(attr) {
+        if !values.contains(&v) {
+            values.push(v);
+        }
+    }
+    let workload: Vec<Value> = values
+        .iter()
+        .cycle()
+        .take(values.len() * passes)
+        .cloned()
+        .collect();
+    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default())?;
+    let mut executor = QbExecutor::new(binning, DeterministicIndexEngine::new()).with_tenant(id);
+    let mut owner = DbOwner::new(seed.wrapping_add(id));
+    let mut router = ShardRouter::new(
+        shards,
+        NetworkModel::paper_wan(),
+        seed.wrapping_mul(31).wrapping_add(id),
+    )?;
+    executor.outsource(&mut owner, &mut router, &parts)?;
+    let reference = executor
+        .run_workload_transported(&mut owner, &mut router, &workload, &BinTransport::Threaded)?
+        .answers;
+    Ok(EmployeeTenant {
+        id,
+        owner,
+        router,
+        executor,
+        workload,
+        reference,
+    })
+}
+
+/// Moves every tenant's shard servers into one loopback daemon per shard,
+/// each with `workers` worker threads; the daemons come back in shard
+/// order.
+pub fn host_on_daemons(tenants: &mut [EmployeeTenant], workers: usize) -> Result<Vec<ShardDaemon>> {
+    let mut hosted: Vec<Vec<(u64, CloudServer)>> = Vec::new();
+    for t in tenants.iter_mut() {
+        let shards = t.router.shards_mut();
+        if hosted.len() < shards.len() {
+            hosted.resize_with(shards.len(), Vec::new);
+        }
+        for (s, server) in shards.iter_mut().enumerate() {
+            hosted[s].push((t.id, std::mem::take(server)));
+        }
+    }
+    hosted
+        .into_iter()
+        .enumerate()
+        .map(|(s, servers)| {
+            ShardDaemon::spawn(
+                servers,
+                ServiceConfig::with_workers(workers).with_shard(s as u64),
+            )
+        })
+        .collect()
+}
+
+/// Shuts the daemons down and hands every tenant back its shard servers,
+/// with every episode the daemons recorded, so a security check sees the
+/// daemon-served traffic.
+pub fn reclaim_from_daemons(
+    daemons: Vec<ShardDaemon>,
+    tenants: &mut [EmployeeTenant],
+) -> Result<()> {
+    let mut returned: Vec<Vec<(u64, CloudServer)>> =
+        daemons.into_iter().map(ShardDaemon::shutdown).collect();
+    for t in tenants.iter_mut() {
+        let shards = t.router.shards_mut().iter_mut().zip(&mut returned);
+        for (s, (server, servers)) in shards.enumerate() {
+            let pos = servers
+                .iter()
+                .position(|(id, _)| *id == t.id)
+                .ok_or_else(|| {
+                    PdsError::Wire(format!(
+                        "shard {s} daemon did not return tenant {}'s server",
+                        t.id
+                    ))
+                })?;
+            *server = servers.swap_remove(pos).1;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

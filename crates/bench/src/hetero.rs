@@ -20,12 +20,11 @@
 use pds_adversary::check_sharded_partitioned_security;
 use pds_cloud::{msg_tag, BinTransport, NetworkModel};
 use pds_common::{PdsError, Result};
-use pds_storage::Tuple;
 use pds_systems::{
     oblivious, ArxEngine, DeterministicIndexEngine, NonDetScanEngine, SecureSelectionEngine,
 };
 
-use crate::deploy::{hetero_qb_deployment, lineitem, qb_deployment};
+use crate::deploy::{answer_bytes, hetero_qb_deployment, lineitem, qb_deployment};
 
 /// Per-shard observations of one heterogeneous run.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,18 +91,6 @@ pub fn default_engines(shards: usize) -> Vec<Box<dyn SecureSelectionEngine>> {
         .collect()
 }
 
-/// Answers as sorted encoded tuples, for byte-level comparison.
-fn answer_bytes(answers: &[Vec<Tuple>]) -> Vec<Vec<Vec<u8>>> {
-    answers
-        .iter()
-        .map(|ts| {
-            let mut out: Vec<Vec<u8>> = ts.iter().map(Tuple::encode).collect();
-            out.sort();
-            out
-        })
-        .collect()
-}
-
 /// Runs the mixed-engine deployment over `shards` shards of a
 /// `tuples`-row pseudo-TPC-H relation on the exhaustive workload and
 /// compares it end to end against a homogeneous single-server baseline.
@@ -124,17 +111,16 @@ pub fn run(tuples: usize, shards: usize, seed: u64) -> Result<HeteroOutcome> {
         seed,
     )?;
     let workload = baseline.workload(seed.wrapping_add(1))?.exhaustive();
-    let expected: Vec<Vec<Vec<u8>>> = workload
-        .iter()
-        .map(|v| {
-            let ts = baseline
-                .executor
-                .select(&mut baseline.owner, &mut baseline.cloud, v)?;
-            let mut enc: Vec<Vec<u8>> = ts.iter().map(Tuple::encode).collect();
-            enc.sort();
-            Ok(enc)
-        })
-        .collect::<Result<_>>()?;
+    let expected = answer_bytes(
+        &workload
+            .iter()
+            .map(|v| {
+                baseline
+                    .executor
+                    .select(&mut baseline.owner, &mut baseline.cloud, v)
+            })
+            .collect::<Result<Vec<_>>>()?,
+    );
 
     // The heterogeneous deployment under test.
     let mut dep = hetero_qb_deployment(

@@ -34,7 +34,7 @@ use pds_adversary::{check_sharded_partitioned_security, WorkloadSkewAttack};
 use pds_cloud::{BinTransport, Metrics, NetworkModel};
 use pds_common::{PdsError, Result, Value};
 use pds_core::{choose_engines, CostModel, EngineCandidate, PlannerConfig};
-use pds_storage::{PartitionedRelation, Partitioner, Predicate, Tuple};
+use pds_storage::{PartitionedRelation, Partitioner, Predicate};
 use pds_systems::{
     oblivious, ArxEngine, DeterministicIndexEngine, DpfEngine, NonDetScanEngine,
     SecretSharingEngine, SecureSelectionEngine,
@@ -42,7 +42,8 @@ use pds_systems::{
 use pds_workload::{employee_relation, employee_sensitivity_policy, QueryWorkload};
 
 use crate::deploy::{
-    hetero_qb_deployment_over, lineitem, partition_at_alpha, ShardedQbDeployment, SEARCH_ATTR,
+    answer_bytes, hetero_qb_deployment_over, lineitem, partition_at_alpha, ShardedQbDeployment,
+    SEARCH_ATTR,
 };
 
 /// The six homogeneous deployments the planner must beat.
@@ -185,18 +186,6 @@ fn engine_named(name: &str, seed: u64) -> Result<Box<dyn SecureSelectionEngine>>
             )))
         }
     })
-}
-
-/// Answers as sorted encoded tuples, for byte-level comparison.
-fn answer_bytes(answers: &[Vec<Tuple>]) -> Vec<Vec<Vec<u8>>> {
-    answers
-        .iter()
-        .map(|ts| {
-            let mut out: Vec<Vec<u8>> = ts.iter().map(Tuple::encode).collect();
-            out.sort();
-            out
-        })
-        .collect()
 }
 
 /// The union of both partitions' distinct values of `attr`.

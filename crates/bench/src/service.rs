@@ -20,16 +20,11 @@ use std::net::SocketAddr;
 use std::time::Instant;
 
 use pds_adversary::check_sharded_partitioned_security;
-use pds_cloud::{
-    BinRoutedCloud, BinTransport, CloudServer, DbOwner, NetworkModel, ServiceConfig, ShardDaemon,
-    ShardRouter, TcpCloudClient,
-};
-use pds_common::{Result, Value};
-use pds_core::{BinningConfig, QbExecutor, QueryBinning};
+use pds_cloud::{BinTransport, ShardDaemon, TcpCloudClient};
+use pds_common::Result;
 use pds_obs::LatencySummary;
-use pds_storage::{Partitioner, Tuple};
-use pds_systems::DeterministicIndexEngine;
-use pds_workload::{employee_relation, employee_sensitivity_policy};
+
+use crate::deploy::{employee_tenant, host_on_daemons, reclaim_from_daemons, EmployeeTenant};
 
 /// One cell of the sweep: a worker-pool size under a fixed owner count.
 #[derive(Debug, Clone)]
@@ -68,62 +63,6 @@ pub fn default_workers() -> Vec<usize> {
     vec![1, 2, 4]
 }
 
-struct Tenant {
-    id: u64,
-    owner: DbOwner,
-    router: ShardRouter,
-    executor: QbExecutor<DeterministicIndexEngine>,
-    workload: Vec<Value>,
-    reference: Vec<Vec<Tuple>>,
-}
-
-/// Builds one tenant's deployment over the Employee workload and records
-/// its in-process threaded reference answers.
-fn tenant(id: u64, shards: usize, seed: u64) -> Result<Tenant> {
-    let relation = employee_relation();
-    let policy = employee_sensitivity_policy(&relation)?;
-    let parts = Partitioner::new(policy).split(&relation)?;
-    let attr = parts.sensitive.schema().attr_id("EId")?;
-    let mut workload = parts.sensitive.distinct_values(attr);
-    for v in parts.nonsensitive.distinct_values(attr) {
-        if !workload.contains(&v) {
-            workload.push(v);
-        }
-    }
-    // Four passes over the exhaustive values: with caching off every
-    // repeat pays a full round trip, giving the percentiles real samples.
-    let passes = 4;
-    let repeated: Vec<Value> = workload
-        .iter()
-        .cycle()
-        .take(workload.len() * passes)
-        .cloned()
-        .collect();
-    let workload = repeated;
-    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default())?;
-    // Cache capacity 0: every query of the closed loop pays the full
-    // owner↔daemon round trip, so latency percentiles measure the wire.
-    let mut executor = QbExecutor::new(binning, DeterministicIndexEngine::new()).with_tenant(id);
-    let mut owner = DbOwner::new(seed.wrapping_add(id));
-    let mut router = ShardRouter::new(
-        shards,
-        NetworkModel::paper_wan(),
-        seed.wrapping_mul(31) + id,
-    )?;
-    executor.outsource(&mut owner, &mut router, &parts)?;
-    let reference = executor
-        .run_workload_transported(&mut owner, &mut router, &workload, &BinTransport::Threaded)?
-        .answers;
-    Ok(Tenant {
-        id,
-        owner,
-        router,
-        executor,
-        workload,
-        reference,
-    })
-}
-
 /// Sweeps the daemon worker-pool size with `owners` concurrent tenants
 /// over `shards` loopback daemons.  The same tenant deployments are
 /// reused across the sweep: each round lifts their shard servers into
@@ -135,29 +74,15 @@ pub fn run(
     owners: usize,
     seed: u64,
 ) -> Result<Vec<ServicePoint>> {
-    let mut tenants: Vec<Tenant> = (1..=owners as u64)
-        .map(|id| tenant(id, shards, seed))
+    // Four passes over the exhaustive values: with caching off every
+    // repeat pays a full round trip, giving the percentiles real samples.
+    let mut tenants: Vec<EmployeeTenant> = (1..=owners as u64)
+        .map(|id| employee_tenant(id, shards, 4, seed))
         .collect::<Result<_>>()?;
 
     let mut points = Vec::with_capacity(workers.len());
     for &pool in workers {
-        // Lift every tenant's shard servers into one daemon per shard.
-        let mut hosted: Vec<Vec<(u64, CloudServer)>> = (0..shards).map(|_| Vec::new()).collect();
-        for t in tenants.iter_mut() {
-            for (s, server) in t.router.shards_mut().iter_mut().enumerate() {
-                hosted[s].push((t.id, std::mem::take(server)));
-            }
-        }
-        let daemons: Vec<ShardDaemon> = hosted
-            .into_iter()
-            .enumerate()
-            .map(|(s, servers)| {
-                ShardDaemon::spawn(
-                    servers,
-                    ServiceConfig::with_workers(pool).with_shard(s as u64),
-                )
-            })
-            .collect::<Result<_>>()?;
+        let daemons = host_on_daemons(&mut tenants, pool)?;
         let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
 
         // The closed loop: one thread per owner, each issuing its queries
@@ -195,21 +120,12 @@ pub fn run(
         });
         let wall_clock_sec = start.elapsed().as_secs_f64();
 
-        // Reclaim every tenant's servers (sorted by tenant id) so the
-        // composed security check sees the daemon-served episodes.
-        let mut returned: Vec<Vec<(u64, CloudServer)>> =
-            daemons.into_iter().map(ShardDaemon::shutdown).collect();
-        let mut secure = true;
-        for t in tenants.iter_mut() {
-            for (s, servers) in returned.iter_mut().enumerate() {
-                let pos = servers
-                    .iter()
-                    .position(|(id, _)| *id == t.id)
-                    .expect("daemon returns every tenant's server");
-                t.router.shards_mut()[s] = servers.swap_remove(pos).1;
-            }
-            secure &= check_sharded_partitioned_security(&t.router.adversarial_views()).is_secure();
-        }
+        // Reclaim every tenant's servers so the composed security check
+        // sees the daemon-served episodes.
+        reclaim_from_daemons(daemons, &mut tenants)?;
+        let secure = tenants
+            .iter()
+            .all(|t| check_sharded_partitioned_security(&t.router.adversarial_views()).is_secure());
 
         // Latency percentiles come from the shared pds-obs log-bucketed
         // histogram (the one replacement for the old per-experiment

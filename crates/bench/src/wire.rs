@@ -23,10 +23,11 @@ use pds_adversary::check_sharded_partitioned_security;
 use pds_cloud::{BinTransport, NetworkModel};
 use pds_common::{Result, Value};
 use pds_core::PlanMode;
-use pds_storage::Tuple;
 use pds_systems::{DeterministicIndexEngine, NonDetScanEngine};
 
-use crate::deploy::{lineitem, sharded_qb_deployment, ShardedQbDeployment};
+use crate::deploy::{
+    answer_bytes, lineitem, sharded_qb_deployment, EncodedAnswers, ShardedQbDeployment,
+};
 
 /// One cell of the latency × bandwidth × shard-count sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,9 +56,6 @@ pub struct WirePoint {
     pub secure: bool,
 }
 
-/// Per-query answers as sorted encoded tuples, for byte-level comparison.
-type EncodedAnswers = Vec<Vec<Vec<u8>>>;
-
 /// One cell's run outcome: answers, simulated network clock, and the wire
 /// traffic the run moved.
 struct CellRun {
@@ -65,18 +63,6 @@ struct CellRun {
     sim_wall_sec: f64,
     wire_bytes: u64,
     wire_frames: u64,
-}
-
-/// Answers as sorted encoded tuples, for byte-level comparison.
-fn answer_bytes(answers: &[Vec<Tuple>]) -> EncodedAnswers {
-    answers
-        .iter()
-        .map(|ts| {
-            let mut out: Vec<Vec<u8>> = ts.iter().map(Tuple::encode).collect();
-            out.sort();
-            out
-        })
-        .collect()
 }
 
 fn deployment(

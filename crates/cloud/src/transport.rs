@@ -24,9 +24,9 @@ use crate::tcp::TcpCloudClient;
 /// How per-shard work is dispatched to the shards of a deployment.
 #[derive(Debug, Clone)]
 pub enum BinTransport {
-    /// One shard after another on the calling thread: the serial
-    /// wall-clock the planner's calibration prices, and a deterministic
-    /// baseline for debugging.
+    /// One shard after another on the calling thread, which starts no
+    /// thread: the serial baseline, and a deterministic order for
+    /// debugging.
     Sequential,
     /// Every shard that has work runs at once, the last on the calling
     /// thread and each other one on a scoped OS thread: fetches genuinely

@@ -9,18 +9,25 @@
 //! shuffled exhaustive pass (so every bin pair is touched and the security
 //! check has a complete co-occurrence graph to verify) followed by a random
 //! tail of repeats, which is where the cache earns its hits.
+//!
+//! Writes: with `invalidate_cache_on_insert` after every insert, a cached
+//! deployment keeps answering like an uncached replay of the same reads
+//! and writes, while a cached deployment that skips it serves stale bins.
 
 use proptest::prelude::*;
 
+use partitioned_data_security::common::TupleId;
+use partitioned_data_security::core::extensions::InsertPlan;
 use partitioned_data_security::prelude::*;
 
 mod common;
 use common::{answer_bytes, employee_setup};
 
-fn executor(
-    parts: &pds_storage::PartitionedRelation,
-    capacity: usize,
-) -> (DbOwner, CloudServer, QbExecutor<NonDetScanEngine>) {
+/// An owner, its cloud and its executor: one deployment of the Employee
+/// relation on nondet-scan.
+type Arm = (DbOwner, CloudServer, QbExecutor<NonDetScanEngine>);
+
+fn executor(parts: &pds_storage::PartitionedRelation, capacity: usize) -> Arm {
     let binning = QueryBinning::build(parts, "EId", BinningConfig::default()).unwrap();
     let mut exec = QbExecutor::new(binning, NonDetScanEngine::new()).with_cache_capacity(capacity);
     let mut owner = DbOwner::new(5);
@@ -93,4 +100,103 @@ proptest! {
         // The cache never outgrows its capacity.
         prop_assert!(cached.cache().len() <= capacity);
     }
+}
+
+/// Reads every value on each arm: `[cached, uncached, control]`.  Asserts
+/// that the cached arm answers like the uncached one, and returns the
+/// cached arm's hits and fetches over the pass and whether the control
+/// arm answered any read differently.
+fn read_pass(values: &[Value], arms: &mut [Arm; 3]) -> (u64, u64, bool) {
+    let before = arms[0].2.cache_stats();
+    let mut stale = false;
+    for value in values {
+        let answers: Vec<_> = arms
+            .iter_mut()
+            .map(|(owner, cloud, exec)| answer_bytes(&exec.select(owner, cloud, value).unwrap()))
+            .collect();
+        assert!(
+            answers[0] == answers[1],
+            "the cached answer for {value} differs from the uncached replay"
+        );
+        stale |= answers[2] != answers[1];
+    }
+    let after = arms[0].2.cache_stats();
+    (
+        after.hits - before.hits,
+        after.fetches() - before.fetches(),
+        stale,
+    )
+}
+
+/// A sensitive insert of an already-binned value (which clears the whole
+/// cache), then a non-sensitive one (which drops one bin), each followed by
+/// a read pass, after two warm passes.  The values keep their bin, so no
+/// rebuild happens mid-run.
+#[test]
+fn inserts_with_invalidation_keep_cached_answers_fresh() {
+    let (parts, values) = employee_setup();
+    let attr = parts.sensitive.schema().attr_id("EId").unwrap();
+    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default()).unwrap();
+    let planner = InsertPlanner::new(&binning);
+    let binned = |side: &Relation, sensitive: bool| {
+        side.distinct_values(attr)
+            .into_iter()
+            .find(|v| {
+                matches!(
+                    planner.plan(v, sensitive),
+                    InsertPlan::ExistingAssignment { .. }
+                )
+            })
+            .unwrap()
+    };
+    let writes = [
+        (binned(&parts.sensitive, true), true, 50_000_000),
+        (binned(&parts.nonsensitive, false), false, 60_000_000),
+    ];
+
+    // The system under test, its uncached replay, and a control arm whose
+    // writes skip invalidation.
+    let mut arms = [
+        executor(&parts, 32),
+        executor(&parts, 0),
+        executor(&parts, 32),
+    ];
+    read_pass(&values, &mut arms);
+    let (warm_hits, warm_fetches, _) = read_pass(&values, &mut arms);
+    assert_eq!(
+        warm_hits, warm_fetches,
+        "the last warm pass must be all hits"
+    );
+
+    let mut stale = false;
+    let mut after_first_write = None;
+    for (value, sensitive, id) in writes {
+        let mut row = vec![Value::Null; parts.sensitive.schema().arity()];
+        row[attr.index()] = value.clone();
+        let tuple = Tuple::new(TupleId::new(id), row);
+        for ((owner, cloud, exec), invalidate) in arms.iter_mut().zip([true, true, false]) {
+            if sensitive {
+                let row = owner.encrypt_row(&tuple, Some(attr), Vec::new());
+                cloud.upload_encrypted(vec![row]).unwrap();
+            } else {
+                cloud.insert_plaintext(tuple.clone()).unwrap();
+            }
+            if invalidate {
+                exec.invalidate_cache_on_insert(&value, sensitive);
+            }
+        }
+        let (hits, fetches, diverged) = read_pass(&values, &mut arms);
+        after_first_write.get_or_insert((hits, fetches));
+        stale |= diverged;
+    }
+    assert!(
+        stale,
+        "the control arm must serve a stale answer, or the check shows nothing"
+    );
+    let (hits, fetches) = after_first_write.unwrap();
+    assert!(
+        (hits as f64 / fetches as f64) < (warm_hits as f64 / warm_fetches as f64),
+        "invalidation must cost hits: {hits}/{fetches} after the write, \
+         {warm_hits}/{warm_fetches} warm"
+    );
 }
