@@ -135,11 +135,6 @@ impl SurvivingMatches {
         self.edges.len()
     }
 
-    /// Whether a particular pair of groups has been observed together.
-    pub fn has_edge(&self, sensitive_idx: usize, nonsensitive_idx: usize) -> bool {
-        self.edges.contains(&(sensitive_idx, nonsensitive_idx))
-    }
-
     /// Whether the observed bipartite graph is complete: every sensitive
     /// group co-occurred with every non-sensitive group.  This is the
     /// paper's "all surviving matches of the bins are preserved" condition

@@ -170,8 +170,7 @@ impl PlannerOutcome {
     }
 }
 
-/// One back-end by registry name (the same names
-/// [`pds_systems::cost::CostProfile::for_engine`] seeds the model from).
+/// One back-end by its [`SecureSelectionEngine::name`].
 fn engine_named(name: &str, seed: u64) -> Result<Box<dyn SecureSelectionEngine>> {
     Ok(match name {
         "det-index" => Box::new(DeterministicIndexEngine::new()),
@@ -361,17 +360,7 @@ fn shard_advantages(sc: &Scenario, seed: u64) -> Result<Vec<f64>> {
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let popularity: Vec<Value> = ranked.into_iter().map(|(v, _)| v).collect();
         let outcome = WorkloadSkewAttack::run(shard.adversarial_view(), &popularity, &truth[idx]);
-        let advantage = outcome.advantage();
-        // Leakage telemetry: the measured adversary advantage per shard,
-        // live in the global registry next to the daemons' bin-load
-        // uniformity gauges.
-        let shard_label = idx.to_string();
-        pds_obs::global().gauge_set(
-            "pds_adversary_advantage",
-            &[("attack", "workload_skew"), ("shard", &shard_label)],
-            advantage,
-        );
-        advantages.push(advantage);
+        advantages.push(outcome.advantage());
     }
     Ok(advantages)
 }
@@ -420,7 +409,7 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
             pushdown: false,
             ..PlannerConfig::default()
         };
-        let mut model = CostModel::seeded(&HOMOGENEOUS);
+        let mut model = CostModel::default();
         model.set_round_trip_cost(ROUND_TRIP_SEC);
         let mut candidates = Vec::with_capacity(HOMOGENEOUS.len());
         let mut baselines = Vec::with_capacity(HOMOGENEOUS.len());
@@ -429,6 +418,7 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
             let engines: Vec<Box<dyn SecureSelectionEngine>> = (0..sc.shards)
                 .map(|_| engine_named(name, seed))
                 .collect::<Result<_>>()?;
+            model.seed_engine(engines[0].name(), engines[0].cost_profile());
             candidates.push(EngineCandidate::of(engines[0].as_ref()));
             let mut dep = deploy(sc, engines, baseline_config.clone(), seed)?;
             let m = measure(&mut dep, &sc.workload)?;

@@ -68,7 +68,9 @@ fn work_profiles_and_estimates_are_deterministic_on_the_exhaustive_workload() {
     );
 
     for name in HOMOGENEOUS {
-        let mut model = CostModel::seeded(&[name]);
+        let mut model = CostModel::default();
+        let backend = engine(name);
+        model.seed_engine(backend.name(), backend.cost_profile());
         let first = counted_run(&parts, &workload, name);
         let second = counted_run(&parts, &workload, name);
 

@@ -5,7 +5,8 @@
 //! values under a skewed workload hammer the same bin pair over and over.
 //! [`BinCache`] is a small bounded LRU the **trusted owner** keeps over
 //! already-retrieved, already-decrypted bin contents, keyed by
-//! [`BinKey`] — `(bin kind, bin index)`.
+//! [`BinKey`] — `(bin kind, bin index)`.  Each executor owns its cache, so
+//! no cache is shared between tenants and a key needs no tenant.
 //!
 //! ## Security
 //!
@@ -41,6 +42,7 @@
 //! `QbExecutor::invalidate_cache_on_insert` before the next select, or
 //! cached bins will serve answers missing the new tuple.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use pds_storage::Tuple;
@@ -55,43 +57,30 @@ pub enum BinKind {
     NonSensitive,
 }
 
-/// Cache key: one bin of one side, in one tenant's bin namespace.
+/// Cache key: one bin of one side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BinKey {
     /// The side the bin belongs to.
     pub kind: BinKind,
     /// The bin index on that side.
     pub index: usize,
-    /// Tenant whose namespace the bin index lives in.  Single-tenant
-    /// deployments use the default tenant 0; under the multi-tenant TCP
-    /// service each owner's executor stamps its tenant id here so bin
-    /// indices of different tenants can never alias in shared tooling.
-    pub tenant: u64,
 }
 
 impl BinKey {
-    /// Key of a sensitive bin (default tenant 0).
+    /// Key of a sensitive bin.
     pub fn sensitive(index: usize) -> Self {
         BinKey {
             kind: BinKind::Sensitive,
             index,
-            tenant: 0,
         }
     }
 
-    /// Key of a non-sensitive bin (default tenant 0).
+    /// Key of a non-sensitive bin.
     pub fn nonsensitive(index: usize) -> Self {
         BinKey {
             kind: BinKind::NonSensitive,
             index,
-            tenant: 0,
         }
-    }
-
-    /// The same bin key in `tenant`'s namespace.
-    pub fn for_tenant(mut self, tenant: u64) -> Self {
-        self.tenant = tenant;
-        self
     }
 }
 
@@ -132,9 +121,9 @@ impl BinCacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct BinCache {
     capacity: usize,
-    /// Tenant namespace stamped onto every key this cache forms.
-    tenant: u64,
-    entries: HashMap<BinKey, (u64, Vec<Tuple>)>,
+    /// Each bin's recency stamp and contents.  The stamp is a `Cell` so a
+    /// hit can refresh both bins of its pair from one lookup each.
+    entries: HashMap<BinKey, (Cell<u64>, Vec<Tuple>)>,
     /// Bin pairs the cloud has observed co-retrieved at least once — the
     /// precondition for serving that pair from cache (module docs, rule 2).
     /// Unbounded but tiny: at most `sensitive bins × non-sensitive bins`.
@@ -144,11 +133,10 @@ pub struct BinCache {
 }
 
 impl BinCache {
-    /// Creates a cache holding at most `capacity` bins (tenant 0).
+    /// Creates a cache holding at most `capacity` bins.
     pub fn new(capacity: usize) -> Self {
         BinCache {
             capacity,
-            tenant: 0,
             entries: HashMap::new(),
             seen_pairs: HashSet::new(),
             clock: 0,
@@ -159,18 +147,6 @@ impl BinCache {
     /// Maximum number of bins retained.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The tenant namespace this cache stamps onto its keys.
-    pub fn tenant(&self) -> u64 {
-        self.tenant
-    }
-
-    /// Moves the cache into `tenant`'s namespace.  Existing entries keyed
-    /// under another tenant become unreachable by the pair methods, so set
-    /// this before the first fetch (the executor does, at build time).
-    pub fn set_tenant(&mut self, tenant: u64) {
-        self.tenant = tenant;
     }
 
     /// Number of bins currently cached.
@@ -188,11 +164,6 @@ impl BinCache {
         self.stats
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     /// Looks up a whole bin pair.  Returns `(sensitive, nonsensitive)`
     /// tuple streams only when **both** bins are cached *and* the pair has
     /// been co-observed by the cloud before (see the module docs for why
@@ -204,40 +175,26 @@ impl BinCache {
         nonsensitive_bin: usize,
     ) -> Option<(Vec<Tuple>, Vec<Tuple>)> {
         let _span = pds_obs::obs_span("cache.get_pair");
-        let s_key = BinKey::sensitive(sensitive_bin).for_tenant(self.tenant);
-        let ns_key = BinKey::nonsensitive(nonsensitive_bin).for_tenant(self.tenant);
-        let servable = self.seen_pairs.contains(&(sensitive_bin, nonsensitive_bin))
-            && self.entries.contains_key(&s_key)
-            && self.entries.contains_key(&ns_key);
-        let tenant_label = self.tenant.to_string();
-        if !servable {
+        let entries = &self.entries;
+        let pair = self
+            .seen_pairs
+            .contains(&(sensitive_bin, nonsensitive_bin))
+            .then(|| {
+                let s = entries.get(&BinKey::sensitive(sensitive_bin))?;
+                let ns = entries.get(&BinKey::nonsensitive(nonsensitive_bin))?;
+                Some((s, ns))
+            })
+            .flatten();
+        let Some((s, ns)) = pair else {
             self.stats.misses += 1;
-            pds_obs::global().counter_add(
-                "pds_bin_cache_events_total",
-                &[("result", "miss"), ("tenant", &tenant_label)],
-                1,
-            );
             return None;
-        }
+        };
         self.stats.hits += 1;
-        pds_obs::global().counter_add(
-            "pds_bin_cache_events_total",
-            &[("result", "hit"), ("tenant", &tenant_label)],
-            1,
-        );
-        let stamp = self.tick();
-        let s = {
-            let e = self.entries.get_mut(&s_key).expect("checked above");
-            e.0 = stamp;
-            e.1.clone()
-        };
-        let stamp = self.tick();
-        let ns = {
-            let e = self.entries.get_mut(&ns_key).expect("checked above");
-            e.0 = stamp;
-            e.1.clone()
-        };
-        Some((s, ns))
+        for (stamp, _) in [s, ns] {
+            self.clock += 1;
+            stamp.set(self.clock);
+        }
+        Some((s.1.clone(), ns.1.clone()))
     }
 
     /// Records one completed pair fetch: the cloud has now co-observed the
@@ -257,14 +214,8 @@ impl BinCache {
         }
         let _span = pds_obs::obs_span("cache.store_pair");
         self.seen_pairs.insert((sensitive_bin, nonsensitive_bin));
-        self.store(
-            BinKey::sensitive(sensitive_bin).for_tenant(self.tenant),
-            sensitive_tuples,
-        );
-        self.store(
-            BinKey::nonsensitive(nonsensitive_bin).for_tenant(self.tenant),
-            nonsensitive_tuples,
-        );
+        self.store(BinKey::sensitive(sensitive_bin), sensitive_tuples);
+        self.store(BinKey::nonsensitive(nonsensitive_bin), nonsensitive_tuples);
     }
 
     /// Stores (or refreshes) one bin, evicting the least-recently-used
@@ -273,22 +224,23 @@ impl BinCache {
         if self.capacity == 0 {
             return;
         }
-        let stamp = self.tick();
-        if let Some(entry) = self.entries.get_mut(&key) {
-            *entry = (stamp, tuples);
+        self.clock += 1;
+        let entry = (Cell::new(self.clock), tuples);
+        if let Some(old) = self.entries.get_mut(&key) {
+            *old = entry;
             return;
         }
         if self.entries.len() >= self.capacity {
             if let Some(oldest) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
+                .min_by_key(|(_, (stamp, _))| stamp.get())
                 .map(|(k, _)| *k)
             {
                 self.entries.remove(&oldest);
             }
         }
-        self.entries.insert(key, (stamp, tuples));
+        self.entries.insert(key, entry);
     }
 
     /// Drops one bin's entry (if present).  Returns whether it was cached.
@@ -422,25 +374,5 @@ mod tests {
         assert_eq!(c.len(), 2);
         let (s, _) = c.get_pair(0, 0).unwrap();
         assert_eq!(s.len(), 3, "refreshed contents are served");
-    }
-
-    #[test]
-    fn tenant_namespaces_do_not_alias() {
-        let mut c = BinCache::new(4);
-        c.set_tenant(7);
-        assert_eq!(c.tenant(), 7);
-        c.store_pair(0, tuples(0, 1), 0, tuples(1, 1));
-        // The entries are keyed in tenant 7's namespace, invisible through
-        // tenant-0 keys and visible through tenant-7 keys.
-        assert!(!c.contains(BinKey::sensitive(0)));
-        assert!(c.contains(BinKey::sensitive(0).for_tenant(7)));
-        assert!(c.get_pair(0, 0).is_some(), "same-tenant lookup serves");
-        // Switching the cache's namespace strands the old entries.
-        c.set_tenant(8);
-        assert!(c.get_pair(0, 0).is_none());
-        // Tenant-stamped invalidation works on the stamped key.
-        c.set_tenant(7);
-        assert!(c.invalidate(BinKey::sensitive(0).for_tenant(7)));
-        assert!(!c.invalidate(BinKey::sensitive(0)), "unstamped key misses");
     }
 }

@@ -8,9 +8,9 @@
 //! * the non-sensitive part `Rns` in clear-text (a [`pds_storage::Relation`]
 //!   plus a hash index on the searchable attribute), and
 //! * the sensitive part `Rs` as non-deterministically encrypted tuples
-//!   (an [`store::EncryptedStore`]), optionally with cloud-side searchable
-//!   tags for the indexable back-ends (CryptDB-style deterministic tags,
-//!   Arx-style counter tokens).
+//!   (an [`store::EncryptedStore`] of [`WireRow`]s), optionally with
+//!   cloud-side searchable tags for the indexable back-ends (CryptDB-style
+//!   deterministic tags, Arx-style counter tokens).
 //!
 //! Every request the owner sends and every tuple the cloud returns is
 //! recorded in an [`view::AdversarialView`], which is exactly the information
@@ -54,8 +54,14 @@
 //! Every query, in process or over TCP, is one [`FetchBinRequest`] served
 //! by one handler, [`CloudServer::fetch_bin`]: the clear-text bin with its
 //! pushed-down residual, storage addresses and search tags in one
-//! exchange.  Engines run their episodes on `&mut CloudServer` directly,
-//! from the owner-side [`BinEpisodeRequest`] the executor plans.
+//! exchange, answered by one [`BinPayload`].  Engines run their episodes
+//! on `&mut CloudServer` directly, from the owner-side
+//! [`BinEpisodeRequest`] the executor plans.
+//!
+//! One row type runs from store to socket: [`WireRow`] is what
+//! [`DbOwner::encrypt_row`] builds, what the store keeps, what a fetch
+//! answers with (its `id` and `tuple_ct` only) and what the codec sizes
+//! and writes, so no layer converts rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,11 +82,11 @@ pub use cache::{BinCache, BinCacheStats, BinKey, BinKind};
 pub use metrics::Metrics;
 pub use network::NetworkModel;
 pub use owner::DbOwner;
-pub use pds_proto::{msg_tag, FetchBinRequest};
-pub use server::{BinEpisodeRequest, BinPairResult, CloudServer};
+pub use pds_proto::{msg_tag, BinPayload, FetchBinRequest, WireRow};
+pub use server::{BinEpisodeRequest, CloudServer};
 pub use service::{ServiceConfig, ShardDaemon};
 pub use shard::{BinPlacement, BinRoutedCloud, ShardRouter};
-pub use store::{EncryptedRow, EncryptedStore};
+pub use store::EncryptedStore;
 pub use tcp::{CorrelationWindow, TcpCloudClient, TcpShardConn};
 pub use transport::BinTransport;
 pub use view::{

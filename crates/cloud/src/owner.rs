@@ -11,12 +11,12 @@ use pds_common::{AttrId, PdsError, Result, Value};
 use pds_crypto::dpf::{self, DpfKey};
 use pds_crypto::shamir::{self, Share};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
+use pds_proto::WireRow;
 use pds_storage::{Relation, Tuple};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
 use crate::metrics::Metrics;
-use crate::store::EncryptedRow;
 
 /// The trusted client that owns the data and the keys.
 pub struct DbOwner {
@@ -174,10 +174,10 @@ impl DbOwner {
         Ok(tuple)
     }
 
-    /// Encrypts one sensitive tuple into the row format the cloud stores:
-    /// the full tuple's ciphertext, the cloud-side search `tags` (if any)
-    /// and, when `attr_column` names the searchable attribute, a separate
-    /// ciphertext of that attribute's value.
+    /// Encrypts one sensitive tuple into the row the cloud stores: the
+    /// full tuple's ciphertext, the cloud-side search `tags` (if any) and,
+    /// when `attr_column` names the searchable attribute, a separate
+    /// ciphertext of that attribute's value (empty otherwise).
     ///
     /// Only the No-Ind column scan (nondet-scan) downloads that column, so
     /// only it asks for it; every other back-end passes `None` and saves one
@@ -188,13 +188,13 @@ impl DbOwner {
         tuple: &Tuple,
         attr_column: Option<AttrId>,
         tags: Vec<Vec<u8>>,
-    ) -> EncryptedRow {
-        let attr_ct = attr_column.map(|attr| self.encrypt_value(tuple.value(attr)));
-        let tuple_ct = self.encrypt_tuple(tuple);
-        EncryptedRow {
-            id: tuple.id,
+    ) -> WireRow {
+        let attr_ct =
+            attr_column.map_or_else(Vec::new, |attr| self.encrypt_value(tuple.value(attr)).0);
+        WireRow {
+            id: tuple.id.raw(),
             attr_ct,
-            tuple_ct,
+            tuple_ct: self.encrypt_tuple(tuple).0,
             search_tags: tags,
         }
     }
@@ -206,7 +206,7 @@ impl DbOwner {
         &mut self,
         relation: &Relation,
         attr_column: Option<AttrId>,
-    ) -> Vec<EncryptedRow> {
+    ) -> Vec<WireRow> {
         relation
             .tuples()
             .iter()
@@ -339,20 +339,25 @@ mod tests {
         // Decrypting the attribute ciphertext recovers the searchable value.
         assert_eq!(
             owner
-                .decrypt_value(rows[1].attr_ct.as_ref().unwrap())
+                .decrypt_value(&Ciphertext(rows[1].attr_ct.clone()))
                 .unwrap(),
             Value::from("E259")
         );
-        let t = owner.decrypt_tuple(&rows[0].tuple_ct).unwrap();
+        let t = owner
+            .decrypt_tuple(&Ciphertext(rows[0].tuple_ct.clone()))
+            .unwrap();
         assert_eq!(t.id, r.tuples()[0].id);
 
         // Without the column a row is its tuple ciphertext and its tags.
         owner.reset_metrics();
         let row = owner.encrypt_row(&r.tuples()[1], None, vec![vec![7]]);
-        assert_eq!(row.attr_ct, None);
+        assert!(row.attr_ct.is_empty());
         assert_eq!(row.search_tags, vec![vec![7]]);
         assert_eq!(owner.metrics().owner_encryptions, 1);
-        assert_eq!(owner.decrypt_tuple(&row.tuple_ct).unwrap(), r.tuples()[1]);
+        assert_eq!(
+            owner.decrypt_tuple(&Ciphertext(row.tuple_ct)).unwrap(),
+            r.tuples()[1]
+        );
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! [`CloudServer::fetch_bin`] serves the one query message,
 //! [`FetchBinRequest`]: in one exchange it resolves the clear-text bin
 //! (with its pushed-down residual), the storage addresses and the search
-//! tags a request carries, and answers with one
-//! [`BinPayload`](pds_proto::BinPayload).  Engines call it in process, and
-//! the shard daemon calls it through
-//! [`CloudServer::serve`], so both transports record the same view and
-//! the same counters.  [`BinEpisodeRequest`] is the owner-side episode an
-//! engine turns into that request.  The only other query entry point is
+//! tags a request carries, and answers with one [`BinPayload`] of
+//! [`WireRow`]s, the row type the store keeps.  Engines call it in
+//! process, and the shard daemon calls it through [`CloudServer::serve`],
+//! which hands the payload to the socket as built, so both transports
+//! record the same view and the same counters.  [`BinEpisodeRequest`] is
+//! the owner-side episode an engine turns into that request.  The only
+//! other query entry point is
 //! [`CloudServer::fetch_bin_oblivious`], the enclave simulators' only way
 //! in: their tokens only the engine-side enclave can resolve, and each of
 //! their selections is one such exchange.
@@ -29,10 +30,10 @@
 //! communication clock.  The length is the codec's own writers run over
 //! the borrowed data into a byte counter ([`pds_proto::fetch_frame_len`],
 //! [`pds_proto::rows_frame_len`], [`pds_proto::ack_frame_len`]), so
-//! accounting builds, clones and encodes nothing, and a charge equals the
-//! encoded frame by construction.  Tests here pin the charge of every
-//! upload, insert, column download and fetch to the encoding of the
-//! message it stands for, and over TCP the daemon's counters equal the
+//! accounting clones and encodes nothing, and a charge equals the encoded
+//! frame by construction.  Tests here pin the charge of every upload,
+//! insert, column download and fetch to the encoding of the message it
+//! stands for, and over TCP the daemon's counters equal the
 //! bytes on the socket (`crates/core/tests/tcp_service.rs`).  The clock,
 //! [`CloudServer::comm_time`], adds one [`NetworkModel::transfer_time`]
 //! per exchange, so its growth over a run is that shard's simulated
@@ -52,15 +53,14 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use pds_common::{AttrId, PdsError, QueryId, Result, TupleId, Value};
-use pds_crypto::Ciphertext;
 use pds_proto::{
-    ack_frame_len, fetch_frame_len, msg_tag, rows_frame_len, FetchBinRequest, RowParts, WireRow,
+    ack_frame_len, fetch_frame_len, msg_tag, rows_frame_len, BinPayload, FetchBinRequest, WireRow,
 };
 use pds_storage::{HashIndex, Predicate, Relation, Tuple};
 
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
-use crate::store::{EncryptedRow, EncryptedStore};
+use crate::store::EncryptedStore;
 use crate::view::AdversarialView;
 
 /// The resolved clear-text side of a request: matching tuples,
@@ -76,11 +76,6 @@ pub(crate) type Frame = (u8, usize);
 fn ack_frame(items: usize) -> Frame {
     (msg_tag::ACK, ack_frame_len(items as u64))
 }
-
-/// The two result streams of one [`FetchBinRequest`] as the cloud returns
-/// them: clear-text non-sensitive tuples and `(address, ciphertext)` rows
-/// from the sensitive side.
-pub type BinPairResult = (Vec<Tuple>, Vec<(TupleId, Ciphertext)>);
 
 /// One Query Binning bin-pair episode as the executor hands it to a
 /// back-end: the value sets of both bins and the residual pushed below
@@ -119,33 +114,6 @@ impl BinEpisodeRequest {
     }
 }
 
-/// The wire fields of a response row that carries only its full-tuple
-/// ciphertext.
-fn tuple_ct_parts((id, ct): &(TupleId, Ciphertext)) -> RowParts<'_> {
-    RowParts {
-        id: id.raw(),
-        attr_ct: &[],
-        tuple_ct: ct.as_bytes(),
-        search_tags: &[],
-    }
-}
-
-/// The wire fields of a column row that carries only its attribute
-/// ciphertext.
-fn attr_ct_parts((id, ct): &(TupleId, Ciphertext)) -> RowParts<'_> {
-    RowParts {
-        id: id.raw(),
-        attr_ct: ct.as_bytes(),
-        tuple_ct: &[],
-        search_tags: &[],
-    }
-}
-
-/// Wire rows for a response that carries only full-tuple ciphertexts.
-pub(crate) fn tuple_ct_rows(out: &[(TupleId, Ciphertext)]) -> Vec<WireRow> {
-    out.iter().map(|row| tuple_ct_parts(row).to_row()).collect()
-}
-
 /// The clear-text (non-sensitive) side of a deployment: the relation and
 /// its index on the searchable attribute.
 #[derive(Debug, Clone)]
@@ -166,7 +134,7 @@ impl PlainSide {
         let attr = relation.schema().attr_id(searchable_attr)?;
         let up = (
             msg_tag::INSERT_REQUEST,
-            rows_frame_len(relation.tuples(), std::iter::empty())?,
+            rows_frame_len(relation.tuples(), &[])?,
         );
         let down = ack_frame(relation.len());
         let index = HashIndex::build(&relation, attr);
@@ -247,7 +215,7 @@ impl CloudServer {
     /// Uploads encrypted sensitive rows as one
     /// [`InsertRequest`](pds_proto::InsertRequest), all or nothing: an id
     /// already stored, or repeated among `rows`, stores and charges nothing.
-    pub fn upload_encrypted(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
+    pub fn upload_encrypted(&mut self, rows: Vec<WireRow>) -> Result<()> {
         self.insert(Vec::new(), rows).map(drop)
     }
 
@@ -270,8 +238,10 @@ impl CloudServer {
     /// every id against the stores and the rest of the request, before
     /// anything is stored, so a refused request stores and charges
     /// nothing.  Clear-text tuples need an outsourced clear-text side;
-    /// when other servers share it, this one copies it first.
-    pub(crate) fn insert(&mut self, tuples: Vec<Tuple>, rows: Vec<EncryptedRow>) -> Result<u64> {
+    /// when other servers share it, this one copies it first.  Rows are
+    /// stored as they arrive; an empty `attr_ct` is a row stored without
+    /// the column.
+    pub(crate) fn insert(&mut self, tuples: Vec<Tuple>, rows: Vec<WireRow>) -> Result<u64> {
         if !tuples.is_empty() {
             let plain = self
                 .plain
@@ -285,10 +255,7 @@ impl CloudServer {
                 }
             }
         }
-        let up = (
-            msg_tag::INSERT_REQUEST,
-            rows_frame_len(&tuples, rows.iter().map(EncryptedRow::wire_parts))?,
-        );
+        let up = (msg_tag::INSERT_REQUEST, rows_frame_len(&tuples, &rows)?);
         let items = tuples.len() + rows.len();
         let down = ack_frame(items);
         self.encrypted.insert_many(rows)?;
@@ -343,43 +310,38 @@ impl CloudServer {
 
     // ----- encrypted side ---------------------------------------------------
 
-    /// Downloads the encrypted searchable-attribute column (id, ciphertext)
-    /// — the first step of the paper's §V-B search procedure.  A store
-    /// whose rows were outsourced without the column (every back-end but
-    /// the No-Ind scan) is a typed [`PdsError::Cloud`] that charges nothing.
-    pub fn download_encrypted_attr_column(&mut self) -> Result<Vec<(TupleId, Ciphertext)>> {
-        let out: Vec<(TupleId, Ciphertext)> = self
+    /// Downloads the encrypted searchable-attribute column — the first
+    /// step of the paper's §V-B search procedure — as rows carrying their
+    /// `id` and `attr_ct` only.  A store whose rows were outsourced without
+    /// the column (every back-end but the No-Ind scan) is a typed
+    /// [`PdsError::Cloud`] that charges nothing.
+    pub fn download_encrypted_attr_column(&mut self) -> Result<Vec<WireRow>> {
+        let column: Vec<WireRow> = self
             .encrypted
             .rows()
             .iter()
             .map(|r| {
-                let ct = r.attr_ct.clone().ok_or_else(|| {
-                    PdsError::Cloud(format!(
+                if r.attr_ct.is_empty() {
+                    return Err(PdsError::Cloud(format!(
                         "encrypted tuple {} was stored without an attribute ciphertext",
                         r.id
-                    ))
-                })?;
-                Ok((r.id, ct))
+                    )));
+                }
+                Ok(WireRow {
+                    id: r.id,
+                    attr_ct: r.attr_ct.clone(),
+                    ..WireRow::default()
+                })
             })
             .collect::<Result<_>>()?;
         // The request is an empty opaque frame; the column comes back as
         // one payload of attribute-ciphertext rows.
         let up = (msg_tag::OPAQUE, pds_proto::encoded_len(0));
-        let down = (
-            msg_tag::BIN_PAYLOAD,
-            rows_frame_len(&[], out.iter().map(attr_ct_parts))?,
-        );
-        self.metrics.encrypted_tuples_scanned += out.len() as u64;
+        let down = (msg_tag::BIN_PAYLOAD, rows_frame_len(&[], &column)?);
+        self.metrics.encrypted_tuples_scanned += column.len() as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
-        Ok(out)
-    }
-
-    /// The tuple ciphertexts stored at `ids`, in request order; an unknown
-    /// id is an error, never a partial result.
-    fn tuple_cts(&self, ids: &[TupleId]) -> Result<Vec<(TupleId, Ciphertext)>> {
-        let rows = self.encrypted.fetch(ids)?;
-        Ok(rows.iter().map(|r| (r.id, r.tuple_ct.clone())).collect())
+        Ok(column)
     }
 
     // ----- the query exchange -----------------------------------------------
@@ -424,7 +386,8 @@ impl CloudServer {
     }
 
     /// Serves one query exchange: a [`FetchBinRequest`] up, one
-    /// [`BinPayload`](pds_proto::BinPayload) down, one round.
+    /// [`BinPayload`] down, one round.  The payload's rows carry their `id`
+    /// and `tuple_ct` only.
     ///
     /// * **clear-text side** — the index resolves the request's values and
     ///   the pushed-down residual filters them cloud-side.  The uplink frame
@@ -444,7 +407,7 @@ impl CloudServer {
     /// enclave/MPC back-ends resolve their tokens engine-side
     /// ([`CloudServer::fetch_bin_oblivious`]), which a bare message cannot
     /// reach.
-    pub fn fetch_bin(&mut self, request: &FetchBinRequest) -> Result<BinPairResult> {
+    pub fn fetch_bin(&mut self, request: &FetchBinRequest) -> Result<BinPayload> {
         if !request.tags.is_empty() && !self.encrypted.has_tags() {
             return Err(PdsError::Wire(
                 "request carries search tags but this deployment has no cloud-side tag \
@@ -461,10 +424,9 @@ impl CloudServer {
         tagged.dedup();
         let mut ids: Vec<TupleId> = request.ids.iter().map(|&id| TupleId::new(id)).collect();
         ids.extend(tagged);
-        let rows = self.tuple_cts(&ids)?;
-        self.record_fetch(request, &plain, &ids, &rows)?;
+        let payload = self.answer_fetch(request, plain, &ids)?;
         self.metrics.plaintext_index_lookups += request.tags.len() as u64;
-        Ok((plain.0, rows))
+        Ok(payload)
     }
 
     /// Serves one query exchange whose sensitive side a cloud-side secure
@@ -481,25 +443,36 @@ impl CloudServer {
         request: &FetchBinRequest,
         matching: &[TupleId],
         scanned: usize,
-    ) -> Result<BinPairResult> {
+    ) -> Result<BinPayload> {
         let plain = self.resolve_plain(&request.values, request.predicate.as_ref())?;
-        let rows = self.tuple_cts(matching)?;
-        self.record_fetch(request, &plain, matching, &rows)?;
+        let payload = self.answer_fetch(request, plain, matching)?;
         self.metrics.encrypted_tuples_scanned += scanned as u64;
-        Ok((plain.0, rows))
+        Ok(payload)
     }
 
-    /// Shared accounting of one query exchange: adversarial view, work
-    /// counters, and the single request/response exchange.  The frames are
-    /// sized first, so a request that cannot be framed records nothing.
-    fn record_fetch(
+    /// The payload answering `request`: the resolved clear-text side and
+    /// the rows stored at `sensitive_ids`, in that order, each carrying its
+    /// `id` and `tuple_ct` only (each ciphertext copied once, straight
+    /// into the answer).  Does the accounting both fetch handlers share:
+    /// adversarial view, work counters, and the single request/response
+    /// exchange.  An unknown address, or a request that cannot be framed,
+    /// is an error that records nothing.
+    fn answer_fetch(
         &mut self,
         request: &FetchBinRequest,
-        plain: &ResolvedPlain,
+        (plain_tuples, ns_ids, ns_values, ns_scanned): ResolvedPlain,
         sensitive_ids: &[TupleId],
-        rows: &[(TupleId, Ciphertext)],
-    ) -> Result<()> {
-        let (plain_tuples, ns_ids, ns_values, ns_scanned) = plain;
+    ) -> Result<BinPayload> {
+        let rows: Vec<WireRow> = self
+            .encrypted
+            .fetch(sensitive_ids)?
+            .into_iter()
+            .map(|r| WireRow {
+                id: r.id,
+                tuple_ct: r.tuple_ct.clone(),
+                ..WireRow::default()
+            })
+            .collect();
         let up = (
             msg_tag::FETCH_BIN_REQUEST,
             fetch_frame_len(
@@ -509,20 +482,20 @@ impl CloudServer {
                 request.predicate.as_ref(),
             )?,
         );
-        let down = (
-            msg_tag::BIN_PAYLOAD,
-            rows_frame_len(plain_tuples, rows.iter().map(tuple_ct_parts))?,
-        );
+        let down = (msg_tag::BIN_PAYLOAD, rows_frame_len(&plain_tuples, &rows)?);
         self.view.observe_plaintext_request(&request.values);
         self.view.observe_encrypted_request(request.tags.len());
-        self.view.observe_nonsensitive_result(ns_ids, ns_values);
+        self.view.observe_nonsensitive_result(&ns_ids, &ns_values);
         self.view.observe_sensitive_result(sensitive_ids);
         self.metrics.plaintext_index_lookups += request.values.len() as u64;
-        self.metrics.plaintext_tuples_scanned += *ns_scanned as u64;
+        self.metrics.plaintext_tuples_scanned += ns_scanned as u64;
         self.metrics.tuples_returned += (plain_tuples.len() + rows.len()) as u64;
         self.metrics.round_trips += 1;
         self.record_exchange(Some(up), Some(down));
-        Ok(())
+        Ok(BinPayload {
+            plain_tuples,
+            encrypted_rows: rows,
+        })
     }
 
     /// Number of encrypted rows stored.
@@ -580,7 +553,7 @@ impl CloudServer {
 mod tests {
     use super::*;
     use pds_crypto::NonDetCipher;
-    use pds_proto::{Ack, BinPayload, InsertRequest, WireMessage};
+    use pds_proto::{Ack, InsertRequest, WireMessage};
     use pds_storage::{DataType, Schema};
 
     fn plain_relation() -> Relation {
@@ -598,14 +571,14 @@ mod tests {
         r
     }
 
-    fn encrypted_rows(n: u64) -> Vec<EncryptedRow> {
+    fn encrypted_rows(n: u64) -> Vec<WireRow> {
         let cipher = NonDetCipher::from_seed(9);
         let mut rng = pds_common::rng::seeded_rng(1);
         (0..n)
-            .map(|i| EncryptedRow {
-                id: TupleId::new(100 + i),
-                attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
-                tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
+            .map(|i| WireRow {
+                id: 100 + i,
+                attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng).0,
+                tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng).0,
                 search_tags: vec![vec![i as u8]],
             })
             .collect()
@@ -625,17 +598,17 @@ mod tests {
             values: values.to_vec(),
             ..FetchBinRequest::default()
         };
-        Ok(s.fetch_bin(&request)?.0)
+        Ok(s.fetch_bin(&request)?.plain_tuples)
     }
 
     /// A fetch by storage address: one [`CloudServer::fetch_bin`] carrying
     /// only `ids`.
-    fn fetch_ids(s: &mut CloudServer, ids: &[u64]) -> Result<Vec<(TupleId, Ciphertext)>> {
+    fn fetch_ids(s: &mut CloudServer, ids: &[u64]) -> Result<Vec<WireRow>> {
         let request = FetchBinRequest {
             ids: ids.to_vec(),
             ..FetchBinRequest::default()
         };
-        Ok(s.fetch_bin(&request)?.1)
+        Ok(s.fetch_bin(&request)?.encrypted_rows)
     }
 
     /// Asserts that the traffic charged since `before` is exactly the
@@ -650,22 +623,6 @@ mod tests {
             up.name(),
             down.name()
         );
-    }
-
-    /// The payload answering a fetch with `plain` tuples and tuple
-    /// ciphertext `rows`, built field by field.
-    fn fetch_payload(plain: Vec<Tuple>, rows: &[(TupleId, Ciphertext)]) -> WireMessage {
-        WireMessage::BinPayload(BinPayload {
-            plain_tuples: plain,
-            encrypted_rows: rows
-                .iter()
-                .map(|(id, ct)| WireRow {
-                    id: id.raw(),
-                    tuple_ct: ct.as_bytes().to_vec(),
-                    ..WireRow::default()
-                })
-                .collect(),
-        })
     }
 
     #[test]
@@ -685,23 +642,14 @@ mod tests {
         );
 
         let rows = encrypted_rows(4);
-        let wire_rows = rows
-            .iter()
-            .map(|r| WireRow {
-                id: r.id.raw(),
-                attr_ct: r.attr_ct.as_ref().unwrap().as_bytes().to_vec(),
-                tuple_ct: r.tuple_ct.as_bytes().to_vec(),
-                search_tags: r.search_tags.clone(),
-            })
-            .collect();
         let before = *s.metrics();
-        s.upload_encrypted(rows).unwrap();
+        s.upload_encrypted(rows.clone()).unwrap();
         assert_charged(
             &s,
             &before,
             &WireMessage::InsertRequest(InsertRequest {
                 plain_tuples: Vec::new(),
-                encrypted_rows: wire_rows,
+                encrypted_rows: rows,
             }),
             &WireMessage::Ack(Ack { items: 4 }),
         );
@@ -756,21 +704,13 @@ mod tests {
         assert_eq!(s.metrics().encrypted_tuples_scanned, 4);
         // An empty opaque request up, the column's attribute ciphertexts
         // down.
-        let column = col
-            .iter()
-            .map(|(id, ct)| WireRow {
-                id: id.raw(),
-                attr_ct: ct.as_bytes().to_vec(),
-                ..WireRow::default()
-            })
-            .collect();
         assert_charged(
             &s,
             &before,
             &WireMessage::Opaque(Vec::new()),
             &WireMessage::BinPayload(BinPayload {
                 plain_tuples: Vec::new(),
-                encrypted_rows: column,
+                encrypted_rows: col,
             }),
         );
     }
@@ -779,7 +719,7 @@ mod tests {
     fn a_store_without_the_column_refuses_its_download_and_charges_nothing() {
         let mut s = server();
         let mut row = encrypted_rows(5).pop().unwrap();
-        row.attr_ct = None;
+        row.attr_ct = Vec::new();
         s.upload_encrypted(vec![row]).unwrap();
         let (before, clock) = (*s.metrics(), s.comm_time());
         assert!(matches!(
@@ -794,20 +734,16 @@ mod tests {
     fn a_tag_fetch_uses_the_index() {
         let mut s = server();
         s.begin_query();
-        let (plain, out) = s
+        let p = s
             .fetch_bin(&FetchBinRequest {
                 tags: vec![vec![2u8], vec![0u8], vec![77u8], vec![2u8]],
                 ..FetchBinRequest::default()
             })
             .unwrap();
         s.end_query();
-        assert!(plain.is_empty());
-        let ids: Vec<TupleId> = out.iter().map(|(id, _)| *id).collect();
-        assert_eq!(
-            ids,
-            [TupleId::new(100), TupleId::new(102)],
-            "sorted, deduplicated"
-        );
+        assert!(p.plain_tuples.is_empty());
+        let ids: Vec<u64> = p.encrypted_rows.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [100, 102], "sorted, deduplicated");
         let ep = &s.adversarial_view().episodes()[0];
         assert_eq!(ep.encrypted_request_size, 4);
         assert_eq!(ep.sensitive_returned.len(), 2);
@@ -822,10 +758,10 @@ mod tests {
         let cipher = NonDetCipher::from_seed(3);
         let mut rng = pds_common::rng::seeded_rng(5);
         let mut s = CloudServer::default();
-        s.upload_encrypted(vec![EncryptedRow {
-            id: TupleId::new(1),
-            attr_ct: None,
-            tuple_ct: cipher.encrypt(b"t", &mut rng),
+        s.upload_encrypted(vec![WireRow {
+            id: 1,
+            attr_ct: Vec::new(),
+            tuple_ct: cipher.encrypt(b"t", &mut rng).0,
             search_tags: Vec::new(),
         }])
         .unwrap();
@@ -836,7 +772,7 @@ mod tests {
         };
         assert!(matches!(s.fetch_bin(&request), Err(PdsError::Wire(_))));
         assert!(matches!(
-            s.serve(&WireMessage::FetchBinRequest(request)),
+            s.serve(WireMessage::FetchBinRequest(request)),
             Err(PdsError::Wire(_))
         ));
         assert_eq!(*s.metrics(), before);
@@ -866,7 +802,7 @@ mod tests {
             predicate: Some(residual.clone()),
             ..FetchBinRequest::default()
         };
-        let filtered = cloud.fetch_bin(&request).unwrap().0;
+        let filtered = cloud.fetch_bin(&request).unwrap().plain_tuples;
         let d = cloud.metrics().delta_since(&before);
 
         assert_eq!(unfiltered.len(), 2);
@@ -883,7 +819,7 @@ mod tests {
 
         // The daemon's message entry serves the same filtered fetch.
         match server()
-            .serve(&WireMessage::FetchBinRequest(request))
+            .serve(WireMessage::FetchBinRequest(request))
             .unwrap()
         {
             WireMessage::BinPayload(p) => assert_eq!(p.plain_tuples, filtered),
@@ -901,13 +837,10 @@ mod tests {
             tags: vec![vec![0u8]],
             predicate: None,
         };
-        let (plain, rows) = server().fetch_bin(&request).unwrap();
+        let payload = server().fetch_bin(&request).unwrap();
         let mut s = server();
-        match s.serve(&WireMessage::FetchBinRequest(request)).unwrap() {
-            WireMessage::BinPayload(p) => {
-                assert_eq!(p.plain_tuples, plain);
-                assert_eq!(p.encrypted_rows, tuple_ct_rows(&rows));
-            }
+        match s.serve(WireMessage::FetchBinRequest(request)).unwrap() {
+            WireMessage::BinPayload(p) => assert_eq!(p, payload),
             other => panic!("unexpected response {other:?}"),
         }
 
@@ -916,7 +849,7 @@ mod tests {
         let mut rng = pds_common::rng::seeded_rng(7);
         let ct = cipher.encrypt(b"z", &mut rng);
         let resp = s
-            .serve(&WireMessage::InsertRequest(InsertRequest {
+            .serve(WireMessage::InsertRequest(InsertRequest {
                 plain_tuples: vec![Tuple::new(
                     TupleId::new(500),
                     vec![Value::from("E500"), Value::from("Ops")],
@@ -933,11 +866,11 @@ mod tests {
         assert_eq!(s.plain_len(), 5);
         assert_eq!(s.encrypted_len(), 5);
         let stored = s.encrypted_store().get(TupleId::new(900)).unwrap();
-        assert_eq!(stored.attr_ct.as_ref(), Some(&ct));
+        assert_eq!(stored.attr_ct, ct.0);
 
         // An empty wire attribute ciphertext is a row stored without one.
         let resp = s
-            .serve(&WireMessage::InsertRequest(InsertRequest {
+            .serve(WireMessage::InsertRequest(InsertRequest {
                 plain_tuples: Vec::new(),
                 encrypted_rows: vec![WireRow {
                     id: 901,
@@ -949,12 +882,12 @@ mod tests {
             .unwrap();
         assert_eq!(resp, WireMessage::Ack(Ack { items: 1 }));
         let stored = s.encrypted_store().get(TupleId::new(901)).unwrap();
-        assert_eq!(stored.attr_ct, None);
-        assert_eq!(stored.tuple_ct, ct);
+        assert!(stored.attr_ct.is_empty());
+        assert_eq!(stored.tuple_ct, ct.0);
 
         // Every other kind is a typed error.
         assert!(matches!(
-            s.serve(&WireMessage::Ack(Ack { items: 1 })),
+            s.serve(WireMessage::Ack(Ack { items: 1 })),
             Err(PdsError::Wire(_))
         ));
     }
@@ -1068,7 +1001,7 @@ mod tests {
         let mut s = server();
         let before = *s.metrics();
         s.begin_query();
-        let (plain, rows) = s
+        let p = s
             .fetch_bin(&FetchBinRequest {
                 values: vec![Value::from("E259"), Value::from("E254")],
                 tags: vec![vec![0u8], vec![2u8]],
@@ -1076,8 +1009,8 @@ mod tests {
             })
             .unwrap();
         s.end_query();
-        assert_eq!(plain.len(), 2);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(p.plain_tuples.len(), 2);
+        assert_eq!(p.encrypted_rows.len(), 2);
         let d = s.metrics().delta_since(&before);
         assert_eq!(d.round_trips, 1, "one request is one round");
         assert_eq!(d.wire_frames, 2, "one request frame, one response frame");
@@ -1096,7 +1029,7 @@ mod tests {
         let mut s = server();
         let before = *s.metrics();
         s.begin_query();
-        let (plain, rows) = s
+        let p = s
             .fetch_bin_oblivious(
                 &FetchBinRequest {
                     values: vec![Value::from("E199")],
@@ -1108,8 +1041,8 @@ mod tests {
             )
             .unwrap();
         s.end_query();
-        assert_eq!(plain.len(), 1);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(p.plain_tuples.len(), 1);
+        assert_eq!(p.encrypted_rows.len(), 2);
         let d = s.metrics().delta_since(&before);
         assert_eq!(d.round_trips, 1);
         assert_eq!(d.encrypted_tuples_scanned, 4);
@@ -1137,13 +1070,13 @@ mod tests {
             ..FetchBinRequest::default()
         };
         let before = *s.metrics();
-        let (plain, rows) = s.fetch_bin(&request).unwrap();
-        assert_eq!((plain.len(), rows.len()), (1, 2));
+        let p = s.fetch_bin(&request).unwrap();
+        assert_eq!((p.plain_tuples.len(), p.encrypted_rows.len()), (1, 2));
         assert_charged(
             &s,
             &before,
             &WireMessage::FetchBinRequest(request),
-            &fetch_payload(plain, &rows),
+            &WireMessage::BinPayload(p),
         );
 
         // An enclave's selection: its tokens ride as tags.
@@ -1153,15 +1086,15 @@ mod tests {
             ..FetchBinRequest::default()
         };
         let before = *s.metrics();
-        let (plain, rows) = s
+        let p = s
             .fetch_bin_oblivious(&request, &[TupleId::new(101), TupleId::new(103)], 4)
             .unwrap();
-        assert_eq!((plain.len(), rows.len()), (1, 2));
+        assert_eq!((p.plain_tuples.len(), p.encrypted_rows.len()), (1, 2));
         assert_charged(
             &s,
             &before,
             &WireMessage::FetchBinRequest(request),
-            &fetch_payload(plain, &rows),
+            &WireMessage::BinPayload(p),
         );
     }
 
@@ -1186,7 +1119,7 @@ mod tests {
         let mut folded = server();
         let before = *folded.metrics();
         folded.begin_query();
-        let (folded_plain, folded_rows) = folded
+        let p = folded
             .fetch_bin(&FetchBinRequest {
                 values,
                 ids: ids.iter().map(|id| id.raw()).collect(),
@@ -1196,7 +1129,7 @@ mod tests {
         folded.end_query();
         let d = folded.metrics().delta_since(&before);
 
-        assert_eq!((folded_plain, folded_rows), (plain, rows));
+        assert_eq!((p.plain_tuples, p.encrypted_rows), (plain, rows));
         assert_eq!(
             folded.adversarial_view().episodes()[0].observed,
             apart.adversarial_view().episodes()[0].observed,
@@ -1214,14 +1147,15 @@ mod tests {
             "one header pair saved"
         );
         // Addresses come back in request order, tag matches after them.
-        let (_, mixed) = folded
+        let mixed = folded
             .fetch_bin(&FetchBinRequest {
                 ids: vec![103, 101],
                 tags: vec![vec![2u8], vec![0u8]],
                 ..FetchBinRequest::default()
             })
-            .unwrap();
-        let got: Vec<u64> = mixed.iter().map(|(id, _)| id.raw()).collect();
+            .unwrap()
+            .encrypted_rows;
+        let got: Vec<u64> = mixed.iter().map(|r| r.id).collect();
         assert_eq!(got, [103, 101, 100, 102]);
     }
 
@@ -1232,10 +1166,7 @@ mod tests {
         let row = encrypted_rows(1).remove(0);
         InsertRequest {
             plain_tuples: vec![tuple(first, "E500"), tuple(second, "E501")],
-            encrypted_rows: vec![WireRow {
-                id: row_id,
-                ..row.wire_parts().to_row()
-            }],
+            encrypted_rows: vec![WireRow { id: row_id, ..row }],
         }
     }
 
@@ -1245,7 +1176,7 @@ mod tests {
         let before = *s.metrics();
         let request = mixed_insert(500, 501, 900);
         let ack = s
-            .serve(&WireMessage::InsertRequest(request.clone()))
+            .serve(WireMessage::InsertRequest(request.clone()))
             .unwrap();
         assert_eq!(ack, WireMessage::Ack(Ack { items: 3 }));
         let d = s.metrics().delta_since(&before);
@@ -1274,7 +1205,7 @@ mod tests {
         ] {
             let mut s = server();
             let before = *s.metrics();
-            assert!(s.serve(&WireMessage::InsertRequest(request)).is_err());
+            assert!(s.serve(WireMessage::InsertRequest(request)).is_err());
             assert_eq!(*s.metrics(), before, "nothing charged");
             assert_eq!((s.plain_len(), s.encrypted_len()), (4, 4), "nothing stored");
             assert!(s.plain_relation().unwrap().get(TupleId::new(500)).is_none());

@@ -2,8 +2,9 @@
 //!
 //! [`CloudServer::serve`], defined here, is the daemon's message entry:
 //! the one query message goes to [`CloudServer::fetch_bin`], the same
-//! handler engines call in process, and an insert to the outsourcing
-//! path.  [`ShardDaemon`] puts that entry behind a loopback socket so the
+//! handler engines call in process, whose payload goes to the socket as
+//! built, and an insert's tuples and rows move into the stores.
+//! [`ShardDaemon`] puts that entry behind a loopback socket so the
 //! failure modes of a real network — partial reads, dead peers, hostile
 //! bytes, concurrent tenants — exist and are tested.
 //!
@@ -58,50 +59,33 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pds_common::{OrderedMutex, PdsError, Result, TupleId};
-use pds_crypto::Ciphertext;
+use pds_common::{OrderedMutex, PdsError, Result};
 use pds_obs::{obs_span, record_manual, Registry, StatsScope};
-use pds_proto::{error_frame, msg_tag, Ack, BinPayload, FrameReader, ReadFrame, WireMessage};
+use pds_proto::{error_frame, msg_tag, Ack, FrameReader, ReadFrame, WireMessage};
 
-use crate::server::{tuple_ct_rows, CloudServer};
-use crate::store::EncryptedRow;
+use crate::server::CloudServer;
 use crate::view::EpisodeLoads;
 
 impl CloudServer {
     /// Serves one decoded wire message and returns the typed response —
     /// the daemon's message entry.  A [`WireMessage::FetchBinRequest`] is
-    /// answered by [`CloudServer::fetch_bin`] as one [`BinPayload`], and a
-    /// [`WireMessage::InsertRequest`] with an [`Ack`] carrying its item
-    /// count.  Anything else is a typed [`PdsError::Wire`]: a remote peer
-    /// can send anything that decodes, and none of it may panic.
+    /// answered with the [`pds_proto::BinPayload`] [`CloudServer::fetch_bin`]
+    /// builds, and a [`WireMessage::InsertRequest`], whose tuples and rows
+    /// move into the stores, with an [`Ack`] carrying its item count.
+    /// Anything else is a typed [`PdsError::Wire`]: a remote peer can send
+    /// anything that decodes, and none of it may panic.
     ///
     /// An insert is one exchange however many clear-text tuples and
     /// encrypted rows it carries, and it is all or nothing: a request that
     /// repeats a stored id, or one of its own, stores and charges nothing.
-    pub fn serve(&mut self, msg: &WireMessage) -> Result<WireMessage> {
+    pub fn serve(&mut self, msg: WireMessage) -> Result<WireMessage> {
         let _span = obs_span("cloud.dispatch");
         match msg {
             WireMessage::FetchBinRequest(request) => {
-                let (plain_tuples, rows) = self.fetch_bin(request)?;
-                Ok(WireMessage::BinPayload(BinPayload {
-                    plain_tuples,
-                    encrypted_rows: tuple_ct_rows(&rows),
-                }))
+                self.fetch_bin(&request).map(WireMessage::BinPayload)
             }
             WireMessage::InsertRequest(request) => {
-                let rows = request
-                    .encrypted_rows
-                    .iter()
-                    .map(|row| EncryptedRow {
-                        id: TupleId::new(row.id),
-                        // A well-formed ciphertext is never empty, so an
-                        // empty one is a row stored without the column.
-                        attr_ct: (!row.attr_ct.is_empty()).then(|| Ciphertext(row.attr_ct.clone())),
-                        tuple_ct: Ciphertext(row.tuple_ct.clone()),
-                        search_tags: row.search_tags.clone(),
-                    })
-                    .collect();
-                let items = self.insert(request.plain_tuples.clone(), rows)?;
+                let items = self.insert(request.plain_tuples, request.encrypted_rows)?;
                 Ok(WireMessage::Ack(Ack { items }))
             }
             other => Err(PdsError::Wire(format!(
@@ -516,7 +500,7 @@ fn run_worker(state: &SharedState, jobs: &OrderedMutex<Receiver<Job>>) {
         // poisoned by the unwind; every lock site recovers because
         // [`OrderedMutex::lock`] resolves poison to the inner value.
         match catch_unwind(AssertUnwindSafe(|| {
-            serve_tenant(state, job.tenant, &job.msg)
+            serve_tenant(state, job.tenant, job.msg)
         })) {
             Ok(Ok(resp)) => {
                 let _ = write_msg(&job.writer, job.corr, &resp);
@@ -554,14 +538,14 @@ fn run_worker(state: &SharedState, jobs: &OrderedMutex<Receiver<Job>>) {
 }
 
 /// Serves one decoded request against the tenant's shard server.
-fn serve_tenant(state: &SharedState, tenant: u64, msg: &WireMessage) -> Result<WireMessage> {
+fn serve_tenant(state: &SharedState, tenant: u64, msg: WireMessage) -> Result<WireMessage> {
     let _span = obs_span("daemon.dispatch");
     let server = state
         .tenants
         .get(&tenant)
         .ok_or_else(|| PdsError::Cloud(format!("unknown tenant {tenant}")))?;
     let mut server = server.lock();
-    if let (Some(trigger), WireMessage::Opaque(body)) = (&state.config.panic_trigger, msg) {
+    if let (Some(trigger), WireMessage::Opaque(body)) = (&state.config.panic_trigger, &msg) {
         // Panic while holding the tenant lock, so the regression test
         // proves poison recovery, not just unwind catching.
         if body == trigger {

@@ -323,10 +323,9 @@ impl BinRoutedCloud for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::EncryptedRow;
-    use pds_common::{TupleId, Value};
+    use pds_common::Value;
     use pds_crypto::NonDetCipher;
-    use pds_proto::FetchBinRequest;
+    use pds_proto::{FetchBinRequest, WireRow};
     use pds_storage::{DataType, Schema};
 
     fn plain_relation() -> Relation {
@@ -339,14 +338,14 @@ mod tests {
         r
     }
 
-    fn encrypted_rows(base: u64, n: u64) -> Vec<EncryptedRow> {
+    fn encrypted_rows(base: u64, n: u64) -> Vec<WireRow> {
         let cipher = NonDetCipher::from_seed(9);
         let mut rng = pds_common::rng::seeded_rng(1);
         (0..n)
-            .map(|i| EncryptedRow {
-                id: TupleId::new(base + i),
-                attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
-                tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
+            .map(|i| WireRow {
+                id: base + i,
+                attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng).0,
+                tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng).0,
                 search_tags: Vec::new(),
             })
             .collect()
@@ -398,13 +397,14 @@ mod tests {
             assert_eq!(shard.plain_len(), 3, "every shard holds the replica");
         }
         let shard = BinRoutedCloud::route_sensitive_bin(&router, 2);
-        let (out, _) = router
+        let out = router
             .shard_mut(shard)
             .fetch_bin(&FetchBinRequest {
                 values: vec![Value::from("E259")],
                 ..FetchBinRequest::default()
             })
-            .unwrap();
+            .unwrap()
+            .plain_tuples;
         assert_eq!(out.len(), 1);
         // Exactly one shard observed the request (the other views are empty).
         let views = router.adversarial_views();

@@ -1,6 +1,7 @@
 //! Cloud-side storage of the encrypted sensitive relation.
 //!
-//! Each sensitive tuple is stored as an [`EncryptedRow`]:
+//! Each sensitive tuple is stored as the [`WireRow`] that uploaded it, the
+//! one encrypted-row type from store to socket:
 //!
 //! * `tuple_ct` — the whole tuple under non-deterministic encryption;
 //! * `attr_ct` — the searchable attribute value alone, also under
@@ -8,7 +9,7 @@
 //!   procedure of §V-B, which downloads this column, decrypts it
 //!   owner-side and selects addresses.  Every other back-end finds its
 //!   rows by tag, by share or DPF scan, or in an enclave, never reads the
-//!   column, and does not store it;
+//!   column, and stores it empty (a well-formed ciphertext never is);
 //! * `search_tags` — optional cloud-side searchable tags (deterministic
 //!   equality tags for the CryptDB-style back-end, per-occurrence counter
 //!   tokens for the Arx-style back-end). Absent for strongly secure
@@ -21,42 +22,7 @@
 use std::collections::{HashMap, HashSet};
 
 use pds_common::{PdsError, Result, TupleId};
-use pds_crypto::Ciphertext;
-use pds_proto::RowParts;
-
-/// One encrypted sensitive tuple as stored by the cloud.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncryptedRow {
-    /// Storage address / tuple id (what access-pattern leakage reveals).
-    pub id: TupleId,
-    /// Encryption of the searchable attribute value, present only on rows
-    /// of the No-Ind column scan (nondet-scan), the one back-end that
-    /// downloads the column; `None` elsewhere.
-    pub attr_ct: Option<Ciphertext>,
-    /// Encryption of the full tuple.
-    pub tuple_ct: Ciphertext,
-    /// Cloud-side searchable tags (empty for non-indexable back-ends).
-    pub search_tags: Vec<Vec<u8>>,
-}
-
-impl EncryptedRow {
-    /// Total stored size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        8 + self.attr_ct.as_ref().map_or(0, Ciphertext::len)
-            + self.tuple_ct.len()
-            + self.search_tags.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// The row's wire fields, borrowed (ciphertexts as opaque bytes).
-    pub(crate) fn wire_parts(&self) -> RowParts<'_> {
-        RowParts {
-            id: self.id.raw(),
-            attr_ct: self.attr_ct.as_ref().map_or(&[], Ciphertext::as_bytes),
-            tuple_ct: self.tuple_ct.as_bytes(),
-            search_tags: &self.search_tags,
-        }
-    }
-}
+use pds_proto::WireRow;
 
 fn duplicate(id: TupleId) -> PdsError {
     PdsError::Cloud(format!("duplicate encrypted tuple id {id}"))
@@ -65,7 +31,7 @@ fn duplicate(id: TupleId) -> PdsError {
 /// The encrypted store: rows plus an (optional) tag index.
 #[derive(Debug, Clone, Default)]
 pub struct EncryptedStore {
-    rows: Vec<EncryptedRow>,
+    rows: Vec<WireRow>,
     by_id: HashMap<TupleId, usize>,
     tag_index: HashMap<Vec<u8>, Vec<TupleId>>,
 }
@@ -77,13 +43,14 @@ impl EncryptedStore {
     }
 
     /// Inserts a row; ids must be unique.
-    pub fn insert(&mut self, row: EncryptedRow) -> Result<()> {
-        if self.by_id.contains_key(&row.id) {
-            return Err(duplicate(row.id));
+    pub fn insert(&mut self, row: WireRow) -> Result<()> {
+        let id = TupleId::new(row.id);
+        if self.by_id.contains_key(&id) {
+            return Err(duplicate(id));
         }
-        self.by_id.insert(row.id, self.rows.len());
+        self.by_id.insert(id, self.rows.len());
         for tag in &row.search_tags {
-            self.tag_index.entry(tag.clone()).or_default().push(row.id);
+            self.tag_index.entry(tag.clone()).or_default().push(id);
         }
         self.rows.push(row);
         Ok(())
@@ -91,13 +58,14 @@ impl EncryptedStore {
 
     /// Bulk insert, all or nothing: an id already stored, or repeated
     /// within `rows`, is an error and stores no row.
-    pub fn insert_many(&mut self, rows: Vec<EncryptedRow>) -> Result<()> {
+    pub fn insert_many(&mut self, rows: Vec<WireRow>) -> Result<()> {
         let mut seen = HashSet::with_capacity(rows.len());
-        if let Some(row) = rows
+        if let Some(id) = rows
             .iter()
-            .find(|r| self.by_id.contains_key(&r.id) || !seen.insert(r.id))
+            .map(|r| TupleId::new(r.id))
+            .find(|&id| self.by_id.contains_key(&id) || !seen.insert(id))
         {
-            return Err(duplicate(row.id));
+            return Err(duplicate(id));
         }
         for row in rows {
             self.insert(row)?;
@@ -116,17 +84,17 @@ impl EncryptedStore {
     }
 
     /// All rows, in storage order.
-    pub fn rows(&self) -> &[EncryptedRow] {
+    pub fn rows(&self) -> &[WireRow] {
         &self.rows
     }
 
     /// Fetches one row by id.
-    pub fn get(&self, id: TupleId) -> Option<&EncryptedRow> {
+    pub fn get(&self, id: TupleId) -> Option<&WireRow> {
         self.by_id.get(&id).map(|&i| &self.rows[i])
     }
 
     /// Fetches rows by id, erroring on unknown ids.
-    pub fn fetch(&self, ids: &[TupleId]) -> Result<Vec<&EncryptedRow>> {
+    pub fn fetch(&self, ids: &[TupleId]) -> Result<Vec<&WireRow>> {
         ids.iter()
             .map(|&id| {
                 self.get(id)
@@ -147,11 +115,6 @@ impl EncryptedStore {
     pub fn has_tags(&self) -> bool {
         !self.tag_index.is_empty()
     }
-
-    /// Total stored size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.rows.iter().map(EncryptedRow::size_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +122,13 @@ mod tests {
     use super::*;
     use pds_crypto::NonDetCipher;
 
-    fn row(id: u64, tags: Vec<Vec<u8>>) -> EncryptedRow {
+    fn row(id: u64, tags: Vec<Vec<u8>>) -> WireRow {
         let cipher = NonDetCipher::from_seed(1);
         let mut rng = pds_common::rng::seeded_rng(id);
-        EncryptedRow {
-            id: TupleId::new(id),
-            attr_ct: Some(cipher.encrypt(b"attr", &mut rng)),
-            tuple_ct: cipher.encrypt(b"tuple-payload", &mut rng),
+        WireRow {
+            id,
+            attr_ct: cipher.encrypt(b"attr", &mut rng).0,
+            tuple_ct: cipher.encrypt(b"tuple-payload", &mut rng).0,
             search_tags: tags,
         }
     }
@@ -219,19 +182,5 @@ mod tests {
         assert_eq!(store.lookup_tag(&[1, 2, 3]).len(), 2);
         assert_eq!(store.lookup_tag(&[9]).len(), 1);
         assert_eq!(store.lookup_tag(&[0]).len(), 0);
-    }
-
-    #[test]
-    fn sizes_count_every_stored_field() {
-        let mut store = EncryptedStore::new();
-        let (a, mut b) = (row(0, vec![]), row(1, vec![vec![5; 16]]));
-        b.attr_ct = None;
-        let cts =
-            |r: &EncryptedRow| r.attr_ct.as_ref().map_or(0, Ciphertext::len) + r.tuple_ct.len();
-        assert_eq!(a.size_bytes(), 8 + cts(&a));
-        assert_eq!(b.size_bytes(), 8 + cts(&b) + 16);
-        let want = a.size_bytes() + b.size_bytes();
-        store.insert_many(vec![a, b]).unwrap();
-        assert_eq!(store.size_bytes(), want);
     }
 }

@@ -27,11 +27,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pds_common::{OrderedMutex, PdsError, Result, TupleId};
-use pds_crypto::Ciphertext;
-use pds_proto::{FetchBinRequest, FrameReader, Hello, PooledBuf, ReadFrame, WireMessage};
-
-use crate::server::BinPairResult;
+use pds_common::{OrderedMutex, PdsError, Result};
+use pds_proto::{
+    BinPayload, FetchBinRequest, FrameReader, Hello, PooledBuf, ReadFrame, WireMessage,
+};
 
 /// Frame bytes a client's connections wrote to and read from their
 /// sockets, shared by every connection the client dials.
@@ -194,8 +193,9 @@ impl TcpShardConn {
         self.enqueue(&WireMessage::FetchBinRequest(request))
     }
 
-    /// Reads one pipelined response frame and interprets it as a composed
-    /// episode answer.  The two error levels are deliberate:
+    /// Reads one pipelined response frame and returns the decoded
+    /// [`BinPayload`] as the composed episode's answer.  The two error
+    /// levels are deliberate:
     ///
     /// * **outer `Err`** — the stream itself failed (EOF mid-call, I/O
     ///   error, corrupt frame): the connection is unusable and the caller
@@ -203,16 +203,10 @@ impl TcpShardConn {
     /// * **inner `Err`** — the daemon answered *this* correlation id with
     ///   a typed error frame: the connection is still healthy, but the
     ///   episode was refused and replaying it would be refused again.
-    pub fn recv_bin_pair(&mut self) -> Result<(u64, Result<BinPairResult>)> {
+    pub fn recv_bin_pair(&mut self) -> Result<(u64, Result<BinPayload>)> {
         let (corr, resp) = self.recv_response()?;
         let result = match resp {
-            WireMessage::BinPayload(p) => Ok((
-                p.plain_tuples,
-                p.encrypted_rows
-                    .into_iter()
-                    .map(|row| (TupleId::new(row.id), Ciphertext(row.tuple_ct)))
-                    .collect(),
-            )),
+            WireMessage::BinPayload(p) => Ok(p),
             WireMessage::Error(e) => Err(e.into_error()),
             other => Err(PdsError::Wire(format!(
                 "expected a BinPayload answer, got {}",

@@ -92,9 +92,8 @@ mod tests {
     use super::*;
     use crate::network::NetworkModel;
     use crate::server::CloudServer;
-    use crate::store::EncryptedRow;
-    use pds_common::TupleId;
     use pds_crypto::NonDetCipher;
+    use pds_proto::WireRow;
 
     fn shards(n: usize) -> Vec<CloudServer> {
         (0..n)
@@ -102,14 +101,14 @@ mod tests {
             .collect()
     }
 
-    fn rows(base: u64, n: u64) -> Vec<EncryptedRow> {
+    fn rows(base: u64, n: u64) -> Vec<WireRow> {
         let cipher = NonDetCipher::from_seed(3);
         let mut rng = pds_common::rng::seeded_rng(base);
         (0..n)
-            .map(|i| EncryptedRow {
-                id: TupleId::new(base + i),
-                attr_ct: Some(cipher.encrypt(b"attr", &mut rng)),
-                tuple_ct: cipher.encrypt(b"tuple", &mut rng),
+            .map(|i| WireRow {
+                id: base + i,
+                attr_ct: cipher.encrypt(b"attr", &mut rng).0,
+                tuple_ct: cipher.encrypt(b"tuple", &mut rng).0,
                 search_tags: Vec::new(),
             })
             .collect()

@@ -27,7 +27,7 @@ fn fetch(values: &[&str]) -> WireMessage {
 /// on an identically-built server in process — the byte-identical
 /// reference every daemon answer is held against.
 fn reference_bytes(seed: u64, msg: &WireMessage) -> Vec<u8> {
-    server(seed).serve(msg).unwrap().encode().unwrap()
+    server(seed).serve(msg.clone()).unwrap().encode().unwrap()
 }
 
 #[test]

@@ -7,10 +7,8 @@
 //! This test owns the process-global tracing switch, so it lives in its
 //! own integration-test binary with a single `#[test]`.
 
-use pds_cloud::{
-    CloudServer, EncryptedRow, NetworkModel, ServiceConfig, ShardDaemon, TcpShardConn,
-};
-use pds_common::{TupleId, Value};
+use pds_cloud::{CloudServer, NetworkModel, ServiceConfig, ShardDaemon, TcpShardConn, WireRow};
+use pds_common::Value;
 use pds_crypto::NonDetCipher;
 use pds_obs::StatsScope;
 use pds_proto::{FetchBinRequest, WireMessage};
@@ -26,11 +24,11 @@ fn server(seed: u64) -> CloudServer {
     s.upload_plaintext(r, "EId").unwrap();
     let cipher = NonDetCipher::from_seed(seed);
     let mut rng = pds_common::rng::seeded_rng(seed);
-    let rows: Vec<EncryptedRow> = (0..3u64)
-        .map(|i| EncryptedRow {
-            id: TupleId::new(100 + i),
-            attr_ct: Some(cipher.encrypt(format!("v{i}").as_bytes(), &mut rng)),
-            tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng),
+    let rows: Vec<WireRow> = (0..3u64)
+        .map(|i| WireRow {
+            id: 100 + i,
+            attr_ct: cipher.encrypt(format!("v{i}").as_bytes(), &mut rng).0,
+            tuple_ct: cipher.encrypt(format!("tuple{i}").as_bytes(), &mut rng).0,
             search_tags: vec![vec![i as u8]],
         })
         .collect();

@@ -47,26 +47,10 @@ impl Value {
         }
     }
 
-    /// Returns the text payload if this is a [`Value::Text`].
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns the byte payload if this is a [`Value::Bytes`].
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean payload if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

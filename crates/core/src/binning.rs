@@ -291,13 +291,6 @@ impl QueryBinning {
             .collect()
     }
 
-    /// Number of values in one non-sensitive bin, without cloning its
-    /// contents (callers that only need the size — per-query stats — would
-    /// otherwise pay a whole-bin allocation per retrieval).
-    pub fn nonsensitive_bin_len(&self, j: usize) -> usize {
-        self.nonsensitive_bins[j].iter().flatten().count()
-    }
-
     /// Number of sensitive bins actually populated.
     pub fn sensitive_bin_count(&self) -> usize {
         self.sensitive_bins.len()

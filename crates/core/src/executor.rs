@@ -96,9 +96,9 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     /// Owner-side hot-bin cache over already-retrieved, already-decrypted
     /// bins.  Capacity 0 (the default) disables it entirely.
     cache: BinCache,
-    /// The tenant this executor acts for in a multi-tenant deployment.
-    /// Namespaces the hot-bin cache keys and must match the tenant a
-    /// [`BinTransport::Tcp`] client authenticates as.
+    /// The tenant this executor acts for in a multi-tenant deployment:
+    /// it must match the tenant a [`BinTransport::Tcp`] client
+    /// authenticates as.
     tenant: u64,
 }
 
@@ -140,14 +140,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         self.tenant
     }
 
-    /// Sets the tenant this executor acts for.  Cache keys are namespaced
-    /// by tenant, and [`QbExecutor::run_workload_transported`] over
-    /// [`BinTransport::Tcp`] refuses a client authenticated as a
-    /// *different* tenant — the daemon would silently serve the other
-    /// tenant's bins otherwise.
+    /// Sets the tenant this executor acts for.
+    /// [`QbExecutor::run_workload_transported`] over [`BinTransport::Tcp`]
+    /// refuses a client authenticated as a *different* tenant — the daemon
+    /// would silently serve the other tenant's bins otherwise.
     pub fn set_tenant(&mut self, tenant: u64) {
         self.tenant = tenant;
-        self.cache.set_tenant(tenant);
     }
 
     /// Sets how episodes are shaped on the wire (builder form).
@@ -224,7 +222,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// `capacity` bins (entries and counters are reset).
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache = BinCache::new(capacity);
-        self.cache.set_tenant(self.tenant);
     }
 
     /// Cumulative hit/miss counters of the hot-bin cache
@@ -324,7 +321,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // change with the new binning, so neither cached contents nor the
         // seen-pair history may carry over.
         self.cache = BinCache::new(self.cache.capacity());
-        self.cache.set_tenant(self.tenant);
 
         // Sensitive side: clone, append fake tuples per bin, then move the
         // tuples into one sub-relation per shard (a sensitive bin lives on
@@ -570,8 +566,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
         match self.binning.nonsensitive_assignment(value) {
             Some(assign) => {
-                self.cache
-                    .invalidate(BinKey::nonsensitive(assign.bin).for_tenant(self.tenant));
+                self.cache.invalidate(BinKey::nonsensitive(assign.bin));
             }
             None => self.cache.clear(),
         }
@@ -677,8 +672,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             }
             if client.tenant() != self.tenant {
                 return Err(PdsError::Config(format!(
-                    "TCP client authenticates as tenant {} but this executor is \
-                     namespaced to tenant {}",
+                    "TCP client authenticates as tenant {} but this executor acts \
+                     for tenant {}",
                     client.tenant(),
                     self.tenant
                 )));

@@ -108,20 +108,10 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// A model seeded with the named engines' static profiles.  Names
-    /// without a shipped profile are skipped (estimates for them return
-    /// `None`, and [`choose_engines`] will never pick them).
-    pub fn seeded(names: &[&str]) -> CostModel {
-        let mut model = CostModel::default();
-        for name in names {
-            if let Some(profile) = CostProfile::for_engine(name) {
-                model.seeds.insert((*name).to_string(), profile);
-            }
-        }
-        model
-    }
-
-    /// Seeds (or replaces) one engine's profile explicitly.
+    /// Seeds (or replaces) one engine's profile: an engine seeds its own,
+    /// `model.seed_engine(engine.name(), engine.cost_profile())`.  Engines
+    /// without a seed have no estimate, and [`choose_engines`] never picks
+    /// them.
     pub fn seed_engine(&mut self, name: &str, profile: CostProfile) {
         self.seeds.insert(name.to_string(), profile);
     }
@@ -162,11 +152,6 @@ impl CostModel {
     /// latency-bound link — the reason composed episodes exist.
     pub fn set_round_trip_cost(&mut self, sec: f64) {
         self.round_trip_sec = sec;
-    }
-
-    /// The per-round latency charge in force.
-    pub fn round_trip_cost(&self) -> f64 {
-        self.round_trip_sec
     }
 
     /// The cost estimate for running `work` through `engine`, in seconds:
@@ -325,15 +310,21 @@ mod tests {
         .collect()
     }
 
+    /// A model seeded by the suite's engines themselves.
     fn suite_model() -> CostModel {
-        CostModel::seeded(&[
-            "det-index",
-            "nondet-scan",
-            "secret-sharing",
-            "dpf",
-            "opaque-sim",
-            "jana-sim",
-        ])
+        let engines: [Box<dyn SecureSelectionEngine>; 6] = [
+            Box::new(pds_systems::DeterministicIndexEngine::new()),
+            Box::new(pds_systems::NonDetScanEngine::new()),
+            Box::new(pds_systems::SecretSharingEngine::new(3, 5)),
+            Box::new(pds_systems::DpfEngine::new(7)),
+            Box::new(pds_systems::oblivious::opaque_sim()),
+            Box::new(pds_systems::JanaSimEngine::new()),
+        ];
+        let mut model = CostModel::default();
+        for engine in &engines {
+            model.seed_engine(engine.name(), engine.cost_profile());
+        }
+        model
     }
 
     /// Installs the same pilot work profile for every (candidate, shard).

@@ -788,7 +788,7 @@ fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
         .rows()
         .iter()
         .take(3)
-        .map(|r| r.id.raw())
+        .map(|r| r.id)
         .collect();
     let request = FetchBinRequest {
         values: vec![first_plain_value(&tenant)],
@@ -808,7 +808,7 @@ fn a_values_and_ids_fetch_is_one_exchange_at_the_daemon() {
 fn a_values_and_tags_fetch_is_one_exchange_at_the_daemon() {
     let tenant = tenant_deployment(1, 1, DeterministicIndexEngine::new());
     let row = &tenant.router.shards()[0].encrypted_store().rows()[0];
-    let (id, tags) = (row.id.raw(), row.search_tags.clone());
+    let (id, tags) = (row.id, row.search_tags.clone());
     let request = FetchBinRequest {
         values: vec![first_plain_value(&tenant)],
         tags,
@@ -840,7 +840,7 @@ fn a_multi_item_insert_is_one_exchange_at_the_daemon() {
         id: fresh + 2,
         // Det-index rows carry no attribute ciphertext: an empty wire field.
         attr_ct: Vec::new(),
-        tuple_ct: row.tuple_ct.as_bytes().to_vec(),
+        tuple_ct: row.tuple_ct.clone(),
         search_tags: row.search_tags.clone(),
     }];
     let request = WireMessage::InsertRequest(InsertRequest {

@@ -9,10 +9,11 @@
 //!    collects events from every thread — including threads that have
 //!    already exited — for JSON-lines emission. When tracing is
 //!    disabled the fast path is a single relaxed atomic load.
-//! 2. **Metrics registry** ([`metrics`]): named counters, gauges, and
-//!    log-bucketed latency histograms (p50/p90/p99/p999) with sorted
-//!    labels, rendered as byte-stable Prometheus text, optionally
-//!    scoped to one tenant's series plus unlabelled shard health.
+//! 2. **Metrics** ([`metrics`]): a registry of named counters and
+//!    gauges with sorted labels, rendered as byte-stable Prometheus
+//!    text, optionally scoped to one tenant's series plus unlabelled
+//!    shard health; and log-bucketed latency histograms
+//!    (nearest-rank percentiles within one bucket width).
 //! 3. **Trace reports** ([`report`]): offline aggregation of a
 //!    JSON-lines trace into per-phase self-time totals and a
 //!    critical-path breakdown, with a wall-clock coverage gate.
@@ -29,7 +30,7 @@ pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{global, Histogram, LatencySummary, Registry, StatsScope, HISTOGRAM_GROWTH};
+pub use metrics::{Histogram, LatencySummary, Registry, StatsScope, HISTOGRAM_GROWTH};
 pub use report::{analyze_trace, render_report, Report};
 pub use trace::{
     drain, now_ns, obs_span, parse_trace_line, record_manual, set_tracing, tracing_enabled,

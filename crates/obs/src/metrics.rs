@@ -1,4 +1,5 @@
-//! Metrics registry: counters, gauges, log-bucketed latency histograms.
+//! Metrics registry (counters and gauges) and log-bucketed latency
+//! histograms.
 //!
 //! Series are keyed by `(name, sorted labels)` in a `BTreeMap`, so the
 //! Prometheus-text rendering is byte-stable for deterministic inputs —
@@ -8,7 +9,7 @@
 //! exact nearest-rank value.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Multiplicative bucket growth factor (2^(1/4)): every reported
 /// percentile is within ×1.19 of the exact nearest-rank sample.
@@ -28,7 +29,6 @@ pub struct Histogram {
     /// `i64::MIN` is the underflow bucket for values ≤ 0.
     buckets: BTreeMap<i64, u64>,
     count: u64,
-    sum: f64,
     min: f64,
     max: f64,
 }
@@ -56,7 +56,6 @@ impl Histogram {
             self.max = self.max.max(v);
         }
         self.count += 1;
-        self.sum += v;
         *self.buckets.entry(Self::bucket_index(v)).or_insert(0) += 1;
     }
 
@@ -65,26 +64,12 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Largest observation, or 0 when empty.
     pub fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 
@@ -136,11 +121,6 @@ impl LatencySummary {
         self.hist.count()
     }
 
-    /// Mean latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        self.hist.mean()
-    }
-
     /// Percentile estimate in milliseconds (see [`Histogram::percentile`]).
     pub fn percentile_ms(&self, p: f64) -> f64 {
         self.hist.percentile(p)
@@ -162,7 +142,6 @@ struct SeriesKey {
 enum SeriesValue {
     Counter(u64),
     Gauge(f64),
-    Hist(Histogram),
 }
 
 impl SeriesValue {
@@ -170,7 +149,6 @@ impl SeriesValue {
         match self {
             SeriesValue::Counter(_) => "counter",
             SeriesValue::Gauge(_) => "gauge",
-            SeriesValue::Hist(_) => "summary",
         }
     }
 }
@@ -242,22 +220,6 @@ impl Registry {
         series.insert(key(name, labels), SeriesValue::Gauge(value));
     }
 
-    /// Record one observation into a histogram series.
-    pub fn hist_observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let mut series = relock(&self.series);
-        let entry = series
-            .entry(key(name, labels))
-            .or_insert_with(|| SeriesValue::Hist(Histogram::new()));
-        match entry {
-            SeriesValue::Hist(h) => h.observe(value),
-            other => {
-                let mut h = Histogram::new();
-                h.observe(value);
-                *other = SeriesValue::Hist(h);
-            }
-        }
-    }
-
     /// Current value of a counter series (0 if absent). For tests and
     /// report plumbing.
     pub fn get_counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
@@ -267,25 +229,11 @@ impl Registry {
         }
     }
 
-    /// Current value of a gauge series (`None` if absent).
-    pub fn get_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match relock(&self.series).get(&key(name, labels)) {
-            Some(SeriesValue::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
-    /// Drop every series. For tests that need a clean global registry.
-    pub fn reset(&self) {
-        relock(&self.series).clear();
-    }
-
     /// Render the registry as Prometheus text format.
     ///
     /// Series are emitted in sorted `(name, labels)` order with one
     /// `# TYPE` line per metric name, so two registries holding the
-    /// same values render byte-identically. Histograms render as
-    /// summaries (`quantile` labels + `_count`/`_sum`).
+    /// same values render byte-identically.
     pub fn render(&self, scope: StatsScope) -> String {
         let series = relock(&self.series);
         let mut out = String::new();
@@ -302,52 +250,11 @@ impl Registry {
                 out.push('\n');
                 last_name = Some(k.name.as_str());
             }
-            match v {
-                SeriesValue::Counter(c) => {
-                    render_sample(&mut out, &k.name, &k.labels, None, &c.to_string());
-                }
-                SeriesValue::Gauge(g) => {
-                    render_sample(
-                        &mut out,
-                        &k.name,
-                        &k.labels,
-                        None,
-                        &crate::trace::format_f64(*g),
-                    );
-                }
-                SeriesValue::Hist(h) => {
-                    for (q, p) in [
-                        ("0.5", 50.0),
-                        ("0.9", 90.0),
-                        ("0.99", 99.0),
-                        ("0.999", 99.9),
-                    ] {
-                        render_sample(
-                            &mut out,
-                            &k.name,
-                            &k.labels,
-                            Some(q),
-                            &crate::trace::format_f64(h.percentile(p)),
-                        );
-                    }
-                    let count_name = format!("{}_count", k.name);
-                    render_sample(
-                        &mut out,
-                        &count_name,
-                        &k.labels,
-                        None,
-                        &h.count().to_string(),
-                    );
-                    let sum_name = format!("{}_sum", k.name);
-                    render_sample(
-                        &mut out,
-                        &sum_name,
-                        &k.labels,
-                        None,
-                        &crate::trace::format_f64(h.sum()),
-                    );
-                }
-            }
+            let value = match v {
+                SeriesValue::Counter(c) => c.to_string(),
+                SeriesValue::Gauge(g) => crate::trace::format_f64(*g),
+            };
+            render_sample(&mut out, &k.name, &k.labels, &value);
         }
         out
     }
@@ -363,33 +270,17 @@ impl Registry {
     }
 }
 
-fn render_sample(
-    out: &mut String,
-    name: &str,
-    labels: &[(String, String)],
-    quantile: Option<&str>,
-    value: &str,
-) {
+fn render_sample(out: &mut String, name: &str, labels: &[(String, String)], value: &str) {
     out.push_str(name);
-    if !labels.is_empty() || quantile.is_some() {
+    if !labels.is_empty() {
         out.push('{');
-        let mut first = true;
-        for (k, v) in labels {
-            if !first {
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             out.push_str(k);
             out.push_str("=\"");
             out.push_str(v);
-            out.push('"');
-        }
-        if let Some(q) = quantile {
-            if !first {
-                out.push(',');
-            }
-            out.push_str("quantile=\"");
-            out.push_str(q);
             out.push('"');
         }
         out.push('}');
@@ -397,13 +288,6 @@ fn render_sample(
     out.push(' ');
     out.push_str(value);
     out.push('\n');
-}
-
-/// Process-global registry for call sites without a daemon-local one
-/// (owner-side caches, planner gauges, bench summaries).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]

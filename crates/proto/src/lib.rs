@@ -22,14 +22,16 @@
 //!   would carry.  The length is the encoder's own output counted
 //!   instead of stored ([`WireMessage::encoded_len`], and
 //!   [`fetch_frame_len`], [`rows_frame_len`] and [`ack_frame_len`] over
-//!   borrowed fields): one writer per wire item both sizes and encodes.
+//!   borrowed fields, the rows as the [`WireRow`]s a cloud stores): one
+//!   writer per wire item both sizes and encodes.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
 //!
 //! Layering: this crate depends only on `pds-common` (values, errors) and
 //! `pds-storage` (tuples).  Ciphertexts travel as opaque byte strings
-//! ([`WireRow`]), so no crypto types leak into the protocol.
+//! ([`WireRow`], also the row type the cloud stores and answers with), so
+//! no crypto types leak into the protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,6 @@ pub use frame::{
 };
 pub use messages::{
     ack_frame_len, error_frame, fetch_frame_len, msg_tag, rows_frame_len, Ack, BinPayload,
-    ErrorFrame, FetchBinRequest, Hello, InsertRequest, RowParts, WireMessage, WireRow,
+    ErrorFrame, FetchBinRequest, Hello, InsertRequest, WireMessage, WireRow,
 };
 pub use pool::{pool_stats, thread_pool_stats, PoolStats, PooledBuf};

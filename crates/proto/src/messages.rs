@@ -31,9 +31,9 @@
 //! number of bytes.  [`WireMessage::encoded_len`] runs the payload writer
 //! into the counter, and the borrowed entry points [`fetch_frame_len`],
 //! [`rows_frame_len`] and [`ack_frame_len`] run the query, rows and
-//! acknowledgement writers over slices, [`RowParts`] and counts, so an
-//! accounting layer charges exactly the bytes a frame carries without
-//! building the message, and the two lengths agree by construction.
+//! acknowledgement writers over slices and counts, so an accounting layer
+//! charges exactly the bytes a frame carries without building the message,
+//! and the two lengths agree by construction.
 //!
 //! Decoding is total: every read is bounds-checked and malformed payloads
 //! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
@@ -50,11 +50,13 @@ use pds_storage::{Predicate, Tuple};
 use crate::frame::{begin_frame, checked_frame_len, decode_frame_corr, encoded_len, finish_frame};
 use crate::pool::{self, PooledBuf};
 
-/// One encrypted row as it travels over the wire.
+/// One encrypted row: how the cloud stores a sensitive tuple, and how the
+/// tuple travels over the wire.
 ///
-/// Ciphertexts are opaque byte strings at this layer — `pds-cloud` converts
-/// its `EncryptedRow` (whose fields are `pds_crypto::Ciphertext`) to and
-/// from this struct, keeping the protocol crate free of crypto types.
+/// Ciphertexts are opaque byte strings at this layer, keeping the protocol
+/// crate free of crypto types.  `pds-cloud` stores these rows as they
+/// arrive and answers fetches with rows that carry only the fields the
+/// answer needs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireRow {
     /// Storage address / tuple id.
@@ -65,21 +67,19 @@ pub struct WireRow {
     /// A well-formed ciphertext is never empty, so the two cannot be
     /// confused.
     pub attr_ct: Vec<u8>,
-    /// Ciphertext of the full tuple.
+    /// Ciphertext of the full tuple; empty in a column download, which
+    /// carries only attribute ciphertexts.
     pub tuple_ct: Vec<u8>,
     /// Cloud-side searchable tags.
     pub search_tags: Vec<Vec<u8>>,
 }
 
 impl WireRow {
-    /// The row's fields, borrowed.
-    pub fn parts(&self) -> RowParts<'_> {
-        RowParts {
-            id: self.id,
-            attr_ct: &self.attr_ct,
-            tuple_ct: &self.tuple_ct,
-            search_tags: &self.search_tags,
-        }
+    fn write(&self, out: &mut impl Sink) {
+        write_varint(out, self.id);
+        write_bytes(out, &self.attr_ct);
+        write_bytes(out, &self.tuple_ct);
+        write_list(out, &self.search_tags, |out, tag| write_bytes(out, tag));
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self> {
@@ -93,40 +93,6 @@ impl WireRow {
             tuple_ct,
             search_tags,
         })
-    }
-}
-
-/// One encrypted row's wire fields, borrowed from wherever the row lives
-/// (a [`WireRow`], or a cloud store's ciphertexts).  An empty slice stands
-/// for a field the message leaves empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowParts<'a> {
-    /// Storage address / tuple id.
-    pub id: u64,
-    /// Ciphertext of the searchable attribute value.
-    pub attr_ct: &'a [u8],
-    /// Ciphertext of the full tuple.
-    pub tuple_ct: &'a [u8],
-    /// Cloud-side searchable tags.
-    pub search_tags: &'a [Vec<u8>],
-}
-
-impl RowParts<'_> {
-    /// An owned [`WireRow`] with these fields.
-    pub fn to_row(&self) -> WireRow {
-        WireRow {
-            id: self.id,
-            attr_ct: self.attr_ct.to_vec(),
-            tuple_ct: self.tuple_ct.to_vec(),
-            search_tags: self.search_tags.to_vec(),
-        }
-    }
-
-    fn write(&self, out: &mut impl Sink) {
-        write_varint(out, self.id);
-        write_bytes(out, self.attr_ct);
-        write_bytes(out, self.tuple_ct);
-        write_list(out, self.search_tags, |out, tag| write_bytes(out, tag));
     }
 }
 
@@ -350,7 +316,7 @@ impl WireMessage {
             | WireMessage::InsertRequest(InsertRequest {
                 plain_tuples,
                 encrypted_rows,
-            }) => write_rows(out, plain_tuples, encrypted_rows.iter().map(WireRow::parts)),
+            }) => write_rows(out, plain_tuples, encrypted_rows),
             WireMessage::Ack(m) => write_varint(out, m.items),
             WireMessage::Error(m) => {
                 write_bytes(out, m.category.as_bytes());
@@ -433,10 +399,7 @@ pub fn fetch_frame_len(
 /// The frame length of a [`BinPayload`] or an [`InsertRequest`] (the two
 /// share one layout) carrying `plain_tuples` and `rows`, counted without
 /// building or encoding it.  Fails where encoding would.
-pub fn rows_frame_len<'a>(
-    plain_tuples: &[Tuple],
-    rows: impl ExactSizeIterator<Item = RowParts<'a>>,
-) -> Result<usize> {
+pub fn rows_frame_len(plain_tuples: &[Tuple], rows: &[WireRow]) -> Result<usize> {
     counted_frame_len(|out| {
         write_rows(out, plain_tuples, rows);
         Ok(())
@@ -467,16 +430,9 @@ fn write_fetch(
 
 /// Writes the layout [`BinPayload`] and [`InsertRequest`] share: the
 /// clear-text tuples as a list, then the encrypted rows as a list.
-fn write_rows<'a>(
-    out: &mut impl Sink,
-    plain_tuples: &[Tuple],
-    rows: impl ExactSizeIterator<Item = RowParts<'a>>,
-) {
+fn write_rows(out: &mut impl Sink, plain_tuples: &[Tuple], rows: &[WireRow]) {
     write_list(out, plain_tuples, write_tuple);
-    write_len(out, rows.len());
-    for row in rows {
-        row.write(out);
-    }
+    write_list(out, rows, |out, row| row.write(out));
 }
 
 /// Builds the wire form of a [`PdsError`].

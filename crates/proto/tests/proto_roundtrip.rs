@@ -231,7 +231,7 @@ proptest! {
             }
             WireMessage::BinPayload(BinPayload { plain_tuples, encrypted_rows })
             | WireMessage::InsertRequest(InsertRequest { plain_tuples, encrypted_rows }) => {
-                rows_frame_len(plain_tuples, encrypted_rows.iter().map(WireRow::parts))
+                rows_frame_len(plain_tuples, encrypted_rows)
             }
             _ => return Ok(()),
         };

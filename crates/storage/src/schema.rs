@@ -50,12 +50,6 @@ impl Attribute {
             domain: Domain::Open,
         }
     }
-
-    /// Sets the declared domain.
-    pub fn with_domain(mut self, domain: Domain) -> Self {
-        self.domain = domain;
-        self
-    }
 }
 
 /// An ordered collection of attributes.

@@ -138,24 +138,6 @@ impl CostProfile {
         }
     }
 
-    /// The seed profile for a back-end, keyed by its
-    /// [`crate::SecureSelectionEngine::name`].  This is what the planner's
-    /// cost model prices observed work with; `None` for names no shipped
-    /// engine reports.
-    pub fn for_engine(name: &str) -> Option<CostProfile> {
-        match name {
-            "cleartext" => Some(CostProfile::cleartext()),
-            "nondet-scan" => Some(CostProfile::nondet_scan()),
-            "det-index" => Some(CostProfile::det_index()),
-            "arx-index" => Some(CostProfile::arx()),
-            "secret-sharing" => Some(CostProfile::secret_sharing()),
-            "dpf" => Some(CostProfile::dpf()),
-            "opaque-sim" => Some(CostProfile::opaque()),
-            "jana-sim" => Some(CostProfile::jana()),
-            _ => None,
-        }
-    }
-
     /// The paper's β for this profile (ratio of encrypted to plaintext
     /// per-tuple processing cost).
     pub fn beta(&self) -> f64 {
@@ -271,30 +253,6 @@ mod tests {
         assert!((one - p.per_query_fixed_sec).abs() < 1e-9);
         let many = computation_time_for_queries(&m, &p, 4);
         assert!((many - 4.0 * p.per_query_fixed_sec).abs() < 1e-9);
-    }
-
-    #[test]
-    fn engine_name_seeds_agree_with_engine_profiles() {
-        use crate::engine::SecureSelectionEngine;
-        use crate::oblivious::ObliviousKind;
-        let engines: Vec<Box<dyn SecureSelectionEngine>> = vec![
-            Box::new(crate::NonDetScanEngine::new()),
-            Box::new(crate::DeterministicIndexEngine::new()),
-            Box::new(crate::ArxEngine::new()),
-            Box::new(crate::SecretSharingEngine::new(3, 5)),
-            Box::new(crate::DpfEngine::new(7)),
-            Box::new(crate::ObliviousScanEngine::new(ObliviousKind::Opaque)),
-            Box::new(crate::ObliviousScanEngine::new(ObliviousKind::Jana)),
-        ];
-        for engine in &engines {
-            assert_eq!(
-                CostProfile::for_engine(engine.name()),
-                Some(engine.cost_profile()),
-                "seed profile for `{}` drifted from the engine's own profile",
-                engine.name()
-            );
-        }
-        assert_eq!(CostProfile::for_engine("no-such-engine"), None);
     }
 
     #[test]

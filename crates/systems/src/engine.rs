@@ -1,8 +1,9 @@
 //! The common interface of secure selection back-ends.
 
-use pds_cloud::{BinEpisodeRequest, BinPairResult, CloudServer, DbOwner};
+use pds_cloud::{BinEpisodeRequest, BinPayload, CloudServer, DbOwner};
 use pds_common::PdsError;
 use pds_common::{AttrId, Result, TupleId, Value};
+use pds_crypto::Ciphertext;
 use pds_storage::{Relation, Tuple};
 
 use crate::cost::CostProfile;
@@ -225,17 +226,17 @@ pub fn finish_episode(
     owner: &mut DbOwner,
     attr: AttrId,
     request: &BinEpisodeRequest,
-    (nonsensitive, rows): BinPairResult,
+    payload: BinPayload,
 ) -> Result<BinEpisodeOutcome> {
-    let mut sensitive = Vec::with_capacity(rows.len());
-    for (_, ct) in &rows {
-        let tuple = owner.decrypt_tuple(ct)?;
+    let mut sensitive = Vec::with_capacity(payload.encrypted_rows.len());
+    for row in payload.encrypted_rows {
+        let tuple = owner.decrypt_tuple(&Ciphertext(row.tuple_ct))?;
         if request.sensitive_values.contains(tuple.value(attr)) {
             sensitive.push(tuple);
         }
     }
     Ok(BinEpisodeOutcome {
-        nonsensitive,
+        nonsensitive: payload.plain_tuples,
         sensitive,
     })
 }
@@ -262,7 +263,9 @@ pub fn fine_grained_bin_episode<E: SecureSelectionEngine + ?Sized>(
     let nonsensitive = if request.nonsensitive_values.is_empty() {
         Vec::new()
     } else {
-        cloud.fetch_bin(&request.to_wire(Vec::new(), &[]))?.0
+        cloud
+            .fetch_bin(&request.to_wire(Vec::new(), &[]))?
+            .plain_tuples
     };
     let sensitive = if request.sensitive_values.is_empty() {
         Vec::new()

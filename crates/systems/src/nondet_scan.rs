@@ -14,6 +14,7 @@
 
 use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, Result, TupleId, Value};
+use pds_crypto::Ciphertext;
 use pds_storage::Relation;
 
 use crate::cost::CostProfile;
@@ -64,11 +65,10 @@ impl SecureSelectionEngine for NonDetScanEngine {
         values: &[Value],
     ) -> Result<Vec<TupleId>> {
         self.searchable_attr()?;
-        let column = cloud.download_encrypted_attr_column()?;
         let mut matching = Vec::new();
-        for (id, ct) in &column {
-            if values.contains(&owner.decrypt_value(ct)?) {
-                matching.push(*id);
+        for row in cloud.download_encrypted_attr_column()? {
+            if values.contains(&owner.decrypt_value(&Ciphertext(row.attr_ct))?) {
+                matching.push(TupleId::new(row.id));
             }
         }
         Ok(matching)

@@ -121,7 +121,7 @@ fn every_lineitem_ciphertext_is_87_bytes() {
         for row in server.encrypted_store().rows() {
             assert_eq!(row.tuple_ct.len(), 87, "row {:?}", row.id);
             stored += 1;
-            stored_fakes += usize::from(fakes.contains(&row.id));
+            stored_fakes += usize::from(fakes.contains(&TupleId::new(row.id)));
         }
     }
     assert_eq!(stored, parts.sensitive.len() + fakes.len());

@@ -76,7 +76,11 @@ fn synthetic_model(shards: usize, seed: u64) -> (CostModel, Vec<EngineCandidate>
         .map(|i| EngineCandidate::of(backend(i).as_ref()))
         .collect();
     let names: Vec<&str> = candidates.iter().map(|c| c.name.as_str()).collect();
-    let mut model = CostModel::seeded(&names);
+    let mut model = CostModel::default();
+    for i in 0..BACKENDS {
+        let engine = backend(i);
+        model.seed_engine(engine.name(), engine.cost_profile());
+    }
     model.set_round_trip_cost(0.010);
     for (i, name) in names.iter().enumerate() {
         for shard in 0..shards {
