@@ -6,7 +6,7 @@
 //! `pds-crypto`.  The partitioned-security checks only catch violations a
 //! test happens to exercise; this pass checks the *source text* of every
 //! non-test function in the wire-adjacent crates (`cloud`, `proto`,
-//! `core`) on every commit.
+//! `core`, and `common`, which holds the byte codec) on every commit.
 //!
 //! The check is a taint triple over a function's identifier set:
 //!

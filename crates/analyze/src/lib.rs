@@ -5,7 +5,7 @@
 //!
 //! 1. **[`egress`]** — the plaintext-egress lint.  Sensitive plaintext
 //!    must not reach wire-encode/socket-write sites in `cloud`/`proto`/
-//!    `core` without a `pds-crypto` boundary in scope.
+//!    `core`/`common` without a `pds-crypto` boundary in scope.
 //! 2. **[`lockorder`]** — the lock-order pass.  `OrderedMutex` classes in
 //!    the daemon path must nest acyclically; the runtime half of this
 //!    witness is `pds_common::lockcheck` under the `lockcheck` feature.
@@ -65,8 +65,14 @@ pub const KNOWN_PASSES: &[&str] = &[
 ];
 
 /// Directories whose non-test functions get the plaintext-egress lint:
-/// the wire-adjacent crates.
-pub const EGRESS_DIRS: &[&str] = &["crates/cloud/src", "crates/proto/src", "crates/core/src"];
+/// the wire-adjacent crates, and pds-common, whose codec writes and reads
+/// the wire's bytes.
+pub const EGRESS_DIRS: &[&str] = &[
+    "crates/cloud/src",
+    "crates/proto/src",
+    "crates/core/src",
+    "crates/common/src",
+];
 
 /// Files whose lock acquisitions feed the lock-order nesting graph: the
 /// daemon's concurrent path.
@@ -77,13 +83,15 @@ pub const LOCK_FILES: &[&str] = &[
 ];
 
 /// Files where panic sites are forbidden outright: the daemon
-/// accept/serve/write path and the wire codec, where a panic either
-/// kills a worker or turns attacker bytes into a crash.
+/// accept/serve/write path and the wire codec with the shared byte reader
+/// under it, where a panic either kills a worker or turns attacker bytes
+/// into a crash.
 pub const HOT_FILES: &[&str] = &[
     "crates/cloud/src/service.rs",
     "crates/cloud/src/tcp.rs",
     "crates/proto/src/frame.rs",
     "crates/proto/src/messages.rs",
+    "crates/common/src/codec.rs",
 ];
 
 /// Files forming the per-frame wire codec loop, where fresh heap

@@ -1,9 +1,9 @@
 //! # pds-common
 //!
 //! Shared building blocks for the *Partitioned Data Security* (ICDE 2019)
-//! reproduction: attribute values, domains, error types, identifiers and
-//! deterministic random-number helpers used across every other crate in the
-//! workspace.
+//! reproduction: attribute values, the byte codec every encoded layout is
+//! written and read with, error types, identifiers and deterministic
+//! random-number helpers used across every other crate in the workspace.
 //!
 //! The crate is intentionally dependency-light: everything that touches
 //! relations, encryption or the cloud simulator lives in the more specific
@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod error;
 pub mod ids;
 pub mod lockcheck;
@@ -21,4 +22,4 @@ pub mod value;
 pub use error::{PdsError, Result};
 pub use ids::{AttrId, BinId, QueryId, TupleId};
 pub use lockcheck::{OrderedGuard, OrderedMutex};
-pub use value::{Domain, Value};
+pub use value::Value;

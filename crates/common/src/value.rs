@@ -1,17 +1,19 @@
-//! Attribute values and value domains.
+//! Attribute values.
 //!
 //! A [`Value`] is the unit of data stored in a relation cell and the unit of
 //! search in a selection query.  The Query Binning technique of the paper
 //! partitions the *values* of a searchable attribute into sensitive and
 //! non-sensitive bins, so values need a total order, hashing and a stable
 //! byte serialisation (the byte form is what gets encrypted by
-//! `pds-crypto`).
+//! `pds-crypto`), written and read with [`crate::codec`].
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::codec::{counted, value_tag, Reader, Sink};
 
 /// A single attribute value.
 ///
@@ -74,61 +76,50 @@ impl Value {
     /// Appends [`Value::encode`]'s bytes to `out`, so a caller building a
     /// larger plaintext (a tuple, or a ciphertext after its nonce) writes
     /// the value in place instead of allocating it first.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut impl Sink) {
         match self {
-            Value::Null => out.push(0),
+            Value::Null => out.put_byte(value_tag::NULL),
             Value::Int(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_be_bytes());
+                out.put_byte(value_tag::INT);
+                out.put_slice(&v.to_be_bytes());
             }
             Value::Text(s) => {
-                out.push(2);
-                out.extend_from_slice(s.as_bytes());
+                out.put_byte(value_tag::TEXT);
+                out.put_slice(s.as_bytes());
             }
             Value::Bytes(b) => {
-                out.push(3);
-                out.extend_from_slice(b);
+                out.put_byte(value_tag::BYTES);
+                out.put_slice(b);
             }
-            Value::Bool(b) => out.extend_from_slice(&[4, u8::from(*b)]),
+            Value::Bool(b) => {
+                out.put_byte(value_tag::BOOL);
+                out.put_byte(u8::from(*b));
+            }
         }
     }
 
-    /// Exact length of [`Value::encode`]'s output, computed without
-    /// encoding.
+    /// Exact length of [`Value::encode`]'s output: the writer's bytes
+    /// counted, not stored.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) => 9,
-            Value::Text(s) => 1 + s.len(),
-            Value::Bytes(b) => 1 + b.len(),
-            Value::Bool(_) => 2,
-        }
+        counted(|out| self.encode_into(out))
     }
 
-    /// Decodes a value previously produced by [`Value::encode`].
+    /// Decodes a value previously produced by [`Value::encode`], and
+    /// nothing else: trailing bytes, an unknown tag, an integer of other
+    /// than 8 bytes, a bool byte other than 0 or 1 and invalid UTF-8 all
+    /// give `None`.
     pub fn decode(bytes: &[u8]) -> Option<Value> {
-        let (&tag, rest) = bytes.split_first()?;
-        match tag {
-            0 => {
-                if rest.is_empty() {
-                    Some(Value::Null)
-                } else {
-                    None
-                }
-            }
-            1 => {
-                let arr: [u8; 8] = rest.try_into().ok()?;
-                Some(Value::Int(i64::from_be_bytes(arr)))
-            }
-            2 => String::from_utf8(rest.to_vec()).ok().map(Value::Text),
-            3 => Some(Value::Bytes(rest.to_vec())),
-            4 => match rest {
-                [0] => Some(Value::Bool(false)),
-                [1] => Some(Value::Bool(true)),
-                _ => None,
-            },
-            _ => None,
-        }
+        let mut r = Reader::new(bytes);
+        let value = match r.byte().ok()? {
+            value_tag::NULL => Value::Null,
+            value_tag::INT => Value::Int(i64::from_be_bytes(r.array().ok()?)),
+            value_tag::TEXT => Value::Text(std::str::from_utf8(r.rest()).ok()?.to_owned()),
+            value_tag::BYTES => Value::Bytes(r.rest().to_vec()),
+            value_tag::BOOL => Value::Bool(r.bool().ok()?),
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(value)
     }
 
     /// Approximate payload size of the value in bytes (8 per integer, the
@@ -250,74 +241,6 @@ impl Ord for Value {
     }
 }
 
-/// The domain of an attribute: the set of values the attribute may take.
-///
-/// The paper's security definition quantifies over `Domain(A)`; the
-/// adversary's prior over associations is uniform over the domain.  For the
-/// experiments we only ever need to enumerate the *active* domain (values
-/// that actually occur) plus, optionally, a declared closed domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Domain {
-    /// A contiguous integer domain `[lo, hi]` (inclusive).
-    IntRange {
-        /// Lower inclusive bound.
-        lo: i64,
-        /// Upper inclusive bound.
-        hi: i64,
-    },
-    /// An explicitly enumerated domain.
-    Enumerated(Vec<Value>),
-    /// Unconstrained domain (the active domain stands in for it).
-    Open,
-}
-
-impl Domain {
-    /// Number of values in the domain, when finite.
-    pub fn cardinality(&self) -> Option<u64> {
-        match self {
-            Domain::IntRange { lo, hi } => {
-                if hi < lo {
-                    Some(0)
-                } else {
-                    Some((hi - lo) as u64 + 1)
-                }
-            }
-            Domain::Enumerated(vs) => Some(vs.len() as u64),
-            Domain::Open => None,
-        }
-    }
-
-    /// Whether a value belongs to the domain.
-    pub fn contains(&self, v: &Value) -> bool {
-        match self {
-            Domain::IntRange { lo, hi } => match v {
-                Value::Int(x) => x >= lo && x <= hi,
-                _ => false,
-            },
-            Domain::Enumerated(vs) => vs.contains(v),
-            Domain::Open => true,
-        }
-    }
-
-    /// Enumerates the domain when it is finite and reasonably small.
-    pub fn enumerate(&self) -> Option<Vec<Value>> {
-        match self {
-            Domain::IntRange { lo, hi } => {
-                if hi < lo {
-                    return Some(Vec::new());
-                }
-                let n = (*hi - *lo) as u64 + 1;
-                if n > 10_000_000 {
-                    return None;
-                }
-                Some((*lo..=*hi).map(Value::Int).collect())
-            }
-            Domain::Enumerated(vs) => Some(vs.clone()),
-            Domain::Open => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +270,26 @@ mod tests {
             Some(Value::Bool(true))
         );
         assert_eq!(Value::decode(&Value::Null.encode()), Some(Value::Null));
+    }
+
+    /// Only what [`Value::encode`] writes decodes: a decrypted value
+    /// plaintext that is anything else is refused, not guessed at.
+    #[test]
+    fn decode_refuses_what_encode_never_writes() {
+        let refused: [&[u8]; 9] = [
+            &[],
+            &[9],
+            &[0, 0],
+            &[1, 0, 0, 0, 0, 0, 0, 0],
+            &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[4],
+            &[4, 2],
+            &[4, 1, 0],
+            &[2, 0xff],
+        ];
+        for bytes in refused {
+            assert_eq!(Value::decode(bytes), None, "{bytes:02x?}");
+        }
     }
 
     #[test]
@@ -401,30 +344,6 @@ mod tests {
         assert!(Value::Int(1) < Value::Int(2));
         assert!(Value::from("a") < Value::from("b"));
         assert!(Value::Null < Value::Int(i64::MIN));
-    }
-
-    #[test]
-    fn int_range_domain() {
-        let d = Domain::IntRange { lo: 1, hi: 10 };
-        assert_eq!(d.cardinality(), Some(10));
-        assert!(d.contains(&Value::Int(5)));
-        assert!(!d.contains(&Value::Int(11)));
-        assert_eq!(d.enumerate().unwrap().len(), 10);
-    }
-
-    #[test]
-    fn enumerated_domain() {
-        let d = Domain::Enumerated(vec![Value::from("a"), Value::from("b")]);
-        assert_eq!(d.cardinality(), Some(2));
-        assert!(d.contains(&Value::from("a")));
-        assert!(!d.contains(&Value::from("c")));
-    }
-
-    #[test]
-    fn empty_int_range() {
-        let d = Domain::IntRange { lo: 5, hi: 1 };
-        assert_eq!(d.cardinality(), Some(0));
-        assert_eq!(d.enumerate().unwrap().len(), 0);
     }
 
     #[test]

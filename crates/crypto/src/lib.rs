@@ -18,8 +18,6 @@
 //!   authenticated encryption the paper assumes for sensitive tuples.
 //! * [`det`] — deterministic encryption / equality tags, used by the
 //!   CryptDB-style baseline that QB is shown to strengthen.
-//! * [`ope`] — a toy mutable order-preserving encoding, used only to
-//!   demonstrate the frequency/ordering attacks of \[11\], \[12\].
 //! * [`shamir`] — Shamir secret sharing over a 61-bit prime field, the basis
 //!   of the secret-sharing back-end (\[5\] in the paper).
 //! * [`dpf`] — two-server distributed point functions (\[6\] in the paper),
@@ -40,7 +38,6 @@ pub mod det;
 pub mod dpf;
 pub mod hmac;
 pub mod nondet;
-pub mod ope;
 pub mod prf;
 pub mod prp;
 pub mod sha256;

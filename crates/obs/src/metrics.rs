@@ -64,15 +64,6 @@ impl Histogram {
         self.count
     }
 
-    /// Largest observation, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
     /// Nearest-rank percentile estimate for `p` in `[0, 100]`.
     ///
     /// Returns the upper bound of the bucket holding the nearest-rank
@@ -124,11 +115,6 @@ impl LatencySummary {
     /// Percentile estimate in milliseconds (see [`Histogram::percentile`]).
     pub fn percentile_ms(&self, p: f64) -> f64 {
         self.hist.percentile(p)
-    }
-
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
     }
 }
 

@@ -23,15 +23,17 @@
 //!   instead of stored ([`WireMessage::encoded_len`], and
 //!   [`fetch_frame_len`], [`rows_frame_len`] and [`ack_frame_len`] over
 //!   borrowed fields, the rows as the [`WireRow`]s a cloud stores): one
-//!   writer per wire item both sizes and encodes.
+//!   writer per wire item both sizes and encodes.  The varint, the value
+//!   tags and the bounds-checked reader are `pds_common::codec`'s, shared
+//!   with the value and tuple plaintexts.
 //! * [`pool`] — a thread-local reusable buffer pool backing both codec
 //!   directions, so steady-state wire traffic allocates nothing per frame
 //!   (reuse counters feed the `pds_wire_buf_reuse_total` metrics).
 //!
-//! Layering: this crate depends only on `pds-common` (values, errors) and
-//! `pds-storage` (tuples).  Ciphertexts travel as opaque byte strings
-//! ([`WireRow`], also the row type the cloud stores and answers with), so
-//! no crypto types leak into the protocol.
+//! Layering: this crate depends only on `pds-common` (values, errors, the
+//! byte codec) and `pds-storage` (tuples).  Ciphertexts travel as opaque
+//! byte strings ([`WireRow`], also the row type the cloud stores and
+//! answers with), so no crypto types leak into the protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,24 +26,26 @@
 //! around opaque byte strings.
 //!
 //! **One writer per item sizes and encodes.**  Every writer (varint, byte
-//! string, list, value, tuple, row, predicate) writes into a byte sink:
-//! the frame buffer when encoding, or a counter that keeps only the
-//! number of bytes.  [`WireMessage::encoded_len`] runs the payload writer
-//! into the counter, and the borrowed entry points [`fetch_frame_len`],
-//! [`rows_frame_len`] and [`ack_frame_len`] run the query, rows and
-//! acknowledgement writers over slices and counts, so an accounting layer
-//! charges exactly the bytes a frame carries without building the message,
-//! and the two lengths agree by construction.
+//! string, list, value, tuple, row, predicate) writes into a
+//! [`pds_common::codec`] byte sink: the frame buffer when encoding, or a
+//! counter that keeps only the number of bytes.
+//! [`WireMessage::encoded_len`] runs the payload writer into the counter,
+//! and the borrowed entry points [`fetch_frame_len`], [`rows_frame_len`]
+//! and [`ack_frame_len`] run the query, rows and acknowledgement writers
+//! over slices and counts, so an accounting layer charges exactly the
+//! bytes a frame carries without building the message, and the two
+//! lengths agree by construction.
 //!
-//! Decoding is total: every read is bounds-checked and malformed payloads
-//! yield `Err(PdsError::Wire(..))`, never a panic.  Overlong or
-//! non-canonical varints, varints past `u64`, unknown tags, invalid UTF-8
-//! and trailing bytes are all rejected, and a peer's declared counts
-//! reserve at most `PREALLOC_CAP` items up front.  The frame layer's CRC
-//! already rejects
-//! corrupted-in-flight bytes; the payload decoders defend against
-//! malformed-but-checksummed input (a buggy or malicious peer).
+//! Decoding is total: every read goes through the shared bounds-checked
+//! [`Reader`], and malformed payloads yield `Err(PdsError::Wire(..))`,
+//! never a panic.  Overlong or non-canonical varints, varints past `u64`,
+//! unknown tags, invalid UTF-8 and trailing bytes are all rejected, and a
+//! peer's declared counts reserve a bounded number of items up front.  The
+//! frame layer's CRC already rejects corrupted-in-flight bytes; the
+//! payload decoders defend against malformed-but-checksummed input (a
+//! buggy or malicious peer).
 
+use pds_common::codec::{counted, value_tag, write_bytes, write_varint, Counter, Reader, Sink};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_storage::{Predicate, Tuple};
 
@@ -344,17 +346,17 @@ impl WireMessage {
         let mut r = Reader::new(payload);
         let msg = match msg_type {
             msg_tag::FETCH_BIN_REQUEST => WireMessage::FetchBinRequest(FetchBinRequest {
-                values: r.list(Reader::value)?,
+                values: r.list(read_value)?,
                 ids: r.list(Reader::varint)?,
                 tags: r.list(Reader::blob)?,
                 predicate: read_opt_predicate(&mut r)?,
             }),
             msg_tag::BIN_PAYLOAD => WireMessage::BinPayload(BinPayload {
-                plain_tuples: r.list(Reader::tuple)?,
+                plain_tuples: r.list(read_tuple)?,
                 encrypted_rows: r.list(WireRow::read)?,
             }),
             msg_tag::INSERT_REQUEST => WireMessage::InsertRequest(InsertRequest {
-                plain_tuples: r.list(Reader::tuple)?,
+                plain_tuples: r.list(read_tuple)?,
                 encrypted_rows: r.list(WireRow::read)?,
             }),
             msg_tag::ACK => WireMessage::Ack(Ack { items: r.varint()? }),
@@ -408,9 +410,7 @@ pub fn rows_frame_len(plain_tuples: &[Tuple], rows: &[WireRow]) -> Result<usize>
 
 /// The frame length of an [`Ack`] carrying `items`.
 pub fn ack_frame_len(items: u64) -> usize {
-    let mut counter = Counter::default();
-    write_varint(&mut counter, items);
-    encoded_len(counter.0)
+    encoded_len(counted(|out| write_varint(out, items)))
 }
 
 /// Writes a [`FetchBinRequest`]'s fields: the values, the storage
@@ -442,11 +442,6 @@ pub fn error_frame(err: &PdsError) -> ErrorFrame {
         message: err.message().to_string(),
     }
 }
-
-/// Cap on speculative `Vec::with_capacity` from untrusted count fields: a
-/// forged count cannot force a large allocation before its items fail to
-/// parse.
-const PREALLOC_CAP: usize = 1024;
 
 /// Maximum nesting depth of a wire predicate, bounding decode recursion
 /// against adversarial deeply-nested `Not(Not(Not(..)))` payloads.  The
@@ -519,7 +514,7 @@ fn write_predicate(out: &mut impl Sink, p: &Predicate, depth: usize) -> Result<(
             } else {
                 pred_tag::OR
             });
-            write_len(out, ps.len());
+            write_varint(out, ps.len() as u64);
             for child in ps {
                 write_predicate(out, child, depth + 1)?;
             }
@@ -549,16 +544,16 @@ fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
     match tag {
         pred_tag::EQ => Ok(Predicate::Eq {
             attr: AttrId::new(r.varint()?),
-            value: r.value()?,
+            value: read_value(r)?,
         }),
         pred_tag::IN_SET => Ok(Predicate::InSet {
             attr: AttrId::new(r.varint()?),
-            values: r.list(Reader::value)?,
+            values: r.list(read_value)?,
         }),
         pred_tag::RANGE => Ok(Predicate::Range {
             attr: AttrId::new(r.varint()?),
-            lo: r.value()?,
-            hi: r.value()?,
+            lo: read_value(r)?,
+            hi: read_value(r)?,
         }),
         pred_tag::AND | pred_tag::OR => {
             let children = r.list(|r| read_predicate(r, depth + 1))?;
@@ -576,85 +571,17 @@ fn read_predicate(r: &mut Reader<'_>, depth: usize) -> Result<Predicate> {
     }
 }
 
-/// One-byte tags of a clear-text value on the wire (the same tags
-/// [`Value::encode`] uses; only the bytes after the tag differ).
-mod value_tag {
-    pub const NULL: u8 = 0;
-    pub const INT: u8 = 1;
-    pub const TEXT: u8 = 2;
-    pub const BYTES: u8 = 3;
-    pub const BOOL: u8 = 4;
-}
-
-/// Longest canonical LEB128 encoding of a `u64`: ten 7-bit groups.
-const MAX_VARINT_LEN: usize = 10;
-
-/// Where the writers put their bytes: the frame buffer (`Vec<u8>`) when
-/// encoding, or a [`Counter`] when sizing.  Sizing runs the very writers
-/// that encode, so a counted length is the encoded length.
-trait Sink {
-    /// Appends one byte.
-    fn put_byte(&mut self, byte: u8);
-    /// Appends a run of bytes.
-    fn put_slice(&mut self, bytes: &[u8]);
-}
-
-impl Sink for Vec<u8> {
-    fn put_byte(&mut self, byte: u8) {
-        self.push(byte);
-    }
-
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-/// A [`Sink`] that keeps only the number of bytes written to it.
-#[derive(Default)]
-struct Counter(usize);
-
-impl Sink for Counter {
-    fn put_byte(&mut self, _: u8) {
-        self.0 += 1;
-    }
-
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
-    }
-}
-
 /// The frame length of the payload `write` writes, counted, or the error
 /// the writer or the frame limit gives where encoding would give it.
 fn counted_frame_len(write: impl FnOnce(&mut Counter) -> Result<()>) -> Result<usize> {
-    let mut counter = Counter::default();
-    write(&mut counter)?;
-    checked_frame_len(counter.0)
-}
-
-/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
-/// group first, high bit set on every byte but the last.
-fn write_varint(out: &mut impl Sink, mut v: u64) {
-    while v >= 0x80 {
-        out.put_byte((v & 0x7f) as u8 | 0x80);
-        v >>= 7;
-    }
-    out.put_byte(v as u8);
-}
-
-/// Appends a count or length as a varint.
-fn write_len(out: &mut impl Sink, n: usize) {
-    write_varint(out, n as u64);
-}
-
-/// Appends a byte string: varint length, then the bytes.
-fn write_bytes(out: &mut impl Sink, b: &[u8]) {
-    write_len(out, b.len());
-    out.put_slice(b);
+    let mut written = Ok(());
+    let len = counted(|out| written = write(out));
+    written.and_then(|()| checked_frame_len(len))
 }
 
 /// Appends a varint item count, then each item.
 fn write_list<S: Sink, T>(out: &mut S, items: &[T], mut write: impl FnMut(&mut S, &T)) {
-    write_len(out, items.len());
+    write_varint(out, items.len() as u64);
     for item in items {
         write(out, item);
     }
@@ -702,138 +629,22 @@ fn write_tuple(out: &mut impl Sink, t: &Tuple) {
     write_list(out, &t.values, write_value);
 }
 
-/// Bounds-checked sequential reader over a message payload.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// Reads one clear-text value [`write_value`] wrote.
+fn read_value(r: &mut Reader<'_>) -> Result<Value> {
+    match r.byte()? {
+        value_tag::NULL => Ok(Value::Null),
+        value_tag::INT => Ok(Value::Int(unzigzag(r.varint()?))),
+        value_tag::TEXT => Ok(Value::Text(r.string()?)),
+        value_tag::BYTES => Ok(Value::Bytes(r.blob()?)),
+        value_tag::BOOL => Ok(Value::Bool(r.bool()?)),
+        other => Err(PdsError::Wire(format!("unknown value tag {other}"))),
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| PdsError::Wire("message payload length overflows".into()))?;
-        let out = self.data.get(self.pos..end).ok_or_else(|| {
-            PdsError::Wire(format!(
-                "message payload truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            ))
-        })?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn byte(&mut self) -> Result<u8> {
-        let b = *self.data.get(self.pos).ok_or_else(|| {
-            PdsError::Wire(format!(
-                "message payload truncated: need 1 byte at offset {}",
-                self.pos
-            ))
-        })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads one canonical LEB128 varint.  Rejects encodings longer than
-    /// ten bytes, a tenth byte carrying bits past `u64`, and a redundant
-    /// trailing zero group (so every value has exactly one encoding).
-    fn varint(&mut self) -> Result<u64> {
-        let mut value = 0u64;
-        for i in 0..MAX_VARINT_LEN {
-            let byte = self.byte()?;
-            // The tenth group holds only bit 63.
-            if i == MAX_VARINT_LEN - 1 && byte & 0x7f > 1 {
-                return Err(PdsError::Wire("varint overflows u64".into()));
-            }
-            value |= u64::from(byte & 0x7f) << (7 * i);
-            if byte & 0x80 == 0 {
-                if byte == 0 && i > 0 {
-                    return Err(PdsError::Wire(
-                        "non-canonical varint: redundant trailing zero group".into(),
-                    ));
-                }
-                return Ok(value);
-            }
-        }
-        Err(PdsError::Wire(format!(
-            "overlong varint: more than {MAX_VARINT_LEN} bytes"
-        )))
-    }
-
-    fn len(&mut self) -> Result<usize> {
-        let n = self.varint()?;
-        usize::try_from(n).map_err(|_| PdsError::Wire(format!("length {n} overflows usize")))
-    }
-
-    /// Reads a varint item count, then that many items.  Capacity reserved
-    /// up front is capped at [`PREALLOC_CAP`]: a forged count fails on its
-    /// first missing item instead of forcing a large allocation.
-    fn list<T>(&mut self, mut read: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
-        let count = self.len()?;
-        let mut items = Vec::with_capacity(count.min(PREALLOC_CAP));
-        for _ in 0..count {
-            items.push(read(self)?);
-        }
-        Ok(items)
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.len()?;
-        self.take(len)
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>> {
-        Ok(self.bytes()?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_owned)
-            .map_err(|_| PdsError::Wire("string field is not valid UTF-8".into()))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        match self.byte()? {
-            value_tag::NULL => Ok(Value::Null),
-            value_tag::INT => Ok(Value::Int(unzigzag(self.varint()?))),
-            value_tag::TEXT => Ok(Value::Text(self.string()?)),
-            value_tag::BYTES => Ok(Value::Bytes(self.blob()?)),
-            value_tag::BOOL => match self.byte()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(PdsError::Wire(format!("invalid bool byte {other}"))),
-            },
-            other => Err(PdsError::Wire(format!("unknown value tag {other}"))),
-        }
-    }
-
-    fn tuple(&mut self) -> Result<Tuple> {
-        let id = TupleId::new(self.varint()?);
-        Ok(Tuple::new(id, self.list(Reader::value)?))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.data[self.pos..];
-        self.pos = self.data.len();
-        out
-    }
-
-    /// Rejects trailing bytes: every payload must be consumed exactly.
-    fn finish(self) -> Result<()> {
-        if self.pos != self.data.len() {
-            return Err(PdsError::Wire(format!(
-                "{} unconsumed trailing bytes in message payload",
-                self.data.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+/// Reads one clear-text tuple [`write_tuple`] wrote.
+fn read_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
+    let id = TupleId::new(r.varint()?);
+    Ok(Tuple::new(id, r.list(read_value)?))
 }
 
 #[cfg(test)]
@@ -1076,26 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn varints_roundtrip_at_every_group_boundary() {
-        for v in [
-            0,
-            1,
-            0x7f,
-            0x80,
-            0x3fff,
-            0x4000,
-            u64::from(u32::MAX),
-            1 << 32,
-            u64::MAX,
-        ] {
-            let mut out = Vec::new();
-            write_varint(&mut out, v);
-            let groups = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
-            assert_eq!(out.len(), groups, "{v:#x} takes one byte per 7-bit group");
-            let mut r = Reader::new(&out);
-            assert_eq!(r.varint().unwrap(), v);
-            r.finish().unwrap();
-        }
+    fn zigzag_roundtrips_at_the_extremes() {
         for v in [0, -1, 1, -64, 64, i64::MIN, i64::MAX] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }

@@ -1,6 +1,6 @@
-//! Relation schemas: attribute names, types and domains.
+//! Relation schemas: attribute names and types.
 
-use pds_common::{AttrId, Domain, PdsError, Result, Value};
+use pds_common::{AttrId, PdsError, Result, Value};
 use serde::{Deserialize, Serialize};
 
 /// The declared type of an attribute.
@@ -30,24 +30,21 @@ impl DataType {
     }
 }
 
-/// A named, typed attribute with an optional declared domain.
+/// A named, typed attribute.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Attribute {
     /// Attribute name (case-sensitive).
     pub name: String,
     /// Declared type.
     pub data_type: DataType,
-    /// Declared domain; defaults to [`Domain::Open`].
-    pub domain: Domain,
 }
 
 impl Attribute {
-    /// Creates an attribute with an open domain.
+    /// Creates an attribute.
     pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
         Attribute {
             name: name.into(),
             data_type,
-            domain: Domain::Open,
         }
     }
 }

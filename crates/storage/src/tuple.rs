@@ -1,5 +1,7 @@
-//! Tuples (rows) of a relation.
+//! Tuples (rows) of a relation, and the byte layout a sensitive tuple's
+//! ciphertext holds, written and read with [`pds_common::codec`].
 
+use pds_common::codec::{counted, value_tag, write_bytes, write_varint, Reader, Sink};
 use pds_common::{AttrId, TupleId, Value};
 use serde::{Deserialize, Serialize};
 
@@ -49,21 +51,10 @@ impl Tuple {
         8 + self.values.iter().map(Value::size_bytes).sum::<usize>()
     }
 
-    /// Exact length of [`Tuple::encode`]'s output, computed without
-    /// encoding.
+    /// Exact length of [`Tuple::encode`]'s output: the writer's bytes
+    /// counted, not stored.
     pub fn encoded_len(&self) -> usize {
-        8 + varint_len(self.values.len())
-            + self
-                .values
-                .iter()
-                .map(|v| match v {
-                    Value::Null => 1,
-                    Value::Int(_) => 9,
-                    Value::Bool(_) => 2,
-                    Value::Text(s) => 1 + varint_len(s.len()) + s.len(),
-                    Value::Bytes(b) => 1 + varint_len(b.len()) + b.len(),
-                })
-                .sum::<usize>()
+        counted(|out| self.encode_into(out))
     }
 
     /// Stable, self-delimiting byte encoding of the whole tuple: the
@@ -91,19 +82,20 @@ impl Tuple {
 
     /// Appends [`Tuple::encode`]'s bytes to `out`, written in place with
     /// no allocation per value.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.raw().to_be_bytes());
-        write_varint(out, self.values.len());
+    pub fn encode_into(&self, out: &mut impl Sink) {
+        out.put_slice(&self.id.raw().to_be_bytes());
+        write_varint(out, self.values.len() as u64);
         for v in &self.values {
             match v {
-                Value::Null => out.push(TAG_NULL),
-                Value::Int(i) => {
-                    out.push(TAG_INT);
-                    out.extend_from_slice(&i.to_be_bytes());
+                Value::Text(s) => {
+                    out.put_byte(value_tag::TEXT);
+                    write_bytes(out, s.as_bytes());
                 }
-                Value::Bool(b) => out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
-                Value::Text(s) => write_sized(out, TAG_TEXT, s.as_bytes()),
-                Value::Bytes(b) => write_sized(out, TAG_BYTES, b),
+                Value::Bytes(b) => {
+                    out.put_byte(value_tag::BYTES);
+                    write_bytes(out, b);
+                }
+                Value::Null | Value::Int(_) | Value::Bool(_) => v.encode_into(out),
             }
         }
     }
@@ -126,112 +118,24 @@ impl Tuple {
     /// arity above the bytes left fails before anything is reserved, and
     /// the reservation never exceeds the input.
     pub fn decode_prefix(bytes: &[u8]) -> Option<(Tuple, usize)> {
-        let mut r = Reader { bytes, pos: 0 };
-        let id = TupleId::new(u64::from_be_bytes(r.array()?));
-        let count = r.varint()?;
-        if count > bytes.len() - r.pos {
+        let mut r = Reader::new(bytes);
+        let id = TupleId::new(u64::from_be_bytes(r.array().ok()?));
+        let count = r.count().ok()?;
+        if count > r.remaining() {
             return None;
         }
         let mut values = Vec::with_capacity(count);
         for _ in 0..count {
-            values.push(match r.byte()? {
-                TAG_NULL => Value::Null,
-                TAG_INT => Value::Int(i64::from_be_bytes(r.array()?)),
-                TAG_BOOL => match r.byte()? {
-                    0 => Value::Bool(false),
-                    1 => Value::Bool(true),
-                    _ => return None,
-                },
-                TAG_TEXT => Value::Text(std::str::from_utf8(r.sized()?).ok()?.to_owned()),
-                TAG_BYTES => Value::Bytes(r.sized()?.to_vec()),
+            values.push(match r.byte().ok()? {
+                value_tag::NULL => Value::Null,
+                value_tag::INT => Value::Int(i64::from_be_bytes(r.array().ok()?)),
+                value_tag::BOOL => Value::Bool(r.bool().ok()?),
+                value_tag::TEXT => Value::Text(r.string().ok()?),
+                value_tag::BYTES => Value::Bytes(r.blob().ok()?),
                 _ => return None,
             });
         }
-        Some((Tuple { id, values }, r.pos))
-    }
-}
-
-/// Value tags of [`Tuple::encode`]'s layout, the same as [`Value::encode`]'s.
-const TAG_NULL: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_TEXT: u8 = 2;
-const TAG_BYTES: u8 = 3;
-const TAG_BOOL: u8 = 4;
-
-/// Longest LEB128 encoding of a `u64`: ten 7-bit groups.
-const MAX_VARINT_LEN: usize = 10;
-
-/// Length of `n`'s LEB128 encoding.
-fn varint_len(n: usize) -> usize {
-    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
-}
-
-/// Appends `n` as a LEB128 varint: seven bits per byte, low group first,
-/// the high bit set on every byte but the last.
-fn write_varint(out: &mut Vec<u8>, mut n: usize) {
-    while n >= 0x80 {
-        out.push((n & 0x7f) as u8 | 0x80);
-        n >>= 7;
-    }
-    out.push(n as u8);
-}
-
-/// Appends a variable-length value: its tag, a varint length, the bytes.
-fn write_sized(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
-    out.push(tag);
-    write_varint(out, bytes.len());
-    out.extend_from_slice(bytes);
-}
-
-/// Bounds-checked sequential reader over a tuple plaintext.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    /// Reads one minimal LEB128 varint that fits a `usize`: no more than
-    /// ten bytes, no bits past 64, no redundant trailing zero group.
-    fn varint(&mut self) -> Option<usize> {
-        let mut value = 0u64;
-        for i in 0..MAX_VARINT_LEN {
-            let byte = self.byte()?;
-            // The tenth group holds only bit 63.
-            if i == MAX_VARINT_LEN - 1 && byte & 0x7f > 1 {
-                return None;
-            }
-            value |= u64::from(byte & 0x7f) << (7 * i);
-            if byte & 0x80 == 0 {
-                if byte == 0 && i > 0 {
-                    return None;
-                }
-                return usize::try_from(value).ok();
-            }
-        }
-        None
-    }
-
-    /// Reads a varint length, then that many bytes.
-    fn sized(&mut self) -> Option<&'a [u8]> {
-        let len = self.varint()?;
-        self.take(len)
+        Some((Tuple { id, values }, r.position()))
     }
 }
 
@@ -434,7 +338,7 @@ mod tests {
                 }
             }
             let mut forged = vec![0u8; 8];
-            write_varint(&mut forged, (arity as usize).max(raw.len() + 1));
+            write_varint(&mut forged, arity.max(raw.len() as u64 + 1));
             forged.extend_from_slice(&raw);
             prop_assert_eq!(Tuple::decode_prefix(&forged), None);
         }

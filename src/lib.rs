@@ -12,8 +12,8 @@
 //!
 //! | Re-export | Contents |
 //! |---|---|
-//! | [`common`] | values, domains, identifiers, errors |
-//! | [`crypto`] | AES-128, SHA-256, HMAC, PRF/PRP, non-deterministic & deterministic encryption, OPE, Shamir secret sharing, DPF |
+//! | [`common`] | values, the byte codec, identifiers, errors |
+//! | [`crypto`] | AES-128, SHA-256, HMAC, PRF/PRP, non-deterministic & deterministic encryption, Shamir secret sharing, DPF |
 //! | [`storage`] | in-memory relational engine, indexes, statistics, sensitivity partitioning |
 //! | [`cloud`] | untrusted cloud simulator, adversarial view, network model, the trusted DB owner |
 //! | [`systems`] | secure selection back-ends (non-deterministic scan, CryptDB-style, Arx-style, secret sharing, DPF, Opaque/Jana simulators) |
@@ -69,7 +69,7 @@ pub mod prelude {
         AdversarialView, BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinKind, BinPlacement,
         BinRoutedCloud, BinTransport, CloudServer, DbOwner, Metrics, NetworkModel, ShardRouter,
     };
-    pub use pds_common::{Domain, PdsError, Result, Value};
+    pub use pds_common::{PdsError, Result, Value};
     pub use pds_core::executor::NaivePartitionedExecutor;
     pub use pds_core::extensions::{equi_join, group_by_aggregate, select_range, InsertPlanner};
     pub use pds_core::{
