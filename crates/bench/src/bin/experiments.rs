@@ -734,9 +734,10 @@ fn print_hetero(shards: usize, scale: f64) -> bool {
                 );
             }
             println!(
-                "{} queries over {} shards, {} distinct engines; exact: {}, secure: {}, \
-                 paths consistent: {}",
+                "{} queries ({} served from their batch's bins) over {} shards, {} distinct \
+                 engines; exact: {}, secure: {}, paths consistent: {}",
                 outcome.queries,
+                outcome.batch_served,
                 outcome.shards,
                 outcome.distinct_engines,
                 outcome.exact,
@@ -886,20 +887,21 @@ fn print_pipeline(shards: usize) -> bool {
     let shards = shards.max(2);
     println!(
         "== Pipelined wire dispatch vs lock-step over {shards} loopback shard daemons \
-         (Employee workload) =="
+         (LINEITEM, one tuple per value) =="
     );
     match pipeline::run(
         shards,
-        pipeline::PASSES,
+        pipeline::TUPLES,
         pds_core::DEFAULT_PIPELINE_WINDOW,
         3,
         42,
     ) {
         Ok(o) => {
             println!(
-                "{:>8} {:>8} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8}",
+                "{:>8} {:>8} {:>9} {:>8} {:>14} {:>14} {:>9} {:>7} {:>8}",
                 "shards",
                 "queries",
+                "episodes",
                 "window",
                 "lock-step s",
                 "pipelined s",
@@ -908,9 +910,10 @@ fn print_pipeline(shards: usize) -> bool {
                 "secure?"
             );
             println!(
-                "{:>8} {:>8} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8}",
+                "{:>8} {:>8} {:>9} {:>8} {:>14.6} {:>14.6} {:>8.2}x {:>7} {:>8}",
                 o.shards,
                 o.queries,
+                o.episodes,
                 o.window,
                 o.lock_step_sec,
                 o.pipelined_sec,

@@ -475,20 +475,20 @@ pub fn answer_bytes(answers: &[Vec<Tuple>]) -> EncodedAnswers {
         .collect()
 }
 
-/// One tenant of the loopback-daemon experiments: the Employee relation
-/// on det-index behind a router of local shard servers, and its
-/// in-process threaded reference answers.
-pub struct EmployeeTenant {
+/// One tenant of the loopback-daemon experiments: a det-index deployment
+/// behind a router of local shard servers, its workload, and the
+/// workload's in-process threaded reference answers.
+pub struct DaemonTenant {
     /// The tenant id its executor, client and daemons key it by.
     pub id: u64,
     /// The tenant's trusted owner.
     pub owner: DbOwner,
     /// The tenant's shard servers (empty slots while a daemon hosts them).
     pub router: ShardRouter,
-    /// The tenant's QB executor (cache capacity 0, so every query pays
-    /// the full owner↔daemon round trip).
+    /// The tenant's QB executor (cache capacity 0, so no bin contents are
+    /// kept across calls).
     pub executor: QbExecutor<DeterministicIndexEngine>,
-    /// The exhaustive Employee value workload, repeated.
+    /// The values the tenant queries.
     pub workload: Vec<Value>,
     /// The [`BinTransport::Threaded`] answers to `workload`.
     pub reference: Vec<Vec<Tuple>>,
@@ -496,24 +496,63 @@ pub struct EmployeeTenant {
 
 /// Builds tenant `id` over `shards` servers with the exhaustive Employee
 /// workload repeated `passes` times, and records its threaded reference.
-pub fn employee_tenant(id: u64, shards: usize, passes: usize, seed: u64) -> Result<EmployeeTenant> {
+pub fn employee_tenant(id: u64, shards: usize, passes: usize, seed: u64) -> Result<DaemonTenant> {
     let relation = employee_relation();
     let policy = employee_sensitivity_policy(&relation)?;
     let parts = Partitioner::new(policy).split(&relation)?;
-    let attr = parts.sensitive.schema().attr_id("EId")?;
-    let mut values = parts.sensitive.distinct_values(attr);
-    for v in parts.nonsensitive.distinct_values(attr) {
-        if !values.contains(&v) {
-            values.push(v);
-        }
-    }
+    let values = exhaustive_values(&parts, "EId")?;
     let workload: Vec<Value> = values
         .iter()
         .cycle()
         .take(values.len() * passes)
         .cloned()
         .collect();
-    let binning = QueryBinning::build(&parts, "EId", BinningConfig::default())?;
+    daemon_tenant(id, shards, parts, "EId", workload, seed)
+}
+
+/// Builds tenant `id` over `shards` servers on a `tuples`-row LINEITEM in
+/// which every tuple has an [`SEARCH_ATTR`] value of its own, split at
+/// sensitivity 0.3, with every value once as its workload, and records its
+/// threaded reference.  Each bin holds few tuples, so every episode is
+/// light, and the workload spreads over many distinct bin pairs.
+pub fn lineitem_tenant(id: u64, shards: usize, tuples: usize, seed: u64) -> Result<DaemonTenant> {
+    let generated = lineitem(tuples, seed);
+    let attr = generated.schema().attr_id(SEARCH_ATTR)?;
+    let mut relation = Relation::new(generated.name(), generated.schema().clone());
+    for (key, tuple) in generated.tuples().iter().enumerate() {
+        let mut values = tuple.values.clone();
+        values[attr.index()] = Value::Int(key as i64 + 1);
+        relation.insert(values)?;
+    }
+    let parts = partition_at_alpha(&relation, 0.3, seed)?;
+    let workload = exhaustive_values(&parts, SEARCH_ATTR)?;
+    daemon_tenant(id, shards, parts, SEARCH_ATTR, workload, seed)
+}
+
+/// Every distinct value of `attr` on either side of `parts`, sensitive
+/// side first.
+fn exhaustive_values(parts: &PartitionedRelation, attr: &str) -> Result<Vec<Value>> {
+    let attr = parts.sensitive.schema().attr_id(attr)?;
+    let mut values = parts.sensitive.distinct_values(attr);
+    for v in parts.nonsensitive.distinct_values(attr) {
+        if !values.contains(&v) {
+            values.push(v);
+        }
+    }
+    Ok(values)
+}
+
+/// Outsources `parts` for tenant `id` over `shards` det-index servers and
+/// records the threaded reference answers to `workload`.
+fn daemon_tenant(
+    id: u64,
+    shards: usize,
+    parts: PartitionedRelation,
+    attr: &str,
+    workload: Vec<Value>,
+    seed: u64,
+) -> Result<DaemonTenant> {
+    let binning = QueryBinning::build(&parts, attr, BinningConfig::default())?;
     let mut executor = QbExecutor::new(binning, DeterministicIndexEngine::new()).with_tenant(id);
     let mut owner = DbOwner::new(seed.wrapping_add(id));
     let mut router = ShardRouter::new(
@@ -525,7 +564,7 @@ pub fn employee_tenant(id: u64, shards: usize, passes: usize, seed: u64) -> Resu
     let reference = executor
         .run_workload_transported(&mut owner, &mut router, &workload, &BinTransport::Threaded)?
         .answers;
-    Ok(EmployeeTenant {
+    Ok(DaemonTenant {
         id,
         owner,
         router,
@@ -538,7 +577,7 @@ pub fn employee_tenant(id: u64, shards: usize, passes: usize, seed: u64) -> Resu
 /// Moves every tenant's shard servers into one loopback daemon per shard,
 /// each with `workers` worker threads; the daemons come back in shard
 /// order.
-pub fn host_on_daemons(tenants: &mut [EmployeeTenant], workers: usize) -> Result<Vec<ShardDaemon>> {
+pub fn host_on_daemons(tenants: &mut [DaemonTenant], workers: usize) -> Result<Vec<ShardDaemon>> {
     let mut hosted: Vec<Vec<(u64, CloudServer)>> = Vec::new();
     for t in tenants.iter_mut() {
         let shards = t.router.shards_mut();
@@ -564,10 +603,7 @@ pub fn host_on_daemons(tenants: &mut [EmployeeTenant], workers: usize) -> Result
 /// Shuts the daemons down and hands every tenant back its shard servers,
 /// with every episode the daemons recorded, so a security check sees the
 /// daemon-served traffic.
-pub fn reclaim_from_daemons(
-    daemons: Vec<ShardDaemon>,
-    tenants: &mut [EmployeeTenant],
-) -> Result<()> {
+pub fn reclaim_from_daemons(daemons: Vec<ShardDaemon>, tenants: &mut [DaemonTenant]) -> Result<()> {
     let mut returned: Vec<Vec<(u64, CloudServer)>> =
         daemons.into_iter().map(ShardDaemon::shutdown).collect();
     for t in tenants.iter_mut() {

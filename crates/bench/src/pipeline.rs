@@ -1,10 +1,14 @@
 //! The pipelined-dispatch experiment: an in-flight window of 1
 //! (lock-step) vs a deeper window over identical loopback shard daemons.
 //!
-//! Both arms run the identical multi-pass Employee workload through the
-//! same tenant deployment against the same daemons and the same episode
-//! loop, `pds_core::execute_shard_pipelined`; only
-//! [`pds_core::QbExecutor::set_pipeline_window`] differs.  With a window
+//! Both arms run the identical batch — every value of a LINEITEM whose
+//! tuples each have a search value of their own — through the same tenant
+//! deployment against the same daemons and the same episode loop,
+//! `pds_core::execute_shard_pipelined`; only
+//! [`pds_core::QbExecutor::set_pipeline_window`] differs.  Each arm run
+//! starts from a fresh record of co-observed pairs
+//! ([`pds_core::QbExecutor::set_cache_capacity`]), so it fetches each of
+//! the batch's distinct bin pairs once: many light episodes.  With a window
 //! of 1 the loop writes one episode's `FetchBinRequest` and blocks for its
 //! answer before writing the next; with a deeper window it enqueues a
 //! whole window of correlated requests per shard (vectored writes, one
@@ -43,14 +47,16 @@ use pds_common::Result;
 use pds_obs::Registry;
 use pds_proto::{pool_stats, PoolStats};
 
-use crate::deploy::{employee_tenant, host_on_daemons, reclaim_from_daemons, EmployeeTenant};
+use crate::deploy::{host_on_daemons, lineitem_tenant, reclaim_from_daemons, DaemonTenant};
 
-/// Passes over the exhaustive Employee values per arm run: 96 queries.
-/// An arm must last long enough that one scheduler hiccup cannot flip
-/// its best-of-reps wall-clock or `wire.call` self-time: at 4 passes (24
-/// queries, about 1 ms in release) the gate failed 2 of 10 release runs
-/// on an unloaded 2-CPU machine, and at 16 it passed 10 of 10.
-pub const PASSES: usize = 16;
+/// LINEITEM tuples of the tenant, one per search value, so one arm run
+/// fetches every distinct bin pair of the 300-value batch once.  An arm
+/// must last long enough that one scheduler hiccup cannot flip its
+/// best-of-reps wall-clock or `wire.call` self-time, and its episodes must
+/// stay light: on an unloaded 2-CPU machine the gate passed 10 of 10
+/// release runs at 300 tuples, 7 of 10 at 400, and 3 of 10 at 1,200
+/// tuples with 8 per value, failing on `wire.call` self-time.
+pub const TUPLES: usize = 300;
 
 /// Everything `experiments pipeline` prints and gates on.
 #[derive(Debug, Clone)]
@@ -59,6 +65,8 @@ pub struct PipelineOutcome {
     pub shards: usize,
     /// Point queries per arm run.
     pub queries: usize,
+    /// Episodes (distinct bin pairs) each arm run fetched.
+    pub episodes: usize,
     /// In-flight window of the pipelined arm.
     pub window: usize,
     /// Timed runs per arm (each arm reports its fastest).
@@ -136,21 +144,20 @@ fn wire_call_self_ns(events: &[pds_obs::TraceEvent]) -> u64 {
 }
 
 /// Runs both wire disciplines `reps` times each (alternating, so drift
-/// in machine load hits both arms equally) over `shards` daemons and
-/// returns the gated outcome.
+/// in machine load hits both arms equally) over `shards` daemons hosting a
+/// `tuples`-row LINEITEM tenant and returns the gated outcome.
 pub fn run(
     shards: usize,
-    passes: usize,
+    tuples: usize,
     window: usize,
     reps: usize,
     seed: u64,
 ) -> Result<PipelineOutcome> {
     let reps = reps.max(1);
-    // One tenant over the Employee workload repeated `passes` times.
-    // Two workers per daemon, so responses can complete out of order
-    // without the extra threads contending on the single tenant's server
-    // mutex.
-    let mut tenants = [employee_tenant(1, shards, passes, seed)?];
+    // One tenant, every value once per arm run.  Two workers per daemon,
+    // so responses can complete out of order without the extra threads
+    // contending on the single tenant's server mutex.
+    let mut tenants = [lineitem_tenant(1, shards, tuples, seed)?];
     let pool_before = pool_stats();
     let daemons = host_on_daemons(&mut tenants, 2)?;
     let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
@@ -163,8 +170,10 @@ pub fn run(
     let mut pipelined_sec = f64::INFINITY;
     let mut wire_call_lock_ns = u64::MAX;
     let mut wire_call_pipe_ns = u64::MAX;
-    let arm = |dep: &mut EmployeeTenant, window: usize| -> Result<(f64, u64, bool)> {
+    let mut episodes = 0;
+    let mut arm = |dep: &mut DaemonTenant, window: usize| -> Result<(f64, u64, bool)> {
         dep.executor.set_pipeline_window(window);
+        dep.executor.set_cache_capacity(0);
         let _ = pds_obs::drain();
         let start = Instant::now();
         let run = dep.executor.run_workload_transported(
@@ -175,6 +184,7 @@ pub fn run(
         )?;
         let wall = start.elapsed().as_secs_f64();
         let blocked = wire_call_self_ns(&pds_obs::drain().events);
+        episodes = run.cache_misses;
         Ok((wall, blocked, run.answers == dep.reference))
     };
     let result = (|| -> Result<()> {
@@ -203,6 +213,7 @@ pub fn run(
     Ok(PipelineOutcome {
         shards,
         queries: dep.workload.len(),
+        episodes,
         window,
         reps,
         lock_step_sec,

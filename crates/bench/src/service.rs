@@ -24,7 +24,7 @@ use pds_cloud::{BinTransport, ShardDaemon, TcpCloudClient};
 use pds_common::Result;
 use pds_obs::LatencySummary;
 
-use crate::deploy::{employee_tenant, host_on_daemons, reclaim_from_daemons, EmployeeTenant};
+use crate::deploy::{employee_tenant, host_on_daemons, reclaim_from_daemons, DaemonTenant};
 
 /// One cell of the sweep: a worker-pool size under a fixed owner count.
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ pub fn run(
 ) -> Result<Vec<ServicePoint>> {
     // Four passes over the exhaustive values: with caching off every
     // repeat pays a full round trip, giving the percentiles real samples.
-    let mut tenants: Vec<EmployeeTenant> = (1..=owners as u64)
+    let mut tenants: Vec<DaemonTenant> = (1..=owners as u64)
         .map(|id| employee_tenant(id, shards, 4, seed))
         .collect::<Result<_>>()?;
 

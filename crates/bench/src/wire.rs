@@ -371,11 +371,31 @@ mod tests {
         assert_eq!(default_shards(), vec![1, 4]);
     }
 
+    /// The distinct bin pairs of the exhaustive workload `rounds_drop`
+    /// runs at `shards` shards.
+    fn distinct_pairs(tuples: usize, shards: usize, seed: u64) -> usize {
+        let relation = lineitem(tuples, seed);
+        let dep = det_deployment(&relation, shards, seed, PlanMode::Composed).unwrap();
+        let workload = dep.workload(seed.wrapping_add(1)).unwrap().exhaustive();
+        let binning = dep.executor.binning();
+        let pairs: std::collections::HashSet<_> = workload
+            .iter()
+            .filter_map(|v| binning.retrieve(v))
+            .map(|p| (p.sensitive_bin, p.nonsensitive_bin))
+            .collect();
+        pairs.len()
+    }
+
     #[test]
     fn composed_path_drops_rounds_at_identical_answers() {
         let points = rounds_drop(1_200, &[1, 4], 42).unwrap();
         assert_eq!(points.len(), 2);
         for p in &points {
+            // The batch is the first after outsourcing, so no pair is
+            // co-observed yet: it fetches each distinct pair once, and
+            // repeats are served from the batch's own bins.
+            let distinct = distinct_pairs(1_200, p.shards, 42);
+            assert!(distinct < p.queries, "{distinct} pairs: {p:?}");
             assert!(p.exact, "answers diverged: {p:?}");
             assert!(p.secure, "security violated: {p:?}");
             assert!(
@@ -388,13 +408,14 @@ mod tests {
             );
             // Provable from metrics alone: every composed episode moved one
             // request frame; every fine-grained episode moved two.
-            assert_eq!(p.episodes as usize, p.queries);
+            assert_eq!(p.episodes as usize, distinct);
             assert_eq!(p.requests_composed, p.episodes);
             assert_eq!(p.requests_fine, 2 * p.episodes);
             // det-index episodes are 2 fine-grained rounds (tag select +
-            // plaintext select) vs exactly 1 composed round per query.
-            assert_eq!(p.rounds_composed as usize, p.queries);
-            assert_eq!(p.rounds_fine as usize, 2 * p.queries);
+            // plaintext select) vs exactly 1 composed round per episode.
+            assert_eq!(p.rounds_composed as usize, distinct);
+            assert_eq!(p.rounds_fine as usize / 2, distinct);
+            assert_eq!(p.rounds_fine % 2, 0);
         }
         assert!(rounds_gate_holds(&points));
         assert!(!rounds_gate_holds(&[]));

@@ -32,6 +32,13 @@
 //!    subsequence* of the uncached one: same distinct episodes, lower
 //!    multiplicities, identical security verdict.
 //!
+//! The same two rules govern in-batch reuse at any capacity, capacity 0
+//! included: the executor answers a batched query from bins fetched by
+//! earlier steps of its own batch only when both bins are fetched there
+//! and the pair is a repeat of one of those steps or has been co-observed
+//! before ([`BinCache::co_observed`]).  That is why the seen-pair set is
+//! kept at every capacity, while bin contents are kept only above 0.
+//!
 //! ## Consistency
 //!
 //! Cached entries are snapshots; an insert into a bin makes its entry
@@ -115,9 +122,10 @@ impl BinCacheStats {
 
 /// A bounded LRU over retrieved bin contents, keyed by [`BinKey`].
 ///
-/// Capacity is counted in *bins* (entries), not tuples; capacity 0 disables
-/// caching entirely (every lookup is a miss, every store a no-op), which
-/// keeps the uncached code path byte-identical for tests and baselines.
+/// Capacity is counted in *bins* (entries), not tuples; capacity 0 caches
+/// no contents (every lookup is a miss, and a store only records that the
+/// pair was co-observed), which keeps cross-call answers on the uncached
+/// code path for tests and baselines.
 #[derive(Debug, Clone, Default)]
 pub struct BinCache {
     capacity: usize,
@@ -125,8 +133,10 @@ pub struct BinCache {
     /// hit can refresh both bins of its pair from one lookup each.
     entries: HashMap<BinKey, (Cell<u64>, Vec<Tuple>)>,
     /// Bin pairs the cloud has observed co-retrieved at least once — the
-    /// precondition for serving that pair from cache (module docs, rule 2).
-    /// Unbounded but tiny: at most `sensitive bins × non-sensitive bins`.
+    /// precondition for serving that pair from cache or from bins its batch
+    /// fetched for other pairs (module docs, rule 2).  Kept at every
+    /// capacity; unbounded but tiny: at most `sensitive bins × non-sensitive
+    /// bins`.
     seen_pairs: HashSet<(usize, usize)>,
     clock: u64,
     stats: BinCacheStats,
@@ -198,34 +208,38 @@ impl BinCache {
     }
 
     /// Records one completed pair fetch: the cloud has now co-observed the
-    /// pair (making it eligible for future hits) and both bins' contents
-    /// are cached individually — so they remain reusable by *other* pairs
-    /// sharing one of the bins, once those pairs have been co-observed too.
-    /// No-op at capacity 0.
+    /// pair (making it eligible for future hits and in-batch reuse), and
+    /// above capacity 0 copies of both bins' contents are cached
+    /// individually — so they remain reusable by *other* pairs sharing one
+    /// of the bins, once those pairs have been co-observed too.
     pub fn store_pair(
         &mut self,
         sensitive_bin: usize,
-        sensitive_tuples: Vec<Tuple>,
+        sensitive_tuples: &[Tuple],
         nonsensitive_bin: usize,
-        nonsensitive_tuples: Vec<Tuple>,
+        nonsensitive_tuples: &[Tuple],
     ) {
+        self.seen_pairs.insert((sensitive_bin, nonsensitive_bin));
         if self.capacity == 0 {
             return;
         }
         let _span = pds_obs::obs_span("cache.store_pair");
-        self.seen_pairs.insert((sensitive_bin, nonsensitive_bin));
         self.store(BinKey::sensitive(sensitive_bin), sensitive_tuples);
         self.store(BinKey::nonsensitive(nonsensitive_bin), nonsensitive_tuples);
     }
 
-    /// Stores (or refreshes) one bin, evicting the least-recently-used
-    /// entry when the cache is full.  No-op at capacity 0.
-    fn store(&mut self, key: BinKey, tuples: Vec<Tuple>) {
-        if self.capacity == 0 {
-            return;
-        }
+    /// Whether the cloud has observed this bin pair fetched together since
+    /// the cache was created (module docs, rule 2).  Neither counts a
+    /// lookup nor touches recency.
+    pub fn co_observed(&self, sensitive_bin: usize, nonsensitive_bin: usize) -> bool {
+        self.seen_pairs.contains(&(sensitive_bin, nonsensitive_bin))
+    }
+
+    /// Stores (or refreshes) a copy of one bin, evicting the
+    /// least-recently-used entry when the cache is full.
+    fn store(&mut self, key: BinKey, tuples: &[Tuple]) {
         self.clock += 1;
-        let entry = (Cell::new(self.clock), tuples);
+        let entry = (Cell::new(self.clock), tuples.to_vec());
         if let Some(old) = self.entries.get_mut(&key) {
             *old = entry;
             return;
@@ -278,7 +292,7 @@ mod tests {
     fn pair_hit_requires_a_completed_pair_fetch() {
         let mut c = BinCache::new(4);
         assert!(c.get_pair(0, 0).is_none(), "cold cache misses");
-        c.store_pair(0, tuples(10, 2), 0, tuples(20, 3));
+        c.store_pair(0, &tuples(10, 2), 0, &tuples(20, 3));
         let (s, ns) = c.get_pair(0, 0).expect("completed pair serves");
         assert_eq!(s.len(), 2);
         assert_eq!(ns.len(), 3);
@@ -297,15 +311,15 @@ mod tests {
         // co-occurrence graph forever (Figure 4b), so they must miss until
         // fetched once.
         let mut c = BinCache::new(8);
-        c.store_pair(0, tuples(0, 1), 0, tuples(10, 1));
-        c.store_pair(1, tuples(20, 1), 1, tuples(30, 1));
+        c.store_pair(0, &tuples(0, 1), 0, &tuples(10, 1));
+        c.store_pair(1, &tuples(20, 1), 1, &tuples(30, 1));
         assert!(c.contains(BinKey::sensitive(0)));
         assert!(c.contains(BinKey::nonsensitive(1)));
         assert!(c.get_pair(0, 1).is_none(), "cross pair never co-observed");
         assert!(c.get_pair(1, 0).is_none(), "cross pair never co-observed");
         // Once fetched once, the cross pair becomes servable — and bin
         // contents are genuinely shared across pairs.
-        c.store_pair(0, tuples(0, 1), 1, tuples(30, 1));
+        c.store_pair(0, &tuples(0, 1), 1, &tuples(30, 1));
         assert!(c.get_pair(0, 1).is_some());
         assert!(c.get_pair(0, 0).is_some(), "original pair still serves");
     }
@@ -313,7 +327,7 @@ mod tests {
     #[test]
     fn sensitive_and_nonsensitive_indices_do_not_collide() {
         let mut c = BinCache::new(4);
-        c.store_pair(1, tuples(1, 1), 1, tuples(2, 2));
+        c.store_pair(1, &tuples(1, 1), 1, &tuples(2, 2));
         assert!(c.contains(BinKey::sensitive(1)));
         assert!(c.contains(BinKey::nonsensitive(1)));
         let (s, ns) = c.get_pair(1, 1).unwrap();
@@ -324,11 +338,11 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_bin() {
         let mut c = BinCache::new(2);
-        c.store_pair(0, tuples(0, 1), 0, tuples(10, 1));
+        c.store_pair(0, &tuples(0, 1), 0, &tuples(10, 1));
         // Touch the pair so both entries are warm, then add another pair
         // (capacity 2, so both of its bins push out the older pair's).
         assert!(c.get_pair(0, 0).is_some());
-        c.store_pair(9, tuples(90, 1), 9, tuples(91, 1));
+        c.store_pair(9, &tuples(90, 1), 9, &tuples(91, 1));
         assert_eq!(c.len(), 2);
         assert!(!c.contains(BinKey::sensitive(0)));
         assert!(!c.contains(BinKey::nonsensitive(0)));
@@ -341,10 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_zero_disables_caching() {
+    fn capacity_zero_caches_no_contents_but_records_co_observation() {
         let mut c = BinCache::new(0);
-        c.store_pair(0, tuples(0, 5), 0, tuples(5, 5));
+        assert!(!c.co_observed(0, 0));
+        c.store_pair(0, &tuples(0, 5), 0, &tuples(5, 5));
         assert!(c.is_empty());
+        assert!(c.co_observed(0, 0), "the cloud saw the pair fetched");
+        assert!(!c.co_observed(0, 1) && !c.co_observed(1, 0));
         assert!(c.get_pair(0, 0).is_none());
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.stats().misses, 1);
@@ -353,12 +370,12 @@ mod tests {
     #[test]
     fn invalidate_and_clear() {
         let mut c = BinCache::new(4);
-        c.store_pair(0, tuples(0, 1), 0, tuples(1, 1));
+        c.store_pair(0, &tuples(0, 1), 0, &tuples(1, 1));
         assert!(c.invalidate(BinKey::sensitive(0)));
         assert!(!c.invalidate(BinKey::sensitive(0)), "already gone");
         assert!(c.get_pair(0, 0).is_none(), "invalidated bin forces a miss");
         // Re-fetching restores servability (the pair stays co-observed).
-        c.store_pair(0, tuples(0, 1), 0, tuples(1, 1));
+        c.store_pair(0, &tuples(0, 1), 0, &tuples(1, 1));
         assert!(c.get_pair(0, 0).is_some());
         c.clear();
         assert!(c.is_empty());
@@ -369,8 +386,8 @@ mod tests {
     #[test]
     fn store_pair_refreshes_existing_entries_without_eviction() {
         let mut c = BinCache::new(2);
-        c.store_pair(0, tuples(0, 1), 0, tuples(1, 1));
-        c.store_pair(0, tuples(2, 3), 0, tuples(1, 1));
+        c.store_pair(0, &tuples(0, 1), 0, &tuples(1, 1));
+        c.store_pair(0, &tuples(2, 3), 0, &tuples(1, 1));
         assert_eq!(c.len(), 2);
         let (s, _) = c.get_pair(0, 0).unwrap();
         assert_eq!(s.len(), 3, "refreshed contents are served");

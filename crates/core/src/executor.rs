@@ -9,10 +9,12 @@
 //!    [`SecureSelectionEngine`] for encryption/upload.
 //! 2. **Planning** — a batch of queries is compiled into a
 //!    [`crate::plan::QueryPlan`]: Algorithm 2 rewrites each value into one
-//!    bin pair, the owner-side hot-bin cache serves what it can, and the
-//!    remaining episodes are grouped by the shard hosting their sensitive
-//!    bin, each marked composed (the clear-text bin rides the sensitive
-//!    side's last exchange) or fine-grained according to the plan mode.
+//!    bin pair, the owner-side hot-bin cache serves what it can, queries
+//!    the batch's own fetches can answer wait for them, and the remaining
+//!    episodes — one per fetched pair — are grouped by the shard hosting
+//!    their sensitive bin, each marked composed (the clear-text bin rides
+//!    the sensitive side's last exchange) or fine-grained according to the
+//!    plan mode.
 //! 3. **Execution** — the planned episodes fan out per shard through one
 //!    [`BinTransport::dispatch`], one task per shard with work holding
 //!    that shard's engine, its steps and a fresh owner fork.  Every
@@ -31,7 +33,7 @@
 //! co-observation tracking and security-view recording behave identically
 //! however a query arrives.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use pds_cloud::{
     BinCache, BinCacheStats, BinEpisodeRequest, BinKey, BinRoutedCloud, BinTransport, CloudServer,
@@ -94,7 +96,8 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     /// per-query merge never rebuilds it (`qmerge` is on the hot path).
     fake_id_set: HashSet<TupleId>,
     /// Owner-side hot-bin cache over already-retrieved, already-decrypted
-    /// bins.  Capacity 0 (the default) disables it entirely.
+    /// bins, with the record of pairs the cloud has seen fetched together.
+    /// Capacity 0 (the default) caches no contents but keeps the record.
     cache: BinCache,
     /// The tenant this executor acts for in a multi-tenant deployment:
     /// it must match the tenant a [`BinTransport::Tcp`] client
@@ -219,7 +222,9 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Replaces the hot-bin cache with a fresh one holding at most
-    /// `capacity` bins (entries and counters are reset).
+    /// `capacity` bins (entries, counters and the record of co-observed
+    /// pairs are reset, so the next batch fetches each of its distinct
+    /// pairs once).
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache = BinCache::new(capacity);
     }
@@ -461,52 +466,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
     }
 
-    /// Fetches (or serves from cache) the raw result streams of one bin
-    /// pair, executing a single-step plan on a miss: how an in-batch waiter
-    /// resolves once the batch's fan-out has populated the cache.  A
-    /// **hit** requires both bins cached *and* the pair previously
-    /// co-observed by the cloud — anything weaker distorts the cloud's view
-    /// (lone-bin episodes break count indistinguishability; serving a
-    /// never-co-observed pair erases a co-occurrence edge); see
-    /// `pds_cloud::cache`.  On a miss the
-    /// fetched bins are cached individually, so a pair sharing one bin with
-    /// this one reuses its contents once that pair has been observed once
-    /// itself.  The miss episode runs as a one-step plan through
-    /// [`QbExecutor::run_steps`], so it takes the same fan-out as a batch
-    /// on every transport: over [`BinTransport::Tcp`] it travels to the
-    /// daemon hosting the sensitive bin, with the local `cloud` consulted
-    /// only for routing.  Returns `(nonsensitive, sensitive, cached,
-    /// rounds)`.
-    fn retrieve_pair<C: BinRoutedCloud>(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut C,
-        transport: &BinTransport,
-        pair: BinPair,
-    ) -> Result<(Vec<Tuple>, Vec<Tuple>, bool, u64)> {
-        if let Some((s_tuples, ns_tuples)) = self
-            .cache
-            .get_pair(pair.sensitive_bin, pair.nonsensitive_bin)
-        {
-            owner.note_bin_cache(true);
-            return Ok((ns_tuples, s_tuples, true, 0));
-        }
-        owner.note_bin_cache(false);
-        let step = self.compile_step(cloud, 0, pair);
-        let mut per_shard = vec![Vec::new(); cloud.shard_count()];
-        per_shard[step.shard].push(step);
-        let (mut episodes, _) = self.run_steps(owner, cloud, transport, per_shard)?;
-        let (_, _, result) = episodes
-            .pop()
-            .ok_or_else(|| PdsError::Query("a one-step plan returned no episode".into()))?;
-        Ok((
-            result.outcome.nonsensitive,
-            result.outcome.sensitive,
-            false,
-            result.rounds,
-        ))
-    }
-
     /// Runs a QB selection for a single value: a one-value
     /// [`QbExecutor::run_workload_transported`] over
     /// [`BinTransport::Sequential`].
@@ -594,12 +553,16 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// parallel wall-clock rather than the router's max-over-shards model.
     ///
     /// Answers are byte-identical to running [`QbExecutor::select`] per
-    /// value: queries are grouped by home shard (episode order within a
-    /// shard is preserved), hot-bin cache hits are answered owner-side
-    /// before the fan-out — repeat occurrences of a pair within the batch
-    /// wait for the first occurrence's fetch and hit afterwards, just as
-    /// they would sequentially — and every per-shard engine/owner fork's
-    /// counters are folded back afterwards.
+    /// value: queries are grouped by home shard, hot-bin cache hits are
+    /// answered owner-side before the fan-out, and every per-shard
+    /// engine/owner fork's counters are folded back afterwards.  A query
+    /// is answered from bins its batch fetches for earlier queries — with
+    /// no episode of its own — when an earlier query of the batch has its
+    /// pair, or when the cloud has seen its pair fetched together before
+    /// and the batch fetches both of its bins (the hot-bin cache's two
+    /// rules, `pds_cloud::cache`).  Every shard's view then holds the
+    /// same distinct observations as one query per call would leave, in
+    /// fewer episodes.
     ///
     /// Every transport runs the batch through the same fan-out
     /// ([`BinTransport::dispatch`]), and [`TransportedRun::rounds`] is the
@@ -645,13 +608,13 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// caller's merge fills in.
     ///
     /// It checks a TCP client against the deployment, compiles the plan —
-    /// cache hits are captured owner-side right away, misses become
-    /// episode steps grouped by the shard hosting their sensitive bin —
-    /// runs the steps through [`QbExecutor::run_steps`], then resolves the
-    /// waiters.  With caching enabled, repeat occurrences of a pair already
-    /// pending in this batch are deferred as waiters instead of fetched
-    /// again, matching one-at-a-time retrieval, where every occurrence
-    /// after the first is a hit.
+    /// cache hits are captured owner-side right away, waiters wait for
+    /// their batch's bins, and the rest become episode steps grouped by
+    /// the shard hosting their sensitive bin — runs the steps through
+    /// [`QbExecutor::run_steps`], records every fetched pair in the
+    /// hot-bin cache, then answers each waiter from the batch's fetched
+    /// bins.  A non-sensitive bin may come from another shard's episode:
+    /// the clear-text relation is replicated to every shard.
     fn run_pairs<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -681,32 +644,48 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
 
         let plan = self.plan_workload(owner, cloud, pairs);
-        let mut cache_hits = plan.cache_served.len();
-        let mut cache_misses = plan.step_count();
+        let cache_hits = plan.cache_served.len() + plan.waiters.len();
+        let cache_misses = plan.step_count();
         let mut streams: Streams = plan
             .cache_served
             .into_iter()
             .map(|served| (served.index, served.nonsensitive, served.sensitive))
             .collect();
         let (episodes, wall_clock_sec) = self.run_steps(owner, cloud, transport, plan.per_shard)?;
-        let mut rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
-        for (idx, _, res) in episodes {
-            streams.push((idx, res.outcome.nonsensitive, res.outcome.sensitive));
+        let rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
+        // The stream holding each bin the batch fetched.
+        let mut sensitive_from: HashMap<usize, usize> = HashMap::new();
+        let mut nonsensitive_from: HashMap<usize, usize> = HashMap::new();
+        for (idx, pair, res) in episodes {
+            let BinEpisodeOutcome {
+                nonsensitive,
+                sensitive,
+            } = res.outcome;
+            self.cache.store_pair(
+                pair.sensitive_bin,
+                &sensitive,
+                pair.nonsensitive_bin,
+                &nonsensitive,
+            );
+            sensitive_from
+                .entry(pair.sensitive_bin)
+                .or_insert(streams.len());
+            nonsensitive_from
+                .entry(pair.nonsensitive_bin)
+                .or_insert(streams.len());
+            streams.push((idx, nonsensitive, sensitive));
         }
-
-        // Waiters look the cache up now that the fan-out has populated it.
-        // A waiter can still miss when a later store in the same batch
-        // evicted its bins (tiny capacities); it then fetches on its own.
         for (idx, pair) in plan.waiters {
-            let (ns_tuples, s_tuples, cached, waiter_rounds) =
-                self.retrieve_pair(owner, cloud, transport, pair)?;
-            if cached {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-                rounds += waiter_rounds;
-            }
-            streams.push((idx, ns_tuples, s_tuples));
+            let (Some(&s), Some(&ns)) = (
+                sensitive_from.get(&pair.sensitive_bin),
+                nonsensitive_from.get(&pair.nonsensitive_bin),
+            ) else {
+                return Err(PdsError::Query(format!(
+                    "the batch fetched no episode holding both bins of waiter {pair:?}"
+                )));
+            };
+            let served = (idx, streams[ns].1.clone(), streams[s].2.clone());
+            streams.push(served);
         }
         let run = TransportedRun {
             answers: vec![Vec::new(); pairs.len()],
@@ -732,8 +711,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// daemon client with the pipeline window, and `cloud` contributes only
     /// its shard slots' count.  Every fork's counters are folded back into
     /// `owner` before the first error (in shard order) surfaces, so a
-    /// failed shard's work is still accounted for.  Each fetched pair is
-    /// then stored in the hot-bin cache, when it is enabled.
+    /// failed shard's work is still accounted for.
     fn run_steps<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -796,16 +774,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             .into_iter()
             .flatten()
             .collect();
-        if self.cache.capacity() > 0 {
-            for (_, pair, result) in &episodes {
-                self.cache.store_pair(
-                    pair.sensitive_bin,
-                    result.outcome.sensitive.clone(),
-                    pair.nonsensitive_bin,
-                    result.outcome.nonsensitive.clone(),
-                );
-            }
-        }
         Ok((episodes, wall_clock_sec))
     }
 
@@ -839,9 +807,13 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Compiles one batch of bin pairs (one per answer slot; `None` slots
-    /// need nothing) into a [`QueryPlan`]: serves what the owner-side cache
-    /// can, defers in-batch repeats as waiters, and groups the remaining
-    /// episodes by home shard in the plan mode's composed or fine-grained
+    /// need nothing) into a [`QueryPlan`], deciding slot by slot in batch
+    /// order, so a batch always compiles to the same plan.  A slot waits
+    /// for its batch's bins when the batch already plans its pair;
+    /// otherwise the owner-side cache serves it when it can; else it waits
+    /// when the cloud has seen its pair fetched together before and
+    /// earlier steps fetch both of its bins; else it becomes an episode,
+    /// grouped by home shard in the plan mode's composed or fine-grained
     /// shape.
     fn plan_workload<C: BinRoutedCloud>(
         &mut self,
@@ -851,13 +823,17 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     ) -> QueryPlan {
         let _span = pds_obs::obs_span("plan.compile");
         let mut plan = QueryPlan::new(cloud.shard_count());
-        let mut pending_pairs: HashSet<(usize, usize)> = HashSet::new();
+        // Pairs the batch answers from its own fetches, and the bins it
+        // fetches.
+        let mut planned_pairs: HashSet<(usize, usize)> = HashSet::new();
+        let mut fetched_sensitive: HashSet<usize> = HashSet::new();
+        let mut fetched_nonsensitive: HashSet<usize> = HashSet::new();
         for (idx, &pair) in pairs.iter().enumerate() {
             let Some(pair) = pair else {
                 continue;
             };
             let pair_key = (pair.sensitive_bin, pair.nonsensitive_bin);
-            if self.cache.capacity() > 0 && pending_pairs.contains(&pair_key) {
+            if planned_pairs.contains(&pair_key) {
                 plan.waiters.push((idx, pair));
                 continue;
             }
@@ -875,7 +851,18 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 continue;
             }
             owner.note_bin_cache(false);
-            pending_pairs.insert(pair_key);
+            planned_pairs.insert(pair_key);
+            if self
+                .cache
+                .co_observed(pair.sensitive_bin, pair.nonsensitive_bin)
+                && fetched_sensitive.contains(&pair.sensitive_bin)
+                && fetched_nonsensitive.contains(&pair.nonsensitive_bin)
+            {
+                plan.waiters.push((idx, pair));
+                continue;
+            }
+            fetched_sensitive.insert(pair.sensitive_bin);
+            fetched_nonsensitive.insert(pair.nonsensitive_bin);
             let step = self.compile_step(cloud, idx, pair);
             plan.per_shard[step.shard].push(step);
         }
@@ -895,9 +882,12 @@ pub struct TransportedRun {
     /// Measured wall-clock seconds of the shard fan-out (excludes
     /// owner-side cache serving and the final merge).
     pub wall_clock_sec: f64,
-    /// Queries answered from the owner-side hot-bin cache.
+    /// Queries answered without a fetch of their own: from the owner-side
+    /// hot-bin cache, or from bins their batch fetched for other queries
+    /// (see [`QbExecutor::run_workload_transported`]).
     pub cache_hits: usize,
-    /// Queries that fetched their bin pair from a shard.
+    /// Queries whose bin pair the batch fetched from a shard, one episode
+    /// each.
     pub cache_misses: usize,
     /// Total owner↔cloud rounds over every episode of the batch, measured
     /// as each episode's shard's `round_trips` delta (over TCP, one per

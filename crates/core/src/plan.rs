@@ -9,7 +9,7 @@
 //! values ──compile──► QueryPlan ──execute──► answers
 //!                      │ cache_served   (answered owner-side, 0 rounds)
 //!                      │ per_shard[s]   (EpisodeSteps, one per bin pair)
-//!                      │ waiters        (in-batch repeats, resolved last)
+//!                      │ waiters        (served from the batch's own bins, resolved last)
 //!                      ▼
 //!             CloudServer(shard s) ◄── FetchBinRequest → BinPayload
 //! ```
@@ -99,8 +99,11 @@ pub struct QueryPlan {
     pub per_shard: Vec<Vec<EpisodeStep>>,
     /// Retrievals served from the owner-side cache at planning time.
     pub cache_served: Vec<CacheServed>,
-    /// In-batch repeats of a pending pair: they wait for the first
-    /// occurrence's fetch and are resolved against the cache afterwards.
+    /// Queries answered from bins earlier steps of the same batch fetch,
+    /// at any cache capacity: repeats of a pair the batch already plans,
+    /// and pairs the cloud has seen fetched together before whose two bins
+    /// the batch fetches (the non-sensitive one possibly on another
+    /// shard).  They take no episode and are resolved after the fan-out.
     pub waiters: Vec<(usize, BinPair)>,
 }
 

@@ -428,27 +428,32 @@ fn an_insert_grows_each_shard_view_by_one_result_list_and_its_pairs() {
     let addrs: Vec<SocketAddr> = daemons.iter().map(ShardDaemon::addr).collect();
     let client = TcpCloudClient::new(1, addrs);
     let transport = BinTransport::Tcp(client.clone());
-    // Reads every bin over TCP and in the twin, and returns the twin's
+    // Reads every bin over TCP and in the twin, one value per call so
+    // every shard fetches each of its pairs (a batch would serve pairs
+    // from bins fetched on another shard), and returns the twin's
     // per-shard view sizes.
     fn read_all<E: SecureSelectionEngine>(
         t: &mut Tenant<E>,
         twin: &mut Tenant<E>,
         transport: &BinTransport,
     ) -> Vec<ViewSize> {
-        let run = t
-            .executor
-            .run_workload_transported(&mut t.owner, &mut t.router, &t.workload, transport)
-            .unwrap();
-        let want = twin
-            .executor
-            .run_workload_transported(
-                &mut twin.owner,
-                &mut twin.router,
-                &twin.workload,
-                &BinTransport::Threaded,
-            )
-            .unwrap();
-        assert_eq!(run.answers, want.answers);
+        for value in t.workload.clone() {
+            let value = std::slice::from_ref(&value);
+            let run = t
+                .executor
+                .run_workload_transported(&mut t.owner, &mut t.router, value, transport)
+                .unwrap();
+            let want = twin
+                .executor
+                .run_workload_transported(
+                    &mut twin.owner,
+                    &mut twin.router,
+                    value,
+                    &BinTransport::Threaded,
+                )
+                .unwrap();
+            assert_eq!(run.answers, want.answers);
+        }
         twin.router
             .adversarial_views()
             .into_iter()
@@ -1205,9 +1210,10 @@ proptest! {
         let t = &mut tenants[0];
         let transport = BinTransport::Tcp(TcpCloudClient::new(1, addrs));
         for window in 1..=16 {
-            // A fresh cache per pass re-fetches every pair.  At capacity
-            // 32 in-batch repeats wait for the first fetch and hit; at
-            // capacity 1 they miss and travel as one-step windows.
+            // A fresh cache per pass forgets every co-observed pair, so
+            // each pass fetches every distinct pair once.  At either
+            // capacity, in-batch repeats take no episode of their own:
+            // they are answered from the bins their batch fetched.
             for capacity in [32, 1] {
                 t.executor.set_cache_capacity(capacity);
                 t.executor.set_pipeline_window(window);

@@ -18,9 +18,9 @@ impl Zipf {
     /// (`s = 0` is uniform; `s ≈ 1` is classic Zipf).
     ///
     /// Returns an error when `n == 0` or `s` is negative or not finite
-    /// (NaN included) — both parameters are CLI-reachable through
-    /// `experiments zipf --skew`, so bad input must surface as a
-    /// [`PdsError`], not a panic.
+    /// (NaN included) — both parameters reach it from callers' input
+    /// through [`crate::QueryWorkload::zipf`], so bad input must surface as
+    /// a [`PdsError`], not a panic.
     pub fn new(n: usize, s: f64) -> Result<Self> {
         if n == 0 {
             return Err(PdsError::Config("Zipf needs a non-empty domain".into()));
@@ -128,8 +128,8 @@ mod tests {
 
     #[test]
     fn invalid_parameters_are_errors_not_panics() {
-        // Regression: these used to be `assert!`s, which became CLI-reachable
-        // panics once `experiments zipf --skew` existed; NaN was silently
+        // Regression: these used to be `assert!`s, which became panics
+        // reachable from `QueryWorkload::zipf`'s callers; NaN was silently
         // accepted and poisoned the CDF.
         assert!(Zipf::new(0, 1.0).is_err(), "empty domain");
         assert!(Zipf::new(10, -0.1).is_err(), "negative exponent");
