@@ -53,8 +53,9 @@ pub struct HeteroOutcome {
     pub shards: usize,
     /// Queries executed (exhaustive workload).
     pub queries: usize,
-    /// Queries answered from bins the batch fetched for other queries,
-    /// with no episode of their own.
+    /// Queries answered beyond one per episode: the batch fetches a
+    /// minimum cover of its queries' bins, and every query reads its two
+    /// bins from the fetched streams.
     pub batch_served: usize,
     /// Distinct back-end kinds deployed.
     pub distinct_engines: usize,
@@ -204,8 +205,8 @@ mod tests {
             names,
             vec!["det-index", "nondet-scan", "arx-index", "opaque-sim"]
         );
-        // The whole workload is accounted for: each query either fetched
-        // its pair in an episode or was served from the batch's bins.
+        // The whole workload is accounted for: the episodes plus the
+        // queries answered beyond one per episode.
         let episodes: usize = outcome.per_shard.iter().map(|s| s.episodes).sum();
         assert_eq!(episodes + outcome.batch_served, outcome.queries);
         // Every shard sends one FetchBinRequest per episode: in one round

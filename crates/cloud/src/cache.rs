@@ -32,25 +32,38 @@
 //!    subsequence* of the uncached one: same distinct episodes, lower
 //!    multiplicities, identical security verdict.
 //!
-//! The same two rules govern in-batch reuse at any capacity, capacity 0
-//! included: the executor answers a batched query from bins fetched by
-//! earlier steps of its own batch only when both bins are fetched there
-//! and the pair is a repeat of one of those steps or has been co-observed
-//! before ([`BinCache::co_observed`]).  That is why the seen-pair set is
-//! kept at every capacity, while bin contents are kept only above 0.
+//! The same rules govern in-batch reuse at any capacity, capacity 0
+//! included.  A batch needs the bins of its pairs, and every query is
+//! answered from the streams its batch fetches, so the executor fetches a
+//! minimum set of pairs that covers those bins, built from two kinds of
+//! pair:
+//!
+//! * every batch pair that is not [`BinCache::fresh`] — never observed, or
+//!   written into since — is fetched as it stands, so the cloud sees its
+//!   current result exactly as one query per call would show it;
+//! * the bins those leave uncovered are covered by fresh pairs inside the
+//!   batch's bins: a maximum matching plus one pair per unmatched bin.
+//!   Re-fetching a fresh pair shows the cloud a result it already holds,
+//!   so the view gains no observation one query per call would not leave.
+//!
+//! That is why the seen-pair record is kept at every capacity, while bin
+//! contents are kept only above 0.
 //!
 //! ## Consistency
 //!
 //! Cached entries are snapshots; an insert into a bin makes its entry
-//! stale.  [`BinCache::invalidate`] drops one bin, [`BinCache::clear`] the
-//! lot.  Invalidation is **not** automatic: the insert path lives outside
-//! the executor (`InsertPlanner` plans, the engine re-uploads), so whoever
+//! stale and its pairs' last observations out of date.
+//! [`BinCache::invalidate`] drops one bin and marks every pair through it
+//! not fresh, [`BinCache::clear`] does so for the lot, and
+//! [`BinCache::store_pair`] makes a fetched pair fresh again.
+//! Invalidation is **not** automatic: the insert path lives outside the
+//! executor (`InsertPlanner` plans, the engine re-uploads), so whoever
 //! applies an insert plan must call
 //! `QbExecutor::invalidate_cache_on_insert` before the next select, or
 //! cached bins will serve answers missing the new tuple.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use pds_storage::Tuple;
 
@@ -133,11 +146,11 @@ pub struct BinCache {
     /// hit can refresh both bins of its pair from one lookup each.
     entries: HashMap<BinKey, (Cell<u64>, Vec<Tuple>)>,
     /// Bin pairs the cloud has observed co-retrieved at least once — the
-    /// precondition for serving that pair from cache or from bins its batch
-    /// fetched for other pairs (module docs, rule 2).  Kept at every
-    /// capacity; unbounded but tiny: at most `sensitive bins × non-sensitive
-    /// bins`.
-    seen_pairs: HashSet<(usize, usize)>,
+    /// precondition for serving that pair from cache (module docs, rule
+    /// 2) — each with whether it is fresh: no write into either bin since
+    /// its last observation.  Kept at every capacity; unbounded but tiny:
+    /// at most `sensitive bins × non-sensitive bins`.
+    seen_pairs: HashMap<(usize, usize), bool>,
     clock: u64,
     stats: BinCacheStats,
 }
@@ -148,7 +161,7 @@ impl BinCache {
         BinCache {
             capacity,
             entries: HashMap::new(),
-            seen_pairs: HashSet::new(),
+            seen_pairs: HashMap::new(),
             clock: 0,
             stats: BinCacheStats::default(),
         }
@@ -188,7 +201,7 @@ impl BinCache {
         let entries = &self.entries;
         let pair = self
             .seen_pairs
-            .contains(&(sensitive_bin, nonsensitive_bin))
+            .contains_key(&(sensitive_bin, nonsensitive_bin))
             .then(|| {
                 let s = entries.get(&BinKey::sensitive(sensitive_bin))?;
                 let ns = entries.get(&BinKey::nonsensitive(nonsensitive_bin))?;
@@ -208,7 +221,8 @@ impl BinCache {
     }
 
     /// Records one completed pair fetch: the cloud has now co-observed the
-    /// pair (making it eligible for future hits and in-batch reuse), and
+    /// pair's current contents (making it eligible for future hits, and
+    /// fresh for in-batch reuse), and
     /// above capacity 0 copies of both bins' contents are cached
     /// individually — so they remain reusable by *other* pairs sharing one
     /// of the bins, once those pairs have been co-observed too.
@@ -219,7 +233,8 @@ impl BinCache {
         nonsensitive_bin: usize,
         nonsensitive_tuples: &[Tuple],
     ) {
-        self.seen_pairs.insert((sensitive_bin, nonsensitive_bin));
+        self.seen_pairs
+            .insert((sensitive_bin, nonsensitive_bin), true);
         if self.capacity == 0 {
             return;
         }
@@ -228,11 +243,14 @@ impl BinCache {
         self.store(BinKey::nonsensitive(nonsensitive_bin), nonsensitive_tuples);
     }
 
-    /// Whether the cloud has observed this bin pair fetched together since
-    /// the cache was created (module docs, rule 2).  Neither counts a
-    /// lookup nor touches recency.
-    pub fn co_observed(&self, sensitive_bin: usize, nonsensitive_bin: usize) -> bool {
-        self.seen_pairs.contains(&(sensitive_bin, nonsensitive_bin))
+    /// Whether the cloud has observed this bin pair fetched together, with
+    /// no write into either bin since ([`BinCache::invalidate`],
+    /// [`BinCache::clear`]): fetching it again shows the cloud a result it
+    /// already holds.  Neither counts a lookup nor touches recency.
+    pub fn fresh(&self, sensitive_bin: usize, nonsensitive_bin: usize) -> bool {
+        self.seen_pairs
+            .get(&(sensitive_bin, nonsensitive_bin))
+            .is_some_and(|&fresh| fresh)
     }
 
     /// Stores (or refreshes) a copy of one bin, evicting the
@@ -257,17 +275,32 @@ impl BinCache {
         self.entries.insert(key, entry);
     }
 
-    /// Drops one bin's entry (if present).  Returns whether it was cached.
+    /// Records a write into one bin: drops its entry (if present) and
+    /// marks every pair through it not fresh.  Returns whether it was
+    /// cached.
     pub fn invalidate(&mut self, key: BinKey) -> bool {
+        for (&(sensitive_bin, nonsensitive_bin), fresh) in &mut self.seen_pairs {
+            let bin = match key.kind {
+                BinKind::Sensitive => sensitive_bin,
+                BinKind::NonSensitive => nonsensitive_bin,
+            };
+            if bin == key.index {
+                *fresh = false;
+            }
+        }
         self.entries.remove(&key).is_some()
     }
 
-    /// Drops every cached bin.  Counters are kept (they describe the
-    /// session) and so is the seen-pair set: the cloud's past observations
-    /// do not un-happen, and serving a re-fetched pair later is still
-    /// sound — only the stale *contents* must go.
+    /// Records a write that may touch any bin: drops every cached bin and
+    /// marks every pair not fresh.  Counters are kept (they describe the
+    /// session) and so is the seen-pair record: the cloud's past
+    /// observations do not un-happen, and serving a re-fetched pair later
+    /// is still sound — only the stale *contents* must go.
     pub fn clear(&mut self) {
         self.entries.clear();
+        for fresh in self.seen_pairs.values_mut() {
+            *fresh = false;
+        }
     }
 
     /// Whether one bin is currently cached (does not touch recency or
@@ -357,14 +390,31 @@ mod tests {
     #[test]
     fn capacity_zero_caches_no_contents_but_records_co_observation() {
         let mut c = BinCache::new(0);
-        assert!(!c.co_observed(0, 0));
+        assert!(!c.fresh(0, 0));
         c.store_pair(0, &tuples(0, 5), 0, &tuples(5, 5));
         assert!(c.is_empty());
-        assert!(c.co_observed(0, 0), "the cloud saw the pair fetched");
-        assert!(!c.co_observed(0, 1) && !c.co_observed(1, 0));
+        assert!(c.fresh(0, 0), "the cloud saw the pair fetched");
+        assert!(!c.fresh(0, 1) && !c.fresh(1, 0));
         assert!(c.get_pair(0, 0).is_none());
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn writes_make_pairs_stale_until_fetched_again() {
+        let mut c = BinCache::new(0);
+        c.store_pair(0, &[], 0, &[]);
+        c.store_pair(1, &[], 0, &[]);
+        c.store_pair(1, &[], 1, &[]);
+        c.invalidate(BinKey::nonsensitive(0));
+        assert!(!c.fresh(0, 0) && !c.fresh(1, 0), "pairs through the bin");
+        assert!(c.fresh(1, 1), "a pair through other bins stays fresh");
+        c.store_pair(0, &[], 0, &[]);
+        assert!(c.fresh(0, 0), "a fetch makes the pair fresh again");
+        c.invalidate(BinKey::sensitive(1));
+        assert!(!c.fresh(1, 1) && c.fresh(0, 0));
+        c.clear();
+        assert!(!c.fresh(0, 0), "a write anywhere makes every pair stale");
     }
 
     #[test]

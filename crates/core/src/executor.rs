@@ -9,12 +9,12 @@
 //!    [`SecureSelectionEngine`] for encryption/upload.
 //! 2. **Planning** — a batch of queries is compiled into a
 //!    [`crate::plan::QueryPlan`]: Algorithm 2 rewrites each value into one
-//!    bin pair, the owner-side hot-bin cache serves what it can, queries
-//!    the batch's own fetches can answer wait for them, and the remaining
-//!    episodes — one per fetched pair — are grouped by the shard hosting
-//!    their sensitive bin, each marked composed (the clear-text bin rides
-//!    the sensitive side's last exchange) or fine-grained according to the
-//!    plan mode.
+//!    bin pair, the owner-side hot-bin cache serves what it can, and the
+//!    batch fetches a minimum cover of the remaining pairs' bins
+//!    ([`crate::planner::bin_cover`]).  The episodes — one per fetched
+//!    pair — are grouped by the shard hosting their sensitive bin, each
+//!    marked composed (the clear-text bin rides the sensitive side's last
+//!    exchange) or fine-grained according to the plan mode.
 //! 3. **Execution** — the planned episodes fan out per shard through one
 //!    [`BinTransport::dispatch`], one task per shard with work holding
 //!    that shard's engine, its steps and a fresh owner fork.  Every
@@ -23,15 +23,17 @@
 //!    ([`crate::plan::execute_episode`]), or over TCP through
 //!    [`crate::plan::execute_shard_pipelined`]'s correlated window.  A
 //!    batch's rounds are the sum of its episodes' measured rounds on every
-//!    transport.  The owner decrypts, drops fake tuples and false
-//!    positives, and merges the two result streams (`qmerge` of §II).
+//!    transport.  Every query then reads the fetched streams of its two
+//!    bins: the owner drops fake tuples and false positives and merges the
+//!    two streams (`qmerge` of §II).
 //!
-//! All entry points — [`QbExecutor::select`], [`QbExecutor::fetch_bin_pair`]
-//! and [`QbExecutor::run_workload_transported`] — run one batch of bin
-//! pairs through this one plan→execute code path (a point query is a batch
-//! of one over [`BinTransport::Sequential`]), so cache bookkeeping,
-//! co-observation tracking and security-view recording behave identically
-//! however a query arrives.
+//! All entry points — [`QbExecutor::select`],
+//! [`QbExecutor::run_workload_transported`] and the range, aggregate and
+//! join extensions — run one batch of bin pairs through this one
+//! plan→execute code path (a point query is a batch of one over
+//! [`BinTransport::Sequential`]), so cache bookkeeping, co-observation
+//! tracking and security-view recording behave identically however a
+//! query arrives.
 
 use std::collections::{HashMap, HashSet};
 
@@ -48,7 +50,7 @@ use crate::plan::{
     execute_episode, execute_shard_pipelined, CacheServed, EpisodeResult, EpisodeStep, PlanMode,
     QueryPlan,
 };
-use crate::planner::{reorder_for_locality, PlannerConfig};
+use crate::planner::{bin_cover, reorder_for_locality, PlannerConfig};
 
 /// Default in-flight window per shard connection over
 /// [`BinTransport::Tcp`]: deep enough to keep a multi-worker daemon busy,
@@ -56,12 +58,8 @@ use crate::planner::{reorder_for_locality, PlannerConfig};
 /// idempotent episodes to replay.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 8;
 
-/// Executed episodes: each one's workload slot, bin pair and result.
-type Episodes = Vec<(usize, BinPair, EpisodeResult)>;
-
-/// A batch's raw result streams before `qmerge`: each retrieved slot with
-/// its non-sensitive and its sensitive stream.
-type Streams = Vec<(usize, Vec<Tuple>, Vec<Tuple>)>;
+/// Executed episodes: each one's bin pair and result.
+type Episodes = Vec<(BinPair, EpisodeResult)>;
 
 /// The end-to-end Query Binning executor over a chosen secure back-end.
 ///
@@ -447,14 +445,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// shard hosting the sensitive bin, composed iff the plan mode is
     /// [`PlanMode::Composed`].
     // pds-allow: plaintext-egress(BinEpisodeRequest is the owner-side episode description, not a wire frame: sensitive_values leave only as pds_crypto search tags or located addresses when the engine builds the episode's FetchBinRequest, and set_planner rejects residuals mentioning sensitive or searchable attributes before wire_residual will release one)
-    fn compile_step<C: BinRoutedCloud>(
-        &self,
-        cloud: &C,
-        index: usize,
-        pair: BinPair,
-    ) -> EpisodeStep {
+    fn compile_step<C: BinRoutedCloud>(&self, cloud: &C, pair: BinPair) -> EpisodeStep {
         EpisodeStep {
-            index,
             pair,
             shard: cloud.route_sensitive_bin(pair.sensitive_bin),
             composed: self.plan_mode == PlanMode::Composed,
@@ -484,40 +476,17 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         Ok(run.answers.into_iter().flatten().collect())
     }
 
-    /// Retrieves one bin pair exactly as a point query would (same plan,
-    /// same adversarial view, same costs) and returns *all* real tuples of
-    /// both bins without filtering to a particular value.  The range,
-    /// aggregate and join extensions build on this.
-    pub fn fetch_bin_pair<C: BinRoutedCloud>(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut C,
-        pair: BinPair,
-    ) -> Result<Vec<Tuple>> {
-        let (streams, _) =
-            self.run_pairs(owner, cloud, &[Some(pair)], &BinTransport::Sequential)?;
-        let residual = self.planner.residual.as_ref();
-        let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
-        let mut out: Vec<Tuple> = Vec::new();
-        for (_, ns, s) in streams {
-            out.extend(
-                s.into_iter()
-                    .filter(|t| !self.fake_id_set.contains(&t.id) && keep(t)),
-            );
-            out.extend(ns.into_iter().filter(|t| keep(t)));
-        }
-        Ok(out)
-    }
-
     /// Invalidates the hot-bin cache for a planned insert of `value` on the
     /// given side (see `pds_core::extensions::InsertPlanner`): cached bin
-    /// snapshots would otherwise serve stale contents after the insert.
+    /// snapshots would otherwise serve stale contents after the insert, and
+    /// a batch could otherwise fetch a pair through the written bin for
+    /// its bins alone, showing the cloud a result no query asked for.
     ///
-    /// A sensitive-side insert conservatively drops *every* cached bin —
-    /// the general case may add padding fakes to any sensitive bin to keep
-    /// tuple counts balanced.  A non-sensitive insert of a known value only
-    /// drops that value's clear-text bin; an unknown value (which forces a
-    /// slot assignment or a rebuild) also clears everything.
+    /// A sensitive-side insert conservatively treats *every* bin as written
+    /// — the general case may add padding fakes to any sensitive bin to
+    /// keep tuple counts balanced.  A non-sensitive insert of a known value
+    /// only writes that value's clear-text bin; an unknown value (which
+    /// forces a slot assignment or a rebuild) also writes everything.
     pub fn invalidate_cache_on_insert(&mut self, value: &Value, sensitive: bool) {
         if sensitive {
             self.cache.clear();
@@ -531,20 +500,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
     }
 
-    /// Runs a whole workload of point queries, returning the per-query
-    /// answer sizes (used by experiments that only need cardinalities).
-    pub fn run_workload<C: BinRoutedCloud>(
-        &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut C,
-        values: &[Value],
-    ) -> Result<Vec<usize>> {
-        values
-            .iter()
-            .map(|v| self.select(owner, cloud, v).map(|ts| ts.len()))
-            .collect()
-    }
-
     /// Runs a batch of point queries with the bin fetches of different
     /// shards dispatched through `transport` — with
     /// [`BinTransport::Threaded`], the shards' episode streams run at once
@@ -553,16 +508,16 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// parallel wall-clock rather than the router's max-over-shards model.
     ///
     /// Answers are byte-identical to running [`QbExecutor::select`] per
-    /// value: queries are grouped by home shard, hot-bin cache hits are
-    /// answered owner-side before the fan-out, and every per-shard
-    /// engine/owner fork's counters are folded back afterwards.  A query
-    /// is answered from bins its batch fetches for earlier queries — with
-    /// no episode of its own — when an earlier query of the batch has its
-    /// pair, or when the cloud has seen its pair fetched together before
-    /// and the batch fetches both of its bins (the hot-bin cache's two
-    /// rules, `pds_cloud::cache`).  Every shard's view then holds the
-    /// same distinct observations as one query per call would leave, in
-    /// fewer episodes.
+    /// value: hot-bin cache hits are answered owner-side before the
+    /// fan-out, the batch fetches a minimum cover of the other queries'
+    /// bins ([`crate::planner::bin_cover`]) grouped by home shard, every
+    /// per-shard engine/owner fork's counters are folded back afterwards,
+    /// and each query is answered from the fetched streams of its two
+    /// bins.  A pair the cloud has not seen fetched since its bins last
+    /// changed is fetched as it stands, and every other fetched pair is one
+    /// the cloud holds the current result of (`pds_cloud::cache`), so every
+    /// shard's view holds the same distinct observations as one query per
+    /// call would leave, in fewer episodes.
     ///
     /// Every transport runs the batch through the same fan-out
     /// ([`BinTransport::dispatch`]), and [`TransportedRun::rounds`] is the
@@ -583,48 +538,40 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         values: &[Value],
         transport: &BinTransport,
     ) -> Result<TransportedRun> {
-        let (s_attr, ns_attr) = self.searchable_attrs()?;
         let pairs: Vec<Option<BinPair>> = values.iter().map(|v| self.binning.retrieve(v)).collect();
-        let (streams, mut run) = self.run_pairs(owner, cloud, &pairs, transport)?;
-        for (idx, ns_tuples, s_tuples) in streams {
-            run.answers[idx] = merge_point_answer(
-                &self.fake_id_set,
-                s_attr,
-                ns_attr,
-                &values[idx],
-                self.planner.residual.as_ref(),
-                ns_tuples,
-                s_tuples,
-            );
-        }
-        Ok(run)
+        self.run_pairs(owner, cloud, &pairs, transport, |slot, v| {
+            v == &values[slot]
+        })
     }
 
-    /// The pair-level batch behind both merges: retrieves `pairs` (one
+    /// The pair-level batch behind every query: retrieves `pairs` (one
     /// answer slot each; `None` for a value that occurs nowhere, which
     /// needs nothing retrieved — Algorithm 2's final case) through
-    /// `transport` and returns every retrieved slot's raw streams, with
-    /// the batch's counters in a [`TransportedRun`] whose answers the
-    /// caller's merge fills in.
+    /// `transport` and answers each slot with the real tuples of its two
+    /// bins whose searchable value `wanted(slot, value)` accepts (and the
+    /// residual, when one is in force).
     ///
     /// It checks a TCP client against the deployment, compiles the plan —
-    /// cache hits are captured owner-side right away, waiters wait for
-    /// their batch's bins, and the rest become episode steps grouped by
-    /// the shard hosting their sensitive bin — runs the steps through
+    /// cache hits are captured owner-side right away, and the batch's
+    /// minimum bin cover becomes episode steps grouped by the shard hosting
+    /// their sensitive bin — runs the steps through
     /// [`QbExecutor::run_steps`], records every fetched pair in the
-    /// hot-bin cache, then answers each waiter from the batch's fetched
-    /// bins.  A non-sensitive bin may come from another shard's episode:
-    /// the clear-text relation is replicated to every shard.
-    fn run_pairs<C: BinRoutedCloud>(
+    /// hot-bin cache, then answers every other slot by borrowing the
+    /// fetched streams of its two bins.  A non-sensitive bin may come from
+    /// another shard's episode: the clear-text relation is replicated to
+    /// every shard.
+    pub(crate) fn run_pairs<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut C,
         pairs: &[Option<BinPair>],
         transport: &BinTransport,
-    ) -> Result<(Streams, TransportedRun)> {
+        wanted: impl Fn(usize, &Value) -> bool,
+    ) -> Result<TransportedRun> {
         if !self.outsourced {
             return Err(PdsError::Query("deployment not outsourced yet".into()));
         }
+        let (s_attr, ns_attr) = self.searchable_attrs()?;
         let shard_count = cloud.shard_count();
         if let BinTransport::Tcp(client) = transport {
             if client.shard_count() != shard_count {
@@ -644,62 +591,68 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         }
 
         let plan = self.plan_workload(owner, cloud, pairs);
-        let cache_hits = plan.cache_served.len() + plan.waiters.len();
         let cache_misses = plan.step_count();
-        let mut streams: Streams = plan
-            .cache_served
-            .into_iter()
-            .map(|served| (served.index, served.nonsensitive, served.sensitive))
-            .collect();
+        let cache_hits = plan.cache_served.len() + plan.waiters.len() - cache_misses;
         let (episodes, wall_clock_sec) = self.run_steps(owner, cloud, transport, plan.per_shard)?;
-        let rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
-        // The stream holding each bin the batch fetched.
+        let rounds: u64 = episodes.iter().map(|(_, res)| res.rounds).sum();
+        // The episode holding each bin the batch fetched.
         let mut sensitive_from: HashMap<usize, usize> = HashMap::new();
         let mut nonsensitive_from: HashMap<usize, usize> = HashMap::new();
-        for (idx, pair, res) in episodes {
+        for (k, (pair, res)) in episodes.iter().enumerate() {
             let BinEpisodeOutcome {
                 nonsensitive,
                 sensitive,
-            } = res.outcome;
+            } = &res.outcome;
             self.cache.store_pair(
                 pair.sensitive_bin,
-                &sensitive,
+                sensitive,
                 pair.nonsensitive_bin,
-                &nonsensitive,
+                nonsensitive,
             );
-            sensitive_from
-                .entry(pair.sensitive_bin)
-                .or_insert(streams.len());
-            nonsensitive_from
-                .entry(pair.nonsensitive_bin)
-                .or_insert(streams.len());
-            streams.push((idx, nonsensitive, sensitive));
+            sensitive_from.entry(pair.sensitive_bin).or_insert(k);
+            nonsensitive_from.entry(pair.nonsensitive_bin).or_insert(k);
         }
-        for (idx, pair) in plan.waiters {
+        let merge = |slot: usize, nonsensitive: &[Tuple], sensitive: &[Tuple]| {
+            merge_point_answer(
+                &self.fake_id_set,
+                (s_attr, ns_attr),
+                self.planner.residual.as_ref(),
+                |v| wanted(slot, v),
+                nonsensitive,
+                sensitive,
+            )
+        };
+        let mut answers = vec![Vec::new(); pairs.len()];
+        for served in &plan.cache_served {
+            answers[served.index] = merge(served.index, &served.nonsensitive, &served.sensitive);
+        }
+        for &(slot, pair) in &plan.waiters {
             let (Some(&s), Some(&ns)) = (
                 sensitive_from.get(&pair.sensitive_bin),
                 nonsensitive_from.get(&pair.nonsensitive_bin),
             ) else {
                 return Err(PdsError::Query(format!(
-                    "the batch fetched no episode holding both bins of waiter {pair:?}"
+                    "the batch fetched no episode holding both bins of slot {slot}'s pair {pair:?}"
                 )));
             };
-            let served = (idx, streams[ns].1.clone(), streams[s].2.clone());
-            streams.push(served);
+            answers[slot] = merge(
+                slot,
+                &episodes[ns].1.outcome.nonsensitive,
+                &episodes[s].1.outcome.sensitive,
+            );
         }
-        let run = TransportedRun {
-            answers: vec![Vec::new(); pairs.len()],
+        Ok(TransportedRun {
+            answers,
             wall_clock_sec,
             cache_hits,
             cache_misses,
             rounds,
-        };
-        Ok((streams, run))
+        })
     }
 
     /// Runs planned episode steps, grouped by home shard, through
     /// `transport`'s one fan-out ([`BinTransport::dispatch`]).  Returns
-    /// every episode's workload slot, bin pair and result — shard by shard,
+    /// every episode's bin pair and result — shard by shard,
     /// each shard's in the order it finished them — and the measured
     /// wall-clock of the fan-out.
     ///
@@ -751,7 +704,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                             .iter()
                             .map(|step| {
                                 execute_episode(&mut fork, slot, engine, step)
-                                    .map(|result| (step.index, step.pair, result))
+                                    .map(|result| (step.pair, result))
                             })
                             .collect(),
                     };
@@ -807,14 +760,15 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Compiles one batch of bin pairs (one per answer slot; `None` slots
-    /// need nothing) into a [`QueryPlan`], deciding slot by slot in batch
-    /// order, so a batch always compiles to the same plan.  A slot waits
-    /// for its batch's bins when the batch already plans its pair;
-    /// otherwise the owner-side cache serves it when it can; else it waits
-    /// when the cloud has seen its pair fetched together before and
-    /// earlier steps fetch both of its bins; else it becomes an episode,
-    /// grouped by home shard in the plan mode's composed or fine-grained
-    /// shape.
+    /// need nothing) into a [`QueryPlan`].  Slot by slot in batch order,
+    /// the first slot of each distinct pair asks the owner-side cache,
+    /// which serves it when it can; every other slot waits for the
+    /// batch's fetches.  The pairs the cache does not serve then yield the
+    /// batch's minimum bin cover ([`bin_cover`], over the cache's record of
+    /// fresh pairs), one episode step per fetched pair, grouped by home
+    /// shard in the plan mode's composed or fine-grained shape.  No hash
+    /// order decides anything, so a batch always compiles to the same
+    /// plan.
     fn plan_workload<C: BinRoutedCloud>(
         &mut self,
         owner: &mut DbOwner,
@@ -823,52 +777,38 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     ) -> QueryPlan {
         let _span = pds_obs::obs_span("plan.compile");
         let mut plan = QueryPlan::new(cloud.shard_count());
-        // Pairs the batch answers from its own fetches, and the bins it
-        // fetches.
-        let mut planned_pairs: HashSet<(usize, usize)> = HashSet::new();
-        let mut fetched_sensitive: HashSet<usize> = HashSet::new();
-        let mut fetched_nonsensitive: HashSet<usize> = HashSet::new();
+        // The batch's distinct pairs the cache does not serve, in batch
+        // order.
+        let mut batch: Vec<BinPair> = Vec::new();
+        let mut in_batch: HashSet<(usize, usize)> = HashSet::new();
         for (idx, &pair) in pairs.iter().enumerate() {
             let Some(pair) = pair else {
                 continue;
             };
             let pair_key = (pair.sensitive_bin, pair.nonsensitive_bin);
-            if planned_pairs.contains(&pair_key) {
-                plan.waiters.push((idx, pair));
-                continue;
+            if !in_batch.contains(&pair_key) {
+                if let Some((s_tuples, ns_tuples)) = self.cache.get_pair(pair_key.0, pair_key.1) {
+                    owner.note_bin_cache(true);
+                    plan.cache_served.push(CacheServed {
+                        index: idx,
+                        pair,
+                        nonsensitive: ns_tuples,
+                        sensitive: s_tuples,
+                    });
+                    continue;
+                }
+                owner.note_bin_cache(false);
+                in_batch.insert(pair_key);
+                batch.push(pair);
             }
-            if let Some((s_tuples, ns_tuples)) = self
-                .cache
-                .get_pair(pair.sensitive_bin, pair.nonsensitive_bin)
-            {
-                owner.note_bin_cache(true);
-                plan.cache_served.push(CacheServed {
-                    index: idx,
-                    pair,
-                    nonsensitive: ns_tuples,
-                    sensitive: s_tuples,
-                });
-                continue;
-            }
-            owner.note_bin_cache(false);
-            planned_pairs.insert(pair_key);
-            if self
-                .cache
-                .co_observed(pair.sensitive_bin, pair.nonsensitive_bin)
-                && fetched_sensitive.contains(&pair.sensitive_bin)
-                && fetched_nonsensitive.contains(&pair.nonsensitive_bin)
-            {
-                plan.waiters.push((idx, pair));
-                continue;
-            }
-            fetched_sensitive.insert(pair.sensitive_bin);
-            fetched_nonsensitive.insert(pair.nonsensitive_bin);
-            let step = self.compile_step(cloud, idx, pair);
+            plan.waiters.push((idx, pair));
+        }
+        for pair in bin_cover(&batch, |s, ns| self.cache.fresh(s, ns)) {
+            let step = self.compile_step(cloud, pair);
             plan.per_shard[step.shard].push(step);
         }
         // The optimizer pass: per-shard episodes settle into deterministic
-        // bin-major order (results are keyed by `EpisodeStep::index`, so
-        // answer alignment is order-independent).
+        // bin-major order.
         reorder_for_locality(&mut plan);
         plan
     }
@@ -882,12 +822,15 @@ pub struct TransportedRun {
     /// Measured wall-clock seconds of the shard fan-out (excludes
     /// owner-side cache serving and the final merge).
     pub wall_clock_sec: f64,
-    /// Queries answered without a fetch of their own: from the owner-side
-    /// hot-bin cache, or from bins their batch fetched for other queries
-    /// (see [`QbExecutor::run_workload_transported`]).
+    /// Answered queries beyond the batch's episodes: `cache_hits +
+    /// cache_misses` is the number of queries whose value some bin pair
+    /// holds (every query but Algorithm 2's empty case).  Queries served
+    /// from the owner-side hot-bin cache count here, and so does every
+    /// query of a fetched pair beyond one per episode (see
+    /// [`QbExecutor::run_workload_transported`]).
     pub cache_hits: usize,
-    /// Queries whose bin pair the batch fetched from a shard, one episode
-    /// each.
+    /// The batch's episodes: the bin pairs it fetched from the shards, one
+    /// episode each.
     pub cache_misses: usize,
     /// Total owner↔cloud rounds over every episode of the batch, measured
     /// as each episode's shard's `round_trips` delta (over TCP, one per
@@ -898,9 +841,10 @@ pub struct TransportedRun {
     pub rounds: u64,
 }
 
-/// `qmerge` of §II for a point query: drop fakes (by id), keep only
-/// tuples matching the queried value — and the residual
-/// predicate, when one is in force — then concatenate both streams.
+/// `qmerge` of §II for one answer slot: drop fakes (by id), keep only
+/// tuples whose searchable value the slot wants (the queried value, or a
+/// range's interval) — and that match the residual predicate, when one is
+/// in force — then concatenate both streams, cloning only what is kept.
 ///
 /// The residual is applied owner-side *unconditionally*: on the sensitive
 /// stream the cloud can never evaluate it (the tuples are encrypted), and
@@ -909,26 +853,20 @@ pub struct TransportedRun {
 /// whether the residual rode the wire or not.
 fn merge_point_answer(
     fake_ids: &HashSet<TupleId>,
-    s_attr: AttrId,
-    ns_attr: AttrId,
-    value: &Value,
+    (s_attr, ns_attr): (AttrId, AttrId),
     residual: Option<&Predicate>,
-    ns_tuples: Vec<Tuple>,
-    s_tuples: Vec<Tuple>,
+    wanted: impl Fn(&Value) -> bool,
+    ns_tuples: &[Tuple],
+    s_tuples: &[Tuple],
 ) -> Vec<Tuple> {
     let keep = |t: &Tuple| residual.map_or(true, |p| p.matches(t));
-    let mut answer: Vec<Tuple> = Vec::new();
-    for t in s_tuples {
-        if !fake_ids.contains(&t.id) && t.value(s_attr) == value && keep(&t) {
-            answer.push(t);
-        }
-    }
-    for t in ns_tuples {
-        if t.value(ns_attr) == value && keep(&t) {
-            answer.push(t);
-        }
-    }
-    answer
+    let sensitive = s_tuples
+        .iter()
+        .filter(|t| !fake_ids.contains(&t.id) && wanted(t.value(s_attr)) && keep(t));
+    let nonsensitive = ns_tuples
+        .iter()
+        .filter(|t| wanted(t.value(ns_attr)) && keep(t));
+    sensitive.chain(nonsensitive).cloned().collect()
 }
 
 impl<E: SecureSelectionEngine> std::fmt::Debug for QbExecutor<E> {
@@ -1290,6 +1228,101 @@ mod tests {
     }
 
     #[test]
+    fn after_an_insert_a_batch_fetches_no_non_batch_pair_through_the_written_bin() {
+        use pds_storage::{DataType, Schema};
+        // Keys 0..16 sensitive, 16..48 clear-text: a grid of bins larger
+        // than Employee's 2 × 2.
+        let schema = Schema::from_pairs(&[("K", DataType::Int)]).unwrap();
+        let mut relation = Relation::new("T", schema);
+        for k in 0..48 {
+            relation.insert(vec![Value::Int(k)]).unwrap();
+        }
+        let sensitive = Predicate::range(relation.schema(), "K", 0, 15).unwrap();
+        let parts = Partitioner::row_level(sensitive).split(&relation).unwrap();
+        let binning = QueryBinning::build(&parts, "K", BinningConfig::default()).unwrap();
+        let mut exec = QbExecutor::new(binning, NonDetScanEngine::new());
+        let mut owner = DbOwner::new(5);
+        let mut cloud = CloudServer::new(NetworkModel::paper_wan());
+        exec.outsource(&mut owner, &mut cloud, &parts).unwrap();
+        let values = exec.binning().all_values().to_vec();
+        exec.run_workload_transported(&mut owner, &mut cloud, &values, &BinTransport::Sequential)
+            .unwrap();
+        // Every pair the workload names is now co-observed.  Find values
+        // asking for (a, 0), (b, k) and (c, k) with a < b < c and k > 0:
+        // with every pair fresh, a cover of their bins in index order
+        // fetches (b, 0) and (c, 0), pairs no query asks for.
+        let mut by_pair: std::collections::BTreeMap<(usize, usize), Value> = Default::default();
+        for v in &values {
+            let p = exec.binning().retrieve(v).unwrap();
+            by_pair
+                .entry((p.sensitive_bin, p.nonsensitive_bin))
+                .or_insert_with(|| v.clone());
+        }
+        let keys: Vec<(usize, usize)> = by_pair.keys().copied().collect();
+        let triple = keys
+            .iter()
+            .filter(|&&(_, ns)| ns == 0)
+            .flat_map(|&(a, _)| keys.iter().map(move |&b| (a, b)))
+            .flat_map(|(a, (b, k))| keys.iter().map(move |&c| (a, b, c, k)))
+            .find(|&(a, b, (c, kc), k)| k > 0 && kc == k && a < b && b < c)
+            .expect("the grid has such a triple");
+        let (a, b, (c, _), k) = triple;
+        let batch_pairs = [(a, 0), (b, k), (c, k)];
+        let batch: Vec<Value> = batch_pairs.iter().map(|p| by_pair[p].clone()).collect();
+
+        // A non-sensitive insert into bin 0.
+        let attr = parts.nonsensitive.schema().attr_id("K").unwrap();
+        let template = parts
+            .nonsensitive
+            .tuples()
+            .iter()
+            .find(|t| {
+                exec.binning()
+                    .nonsensitive_assignment(t.value(attr))
+                    .is_some_and(|assign| assign.bin == 0)
+            })
+            .unwrap();
+        cloud
+            .insert_plaintext(Tuple::new(TupleId::new(99_999), template.values.clone()))
+            .unwrap();
+        exec.invalidate_cache_on_insert(template.value(attr), false);
+
+        let plan = exec.compile_workload(&mut owner, &cloud, &batch);
+        let fetched: Vec<(usize, usize)> = plan
+            .per_shard
+            .iter()
+            .flatten()
+            .map(|step| (step.pair.sensitive_bin, step.pair.nonsensitive_bin))
+            .collect();
+        for pair in &fetched {
+            assert!(
+                pair.1 != 0 || batch_pairs.contains(pair),
+                "{pair:?} runs through the written bin but no query asks for it: {fetched:?}"
+            );
+        }
+        assert_eq!(
+            fetched.len(),
+            3,
+            "(a, 0) as it stands, then a cover of b, c, k"
+        );
+
+        // A sensitive insert writes every bin: each batch pair is fetched
+        // as it stands.
+        exec.invalidate_cache_on_insert(&batch[0], true);
+        let plan = exec.compile_workload(&mut owner, &cloud, &batch);
+        let mut fetched: Vec<(usize, usize)> = plan
+            .per_shard
+            .iter()
+            .flatten()
+            .map(|step| (step.pair.sensitive_bin, step.pair.nonsensitive_bin))
+            .collect();
+        fetched.sort_unstable();
+        let mut want = batch_pairs.to_vec();
+        want.sort_unstable();
+        assert_eq!(fetched, want);
+    }
+
+    #[test]
     fn transported_run_matches_sequential_selects() {
         use pds_cloud::{BinTransport, ShardRouter};
 
@@ -1389,23 +1422,6 @@ mod tests {
         assert!(naive
             .select(&mut owner, &mut cloud, &Value::from("E259"))
             .is_err());
-    }
-
-    #[test]
-    fn run_workload_returns_answer_sizes() {
-        let (mut owner, mut cloud, mut executor, _) = qb_setup();
-        let sizes = executor
-            .run_workload(
-                &mut owner,
-                &mut cloud,
-                &[
-                    Value::from("E259"),
-                    Value::from("E199"),
-                    Value::from("nope"),
-                ],
-            )
-            .unwrap();
-        assert_eq!(sizes, vec![2, 1, 0]);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! The paper notes QB "can also be extended to support group-by aggregation
 //! queries".  The owner already receives every tuple matching a bin pair, so
-//! grouping and aggregating are pure owner-side post-processing: for each
-//! requested group value the executor retrieves its bin pair (exactly one
-//! point-query-shaped episode) and folds the matching tuples into
-//! `COUNT` / `SUM` / `MIN` / `MAX` over a chosen aggregate attribute.
+//! grouping and aggregating are pure owner-side post-processing: the
+//! requested group values run as one batch of point queries (point-query-
+//! shaped episodes fetching a minimum cover of their bins), and each
+//! group's matching tuples fold into `COUNT` / `SUM` / `MIN` / `MAX` over a
+//! chosen aggregate attribute.
 
 use std::collections::BTreeMap;
 
-use pds_cloud::{BinRoutedCloud, DbOwner};
+use pds_cloud::{BinRoutedCloud, BinTransport, DbOwner};
 use pds_common::{AttrId, Result, Value};
 use pds_systems::SecureSelectionEngine;
 
@@ -30,7 +31,9 @@ pub struct GroupAggregate {
 }
 
 /// Computes `SELECT group, COUNT(*), SUM(agg), MIN(agg), MAX(agg) ... WHERE
-/// group IN (groups) GROUP BY group` over a QB deployment.
+/// group IN (groups) GROUP BY group` over a QB deployment, in one
+/// [`QbExecutor::run_workload_transported`] batch over
+/// [`BinTransport::Sequential`].
 pub fn group_by_aggregate<E: SecureSelectionEngine, C: BinRoutedCloud>(
     executor: &mut QbExecutor<E>,
     owner: &mut DbOwner,
@@ -38,9 +41,9 @@ pub fn group_by_aggregate<E: SecureSelectionEngine, C: BinRoutedCloud>(
     groups: &[Value],
     aggregate_attr: AttrId,
 ) -> Result<BTreeMap<Value, GroupAggregate>> {
+    let run = executor.run_workload_transported(owner, cloud, groups, &BinTransport::Sequential)?;
     let mut out: BTreeMap<Value, GroupAggregate> = BTreeMap::new();
-    for group in groups {
-        let tuples = executor.select(owner, cloud, group)?;
+    for (group, tuples) in groups.iter().zip(run.answers) {
         let entry = out.entry(group.clone()).or_default();
         for t in tuples {
             entry.count += 1;

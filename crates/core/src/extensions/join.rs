@@ -2,14 +2,14 @@
 //!
 //! The paper defers joins to the full version and notes that cryptographic
 //! joins (bilinear maps, SGX joins) are far from practical.  Under
-//! partitioned computing the natural strategy is: retrieve, per join value,
-//! the bin pair of each deployment (point-query-shaped episodes on both
+//! partitioned computing the natural strategy is: retrieve the join values'
+//! bin pairs on each deployment (point-query-shaped episodes on both
 //! clouds) and join the decrypted results at the owner.  The leakage per
 //! episode is identical to that of point queries, so QB's security argument
-//! carries over; the cost is one bin-pair retrieval per deployment per
-//! distinct join value.
+//! carries over; each deployment answers its values in one batch, which
+//! fetches a minimum cover of their bins.
 
-use pds_cloud::{BinRoutedCloud, DbOwner};
+use pds_cloud::{BinRoutedCloud, BinTransport, DbOwner};
 use pds_common::{Result, Value};
 use pds_storage::Tuple;
 use pds_systems::SecureSelectionEngine;
@@ -18,7 +18,10 @@ use crate::executor::QbExecutor;
 
 /// Joins two QB deployments on their searchable attributes for the given
 /// set of join values, returning matched tuple pairs `(left, right)`.
-/// Either deployment may be single-server or sharded.
+/// Either deployment may be single-server or sharded.  The left side
+/// answers every join value in one batch, the right side the values whose
+/// left answer is non-empty in another, each over
+/// [`BinTransport::Sequential`].
 pub fn equi_join<L, R, CL, CR>(
     left: &mut QbExecutor<L>,
     left_owner: &mut DbOwner,
@@ -34,15 +37,24 @@ where
     CL: BinRoutedCloud,
     CR: BinRoutedCloud,
 {
+    let transport = BinTransport::Sequential;
+    let left_run =
+        left.run_workload_transported(left_owner, left_cloud, join_values, &transport)?;
+    let (matched, left_answers): (Vec<Value>, Vec<Vec<Tuple>>) = join_values
+        .iter()
+        .zip(left_run.answers)
+        .filter(|(_, l)| !l.is_empty())
+        .map(|(v, l)| (v.clone(), l))
+        .unzip();
+    if matched.is_empty() {
+        return Ok(Vec::new());
+    }
+    let right_run =
+        right.run_workload_transported(right_owner, right_cloud, &matched, &transport)?;
     let mut out = Vec::new();
-    for value in join_values {
-        let l = left.select(left_owner, left_cloud, value)?;
-        if l.is_empty() {
-            continue;
-        }
-        let r = right.select(right_owner, right_cloud, value)?;
-        for lt in &l {
-            for rt in &r {
+    for (l, r) in left_answers.iter().zip(&right_run.answers) {
+        for lt in l {
+            for rt in r {
                 out.push((lt.clone(), rt.clone()));
             }
         }

@@ -5,14 +5,15 @@
 //! group-by aggregation and joins.  This module implements practical
 //! versions of each on top of the point-selection machinery:
 //!
-//! * [`range`] — a range query retrieves the bin pair of every known value
-//!   inside the range (one episode per distinct pair, so each episode looks
-//!   exactly like a point query to the adversary);
+//! * [`range`] — a range query retrieves the bin pairs of every known
+//!   value inside the range as one batch (each episode looks exactly like
+//!   a point query to the adversary);
 //! * [`insert`] — planning where a newly inserted value lands (existing
 //!   assignment, a spare slot, or a rebuild of the binning);
-//! * [`aggregate`] — owner-side group-by `COUNT`/`SUM` over QB selections;
+//! * [`aggregate`] — owner-side group-by `COUNT`/`SUM` over one batch of
+//!   QB selections;
 //! * [`join`] — owner-side equi-join of two QB deployments on their
-//!   searchable attributes.
+//!   searchable attributes, one batch per deployment.
 
 pub mod aggregate;
 pub mod insert;

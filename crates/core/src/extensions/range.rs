@@ -3,12 +3,15 @@
 //! A range `[lo, hi]` is answered by (1) looking up, in the owner-side
 //! metadata, which known values of the searchable attribute fall inside the
 //! range, (2) collecting the distinct bin pairs Algorithm 2 assigns to those
-//! values, and (3) retrieving each pair once.  Every retrieval is
-//! indistinguishable from a point query, so the adversarial view of a range
-//! query is a sequence of point-query episodes — the leakage is bounded by
-//! the number of bin pairs touched, never by the individual values.
+//! values, and (3) retrieving them as one batch, which fetches a minimum
+//! cover of their bins.  Every retrieval is indistinguishable from a point
+//! query, so the adversarial view of a range query is a sequence of
+//! point-query episodes — the leakage is bounded by the bin pairs touched,
+//! never by the individual values.
 
-use pds_cloud::{BinRoutedCloud, DbOwner};
+use std::collections::HashSet;
+
+use pds_cloud::{BinRoutedCloud, BinTransport, DbOwner};
 use pds_common::{Result, Value};
 use pds_storage::Tuple;
 use pds_systems::SecureSelectionEngine;
@@ -17,7 +20,10 @@ use crate::binning::BinPair;
 use crate::executor::QbExecutor;
 
 /// Answers `lo <= attr <= hi` over a QB deployment (single-server or
-/// sharded — each bin pair is fetched from the shard hosting it).
+/// sharded — each bin pair is fetched from the shard hosting it) in one
+/// batch over [`BinTransport::Sequential`].  A first range fetches each of
+/// its distinct pairs; once they have all been fetched, a range over every
+/// value takes as many episodes as the larger side has bins.
 pub fn select_range<E: SecureSelectionEngine, C: BinRoutedCloud>(
     executor: &mut QbExecutor<E>,
     owner: &mut DbOwner,
@@ -28,34 +34,29 @@ pub fn select_range<E: SecureSelectionEngine, C: BinRoutedCloud>(
     // Values of the searchable attribute inside the range, straight off the
     // owner-side metadata's memoized sorted domain (no cloud interaction and
     // no per-query clone-and-sort).  Collect their distinct bin pairs.
-    let mut pairs: Vec<BinPair> = Vec::new();
+    let mut pairs: Vec<Option<BinPair>> = Vec::new();
     for v in executor.binning().all_values() {
         if v < lo || v > hi {
             continue;
         }
-        if let Some(p) = executor.binning().retrieve(v) {
-            if !pairs.contains(&p) {
-                pairs.push(p);
-            }
+        let pair = executor.binning().retrieve(v);
+        if pair.is_some() && !pairs.contains(&pair) {
+            pairs.push(pair);
         }
     }
 
-    // Retrieve each pair once; filter owner-side to the actual range.
-    let attr = executor
-        .searchable_attr()
-        .ok_or_else(|| pds_common::PdsError::Query("deployment not outsourced yet".into()))?;
-    let mut out: Vec<Tuple> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for pair in pairs {
-        let tuples = executor.fetch_bin_pair(owner, cloud, pair)?;
-        for t in tuples {
-            let v = t.value(attr);
-            if v >= lo && v <= hi && seen.insert(t.id) {
-                out.push(t);
-            }
-        }
-    }
-    Ok(out)
+    // One batch; each pair's answer is filtered owner-side to the range,
+    // and a tuple two pairs share is kept once.
+    let run = executor.run_pairs(owner, cloud, &pairs, &BinTransport::Sequential, |_, v| {
+        v >= lo && v <= hi
+    })?;
+    let mut seen = HashSet::new();
+    Ok(run
+        .answers
+        .into_iter()
+        .flatten()
+        .filter(|t| seen.insert(t.id))
+        .collect())
 }
 
 #[cfg(test)]

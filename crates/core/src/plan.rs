@@ -1,15 +1,16 @@
 //! Query plans: the compiled form of a Query Binning batch.
 //!
 //! Every query entry point of the executor —
-//! [`crate::QbExecutor::select`], [`crate::QbExecutor::fetch_bin_pair`],
-//! [`crate::QbExecutor::run_workload_transported`] — first **compiles** its
-//! batch into a [`QueryPlan`] and then **executes** it:
+//! [`crate::QbExecutor::select`],
+//! [`crate::QbExecutor::run_workload_transported`] and the extensions —
+//! first **compiles** its batch into a [`QueryPlan`] and then **executes**
+//! it:
 //!
 //! ```text
 //! values ──compile──► QueryPlan ──execute──► answers
 //!                      │ cache_served   (answered owner-side, 0 rounds)
-//!                      │ per_shard[s]   (EpisodeSteps, one per bin pair)
-//!                      │ waiters        (served from the batch's own bins, resolved last)
+//!                      │ per_shard[s]   (EpisodeSteps: a minimum cover of the batch's bins)
+//!                      │ waiters        (every other slot, resolved from the fetched bins)
 //!                      ▼
 //!             CloudServer(shard s) ◄── FetchBinRequest → BinPayload
 //! ```
@@ -60,12 +61,12 @@ pub enum PlanMode {
     FineGrained,
 }
 
-/// One planned bin-pair episode: which answer slot it serves, which shard
-/// hosts it, and the full request the engine will execute.
+/// One planned bin-pair episode: the pair it fetches, which shard hosts
+/// it, and the full request the engine will execute.  A step serves no
+/// slot of its own: every slot it helps answer reads its bins after the
+/// fan-out.
 #[derive(Debug, Clone)]
 pub struct EpisodeStep {
-    /// Position in the batch's answer vector this episode serves.
-    pub index: usize,
     /// The bin pair being retrieved.
     pub pair: BinPair,
     /// Shard hosting the sensitive bin (the whole episode runs there).
@@ -95,15 +96,18 @@ pub struct CacheServed {
 /// The compiled form of one query batch.
 #[derive(Debug, Default)]
 pub struct QueryPlan {
-    /// Episode steps grouped by home shard, in batch order within a shard.
+    /// The pairs the batch fetches, grouped by home shard in bin-major
+    /// order: a minimum set covering every bin of the pairs the cache does
+    /// not serve.  Each such pair that is not fresh (`BinCache::fresh`) is
+    /// fetched as it stands; the bins those leave uncovered are covered by
+    /// a maximum matching over fresh pairs inside the batch's bins, plus
+    /// one pair per unmatched bin to its lowest-index fresh partner.
     pub per_shard: Vec<Vec<EpisodeStep>>,
     /// Retrievals served from the owner-side cache at planning time.
     pub cache_served: Vec<CacheServed>,
-    /// Queries answered from bins earlier steps of the same batch fetch,
-    /// at any cache capacity: repeats of a pair the batch already plans,
-    /// and pairs the cloud has seen fetched together before whose two bins
-    /// the batch fetches (the non-sensitive one possibly on another
-    /// shard).  They take no episode and are resolved after the fan-out.
+    /// Every slot the cache does not serve, with its pair: resolved after
+    /// the fan-out from the fetched streams holding its two bins (the
+    /// non-sensitive one possibly from another shard's episode).
     pub waiters: Vec<(usize, BinPair)>,
 }
 
@@ -162,9 +166,9 @@ pub fn execute_episode<E: SecureSelectionEngine + ?Sized>(
 }
 
 /// Executes one shard's planned episodes over a daemon connection — the
-/// only way an episode crosses TCP — and returns each episode's workload
-/// slot, bin pair and result, in the order the answers arrived.  Every
-/// result counts one owner↔cloud round, whatever the window.
+/// only way an episode crosses TCP — and returns each episode's bin pair
+/// and result, in the order the answers arrived.  Every result counts one
+/// owner↔cloud round, whatever the window.
 ///
 /// Up to `window` composed `FetchBinRequest`s
 /// ([`BinEpisodeRequest::to_wire`]) are framed and written back-to-back
@@ -208,7 +212,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     engine: &mut E,
     steps: &[EpisodeStep],
     window: usize,
-) -> Result<Vec<(usize, BinPair, EpisodeResult)>> {
+) -> Result<Vec<(BinPair, EpisodeResult)>> {
     let _span = pds_obs::obs_span("episode.pipelined");
     if steps.iter().any(|step| !step.composed) {
         return Err(PdsError::Wire(format!(
@@ -223,7 +227,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
     let mut conn = client.checkout(shard)?;
     let mut inflight = CorrelationWindow::new();
     let mut queue: VecDeque<usize> = (0..steps.len()).collect();
-    let mut episodes: Vec<(usize, BinPair, EpisodeResult)> = Vec::with_capacity(steps.len());
+    let mut episodes: Vec<(BinPair, EpisodeResult)> = Vec::with_capacity(steps.len());
     let mut reconnected = false;
 
     while !queue.is_empty() || !inflight.is_empty() {
@@ -269,7 +273,7 @@ pub fn execute_shard_pipelined<E: SecureSelectionEngine + ?Sized>(
         let slot = inflight.resolve(corr)?;
         let step = &steps[slot];
         let outcome = finish_episode(owner, attr, &step.request, answer?)?;
-        episodes.push((step.index, step.pair, EpisodeResult { outcome, rounds: 1 }));
+        episodes.push((step.pair, EpisodeResult { outcome, rounds: 1 }));
     }
     client.checkin(shard, conn);
     Ok(episodes)

@@ -3,7 +3,7 @@
 //! The PR-5 pipeline compiled batches into [`QueryPlan`]s but *obeyed* the
 //! deployment: whatever engine a shard had been outsourced through served
 //! every episode, in workload arrival order.  This module turns that
-//! pipeline into a real optimizer with three decisions:
+//! pipeline into a real optimizer with four decisions:
 //!
 //! 1. **Engine choice per shard** ([`choose_engines`]) — a [`CostModel`]
 //!    prices the work each back-end was observed to do on each shard (the
@@ -22,15 +22,19 @@
 //!    (idempotent on the pre-filtered stream, required on the sensitive
 //!    stream the cloud can never filter), so answers are byte-identical
 //!    with pushdown on or off.
-//! 3. **Episode reordering** ([`reorder_for_locality`]) — each shard's
-//!    episode steps are stably reordered into bin-major order, so episodes
-//!    touching the same sensitive bin pipeline back-to-back and the plan a
-//!    batch compiles to is a deterministic function of its *set* of bin
-//!    pairs rather than of workload arrival order.  Results are keyed by
-//!    query index, and the cloud's security views are set-based, so
+//! 3. **A minimum bin cover per batch** ([`bin_cover`]) — a batch
+//!    fetches the fewest bin pairs that bring every bin its queries need,
+//!    using only pairs whose fetch shows the cloud nothing one query per
+//!    call would not show it.
+//! 4. **Episode reordering** ([`reorder_for_locality`]) — each shard's
+//!    episode steps are sorted into bin-major order, so episodes touching
+//!    the same sensitive bin pipeline back-to-back and the plan a batch
+//!    compiles to is a deterministic function of its *set* of bin pairs
+//!    rather than of workload arrival order.  Every query reads its bins
+//!    after the fan-out, and the cloud's security views are set-based, so
 //!    reordering changes neither answers nor the adversary's view.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pds_cloud::Metrics;
 use pds_common::{PdsError, Result};
@@ -38,6 +42,7 @@ use pds_storage::Predicate;
 use pds_systems::cost::{computation_time_for_queries, CostProfile};
 use pds_systems::SecureSelectionEngine;
 
+use crate::binning::BinPair;
 use crate::plan::QueryPlan;
 
 /// How the executor's planner behaves for every compiled episode.
@@ -262,13 +267,117 @@ pub fn choose_engines(
     Ok(plans)
 }
 
-/// Stably reorders every shard's episode steps into bin-major order
+/// The bin pairs a batch fetches, given `batch` — its distinct pairs the
+/// owner-side cache does not serve — and whether the cloud holds a pair's
+/// current result (`fresh`, `pds_cloud::BinCache::fresh`).  Every query
+/// of the batch is then answered from the fetched streams of its two bins.
+///
+/// * Each batch pair that is not fresh is fetched as it stands.
+/// * The bins those leave uncovered (U) are covered by a maximum matching
+///   over fresh pairs (Kuhn's algorithm, sensitive bins tried in index
+///   order, each trying its partners in index order), plus one pair per
+///   unmatched bin to its lowest-index fresh partner among the batch's
+///   bins.
+///
+/// The cover takes |forced| + |U| − ν(U) pairs, the fewest that cover U
+/// (Gallai's identity); once every pair inside the batch's bins is fresh,
+/// that is the larger of its two bin counts.  Every pair is a batch pair
+/// or fresh, so the fetches show the cloud no result one query per call
+/// would not show it.  The cover depends only on the batch's set of pairs
+/// and `fresh`, never on arrival order or hash order.  Every bin of U has
+/// a fresh partner (the batch pair through it); were one missing, its
+/// queries would fail with a typed error when they read their bins.
+pub fn bin_cover(batch: &[BinPair], fresh: impl Fn(usize, usize) -> bool) -> Vec<BinPair> {
+    let pair = |sensitive_bin, nonsensitive_bin| BinPair {
+        sensitive_bin,
+        nonsensitive_bin,
+    };
+    let sensitive: BTreeSet<usize> = batch.iter().map(|p| p.sensitive_bin).collect();
+    let nonsensitive: BTreeSet<usize> = batch.iter().map(|p| p.nonsensitive_bin).collect();
+    let mut cover: Vec<BinPair> = batch
+        .iter()
+        .filter(|p| !fresh(p.sensitive_bin, p.nonsensitive_bin))
+        .copied()
+        .collect();
+    let covered_s: BTreeSet<usize> = cover.iter().map(|p| p.sensitive_bin).collect();
+    let covered_ns: BTreeSet<usize> = cover.iter().map(|p| p.nonsensitive_bin).collect();
+    let uncovered_s: Vec<usize> = sensitive.difference(&covered_s).copied().collect();
+    let uncovered_ns: Vec<usize> = nonsensitive.difference(&covered_ns).copied().collect();
+
+    // Kuhn's algorithm over the fresh pairs inside U; `matched[k]` is the
+    // position in `uncovered_s` matched to `uncovered_ns[k]`.
+    let partners: Vec<Vec<usize>> = uncovered_s
+        .iter()
+        .map(|&s| {
+            (0..uncovered_ns.len())
+                .filter(|&k| fresh(s, uncovered_ns[k]))
+                .collect()
+        })
+        .collect();
+    let mut matched: Vec<Option<usize>> = vec![None; uncovered_ns.len()];
+    for i in 0..uncovered_s.len() {
+        augment(
+            i,
+            &partners,
+            &mut matched,
+            &mut vec![false; uncovered_ns.len()],
+        );
+    }
+    let mut s_matched = vec![false; uncovered_s.len()];
+    for (k, i) in matched.iter().enumerate() {
+        if let Some(i) = *i {
+            s_matched[i] = true;
+            cover.push(pair(uncovered_s[i], uncovered_ns[k]));
+        }
+    }
+
+    // One pair per unmatched bin.  Its partner is covered already: two
+    // unmatched bins of U joined by a fresh pair would extend the matching.
+    for (&s, _) in uncovered_s.iter().zip(&s_matched).filter(|(_, m)| !**m) {
+        if let Some(&ns) = nonsensitive.iter().find(|&&ns| fresh(s, ns)) {
+            cover.push(pair(s, ns));
+        }
+    }
+    for (&ns, _) in uncovered_ns
+        .iter()
+        .zip(&matched)
+        .filter(|(_, m)| m.is_none())
+    {
+        if let Some(&s) = sensitive.iter().find(|&&s| fresh(s, ns)) {
+            cover.push(pair(s, ns));
+        }
+    }
+    cover
+}
+
+/// One augmenting-path search of Kuhn's algorithm: matches position `i`
+/// of the uncovered sensitive bins, re-matching earlier ones along an
+/// alternating path when its partners are taken.  Returns whether it did.
+fn augment(
+    i: usize,
+    partners: &[Vec<usize>],
+    matched: &mut [Option<usize>],
+    visited: &mut [bool],
+) -> bool {
+    for &k in &partners[i] {
+        if std::mem::replace(&mut visited[k], true) {
+            continue;
+        }
+        if matched[k].map_or(true, |other| augment(other, partners, matched, visited)) {
+            matched[k] = Some(i);
+            return true;
+        }
+    }
+    false
+}
+
+/// Sorts every shard's episode steps into bin-major order
 /// (`(sensitive_bin, nonsensitive_bin)` ascending).  Episodes touching the
 /// same sensitive bin run back-to-back, and the per-shard step order
 /// becomes a function of the batch's bin-pair set rather than of workload
 /// arrival order — which is what makes compiled plans replayable across
-/// shuffled workloads.  Safe because every step carries the query index
-/// its result answers.
+/// shuffled workloads.  Safe because every query reads its bins after the
+/// fan-out, whichever step fetched them.
 pub fn reorder_for_locality(plan: &mut QueryPlan) {
     for steps in &mut plan.per_shard {
         steps.sort_by_key(|s| (s.pair.sensitive_bin, s.pair.nonsensitive_bin));
@@ -478,9 +587,8 @@ mod tests {
     }
 
     #[test]
-    fn reorder_is_bin_major_stable_and_index_preserving() {
-        let step = |index: usize, s: usize, ns: usize| EpisodeStep {
-            index,
+    fn reorder_is_bin_major_and_idempotent() {
+        let step = |s: usize, ns: usize| EpisodeStep {
             pair: BinPair {
                 sensitive_bin: s,
                 nonsensitive_bin: ns,
@@ -490,17 +598,69 @@ mod tests {
             request: BinEpisodeRequest::default(),
         };
         let mut plan = QueryPlan::new(1);
-        plan.per_shard[0] = vec![step(0, 3, 1), step(1, 1, 2), step(2, 3, 0), step(3, 1, 2)];
+        plan.per_shard[0] = vec![step(3, 1), step(1, 2), step(3, 0), step(1, 0)];
         reorder_for_locality(&mut plan);
-        let order: Vec<(usize, usize, usize)> = plan.per_shard[0]
+        let order: Vec<(usize, usize)> = plan.per_shard[0]
             .iter()
-            .map(|s| (s.pair.sensitive_bin, s.pair.nonsensitive_bin, s.index))
+            .map(|s| (s.pair.sensitive_bin, s.pair.nonsensitive_bin))
             .collect();
-        // Bin-major; the two (1,2) steps keep their relative (stable) order.
-        assert_eq!(order, vec![(1, 2, 1), (1, 2, 3), (3, 0, 2), (3, 1, 0)]);
+        assert_eq!(order, vec![(1, 0), (1, 2), (3, 0), (3, 1)]);
         let again = format!("{:?}", plan.per_shard[0]);
         reorder_for_locality(&mut plan);
         assert_eq!(format!("{:?}", plan.per_shard[0]), again);
+    }
+
+    fn pairs(list: &[(usize, usize)]) -> Vec<BinPair> {
+        list.iter()
+            .map(|&(sensitive_bin, nonsensitive_bin)| BinPair {
+                sensitive_bin,
+                nonsensitive_bin,
+            })
+            .collect()
+    }
+
+    fn sorted(cover: Vec<BinPair>) -> Vec<(usize, usize)> {
+        let mut out: Vec<_> = cover
+            .iter()
+            .map(|p| (p.sensitive_bin, p.nonsensitive_bin))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn cover_fetches_unobserved_pairs_as_they_stand() {
+        let batch = pairs(&[(0, 1), (2, 0), (0, 0)]);
+        assert_eq!(
+            sorted(bin_cover(&batch, |_, _| false)),
+            vec![(0, 0), (0, 1), (2, 0)],
+            "nothing observed: every distinct pair"
+        );
+    }
+
+    #[test]
+    fn cover_of_fresh_pairs_takes_the_larger_side() {
+        // Four sensitive and two non-sensitive bins, every pair fresh: a
+        // slot-by-slot rule in batch order takes 5 fetches (each slot but
+        // the first brings a new bin), a cover takes 4.  The matching
+        // depends on the bins alone, so fetched pairs need not be batch
+        // pairs: (0, 1) and (2, 0) are not.
+        let batch = pairs(&[(0, 0), (1, 0), (1, 1), (2, 1), (3, 0)]);
+        let cover = sorted(bin_cover(&batch, |_, _| true));
+        assert_eq!(cover, vec![(0, 1), (1, 0), (2, 0), (3, 0)]);
+    }
+
+    #[test]
+    fn cover_uses_a_non_batch_pair_only_when_fresh() {
+        // Bin 0 (non-sensitive) was written: its pairs are stale, so the
+        // batch pair (0, 0) is fetched as it stands and the unmatched
+        // sensitive bin 2 takes its partner 1, not the lower-index 0.
+        let batch = pairs(&[(0, 0), (1, 1), (2, 1)]);
+        let cover = sorted(bin_cover(&batch, |_, ns| ns != 0));
+        assert_eq!(cover, vec![(0, 0), (1, 1), (2, 1)]);
+        // Were every pair fresh, two non-batch pairs through bin 0 would be.
+        let all_fresh = sorted(bin_cover(&batch, |_, _| true));
+        assert_eq!(all_fresh, vec![(0, 1), (1, 0), (2, 0)]);
     }
 
     #[test]

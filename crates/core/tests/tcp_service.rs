@@ -1046,7 +1046,6 @@ fn outsourced_det() -> (DbOwner, DeterministicIndexEngine) {
 fn pipeline_steps(n: usize) -> Vec<EpisodeStep> {
     (0..n)
         .map(|i| EpisodeStep {
-            index: i,
             pair: BinPair {
                 sensitive_bin: i,
                 nonsensitive_bin: i,
@@ -1071,21 +1070,25 @@ fn out_of_order_responses_are_matched_to_the_right_episodes() {
     let episodes = execute_shard_pipelined(&mut owner, &client, 0, &mut engine, &steps, 4).unwrap();
     daemon.join().unwrap();
 
-    let rounds: u64 = episodes.iter().map(|(_, _, res)| res.rounds).sum();
+    let rounds: u64 = episodes.iter().map(|(_, res)| res.rounds).sum();
     assert_eq!(rounds, 4);
     // Responses arrived in reverse, and the demux must have attributed
     // each to its own episode: the marker tuple the rogue daemon built
     // from request i must surface on episode i.
-    let arrival: Vec<usize> = episodes.iter().map(|(idx, _, _)| *idx).collect();
+    let arrival: Vec<usize> = episodes
+        .iter()
+        .map(|(pair, _)| pair.sensitive_bin)
+        .collect();
     assert_eq!(
         arrival,
         vec![3, 2, 1, 0],
         "completion order is the wire order"
     );
-    for (idx, _pair, res) in &episodes {
+    for (pair, res) in &episodes {
+        let idx = pair.sensitive_bin;
         let want = Tuple::new(
-            TupleId::new(1000 + *idx as u64),
-            vec![Value::Int(*idx as i64)],
+            TupleId::new(1000 + idx as u64),
+            vec![Value::Int(idx as i64)],
         );
         assert_eq!(res.outcome.nonsensitive, vec![want], "episode {idx}");
         assert!(res.outcome.sensitive.is_empty());

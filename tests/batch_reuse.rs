@@ -1,7 +1,7 @@
-//! Property test for in-batch bin reuse: a batched query is answered from
-//! bins its own batch fetches — with no episode of its own — when it
-//! repeats a pair the batch fetches, or when the cloud has seen its pair
-//! fetched together before and the batch fetches both of its bins.
+//! Property test for in-batch bin reuse: a batch fetches a minimum cover
+//! of the bins its queries need — every pair the cloud has not seen
+//! fetched as it stands, the other bins covered by pairs it has — and
+//! answers every query from the fetched streams of its two bins.
 //!
 //! Random batches with repeats over the Employee relation and a small
 //! LINEITEM, at cache capacities 0 and 8, over the sequential and threaded
@@ -20,17 +20,23 @@
 //! 5. the first batch after outsourcing fetches exactly its distinct
 //!    pairs;
 //! 6. the last batch, all of whose pairs are co-observed, fetches at most
-//!    (distinct sensitive bins + distinct non-sensitive bins − 1) pairs.
+//!    (distinct sensitive bins + distinct non-sensitive bins − 1) pairs;
+//! 7. each batch whose pairs the cache does not serve span at most 8 bins a
+//!    side fetches exactly the fewest pairs covering those bins, found by
+//!    exhaustive search over the allowed pairs (those pairs themselves and
+//!    co-observed pairs inside their bins, the never co-observed ones
+//!    always included); when every pair inside those bins is co-observed,
+//!    that is the larger of the two bin counts.
 //!
 //! Failures replay from `PROPTEST_SEED`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 
 use proptest::prelude::*;
 
 use partitioned_data_security::cloud::{
-    EpisodeObservation, ServiceConfig, ShardDaemon, TcpCloudClient,
+    BinKey, EpisodeObservation, ServiceConfig, ShardDaemon, TcpCloudClient,
 };
 use partitioned_data_security::prelude::*;
 use partitioned_data_security::storage::PartitionedRelation;
@@ -104,6 +110,102 @@ fn shard_views(router: &ShardRouter) -> Vec<(HashSet<EpisodeObservation>, usize)
             (distinct, view.len())
         })
         .collect()
+}
+
+/// What check 7 expects of one batch.
+struct Fewest {
+    /// The fewest allowed pairs covering the bins of the batch's pairs the
+    /// cache does not serve.
+    fetches: usize,
+    /// The larger side's bin count, when every pair inside those bins is
+    /// co-observed.
+    full_grid: Option<usize>,
+}
+
+/// Check 7's expectation for `batch`, run next on `executor`, or `None`
+/// when its pairs span more than 8 bins a side.  `co_observed` holds every
+/// pair fetched so far and gains the batch's own pairs, which a batch
+/// fetches or has fetched before.
+fn fewest_fetches(
+    executor: &QbExecutor<Box<dyn SecureSelectionEngine>>,
+    batch: &[Value],
+    co_observed: &mut HashSet<(usize, usize)>,
+) -> Option<Fewest> {
+    let cache = executor.cache();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for v in batch {
+        let Some(p) = executor.binning().retrieve(v) else {
+            continue;
+        };
+        let pair = (p.sensitive_bin, p.nonsensitive_bin);
+        // The cache serves a co-observed pair whose two bins it holds.
+        let served = co_observed.contains(&pair)
+            && cache.contains(BinKey::sensitive(pair.0))
+            && cache.contains(BinKey::nonsensitive(pair.1));
+        if !served && !pairs.contains(&pair) {
+            pairs.push(pair);
+        }
+    }
+    let mut sensitive: Vec<usize> = pairs.iter().map(|p| p.0).collect();
+    let mut nonsensitive: Vec<usize> = pairs.iter().map(|p| p.1).collect();
+    for bins in [&mut sensitive, &mut nonsensitive] {
+        bins.sort_unstable();
+        bins.dedup();
+    }
+    // The allowed pairs: the batch's own, which must be fetched when never
+    // co-observed, and co-observed pairs inside its bins.
+    let forced: Vec<(usize, usize)> = pairs
+        .iter()
+        .copied()
+        .filter(|p| !co_observed.contains(p))
+        .collect();
+    let optional: Vec<(usize, usize)> = sensitive
+        .iter()
+        .flat_map(|&s| nonsensitive.iter().map(move |&ns| (s, ns)))
+        .filter(|p| co_observed.contains(p))
+        .collect();
+    let full_grid = (optional.len() == sensitive.len() * nonsensitive.len())
+        .then(|| sensitive.len().max(nonsensitive.len()));
+    co_observed.extend(pairs.iter().copied());
+    if sensitive.len() > 8 || nonsensitive.len() > 8 {
+        return None;
+    }
+
+    // Each bin is one bit; a pair covers its two bins.
+    let bits = |&(s, ns): &(usize, usize)| -> u32 {
+        let s = sensitive.iter().position(|&b| b == s).unwrap();
+        let ns = nonsensitive.iter().position(|&b| b == ns).unwrap();
+        (1 << s) | (1 << (8 + ns))
+    };
+    let all: u32 = (0..sensitive.len())
+        .chain((0..nonsensitive.len()).map(|k| 8 + k))
+        .fold(0, |mask, bit| mask | (1 << bit));
+    let optional: Vec<u32> = optional.iter().map(bits).collect();
+    let start = forced.iter().fold(0, |mask, p| mask | bits(p));
+    Some(Fewest {
+        fetches: forced.len() + fewest_covering(start, all, &optional, &mut HashMap::new()),
+        full_grid,
+    })
+}
+
+/// The fewest of `pairs` (bit masks) whose union with `covered` is `all`:
+/// some pair must cover the lowest uncovered bin, so try each in turn.
+fn fewest_covering(covered: u32, all: u32, pairs: &[u32], memo: &mut HashMap<u32, usize>) -> usize {
+    if covered == all {
+        return 0;
+    }
+    if let Some(&known) = memo.get(&covered) {
+        return known;
+    }
+    let lowest = 1 << (all & !covered).trailing_zeros();
+    let fewest = pairs
+        .iter()
+        .filter(|&&pair| pair & lowest != 0)
+        .map(|&pair| 1 + fewest_covering(covered | pair, all, pairs, memo))
+        .min()
+        .unwrap_or(usize::MAX / 2);
+    memo.insert(covered, fewest);
+    fewest
 }
 
 proptest! {
@@ -182,7 +284,10 @@ proptest! {
         };
 
         let mut runs = Vec::new();
+        let mut fewest = Vec::new();
+        let mut co_observed = HashSet::new();
         for batch in &batches {
+            fewest.push(fewest_fetches(&dep.executor, batch, &mut co_observed));
             runs.push(
                 dep.executor
                     .run_workload_transported(&mut dep.owner, &mut dep.router, batch, &transport)
@@ -254,5 +359,19 @@ proptest! {
             "{}: last batch fetched {} pairs over {} + {} bins",
             case, runs[2].cache_misses, sensitive.len(), nonsensitive.len()
         );
+
+        // 7. A small batch fetches exactly the fewest allowed pairs covering
+        // its bins, the larger bin count once all of them are co-observed.
+        for (b, (run, want)) in runs.iter().zip(&fewest).enumerate() {
+            let Some(want) = want else { continue };
+            prop_assert!(
+                run.cache_misses == want.fetches,
+                "{}: batch {} fetched {} pairs, the fewest is {}",
+                case, b, run.cache_misses, want.fetches
+            );
+            if let Some(larger) = want.full_grid {
+                prop_assert!(want.fetches == larger, "{}: batch {} full grid", case, b);
+            }
+        }
     }
 }

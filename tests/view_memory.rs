@@ -58,10 +58,13 @@ impl Deployment {
         )
     }
 
+    /// One point query per value, one call each.
     fn read(&mut self, values: &[Value]) {
-        self.executor
-            .run_workload(&mut self.owner, &mut self.router, values)
-            .unwrap();
+        for v in values {
+            self.executor
+                .select(&mut self.owner, &mut self.router, v)
+                .unwrap();
+        }
     }
 
     /// Inserts a non-sensitive tuple on every shard, then drops the
