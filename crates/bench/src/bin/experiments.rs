@@ -818,7 +818,7 @@ fn print_planner(scale: f64) -> bool {
             }
             println!(
                 "advantage threshold {:.2}; wall-clock slack {:.1}x",
-                outcome.advantage_threshold,
+                pds_core::planner::ADVANTAGE_THRESHOLD,
                 planner::WALL_SLACK
             );
             if !outcome.holds() {

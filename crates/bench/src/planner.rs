@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use pds_adversary::{check_sharded_partitioned_security, WorkloadSkewAttack};
 use pds_cloud::{BinTransport, Metrics, NetworkModel};
 use pds_common::{PdsError, Result, Value};
+use pds_core::planner::ADVANTAGE_THRESHOLD;
 use pds_core::{choose_engines, CostModel, EngineCandidate, PlannerConfig};
 use pds_storage::{PartitionedRelation, Partitioner, Predicate};
 use pds_systems::{
@@ -142,8 +143,6 @@ pub struct PlannerOutcome {
     pub planner: DeploymentCost,
     /// Suite totals of the six homogeneous deployments.
     pub homogeneous: Vec<DeploymentCost>,
-    /// The advantage threshold the suite planned under.
-    pub advantage_threshold: f64,
 }
 
 impl PlannerOutcome {
@@ -379,7 +378,6 @@ impl DeploymentCost {
 /// Runs the full planner experiment over the mixed suite.
 pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
     let suite = scenarios(tuples, seed)?;
-    let threshold = PlannerConfig::default().advantage_threshold;
 
     let mut plans_out = Vec::new();
     let mut planner_total = DeploymentCost {
@@ -400,14 +398,13 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
 
     for sc in &suite {
         let advantages = shard_advantages(sc, seed)?;
-        let hot = advantages.iter().any(|&a| a > threshold);
+        let hot = advantages.iter().any(|&a| a > ADVANTAGE_THRESHOLD);
 
         // Homogeneous baselines: residual owner-side, no pushdown.  Their
         // first runs' per-(engine, shard) work deltas price the candidates.
         let baseline_config = PlannerConfig {
             residual: Some(sc.residual.clone()),
             pushdown: false,
-            ..PlannerConfig::default()
         };
         let mut model = CostModel::default();
         model.set_round_trip_cost(ROUND_TRIP_SEC);
@@ -430,7 +427,7 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
         }
 
         // The optimizer's choice, deployed with pushdown on.
-        let plans = choose_engines(&model, &candidates, &advantages, threshold)?;
+        let plans = choose_engines(&model, &candidates, &advantages, ADVANTAGE_THRESHOLD)?;
         let engines: Vec<Box<dyn SecureSelectionEngine>> = plans
             .iter()
             .map(|p| engine_named(&p.engine, seed))
@@ -438,7 +435,6 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
         let planner_config = PlannerConfig {
             residual: Some(sc.residual.clone()),
             pushdown: true,
-            ..PlannerConfig::default()
         };
         let mut dep = deploy(sc, engines, planner_config, seed)?;
         for plan in &plans {
@@ -479,7 +475,6 @@ pub fn run(tuples: usize, seed: u64) -> Result<PlannerOutcome> {
         plans: plans_out,
         planner: planner_total,
         homogeneous: homo_totals,
-        advantage_threshold: threshold,
     })
 }
 

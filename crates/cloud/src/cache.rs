@@ -27,10 +27,20 @@
 //!    `(i', j)`'s non-sensitive bin — but serving a never-co-observed pair
 //!    would permanently *remove* that edge from the cloud's co-occurrence
 //!    graph, and an incomplete bipartite graph is exactly the Figure 4b
-//!    shape `check_partitioned_security` rejects.  Requiring one joint
-//!    observation first makes the cached view a *prefix-preserving
-//!    subsequence* of the uncached one: same distinct episodes, lower
-//!    multiplicities, identical security verdict.
+//!    shape `check_partitioned_security` rejects.  With no writes, requiring
+//!    one joint observation first makes the cached view a subsequence of
+//!    the uncached one that keeps each distinct episode's first
+//!    occurrence: same distinct episodes, lower multiplicities, identical
+//!    security verdict.
+//!
+//!    The rule checks that the pair was *ever* observed, not that it is
+//!    [`BinCache::fresh`].  After a write into one of its bins, once
+//!    another pair has re-fetched that bin, the pair is served from the
+//!    refreshed bins although the cloud never saw the pair's post-write
+//!    result.  With writes, the cached view can therefore lack an
+//!    observation the uncached view holds.  Requiring freshness here would
+//!    close that gap, at the cost of hits (and so rounds) on read-write
+//!    workloads.
 //!
 //! The same rules govern in-batch reuse at any capacity, capacity 0
 //! included.  A batch needs the bins of its pairs, and every query is
@@ -57,8 +67,8 @@
 //! not fresh, [`BinCache::clear`] does so for the lot, and
 //! [`BinCache::store_pair`] makes a fetched pair fresh again.
 //! Invalidation is **not** automatic: the insert path lives outside the
-//! executor (`InsertPlanner` plans, the engine re-uploads), so whoever
-//! applies an insert plan must call
+//! executor (`InsertPlanner` only plans; the caller uploads the new row),
+//! so whoever applies an insert plan must call
 //! `QbExecutor::invalidate_cache_on_insert` before the next select, or
 //! cached bins will serve answers missing the new tuple.
 
@@ -189,8 +199,9 @@ impl BinCache {
 
     /// Looks up a whole bin pair.  Returns `(sensitive, nonsensitive)`
     /// tuple streams only when **both** bins are cached *and* the pair has
-    /// been co-observed by the cloud before (see the module docs for why
-    /// neither half-pairs nor never-co-observed pairs are ever served),
+    /// been co-observed by the cloud at some point, fresh or not (see the
+    /// module docs for why neither half-pairs nor never-co-observed pairs
+    /// are ever served, and for what serving a stale pair misses),
     /// counting one hit; otherwise counts one miss and returns `None`.
     pub fn get_pair(
         &mut self,

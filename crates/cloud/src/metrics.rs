@@ -47,12 +47,6 @@ pub struct Metrics {
     /// fake from a real row — that is what the padding is for — and only
     /// the owner's `qmerge` recognises fakes, by tuple id.
     pub fake_tuples_returned: u64,
-    /// Bin-pair retrievals answered from the owner-side hot-bin cache
-    /// (no cloud interaction at all).
-    pub bin_cache_hits: u64,
-    /// Bin-pair retrievals that went to the cloud because at least one of
-    /// the pair's bins was not cached.
-    pub bin_cache_misses: u64,
 }
 
 impl Metrics {
@@ -81,8 +75,6 @@ impl Metrics {
         self.round_trips += other.round_trips;
         self.tuples_returned += other.tuples_returned;
         self.fake_tuples_returned += other.fake_tuples_returned;
-        self.bin_cache_hits += other.bin_cache_hits;
-        self.bin_cache_misses += other.bin_cache_misses;
     }
 
     /// Difference `self - baseline`, useful to isolate the cost of one query
@@ -106,8 +98,6 @@ impl Metrics {
             round_trips: self.round_trips - baseline.round_trips,
             tuples_returned: self.tuples_returned - baseline.tuples_returned,
             fake_tuples_returned: self.fake_tuples_returned - baseline.fake_tuples_returned,
-            bin_cache_hits: self.bin_cache_hits - baseline.bin_cache_hits,
-            bin_cache_misses: self.bin_cache_misses - baseline.bin_cache_misses,
         }
     }
 
@@ -163,29 +153,6 @@ mod tests {
         assert_eq!(a.wire_frames, 2);
         let d = a.delta_since(&b);
         assert_eq!(d.wire_frames, 0);
-    }
-
-    #[test]
-    fn cache_counters_absorb_and_delta() {
-        let mut a = Metrics {
-            bin_cache_hits: 2,
-            bin_cache_misses: 5,
-            ..Default::default()
-        };
-        a.absorb(&Metrics {
-            bin_cache_hits: 1,
-            bin_cache_misses: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.bin_cache_hits, 3);
-        assert_eq!(a.bin_cache_misses, 6);
-        let d = a.delta_since(&Metrics {
-            bin_cache_hits: 2,
-            bin_cache_misses: 5,
-            ..Default::default()
-        });
-        assert_eq!(d.bin_cache_hits, 1);
-        assert_eq!(d.bin_cache_misses, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use pds_crypto::dpf::{self, DpfKey};
 use pds_crypto::shamir::{self, Share};
 use pds_crypto::{Ciphertext, DeterministicTagger, Key128, NonDetCipher};
 use pds_proto::WireRow;
-use pds_storage::{Relation, Tuple};
+use pds_storage::Tuple;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -68,16 +68,6 @@ impl DbOwner {
     /// Adds a forked owner's (or any other) counters into this owner's.
     pub fn absorb_metrics(&mut self, other: &Metrics) {
         self.metrics.absorb(other);
-    }
-
-    /// Records the outcome of one owner-side hot-bin cache lookup (a hit
-    /// skipped the cloud entirely; a miss went on to fetch the pair).
-    pub fn note_bin_cache(&mut self, hit: bool) {
-        if hit {
-            self.metrics.bin_cache_hits += 1;
-        } else {
-            self.metrics.bin_cache_misses += 1;
-        }
     }
 
     // ----- value-level primitives -------------------------------------------
@@ -136,15 +126,14 @@ impl DbOwner {
     // ----- tuple-level primitives --------------------------------------------
 
     /// Fixes the width every tuple plaintext is padded to: the widest
-    /// encoded tuple of `relation`, the augmented sensitive relation at
+    /// encoded tuple of `tuples`, every sensitive tuple and padding fake at
     /// outsourcing.  Without it a ciphertext's length tells the cloud a
     /// fake padding row (mostly `NULL`s) from a real one, so it could count
     /// each sensitive bin's real tuples.  A later tuple wider than the
     /// width is encrypted unpadded.
-    pub fn pad_tuples_to_widest(&mut self, relation: &Relation) {
-        self.tuple_width = relation
-            .tuples()
-            .iter()
+    pub fn pad_tuples_to_widest<'a>(&mut self, tuples: impl IntoIterator<Item = &'a Tuple>) {
+        self.tuple_width = tuples
+            .into_iter()
             .map(Tuple::encoded_len)
             .max()
             .unwrap_or(0);
@@ -177,12 +166,15 @@ impl DbOwner {
     /// Encrypts one sensitive tuple into the row the cloud stores: the
     /// full tuple's ciphertext, the cloud-side search `tags` (if any) and,
     /// when `attr_column` names the searchable attribute, a separate
-    /// ciphertext of that attribute's value (empty otherwise).
+    /// ciphertext of that attribute's value (empty otherwise).  The row's
+    /// storage address is the tuple id.
     ///
-    /// Only the No-Ind column scan (nondet-scan) downloads that column, so
-    /// only it asks for it; every other back-end passes `None` and saves one
-    /// encryption per row.  The owner's counters take one encryption per
-    /// ciphertext built.
+    /// Outsourcing builds every row here, through the one provided
+    /// `SecureSelectionEngine::outsource` of `pds-systems`: the back-end
+    /// supplies the tags, and only the No-Ind column scan (nondet-scan),
+    /// which downloads the attribute column, asks for it; every other
+    /// back-end saves one encryption per row.  The owner's counters take
+    /// one encryption per ciphertext built.
     pub fn encrypt_row(
         &mut self,
         tuple: &Tuple,
@@ -197,21 +189,6 @@ impl DbOwner {
             tuple_ct: self.encrypt_tuple(tuple).0,
             search_tags: tags,
         }
-    }
-
-    /// Encrypts an entire sensitive relation with no cloud-side tags:
-    /// [`DbOwner::encrypt_row`] of every tuple, with the attribute column
-    /// exactly when `attr_column` is `Some`.
-    pub fn encrypt_relation(
-        &mut self,
-        relation: &Relation,
-        attr_column: Option<AttrId>,
-    ) -> Vec<WireRow> {
-        relation
-            .tuples()
-            .iter()
-            .map(|t| self.encrypt_row(t, attr_column, Vec::new()))
-            .collect()
     }
 
     // ----- observability ------------------------------------------------------
@@ -239,7 +216,7 @@ impl std::fmt::Debug for DbOwner {
 mod tests {
     use super::*;
     use pds_common::TupleId;
-    use pds_storage::{DataType, Schema};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_tuple() -> Tuple {
         Tuple::new(
@@ -289,7 +266,7 @@ mod tests {
         .unwrap();
         r.insert(vec![Value::from("E3"), Value::Null, Value::Null])
             .unwrap();
-        owner.pad_tuples_to_widest(&r);
+        owner.pad_tuples_to_widest(r.tuples());
         let mut fork = owner.fork();
         let cts: Vec<Ciphertext> = r.tuples().iter().map(|t| fork.encrypt_tuple(t)).collect();
         assert!(cts.iter().all(|ct| ct.len() == cts[0].len()));
@@ -321,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_row_and_relation() {
+    fn encrypt_row_with_and_without_the_column() {
         let mut owner = DbOwner::new(7);
         let schema =
             Schema::from_pairs(&[("EId", DataType::Text), ("Office", DataType::Int)]).unwrap();
@@ -329,8 +306,12 @@ mod tests {
         r.insert(vec![Value::from("E101"), Value::Int(1)]).unwrap();
         r.insert(vec![Value::from("E259"), Value::Int(6)]).unwrap();
         let attr = r.schema().attr_id("EId").unwrap();
-        let rows = owner.encrypt_relation(&r, Some(attr));
-        assert_eq!(rows.len(), 2);
+        let rows: Vec<WireRow> = r
+            .tuples()
+            .iter()
+            .map(|t| owner.encrypt_row(t, Some(attr), Vec::new()))
+            .collect();
+        assert_eq!(rows[0].id, r.tuples()[0].id.raw());
         assert_eq!(
             owner.metrics().owner_encryptions,
             4,
@@ -439,15 +420,5 @@ mod tests {
         assert_ne!(nonce(&a), nonce(&b));
         assert_eq!(owner.decrypt_value(&a).unwrap(), Value::from("AAAA"));
         assert_eq!(owner.decrypt_value(&b).unwrap(), Value::from("BBBB"));
-    }
-
-    #[test]
-    fn bin_cache_notes_count_hits_and_misses() {
-        let mut owner = DbOwner::new(7);
-        owner.note_bin_cache(true);
-        owner.note_bin_cache(false);
-        owner.note_bin_cache(false);
-        assert_eq!(owner.metrics().bin_cache_hits, 1);
-        assert_eq!(owner.metrics().bin_cache_misses, 2);
     }
 }

@@ -38,24 +38,9 @@ pub fn shuffle<T, R: Rng>(items: &mut [T], rng: &mut R) {
     }
 }
 
-/// Samples a random permutation of `0..n` as a vector of indices.
-pub fn random_permutation<R: Rng>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    shuffle(&mut perm, rng);
-    perm
-}
-
-/// Fills a byte buffer with pseudo-random bytes from the given RNG.
-pub fn random_bytes<R: Rng>(len: usize, rng: &mut R) -> Vec<u8> {
-    let mut buf = vec![0u8; len];
-    rng.fill(buf.as_mut_slice());
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn same_seed_same_stream() {
@@ -83,15 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn permutation_is_a_permutation() {
-        let mut rng = seeded_rng(7);
-        let p = random_permutation(100, &mut rng);
-        let uniq: HashSet<_> = p.iter().copied().collect();
-        assert_eq!(uniq.len(), 100);
-        assert_eq!(*p.iter().max().unwrap(), 99);
-    }
-
-    #[test]
     fn shuffle_preserves_elements() {
         let mut rng = seeded_rng(9);
         let mut xs: Vec<u32> = (0..50).collect();
@@ -99,12 +75,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_bytes_len() {
-        let mut rng = seeded_rng(3);
-        assert_eq!(random_bytes(33, &mut rng).len(), 33);
-        assert_eq!(random_bytes(0, &mut rng).len(), 0);
     }
 }

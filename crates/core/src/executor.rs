@@ -3,10 +3,10 @@
 //! [`QbExecutor`] glues everything together:
 //!
 //! 1. **Outsourcing** — the non-sensitive part `Rns` is uploaded in
-//!    clear-text; the sensitive part `Rs` is augmented with the fake tuples
-//!    the general case requires (so every sensitive bin answers with the
-//!    same number of tuples) and handed to the configured
-//!    [`SecureSelectionEngine`] for encryption/upload.
+//!    clear-text; the sensitive part `Rs` and the fake tuples the general
+//!    case requires (so every sensitive bin answers with the same number
+//!    of tuples) are dealt into one relation per shard, which the shard's
+//!    [`SecureSelectionEngine::outsource`] indexes, encrypts and uploads.
 //! 2. **Planning** — a batch of queries is compiled into a
 //!    [`crate::plan::QueryPlan`]: Algorithm 2 rewrites each value into one
 //!    bin pair, the owner-side hot-bin cache serves what it can, and the
@@ -89,8 +89,7 @@ pub struct QbExecutor<E: SecureSelectionEngine> {
     sensitive_attr: Option<AttrId>,
     nonsensitive_attr: Option<AttrId>,
     outsourced: bool,
-    fake_tuple_ids: Vec<TupleId>,
-    /// The same ids as a set, built once at outsourcing time so the
+    /// Ids of the padding fakes, built once at outsourcing time so the
     /// per-query merge never rebuilds it (`qmerge` is on the hot path).
     fake_id_set: HashSet<TupleId>,
     /// Owner-side hot-bin cache over already-retrieved, already-decrypted
@@ -117,7 +116,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             sensitive_attr: None,
             nonsensitive_attr: None,
             outsourced: false,
-            fake_tuple_ids: Vec::new(),
             fake_id_set: HashSet::new(),
             cache: BinCache::new(0),
             tenant: 0,
@@ -255,8 +253,8 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Ids of the fake tuples added during outsourcing.
-    pub fn fake_tuple_ids(&self) -> &[TupleId] {
-        &self.fake_tuple_ids
+    pub fn fake_tuple_ids(&self) -> &HashSet<TupleId> {
+        &self.fake_id_set
     }
 
     /// The searchable attribute's position in the partitioned schemas
@@ -266,7 +264,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     }
 
     /// Outsources the partitioned relation: `Rns` in clear-text (replicated
-    /// to every shard), `Rs` (augmented with fake tuples) through one forked
+    /// to every shard), `Rs` and its padding fakes through one forked
     /// engine per shard, each shard receiving exactly the sensitive bins the
     /// placement assigns to it.  The shards encrypt and upload concurrently,
     /// each through its own fork of `owner`, whose counters fold back into
@@ -325,12 +323,12 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         // seen-pair history may carry over.
         self.cache = BinCache::new(self.cache.capacity());
 
-        // Sensitive side: clone, append fake tuples per bin, then move the
-        // tuples into one sub-relation per shard (a sensitive bin lives on
+        // Sensitive side: the real tuples and the fakes each bin needs,
+        // dealt into one sub-relation per shard (a sensitive bin lives on
         // one shard).
-        let augmented = self.augment_with_fakes(&partitioned.sensitive, s_attr)?;
-        owner.pad_tuples_to_widest(&augmented);
-        let per_shard = self.split_by_shard(cloud, augmented, s_attr)?;
+        let fakes = self.augment_with_fakes(&partitioned.sensitive, s_attr);
+        let per_shard = self.split_by_shard(cloud, &partitioned.sensitive, fakes, s_attr)?;
+        owner.pad_tuples_to_widest(per_shard.iter().flat_map(Relation::tuples));
         self.shard_engines = engines;
 
         // Every shard encrypts and uploads its sub-relation at once, one
@@ -363,23 +361,24 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         Ok(())
     }
 
-    /// Moves the augmented sensitive relation's tuples into one
-    /// sub-relation per shard, following the cloud's bin routing.
+    /// Deals the real sensitive tuples (cloned once) and then the fakes
+    /// into one sub-relation per shard, following the cloud's bin routing.
     fn split_by_shard<C: BinRoutedCloud>(
         &self,
         cloud: &C,
-        augmented: Relation,
+        sensitive: &Relation,
+        fakes: Vec<Tuple>,
         attr: AttrId,
     ) -> Result<Vec<Relation>> {
         let mut per_shard: Vec<Relation> = (0..cloud.shard_count())
             .map(|s| {
                 Relation::new(
-                    format!("{}@shard{s}", augmented.name()),
-                    augmented.schema().clone(),
+                    format!("{}@shard{s}", sensitive.name()),
+                    sensitive.schema().clone(),
                 )
             })
             .collect();
-        for t in augmented.into_tuples() {
+        for t in sensitive.tuples().iter().cloned().chain(fakes) {
             let assignment = self
                 .binning
                 .sensitive_assignment(t.value(attr))
@@ -395,18 +394,17 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
         Ok(per_shard)
     }
 
-    /// Builds the augmented sensitive relation containing the fake tuples
-    /// the general case prescribes (each fake carries a value of its bin so
-    /// the cloud returns it whenever that bin is queried).
+    /// The fake tuples the general case prescribes for `sensitive`, bin by
+    /// bin (each fake carries a value of its bin so the cloud returns it
+    /// whenever that bin is queried).
     ///
     /// Every non-searchable attribute of a fake tuple is `NULL`.  The owner
-    /// pads every tuple plaintext to the widest tuple of the augmented
-    /// relation before encrypting it ([`DbOwner::pad_tuples_to_widest`]),
-    /// so to the cloud a fake is indistinguishable from a real row, even by
+    /// pads every tuple plaintext to the widest sensitive tuple or fake
+    /// before encrypting it ([`DbOwner::pad_tuples_to_widest`]), so to the
+    /// cloud a fake is indistinguishable from a real row, even by
     /// ciphertext length.  The owner recognises fakes by their tuple ids
     /// (tracked in [`QbExecutor::fake_tuple_ids`]).
-    fn augment_with_fakes(&mut self, sensitive: &Relation, attr: AttrId) -> Result<Relation> {
-        let mut augmented = sensitive.clone();
+    fn augment_with_fakes(&mut self, sensitive: &Relation, attr: AttrId) -> Vec<Tuple> {
         let arity = sensitive.schema().arity();
         let mut next_id = sensitive
             .tuples()
@@ -414,7 +412,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             .map(|t| t.id.raw())
             .max()
             .map_or(1_000_000, |m| m + 1_000_000);
-        self.fake_tuple_ids.clear();
+        let mut fakes = Vec::new();
         self.fake_id_set.clear();
         for bin in 0..self.binning.sensitive_bin_count() {
             let budget = self.binning.fake_tuples_per_bin()[bin];
@@ -433,12 +431,11 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                 next_id += 1;
                 let mut values = vec![Value::Null; arity];
                 values[attr.index()] = value.clone();
-                augmented.insert_with_id(id, values)?;
-                self.fake_tuple_ids.push(id);
+                fakes.push(Tuple::new(id, values));
                 self.fake_id_set.insert(id);
             }
         }
-        Ok(augmented)
+        fakes
     }
 
     /// Compiles the episode step retrieving one bin pair: routed to the
@@ -590,7 +587,7 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             }
         }
 
-        let plan = self.plan_workload(owner, cloud, pairs);
+        let plan = self.plan_workload(cloud, pairs);
         let cache_misses = plan.step_count();
         let cache_hits = plan.cache_served.len() + plan.waiters.len() - cache_misses;
         let (episodes, wall_clock_sec) = self.run_steps(owner, cloud, transport, plan.per_shard)?;
@@ -746,17 +743,16 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// the introspection entry point the plan-equivalence suite replays:
     /// an identically-built deployment with the same planner configuration
     /// and workload must compile to a byte-identical plan
-    /// (`format!("{plan:?}")`).  Cache lookups are performed (and counted)
-    /// exactly as the executing path would, but nothing is fetched and the
-    /// cache is never populated.
+    /// (`format!("{plan:?}")`).  Cache lookups are performed (and counted
+    /// in [`QbExecutor::cache_stats`]) exactly as the executing path would,
+    /// but nothing is fetched and the cache is never populated.
     pub fn compile_workload<C: BinRoutedCloud>(
         &mut self,
-        owner: &mut DbOwner,
         cloud: &C,
         values: &[Value],
     ) -> QueryPlan {
         let pairs: Vec<Option<BinPair>> = values.iter().map(|v| self.binning.retrieve(v)).collect();
-        self.plan_workload(owner, cloud, &pairs)
+        self.plan_workload(cloud, &pairs)
     }
 
     /// Compiles one batch of bin pairs (one per answer slot; `None` slots
@@ -771,7 +767,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
     /// plan.
     fn plan_workload<C: BinRoutedCloud>(
         &mut self,
-        owner: &mut DbOwner,
         cloud: &C,
         pairs: &[Option<BinPair>],
     ) -> QueryPlan {
@@ -788,7 +783,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
             let pair_key = (pair.sensitive_bin, pair.nonsensitive_bin);
             if !in_batch.contains(&pair_key) {
                 if let Some((s_tuples, ns_tuples)) = self.cache.get_pair(pair_key.0, pair_key.1) {
-                    owner.note_bin_cache(true);
                     plan.cache_served.push(CacheServed {
                         index: idx,
                         pair,
@@ -797,7 +791,6 @@ impl<E: SecureSelectionEngine> QbExecutor<E> {
                     });
                     continue;
                 }
-                owner.note_bin_cache(false);
                 in_batch.insert(pair_key);
                 batch.push(pair);
             }
@@ -874,7 +867,7 @@ impl<E: SecureSelectionEngine> std::fmt::Debug for QbExecutor<E> {
         f.debug_struct("QbExecutor")
             .field("engine", &self.engine.name())
             .field("outsourced", &self.outsourced)
-            .field("fake_tuples", &self.fake_tuple_ids.len())
+            .field("fake_tuples", &self.fake_id_set.len())
             .finish_non_exhaustive()
     }
 }
@@ -1141,8 +1134,8 @@ mod tests {
         );
         let stats = cached.cache_stats();
         assert_eq!(stats.hits + stats.misses, stats.fetches());
-        assert_eq!(owner.metrics().bin_cache_hits, 1);
-        assert!(owner.metrics().bin_cache_misses >= 1);
+        assert_eq!(stats.hits, 1);
+        assert!(stats.misses >= 1);
     }
 
     #[test]
@@ -1287,7 +1280,7 @@ mod tests {
             .unwrap();
         exec.invalidate_cache_on_insert(template.value(attr), false);
 
-        let plan = exec.compile_workload(&mut owner, &cloud, &batch);
+        let plan = exec.compile_workload(&cloud, &batch);
         let fetched: Vec<(usize, usize)> = plan
             .per_shard
             .iter()
@@ -1309,7 +1302,7 @@ mod tests {
         // A sensitive insert writes every bin: each batch pair is fetched
         // as it stands.
         exec.invalidate_cache_on_insert(&batch[0], true);
-        let plan = exec.compile_workload(&mut owner, &cloud, &batch);
+        let plan = exec.compile_workload(&cloud, &batch);
         let mut fetched: Vec<(usize, usize)> = plan
             .per_shard
             .iter()

@@ -33,7 +33,8 @@ pub struct GroupAggregate {
 /// Computes `SELECT group, COUNT(*), SUM(agg), MIN(agg), MAX(agg) ... WHERE
 /// group IN (groups) GROUP BY group` over a QB deployment, in one
 /// [`QbExecutor::run_workload_transported`] batch over
-/// [`BinTransport::Sequential`].
+/// [`BinTransport::Sequential`].  A group listed twice is aggregated once,
+/// as `IN` counts each tuple once.
 pub fn group_by_aggregate<E: SecureSelectionEngine, C: BinRoutedCloud>(
     executor: &mut QbExecutor<E>,
     owner: &mut DbOwner,
@@ -44,6 +45,9 @@ pub fn group_by_aggregate<E: SecureSelectionEngine, C: BinRoutedCloud>(
     let run = executor.run_workload_transported(owner, cloud, groups, &BinTransport::Sequential)?;
     let mut out: BTreeMap<Value, GroupAggregate> = BTreeMap::new();
     for (group, tuples) in groups.iter().zip(run.answers) {
+        if out.contains_key(group) {
+            continue;
+        }
         let entry = out.entry(group.clone()).or_default();
         for t in tuples {
             entry.count += 1;
@@ -122,6 +126,31 @@ mod tests {
         assert_eq!(result[&Value::from("west")].max, Some(25));
         assert_eq!(result[&Value::from("north")].sum, 100);
         assert_eq!(result[&Value::from("south")].count, 1);
+    }
+
+    #[test]
+    fn a_repeated_group_is_aggregated_once() {
+        let (mut owner, mut cloud, mut exec, amount) = setup();
+        let east = Value::from("east");
+        let once = group_by_aggregate(
+            &mut exec,
+            &mut owner,
+            &mut cloud,
+            std::slice::from_ref(&east),
+            amount,
+        )
+        .unwrap();
+        let twice = group_by_aggregate(
+            &mut exec,
+            &mut owner,
+            &mut cloud,
+            &[east.clone(), east.clone()],
+            amount,
+        )
+        .unwrap();
+        assert_eq!(twice, once);
+        assert_eq!(twice[&east].count, 2);
+        assert_eq!(twice[&east].sum, 40);
     }
 
     #[test]

@@ -45,13 +45,22 @@ use pds_systems::SecureSelectionEngine;
 use crate::binning::BinPair;
 use crate::plan::QueryPlan;
 
+/// Workload-skew linkage advantage above which a shard must be served by
+/// an access-pattern-hiding back-end
+/// (see `pds_adversary::WorkloadSkewOutcome::advantage`).
+///
+/// A naive deployment links values perfectly at advantage 1.0.  QB's
+/// bin-level anonymity keeps measured advantage at or below this on every
+/// suite workload, but not always well below it: `experiments planner
+/// --scale 0.01` measures exactly 0.500 on employee shard 1, which stays on
+/// a non-oblivious engine only because [`choose_engines`] requires strictly
+/// more than the threshold.  Oblivious engines are forced only where
+/// linkage is demonstrably stronger than that.
+pub const ADVANTAGE_THRESHOLD: f64 = 0.5;
+
 /// How the executor's planner behaves for every compiled episode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
-    /// Workload-skew linkage advantage above which a shard must be served
-    /// by an access-pattern-hiding back-end
-    /// (see `pds_adversary::WorkloadSkewOutcome::advantage`).
-    pub advantage_threshold: f64,
     /// Residual predicate constraining the query beyond the searchable
     /// attribute.  Must only mention non-searchable attributes; the
     /// executor rejects residuals touching the binned attribute.
@@ -65,15 +74,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            // A naive deployment links values perfectly at advantage 1.0.
-            // QB's bin-level anonymity keeps measured advantage at or below
-            // this on every suite workload, but not always well below it:
-            // `experiments planner --scale 0.01` measures exactly 0.500 on
-            // employee shard 1, which stays on a non-oblivious engine only
-            // because `choose_engines` requires strictly more than the
-            // threshold.  The default forces oblivious engines only where
-            // linkage is demonstrably stronger than that.
-            advantage_threshold: 0.5,
             residual: None,
             pushdown: true,
         }
@@ -493,15 +493,14 @@ mod tests {
 
     /// Only an advantage strictly above the threshold forces an oblivious
     /// engine.  The suite's plan table rests on this boundary: employee
-    /// shard 1 measures exactly the default 0.5.
+    /// shard 1 measures exactly 0.5.
     #[test]
     fn an_advantage_equal_to_the_threshold_does_not_force_oblivious() {
         let mut model = suite_model();
         let candidates = suite_candidates();
         profile_all(&mut model, &candidates, 2, &point_work(64, 64));
-        let threshold = PlannerConfig::default().advantage_threshold;
-        let advantage = [threshold, threshold + 1e-3];
-        let plans = choose_engines(&model, &candidates, &advantage, threshold).unwrap();
+        let advantage = [ADVANTAGE_THRESHOLD, ADVANTAGE_THRESHOLD + 1e-3];
+        let plans = choose_engines(&model, &candidates, &advantage, ADVANTAGE_THRESHOLD).unwrap();
         assert!(!plans[0].oblivious_required);
         assert_eq!(plans[0].engine, "det-index");
         assert!(plans[1].oblivious_required);

@@ -35,16 +35,6 @@ impl Prf {
         let out = self.eval(input);
         u64::from_be_bytes(out[..8].try_into().expect("8 bytes"))
     }
-
-    /// Evaluates the PRF on `(input, counter)`, useful for per-occurrence
-    /// tokens (Arx encrypts the i-th occurrence of value v as a token of
-    /// `(v, i)`).
-    pub fn eval_counter(&self, input: &[u8], counter: u64) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(input.len() + 8);
-        buf.extend_from_slice(input);
-        buf.extend_from_slice(&counter.to_be_bytes());
-        self.eval(&buf)
-    }
 }
 
 #[cfg(test)]
@@ -63,13 +53,6 @@ mod tests {
         let a = Prf::new(Key128::derive(1, "prf"));
         let b = Prf::new(Key128::derive(2, "prf"));
         assert_ne!(a.eval(b"x"), b.eval(b"x"));
-    }
-
-    #[test]
-    fn counter_changes_output() {
-        let prf = Prf::new(Key128::derive(1, "prf"));
-        assert_ne!(prf.eval_counter(b"v", 0), prf.eval_counter(b"v", 1));
-        assert_eq!(prf.eval_counter(b"v", 3), prf.eval_counter(b"v", 3));
     }
 
     #[test]

@@ -109,13 +109,6 @@ impl OrderedIndex {
             .collect()
     }
 
-    /// The smallest and largest indexed values, if any.
-    pub fn bounds(&self) -> Option<(&Value, &Value)> {
-        let lo = self.map.keys().next()?;
-        let hi = self.map.keys().next_back()?;
-        Some((lo, hi))
-    }
-
     /// Number of distinct indexed values.
     pub fn distinct(&self) -> usize {
         self.map.len()
@@ -177,16 +170,13 @@ mod tests {
         // keys 3 and 5 (twice) fall in range
         assert_eq!(ids.len(), 3);
         assert_eq!(idx.lookup(&Value::Int(9)).len(), 1);
-        let (lo, hi) = idx.bounds().unwrap();
-        assert_eq!(lo, &Value::Int(1));
-        assert_eq!(hi, &Value::Int(9));
         assert_eq!(idx.distinct(), 4);
     }
 
     #[test]
-    fn ordered_index_empty_bounds() {
+    fn an_empty_ordered_index_has_an_empty_range() {
         let idx = OrderedIndex::default();
-        assert!(idx.bounds().is_none());
+        assert_eq!(idx.distinct(), 0);
         assert!(idx.range(&Value::Int(0), &Value::Int(10)).is_empty());
     }
 }

@@ -23,7 +23,7 @@ pub mod tuple;
 
 pub use index::{HashIndex, OrderedIndex};
 pub use partition::{PartitionedRelation, Partitioner, SensitivityPolicy};
-pub use predicate::{Predicate, SelectionQuery};
+pub use predicate::Predicate;
 pub use relation::Relation;
 pub use schema::{Attribute, DataType, Schema};
 pub use stats::AttributeStats;

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use pds_common::{AttrId, PdsError, Result, Value};
+use pds_common::{AttrId, Result, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::schema::Schema;
@@ -126,19 +126,6 @@ impl Predicate {
         out.dedup();
         out
     }
-
-    /// All equality-searchable values mentioned by the predicate on `attr`
-    /// (used by back-ends that answer point/IN queries through an index).
-    pub fn point_values(&self, attr: AttrId) -> Vec<Value> {
-        match self {
-            Predicate::Eq { attr: a, value } if *a == attr => vec![value.clone()],
-            Predicate::InSet { attr: a, values } if *a == attr => values.clone(),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                ps.iter().flat_map(|p| p.point_values(attr)).collect()
-            }
-            _ => Vec::new(),
-        }
-    }
 }
 
 /// A [`Predicate`] compiled for evaluation over many tuples: every
@@ -184,50 +171,6 @@ impl<'a> CompiledPredicate<'a> {
             Self::Not(p) => !p.matches(tuple),
             Self::True => true,
         }
-    }
-}
-
-/// A selection query: a predicate plus an optional projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SelectionQuery {
-    /// The predicate tuples must satisfy.
-    pub predicate: Predicate,
-    /// Attribute positions to return; `None` means all attributes.
-    pub projection: Option<Vec<AttrId>>,
-}
-
-impl SelectionQuery {
-    /// Selects whole tuples matching `predicate`.
-    pub fn new(predicate: Predicate) -> Self {
-        SelectionQuery {
-            predicate,
-            projection: None,
-        }
-    }
-
-    /// Point query `attr = value` by attribute name.
-    pub fn point(schema: &Schema, attr: &str, value: impl Into<Value>) -> Result<Self> {
-        Ok(SelectionQuery::new(Predicate::eq(schema, attr, value)?))
-    }
-
-    /// Set query `attr IN values` by attribute name.
-    pub fn points(schema: &Schema, attr: &str, values: Vec<Value>) -> Result<Self> {
-        Ok(SelectionQuery::new(Predicate::in_set(
-            schema, attr, values,
-        )?))
-    }
-
-    /// Adds a projection by attribute names.
-    pub fn with_projection(mut self, schema: &Schema, attrs: &[&str]) -> Result<Self> {
-        let ids = attrs
-            .iter()
-            .map(|a| schema.attr_id(a))
-            .collect::<Result<Vec<_>>>()?;
-        if ids.is_empty() {
-            return Err(PdsError::Query("projection cannot be empty".into()));
-        }
-        self.projection = Some(ids);
-        Ok(self)
     }
 }
 
@@ -287,22 +230,6 @@ mod tests {
         assert!(Predicate::Or(vec![a.clone(), b.clone()]).matches(&tuple("E999", 1)));
         assert!(Predicate::Not(Box::new(a)).matches(&tuple("E999", 1)));
         assert!(Predicate::True.matches(&tuple("anything", 0)));
-    }
-
-    #[test]
-    fn point_values_extraction() {
-        let s = schema();
-        let attr = s.attr_id("EId").unwrap();
-        let p = Predicate::Or(vec![
-            Predicate::eq(&s, "EId", "a").unwrap(),
-            Predicate::in_set(&s, "EId", vec![Value::from("b"), Value::from("c")]).unwrap(),
-            Predicate::range(&s, "Office", 0, 9).unwrap(),
-        ]);
-        let vals = p.point_values(attr);
-        assert_eq!(
-            vals,
-            vec![Value::from("a"), Value::from("b"), Value::from("c")]
-        );
     }
 
     /// A value from a small mixed domain, so equality, set and range
@@ -373,19 +300,5 @@ mod tests {
                 prop_assert_eq!(compiled.matches(t), p.matches(t));
             }
         }
-    }
-
-    #[test]
-    fn query_builders() {
-        let s = schema();
-        let q = SelectionQuery::point(&s, "EId", "E101").unwrap();
-        assert!(q.projection.is_none());
-        let q = q.with_projection(&s, &["Office"]).unwrap();
-        assert_eq!(q.projection.unwrap().len(), 1);
-        assert!(SelectionQuery::point(&s, "EId", "x")
-            .unwrap()
-            .with_projection(&s, &[])
-            .is_err());
-        assert!(SelectionQuery::point(&s, "Missing", "x").is_err());
     }
 }

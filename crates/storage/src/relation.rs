@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::predicate::SelectionQuery;
 use crate::schema::Schema;
 use crate::stats::AttributeStats;
 use crate::tuple::Tuple;
@@ -66,11 +65,6 @@ impl Relation {
     /// [`Relation::delete`] (see the module docs).
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples
-    }
-
-    /// The tuples, moved out in [`Relation::tuples`] order.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
     }
 
     /// Inserts a row, assigning it a fresh tuple id; returns the id.
@@ -129,28 +123,6 @@ impl Relation {
         true
     }
 
-    /// Runs a selection query with a full scan, returning matching tuples
-    /// (projected if the query requests it).
-    pub fn select(&self, query: &SelectionQuery) -> Vec<Tuple> {
-        self.tuples
-            .iter()
-            .filter(|t| query.predicate.matches(t))
-            .map(|t| match &query.projection {
-                None => t.clone(),
-                Some(attrs) => Tuple::new(t.id, t.project(attrs)),
-            })
-            .collect()
-    }
-
-    /// Shortcut: ids of tuples whose `attr` equals `value`.
-    pub fn matching_ids(&self, attr: AttrId, value: &Value) -> Vec<TupleId> {
-        self.tuples
-            .iter()
-            .filter(|t| t.value(attr) == value)
-            .map(|t| t.id)
-            .collect()
-    }
-
     /// Computes per-value frequency statistics for an attribute.
     pub fn attribute_stats(&self, attr: AttrId) -> AttributeStats {
         let mut counts: HashMap<Value, u64> = HashMap::new();
@@ -192,7 +164,6 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
     use crate::schema::DataType;
 
     fn people() -> Relation {
@@ -236,36 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn select_point_query() {
-        let r = people();
-        let q = SelectionQuery::point(r.schema(), "EId", "E259").unwrap();
-        let out = r.select(&q);
-        assert_eq!(out.len(), 2);
-        assert!(out
-            .iter()
-            .all(|t| t.value(AttrId::new(0)) == &Value::from("E259")));
-    }
-
-    #[test]
-    fn select_with_projection() {
-        let r = people();
-        let q = SelectionQuery::point(r.schema(), "EId", "E101")
-            .unwrap()
-            .with_projection(r.schema(), &["Office"])
-            .unwrap();
-        let out = r.select(&q);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].values, vec![Value::Int(1)]);
-    }
-
-    #[test]
-    fn select_true_returns_all() {
-        let r = people();
-        let q = SelectionQuery::new(Predicate::True);
-        assert_eq!(r.select(&q).len(), 4);
-    }
-
-    #[test]
     fn get_and_delete() {
         let mut r = people();
         let id = TupleId::new(1);
@@ -298,14 +239,6 @@ mod tests {
         assert!(r.avg_tuple_bytes() > 0);
         let empty = Relation::new("E", Schema::from_pairs(&[("A", DataType::Int)]).unwrap());
         assert_eq!(empty.avg_tuple_bytes(), 0);
-    }
-
-    #[test]
-    fn matching_ids_shortcut() {
-        let r = people();
-        let attr = r.schema().attr_id("EId").unwrap();
-        assert_eq!(r.matching_ids(attr, &Value::from("E259")).len(), 2);
-        assert!(r.matching_ids(attr, &Value::from("E000")).is_empty());
     }
 
     #[test]

@@ -35,14 +35,6 @@ impl Tuple {
         &mut self.values[attr.index()]
     }
 
-    /// Projects the tuple onto the given attribute positions.
-    pub fn project(&self, attrs: &[AttrId]) -> Vec<Value> {
-        attrs
-            .iter()
-            .map(|a| self.values[a.index()].clone())
-            .collect()
-    }
-
     /// Approximate payload size in bytes: the id plus each value's
     /// [`Value::size_bytes`].  Feeds size statistics such as
     /// [`crate::Relation::avg_tuple_bytes`]; wire traffic is measured from
@@ -157,13 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn value_access_and_projection() {
+    fn value_access() {
         let t = sample();
         assert_eq!(t.value(AttrId::new(0)), &Value::from("E259"));
-        assert_eq!(
-            t.project(&[AttrId::new(2), AttrId::new(0)]),
-            vec![Value::Int(222), Value::from("E259")]
-        );
+        assert_eq!(t.value(AttrId::new(2)), &Value::Int(222));
     }
 
     #[test]

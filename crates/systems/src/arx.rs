@@ -14,9 +14,8 @@
 
 use std::collections::HashMap;
 
-use pds_cloud::{CloudServer, DbOwner};
-use pds_common::{AttrId, Result, Value};
-use pds_storage::Relation;
+use pds_cloud::DbOwner;
+use pds_common::{AttrId, Result, TupleId, Value};
 
 use crate::cost::CostProfile;
 use crate::engine::{not_outsourced, SecureSelectionEngine};
@@ -58,24 +57,24 @@ impl SecureSelectionEngine for ArxEngine {
         "arx-index"
     }
 
-    fn outsource(
+    /// Each row's one tag: the token of its value's next occurrence,
+    /// counted in the owner-side histogram.
+    fn index(
         &mut self,
         owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
         attr: AttrId,
-    ) -> Result<()> {
-        let mut rows = Vec::with_capacity(relation.len());
-        for t in relation.tuples() {
-            let value = t.value(attr).clone();
-            let occurrence = self.histogram.entry(value.clone()).or_insert(0);
-            let token = owner.counter_tag(&value, *occurrence);
-            *occurrence += 1;
-            rows.push(owner.encrypt_row(t, None, vec![token]));
-        }
-        cloud.upload_encrypted(rows)?;
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
         self.attr = Some(attr);
-        Ok(())
+        Ok(rows
+            .iter()
+            .map(|&(_, value)| {
+                let occurrence = self.histogram.entry(value.clone()).or_insert(0);
+                let token = owner.counter_tag(value, *occurrence);
+                *occurrence += 1;
+                vec![token]
+            })
+            .collect())
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -107,8 +106,8 @@ impl SecureSelectionEngine for ArxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_cloud::NetworkModel;
-    use pds_storage::{DataType, Schema};
+    use pds_cloud::{CloudServer, NetworkModel};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn skewed_relation() -> Relation {
         let schema =

@@ -7,9 +7,8 @@
 //! attribute — which is precisely the leakage the frequency-count attack in
 //! `pds-adversary` exploits, and which QB removes (§VI of the paper).
 
-use pds_cloud::{CloudServer, DbOwner};
-use pds_common::{AttrId, Result, Value};
-use pds_storage::Relation;
+use pds_cloud::DbOwner;
+use pds_common::{AttrId, Result, TupleId, Value};
 
 use crate::cost::CostProfile;
 use crate::engine::{not_outsourced, SecureSelectionEngine};
@@ -32,24 +31,18 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
         "det-index"
     }
 
-    fn outsource(
+    /// Each row's one tag: the deterministic tag of its value.
+    fn index(
         &mut self,
         owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
         attr: AttrId,
-    ) -> Result<()> {
-        let rows = relation
-            .tuples()
-            .iter()
-            .map(|t| {
-                let tag = owner.det_tag(t.value(attr));
-                owner.encrypt_row(t, None, vec![tag])
-            })
-            .collect();
-        cloud.upload_encrypted(rows)?;
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
         self.attr = Some(attr);
-        Ok(())
+        Ok(rows
+            .iter()
+            .map(|(_, value)| vec![owner.det_tag(value)])
+            .collect())
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -81,8 +74,8 @@ impl SecureSelectionEngine for DeterministicIndexEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_cloud::NetworkModel;
-    use pds_storage::{DataType, Schema};
+    use pds_cloud::{CloudServer, NetworkModel};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_relation() -> Relation {
         let schema = Schema::from_pairs(&[("K", DataType::Int), ("P", DataType::Text)]).unwrap();

@@ -19,14 +19,13 @@
 //! The per-query work is linear in the number of tuples on *both* servers —
 //! the expensive scan QB avoids performing over non-sensitive data.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::dpf::{self, DpfKey};
 use pds_crypto::FeistelPrp;
 use pds_crypto::Key128;
-use pds_storage::Relation;
 
 use crate::cost::CostProfile;
 use crate::engine::{not_outsourced, SecureSelectionEngine};
@@ -92,37 +91,40 @@ impl SecureSelectionEngine for DpfEngine {
         "dpf"
     }
 
-    fn outsource(
+    /// The secret-permuted domain of the rows' distinct values, taken in
+    /// first-occurrence order, and each row's value index on both servers;
+    /// the rows themselves carry no tags.
+    fn index(
         &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
+        _owner: &mut DbOwner,
         attr: AttrId,
-    ) -> Result<()> {
-        // Build the secret-permuted domain of distinct values.
-        let distinct = relation.distinct_values(attr);
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
+        let mut seen = HashSet::new();
+        let distinct: Vec<&Value> = rows
+            .iter()
+            .map(|&(_, value)| value)
+            .filter(|value| seen.insert(*value))
+            .collect();
         self.domain_size = distinct.len().max(1);
         let prp = FeistelPrp::new(
             Key128::derive(self.seed, "dpf-domain"),
             self.domain_size as u64,
         );
         for (i, v) in distinct.into_iter().enumerate() {
-            self.domain.insert(v, prp.permute(i as u64) as usize);
+            self.domain
+                .insert(v.clone(), prp.permute(i as u64) as usize);
         }
-        // Each server stores each tuple's value index.
-        for t in relation.tuples() {
+        for &(id, value) in rows {
             let idx = *self
                 .domain
-                .get(t.value(attr))
+                .get(value)
                 .ok_or_else(|| PdsError::Query("value missing from DPF domain".into()))?;
-            self.servers[0].tuple_value_index.push((t.id, idx));
-            self.servers[1].tuple_value_index.push((t.id, idx));
+            self.servers[0].tuple_value_index.push((id, idx));
+            self.servers[1].tuple_value_index.push((id, idx));
         }
-        // The encrypted payload tuples live on the cloud.
-        let rows = owner.encrypt_relation(relation, None);
-        cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        Ok(())
+        Ok(vec![Vec::new(); rows.len()])
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -191,7 +193,7 @@ impl std::fmt::Debug for DpfEngine {
 mod tests {
     use super::*;
     use pds_cloud::NetworkModel;
-    use pds_storage::{DataType, Schema};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_relation() -> Relation {
         let schema = Schema::from_pairs(&[("K", DataType::Int), ("P", DataType::Text)]).unwrap();

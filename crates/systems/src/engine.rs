@@ -24,8 +24,10 @@ pub struct BinEpisodeOutcome {
 /// equality / `IN`-set selection queries over the encrypted data.
 ///
 /// The workflow is always:
-/// 1. [`SecureSelectionEngine::outsource`] — encrypt and upload the relation
-///    (plus whatever cloud-side index structures the technique uses);
+/// 1. [`SecureSelectionEngine::outsource`] — build the back-end's search
+///    state ([`SecureSelectionEngine::index`]), then encrypt every row and
+///    upload them all.  Only the index differs per back-end: every
+///    back-end's rows are built and uploaded by this one provided method;
 /// 2. repeated [`SecureSelectionEngine::select_bin_episode`] calls — each
 ///    one runs a Query Binning bin-pair episode: the clear-text selection
 ///    of a non-sensitive bin next to the encrypted selection of a whole
@@ -74,14 +76,66 @@ pub trait SecureSelectionEngine: Send {
     /// Short human-readable name used in experiment output.
     fn name(&self) -> &'static str;
 
-    /// Encrypts `relation` (searchable attribute `attr`) and uploads it.
+    /// Builds the back-end's own search state over the rows about to be
+    /// outsourced on the searchable attribute `attr`, from each row's
+    /// storage address and searchable value, and returns each row's
+    /// cloud-side search tags, one list per row in row order (empty lists
+    /// for back-ends that locate rows by address).  The state is Arx's
+    /// occurrence histogram, the Shamir share servers, the DPF domain or
+    /// the enclave column; det-index keeps none.
+    ///
+    /// It runs before any row is encrypted, so randomness it draws from
+    /// `owner` (the Shamir polynomials) comes first.  It talks to no cloud.
+    fn index(
+        &mut self,
+        owner: &mut DbOwner,
+        attr: AttrId,
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>>;
+
+    /// Whether each stored row carries a ciphertext of its searchable
+    /// value next to the tuple ciphertext.  Only the column scan
+    /// (nondet-scan) downloads that column, so only it stores it; every
+    /// other back-end saves one encryption per row.
+    fn stores_attr_column(&self) -> bool {
+        false
+    }
+
+    /// Encrypts `relation` (searchable attribute `attr`) and uploads it:
+    /// [`SecureSelectionEngine::index`] first, then
+    /// [`DbOwner::encrypt_row`] of every tuple, in relation order, with its
+    /// search tags and, when [`SecureSelectionEngine::stores_attr_column`],
+    /// its attribute ciphertext, then every row in one `InsertRequest`.
+    ///
+    /// No back-end overrides it: this is the one place sensitive rows are
+    /// built and uploaded at outsourcing.
     fn outsource(
         &mut self,
         owner: &mut DbOwner,
         cloud: &mut CloudServer,
         relation: &Relation,
         attr: AttrId,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let tuples = relation.tuples();
+        let index_rows: Vec<(TupleId, &Value)> =
+            tuples.iter().map(|t| (t.id, t.value(attr))).collect();
+        let tags = self.index(owner, attr, &index_rows)?;
+        if tags.len() != tuples.len() {
+            return Err(PdsError::Query(format!(
+                "the {} back-end tagged {} of {} rows",
+                self.name(),
+                tags.len(),
+                tuples.len()
+            )));
+        }
+        let attr_column = self.stores_attr_column().then_some(attr);
+        let rows = tuples
+            .iter()
+            .zip(tags)
+            .map(|(t, tags)| owner.encrypt_row(t, attr_column, tags))
+            .collect();
+        cloud.upload_encrypted(rows)
+    }
 
     /// The searchable attribute the relation was outsourced on; a typed
     /// [`PdsError::Query`] before outsourcing.
@@ -283,14 +337,17 @@ impl SecureSelectionEngine for Box<dyn SecureSelectionEngine> {
         (**self).name()
     }
 
-    fn outsource(
+    fn index(
         &mut self,
         owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
         attr: AttrId,
-    ) -> Result<()> {
-        (**self).outsource(owner, cloud, relation, attr)
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
+        (**self).index(owner, attr, rows)
+    }
+
+    fn stores_attr_column(&self) -> bool {
+        (**self).stores_attr_column()
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -359,7 +416,8 @@ mod tests {
     }
 
     /// A boxed engine forwards the methods its back-end implements: the
-    /// trait's defaults would refuse `locate` and build no `tags`.
+    /// trait's defaults would refuse `locate`, build no `tags` and store no
+    /// attribute column.
     #[test]
     fn boxed_engines_forward_locate_and_tags() {
         use pds_cloud::{CloudServer, DbOwner};
@@ -377,6 +435,12 @@ mod tests {
         let mut scan: Box<dyn SecureSelectionEngine> = Box::new(crate::NonDetScanEngine::new());
         let mut cloud = CloudServer::default();
         scan.outsource(&mut owner, &mut cloud, &rel, attr).unwrap();
+        assert!(scan.stores_attr_column());
+        assert!(cloud
+            .encrypted_store()
+            .rows()
+            .iter()
+            .all(|row| !row.attr_ct.is_empty()));
         assert_eq!(scan.locate(&mut owner, &mut cloud, &one).unwrap().len(), 2);
 
         let mut det: Box<dyn SecureSelectionEngine> =
@@ -384,6 +448,11 @@ mod tests {
         let mut cloud = CloudServer::default();
         det.outsource(&mut owner, &mut cloud, &rel, attr).unwrap();
         assert!(det.tags(&mut owner, &one).unwrap().is_some());
+        assert!(cloud
+            .encrypted_store()
+            .rows()
+            .iter()
+            .all(|row| row.attr_ct.is_empty() && row.search_tags.len() == 1));
     }
 
     /// Boxed forks preserve the concrete kind behind the trait object.

@@ -15,7 +15,9 @@
 //! Every back-end implements [`SecureSelectionEngine`]: it outsources a
 //! relation through the [`pds_cloud::DbOwner`] onto a
 //! [`pds_cloud::CloudServer`] and answers `IN`-set selection queries over the
-//! encrypted data.  Query Binning (`pds-core`) drives whichever engine it is
+//! encrypted data.  A back-end only indexes the rows it outsources
+//! ([`SecureSelectionEngine::index`]); the trait's one provided
+//! [`SecureSelectionEngine::outsource`] encrypts and uploads them.  Query Binning (`pds-core`) drives whichever engine it is
 //! configured with for the sensitive side of a partitioned deployment; the
 //! same engine over the *whole* relation is the "full encryption" baseline of
 //! the paper's η analysis.

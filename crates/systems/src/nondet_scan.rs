@@ -15,7 +15,6 @@
 use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, Result, TupleId, Value};
 use pds_crypto::Ciphertext;
-use pds_storage::Relation;
 
 use crate::cost::CostProfile;
 use crate::engine::{not_outsourced, SecureSelectionEngine};
@@ -38,18 +37,20 @@ impl SecureSelectionEngine for NonDetScanEngine {
         "nondet-scan"
     }
 
-    fn outsource(
+    /// No search state: every query downloads the attribute column.
+    fn index(
         &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
+        _owner: &mut DbOwner,
         attr: AttrId,
-    ) -> Result<()> {
-        // The one back-end that downloads the attribute column stores it.
-        let rows = owner.encrypt_relation(relation, Some(attr));
-        cloud.upload_encrypted(rows)?;
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
         self.attr = Some(attr);
-        Ok(())
+        Ok(vec![Vec::new(); rows.len()])
+    }
+
+    /// The one back-end that downloads the attribute column stores it.
+    fn stores_attr_column(&self) -> bool {
+        true
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -91,7 +92,7 @@ impl SecureSelectionEngine for NonDetScanEngine {
 mod tests {
     use super::*;
     use pds_cloud::NetworkModel;
-    use pds_storage::{DataType, Schema};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_relation() -> Relation {
         let schema =

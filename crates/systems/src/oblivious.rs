@@ -13,7 +13,6 @@
 
 use pds_cloud::{BinEpisodeRequest, CloudServer, DbOwner};
 use pds_common::{AttrId, Result, TupleId, Value};
-use pds_storage::Relation;
 
 use crate::cost::CostProfile;
 use crate::engine::{finish_episode, not_outsourced, BinEpisodeOutcome, SecureSelectionEngine};
@@ -77,22 +76,17 @@ impl SecureSelectionEngine for ObliviousScanEngine {
         }
     }
 
-    fn outsource(
+    /// The enclave's copy of the searchable column; the rows carry no
+    /// tags.
+    fn index(
         &mut self,
-        owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
+        _owner: &mut DbOwner,
         attr: AttrId,
-    ) -> Result<()> {
-        let rows = owner.encrypt_relation(relation, None);
-        cloud.upload_encrypted(rows)?;
-        self.enclave_column = relation
-            .tuples()
-            .iter()
-            .map(|t| (t.id, t.value(attr).clone()))
-            .collect();
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
+        self.enclave_column = rows.iter().map(|&(id, v)| (id, v.clone())).collect();
         self.attr = Some(attr);
-        Ok(())
+        Ok(vec![Vec::new(); rows.len()])
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -171,7 +165,7 @@ mod tests {
     use super::*;
     use crate::cost::computation_time;
     use pds_cloud::{msg_tag, NetworkModel};
-    use pds_storage::{DataType, Schema};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_relation(n: i64) -> Relation {
         let schema = Schema::from_pairs(&[("K", DataType::Int), ("P", DataType::Int)]).unwrap();

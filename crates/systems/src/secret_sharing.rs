@@ -20,7 +20,6 @@
 use pds_cloud::{CloudServer, DbOwner};
 use pds_common::{AttrId, PdsError, Result, TupleId, Value};
 use pds_crypto::shamir::{self, Share};
-use pds_storage::Relation;
 
 use crate::cost::CostProfile;
 use crate::engine::{not_outsourced, SecureSelectionEngine};
@@ -74,30 +73,27 @@ impl SecureSelectionEngine for SecretSharingEngine {
         "secret-sharing"
     }
 
-    fn outsource(
+    /// Shares of each row's searchable value go to the share servers,
+    /// each polynomial drawn from the owner's randomness; the rows
+    /// themselves carry no tags.
+    fn index(
         &mut self,
         owner: &mut DbOwner,
-        cloud: &mut CloudServer,
-        relation: &Relation,
         attr: AttrId,
-    ) -> Result<()> {
+        rows: &[(TupleId, &Value)],
+    ) -> Result<Vec<Vec<Vec<u8>>>> {
         if self.threshold == 0 || self.threshold > self.servers.len() {
             return Err(PdsError::Config("invalid secret sharing threshold".into()));
         }
-        // Shares of the searchable attribute go to the share servers, each
-        // polynomial drawn from the owner's randomness...
-        for t in relation.tuples() {
-            let secret = field_encode(t.value(attr));
-            let shares = owner.shamir_shares(secret, self.threshold, self.servers.len())?;
+        for &(id, value) in rows {
+            let shares =
+                owner.shamir_shares(field_encode(value), self.threshold, self.servers.len())?;
             for (server, share) in self.servers.iter_mut().zip(shares) {
-                server.shares.push((t.id, share));
+                server.shares.push((id, share));
             }
         }
-        // ...and the encrypted payload tuples go to the cloud.
-        let rows = owner.encrypt_relation(relation, None);
-        cloud.upload_encrypted(rows)?;
         self.attr = Some(attr);
-        Ok(())
+        Ok(vec![Vec::new(); rows.len()])
     }
 
     fn searchable_attr(&self) -> Result<AttrId> {
@@ -171,7 +167,7 @@ impl SecureSelectionEngine for SecretSharingEngine {
 mod tests {
     use super::*;
     use pds_cloud::NetworkModel;
-    use pds_storage::{DataType, Schema};
+    use pds_storage::{DataType, Relation, Schema};
 
     fn sample_relation() -> Relation {
         let schema = Schema::from_pairs(&[("K", DataType::Text), ("P", DataType::Int)]).unwrap();

@@ -2,19 +2,14 @@
 //!
 //! The paper's experiments sweep the sensitivity ratio α (1 %, 5 %, 20 %,
 //! 40 %, 60 %, …).  How data gets classified is outside the paper's scope,
-//! so the assigners here simply pick which tuples are sensitive:
-//!
-//! * **by value** — whole value groups become sensitive (every tuple holding
-//!   a chosen searchable value); this keeps the value-level structure QB
-//!   bins over clean, and is how a real policy ("department X is
-//!   sensitive") behaves;
-//! * **by tuple** — individual tuples become sensitive regardless of value,
-//!   producing values that have both sensitive and non-sensitive tuples
-//!   (the general association case of §IV-B).
+//! so the assigner here simply picks which tuples are sensitive **by
+//! value**: whole value groups become sensitive (every tuple holding a
+//! chosen searchable value).  This keeps the value-level structure QB bins
+//! over clean, and is how a real policy ("department X is sensitive")
+//! behaves.
 
 use pds_common::{AttrId, PdsError, Result, Value};
 use pds_storage::{Predicate, Relation, SensitivityPolicy};
-use rand::Rng;
 
 /// Picks sensitive subsets of a relation to hit a target sensitivity ratio.
 #[derive(Debug, Clone)]
@@ -67,52 +62,6 @@ impl SensitivityAssigner {
             values: chosen,
         }))
     }
-
-    /// Marks individual tuples sensitive with probability `alpha` (Bernoulli
-    /// sampling), returning the explicit set of sensitive tuple ids as a
-    /// predicate over a synthetic "row number" — implemented by listing the
-    /// chosen tuples' searchable values *and* offices cannot work row-level,
-    /// so this variant instead returns the list of chosen tuple ids for the
-    /// caller to split manually via [`split_by_tuple_ids`].
-    pub fn by_tuple_fraction(
-        &self,
-        relation: &Relation,
-        alpha: f64,
-    ) -> Result<Vec<pds_common::TupleId>> {
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(PdsError::Config(format!(
-                "alpha must be in [0,1], got {alpha}"
-            )));
-        }
-        let mut rng = pds_common::rng::seeded_rng(self.seed);
-        Ok(relation
-            .tuples()
-            .iter()
-            .filter(|_| rng.gen::<f64>() < alpha)
-            .map(|t| t.id)
-            .collect())
-    }
-}
-
-/// Splits a relation into (sensitive, non-sensitive) by an explicit list of
-/// sensitive tuple ids, preserving ids (the tuple-level variant of the
-/// assigner).
-pub fn split_by_tuple_ids(
-    relation: &Relation,
-    sensitive_ids: &[pds_common::TupleId],
-) -> Result<(Relation, Relation)> {
-    let id_set: std::collections::HashSet<_> = sensitive_ids.iter().copied().collect();
-    let mut sensitive = Relation::new(format!("{}_s", relation.name()), relation.schema().clone());
-    let mut nonsensitive =
-        Relation::new(format!("{}_ns", relation.name()), relation.schema().clone());
-    for t in relation.tuples() {
-        if id_set.contains(&t.id) {
-            sensitive.insert_with_id(t.id, t.values.clone())?;
-        } else {
-            nonsensitive.insert_with_id(t.id, t.values.clone())?;
-        }
-    }
-    Ok((sensitive, nonsensitive))
 }
 
 #[cfg(test)]
@@ -166,22 +115,6 @@ mod tests {
         );
         assert!(SensitivityAssigner::new(1)
             .by_value_fraction(&rel, attr, 1.5)
-            .is_err());
-    }
-
-    #[test]
-    fn by_tuple_fraction_and_split() {
-        let rel = small_lineitem();
-        let ids = SensitivityAssigner::new(2)
-            .by_tuple_fraction(&rel, 0.25)
-            .unwrap();
-        let frac = ids.len() as f64 / rel.len() as f64;
-        assert!((frac - 0.25).abs() < 0.06, "frac = {frac}");
-        let (s, ns) = split_by_tuple_ids(&rel, &ids).unwrap();
-        assert_eq!(s.len() + ns.len(), rel.len());
-        assert_eq!(s.len(), ids.len());
-        assert!(SensitivityAssigner::new(2)
-            .by_tuple_fraction(&rel, -0.1)
             .is_err());
     }
 

@@ -43,26 +43,6 @@ impl Default for TpchConfig {
     }
 }
 
-impl TpchConfig {
-    /// The three dataset sizes of Figure 6b, scaled by `scale` so tests and
-    /// benches can run quickly (`scale = 1.0` reproduces the paper's counts).
-    pub fn figure6b_sizes(scale: f64) -> Vec<TpchConfig> {
-        [150_000usize, 1_500_000, 4_500_000]
-            .iter()
-            .map(|&n| {
-                let tuples = ((n as f64 * scale).round() as usize).max(100);
-                TpchConfig {
-                    lineitem_tuples: tuples,
-                    distinct_partkeys: (tuples / 8).max(10),
-                    distinct_suppkeys: (tuples / 150).max(5),
-                    skew: 0.0,
-                    seed: 42,
-                }
-            })
-            .collect()
-    }
-}
-
 /// The pseudo-TPC-H generator.
 #[derive(Debug, Clone)]
 pub struct TpchGenerator {
@@ -230,13 +210,5 @@ mod tests {
             (150..=300).contains(&avg),
             "avg customer tuple bytes = {avg}"
         );
-    }
-
-    #[test]
-    fn figure6b_sizes_scale() {
-        let sizes = TpchConfig::figure6b_sizes(0.001);
-        assert_eq!(sizes.len(), 3);
-        assert_eq!(sizes[0].lineitem_tuples, 150);
-        assert_eq!(sizes[2].lineitem_tuples, 4_500);
     }
 }

@@ -77,8 +77,7 @@ pub mod prelude {
         PlannerConfig, QbExecutor, QueryBinning, QueryPlan, ShardPlan, TransportedRun,
     };
     pub use pds_storage::{
-        Attribute, DataType, Partitioner, Predicate, Relation, Schema, SelectionQuery,
-        SensitivityPolicy, Tuple,
+        Attribute, DataType, Partitioner, Predicate, Relation, Schema, SensitivityPolicy, Tuple,
     };
     pub use pds_systems::{
         ArxEngine, DeterministicIndexEngine, DpfEngine, JanaSimEngine, NonDetScanEngine,

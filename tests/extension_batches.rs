@@ -111,7 +111,8 @@ fn extension_answers_equal_one_point_query_per_value() {
     assert!(!got.is_empty());
     assert_eq!(answer_bytes(&got), answer_bytes(&want), "range");
 
-    // Aggregate, over groups with a repeat and a value held nowhere.
+    // Aggregate, over groups with a repeat and a value held nowhere; the
+    // repeated group counts once, as `WHERE group IN (…)` does.
     let quantity = parts.sensitive.schema().attr_id("L_QUANTITY").unwrap();
     let mut groups: Vec<Value> = values.iter().step_by(3).cloned().collect();
     groups.push(groups[0].clone());
@@ -121,6 +122,9 @@ fn extension_answers_equal_one_point_query_per_value() {
         .iter()
         .zip(Deployment::new(&parts).per_value(&groups))
     {
+        if want.contains_key(group) {
+            continue;
+        }
         let entry = want.entry(group.clone()).or_default();
         for t in tuples {
             let x = t.value(quantity).as_int().unwrap();

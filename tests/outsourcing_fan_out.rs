@@ -6,11 +6,13 @@
 //! consequences: no CTR nonce repeats across forks, two deployments built
 //! from the same seeds store byte-identical rows at every shard count, the
 //! owner's counters fold in every fork's work (even when a shard fails),
-//! and only the column-scanning back-end stores an attribute ciphertext.
+//! only the column-scanning back-end stores an attribute ciphertext, and
+//! every back-end's stored rows match digests pinned at fixed seeds.
 
 use std::collections::HashSet;
 
 use partitioned_data_security::crypto::ctr::NONCE_LEN;
+use partitioned_data_security::crypto::sha256::Sha256;
 use partitioned_data_security::prelude::*;
 use partitioned_data_security::storage::PartitionedRelation;
 use partitioned_data_security::systems::oblivious;
@@ -61,6 +63,18 @@ fn det_index() -> Box<dyn SecureSelectionEngine> {
 
 fn nondet_scan() -> Box<dyn SecureSelectionEngine> {
     Box::new(NonDetScanEngine::new())
+}
+
+/// The six back-ends, each built behind a trait object.
+fn all_engines() -> [fn() -> Box<dyn SecureSelectionEngine>; 6] {
+    [
+        det_index,
+        nondet_scan,
+        || Box::new(ArxEngine::new()),
+        || Box::new(SecretSharingEngine::default_deployment()),
+        || Box::new(DpfEngine::new(5)),
+        || Box::new(oblivious::opaque_sim()),
+    ]
 }
 
 #[test]
@@ -125,15 +139,7 @@ fn encryptions_stored(router: &ShardRouter) -> u64 {
 #[test]
 fn the_owner_counts_every_forks_work() {
     let parts = lineitem_parts();
-    let engines: [fn() -> Box<dyn SecureSelectionEngine>; 6] = [
-        det_index,
-        nondet_scan,
-        || Box::new(ArxEngine::new()),
-        || Box::new(SecretSharingEngine::default_deployment()),
-        || Box::new(DpfEngine::new(5)),
-        || Box::new(oblivious::opaque_sim()),
-    ];
-    for engine in engines {
+    for engine in all_engines() {
         let (owner, router, executor) = deploy(&parts, 4, engine);
         let name = executor.engine().name();
         assert_eq!(
@@ -199,4 +205,97 @@ fn a_det_index_store_refuses_the_attribute_column_download() {
     assert_eq!(*server.metrics(), before, "the refusal charges nothing");
     assert_eq!(server.comm_time(), clock);
     assert_eq!(server.adversarial_view().len(), episodes);
+}
+
+/// SHA-256 of one shard's stored rows in store order: each row's address,
+/// attribute ciphertext, tuple ciphertext and search tags, every byte
+/// string length-prefixed.
+fn store_digest(server: &CloudServer) -> String {
+    let mut hasher = Sha256::new();
+    let mut field = |bytes: &[u8]| {
+        hasher.update(&(bytes.len() as u64).to_be_bytes());
+        hasher.update(bytes);
+    };
+    for row in server.encrypted_store().rows() {
+        field(&row.id.to_be_bytes());
+        field(&row.attr_ct);
+        field(&row.tuple_ct);
+        field(&(row.search_tags.len() as u64).to_be_bytes());
+        for tag in &row.search_tags {
+            field(tag);
+        }
+    }
+    hasher
+        .finalize()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// Every byte each back-end stores over two shards, pinned at fixed seeds:
+/// a change to how rows are built, addressed, tagged, ordered or uploaded
+/// shows here.  Re-record the digests only with a change that means to
+/// alter what the cloud stores, and say why.  DPF and the enclave
+/// simulator store the same bytes: neither tags its rows nor draws
+/// randomness while indexing.
+#[test]
+fn every_backend_stores_the_pinned_rows() {
+    const PINNED: [(&str, [&str; 2]); 6] = [
+        (
+            "det-index",
+            [
+                "ae5599168829986e795e3998be7e2080cda22265fb3da7e9d37710fa5fc069a7",
+                "f5378b3760a6231b7b7e977c5c8692ba10b44d9d244a42aeadba3d7448bc13a0",
+            ],
+        ),
+        (
+            "nondet-scan",
+            [
+                "ae968ced22bb7895bca28cfafaa8aa663874e6237ae61747035124680f5db3d3",
+                "85147178abd793518ce1588ef5bebf1aaa24eb5a0a20bff39734f950a09cbdbe",
+            ],
+        ),
+        (
+            "arx-index",
+            [
+                "449f123d47f0d31036500f58efb876fbe624802421773ee5ca84f1479ffe60e2",
+                "999160eae205d50481a35ecb7ba06403e105af3e2b469ad76da233b1bd9be864",
+            ],
+        ),
+        (
+            "secret-sharing",
+            [
+                "b96514911f819d2bc7fd2e3988e7275ba337ab9f244cba31ff018cef98e0d253",
+                "9cb657630a58400ca2ef94366000b6216b38f3ddb557129475fb35d096ee58c7",
+            ],
+        ),
+        (
+            "dpf",
+            [
+                "46e5def707b7df3ffdecc9a64b84aa63d93a9d4747ba97675ab18ae64fe0f72a",
+                "b3288e28d823063e18d54d6eb51bad80649786a12953d6a53ecd83a5eca111d7",
+            ],
+        ),
+        (
+            "opaque-sim",
+            [
+                "46e5def707b7df3ffdecc9a64b84aa63d93a9d4747ba97675ab18ae64fe0f72a",
+                "b3288e28d823063e18d54d6eb51bad80649786a12953d6a53ecd83a5eca111d7",
+            ],
+        ),
+    ];
+    let parts = lineitem_parts();
+    let stored: Vec<(&str, Vec<String>)> = all_engines()
+        .into_iter()
+        .map(|engine| {
+            let (_, router, executor) = deploy(&parts, 2, engine);
+            let digests = router.shards().iter().map(store_digest).collect();
+            (executor.engine().name(), digests)
+        })
+        .collect();
+    let pinned: Vec<(&str, Vec<String>)> = PINNED
+        .iter()
+        .map(|(name, digests)| (*name, digests.map(String::from).to_vec()))
+        .collect();
+    assert_eq!(stored, pinned);
 }

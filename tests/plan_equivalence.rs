@@ -303,7 +303,7 @@ proptest! {
                 residual: Some(residual.clone()),
                 ..PlannerConfig::default()
             }).unwrap();
-            let plan = executor.compile_workload(&mut owner, &router, &workload);
+            let plan = executor.compile_workload(&router, &workload);
             compiled.push(format!("{plan:?}"));
         }
         prop_assert!(
@@ -337,7 +337,6 @@ proptest! {
             PlannerConfig {
                 residual: Some(residual.clone()),
                 pushdown: true,
-                ..PlannerConfig::default()
             },
             placement_seed,
         );
@@ -349,7 +348,6 @@ proptest! {
                 PlannerConfig {
                     residual: Some(residual.clone()),
                     pushdown: false,
-                    ..PlannerConfig::default()
                 },
                 placement_seed,
             );
@@ -388,7 +386,6 @@ fn pushdown_filters_cloud_side_on_every_backend_in_both_plan_modes() {
                     .set_planner(PlannerConfig {
                         residual: Some(residual.clone()),
                         pushdown,
-                        ..PlannerConfig::default()
                     })
                     .unwrap();
                 let outsourcing = router.metrics();
